@@ -21,6 +21,7 @@
 #include "scenario/fuzz.hpp"
 #include "scenario/script.hpp"
 #include "scenario/vm.hpp"
+#include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
@@ -56,6 +57,12 @@ int main() {
   // runs a 10-script campaign slice per profile.
   const std::uint64_t scripts =
       5 * static_cast<std::uint64_t>(support::env_trials(2));
+  // DHTLB_THREADS sizes each run's engine, as the campaign runner does.
+  const std::size_t threads = support::env_threads();
+  scenario::ObsSinks sinks;
+  sinks.configure_engine = [threads](sim::Engine& engine) {
+    engine.set_threads(threads);
+  };
   std::printf("=== fuzz_throughput — scenario-fuzz campaign rate ===\n");
   std::printf("seed %llu, %llu scripts per profile\n\n",
               static_cast<unsigned long long>(seed),
@@ -86,7 +93,7 @@ int main() {
       }
       ticks_total += parsed.horizon;
       const scenario::ScenarioResult result =
-          scenario::run_scenario(parsed, parsed.seed);
+          scenario::run_scenario(parsed, parsed.seed, /*audit=*/false, sinks);
       DHTLB_CHECK(!result.records.empty(),
                   "fuzz_throughput: empty telemetry from " << parsed.name);
       fold = fold_result(fold, result);

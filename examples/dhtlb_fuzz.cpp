@@ -159,6 +159,9 @@ int run_file_mode(const support::CliParser& cli) {
       script, cli.has("seed"), cli.has("seed") ? cli.get_u64("seed") : 0,
       support::env_seed());
 
+  // DHTLB_THREADS sizes the engine: the --threads-matrix oracle runs
+  // this mode once per thread count.
+  //
   // Test-only fault injection: at the first tick barrier at or after
   // DHTLB_FUZZ_CORRUPT, bump the world's remaining-task counter behind
   // the engine's back.  The post-tick hook runs before the engine's
@@ -167,17 +170,17 @@ int run_file_mode(const support::CliParser& cli) {
   scenario::ObsSinks sinks;
   const std::uint64_t corrupt_tick =
       support::env_u64("DHTLB_FUZZ_CORRUPT", 0);
-  if (corrupt_tick != 0 && script.substrate == scenario::Substrate::kSim) {
-    sinks.configure_engine = [corrupt_tick](sim::Engine& engine) {
-      auto fired = std::make_shared<bool>(false);
-      engine.set_post_tick_hook(
-          [corrupt_tick, fired, &engine](std::uint64_t tick) {
-            if (*fired || tick < corrupt_tick) return;
-            *fired = true;
-            sim::testing::WorldCorruptor::inflate_remaining(engine.world());
-          });
-    };
-  }
+  sinks.configure_engine = [corrupt_tick](sim::Engine& engine) {
+    engine.set_threads(support::env_threads());
+    if (corrupt_tick == 0) return;
+    auto fired = std::make_shared<bool>(false);
+    engine.set_post_tick_hook(
+        [corrupt_tick, fired, &engine](std::uint64_t tick) {
+          if (*fired || tick < corrupt_tick) return;
+          *fired = true;
+          sim::testing::WorldCorruptor::inflate_remaining(engine.world());
+        });
+  };
 
   const scenario::ScenarioResult result =
       scenario::run_scenario(script, seed, cli.get_bool("audit"), sinks);

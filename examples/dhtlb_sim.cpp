@@ -9,72 +9,17 @@
 //             --snapshots 0,5,35 --csv results/invite   (one line)
 //   dhtlb_sim --list-strategies
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
 
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
 #include "lb/factory.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "scenario/script.hpp"
-#include "scenario/vm.hpp"
 #include "sim/engine.hpp"
+#include "sink_files.hpp"
 #include "support/cli.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
-
-namespace {
-
-/// Open observability sinks from --trace/--metrics.  Returns false (with
-/// a message on stderr) when a file cannot be created.
-struct CliSinks {
-  std::ofstream trace_file;
-  std::ofstream metrics_file;
-  std::unique_ptr<dhtlb::obs::TraceSink> trace;
-  std::unique_ptr<dhtlb::obs::MetricsRegistry> metrics;
-
-  bool open(const std::string& trace_path, const std::string& metrics_path) {
-    if (!trace_path.empty()) {
-      trace_file.open(trace_path, std::ios::binary | std::ios::trunc);
-      if (!trace_file) {
-        std::fprintf(stderr, "error: cannot write trace file %s\n",
-                     trace_path.c_str());
-        return false;
-      }
-      trace = std::make_unique<dhtlb::obs::TraceSink>(trace_file);
-    }
-    if (!metrics_path.empty()) {
-      metrics_file.open(metrics_path, std::ios::binary | std::ios::trunc);
-      if (!metrics_file) {
-        std::fprintf(stderr, "error: cannot write metrics file %s\n",
-                     metrics_path.c_str());
-        return false;
-      }
-      metrics = std::make_unique<dhtlb::obs::MetricsRegistry>(metrics_file);
-    }
-    return true;
-  }
-
-  void finish(const std::string& trace_path,
-              const std::string& metrics_path) {
-    if (trace) {
-      trace->close();
-      std::printf("wrote trace %s (%llu events; open in chrome://tracing)\n",
-                  trace_path.c_str(),
-                  static_cast<unsigned long long>(trace->event_count()));
-    }
-    if (metrics) {
-      metrics->flush();
-      std::printf("wrote metrics %s (%llu rows)\n", metrics_path.c_str(),
-                  static_cast<unsigned long long>(metrics->rows_written()));
-    }
-  }
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dhtlb;
@@ -99,16 +44,11 @@ int main(int argc, char** argv) {
                "capture workload snapshots at these ticks (1 trial)");
   cli.add_flag("csv", "prefix", "",
                "write <prefix>_summary.csv (+ per-snapshot CSVs)");
-  cli.add_flag("scenario", "file", "",
-               "run a .scn scenario script instead of a single config "
-               "(honors --seed; other flags come from the script)");
   cli.add_flag("trace", "file", "",
-               "write a Chrome trace_event JSON (scenario runs trace "
-               "directly; plain configs trace one extra trial at the "
-               "base seed)");
+               "write a Chrome trace_event JSON of one extra trial at the "
+               "base seed");
   cli.add_flag("metrics", "file", "",
-               "write per-tick metrics JSONL (same run selection as "
-               "--trace)");
+               "write per-tick metrics JSONL of the same extra trial");
   cli.add_flag("list-strategies", "", "", "print strategy names and exit");
   cli.add_flag("help", "", "", "show this help");
 
@@ -131,36 +71,6 @@ int main(int argc, char** argv) {
     std::printf("extensions (SS VII future work):\n");
     for (const auto name : lb::extension_strategy_names()) {
       std::printf("  %s\n", std::string(name).c_str());
-    }
-    return 0;
-  }
-
-  if (!cli.get("scenario").empty()) {
-    try {
-      const auto script = scenario::Script::load(cli.get("scenario"));
-      const std::uint64_t seed = scenario::resolve_seed(
-          script, cli.has("seed"),
-          cli.has("seed") ? cli.get_u64("seed") : 0, support::env_seed());
-      const std::string trace_path =
-          cli.has("trace") ? cli.get("trace") : script.trace_path;
-      const std::string metrics_path =
-          cli.has("metrics") ? cli.get("metrics") : script.metrics_path;
-      CliSinks sinks;
-      if (!sinks.open(trace_path, metrics_path)) return 1;
-      const auto result = scenario::run_scenario(
-          script, seed, false,
-          {sinks.trace.get(), sinks.metrics.get()});
-      std::printf("%s (seed %llu)\n", result.experiment.c_str(),
-                  static_cast<unsigned long long>(seed));
-      support::TextTable table({"metric", "value"});
-      for (const auto& rec : result.records) {
-        table.add_row({rec.metric, support::format_fixed(rec.value, 3)});
-      }
-      std::printf("%s", table.render().c_str());
-      sinks.finish(trace_path, metrics_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
     }
     return 0;
   }
@@ -205,13 +115,18 @@ int main(int argc, char** argv) {
   // multi-threaded trial scheduling cannot interleave sink writes — the
   // output stays byte-deterministic at any DHTLB_THREADS.
   if (cli.has("trace") || cli.has("metrics")) {
-    CliSinks sinks;
-    if (!sinks.open(cli.get("trace"), cli.get("metrics"))) return 1;
+    examples::SinkFiles sinks;
+    if (const std::string error = sinks.open(cli.get("trace"),
+                                             cli.get("metrics"));
+        !error.empty()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 1;
+    }
     sim::Engine engine(params, seed, lb::make_strategy(strategy));
     engine.set_trace(sinks.trace.get());
     engine.set_metrics(sinks.metrics.get());
     (void)engine.run();
-    sinks.finish(cli.get("trace"), cli.get("metrics"));
+    sinks.finish(/*report=*/true);
   }
 
   support::TextTable table({"metric", "value"});

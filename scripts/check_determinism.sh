@@ -5,18 +5,19 @@
 # trials are deterministic functions of (base_seed, trial_index), tick
 # outcomes of (seed, tick, shard) — DHTLB_THREADS must be inert.
 #
-# Four artifact families are checked across the thread matrix
+# Three artifact families are checked across the thread matrix
 # (default 1 2 8 — single-threaded reference, first parallel split,
 # oversubscribed):
 #   * examples/strategy_comparison text output (plus a repeat run at
 #     the reference count, catching nondeterminism unrelated to threads)
 #   * one reduced-trial bench binary's BENCH_*.json telemetry
 #     (DHTLB_BENCH_DETERMINISTIC=1 zeroes wall_ms)
-#   * a canned scenario's telemetry JSON, and the streamed-provisioning
-#     scenario's (its arrival folds are a parallel phase of their own)
-#   * the scenario's trace + metrics observability artifacts, plus the
-#     sinks-attached run's telemetry vs the plain run's (observation
-#     must not perturb the simulation)
+#   * a canned scenario's trace + metrics observability artifacts, plus
+#     the sinks-attached run's telemetry vs the committed golden
+#     (observation must not perturb the simulation)
+# Scenario and serve telemetry without sinks are byte-compared against
+# their goldens by the ctest scenario.golden.* / serve.golden.* entries,
+# and the fuzz runner's determinism by fuzz_test and fuzz.smoke.mixed.
 #
 # Usage: scripts/check_determinism.sh [build_dir] [nodes] [tasks] [trials]
 # build_dir defaults to $DHTLB_BUILD_DIR when set (so wrappers with an
@@ -91,51 +92,16 @@ else
   echo "check_determinism: note — $BENCH_BIN not built, skipping bench JSON check"
 fi
 
-# Scenario-engine determinism: the churn-heavy parallel soak drives the
-# sharded tick path (parallel departure draws, cross-arc fold, sharded
-# consumption) hard enough that any ordering bug surfaces in its JSON.
+# Observability determinism on the churn-heavy parallel soak, which
+# drives the sharded tick path (parallel departure draws, cross-arc
+# fold, sharded consumption) hard enough that any ordering bug surfaces:
+# trace + metrics files must byte-compare across the matrix, and
+# attaching the sinks must leave the telemetry JSON equal to the
+# committed golden (observation invariance).
 SCN_BIN="$BUILD_DIR/examples/dhtlb_scenario"
 SCN_FILE="$(dirname "$0")/../scenarios/parallel_churn_soak.scn"
 SCN_JSON="BENCH_scenario_parallel_churn_soak.json"
-if [[ -x "$SCN_BIN" && -f "$SCN_FILE" ]]; then
-  for t in "${THREAD_MATRIX[@]}"; do
-    mkdir -p "$workdir/scn$t"
-    echo "check_determinism: scenario telemetry (t$t)"
-    DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/scn$t" \
-      "$SCN_BIN" "$SCN_FILE" --quiet > /dev/null
-  done
-  for t in "${THREAD_MATRIX[@]:1}"; do
-    compare "$workdir/scn$REF/$SCN_JSON" "$workdir/scn$t/$SCN_JSON" \
-      "scenario JSON depends on thread count (t$REF vs t$t)"
-  done
-else
-  echo "check_determinism: note — $SCN_BIN not built, skipping scenario JSON check"
-fi
-
-# Streamed-provisioning determinism: the arrival phase adds a third
-# parallel fold (per-(tick, shard) key draws) between churn and
-# consumption; the streamed scenario's telemetry must be as
-# thread-inert as the preallocated one's.
-STREAM_FILE="$(dirname "$0")/../scenarios/streamed_overload.scn"
-STREAM_JSON="BENCH_scenario_streamed_overload.json"
-if [[ -x "$SCN_BIN" && -f "$STREAM_FILE" ]]; then
-  for t in "${THREAD_MATRIX[@]}"; do
-    mkdir -p "$workdir/stream$t"
-    echo "check_determinism: streamed scenario telemetry (t$t)"
-    DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/stream$t" \
-      "$SCN_BIN" "$STREAM_FILE" --quiet > /dev/null
-  done
-  for t in "${THREAD_MATRIX[@]:1}"; do
-    compare "$workdir/stream$REF/$STREAM_JSON" "$workdir/stream$t/$STREAM_JSON" \
-      "streamed scenario JSON depends on thread count (t$REF vs t$t)"
-  done
-else
-  echo "check_determinism: note — streamed scenario unavailable, skipping"
-fi
-
-# Observability determinism: trace + metrics files from the same
-# scenario must byte-compare across the matrix, and attaching the sinks
-# must not change the telemetry JSON (observation invariance).
+SCN_GOLDEN="$(dirname "$0")/../scenarios/goldens/$SCN_JSON"
 if [[ -x "$SCN_BIN" && -f "$SCN_FILE" ]]; then
   for t in "${THREAD_MATRIX[@]}"; do
     mkdir -p "$workdir/obs$t"
@@ -151,69 +117,10 @@ if [[ -x "$SCN_BIN" && -f "$SCN_FILE" ]]; then
         "$artifact depends on thread count (t$REF vs t$t)"
     done
   done
-  compare "$workdir/scn$REF/$SCN_JSON" "$workdir/obs$REF/$SCN_JSON" \
-    "attaching sinks changed the telemetry"
+  compare "$SCN_GOLDEN" "$workdir/obs$REF/$SCN_JSON" \
+    "attaching sinks changed the telemetry (vs the committed golden)"
 else
   echo "check_determinism: note — $SCN_BIN not built, skipping trace/metrics check"
-fi
-
-# Serving-plane determinism: dhtlb_serve telemetry must byte-compare
-# across the full (engine threads x reader threads) matrix — both are
-# pure execution knobs.  Deterministic mode zeroes the wall-derived
-# latency rows; every count and value stays exact.
-SERVE_BIN="$BUILD_DIR/examples/dhtlb_serve"
-SERVE_FILE="$(dirname "$0")/../scenarios/serve_churn_soak.scn"
-SERVE_JSON="BENCH_serve_serve_churn_soak.json"
-if [[ -x "$SERVE_BIN" && -f "$SERVE_FILE" ]]; then
-  READER_MATRIX=(${DHTLB_READER_MATRIX:-1 4 8})
-  ref_dir=""
-  for t in "${THREAD_MATRIX[@]}"; do
-    for r in "${READER_MATRIX[@]}"; do
-      mkdir -p "$workdir/serve_t${t}_r${r}"
-      echo "check_determinism: serve telemetry (t$t, r$r)"
-      DHTLB_THREADS="$t" DHTLB_BENCH_DETERMINISTIC=1 \
-        DHTLB_BENCH_DIR="$workdir/serve_t${t}_r${r}" \
-        "$SERVE_BIN" "$SERVE_FILE" --readers "$r" --quiet > /dev/null
-      if [[ -z "$ref_dir" ]]; then
-        ref_dir="$workdir/serve_t${t}_r${r}"
-      else
-        compare "$ref_dir/$SERVE_JSON" \
-                "$workdir/serve_t${t}_r${r}/$SERVE_JSON" \
-          "serve JSON depends on execution knobs (t${THREAD_MATRIX[0]}/r${READER_MATRIX[0]} vs t$t/r$r)"
-      fi
-    done
-  done
-else
-  echo "check_determinism: note — $SERVE_BIN not built, skipping serve check"
-fi
-
-# Fuzzer determinism: the generator is a pure function of
-# (profile, seed) — two emit passes must produce byte-identical corpus
-# files — and a small audited batch must pass the runner's own
-# cross-thread telemetry comparison at 1 vs 4 workers (the runner exits
-# nonzero on any auditor failure or telemetry mismatch).
-FUZZ_BIN="$BUILD_DIR/examples/dhtlb_fuzz"
-if [[ -x "$FUZZ_BIN" ]]; then
-  for pass in a b; do
-    mkdir -p "$workdir/fuzz_emit_$pass"
-    echo "check_determinism: fuzz corpus emit (pass $pass)"
-    "$FUZZ_BIN" --profile mixed --seed "$DHTLB_SEED" --count 5 \
-      --emit-only --emit-dir "$workdir/fuzz_emit_$pass" --quiet > /dev/null
-  done
-  for scn in "$workdir"/fuzz_emit_a/*.scn; do
-    compare "$scn" "$workdir/fuzz_emit_b/$(basename "$scn")" \
-      "fuzz generator is not a pure function of (profile, seed)"
-  done
-  echo "check_determinism: fuzz batch (t1 vs t4, audited)"
-  if ! "$FUZZ_BIN" --profile mixed --seed "$DHTLB_SEED" --count 3 \
-      --audit --threads-matrix 1,4 --out-dir "$workdir/fuzz_run" \
-      --quiet > /dev/null; then
-    echo "check_determinism: FAIL — fuzz batch telemetry differs across threads (or audit failed); artifacts under $workdir/fuzz_run" >&2
-    ls "$workdir/fuzz_run" >&2 || true
-    fail=1
-  fi
-else
-  echo "check_determinism: note — $FUZZ_BIN not built, skipping fuzz check"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

@@ -5,7 +5,8 @@ The repo's crown jewel is bit-exact reproduction: scenario goldens, bench
 value baselines, and trace/metrics files must byte-compare across runs,
 machines, and DHTLB_THREADS settings.  Golden diffs catch violations only
 after the fact; this linter rejects the five nondeterminism *sources* at
-review time, before they can reach an output path:
+review time, before they can reach an output path (plus one rule that
+keeps hidden environment knobs out of library code):
 
   unordered-iteration  std::unordered_{map,set,...} — iteration order is
                        hash-seed- and libstdc++-version-dependent, so any
@@ -25,6 +26,11 @@ review time, before they can reach an output path:
                        seed: it silently uses the fixed default seed,
                        correlating streams that must be independent.
                        Seed explicitly from the trial's mix_seed stream.
+  env-read             getenv / support::env_*() in library code (src/
+                       only): a knob read there is invisible to Params,
+                       .scn and the goldens.  Programs under bench/ and
+                       examples/ read the environment and pass values in;
+                       src/support/env.* is allowlisted as their helper.
 
 Escape hatches, in preference order:
   1. inline, for a single audited line (or the line right after a
@@ -99,7 +105,16 @@ RULES = {
         "RNG engine constructed without an explicit seed (fixed default "
         "seed silently correlates streams); seed from mix_seed",
     ),
+    "env-read": (
+        re.compile(r"getenv\s*\(|\benv_\w+\s*\("),
+        "environment read in library code; read the knob in the program "
+        "(bench/, examples/) and pass it in through Params or a setter",
+    ),
 }
+
+# Rules that apply only under some top-level directories (default: all
+# of SCAN_DIRS).
+RULE_DIRS = {"env-read": ("src",)}
 
 
 def scrub_code(lines):
@@ -248,12 +263,14 @@ def scan_file(path, rel, file_allows, use_libclang):
     if use_libclang:
         ast_unordered = libclang_unordered_iteration_lines(path)
 
+    top_dir = rel.split("/", 1)[0]
     findings = []
     for lineno, stripped in enumerate(code, start=1):
         if not stripped.strip():
             continue
         for rule, (pattern, _msg) in RULES.items():
-            if rule in file_allows:
+            if rule in file_allows or top_dir not in RULE_DIRS.get(
+                    rule, SCAN_DIRS):
                 continue
             if rule == "unordered-iteration" and ast_unordered is not None:
                 hit = lineno in ast_unordered
@@ -321,6 +338,11 @@ SELF_TEST_VIOLATIONS = {
     "unseeded-rng": (
         "#include <random>\n"
         "int f() { std::mt19937 gen; return (int)gen(); }\n"
+    ),
+    "env-read": (
+        "#include \"support/env.hpp\"\n"
+        "std::size_t f() { return dhtlb::support::env_threads(); }\n"
+        "const char* g() { return std::getenv(\"DHTLB_KNOB\"); }\n"
     ),
 }
 
@@ -398,7 +420,21 @@ def self_test():
         check("comments and string literals are scrubbed",
               not [f for f in findings if f[0] == "src/comments.cpp"])
 
-        # 5. Unknown rule names in an allow comment are an error.
+        # 5. env-read is scoped to src/: programs may read the environment.
+        bench = os.path.join(tmp, "bench")
+        os.makedirs(bench)
+        with open(os.path.join(bench, "main.cpp"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(SELF_TEST_VIOLATIONS["env-read"])
+        findings = scan_tree(tmp, {}, use_libclang=False)
+        check("env-read does not apply outside src/",
+              not [f for f in findings if f[0] == "bench/main.cpp"])
+        env_lines = {f[1] for f in findings
+                     if f[0] == "src/violation_env_read.cpp"}
+        check("env-read flags both getenv and support::env_*()",
+              env_lines == {2, 3})
+
+        # 6. Unknown rule names in an allow comment are an error.
         with open(os.path.join(src, "bad_allow.cpp"), "w",
                   encoding="utf-8") as fh:
             fh.write("int x;  // dhtlb:lint-allow(no-such-rule)\n")

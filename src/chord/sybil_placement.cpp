@@ -19,15 +19,4 @@ std::optional<PlacementResult> place_by_hash_search(
   return std::nullopt;
 }
 
-support::Uint160 place_uniform(const support::Uint160& lo,
-                               const support::Uint160& hi,
-                               support::Rng& rng) {
-  return rng.uniform_in_arc(lo, hi);
-}
-
-support::Uint160 place_midpoint(const support::Uint160& lo,
-                                const support::Uint160& hi) {
-  return support::arc_midpoint(lo, hi);
-}
-
 }  // namespace dhtlb::chord

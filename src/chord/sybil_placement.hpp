@@ -3,9 +3,10 @@
 // The paper assumes nodes cannot pick IDs freely — IDs come from SHA-1 —
 // so placing a Sybil "in a range" means searching hash outputs until one
 // lands inside the target arc (their ref [21] shows this search is
-// cheap).  This module implements that search and reports its cost, and
-// also provides the idealized variants (uniform / midpoint) used by the
-// tick simulator.
+// cheap).  This module implements that search and reports its cost.  The
+// tick simulator uses the idealized variants instead: a uniform draw
+// (support::Rng::uniform_in_arc) or the arc midpoint
+// (support::arc_midpoint).
 #pragma once
 
 #include <cstdint>
@@ -31,18 +32,5 @@ struct PlacementResult {
 std::optional<PlacementResult> place_by_hash_search(
     const support::Uint160& lo, const support::Uint160& hi,
     support::Rng& rng, std::uint64_t max_attempts = 1 << 20);
-
-/// Idealized placement: a uniformly random ID inside the open arc.  This
-/// is what the tick simulator uses for Random/Neighbor injection — the
-/// distribution is identical to hash search conditioned on success.
-support::Uint160 place_uniform(const support::Uint160& lo,
-                               const support::Uint160& hi,
-                               support::Rng& rng);
-
-/// Deterministic split placement: the arc midpoint, used by the smart
-/// neighbor and invitation strategies to take (in expectation) half of a
-/// target node's keys.
-support::Uint160 place_midpoint(const support::Uint160& lo,
-                                const support::Uint160& hi);
 
 }  // namespace dhtlb::chord

@@ -39,7 +39,8 @@ struct Aggregate {
 
 /// Runs `trials` simulations of `params` under `strategy_name` (a
 /// lb::make_strategy name) and aggregates.  `pool` may be null for
-/// serial execution.  Trial i uses seed mix(base_seed, i).
+/// serial execution.  Trial i uses seed mix(base_seed, i).  A one-cell
+/// run_cells call.
 Aggregate run_trials(const sim::Params& params, std::string_view strategy_name,
                      std::size_t trials, std::uint64_t base_seed,
                      support::ThreadPool* pool = nullptr);
@@ -54,10 +55,9 @@ struct CellSpec {
 /// Runs every cell's trials through ONE parallel fan instead of one
 /// pool barrier per cell: all (cell, trial) pairs are flattened and
 /// scheduled together, so worker threads drain the tail of a slow cell
-/// while others start the next one.  Results are identical to calling
-/// run_trials(cell.params, cell.strategy, cell.trials, base_seed, pool)
-/// per cell — trial i of every cell uses seed mix(base_seed, i), exactly
-/// as run_trials does — only the scheduling changes.
+/// while others start the next one.  Trial i of every cell uses seed
+/// mix(base_seed, i), so each cell's Aggregate is the same as running
+/// that cell alone.
 std::vector<Aggregate> run_cells(const std::vector<CellSpec>& cells,
                                  std::uint64_t base_seed,
                                  support::ThreadPool* pool = nullptr);

@@ -3,35 +3,13 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace dhtlb::lb {
-
-namespace {
-
-std::optional<std::uint64_t> g_retire_cap_override;
-
-/// DHTLB_SYBIL_RETIRE, read once (decision rounds call this per node;
-/// a getenv there would dominate).  0 = disabled.
-std::uint64_t sybil_retire_cap() {
-  if (g_retire_cap_override) return *g_retire_cap_override;
-  static const std::uint64_t cap = support::env_u64("DHTLB_SYBIL_RETIRE", 0);
-  return cap;
-}
-
-}  // namespace
-
-void set_sybil_retire_cap_for_testing(std::optional<std::uint64_t> cap) {
-  g_retire_cap_override = cap;
-}
 
 std::uint64_t retire_idle_sybils(sim::World& world, sim::NodeIndex idx,
                                  sim::StrategyCounters& counters) {
   const std::uint64_t sybils = world.sybil_count(idx);
-  if (sybils == 0) return 0;
-  const std::uint64_t cap = sybil_retire_cap();
-  const bool aggressive = cap != 0 && sybils >= cap;
-  if (world.workload(idx) != 0 && !aggressive) return 0;
+  if (sybils == 0 || world.workload(idx) != 0) return 0;
   world.remove_sybils(idx);
   DHTLB_ASSERT(world.sybil_count(idx) == 0,
                "retire_idle_sybils: node " << idx

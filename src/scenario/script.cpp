@@ -1,6 +1,7 @@
 #include "scenario/script.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -50,13 +51,17 @@ struct Cursor {
       fail(std::string("expected a number for ") + what + ", got '" + token +
            "'");
     }
+    if (!std::isfinite(value)) {
+      fail(std::string("expected a finite number for ") + what + ", got '" +
+           token + "'");
+    }
     return value;
   }
 
   double parse_probability(const std::string& token,
                            const char* what) const {
     const double value = parse_double(token, what);
-    if (value < 0.0 || value > 1.0) {
+    if (!(value >= 0.0 && value <= 1.0)) {
       fail(std::string(what) + " must be in [0, 1], got '" + token + "'");
     }
     return value;
@@ -110,7 +115,7 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
     event.count = cur.parse_u64(tokens[1], "task count");
     if (event.count == 0) cur.fail("inject-hotspot count must be >= 1");
     event.value = cur.parse_double(tokens[2], "ring fraction");
-    if (event.value <= 0.0 || event.value > 1.0) {
+    if (!(event.value > 0.0 && event.value <= 1.0)) {
       cur.fail("hotspot ring fraction must be in (0, 1], got '" + tokens[2] +
                "'");
     }

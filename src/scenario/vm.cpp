@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace dhtlb::scenario {
@@ -169,9 +168,6 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
 
   sim::Engine engine(params, seed, lb::make_strategy(script.strategy));
   if (audit) engine.set_audit(true);
-  // DHTLB_THREADS sizes the engine's shard-worker pool; outputs are
-  // thread-count independent (the threads-matrix CI lane enforces it).
-  engine.set_threads(support::env_threads());
   engine.set_trace(sinks.trace);
   engine.set_metrics(sinks.metrics);
   if (sinks.configure_engine) sinks.configure_engine(engine);

@@ -56,12 +56,14 @@ struct ScenarioResult {
 struct ObsSinks {
   obs::TraceSink* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  /// Sim substrate only: invoked on the fully configured engine after
-  /// sinks and threads are wired but before the first tick.  This is
-  /// how drivers attach read-side subsystems (serve::Service installs
-  /// the post-tick hook here) without the VM knowing about them.
-  /// Attachments must not mutate the world, or (script, seed) replay
-  /// determinism — and every scenario golden — breaks.
+  /// Sim substrate only: invoked on the engine after the audit flag and
+  /// sinks are wired but before the first tick.  The VM never reads the
+  /// environment, so the engine arrives single-threaded: this is where
+  /// programs size it (Engine::set_threads from DHTLB_THREADS) and attach
+  /// read-side subsystems (serve::Service installs the post-tick hook
+  /// here) without the VM knowing about them.  Attachments must not
+  /// mutate the world, or (script, seed) replay determinism — and every
+  /// scenario golden — breaks.
   std::function<void(sim::Engine&)> configure_engine;
 };
 
@@ -78,7 +80,7 @@ ScenarioResult run_scenario(const Script& script, std::uint64_t seed,
 
 /// Seed precedence used by the runner and tests: an explicit CLI seed
 /// wins, then the script's `seed` header, then `fallback`
-/// (support::env_seed() in practice).
+/// (the program's DHTLB_SEED in practice).
 std::uint64_t resolve_seed(const Script& script, bool cli_seed_set,
                            std::uint64_t cli_seed, std::uint64_t fallback);
 

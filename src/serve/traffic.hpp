@@ -1,6 +1,6 @@
 // Key-traffic models for the serving plane: which keys do users look up?
 //
-// Three streams, selectable per run (dhtlb_serve --traffic):
+// Three streams, selectable per run (dhtlb_scenario --traffic):
 //   uniform — every draw a uniformly random ring point; the null model.
 //   zipf    — draws from a fixed universe of N keys with harmonic
 //             (Zipf s=1) popularity: key rank r is drawn with

@@ -147,9 +147,11 @@ class Engine {
   /// concurrency, 1 (the default) = run every shard inline on the
   /// calling thread.  Purely an execution knob — the sharded algorithm,
   /// RNG streams, and fold order are identical at every setting, so
-  /// results never depend on it.  Drivers wire this to DHTLB_THREADS
-  /// (support::env_threads); the experiment harness deliberately leaves
-  /// engines single-threaded because it parallelizes across trials.
+  /// results never depend on it.  Library code never calls it from the
+  /// environment: programs read DHTLB_THREADS (support::env_threads) and
+  /// call it, for scenario runs through ObsSinks::configure_engine.  The
+  /// experiment harness deliberately leaves engines single-threaded
+  /// because it parallelizes across trials.
   void set_threads(std::size_t threads);
   std::size_t threads() const { return pool_ ? pool_->thread_count() : 1; }
 

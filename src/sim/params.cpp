@@ -13,7 +13,7 @@ void Params::validate() const {
   if (total_tasks == 0) {
     throw std::invalid_argument("Params: total_tasks must be >= 1");
   }
-  if (churn_rate < 0.0 || churn_rate > 1.0) {
+  if (!(churn_rate >= 0.0 && churn_rate <= 1.0)) {
     throw std::invalid_argument("Params: churn_rate must be in [0, 1]");
   }
   if (max_sybils == 0) {

@@ -5,8 +5,11 @@
 // binary honours:
 //   DHTLB_TRIALS  — override the trial count (0/unset = binary's default)
 //   DHTLB_SEED    — override the base RNG seed
-//   DHTLB_THREADS — worker threads for the trial fan (0/unset = all cores)
+//   DHTLB_THREADS — worker threads for the trial fan or the engine's
+//                   shard pool (0/unset = all cores)
 // EXPERIMENTS.md records which settings produced the committed numbers.
+// Only programs (bench/, examples/) call these; library code takes the
+// values as arguments (the env-read rule of scripts/lint_determinism.py).
 #pragma once
 
 #include <cstdint>

@@ -57,21 +57,5 @@ TEST(SybilPlacement, WrappingArcWorks) {
   EXPECT_TRUE(support::in_open_arc(result->id, lo, hi));
 }
 
-TEST(SybilPlacement, UniformPlacementInsideArc) {
-  Rng rng(5);
-  const Uint160 lo{500};
-  const Uint160 hi{10'000};
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(support::in_open_arc(place_uniform(lo, hi, rng), lo, hi));
-  }
-}
-
-TEST(SybilPlacement, MidpointMatchesRingMath) {
-  EXPECT_EQ(place_midpoint(Uint160{100}, Uint160{200}), Uint160{150});
-  EXPECT_TRUE(support::in_open_arc(
-      place_midpoint(Uint160{100}, Uint160{200}), Uint160{100},
-      Uint160{200}));
-}
-
 }  // namespace
 }  // namespace dhtlb::chord

@@ -182,6 +182,26 @@ TEST(ScenarioParser, ChurnRateOutOfRange) {
   expect_error("name x\nchurn 1.5\n", 2, "must be in [0, 1]");
 }
 
+// NaN fails both halves of a `v < 0 || v > 1` range test, so every
+// numeric token must be rejected as non-finite before any range check.
+TEST(ScenarioParser, ChurnRateNaN) {
+  expect_error("name x\nchurn nan\n", 2, "expected a finite number");
+}
+
+TEST(ScenarioParser, ChurnRateInfinite) {
+  expect_error("name x\nchurn inf\n", 2, "expected a finite number");
+}
+
+TEST(ScenarioParser, SetChurnNaN) {
+  expect_error("name x\nat 5\n  set churn nan\nend\n", 3,
+               "expected a finite number");
+}
+
+TEST(ScenarioParser, HotspotFractionNaN) {
+  expect_error("name x\nat 5\n  inject-hotspot 10 nan\nend\n", 3,
+               "expected a finite number");
+}
+
 TEST(ScenarioParser, UnknownStrategyName) {
   expect_error("name x\nstrategy banana\n", 2, "unknown strategy 'banana'");
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dhtlb::sim {
 namespace {
 
@@ -39,6 +41,12 @@ TEST(Params, ValidateRejectsBadChurn) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.churn_rate = 1.0;
   EXPECT_NO_THROW(p.validate());
+}
+
+TEST(Params, ValidateRejectsNaNChurn) {
+  Params p;
+  p.churn_rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 TEST(Params, ValidateRejectsZeroKnobs) {
