@@ -1,5 +1,5 @@
 // serve_throughput — reader-scaling curve of the serving plane
-// (DESIGN.md §9 "Serving plane"): batched key lookups over RCU ring
+// (DESIGN.md §9 "Serving plane"): batched key lookups over frozen ring
 // snapshots while the sharded tick engine churns underneath.
 //
 // For each traffic model (uniform, zipf, hotspot) the same (params,

@@ -1,7 +1,8 @@
 // dhtlb_scenario: runs a .scn scenario file deterministically and emits
 // its metrics through the bench telemetry writer.  With --traffic it
 // also attaches the serving plane (sim substrate only): reader threads
-// resolve key lookups against RCU ring snapshots while the engine churns.
+// resolve key lookups against frozen ring snapshots while the engine
+// churns.
 //
 //   dhtlb_scenario scenarios/flash_crowd.scn
 //   dhtlb_scenario scenarios/lossy_network.scn --seed 7
@@ -240,7 +241,7 @@ int main(int argc, char** argv) {
   std::uint64_t lookups = 0;
   if (service) {
     // The engine is gone; the final batch may still be in flight against
-    // the last published view, so drain() is the run's closing barrier.
+    // the Service's live view, so drain() is the run's closing barrier.
     service->drain();
     wall_ms = bench::Telemetry::deterministic() ? 0.0 : timer.elapsed_ms();
     const serve::Report rep = service->report();

@@ -9,6 +9,7 @@
 //             --snapshots 0,5,35 --csv results/invite   (one line)
 //   dhtlb_sim --list-strategies
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "exp/experiment.hpp"
@@ -85,7 +86,15 @@ int main(int argc, char** argv) {
                             : sim::WorkMeasure::kOneTaskPerTick;
   params.sybil_threshold = cli.get_u64("threshold");
   params.num_successors = cli.get_u64("successors");
-  params.max_sybils = static_cast<unsigned>(cli.get_u64("max-sybils"));
+  const std::uint64_t max_sybils = cli.get_u64("max-sybils");
+  if (max_sybils > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr,
+                 "error: --max-sybils %s is out of range (at most %u)\n",
+                 cli.get("max-sybils").c_str(),
+                 std::numeric_limits<unsigned>::max());
+    return 2;
+  }
+  params.max_sybils = static_cast<unsigned>(max_sybils);
   params.mark_failed_ranges = cli.get_bool("mark-failed-ranges");
 
   const std::string strategy = cli.get("strategy");

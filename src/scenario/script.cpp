@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -356,8 +357,12 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "max-sybils") {
       cur.expect_tokens(tokens, 2, "max-sybils <k>");
-      script.params.max_sybils =
-          static_cast<unsigned>(cur.parse_u64(tokens[1], "max-sybils"));
+      const std::uint64_t k = cur.parse_u64(tokens[1], "max-sybils");
+      if (k > std::numeric_limits<unsigned>::max()) {
+        cur.fail("max-sybils " + tokens[1] + " is out of range (at most " +
+                 std::to_string(std::numeric_limits<unsigned>::max()) + ")");
+      }
+      script.params.max_sybils = static_cast<unsigned>(k);
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "decision-period") {
       cur.expect_tokens(tokens, 2, "decision-period <ticks>");

@@ -1,13 +1,12 @@
 // RingView: an immutable snapshot of the simulated ring, built once at a
 // tick barrier and consumed lock-free by any number of reader threads.
 //
-// The serving plane (DESIGN.md "Serving plane") follows the RCU pattern
-// Envoy's ring-hash balancer describes — "generate the rings centrally
-// and then just RCU them out to each thread": the tick engine freezes
-// the flat ring into this struct-of-arrays copy after each tick, the
-// ViewPublisher swaps it in atomically, and readers route key lookups
-// against whichever view they hold without ever touching a lock or the
-// live (mutating) World.
+// The serving plane (DESIGN.md "Serving plane") generates the ring
+// centrally, as Envoy's ring-hash balancer does: at each tick barrier the
+// Service freezes the flat ring into this struct-of-arrays copy, and its
+// readers route key lookups against it without ever touching a lock or
+// the live (mutating) World.  It is a copy rather than FlatRing's own
+// index because readers serve batch t while tick t+1 mutates the ring.
 //
 // A view answers two questions:
 //   * cover(key)  — which vnode owns this key?  Identical semantics to
@@ -39,6 +38,9 @@ using support::Uint160;
 
 class RingView {
  public:
+  /// An empty view (no vnodes) — what a Service holds before attach.
+  RingView() = default;
+
   /// Hard ceiling on route() hops.  Unreachable by construction (the
   /// clockwise distance strictly shrinks every hop and has 160 bits),
   /// so hitting it means the view is corrupt; route() DHTLB_CHECKs.
@@ -83,8 +85,6 @@ class RingView {
   Route route(const Uint160& key, std::size_t origin) const;
 
  private:
-  RingView() = default;
-
   // Struct-of-arrays, ascending-id order (the freeze of FlatRing's
   // index): binary searches touch only ids_, owner/Sybil metadata loads
   // only on the final hop.

@@ -70,60 +70,53 @@ void Service::attach(sim::Engine& engine) {
     acc.owner_hits.assign(owners, 0);
   }
   // View 0: the pre-run ring, so traffic flows from the first tick on.
-  auto view = std::make_shared<const RingView>(
-      RingView::freeze(engine.world(), 0));
-  publisher_.publish(view);
-  if (metrics_) {
-    metrics_->set(ids_.view_vnodes, static_cast<double>(view->size()));
-  }
-  dispatch(std::move(view), 0);
+  freeze(engine.world(), 0);
+  dispatch();
   engine.set_post_tick_hook([this, &engine](std::uint64_t tick) {
     on_tick_barrier(engine.world(), tick);
   });
 }
 
 void Service::on_tick_barrier(const sim::World& world, std::uint64_t tick) {
+  // collect_batch() returns only after wait_idle(): no shard job still
+  // reads view_, so the barrier thread may replace it.
   collect_batch();
-  auto view =
-      std::make_shared<const RingView>(RingView::freeze(world, tick));
+  freeze(world, tick);
   if (trace_) {
-    trace_->instant("view_publish", "serve",
-                    {{"vnodes", view->size()}});
+    trace_->instant("view_publish", "serve", {{"vnodes", view_.size()}});
   }
-  publisher_.publish(view);
   if (metrics_) {
-    metrics_->set(ids_.view_vnodes, static_cast<double>(view->size()));
-    metrics_->set(ids_.views_retired,
-                  static_cast<double>(publisher_.stats().reclaimed));
+    // Every collected batch's view has now been replaced.
+    metrics_->set(ids_.views_retired, static_cast<double>(batches_));
   }
-  dispatch(std::move(view), tick);
+  dispatch();
 }
 
-void Service::dispatch(std::shared_ptr<const RingView> view,
-                       std::uint64_t tick) {
+void Service::freeze(const sim::World& world, std::uint64_t tick) {
+  DHTLB_ASSERT(!batch_in_flight_,
+               "Service::freeze: a batch still reads the live view");
+  view_ = RingView::freeze(world, tick);
+  if (metrics_) {
+    metrics_->set(ids_.view_vnodes, static_cast<double>(view_.size()));
+  }
+}
+
+void Service::dispatch() {
   DHTLB_ASSERT(!batch_in_flight_,
                "Service::dispatch: previous batch not collected");
-  // The Service owns the batch's view reference; jobs get a raw pointer
-  // (valid until collect_batch resets batch_view_ after wait_idle).
-  // Keeping ownership here — instead of one shared_ptr copy per job —
-  // makes view refcounts a pure barrier-thread affair, so epoch
-  // retirement counts are deterministic.
-  batch_view_ = std::move(view);
-  batch_tick_ = tick;
   batch_in_flight_ = true;
-  const RingView* raw = batch_view_.get();
   for (std::size_t s = 0; s < kServeShards; ++s) {
     accums_[s].batch_lookups = 0;
     accums_[s].batch_hops = 0;
-    readers_->submit([this, raw, tick, s] { serve_shard(s, *raw, tick); });
+    readers_->submit([this, s] { serve_shard(s); });
   }
 }
 
-void Service::serve_shard(std::size_t shard, const RingView& view,
-                          std::uint64_t tick) {
+void Service::serve_shard(std::size_t shard) {
+  const RingView& view = view_;
   ShardAccum& acc = accums_[shard];
   const std::uint64_t quota = shard_quota(shard);
-  support::Rng rng(support::stream_seed(serve_seed_, tick, shard));
+  support::Rng rng(support::stream_seed(serve_seed_, view.tick(), shard));
   const bool timed = config_.measure_latency;
   for (std::uint64_t i = 0; i < quota; ++i) {
     const Uint160 key = stream_.draw(rng);
@@ -163,9 +156,6 @@ void Service::collect_batch() {
   if (!batch_in_flight_) return;
   readers_->wait_idle();
   batch_in_flight_ = false;
-  // Release the batch's view reference before the next publish, so a
-  // view retired there is provably quiescent and reclaimed on the spot.
-  batch_view_.reset();
   ++batches_;
   std::uint64_t lookups = 0;
   std::uint64_t hops = 0;
@@ -233,7 +223,10 @@ Report Service::report() const {
     rep.owner_hits_gini = stats::gini(hit);
     rep.owner_hits_max_over_mean = stats::max_over_mean(hit);
   }
-  rep.views = publisher_.stats();
+  // Each frozen view served exactly one batch.
+  rep.views.published = batches_;
+  rep.views.reclaimed = batches_ > 0 ? batches_ - 1 : 0;
+  rep.views.retire_depth_max = batches_ > 1 ? 1 : 0;
   if (config_.measure_latency && rep.lookups > 0) {
     // Bucket b holds latencies with bit_width(ns) == b; report the
     // bucket's lower bound (2^(b-1) ns) — coarse but monotone.

@@ -1,14 +1,15 @@
-// The serving plane: batched key lookups over published ring snapshots,
+// The serving plane: batched key lookups over a frozen ring snapshot,
 // running concurrently with the tick engine.
 //
 // Pipeline (one writer — the engine thread — plus `readers` workers):
 //
-//   attach(engine)            publish view 0, dispatch batch 0
+//   attach(engine)            freeze view 0, dispatch batch 0
 //   tick t barrier (post-tick hook):
 //     1. wait for batch t-1's shard jobs, fold its per-batch stats
 //        (this is where serve metrics for the tick land — one tick of
 //        lag by construction, documented in OBSERVABILITY.md)
-//     2. freeze the post-tick world into RingView t, publish it
+//     2. replace the live view with the post-tick world, frozen as
+//        RingView t
 //     3. dispatch batch t across the serve shards
 //   ...engine computes tick t+1 while the readers serve batch t...
 //   drain()                   wait for + fold the final batch
@@ -24,16 +25,14 @@
 // which exist only when measure_latency is on (drivers disable it in
 // deterministic mode, zeroing those fields).
 //
-// Thread-safety model: each ShardAccum is written by exactly one shard
-// job per batch and read/zeroed by the barrier thread strictly between
-// dispatches; the ThreadPool's submit/wait_idle pair provides the
-// happens-before edges, so the accumulators need no locks (and carry no
-// capability annotations — they are phase-owned, not lock-guarded).
-// The RingView handoff is the annotated part: ViewPublisher under its
-// SharedMutex.  Jobs receive a raw pointer to the batch view; the
-// Service keeps the owning shared_ptr in batch_view_ until the batch is
-// collected, then releases it before the next publish so epoch
-// retirement stays exact.
+// Thread-safety model: everything here is phase-owned, not lock-guarded.
+// Each ShardAccum is written by exactly one shard job per batch and
+// read/zeroed by the barrier thread strictly between dispatches.  The
+// Service holds the one live RingView by value: shard jobs only read
+// it, and the barrier thread replaces it only after collect_batch()'s
+// wait_idle() has returned, so no job can still be reading the old
+// view.  The ThreadPool's submit/wait_idle pair provides every
+// happens-before edge; there is no lock and no shared ownership.
 #pragma once
 
 #include <array>
@@ -43,7 +42,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/publisher.hpp"
 #include "serve/ring_view.hpp"
 #include "serve/traffic.hpp"
 #include "sim/engine.hpp"
@@ -71,6 +69,16 @@ struct Config {
   bool measure_latency = false;
 };
 
+/// View accounting.  The Service freezes one view at attach and one per
+/// tick barrier, each serves exactly one batch, and each freeze after
+/// the first replaces (reclaims) the previous view once its batch is
+/// collected — so the counts follow from the batch count alone.
+struct ViewStats {
+  std::uint64_t published = 0;         // freezes: view 0 + one per tick
+  std::uint64_t reclaimed = 0;         // published - 1
+  std::uint64_t retire_depth_max = 0;  // published > 1 ? 1 : 0
+};
+
 /// Folded end-of-run serve statistics.  Everything except the latency
 /// fields is deterministic in (params, scenario, seed, config).
 struct Report {
@@ -88,7 +96,7 @@ struct Report {
   std::uint64_t owners_hit = 0;    // distinct owners that served >= 1
   double owner_hits_gini = 0.0;    // over owners with >= 1 hit
   double owner_hits_max_over_mean = 0.0;
-  ViewPublisher::Stats views;
+  ViewStats views;
   /// Wall-clock per-lookup latency (ns), from log2-bucket histograms;
   /// all zero unless Config::measure_latency.
   double latency_p50_ns = 0.0;
@@ -114,12 +122,12 @@ class Service {
   void set_metrics(obs::MetricsRegistry* metrics);
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
-  /// Publishes the pre-run view (tick 0), dispatches its batch, and
+  /// Freezes the pre-run view (tick 0), dispatches its batch, and
   /// installs the engine's post-tick hook.  Call once, before run().
   void attach(sim::Engine& engine);
 
   /// The tick barrier (the engine's post-tick hook target): collect the
-  /// in-flight batch, publish the post-tick view, dispatch the next
+  /// in-flight batch, freeze the post-tick view, dispatch the next
   /// batch.  Public for tests and custom drivers.
   void on_tick_barrier(const sim::World& world, std::uint64_t tick);
 
@@ -131,16 +139,14 @@ class Service {
   /// end-of-run report.  Call after drain().
   Report report() const;
 
-  const ViewPublisher& publisher() const { return publisher_; }
-
  private:
   static constexpr std::size_t kHopBuckets = 64;   // exact counts 0..62, 63+
   static constexpr std::size_t kLatBuckets = 64;   // log2(ns) buckets
 
-  void dispatch(std::shared_ptr<const RingView> view, std::uint64_t tick);
+  void freeze(const sim::World& world, std::uint64_t tick);
+  void dispatch();
   void collect_batch();
-  void serve_shard(std::size_t shard, const RingView& view,
-                   std::uint64_t tick);
+  void serve_shard(std::size_t shard);
   std::uint64_t shard_quota(std::size_t shard) const;
 
   /// Written by one shard job per batch, folded by the barrier thread
@@ -162,15 +168,16 @@ class Service {
   Config config_;
   std::uint64_t serve_seed_;
   KeyStream stream_;
-  ViewPublisher publisher_;
   std::unique_ptr<support::ThreadPool> readers_;
   std::array<ShardAccum, kServeShards> accums_;
 
+  // Written only by the barrier thread while no batch is in flight;
+  // read by the in-flight batch's shard jobs.
+  RingView view_;
+
   // Barrier-thread state.
-  std::shared_ptr<const RingView> batch_view_;  // owns the in-flight view
-  std::uint64_t batch_tick_ = 0;
   bool batch_in_flight_ = false;
-  std::uint64_t batches_ = 0;
+  std::uint64_t batches_ = 0;  // collected; one per frozen view
 
   // Observability (nullable).
   obs::TraceSink* trace_ = nullptr;

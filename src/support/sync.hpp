@@ -1,8 +1,8 @@
 // Thread-safety-annotated synchronization primitives.
 //
-// Every mutex in this repo is a dhtlb::support::Mutex (or SharedMutex),
-// and every piece of state it guards is marked GUARDED_BY, so the
-// locking contract is part of the type system instead of a comment.
+// Every mutex in this repo is a dhtlb::support::Mutex, and every piece
+// of state it guards is marked GUARDED_BY, so the locking contract is
+// part of the type system instead of a comment.
 // Under Clang the annotations compile to -Wthread-safety capability
 // checks — enabled as -Werror=thread-safety by the top-level
 // CMakeLists — which reject unguarded access, unlock-without-lock, and
@@ -32,7 +32,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Thread-safety attributes are a Clang extension; everywhere else the
 // macros vanish.  SWIG and other tools that choke on attributes get the
@@ -113,56 +112,6 @@ class SCOPED_CAPABILITY MutexLock {
   std::unique_lock<std::mutex> lock_;
 };
 
-/// std::shared_mutex as a capability: one writer or many readers.  The
-/// read side is what the planned parallel tick engine and RCU snapshot
-/// serving plane will lean on.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { m_.lock(); }
-  void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { m_.unlock_shared(); }
-  bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterLock() RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
 }  // namespace dhtlb::support
 
 namespace dhtlb {
@@ -170,7 +119,4 @@ namespace dhtlb {
 // namespace so call sites read dhtlb::Mutex, not a support:: mouthful.
 using support::Mutex;        // NOLINT(misc-unused-using-decls)
 using support::MutexLock;    // NOLINT(misc-unused-using-decls)
-using support::ReaderLock;   // NOLINT(misc-unused-using-decls)
-using support::SharedMutex;  // NOLINT(misc-unused-using-decls)
-using support::WriterLock;   // NOLINT(misc-unused-using-decls)
 }  // namespace dhtlb

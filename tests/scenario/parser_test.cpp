@@ -178,6 +178,13 @@ TEST(ScenarioParser, BadInteger) {
   expect_error("name x\nnodes lots\n", 2, "expected an unsigned integer");
 }
 
+// max_sybils is an unsigned: 2^32 + 5 must not wrap to 5.
+TEST(ScenarioParser, MaxSybilsAboveUintMax) {
+  expect_error("name x\nmax-sybils 4294967301\n", 2, "out of range");
+  EXPECT_EQ(parse("name x\nmax-sybils 4294967295\n").params.max_sybils,
+            4294967295u);
+}
+
 TEST(ScenarioParser, ChurnRateOutOfRange) {
   expect_error("name x\nchurn 1.5\n", 2, "must be in [0, 1]");
 }

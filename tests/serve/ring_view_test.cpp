@@ -130,7 +130,7 @@ TEST(RingViewTest, SnapshotIsolationUnderChurn) {
   }
 
   // The frozen view is unaffected — reads keep answering from the old
-  // ring (RCU semantics: readers never see a half-updated ring).
+  // ring (readers never see a half-updated ring).
   ASSERT_EQ(before.size(), size_before);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before.id_at(i), ids_before[i]);

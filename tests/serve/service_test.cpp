@@ -1,7 +1,7 @@
-// serve::Service: the full pipeline — view publication at tick
-// barriers, concurrent shard batches, deterministic folds — hammered
+// serve::Service: the full pipeline — a view frozen at every tick
+// barrier, concurrent shard batches, deterministic folds — hammered
 // under churn.  The ConcurrentServeUnderChurn case is the TSan target
-// (8 readers racing the engine thread through every published view);
+// (8 readers racing the engine thread through every view handoff);
 // the invariance cases pin the determinism contract: results are
 // bit-identical at any reader count and any engine thread count.
 #include "serve/service.hpp"
@@ -65,27 +65,25 @@ void expect_reports_identical(const Report& a, const Report& b) {
   EXPECT_EQ(a.owner_hits_max_over_mean, b.owner_hits_max_over_mean);
   EXPECT_EQ(a.views.published, b.views.published);
   EXPECT_EQ(a.views.reclaimed, b.views.reclaimed);
-  EXPECT_EQ(a.views.retired_pending, b.views.retired_pending);
   EXPECT_EQ(a.views.retire_depth_max, b.views.retire_depth_max);
 }
 
 TEST(ServiceTest, ConcurrentServeUnderChurn) {
   // 8 readers hammering views while a churn-heavy, Sybil-spawning run
-  // republishes the ring every tick.  Run under the tsan preset (the
+  // refreezes the ring every tick.  Run under the tsan preset (the
   // tsan-serve-soak CI lane) this is the data-race probe for the whole
-  // serve plane.
+  // serve plane, the single-view handoff at each barrier included.
   const RunOutput out = run_serve(4, 8, 0xC0DE, /*latency=*/true);
   ASSERT_TRUE(out.sim.completed);
 
-  // One batch per published view: the pre-run view plus one per tick.
+  // One batch per frozen view: the pre-run view plus one per tick.
   EXPECT_EQ(out.serve.batches, out.sim.ticks + 1);
   EXPECT_EQ(out.serve.views.published, out.sim.ticks + 1);
   EXPECT_EQ(out.serve.lookups, out.serve.batches * 800);
 
-  // Steady-state epoch retirement: each publish retires the previous
-  // view after its batch released it — nothing accumulates.
+  // Each freeze replaces the previous view after its batch was
+  // collected — one view retired per tick, never more than one waiting.
   EXPECT_EQ(out.serve.views.reclaimed, out.serve.views.published - 1);
-  EXPECT_EQ(out.serve.views.retired_pending, 0u);
   EXPECT_EQ(out.serve.views.retire_depth_max, 1u);
 
   // Perfect-finger routing on a ~600-vnode ring: log-ish hops.
@@ -145,6 +143,24 @@ TEST(ServiceTest, DrainIsIdempotentAndReportRepeats) {
   const Report first = service.report();
   const Report second = service.report();
   expect_reports_identical(first, second);
+}
+
+TEST(ServiceTest, UntickedRunServesOnlyViewZero) {
+  // attach() then drain() with no engine tick in between: the pre-run
+  // view is the only one, so nothing was ever replaced.
+  sim::Engine engine(churny_params(), 13);
+  Config config;
+  config.readers = 2;
+  config.lookups_per_tick = 100;
+  Service service(config, 13);
+  service.attach(engine);
+  service.drain();
+  const Report rep = service.report();
+  EXPECT_EQ(rep.batches, 1u);
+  EXPECT_EQ(rep.lookups, 100u);
+  EXPECT_EQ(rep.views.published, 1u);
+  EXPECT_EQ(rep.views.reclaimed, 0u);
+  EXPECT_EQ(rep.views.retire_depth_max, 0u);
 }
 
 TEST(ServiceTest, ShardQuotasCoverRaggedLookupCounts) {
