@@ -1,7 +1,8 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
-// assignment), successor-arc walks, point lookups (cover), and churn
-// (join/depart cycles driving the staged-merge machinery).  These are
+// assignment), successor-arc walks, point lookups (cover), churn
+// (join/depart cycles), and Sybil waves (bulk create_sybil growth), the
+// last two driving the blocked index's in-block shifts and splits.  These are
 // the throughput numbers the scaling work is judged by — see the
 // "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
@@ -9,6 +10,7 @@
 #include "harness/micro.hpp"
 
 #include <optional>
+#include <vector>
 
 #include "sim/world.hpp"
 #include "support/rng.hpp"
@@ -83,8 +85,8 @@ BENCHMARK(BM_ScaleCover)
     ->Unit(benchmark::kNanosecond);
 
 void BM_ScaleChurn(benchmark::State& state) {
-  // One depart + one join per iteration: staged inserts, tombstoned
-  // erases, and the amortized merge passes that fold them away.
+  // One depart + one join per iteration: an erase and an insert in the
+  // blocked index, each shifting entries inside one block.
   const auto nodes = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   World w(make_params(nodes, 2 * nodes), rng);
@@ -101,6 +103,41 @@ BENCHMARK(BM_ScaleChurn)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_ScaleSybilWave(benchmark::State& state) {
+  // create_sybil at uniform ids until the ring has doubled: one Sybil
+  // per initial vnode, owners round-robin over the alive nodes.  The
+  // insert-heavy growth pattern of the Sybil strategies (an Invitation
+  // decision round); world build and teardown are not timed.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const Params p = make_params(nodes, 2 * nodes);
+  std::uint64_t seed = 1;
+  Rng rng(0);
+  std::optional<World> w;
+  for (auto _ : state) {
+    state.PauseTiming();
+    rng = Rng(seed);
+    w.emplace(p, rng);
+    Rng id_rng(seed * 7919);
+    ++seed;
+    const std::vector<dhtlb::sim::NodeIndex> owners = w->alive_indices();
+    state.ResumeTiming();
+    std::uint64_t acquired = 0;
+    for (const auto owner : owners) {
+      acquired += w->create_sybil(owner, id_rng.uniform_u160()).value_or(0);
+    }
+    benchmark::DoNotOptimize(acquired);
+    state.PauseTiming();
+    w.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ScaleSybilWave)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

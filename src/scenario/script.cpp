@@ -45,6 +45,18 @@ struct Cursor {
     return value;
   }
 
+  /// parse_u64 capped at `max` (a kMaxScript* limit or the field's
+  /// type).
+  std::uint64_t parse_count(const std::string& token, const char* what,
+                            std::uint64_t max) const {
+    const std::uint64_t value = parse_u64(token, what);
+    if (value > max) {
+      fail(std::string(what) + " " + token + " is out of range (at most " +
+           std::to_string(max) + ")");
+    }
+    return value;
+  }
+
   double parse_double(const std::string& token, const char* what) const {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
@@ -103,17 +115,17 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
     event.kind = head == "join"    ? Event::Kind::kJoin
                  : head == "leave" ? Event::Kind::kLeave
                                    : Event::Kind::kCrash;
-    event.count = cur.parse_u64(tokens[1], "count");
+    event.count = cur.parse_count(tokens[1], "count", kMaxScriptNodes);
     if (event.count == 0) cur.fail(head + " count must be >= 1");
   } else if (head == "inject-uniform") {
     cur.expect_tokens(tokens, 2, "inject-uniform <tasks>");
     event.kind = Event::Kind::kInjectUniform;
-    event.count = cur.parse_u64(tokens[1], "task count");
+    event.count = cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
     if (event.count == 0) cur.fail("inject-uniform count must be >= 1");
   } else if (head == "inject-hotspot") {
     cur.expect_tokens(tokens, 3, "inject-hotspot <tasks> <ring-fraction>");
     event.kind = Event::Kind::kInjectHotspot;
-    event.count = cur.parse_u64(tokens[1], "task count");
+    event.count = cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
     if (event.count == 0) cur.fail("inject-hotspot count must be >= 1");
     event.value = cur.parse_double(tokens[2], "ring fraction");
     if (!(event.value > 0.0 && event.value <= 1.0)) {
@@ -150,7 +162,8 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
   } else if (head == "lookup") {
     cur.expect_tokens(tokens, 2, "lookup <count>");
     event.kind = Event::Kind::kLookup;
-    event.count = cur.parse_u64(tokens[1], "lookup count");
+    event.count =
+        cur.parse_count(tokens[1], "lookup count", kMaxScriptLookups);
     if (event.count == 0) cur.fail("lookup count must be >= 1");
   } else {
     cur.fail("unknown event '" + head + "'");
@@ -316,7 +329,8 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       script.metrics_path = tokens[1];
     } else if (head == "nodes") {
       cur.expect_tokens(tokens, 2, "nodes <count>");
-      script.params.initial_nodes = cur.parse_u64(tokens[1], "node count");
+      script.params.initial_nodes =
+          cur.parse_count(tokens[1], "node count", kMaxScriptNodes);
     } else if (head == "successors") {
       cur.expect_tokens(tokens, 2, "successors <k>");
       script.params.num_successors = cur.parse_u64(tokens[1], "successors");
@@ -327,7 +341,8 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "tasks") {
       cur.expect_tokens(tokens, 2, "tasks <count>");
-      script.params.total_tasks = cur.parse_u64(tokens[1], "task count");
+      script.params.total_tasks =
+          cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "churn") {
       cur.expect_tokens(tokens, 2, "churn <rate>");
@@ -357,12 +372,8 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "max-sybils") {
       cur.expect_tokens(tokens, 2, "max-sybils <k>");
-      const std::uint64_t k = cur.parse_u64(tokens[1], "max-sybils");
-      if (k > std::numeric_limits<unsigned>::max()) {
-        cur.fail("max-sybils " + tokens[1] + " is out of range (at most " +
-                 std::to_string(std::numeric_limits<unsigned>::max()) + ")");
-      }
-      script.params.max_sybils = static_cast<unsigned>(k);
+      script.params.max_sybils = static_cast<unsigned>(cur.parse_count(
+          tokens[1], "max-sybils", std::numeric_limits<unsigned>::max()));
       sim_only_keys.emplace(head, cur.line);
     } else if (head == "decision-period") {
       cur.expect_tokens(tokens, 2, "decision-period <ticks>");

@@ -26,6 +26,11 @@
 // increasing tick order.  `#` starts a comment; blank lines are ignored.
 // Every diagnostic is file:line-prefixed — see ParseError.
 //
+// Counts are bounded (kMaxScriptNodes, kMaxScriptTasks,
+// kMaxScriptLookups below): each unit of a count costs the run memory or
+// a loop iteration, so a count past its limit is a ParseError rather
+// than a run that allocates until it dies.
+//
 // Optional observability headers (both substrates): `trace <file>` and
 // `metrics <file>` name default output paths for the Chrome trace and
 // the per-tick metrics JSONL; runner --trace/--metrics flags override.
@@ -48,6 +53,17 @@
 #include "sim/params.hpp"
 
 namespace dhtlb::scenario {
+
+/// Largest `nodes` header, and largest join/leave/crash count (no event
+/// can move more nodes than a world of this size holds).
+inline constexpr std::uint64_t kMaxScriptNodes = 4'000'000;
+
+/// Largest `tasks` header, and largest inject-uniform/inject-hotspot
+/// count; every task is a resident 20-byte key.
+inline constexpr std::uint64_t kMaxScriptTasks = 100'000'000;
+
+/// Largest `lookup` count (chord); every lookup routes messages.
+inline constexpr std::uint64_t kMaxScriptLookups = 10'000'000;
 
 /// Which execution model the scenario drives.
 enum class Substrate { kSim, kChord };

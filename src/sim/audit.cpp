@@ -45,8 +45,8 @@ AuditReport InvariantAuditor::run() const {
 void InvariantAuditor::check_index_integrity(AuditReport& report) const {
   if (!world_.ring_index_consistent()) {
     fail(report, "index-integrity", [](std::ostream& os) {
-      os << "flat ring index inconsistent (sortedness, tombstone/staging "
-            "bookkeeping, or slot-arena cross-references)";
+      os << "flat ring index inconsistent (sortedness, block sizes or "
+            "summary, or slot-arena cross-references)";
     });
   }
 }

@@ -9,8 +9,8 @@
 //
 // Checks (names are stable; tests match on them):
 //   index-integrity  the flat ring's own bookkeeping is sound: sorted
-//                    index + staging halves, tombstone/live counts, and
-//                    slot-arena cross-references (see FlatRing)
+//                    blocks within capacity, block summary ids, live
+//                    count, and slot-arena cross-references (see FlatRing)
 //   ring-order       vnode IDs strictly ascending mod 2^160; each arc's
 //                    predecessor edge agrees with ring order; a lookup
 //                    for a vnode's own ID lands on that vnode

@@ -5,68 +5,44 @@
 namespace dhtlb::sim {
 namespace {
 
-// Integer sqrt (floor) for the merge threshold; n is a vnode count, so
-// a few Newton steps from a 64-bit seed always converge.
-std::size_t isqrt(std::size_t n) {
-  if (n < 2) return n;
-  std::size_t x = n;
-  std::size_t y = (x + 1) / 2;
-  while (y < x) {
-    x = y;
-    y = (x + n / x) / 2;
+// Below this many candidates a plain binary search beats any estimate.
+constexpr std::size_t kInterpolateMin = 16;
+
+// First gallop step out of an estimate: about the estimate's expected
+// error at both levels (a few blocks in the summary, a few entries in a
+// block of a few hundred uniform ids).
+constexpr std::size_t kGallopStep = 8;
+
+/// First i in [lo, hi) with id_at(i) >= id, or hi.
+template <typename IdAt>
+std::size_t binary_lower_bound(std::size_t lo, std::size_t hi,
+                               const Uint160& id, const IdAt& id_at) {
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (id_at(mid) < id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  return x;
+  return lo;
 }
 
-// Below this the staging memmoves are cheaper than any merge pass.
-constexpr std::size_t kMinBatch = 32;
-
-bool entry_id_less(const FlatRing::Entry& e, const Uint160& id) {
-  return e.id < id;
-}
-bool id_entry_less(const Uint160& id, const FlatRing::Entry& e) {
-  return id < e.id;
-}
-
-}  // namespace
-
-// --- membership -----------------------------------------------------------
-
-bool FlatRing::contains(const Uint160& id) const {
-  const std::size_t m = main_lower_bound(id);
-  if (m < entries_.size() && entries_[m].id == id &&
-      entries_[m].slot != kNoSlot) {
-    return true;
-  }
-  const std::size_t s = stage_lower_bound(id);
-  return s < staging_.size() && staging_[s].id == id;
-}
-
-// --- bounds ---------------------------------------------------------------
-
-std::size_t FlatRing::main_lower_bound(const Uint160& id) const {
-  const std::size_t n = entries_.size();
-  // Interpolation-guided search: ids are SHA-1 outputs, i.e. uniform on
-  // the ring, so the rank of `id` is ≈ high64/2^64 · n with O(√n) error.
-  // Gallop out from that estimate, then finish with a binary search over
-  // the (cache-resident) bracket.  Tombstones keep their id and stay in
-  // sorted position, so the estimate is unaffected by pending erases.
-  // Falls back to plain lower_bound when the array is too small for the
-  // estimate to beat log2(n) probes.
-  if (n < 64) {
-    return static_cast<std::size_t>(
-        std::lower_bound(entries_.begin(), entries_.end(), id, entry_id_less) -
-        entries_.begin());
-  }
-  // rank/2^32 · n via the top 32 bits — stays in 64-bit arithmetic.
-  const std::size_t est = static_cast<std::size_t>(
-      ((id.high64() >> 32) * static_cast<std::uint64_t>(n)) >> 32);  // < n
-  std::size_t lo, hi;
-  std::size_t step = 16;
-  if (entries_[est].id < id) {
+/// First i in [0, n) with id_at(i) >= id, or n, searched outward from
+/// the estimate `est` (< n): gallop with doubling steps until the answer
+/// is bracketed, then binary-search the bracket.  Ids are SHA-1 outputs,
+/// i.e. uniform on the ring, so a rank estimate is off by O(sqrt n) and
+/// the bracket stays small and cache-resident.
+template <typename IdAt>
+std::size_t guided_lower_bound(std::size_t n, std::size_t est,
+                               const Uint160& id, const IdAt& id_at) {
+  std::size_t lo;
+  std::size_t hi;
+  std::size_t step = kGallopStep;
+  if (id_at(est) < id) {
     lo = est + 1;
     hi = est + 1;
-    while (hi < n && entries_[hi].id < id) {
+    while (hi < n && id_at(hi) < id) {
       lo = hi + 1;
       hi += step;
       step *= 2;
@@ -75,111 +51,90 @@ std::size_t FlatRing::main_lower_bound(const Uint160& id) const {
   } else {
     hi = est;
     lo = hi >= step ? hi - step : 0;
-    while (lo > 0 && !(entries_[lo].id < id)) {
+    while (lo > 0 && !(id_at(lo) < id)) {
       hi = lo;
       step *= 2;
       lo = lo >= step ? lo - step : 0;
     }
   }
-  return static_cast<std::size_t>(
-      std::lower_bound(entries_.begin() + static_cast<std::ptrdiff_t>(lo),
-                       entries_.begin() + static_cast<std::ptrdiff_t>(hi), id,
-                       entry_id_less) -
-      entries_.begin());
+  return binary_lower_bound(lo, hi, id, id_at);
 }
 
-std::size_t FlatRing::main_upper_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(entries_.begin(), entries_.end(), id, id_entry_less) -
-      entries_.begin());
+}  // namespace
+
+// --- search ---------------------------------------------------------------
+
+std::size_t FlatRing::block_lower_bound(const Uint160& id) const {
+  const std::size_t n = block_max_.size();
+  const auto max_at = [this](std::size_t b) -> const Uint160& {
+    return block_max_[b];
+  };
+  if (n < kInterpolateMin) return binary_lower_bound(0, n, id, max_at);
+  // Blocks cut the ring into n roughly equal arcs, so the block of `id`
+  // is ≈ high64/2^64 · n; the top 32 bits keep this in 64-bit arithmetic.
+  const std::size_t est = static_cast<std::size_t>(
+      ((id.high64() >> 32) * static_cast<std::uint64_t>(n)) >> 32);  // < n
+  return guided_lower_bound(n, est, id, max_at);
 }
 
-std::size_t FlatRing::stage_lower_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(staging_.begin(), staging_.end(), id, entry_id_less) -
-      staging_.begin());
+std::size_t FlatRing::pos_lower_bound(std::size_t b, const Uint160& id) const {
+  const Block& block = blocks_[b];
+  const std::size_t n = block.size();
+  const auto id_at = [&block](std::size_t i) -> const Uint160& {
+    return block[i].id;
+  };
+  // The block spans ids in (block_max_[b-1], block_max_[b]]; interpolate
+  // the position of `id` between those bounds on their top 64 bits.
+  const std::uint64_t lo = b > 0 ? block_max_[b - 1].high64() : 0;
+  const std::uint64_t span = block_max_[b].high64() - lo;
+  if (n < kInterpolateMin || span == 0) {
+    return binary_lower_bound(0, n, id, id_at);
+  }
+  const std::uint64_t offset = std::min(id.high64() - lo, span);
+  // Drop 32 low bits of wide spans so offset · n cannot overflow.
+  const int shift = span >> 32 != 0 ? 32 : 0;
+  const std::uint64_t est = (offset >> shift) * n / (span >> shift);
+  return guided_lower_bound(n, std::min<std::size_t>(est, n - 1), id, id_at);
 }
 
-std::size_t FlatRing::stage_upper_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(staging_.begin(), staging_.end(), id, id_entry_less) -
-      staging_.begin());
+FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
+  const std::size_t b = block_lower_bound(id);
+  if (b == blocks_.size()) return Cursor{b, 0};
+  return Cursor{b, pos_lower_bound(b, id)};
+}
+
+bool FlatRing::contains(const Uint160& id) const {
+  DHTLB_CHECK(!bulk_mode_, "FlatRing::contains during bulk load");
+  const Cursor c = lower_bound(id);
+  return c.block < blocks_.size() && id_at(c) == id;
 }
 
 // --- cursors --------------------------------------------------------------
 
 FlatRing::Cursor FlatRing::find(const Uint160& id) const {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::find during bulk load");
-  const std::size_t m = main_lower_bound(id);
-  if (m < entries_.size() && entries_[m].id == id &&
-      entries_[m].slot != kNoSlot) {
-    Cursor c;
-    c.main = m;
-    c.stage = stage_lower_bound(id);
-    c.on_stage = false;
-    return c;
-  }
-  const std::size_t s = stage_lower_bound(id);
-  DHTLB_CHECK(s < staging_.size() && staging_[s].id == id,
+  const Cursor c = lower_bound(id);
+  DHTLB_CHECK(c.block < blocks_.size() && id_at(c) == id,
               "FlatRing::find: id " << id << " not in ring");
-  Cursor c;
-  c.main = m;
-  c.stage = s;
-  c.on_stage = true;
   return c;
 }
 
 FlatRing::Cursor FlatRing::cover(const Uint160& point) const {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::cover during bulk load");
   DHTLB_CHECK(live_ > 0, "FlatRing::cover on empty ring");
-  const std::size_t m = skip_dead(main_lower_bound(point));
-  const std::size_t s = stage_lower_bound(point);
-  const bool have_m = m < entries_.size();
-  const bool have_s = s < staging_.size();
-  if (!have_m && !have_s) return first();  // wrapped past the top
-  Cursor c;
-  if (have_m && (!have_s || entries_[m].id < staging_[s].id)) {
-    c.main = m;
-    c.stage = s;
-    c.on_stage = false;
-  } else {
-    c.main = m;
-    c.stage = s;
-    c.on_stage = true;
-  }
+  const Cursor c = lower_bound(point);
+  if (c.block == blocks_.size()) return first();  // wrapped past the top
   return c;
 }
 
 FlatRing::Cursor FlatRing::first() const {
   DHTLB_CHECK(live_ > 0, "FlatRing::first on empty ring");
-  const std::size_t m = skip_dead(0);
-  const bool have_m = m < entries_.size();
-  const bool have_s = !staging_.empty();
-  Cursor c;
-  c.main = m;
-  c.stage = 0;
-  c.on_stage = have_s && (!have_m || staging_[0].id < entries_[m].id);
-  return c;
+  return Cursor{};
 }
 
 FlatRing::Cursor FlatRing::last() const {
   DHTLB_CHECK(live_ > 0, "FlatRing::last on empty ring");
-  // Last live main entry, scanning back over at most dead_ tombstones.
-  std::size_t m = entries_.size();
-  while (m > 0 && entries_[m - 1].slot == kNoSlot) --m;
-  const bool have_m = m > 0;
-  const bool have_s = !staging_.empty();
-  Cursor c;
-  if (have_s && (!have_m || entries_[m - 1].id < staging_.back().id)) {
-    c.main = entries_.size();
-    c.stage = staging_.size() - 1;
-    c.on_stage = true;
-  } else {
-    c.main = m - 1;
-    c.stage = staging_.size();
-    c.on_stage = false;
-  }
-  return c;
+  return Cursor{blocks_.size() - 1, blocks_.back().size() - 1};
 }
 
 // --- slot arena -----------------------------------------------------------
@@ -214,38 +169,66 @@ void FlatRing::free_slot(Slot s) {
 
 Slot FlatRing::insert(const Uint160& id, NodeIndex owner, bool is_sybil) {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::insert during bulk load");
-  DHTLB_ASSERT(!contains(id), "FlatRing::insert: duplicate id " << id);
+  if (blocks_.empty()) {
+    const Slot slot = alloc_slot(id, owner, is_sybil);
+    blocks_.push_back(Block{Entry{id, slot}});
+    block_max_.push_back(id);
+    ++live_;
+    return slot;
+  }
+  std::size_t b = block_lower_bound(id);
+  std::size_t pos;
+  if (b == blocks_.size()) {
+    b = blocks_.size() - 1;  // past every id: becomes the last block's max
+    pos = blocks_[b].size();
+  } else {
+    pos = pos_lower_bound(b, id);
+    DHTLB_ASSERT(!(blocks_[b][pos].id == id),
+                 "FlatRing::insert: duplicate id " << id);
+  }
   const Slot slot = alloc_slot(id, owner, is_sybil);
-  const std::size_t s = stage_lower_bound(id);
-  staging_.insert(staging_.begin() + static_cast<std::ptrdiff_t>(s),
-                  Entry{id, slot});
+  Block& block = blocks_[b];
+  block.insert(block.begin() + static_cast<std::ptrdiff_t>(pos),
+               Entry{id, slot});
+  if (pos + 1 == block.size()) block_max_[b] = id;
   ++live_;
-  merge_if_needed();
+  if (block.size() == kBlockCapacity) split_block(b);
   return slot;
+}
+
+void FlatRing::split_block(std::size_t b) {
+  Block& lower = blocks_[b];
+  const auto mid = lower.begin() + static_cast<std::ptrdiff_t>(lower.size() / 2);
+  Block upper(mid, lower.end());
+  lower.erase(mid, lower.end());
+  block_max_[b] = lower.back().id;
+  const auto at = static_cast<std::ptrdiff_t>(b + 1);
+  block_max_.insert(block_max_.begin() + at, upper.back().id);
+  blocks_.insert(blocks_.begin() + at, std::move(upper));
 }
 
 void FlatRing::erase(const Uint160& id) {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::erase during bulk load");
-  const std::size_t s = stage_lower_bound(id);
-  if (s < staging_.size() && staging_[s].id == id) {
-    free_slot(staging_[s].slot);
-    staging_.erase(staging_.begin() + static_cast<std::ptrdiff_t>(s));
-    --live_;
-    return;
-  }
-  const std::size_t m = main_lower_bound(id);
-  DHTLB_CHECK(m < entries_.size() && entries_[m].id == id &&
-                  entries_[m].slot != kNoSlot,
+  const Cursor c = lower_bound(id);
+  DHTLB_CHECK(c.block < blocks_.size() && id_at(c) == id,
               "FlatRing::erase: id " << id << " not in ring");
-  free_slot(entries_[m].slot);
-  entries_[m].slot = kNoSlot;
-  ++dead_;
+  Block& block = blocks_[c.block];
+  free_slot(block[c.pos].slot);
+  block.erase(block.begin() + static_cast<std::ptrdiff_t>(c.pos));
   --live_;
-  merge_if_needed();
+  if (block.empty()) {
+    const auto at = static_cast<std::ptrdiff_t>(c.block);
+    blocks_.erase(blocks_.begin() + at);
+    block_max_.erase(block_max_.begin() + at);
+  } else if (c.pos == block.size()) {
+    block_max_[c.block] = block.back().id;
+  }
 }
 
 void FlatRing::reserve(std::size_t n) {
-  entries_.reserve(n);
+  const std::size_t blocks = n / (kBlockCapacity / 2) + 1;
+  blocks_.reserve(blocks);
+  block_max_.reserve(blocks);
   ids_.reserve(n);
   owners_.reserve(n);
   sybils_.reserve(n);
@@ -254,107 +237,72 @@ void FlatRing::reserve(std::size_t n) {
 
 Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
                            bool is_sybil) {
-  DHTLB_CHECK(staging_.empty() && dead_ == 0,
-              "FlatRing::bulk_append on a churned ring");
-  bulk_mode_ = true;
+  if (!bulk_mode_) {
+    DHTLB_CHECK(live_ == 0, "FlatRing::bulk_append on a non-empty ring");
+    blocks_.emplace_back();
+    bulk_mode_ = true;
+  }
   const Slot slot = alloc_slot(id, owner, is_sybil);
-  entries_.push_back(Entry{id, slot});
+  blocks_.front().push_back(Entry{id, slot});
   ++live_;
   return slot;
 }
 
 void FlatRing::finalize_bulk() {
-  std::sort(entries_.begin(), entries_.end(),
+  if (!bulk_mode_) return;
+  Block all = std::move(blocks_.front());
+  blocks_.clear();
+  std::sort(all.begin(), all.end(),
             [](const Entry& a, const Entry& b) { return a.id < b.id; });
-  bulk_mode_ = false;
-}
-
-// --- merge passes ---------------------------------------------------------
-
-std::size_t FlatRing::merge_threshold() const {
-  return kMinBatch + isqrt(live_);
-}
-
-void FlatRing::merge_if_needed() {
-  const std::size_t threshold = merge_threshold();
-  if (staging_.size() > threshold || dead_ > threshold) merge_now();
-}
-
-void FlatRing::merge_now() {
-  std::vector<Entry> merged;
-  merged.reserve(live_);
-  std::size_t m = skip_dead(0);
-  std::size_t s = 0;
-  while (m < entries_.size() || s < staging_.size()) {
-    if (s >= staging_.size() ||
-        (m < entries_.size() && entries_[m].id < staging_[s].id)) {
-      merged.push_back(entries_[m]);
-      m = skip_dead(m + 1);
-    } else {
-      merged.push_back(staging_[s]);
-      ++s;
-    }
+  // Half-full blocks leave every block room for kBlockCapacity / 2
+  // inserts before its first split.
+  constexpr std::size_t kFill = kBlockCapacity / 2;
+  for (std::size_t i = 0; i < all.size(); i += kFill) {
+    const std::size_t end = std::min(i + kFill, all.size());
+    blocks_.emplace_back(all.begin() + static_cast<std::ptrdiff_t>(i),
+                         all.begin() + static_cast<std::ptrdiff_t>(end));
+    block_max_.push_back(all[end - 1].id);
   }
-  entries_ = std::move(merged);
-  staging_.clear();
-  dead_ = 0;
-  ++merge_passes_;
+  bulk_mode_ = false;
 }
 
 // --- introspection --------------------------------------------------------
 
 bool FlatRing::index_consistent() const {
   if (bulk_mode_) return false;
-  // Both halves strictly sorted; staging all live.
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (!(entries_[i - 1].id < entries_[i].id)) return false;
-  }
-  for (std::size_t i = 0; i < staging_.size(); ++i) {
-    if (staging_[i].slot == kNoSlot) return false;
-    if (i > 0 && !(staging_[i - 1].id < staging_[i].id)) return false;
-  }
-  // Counts line up.
-  std::size_t main_live = 0;
-  std::size_t main_dead = 0;
-  for (const Entry& e : entries_) {
-    if (e.slot == kNoSlot) {
-      ++main_dead;
-    } else {
-      ++main_live;
+  // Blocks non-empty, under capacity, summarized by their last id, and
+  // ids strictly ascending across the whole index.
+  if (block_max_.size() != blocks_.size()) return false;
+  std::size_t entries = 0;
+  const Uint160* prev = nullptr;
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const Block& block = blocks_[b];
+    if (block.empty() || block.size() >= kBlockCapacity) return false;
+    if (!(block_max_[b] == block.back().id)) return false;
+    for (const Entry& e : block) {
+      if (prev != nullptr && !(*prev < e.id)) return false;
+      prev = &e.id;
     }
+    entries += block.size();
   }
-  if (main_dead != dead_) return false;
-  if (main_live + staging_.size() != live_) return false;
-  // Every live entry's slot is in range, unique, not on the free list,
-  // and stores the id the index claims.
+  if (entries != live_) return false;
+  // Every entry's slot is in range, unique, not on the free list, and
+  // stores the id the index claims.
   std::vector<std::uint8_t> seen(ids_.size(), 0);
   for (const Slot s : free_slots_) {
     if (s >= ids_.size() || seen[s]) return false;
     seen[s] = 2;
   }
-  const auto check_entry = [&](const Entry& e) {
-    if (e.slot >= ids_.size() || seen[e.slot]) return false;
-    seen[e.slot] = 1;
-    return ids_[e.slot] == e.id;
-  };
-  for (const Entry& e : entries_) {
-    if (e.slot != kNoSlot && !check_entry(e)) return false;
-  }
-  for (const Entry& e : staging_) {
-    if (!check_entry(e)) return false;
+  for (const Block& block : blocks_) {
+    for (const Entry& e : block) {
+      if (e.slot >= ids_.size() || seen[e.slot]) return false;
+      seen[e.slot] = 1;
+      if (!(ids_[e.slot] == e.id)) return false;
+    }
   }
   // No leaked slots: every slot is live or free.
   for (const std::uint8_t mark : seen) {
     if (mark == 0) return false;
-  }
-  // A staged id may only collide with a *dead* main entry (the
-  // erase-then-reinsert case); a live duplicate would shadow it.
-  for (const Entry& e : staging_) {
-    const std::size_t m = main_lower_bound(e.id);
-    if (m < entries_.size() && entries_[m].id == e.id &&
-        entries_[m].slot != kNoSlot) {
-      return false;
-    }
   }
   return true;
 }

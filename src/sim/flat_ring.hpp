@@ -1,28 +1,33 @@
-// Flat ring storage: a sorted (id, slot) index over a stable slot arena.
+// Flat ring storage: a blocked sorted (id, slot) index over a stable
+// slot arena.
 //
 // The simulated ring used to live in a std::map<Uint160, VirtualNode>,
 // which costs one heap node and a pointer-chasing tree walk per vnode —
 // prohibitive at the 100k..1M vnode scales the roadmap targets.  This
 // container keeps the same ordered-ring semantics on two flat pieces:
 //
-//  * an *index*: a sorted vector of (id, slot) entries, binary-searched
-//    for find/cover and walked by position for successor/predecessor
-//    (O(1) steps on contiguous memory instead of tree pointer chases);
+//  * an *index*: the (id, slot) entries in ascending id order, cut into
+//    sorted blocks of fewer than kBlockCapacity entries, plus a summary
+//    vector holding each block's largest id.  find/cover pick the block
+//    from the summary and the position inside it, both by
+//    interpolation-guided search; successor/predecessor steps walk a
+//    position within a block and cross to the neighbouring block at its
+//    ends (O(1) steps on contiguous memory instead of tree pointer
+//    chases);
 //  * a *slot arena*: per-vnode payloads split struct-of-arrays — owner,
 //    sybil flag, and TaskStore each in their own vector, indexed by a
 //    Slot handle.  Slots are stable for a vnode's lifetime (freed slots
 //    are recycled), which replaces the old "map value pointers never
 //    move" contract: callers cache Slot handles instead of pointers.
 //
-// Mutations are batched: an insert lands in a small sorted *staging*
-// vector and an erase tombstones its index entry in place; every query
-// reads the merged view of (index minus tombstones) + staging.  When
-// either side outgrows ~sqrt(live) entries, one O(n) merge pass folds
-// them into a fresh index — so sustained churn costs amortized O(sqrt n)
-// per membership change instead of an O(n) memmove each.
+// Cost model: an insert or erase shifts entries inside one block, so a
+// membership change costs O(kBlockCapacity) plus, when a full block
+// splits in half or an emptied block is dropped, one shift of the
+// per-block vectors (O(n / kBlockCapacity)).  No mutation ever touches
+// the whole index: there are no global passes and no deferred work.
 //
 // Construction has a separate bulk path (bulk_append + finalize_bulk):
-// append unsorted, sort once.
+// append unsorted, sort once, cut into half-full blocks.
 //
 // Determinism: this container is purely representational — it stores
 // exactly the (id -> payload) ring the std::map stored, iterates in the
@@ -53,12 +58,17 @@ using Slot = std::uint32_t;
 
 class FlatRing {
  public:
-  /// Sentinel slot: marks index tombstones; never a valid handle.
+  /// Sentinel slot: never a valid handle.
   static constexpr Slot kNoSlot = 0xFFFFFFFFu;
+
+  /// A block splits in half when an insert fills it to this many
+  /// entries, so every block holds 1..kBlockCapacity-1.  A constant of
+  /// the representation, not a tuning knob.
+  static constexpr std::size_t kBlockCapacity = 512;
 
   struct Entry {
     Uint160 id;
-    Slot slot = kNoSlot;  // kNoSlot in the main index == tombstone
+    Slot slot = kNoSlot;
   };
 
   // --- size & membership --------------------------------------------------
@@ -79,19 +89,14 @@ class FlatRing {
 
   // --- cursors ------------------------------------------------------------
 
-  /// Position in the merged (index + staging) view.  A cursor addresses
-  /// one live vnode; next()/prev() walk the ring clockwise and
-  /// counterclockwise with wrap-around.  Invalidated by any mutation
-  /// (insert/erase/finalize_bulk) — same contract as the old map
-  /// iterators.  Slots, by contrast, stay valid.
+  /// Position of one vnode in the index: entry `pos` of block `block`.
+  /// next()/prev() walk the ring clockwise and counterclockwise with
+  /// wrap-around.  Invalidated by any mutation (insert/erase/
+  /// finalize_bulk) — same contract as the old map iterators.  Slots,
+  /// by contrast, stay valid.
   struct Cursor {
-    // Invariant: every live index entry before `main` (and staging entry
-    // before `stage`) has id < the cursor's id; every one at-or-after
-    // has id >= it.  The current element is entries_[main] when
-    // !on_stage, staging_[stage] otherwise.
-    std::size_t main = 0;
-    std::size_t stage = 0;
-    bool on_stage = false;
+    std::size_t block = 0;
+    std::size_t pos = 0;
   };
 
   /// Cursor of an id that is in the ring (DHTLB_CHECKs otherwise).
@@ -111,94 +116,82 @@ class FlatRing {
   Cursor prev(const Cursor& c) const;  // counterclockwise neighbor, wraps
 
   const Uint160& id_at(const Cursor& c) const {
-    return c.on_stage ? staging_[c.stage].id : entries_[c.main].id;
+    return blocks_[c.block][c.pos].id;
   }
-  Slot slot_at(const Cursor& c) const {
-    return c.on_stage ? staging_[c.stage].slot : entries_[c.main].slot;
-  }
+  Slot slot_at(const Cursor& c) const { return blocks_[c.block][c.pos].slot; }
 
   /// Calls fn(id, slot) for every live vnode in ascending-id order — the
   /// bulk read path (snapshots, audits, task assignment) at O(n) with no
   /// per-element search.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    std::size_t m = skip_dead(0);
-    std::size_t s = 0;
-    while (m < entries_.size() || s < staging_.size()) {
-      if (s >= staging_.size() ||
-          (m < entries_.size() && entries_[m].id < staging_[s].id)) {
-        fn(entries_[m].id, entries_[m].slot);
-        m = skip_dead(m + 1);
-      } else {
-        fn(staging_[s].id, staging_[s].slot);
-        ++s;
-      }
+    for (const Block& block : blocks_) {
+      for (const Entry& e : block) fn(e.id, e.slot);
     }
   }
 
   // --- mutation -----------------------------------------------------------
 
-  /// Inserts a new vnode (id must not be present) into staging and
-  /// returns its arena slot.  Amortized O(sqrt n).
+  /// Inserts a new vnode (id must not be present) into its block and
+  /// returns its arena slot.  O(kBlockCapacity).
   Slot insert(const Uint160& id, NodeIndex owner, bool is_sybil);
 
   /// Removes a vnode (id must be present), freeing its slot.  Any tasks
   /// still in its store are dropped — callers merge them out first.
   void erase(const Uint160& id);
 
-  /// Pre-sizes the index and arena for n vnodes.
+  /// Pre-sizes the arena (and the block list) for n vnodes.
   void reserve(std::size_t n);
 
-  /// Bulk-load path: appends without sorting.  Between the first
-  /// bulk_append and finalize_bulk only slot accessors are valid.
+  /// Bulk-load path into an empty ring: appends without sorting.
+  /// Between the first bulk_append and finalize_bulk only slot accessors
+  /// are valid.
   Slot bulk_append(const Uint160& id, NodeIndex owner, bool is_sybil);
 
-  /// Sorts the bulk-loaded index; the ring is fully queryable after.
+  /// Sorts the bulk-loaded entries once and cuts them into half-full
+  /// blocks; the ring is fully queryable after.
   void finalize_bulk();
 
-  // --- introspection (audits, tests, telemetry) ---------------------------
+  // --- introspection (audits, tests) --------------------------------------
 
-  /// Merge passes run so far (each folds staging + tombstones away).
-  std::uint64_t merge_passes() const { return merge_passes_; }
-  std::size_t staged_count() const { return staging_.size(); }
-  std::size_t tombstone_count() const { return dead_; }
-
-  /// Deep structural check: both halves sorted and duplicate-free, live
-  /// counts consistent, every live entry's slot valid and unique, every
-  /// slot's stored id matching its index entry.  O(n log n); for the
-  /// invariant auditor and tests.
+  /// Deep structural check: ids strictly ascending across all blocks,
+  /// no block empty or at capacity, each summary id equal to its
+  /// block's last id, the live count matching, every entry's slot valid
+  /// and unique, every slot's stored id matching its index entry.
+  /// O(n); for the invariant auditor and tests.
   bool index_consistent() const;
 
  private:
   // Test-only: lets auditor tests seed index corruptions (arena/index id
-  // mismatches) that the public API makes impossible by construction.
+  // mismatches, stale summaries) that the public API makes impossible by
+  // construction.
   friend struct testing::FlatRingCorruptor;
 
-  std::size_t skip_dead(std::size_t m) const {
-    while (m < entries_.size() && entries_[m].slot == kNoSlot) ++m;
-    return m;
-  }
+  using Block = std::vector<Entry>;
 
   Slot alloc_slot(const Uint160& id, NodeIndex owner, bool is_sybil);
   void free_slot(Slot s);
 
-  /// First index position with id > `id` / >= `id` (tombstones count:
-  /// they keep their ids, so the index stays sorted).
-  std::size_t main_upper_bound(const Uint160& id) const;
-  std::size_t main_lower_bound(const Uint160& id) const;
-  std::size_t stage_upper_bound(const Uint160& id) const;
-  std::size_t stage_lower_bound(const Uint160& id) const;
+  /// First block whose largest id is >= `id`; blocks_.size() if none.
+  std::size_t block_lower_bound(const Uint160& id) const;
+  /// First position in blocks_[b] with id >= `id`; blocks_[b].size() if
+  /// none.
+  std::size_t pos_lower_bound(std::size_t b, const Uint160& id) const;
+  /// Cursor of the first entry with id >= `id`; block == blocks_.size()
+  /// when every id is smaller.
+  Cursor lower_bound(const Uint160& id) const;
 
   Cursor last() const;
 
-  std::size_t merge_threshold() const;
-  void merge_if_needed();
-  void merge_now();
+  /// Moves the upper half of the full block b into a new block b + 1.
+  void split_block(std::size_t b);
 
-  std::vector<Entry> entries_;  // sorted by id; slot==kNoSlot: tombstone
-  std::vector<Entry> staging_;  // sorted by id; all live; small
-  std::size_t live_ = 0;        // live vnodes (index live + staging)
-  std::size_t dead_ = 0;        // tombstones in entries_
+  // Ascending sorted blocks, each 1..kBlockCapacity-1 entries, and the
+  // summary: block_max_[b] == blocks_[b].back().id.  During a bulk load
+  // blocks_ holds one unsorted block and block_max_ stays empty.
+  std::vector<Block> blocks_;
+  std::vector<Uint160> block_max_;
+  std::size_t live_ = 0;
   bool bulk_mode_ = false;
 
   // Slot arena, struct-of-arrays: the hot membership fields (id, owner,
@@ -209,49 +202,18 @@ class FlatRing {
   std::vector<std::uint8_t> sybils_;
   std::vector<TaskStore> tasks_;
   std::vector<Slot> free_slots_;
-
-  std::uint64_t merge_passes_ = 0;
 };
 
 inline FlatRing::Cursor FlatRing::next(const Cursor& c) const {
-  std::size_t m = c.main;
-  std::size_t s = c.stage;
-  if (c.on_stage) {
-    ++s;
-    m = skip_dead(m);
-  } else {
-    m = skip_dead(m + 1);
-  }
-  const bool have_m = m < entries_.size();
-  const bool have_s = s < staging_.size();
-  if (!have_m && !have_s) return first();  // wrap clockwise past the top
-  Cursor out;
-  out.main = m;
-  out.stage = s;
-  out.on_stage = have_s && (!have_m || staging_[s].id < entries_[m].id);
-  return out;
+  if (c.pos + 1 < blocks_[c.block].size()) return Cursor{c.block, c.pos + 1};
+  if (c.block + 1 < blocks_.size()) return Cursor{c.block + 1, 0};
+  return first();  // wrap clockwise past the top
 }
 
 inline FlatRing::Cursor FlatRing::prev(const Cursor& c) const {
-  // Last live main entry strictly before c.main, and the staging entry
-  // just before c.stage; the counterclockwise neighbor is the larger.
-  std::size_t m = c.main;
-  while (m > 0 && entries_[m - 1].slot == kNoSlot) --m;
-  const bool have_m = m > 0;
-  const bool have_s = c.stage > 0;
-  if (!have_m && !have_s) return last();  // wrap counterclockwise
-  Cursor out;
-  if (have_s &&
-      (!have_m || entries_[m - 1].id < staging_[c.stage - 1].id)) {
-    out.main = c.main;
-    out.stage = c.stage - 1;
-    out.on_stage = true;
-  } else {
-    out.main = m - 1;
-    out.stage = c.stage;
-    out.on_stage = false;
-  }
-  return out;
+  if (c.pos > 0) return Cursor{c.block, c.pos - 1};
+  if (c.block > 0) return Cursor{c.block - 1, blocks_[c.block - 1].size() - 1};
+  return last();  // wrap counterclockwise past zero
 }
 
 }  // namespace dhtlb::sim

@@ -10,6 +10,12 @@ void Params::validate() const {
   if (initial_nodes == 0) {
     throw std::invalid_argument("Params: initial_nodes must be >= 1");
   }
+  if (initial_nodes > kMaxInitialNodes) {
+    throw std::invalid_argument(
+        "Params: initial_nodes must be at most " +
+        std::to_string(kMaxInitialNodes) +
+        " (2 * initial_nodes physical nodes need 32-bit indices)");
+  }
   if (total_tasks == 0) {
     throw std::invalid_argument("Params: total_tasks must be >= 1");
   }

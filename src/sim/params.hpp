@@ -32,6 +32,11 @@ enum class TaskProvisioning {
 };
 
 struct Params {
+  /// Largest initial_nodes: World numbers its 2·n physical nodes with a
+  /// 32-bit NodeIndex whose all-ones value is a sentinel, so every index
+  /// 0..2·n-1 must stay below it.
+  static constexpr std::size_t kMaxInitialNodes = 0x7FFF'FFFF;
+
   /// Nodes alive at tick zero.  A pool of equally many waiting nodes is
   /// created alongside (§IV-A), so churn joins/leaves roughly balance.
   std::size_t initial_nodes = 1000;

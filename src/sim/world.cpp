@@ -31,6 +31,8 @@ using IdSet = std::unordered_set<Uint160, IdHash>;
 
 World::World(const Params& params, support::Rng& rng)
     : params_(params), rng_(rng) {
+  static_assert(2 * Params::kMaxInitialNodes < kNotAlive,
+                "physical indices 0..2n-1 must stay below the sentinel");
   params_.validate();
 
   // Physical population: N alive + N waiting (§IV-A: the waiting pool

@@ -339,8 +339,8 @@ class World {
   bool alive_index_consistent() const;
 
   /// Deep structural check of the flat ring index itself (sortedness,
-  /// tombstone/staging bookkeeping, slot-arena cross-references).  For
-  /// the auditor and tests.
+  /// block sizes and summary, slot-arena cross-references).  For the
+  /// auditor and tests.
   bool ring_index_consistent() const { return ring_.index_consistent(); }
 
  private:

@@ -185,6 +185,60 @@ TEST(ScenarioParser, MaxSybilsAboveUintMax) {
             4294967295u);
 }
 
+// Counts are bounded by the kMaxScript* limits: one past the limit is a
+// line-numbered error, the limit itself parses.  Unbounded, a huge count
+// allocates or loops until the process runs out of memory.
+TEST(ScenarioParser, NodesHeaderAboveLimit) {
+  expect_error("name x\nnodes 4000001\n", 2, "node count 4000001 is out of "
+               "range (at most 4000000)");
+  EXPECT_EQ(parse("name x\nnodes 4000000\n").params.initial_nodes,
+            kMaxScriptNodes);
+}
+
+TEST(ScenarioParser, TasksHeaderAboveLimit) {
+  expect_error("name x\ntasks 18446744073709551615\n", 2,
+               "task count 18446744073709551615 is out of range");
+  EXPECT_EQ(parse("name x\ntasks 100000000\n").params.total_tasks,
+            kMaxScriptTasks);
+}
+
+TEST(ScenarioParser, JoinCountAboveLimit) {
+  expect_error("name x\nat 1\n  join 4000001\nend\n", 3,
+               "count 4000001 is out of range");
+}
+
+TEST(ScenarioParser, LeaveCountAboveLimit) {
+  expect_error("name x\nat 1\n  leave 18446744073709551615\nend\n", 3,
+               "is out of range (at most 4000000)");
+}
+
+TEST(ScenarioParser, CrashCountAboveLimit) {
+  expect_error("name x\nat 1\n  crash 4000001\nend\n", 3,
+               "is out of range (at most 4000000)");
+}
+
+TEST(ScenarioParser, InjectUniformCountAboveLimit) {
+  expect_error(
+      "name x\nat 1\n  inject-uniform 18446744073709551615\nend\n", 3,
+      "task count 18446744073709551615 is out of range (at most 100000000)");
+  EXPECT_EQ(parse("name x\nat 1\n  inject-uniform 100000000\nend\n")
+                .blocks[0]
+                .events[0]
+                .count,
+            kMaxScriptTasks);
+}
+
+TEST(ScenarioParser, InjectHotspotCountAboveLimit) {
+  expect_error("name x\nat 1\n  inject-hotspot 100000001 0.5\nend\n", 3,
+               "task count 100000001 is out of range");
+}
+
+TEST(ScenarioParser, LookupCountAboveLimit) {
+  expect_error(
+      "name x\nsubstrate chord\nticks 5\nat 1\n  lookup 10000001\nend\n",
+      5, "lookup count 10000001 is out of range (at most 10000000)");
+}
+
 TEST(ScenarioParser, ChurnRateOutOfRange) {
   expect_error("name x\nchurn 1.5\n", 2, "must be in [0, 1]");
 }

@@ -119,6 +119,19 @@ TEST(InvariantAuditorTest, DetectsDesyncedRingIndex) {
   EXPECT_TRUE(failing_checks(world).contains("index-integrity"));
 }
 
+TEST(InvariantAuditorTest, DetectsStaleBlockSummary) {
+  // The last block's summary id overstates its largest id; lookups of
+  // every vnode still resolve, so only the index-integrity summary check
+  // can notice.
+  support::Rng rng(43);
+  World world(small_params(), rng);
+  ASSERT_TRUE(WorldCorruptor::stale_ring_summary(world));
+  EXPECT_FALSE(world.check_invariants());
+  const std::set<std::string> failing = failing_checks(world);
+  EXPECT_TRUE(failing.contains("index-integrity"));
+  EXPECT_FALSE(failing.contains("ring-order"));
+}
+
 TEST(InvariantAuditorTest, SybilCapViolationIsDetected) {
   // create_sybil deliberately does not enforce the cap (that is the
   // strategy's job) — the auditor must flag a strategy that overshoots.

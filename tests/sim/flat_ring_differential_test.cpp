@@ -2,11 +2,15 @@
 // representation it replaced.  Both sides consume identical randomized
 // join/leave/lookup sequences; after every mutation the flat ring must
 // give the same successor, predecessor, cover, and owner answers as the
-// map, and its deep index_consistent() check must hold.  This pins the
-// staged-insert / tombstone / merge machinery to the simple ordered-map
-// semantics the rest of the simulator was written against.
+// map, and its deep index_consistent() check must hold.  Every seed grows
+// the ring past several block capacities (so blocks split, many times
+// and unevenly) and then erases a contiguous run of more than two
+// blocks' worth of ids (so whole blocks empty and are dropped).  This
+// pins the blocked index to the simple ordered-map semantics the rest of
+// the simulator was written against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -74,7 +78,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
   MapReference ref;
 
   // Seed both sides through the bulk path, like world construction.
-  constexpr std::size_t kInitial = 200;
+  constexpr std::size_t kInitial = 1000;
   ring.reserve(kInitial);
   for (std::size_t i = 0; i < kInitial; ++i) {
     const Uint160 id = rng.uniform_u160();
@@ -114,9 +118,14 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
   };
 
   check_agreement(-1);
-  for (int step = 0; step < 400; ++step) {
-    switch (rng.below(3)) {
-      case 0: {  // join at a fresh id
+  // Growth phase: joins outnumber leaves 3:1, so the ring ends near
+  // 2800 vnodes, more than five full blocks.
+  constexpr int kGrowthSteps = 3000;
+  for (int step = 0; step < kGrowthSteps; ++step) {
+    switch (rng.below(5)) {
+      case 0:
+      case 1:
+      case 2: {  // join at a fresh id
         const Uint160 id = rng.uniform_u160();
         if (ref.contains(id)) break;
         const auto owner = static_cast<NodeIndex>(rng.below(32));
@@ -126,7 +135,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
         members.push_back(id);
         break;
       }
-      case 1: {  // leave
+      case 3: {  // leave
         if (members.size() <= 2) break;
         const std::size_t victim = rng.below(members.size());
         ring.erase(members[victim]);
@@ -135,7 +144,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
         members.pop_back();
         break;
       }
-      case 2: {  // ownership transfer (e.g. sybil handoff)
+      case 4: {  // ownership transfer (e.g. sybil handoff)
         const Uint160& id = members[rng.below(members.size())];
         const auto owner = static_cast<NodeIndex>(rng.below(32));
         ring.set_owner(ring.slot_at(ring.find(id)), owner);
@@ -144,6 +153,22 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
       }
     }
     check_agreement(step);
+  }
+  ASSERT_GT(ref.size(), 4 * FlatRing::kBlockCapacity);
+
+  // Contiguous departure: a run of ring-adjacent ids longer than two
+  // blocks always contains one whole block, which must empty and drop.
+  constexpr std::size_t kRun = 2 * FlatRing::kBlockCapacity;
+  Uint160 next_victim = members[rng.below(members.size())];
+  for (std::size_t i = 0; i < kRun; ++i) {
+    const Uint160 victim = next_victim;
+    next_victim = ref.successor(victim);
+    ring.erase(victim);
+    ref.erase(victim);
+    const auto it = std::find(members.begin(), members.end(), victim);
+    *it = members.back();
+    members.pop_back();
+    check_agreement(kGrowthSteps + static_cast<int>(i));
   }
 
   // Final full-order sweep: for_each must iterate the exact map order.

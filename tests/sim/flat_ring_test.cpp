@@ -1,14 +1,16 @@
-// FlatRing unit coverage: the sorted-index + slot-arena container that
-// replaced the std::map ring.  Exercises both write paths (bulk load and
-// staged churn), tombstoned erases, amortized merge passes, cursor walks
-// with wrap-around, cover semantics, and the deep index_consistent()
-// check the invariant auditor relies on.
+// FlatRing unit coverage: the blocked sorted-index + slot-arena container
+// that replaced the std::map ring.  Exercises both write paths (bulk load
+// and churn), block splits at capacity and drops when emptied, cursor
+// walks across block boundaries with wrap-around, cover semantics, and
+// the deep index_consistent() check the invariant auditor relies on.
 #include "sim/flat_ring.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/world_corruptor.hpp"
@@ -22,15 +24,36 @@ using support::Uint160;
 
 Uint160 id(std::uint64_t v) { return Uint160{v}; }
 
-/// Ring pre-loaded through the bulk path with the given low-64 ids.
-FlatRing make_ring(const std::vector<std::uint64_t>& ids) {
+constexpr std::size_t kCapacity = FlatRing::kBlockCapacity;
+
+/// Id with v in the top 64 bits, spread over the ring so that the
+/// interpolated searches (which read the high bits) are exercised.
+Uint160 spread(std::uint64_t v) { return Uint160{v}.shl(96); }
+
+/// spread(first), spread(first + stride), ... — n ids.
+std::vector<Uint160> spread_ids(std::size_t n, std::uint64_t first,
+                                std::uint64_t stride = 1) {
+  std::vector<Uint160> out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(spread(first + i * stride));
+  return out;
+}
+
+/// Ring pre-loaded through the bulk path with the given ids.
+FlatRing make_ring(const std::vector<Uint160>& ids) {
   FlatRing ring;
   ring.reserve(ids.size());
-  for (const std::uint64_t v : ids) {
-    ring.bulk_append(id(v), static_cast<NodeIndex>(v % 7), false);
+  for (const Uint160& v : ids) {
+    ring.bulk_append(v, static_cast<NodeIndex>(v.low64() % 7), false);
   }
   ring.finalize_bulk();
   return ring;
+}
+
+/// Same, from low-64 ids.
+FlatRing make_ring(std::initializer_list<std::uint64_t> ids) {
+  std::vector<Uint160> wide;
+  for (const std::uint64_t v : ids) wide.push_back(id(v));
+  return make_ring(wide);
 }
 
 /// All live ids in iteration order, via for_each.
@@ -76,8 +99,8 @@ TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
 
 TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   // The replacement for the old "map value pointers never move"
-  // contract: a cached Slot must survive inserts, erases, and the merge
-  // passes they trigger.
+  // contract: a cached Slot must survive inserts, erases, and the block
+  // splits and drops they trigger.
   FlatRing ring = make_ring({100});
   const Slot cached = ring.slot_at(ring.find(id(100)));
   ring.tasks(cached).add(id(7777));
@@ -87,51 +110,136 @@ TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   for (std::uint64_t v = 0; v < 64; v += 2) {
     ring.erase(id(v));
   }
-  EXPECT_GT(ring.merge_passes(), 0u);  // churn above forced folds
   EXPECT_EQ(ring.id_of(cached), id(100));
   EXPECT_EQ(ring.tasks(cached).size(), 1u);
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, InsertLandsInStagingUntilMergeThreshold) {
-  // Large enough index that a handful of staged inserts stays under the
-  // ~sqrt(live) merge threshold.
-  std::vector<std::uint64_t> ids(400);
-  for (std::uint64_t v = 0; v < 400; ++v) ids[v] = 10 * v;
-  FlatRing ring = make_ring(ids);
-  const std::uint64_t passes_before = ring.merge_passes();
-  ring.insert(id(5), 0, false);
-  ring.insert(id(15), 0, false);
-  EXPECT_EQ(ring.staged_count(), 2u);
-  EXPECT_EQ(ring.merge_passes(), passes_before);
-  // Staged entries are fully visible to queries before any merge.
-  EXPECT_TRUE(ring.contains(id(5)));
-  EXPECT_EQ(ring.id_at(ring.next(ring.first())), id(5));
+TEST(FlatRingTest, InsertSplitsFullBlockInHalf) {
+  // The bulk path fills blocks to half capacity; inserts then fill the
+  // one block until it reaches capacity and splits into two halves.
+  const std::size_t half = kCapacity / 2;
+  FlatRing ring = make_ring(spread_ids(half, 0, /*stride=*/2));
+  for (std::uint64_t i = 0; i + 1 < half; ++i) {
+    ring.insert(spread(2 * i + 1), 0, false);  // odd ids fill the gaps
+  }
+  ASSERT_EQ(ring.size(), kCapacity - 1);
+  EXPECT_EQ(ring.find(spread(2 * half - 2)).block, 0u);  // still one block
+  EXPECT_TRUE(ring.index_consistent());
+
+  ring.insert(spread(2 * half - 1), 0, false);  // the capacity-th entry
+  const std::vector<Uint160> order = collect(ring);
+  ASSERT_EQ(order.size(), kCapacity);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const FlatRing::Cursor c = ring.find(order[i]);
+    EXPECT_EQ(c.block, i / half) << "entry " << i;
+    EXPECT_EQ(c.pos, i % half) << "entry " << i;
+  }
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, EraseTombstonesInPlaceAndDropsMembership) {
-  std::vector<std::uint64_t> ids(400);
-  for (std::uint64_t v = 0; v < 400; ++v) ids[v] = 10 * v;
-  FlatRing ring = make_ring(ids);
-  ring.erase(id(100));
-  EXPECT_EQ(ring.size(), 399u);
-  EXPECT_FALSE(ring.contains(id(100)));
-  EXPECT_EQ(ring.tombstone_count(), 1u);
-  // The tombstone is invisible to walks: 90's successor is now 110.
-  EXPECT_EQ(ring.id_at(ring.next(ring.find(id(90)))), id(110));
+TEST(FlatRingTest, EraseThatEmptiesABlockDropsIt) {
+  // Two half-full blocks; erasing all of the first leaves one block,
+  // and the survivors move up to block 0.
+  const std::size_t half = kCapacity / 2;
+  FlatRing ring = make_ring(spread_ids(2 * half, 0));
+  ASSERT_EQ(ring.find(spread(half)).block, 1u);
+  for (std::uint64_t i = 0; i < half; ++i) ring.erase(spread(i));
+  EXPECT_EQ(ring.size(), half);
+  EXPECT_FALSE(ring.contains(spread(0)));
+  const FlatRing::Cursor c = ring.find(spread(half));
+  EXPECT_EQ(c.block, 0u);
+  EXPECT_EQ(c.pos, 0u);
+  EXPECT_EQ(ring.id_at(ring.prev(c)), spread(2 * half - 1));  // wraps
+  EXPECT_EQ(ring.id_at(ring.cover(spread(0))), spread(half));
+  EXPECT_TRUE(ring.index_consistent());
+
+  // Emptying the last block too leaves an empty, consistent ring that
+  // takes inserts again.
+  for (std::uint64_t i = half; i < 2 * half; ++i) ring.erase(spread(i));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.index_consistent());
+  ring.insert(spread(5), 0, false);
+  EXPECT_EQ(ring.id_at(ring.cover(spread(9))), spread(5));
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
+TEST(FlatRingTest, NextAndPrevCrossBlockBoundariesAndWrap) {
+  const std::size_t half = kCapacity / 2;
+  FlatRing ring = make_ring(spread_ids(3 * half, 0));  // three blocks
+  const FlatRing::Cursor end_of_first = ring.find(spread(half - 1));
+  ASSERT_EQ(end_of_first.block, 0u);
+  const FlatRing::Cursor start_of_second = ring.next(end_of_first);
+  EXPECT_EQ(start_of_second.block, 1u);
+  EXPECT_EQ(start_of_second.pos, 0u);
+  EXPECT_EQ(ring.id_at(start_of_second), spread(half));
+  EXPECT_EQ(ring.id_at(ring.prev(start_of_second)), spread(half - 1));
+
+  const FlatRing::Cursor top = ring.find(spread(3 * half - 1));
+  EXPECT_EQ(top.block, 2u);
+  EXPECT_EQ(ring.id_at(ring.next(top)), spread(0));  // wraps clockwise
+  EXPECT_EQ(ring.id_at(ring.prev(ring.first())), spread(3 * half - 1));
+
+  // A full lap each way visits every id once, in order.
+  const std::vector<Uint160> order = collect(ring);
+  FlatRing::Cursor c = ring.first();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(ring.id_at(c), order[i]) << "forward " << i;
+    c = ring.next(c);
+  }
+  EXPECT_EQ(ring.id_at(c), order.front());
+  for (std::size_t i = order.size(); i-- > 0;) {
+    c = ring.prev(c);
+    ASSERT_EQ(ring.id_at(c), order[i]) << "backward " << i;
+  }
+}
+
+TEST(FlatRingTest, CoverLandsOnBlockFirstEntryAndWrapsPastLastBlock) {
+  // Even ids only, so every odd point falls strictly between two vnodes.
+  const std::size_t half = kCapacity / 2;
+  FlatRing ring = make_ring(spread_ids(2 * half, 0, /*stride=*/2));
+  // Between block 0's max and block 1's first entry: block 1, pos 0.
+  const FlatRing::Cursor c = ring.cover(spread(2 * half - 1));
+  EXPECT_EQ(c.block, 1u);
+  EXPECT_EQ(c.pos, 0u);
+  EXPECT_EQ(ring.id_at(c), spread(2 * half));
+  // Past the last block's max: wraps to the first entry.
+  const FlatRing::Cursor wrapped = ring.cover(spread(4 * half - 1));
+  EXPECT_EQ(wrapped.block, 0u);
+  EXPECT_EQ(wrapped.pos, 0u);
+  EXPECT_EQ(ring.id_at(ring.cover(Uint160::max())), spread(0));
+}
+
+TEST(FlatRingTest, SlotsStayStableAcrossBlockSplits) {
+  // Grow one half-full block through several splits and check every
+  // cached slot still names its vnode and payload.
+  const std::size_t half = kCapacity / 2;
+  FlatRing ring = make_ring(spread_ids(half, 0, /*stride=*/8));
+  std::vector<std::pair<Uint160, Slot>> cached;
+  ring.for_each([&](const Uint160& vid, Slot s) {
+    ring.tasks(s).add(vid);
+    cached.emplace_back(vid, s);
+  });
+  for (std::uint64_t i = 0; i < 8 * half; ++i) {
+    if (i % 8 != 0) ring.insert(spread(i), 0, false);
+  }
+  EXPECT_GT(ring.find(spread(8 * half - 1)).block, 2u);  // split repeatedly
+  for (const auto& [vid, s] : cached) {
+    EXPECT_EQ(ring.id_of(s), vid);
+    EXPECT_EQ(ring.slot_at(ring.find(vid)), s);
+    ASSERT_EQ(ring.tasks(s).size(), 1u);
+  }
+  EXPECT_TRUE(ring.index_consistent());
+}
+
+TEST(FlatRingTest, SustainedChurnSplitsBlocksAndRecyclesSlots) {
   FlatRing ring = make_ring({1, 2, 3});
   support::Rng rng(99);
   std::set<std::uint64_t> alive = {1, 2, 3};
   std::uint64_t fresh = 4;
-  // Insert-biased (2:1) so the ring grows and staging repeatedly
-  // crosses the ~sqrt(live) merge threshold; a balanced walk would
-  // hover below it and never fold.
-  for (int round = 0; round < 500; ++round) {
+  // Insert-biased (2:1) so the ring grows through several block splits
+  // while erases recycle slots.
+  for (int round = 0; round < 3000; ++round) {
     if (rng.below(3) == 0 && alive.size() > 1) {
       auto it = alive.begin();
       std::advance(it, static_cast<long>(rng.below(alive.size())));
@@ -142,7 +250,7 @@ TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
       alive.insert(fresh++);
     }
   }
-  EXPECT_GT(ring.merge_passes(), 0u);
+  EXPECT_GT(ring.find(id(*alive.rbegin())).block, 0u);
   EXPECT_EQ(ring.size(), alive.size());
   std::vector<Uint160> expected;
   for (const std::uint64_t v : alive) expected.push_back(id(v));
@@ -152,7 +260,7 @@ TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
 
 TEST(FlatRingTest, CursorWalksWrapBothDirections) {
   FlatRing ring = make_ring({10, 20, 30});
-  ring.insert(id(25), 0, false);  // one staged entry in the middle
+  ring.insert(id(25), 0, false);  // one inserted entry in the middle
   const std::vector<Uint160> order = {id(10), id(20), id(25), id(30)};
 
   FlatRing::Cursor c = ring.first();
@@ -176,15 +284,6 @@ TEST(FlatRingTest, CoverReturnsFirstClockwiseOwnerWithWrap) {
   EXPECT_EQ(ring.id_at(ring.cover(Uint160::max())), id(10));
 }
 
-TEST(FlatRingTest, CoverSeesStagedAndSkipsTombstoned) {
-  FlatRing ring = make_ring({10, 30});
-  ring.insert(id(20), 0, false);
-  EXPECT_EQ(ring.id_at(ring.cover(id(15))), id(20));  // staged wins
-  ring.erase(id(30));
-  EXPECT_EQ(ring.id_at(ring.cover(id(25))), id(10));  // tombstone skipped
-  EXPECT_TRUE(ring.index_consistent());
-}
-
 TEST(FlatRingTest, IndexConsistentPinsArenaDesync) {
   FlatRing ring = make_ring({10, 20, 30});
   ASSERT_TRUE(ring.index_consistent());
@@ -192,21 +291,37 @@ TEST(FlatRingTest, IndexConsistentPinsArenaDesync) {
   EXPECT_FALSE(ring.index_consistent());
 }
 
+TEST(FlatRingTest, IndexConsistentPinsStaleBlockSummary) {
+  FlatRing ring = make_ring(spread_ids(2 * kCapacity, 0));
+  ASSERT_TRUE(ring.index_consistent());
+  ASSERT_TRUE(sim::testing::FlatRingCorruptor::stale_block_summary(ring));
+  EXPECT_FALSE(ring.index_consistent());
+}
+
 TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
-  // main_lower_bound switches to interpolation-guided probing above 64
-  // entries; find/cover answers must stay identical to the brute-force
-  // ordering for ids anywhere in the 160-bit space, including the skewed
-  // high bits interpolation estimates from.
+  // Both search levels (block summary, then position in the block)
+  // probe from interpolated estimates once they hold enough entries;
+  // find/cover answers must stay identical to the brute-force ordering
+  // for ids anywhere in the 160-bit space, including the skewed high bits
+  // interpolation estimates from.  Inserts after the bulk load split
+  // blocks unevenly, so the estimates are off by more than one block.
   support::Rng rng(4242);
   std::vector<Uint160> ids;
   FlatRing ring;
-  ring.reserve(3000);
-  for (int i = 0; i < 3000; ++i) {
+  ring.reserve(20000);
+  for (int i = 0; i < 12000; ++i) {
     const Uint160 vid = rng.uniform_u160();
     ids.push_back(vid);
     ring.bulk_append(vid, 0, false);
   }
   ring.finalize_bulk();
+  for (int i = 0; i < 8000; ++i) {
+    // Skewed toward the low quarter of the ring.
+    const Uint160 vid = rng.uniform_u160().shr(i % 2 == 0 ? 2 : 0);
+    ids.push_back(vid);
+    ring.insert(vid, 0, false);
+  }
+  ASSERT_TRUE(ring.index_consistent());
   std::sort(ids.begin(), ids.end());
   for (int probe = 0; probe < 2000; ++probe) {
     const Uint160 point = rng.uniform_u160();

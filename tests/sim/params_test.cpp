@@ -27,6 +27,18 @@ TEST(Params, ValidateRejectsZeroNodes) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+// World numbers 2 * initial_nodes physical nodes with a 32-bit
+// NodeIndex; a larger population would wrap the indices silently.
+TEST(Params, ValidateRejectsNodeCountPastNodeIndex) {
+  Params p;
+  p.initial_nodes = Params::kMaxInitialNodes + 1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.initial_nodes = std::size_t{1} << 32;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.initial_nodes = Params::kMaxInitialNodes;
+  EXPECT_NO_THROW(p.validate());
+}
+
 TEST(Params, ValidateRejectsZeroTasks) {
   Params p;
   p.total_tasks = 0;

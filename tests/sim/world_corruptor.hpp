@@ -98,6 +98,10 @@ struct WorldCorruptor {
   /// Desynchronizes the flat ring's slot arena from its sorted index
   /// (see FlatRingCorruptor).  Target check: index-integrity.
   static bool desync_ring_index(World& world);
+
+  /// Leaves the flat ring's last block summary id stale (see
+  /// FlatRingCorruptor).  Target check: index-integrity.
+  static bool stale_ring_summary(World& world);
 };
 
 /// Backdoor into FlatRing's private halves (friend of FlatRing), for
@@ -111,10 +115,24 @@ struct FlatRingCorruptor {
     ring.ids_[slot] += Uint160{1};
     return true;
   }
+
+  /// Raises the last block's summary id one past its real largest id,
+  /// as if an erase of that block's top entry skipped the summary
+  /// update.  Every vnode is still found through the stale bound, so
+  /// only the deep summary check can notice.
+  static bool stale_block_summary(FlatRing& ring) {
+    if (ring.empty()) return false;
+    ring.block_max_.back() += Uint160{1};
+    return true;
+  }
 };
 
 inline bool WorldCorruptor::desync_ring_index(World& world) {
   return FlatRingCorruptor::desync_arena_id(world.ring_);
+}
+
+inline bool WorldCorruptor::stale_ring_summary(World& world) {
+  return FlatRingCorruptor::stale_block_summary(world.ring_);
 }
 
 }  // namespace dhtlb::sim::testing
