@@ -231,8 +231,12 @@ int main(int argc, char** argv) {
   };
 
   const bench::WallTimer timer;
-  const scenario::ScenarioResult result =
-      scenario::run_scenario(script, seed, cli.get_bool("audit"), obs);
+  scenario::ScenarioResult result;
+  try {
+    result = scenario::run_scenario(script, seed, cli.get_bool("audit"), obs);
+  } catch (const std::exception& e) {
+    return fail(cli.positionals()[0] + ": " + e.what());
+  }
   std::string experiment = result.experiment;
   std::vector<bench::Record> records = result.records;
   std::string summary = "seed " + std::to_string(seed) + ", threads " +

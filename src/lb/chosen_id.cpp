@@ -18,7 +18,7 @@ void ChosenIdSplit::decide(sim::World& world, support::Rng& rng,
     // successor list or an equal-sized random sample of ring arcs.
     std::optional<sim::ArcView> target;
     if (scope_ == Scope::kNeighborhood) {
-      const support::Uint160 self = world.physical(idx).vnode_ids.front();
+      const support::Uint160 self = world.primary_id(idx);
       for (const sim::ArcView& arc : world.successor_arcs(self, sample)) {
         ++counters.workload_queries;
         if (arc.owner == idx || arc.task_count == 0) continue;

@@ -31,13 +31,6 @@ void record_placement(std::uint64_t acquired,
   if (acquired == 0) ++counters.failed_placements;
 }
 
-std::vector<sim::NodeIndex> shuffled_alive(const sim::World& world,
-                                           support::Rng& rng) {
-  std::vector<sim::NodeIndex> order;
-  shuffled_alive_into(world, rng, order);
-  return order;
-}
-
 void shuffled_alive_into(const sim::World& world, support::Rng& rng,
                          std::vector<sim::NodeIndex>& out) {
   out = world.alive_indices();

@@ -30,16 +30,11 @@ bool may_create_sybil(const sim::World& world, sim::NodeIndex idx);
 void record_placement(std::uint64_t acquired,
                       sim::StrategyCounters& counters);
 
-/// The alive node indices in a random visitation order.  Decision rounds
-/// visit nodes in random order so no physical node is systematically
-/// first to grab work (the paper's nodes act concurrently).
-std::vector<sim::NodeIndex> shuffled_alive(const sim::World& world,
-                                           support::Rng& rng);
-
-/// Allocation-free variant: fills `out` (reusing its capacity) with the
-/// alive indices in the same shuffled order shuffled_alive() returns.
-/// Strategies call this every decision round with a member scratch
-/// buffer, so the per-round O(alive) allocation disappears.
+/// Fills `out` (reusing its capacity) with the alive node indices in a
+/// random visitation order.  Decision rounds visit nodes in random order
+/// so no physical node is systematically first to grab work (the
+/// paper's nodes act concurrently).  Strategies pass a member scratch
+/// buffer, so a round allocates nothing.
 void shuffled_alive_into(const sim::World& world, support::Rng& rng,
                          std::vector<sim::NodeIndex>& out);
 

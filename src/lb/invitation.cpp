@@ -14,17 +14,13 @@ void Invitation::decide(sim::World& world, support::Rng& rng,
     retire_idle_sybils(world, idx, counters);
     if (world.workload(idx) <= threshold) continue;  // not overburdened
 
-    // Find the announcer's most-loaded vnode: that is the arc worth
-    // splitting (purely local information).
-    const auto& vnode_ids = world.physical(idx).vnode_ids;
-    std::optional<sim::ArcView> heavy;
-    for (const auto& vid : vnode_ids) {
-      const sim::ArcView arc = world.arc_of(vid);
-      if (!heavy || arc.task_count > heavy->task_count) heavy = arc;
-    }
-    if (!heavy || heavy->task_count == 0) continue;
+    // The announcer's most-loaded vnode is the arc worth splitting
+    // (purely local information).  Overloaded means workload > 0, so
+    // that arc holds tasks.
+    const sim::ArcView heavy =
+        world.arc_of(world.vnode_id(world.busiest_vnode(idx)));
     const support::Uint160 span =
-        support::clockwise_distance(heavy->pred, heavy->id);
+        support::clockwise_distance(heavy.pred, heavy.id);
     if (span <= support::Uint160{1}) continue;  // nowhere to stand
 
     // Announce to the predecessor list of that vnode (§V-B: nodes track
@@ -36,7 +32,7 @@ void Invitation::decide(sim::World& world, support::Rng& rng,
     std::optional<sim::NodeIndex> helper;
     std::uint64_t helper_load = 0;
     for (const sim::ArcView& parc :
-         world.predecessor_arcs(heavy->id, world.params().num_successors)) {
+         world.predecessor_arcs(heavy.id, world.params().num_successors)) {
       if (parc.owner == idx) continue;  // don't invite ourselves
       const std::uint64_t load = world.workload(parc.owner);
       if (load > threshold) continue;
@@ -52,7 +48,7 @@ void Invitation::decide(sim::World& world, support::Rng& rng,
     if (!helper) continue;  // §IV-D: the invitation may be refused
 
     const support::Uint160 placement =
-        support::arc_midpoint(heavy->pred, heavy->id);
+        support::arc_midpoint(heavy.pred, heavy.id);
     if (const auto acquired = world.create_sybil(*helper, placement)) {
       ++counters.invitations_accepted;
       record_placement(*acquired, counters);

@@ -13,7 +13,7 @@ void ItemBalance::decide(sim::World& world, support::Rng& rng,
     // The primary vnode's own ID is the boundary this node may
     // renegotiate; Sybil vnodes (left behind by a strategy hot-swap)
     // are ignored — this family never creates ring presence.
-    const support::Uint160 self = world.physical(idx).vnode_ids.front();
+    const support::Uint160 self = world.primary_id(idx);
     std::optional<sim::ArcView> succ;
     for (const sim::ArcView& arc : world.successor_arcs(self, 1)) {
       succ = arc;

@@ -18,7 +18,7 @@ void NeighborInjection::decide(sim::World& world, support::Rng& rng,
     // would point at the same neighborhood-sized slices elsewhere, but
     // the paper describes the node acting from one vantage point.  The
     // successor list is consumed as an allocation-free arc walk.
-    const support::Uint160 self = world.physical(idx).vnode_ids.front();
+    const support::Uint160 self = world.primary_id(idx);
     const auto successors =
         world.successor_arcs(self, world.params().num_successors);
 

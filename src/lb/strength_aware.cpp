@@ -24,7 +24,7 @@ void StrengthAware::decide(sim::World& world, support::Rng& rng,
     if (world.sybil_count(idx) >= world.sybil_cap(idx)) continue;
 
     const unsigned my_strength = world.physical(idx).strength;
-    const support::Uint160 self = world.physical(idx).vnode_ids.front();
+    const support::Uint160 self = world.primary_id(idx);
 
     // Probe the successor list for the most loaded foreign arc (the
     // smart-neighbor information model: one query per successor).

@@ -1,6 +1,7 @@
 #include "scenario/vm.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "chord/network.hpp"
@@ -43,6 +44,24 @@ bool pending_after(const Script& script, std::uint64_t tick) {
     if (next <= b.until) return true;
   }
   return false;
+}
+
+/// Without a `ticks` horizon the engine stops at its safety cap, so a
+/// block scheduled past the cap would idle the run to the cap and never
+/// fire (or never finish).  Rejects such a script before tick 1.
+void check_reachable(const Script& script, std::uint64_t cap) {
+  if (script.horizon != 0) return;  // the parser bounds blocks by it
+  for (const Block& b : script.blocks) {
+    const std::uint64_t last = b.recurring ? b.until : b.at;
+    if (last <= cap) continue;
+    throw std::runtime_error(
+        "line " + std::to_string(b.line) + ": block scheduled through tick " +
+        std::to_string(last) + " lies past the engine's tick cap " +
+        std::to_string(cap) +
+        " (max(200 x ideal runtime, 10000) without a horizon); schedule it "
+        "earlier or add a 'ticks' horizon of at least " +
+        std::to_string(last));
+  }
 }
 
 /// Ring arc width covering `fraction` of the 2^160 key space, computed
@@ -146,10 +165,10 @@ void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
       break;
     }
     case Event::Kind::kSetChurn:
-      engine.set_churn_rate(e.value);
+      world.set_churn_rate(e.value);
       break;
     case Event::Kind::kSetThreshold:
-      engine.set_sybil_threshold(e.count);
+      world.set_sybil_threshold(e.count);
       break;
     case Event::Kind::kSetStrategy:
       engine.set_strategy(lb::make_strategy(e.text));
@@ -167,6 +186,7 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
   if (script.horizon > 0) params.max_ticks = script.horizon;
 
   sim::Engine engine(params, seed, lb::make_strategy(script.strategy));
+  check_reachable(script, params.effective_max_ticks(engine.ideal_ticks()));
   if (audit) engine.set_audit(true);
   engine.set_trace(sinks.trace);
   engine.set_metrics(sinks.metrics);

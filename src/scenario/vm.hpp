@@ -72,8 +72,11 @@ struct ObsSinks {
 /// `audit` forces the sim engine's per-tick InvariantAuditor on in any
 /// build flavor, so scripted mutations are vetted tick by tick (no-op
 /// for the chord substrate, whose ring-consistency check is a metric).
-/// Aborts via DHTLB_CHECK on internal invariant violations; throws
-/// only what the substrates throw (ring exhaustion, etc.).
+/// Aborts via DHTLB_CHECK on internal invariant violations.  Throws
+/// std::runtime_error, naming the block's line, before tick 1 when a
+/// horizon-less sim script schedules a block past the engine's tick cap;
+/// otherwise throws only what the substrates throw (ring exhaustion,
+/// etc.).
 ScenarioResult run_scenario(const Script& script, std::uint64_t seed,
                             bool audit = false,
                             const ObsSinks& sinks = {});

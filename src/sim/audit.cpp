@@ -146,22 +146,23 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
       });
       return;
     }
-    const PhysicalNode& owner = world_.physical(arc.owner);
-    if (!owner.alive) {
+    if (!world_.is_alive(arc.owner)) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << (arc.is_sybil ? "sybil" : "primary") << " vnode "
            << id.to_short_hex() << " owned by dead node " << arc.owner;
       });
     }
+    const std::vector<Slot>& slots = world_.physical(arc.owner).vnode_slots;
     const auto listed =
-        std::count(owner.vnode_ids.begin(), owner.vnode_ids.end(), id);
+        std::count_if(slots.begin(), slots.end(),
+                      [&](Slot s) { return world_.vnode_id(s) == id; });
     if (listed != 1) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "vnode " << id.to_short_hex() << " listed " << listed
            << " times by its owner " << arc.owner << " (expected once)";
       });
     } else {
-      const bool is_primary = owner.vnode_ids.front() == id;
+      const bool is_primary = world_.vnode_id(slots.front()) == id;
       if (arc.is_sybil == is_primary) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
           os << "vnode " << id.to_short_hex() << " is_sybil flag disagrees"
@@ -170,25 +171,27 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
       }
     }
   });
+  // Every listed slot must be a live vnode owned by its lister: one ring
+  // search per vnode.  A freed slot left in a list fails here.
   for (const NodeIndex idx : world_.alive_indices()) {
-    const PhysicalNode& node = world_.physical(idx);
-    if (node.vnode_ids.empty()) {
+    const std::vector<Slot>& slots = world_.physical(idx).vnode_slots;
+    if (slots.empty()) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "alive node " << idx << " has no primary vnode";
       });
       continue;
     }
-    for (const Uint160& id : node.vnode_ids) {
-      if (!world_.ring_contains(id)) {
+    for (const Slot slot : slots) {
+      if (!world_.vnode_live(slot)) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
-          os << "node " << idx << " lists vnode " << id.to_short_hex()
-             << " that is not in the ring";
+          os << "node " << idx << " lists slot " << slot
+             << ", which holds no vnode in the ring";
         });
-      } else if (world_.arc_of(id).owner != idx) {
+      } else if (world_.vnode_owner(slot) != idx) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
-          os << "node " << idx << " lists vnode " << id.to_short_hex()
-             << " owned by node " << world_.arc_of(id).owner
-             << " (duplicated arc)";
+          os << "node " << idx << " lists vnode "
+             << world_.vnode_id(slot).to_short_hex() << " owned by node "
+             << world_.vnode_owner(slot) << " (duplicated arc)";
         });
       }
     }
@@ -201,10 +204,10 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
   }
   for (const NodeIndex idx : world_.waiting_indices()) {
     const PhysicalNode& node = world_.physical(idx);
-    if (!node.vnode_ids.empty() || node.workload != 0) {
+    if (!node.vnode_slots.empty() || node.workload != 0) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "waiting node " << idx << " still holds "
-           << node.vnode_ids.size() << " vnodes / " << node.workload
+           << node.vnode_slots.size() << " vnodes / " << node.workload
            << " tasks";
       });
     }
@@ -226,13 +229,6 @@ void InvariantAuditor::check_workload_cache(AuditReport& report) const {
       });
     }
   }
-  // The consume() fast path walks cached arena slots; a stale entry
-  // would silently consume from the wrong arc.
-  if (!world_.vnode_cache_consistent()) {
-    fail(report, "workload-cache", [](std::ostream& os) {
-      os << "cached arena slots disagree with vnode_ids/ring";
-    });
-  }
 }
 
 void InvariantAuditor::check_membership(AuditReport& report) const {
@@ -248,8 +244,7 @@ void InvariantAuditor::check_membership(AuditReport& report) const {
   // Duplicate-membership probe: insert() results only, never iterated.
   // dhtlb:lint-allow(unordered-iteration)
   std::unordered_set<NodeIndex> seen;
-  auto visit = [&](const std::vector<NodeIndex>& list, bool expect_alive,
-                   const char* label) {
+  auto visit = [&](const std::vector<NodeIndex>& list, const char* label) {
     for (const NodeIndex idx : list) {
       if (idx >= physicals) {
         fail(report, "membership", [&](std::ostream& os) {
@@ -262,19 +257,14 @@ void InvariantAuditor::check_membership(AuditReport& report) const {
           os << "node " << idx << " appears in both membership lists";
         });
       }
-      if (world_.physical(idx).alive != expect_alive) {
-        fail(report, "membership", [&](std::ostream& os) {
-          os << "node " << idx << " in " << label
-             << " list but alive flag says otherwise";
-        });
-      }
     }
   };
-  visit(world_.alive_indices(), true, "alive");
-  visit(world_.waiting_indices(), false, "waiting");
-  // The parallel tick engine partitions the alive set through the cached
-  // position/home-shard indexes; a stale entry would silently reorder or
-  // drop nodes from a shard, so the caches are audited like the ring.
+  visit(world_.alive_indices(), "alive");
+  visit(world_.waiting_indices(), "waiting");
+  // is_alive() and the parallel tick engine's shard partition read the
+  // position/home-shard indexes; a stale entry would silently misreport
+  // aliveness or reorder or drop nodes from a shard, so the indexes are
+  // audited like the ring.
   if (!world_.alive_index_consistent()) {
     fail(report, "membership", [](std::ostream& os) {
       os << "alive-position or home-shard cache disagrees with the alive "

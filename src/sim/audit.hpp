@@ -20,13 +20,16 @@
 //   successor-lists  successors_of / predecessors_of agree with the
 //                    ring order (length num_successors, §V-B)
 //   sybil-ownership  every vnode's owner is alive and lists it exactly
-//                    once; is_sybil matches list position; Sybil count
-//                    respects maxSybils / strength; waiting nodes hold
-//                    nothing
+//                    once; is_sybil matches list position; every slot a
+//                    node lists is a live vnode, indexed under its own
+//                    id and owned by that node; Sybil count respects
+//                    maxSybils / strength; waiting nodes hold nothing
 //   workload-cache   each physical node's cached workload equals the
 //                    sum over its vnodes' task stores
 //   membership       alive_ and waiting_ partition the physical
-//                    population and agree with the alive flags
+//                    population; the alive-position index behind
+//                    is_alive and the cached home shards agree with
+//                    alive_
 //   conservation     tasks stored in the ring == remaining task count
 //
 // In audit builds (-DDHTLB_AUDIT=ON) sim::Engine runs the full audit

@@ -31,25 +31,28 @@ enum TickStream : std::uint64_t {
 
 Engine::Engine(const Params& params, std::uint64_t seed,
                std::unique_ptr<Strategy> strategy)
-    : params_(params), seed_(seed), rng_(seed), world_(params_, rng_),
+    : seed_(seed), rng_(seed), world_(params, rng_),
       strategy_(std::move(strategy)) {
   // Ideal runtime (§V-C): tasks spread perfectly over the initial
   // capacity, no churn, no Sybils.  Ceiling division: a partial final
   // tick still counts as a tick.
   const std::uint64_t capacity = world_.initial_capacity();
-  ideal_ticks_ = (params_.total_tasks + capacity - 1) / capacity;
-  if (params_.provisioning == TaskProvisioning::kStreamed) {
+  ideal_ticks_ = (params.total_tasks + capacity - 1) / capacity;
+  if (params.provisioning == TaskProvisioning::kStreamed) {
     // Auto arrival window = the ideal runtime, so the arrival rate
     // matches initial capacity and the backlog stays bounded.  An
     // explicit window can stretch the job; the ideal can never beat the
-    // last arrival, so the window is a floor on ideal_ticks_.
+    // last arrival, which lands on tick min(window, total_tasks) (a job
+    // smaller than its window arrives one task per tick), so that tick
+    // is a floor on ideal_ticks_.
     const std::uint64_t window =
-        params_.arrival_ticks != 0 ? params_.arrival_ticks : ideal_ticks_;
-    stream_ = std::make_unique<TaskStream>(seed_, params_.total_tasks,
+        params.arrival_ticks != 0 ? params.arrival_ticks : ideal_ticks_;
+    stream_ = std::make_unique<TaskStream>(seed_, params.total_tasks,
                                            window);
-    ideal_ticks_ = std::max(ideal_ticks_, window);
+    ideal_ticks_ =
+        std::max(ideal_ticks_, std::min(window, params.total_tasks));
   }
-  cap_ = params_.effective_max_ticks(ideal_ticks_);
+  cap_ = params.effective_max_ticks(ideal_ticks_);
 }
 
 void Engine::request_snapshots(std::vector<std::uint64_t> ticks) {
@@ -98,13 +101,14 @@ void Engine::for_each_shard(const std::function<void(std::size_t)>& fn) {
 }
 
 void Engine::churn_step(std::uint64_t tick_seed) {
-  if (params_.churn_rate <= 0.0) return;
+  // Read every tick: a pre-tick hook may have changed it on the world.
+  const double churn_rate = world_.params().churn_rate;
+  if (churn_rate <= 0.0) return;
   // Departure draws: per-node Bernoulli over the alive set, partitioned
   // into ring arcs.  Each shard stages its leavers from its own RNG
   // stream; nothing mutates until the fold, so the draw phase is safe to
   // fan across workers and insensitive to the order shards execute in.
   partition_alive();
-  const double churn_rate = params_.churn_rate;
   for_each_shard([&](std::size_t s) {
     ShardScratch& shard = shards_[s];
     shard.departures.clear();
@@ -267,18 +271,6 @@ void Engine::observe_tick(std::uint64_t done_this_tick) {
   obs_prev_counters_ = strategy_counters_;
 }
 
-void Engine::set_churn_rate(double rate) {
-  DHTLB_CHECK(rate >= 0.0 && rate <= 1.0,
-              "set_churn_rate: rate " << rate << " outside [0, 1]");
-  params_.churn_rate = rate;
-  world_.set_churn_rate(rate);
-}
-
-void Engine::set_sybil_threshold(std::uint64_t threshold) {
-  params_.sybil_threshold = threshold;
-  world_.set_sybil_threshold(threshold);
-}
-
 bool Engine::step() {
   if (tick_ >= cap_) return false;
   // The trace clock advances before the pre-tick hook so scripted-event
@@ -302,7 +294,7 @@ bool Engine::step() {
   churn_step(tick_seed);
   arrival_step();
 
-  if (strategy_ && tick_ % params_.decision_period == 0) {
+  if (strategy_ && tick_ % world_.params().decision_period == 0) {
     // Decisions mutate the ring globally (Sybil arcs split anywhere), so
     // they stay sequential, on their own per-tick stream.
     support::Rng decide_rng(support::stream_seed(tick_seed, kStreamDecide));

@@ -84,13 +84,14 @@ class Engine {
   /// Timeline hook (the scenario engine's entry point): invoked at the
   /// start of every tick — before churn, decisions, and consumption —
   /// with the 1-based tick number about to run.  The hook may mutate the
-  /// world (joins, departures, task injection) and the engine's
-  /// parameters.  Its return value answers "must the engine keep
-  /// ticking even though no work remains?": returning true lets a
-  /// drained engine run idle ticks (churn still applies) toward
-  /// scheduled future events; returning false restores the default
-  /// stop-when-drained behavior.  The hook is not called once the
-  /// safety cap is reached.
+  /// world: joins, departures, task injection, and the run's Params via
+  /// World::set_churn_rate / set_sybil_threshold (the engine keeps no
+  /// Params copy; it reads world().params() each tick).  Its return
+  /// value answers "must the engine keep ticking even though no work
+  /// remains?": returning true lets a drained engine run idle ticks
+  /// (churn still applies) toward scheduled future events; returning
+  /// false restores the default stop-when-drained behavior.  The hook is
+  /// not called once the safety cap is reached.
   using TickHook = std::function<bool(std::uint64_t tick)>;
   void set_pre_tick_hook(TickHook hook) { pre_tick_hook_ = std::move(hook); }
 
@@ -111,14 +112,6 @@ class Engine {
   void set_strategy(std::unique_ptr<Strategy> strategy) {
     strategy_ = std::move(strategy);
   }
-
-  /// Re-parameterizes the per-tick churn probability mid-run, keeping
-  /// the world's Params copy in sync (scenario `set churn` event).
-  void set_churn_rate(double rate);
-
-  /// Re-parameterizes sybilThreshold mid-run (scenario `set threshold`
-  /// event); strategies observe it on their next decision tick.
-  void set_sybil_threshold(std::uint64_t threshold);
 
   /// Enables recording of tasks completed per tick (off by default: the
   /// series is O(runtime) memory).
@@ -193,7 +186,6 @@ class Engine {
   /// nodes) — all cross-shard effects wait for the sequential fold.
   void for_each_shard(const std::function<void(std::size_t)>& fn);
 
-  Params params_;
   std::uint64_t seed_;
   support::Rng rng_;
   World world_;

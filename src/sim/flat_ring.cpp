@@ -109,6 +109,12 @@ bool FlatRing::contains(const Uint160& id) const {
   return c.block < blocks_.size() && id_at(c) == id;
 }
 
+bool FlatRing::is_live(Slot s) const {
+  if (s >= ids_.size() || live_ == 0) return false;
+  const Cursor c = cover(ids_[s]);
+  return slot_at(c) == s && id_at(c) == ids_[s];
+}
+
 // --- cursors --------------------------------------------------------------
 
 FlatRing::Cursor FlatRing::find(const Uint160& id) const {

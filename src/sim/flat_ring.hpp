@@ -81,6 +81,9 @@ class FlatRing {
   // --- slot arena (stable handles) ----------------------------------------
 
   const Uint160& id_of(Slot s) const { return ids_[s]; }
+  /// True iff `s` is an arena slot whose stored id is in the index and
+  /// maps back to `s` (false for freed or out-of-range slots).  One search.
+  bool is_live(Slot s) const;
   NodeIndex owner(Slot s) const { return owners_[s]; }
   void set_owner(Slot s, NodeIndex owner) { owners_[s] = owner; }
   bool is_sybil(Slot s) const { return sybils_[s] != 0; }

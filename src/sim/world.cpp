@@ -43,14 +43,10 @@ World::World(const Params& params, support::Rng& rng)
     if (!params_.heterogeneous) return 1;
     return static_cast<unsigned>(rng_.range(1, params_.max_sybils));
   };
-  for (std::size_t i = 0; i < physicals_.size(); ++i) {
-    physicals_[i].strength = roll_strength();
-    physicals_[i].alive = i < n;
-  }
+  for (PhysicalNode& node : physicals_) node.strength = roll_strength();
 
   alive_.reserve(n);
   waiting_.reserve(n);
-  vnode_cache_.resize(physicals_.size());
   alive_pos_.assign(physicals_.size(), kNotAlive);
   home_shard_.assign(physicals_.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -74,9 +70,8 @@ World::World(const Params& params, support::Rng& rng)
     while (!placed.insert(id).second) {
       id = hashing::Sha1::hash_u64(rng_());
     }
-    const Slot slot = ring_.bulk_append(id, idx, /*is_sybil=*/false);
-    physicals_[idx].vnode_ids.push_back(id);
-    vnode_cache_[idx].push_back(slot);
+    physicals_[idx].vnode_slots.push_back(
+        ring_.bulk_append(id, idx, /*is_sybil=*/false));
     home_shard_[idx] =
         static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
     initial_capacity_ += work_per_tick(idx);
@@ -248,8 +243,7 @@ std::uint64_t World::insert_vnode(NodeIndex owner, const Uint160& id,
   physicals_[ring_.owner(succ_slot)].workload -= acquired;
   physicals_[owner].workload += acquired;
 
-  physicals_[owner].vnode_ids.push_back(id);
-  vnode_cache_[owner].push_back(slot);
+  physicals_[owner].vnode_slots.push_back(slot);
   if (!is_sybil) {
     home_shard_[owner] =
         static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
@@ -263,26 +257,24 @@ std::optional<std::uint64_t> World::create_sybil(NodeIndex owner,
   return insert_vnode(owner, id, /*is_sybil=*/true);
 }
 
-void World::remove_vnode(const Uint160& id) {
-  const FlatRing::Cursor cursor = ring_.find(id);
+void World::remove_vnode(Slot slot) {
+  const Uint160 id = ring_.id_of(slot);
   DHTLB_CHECK(ring_.size() > 1,
               "remove_vnode: removing " << id << " would empty the ring");
-  const Slot dead_slot = ring_.slot_at(cursor);
-  const Slot succ_slot = ring_.slot_at(ring_.next(cursor));
+  const Slot succ_slot = ring_.slot_at(ring_.next(ring_.find(id)));
   const std::uint64_t moved =
-      ring_.tasks(succ_slot).merge_from(ring_.tasks(dead_slot));
-  physicals_[ring_.owner(dead_slot)].workload -= moved;
+      ring_.tasks(succ_slot).merge_from(ring_.tasks(slot));
+  physicals_[ring_.owner(slot)].workload -= moved;
   physicals_[ring_.owner(succ_slot)].workload += moved;
   ring_.erase(id);
 }
 
 void World::remove_sybils(NodeIndex owner) {
-  auto& ids = physicals_[owner].vnode_ids;
-  // vnode_ids[0] is the primary; everything after it is a Sybil.
-  while (ids.size() > 1) {
-    remove_vnode(ids.back());
-    ids.pop_back();
-    vnode_cache_[owner].pop_back();
+  auto& slots = physicals_[owner].vnode_slots;
+  // slots[0] is the primary; everything after it is a Sybil.
+  while (slots.size() > 1) {
+    remove_vnode(slots.back());
+    slots.pop_back();
   }
 }
 
@@ -314,42 +306,35 @@ std::optional<std::uint64_t> World::move_vnode(const Uint160& old_id,
   //     merges its untouched keys into the new vnode, a self-transfer.
   const std::uint64_t acquired = insert_vnode(owner, new_id, is_sybil);
   const std::uint64_t shed = ring_.tasks(old_slot).size();
-  remove_vnode(old_id);
+  remove_vnode(old_slot);
 
-  // insert_vnode pushed the relocated vnode to the back of the owner's
-  // bookkeeping; splice it into old_id's position so a moved primary
-  // stays at vnode_ids[0] (sybil_count/home_shard depend on that).
-  auto& ids = physicals_[owner].vnode_ids;
-  auto& cache = vnode_cache_[owner];
-  for (std::size_t j = 0; j + 1 < ids.size(); ++j) {
-    if (ids[j] == old_id) {
-      ids[j] = ids.back();
-      cache[j] = cache.back();
-      break;
-    }
-  }
-  ids.pop_back();
-  cache.pop_back();
+  // insert_vnode appended the relocated vnode's slot to the owner's
+  // list; move it into old_slot's position so a moved primary stays at
+  // vnode_slots[0] (sybil_count/home_shard depend on that).
+  auto& slots = physicals_[owner].vnode_slots;
+  const auto old_pos = std::find(slots.begin(), slots.end() - 1, old_slot);
+  DHTLB_ASSERT(old_pos != slots.end() - 1,
+               "move_vnode: owner " << owner << " does not list " << old_id);
+  *old_pos = slots.back();
+  slots.pop_back();
   return toward_pred ? shed : acquired;
 }
 
 bool World::depart(NodeIndex idx) {
+  DHTLB_CHECK(is_alive(idx), "depart: node " << idx << " is not alive");
   PhysicalNode& node = physicals_[idx];
-  DHTLB_CHECK(node.alive, "depart: node " << idx << " is not alive");
-  if (node.vnode_ids.size() >= ring_.size()) {
+  if (node.vnode_slots.size() >= ring_.size()) {
     return false;  // would empty the ring — nobody left to inherit tasks
   }
   // Remove Sybils first, then the primary; each merge hands tasks to the
   // ring successor exactly as the active-backup model prescribes.
-  while (!node.vnode_ids.empty()) {
-    remove_vnode(node.vnode_ids.back());
-    node.vnode_ids.pop_back();
-    vnode_cache_[idx].pop_back();
+  while (!node.vnode_slots.empty()) {
+    remove_vnode(node.vnode_slots.back());
+    node.vnode_slots.pop_back();
   }
   DHTLB_ASSERT(node.workload == 0,
                "depart: node " << idx << " left the ring still holding "
                                << node.workload << " tasks");
-  node.alive = false;
   // Swap-pop through the position index: O(1) where std::erase's linear
   // scan made churn ticks quadratic in the alive population.
   const std::uint32_t pos = alive_pos_[idx];
@@ -371,8 +356,6 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   if (waiting_.empty()) return std::nullopt;
   const NodeIndex idx = waiting_.back();
   waiting_.pop_back();
-  PhysicalNode& node = physicals_[idx];
-  node.alive = true;
   alive_pos_[idx] = static_cast<std::uint32_t>(alive_.size());
   alive_.push_back(idx);
   insert_vnode(idx, fresh_ring_id(id_rng), /*is_sybil=*/false);
@@ -392,26 +375,33 @@ std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,
   while (consumed < budget && node.workload > 0) {
     // Work on the most-loaded vnode first; within a vnode, task order is
     // immaterial (uniform random pick, see TaskStore::consume_random).
-    // The cached slots mirror vnode_ids in order, so the scan picks
-    // the same vnode (including on ties) as a ring lookup per id would,
-    // without the O(log ring) search per vnode.
-    TaskStore* busiest = nullptr;
-    for (const Slot slot : vnode_cache_[idx]) {
-      TaskStore& tasks = ring_.tasks(slot);
-      if (busiest == nullptr || tasks.size() > busiest->size()) {
-        busiest = &tasks;
-      }
-    }
-    if (busiest == nullptr || busiest->empty()) break;
+    TaskStore& busiest = ring_.tasks(busiest_vnode(idx));
+    if (busiest.empty()) break;
     const std::uint64_t take =
-        std::min<std::uint64_t>(budget - consumed, busiest->size());
+        std::min<std::uint64_t>(budget - consumed, busiest.size());
     for (std::uint64_t i = 0; i < take; ++i) {
-      busiest->consume_random(rng);
+      busiest.consume_random(rng);
     }
     consumed += take;
     node.workload -= take;
   }
   return consumed;
+}
+
+Slot World::busiest_vnode(NodeIndex idx) const {
+  const std::vector<Slot>& slots = physicals_[idx].vnode_slots;
+  DHTLB_ASSERT(!slots.empty(),
+               "busiest_vnode: node " << idx << " is not in the ring");
+  Slot busiest = slots.front();
+  std::size_t most = ring_.tasks(busiest).size();
+  for (const Slot slot : slots) {
+    const std::size_t size = ring_.tasks(slot).size();
+    if (size > most) {
+      busiest = slot;
+      most = size;
+    }
+  }
+  return busiest;
 }
 
 void World::debit_remaining(std::uint64_t consumed) {
@@ -450,21 +440,6 @@ bool World::check_invariants() const {
   return InvariantAuditor(*this).run().ok();
 }
 
-bool World::vnode_cache_consistent() const {
-  if (vnode_cache_.size() != physicals_.size()) return false;
-  for (std::size_t i = 0; i < physicals_.size(); ++i) {
-    const auto& ids = physicals_[i].vnode_ids;
-    const auto& cache = vnode_cache_[i];
-    if (cache.size() != ids.size()) return false;
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      if (!ring_.contains(ids[j])) return false;
-      if (ring_.slot_at(ring_.find(ids[j])) != cache[j]) return false;
-      if (ring_.id_of(cache[j]) != ids[j]) return false;
-    }
-  }
-  return true;
-}
-
 bool World::alive_index_consistent() const {
   if (alive_pos_.size() != physicals_.size() ||
       home_shard_.size() != physicals_.size()) {
@@ -473,9 +448,8 @@ bool World::alive_index_consistent() const {
   for (std::size_t pos = 0; pos < alive_.size(); ++pos) {
     const NodeIndex idx = alive_[pos];
     if (alive_pos_[idx] != pos) return false;
-    const auto& ids = physicals_[idx].vnode_ids;
-    if (ids.empty()) return false;
-    if (home_shard_[idx] != support::arc_shard(ids.front(), kTickShards)) {
+    if (physicals_[idx].vnode_slots.empty()) return false;
+    if (home_shard_[idx] != support::arc_shard(primary_id(idx), kTickShards)) {
       return false;
     }
   }

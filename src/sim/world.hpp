@@ -16,8 +16,10 @@
 // (id, slot) index over a stable slot arena — rather than a
 // std::map<Uint160, VirtualNode>, so 100k..1M-vnode worlds fit in flat
 // arrays instead of a pointer-chased tree.  Per-vnode payloads are
-// addressed by stable Slot handles; the per-physical-node vnode cache
-// stores those handles where it used to store map value pointers.
+// addressed by stable Slot handles, and each physical node lists its
+// vnodes as those handles (ids are read back from the slot arena).
+// Each world fact is stored once: a node is alive iff it has a position
+// in the alive list (is_alive), and the run's Params live here only.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +50,11 @@ using support::Uint160;
 inline constexpr std::size_t kTickShards = 16;
 
 /// A machine participating (or waiting to participate) in the network.
+/// Aliveness is not stored here: see World::is_alive.
 struct PhysicalNode {
-  unsigned strength = 1;  // het: U{1..maxSybils}; hom: 1
-  bool alive = false;
-  std::vector<Uint160> vnode_ids;  // [0] = primary; rest are Sybils
-  std::uint64_t workload = 0;      // cached: Σ tasks over vnode_ids
+  unsigned strength = 1;          // het: U{1..maxSybils}; hom: 1
+  std::vector<Slot> vnode_slots;  // ring slots; [0] = primary, rest Sybils
+  std::uint64_t workload = 0;     // cached: Σ tasks over vnode_slots
 };
 
 /// Local view of one vnode's ownership arc — what a node can learn about
@@ -150,6 +152,30 @@ class World {
   }
   std::size_t physical_count() const { return physicals_.size(); }
 
+  /// True iff `idx` is in the ring (listed in alive_indices()).
+  bool is_alive(NodeIndex idx) const { return alive_pos_[idx] != kNotAlive; }
+
+  /// Ring id of the vnode in a slot from some node's vnode_slots.
+  const Uint160& vnode_id(Slot slot) const { return ring_.id_of(slot); }
+
+  /// Owner recorded in a slot's arena entry.
+  NodeIndex vnode_owner(Slot slot) const { return ring_.owner(slot); }
+
+  /// True iff `slot` holds a vnode in the ring, indexed under the id the
+  /// slot stores.  One ring search; for the auditor and tests.
+  bool vnode_live(Slot slot) const { return ring_.is_live(slot); }
+
+  /// Ring id of an alive node's primary vnode.
+  const Uint160& primary_id(NodeIndex idx) const {
+    DHTLB_ASSERT(!physicals_[idx].vnode_slots.empty(),
+                 "primary_id: node " << idx << " is not in the ring");
+    return ring_.id_of(physicals_[idx].vnode_slots.front());
+  }
+
+  /// Slot of an alive node's most-loaded vnode: the first maximum of
+  /// task count in vnode_slots order.  No ring search.
+  Slot busiest_vnode(NodeIndex idx) const;
+
   /// Every vnode ID in the ring, in clockwise (ascending) order.  For
   /// the invariant auditor, snapshots and tests — strategies must not
   /// use it (global knowledge).
@@ -173,10 +199,10 @@ class World {
     return physicals_[idx].workload;
   }
   std::size_t sybil_count(NodeIndex idx) const {
-    DHTLB_ASSERT(!physicals_[idx].vnode_ids.empty(),
+    DHTLB_ASSERT(!physicals_[idx].vnode_slots.empty(),
                  "sybil_count: node " << idx << " holds no vnodes"
                                       << " (waiting, not in the ring)");
-    return physicals_[idx].vnode_ids.size() - 1;
+    return physicals_[idx].vnode_slots.size() - 1;
   }
 
   /// Sum of work_per_tick over the initially alive population — the
@@ -315,7 +341,7 @@ class World {
   // --- mutation: scenario re-parameterization -----------------------------
 
   /// Changes the per-tick churn probability mid-run (must stay in
-  /// [0, 1]).  The engine mirrors this into its own Params copy.
+  /// [0, 1]); the engine's next churn draw uses it.
   void set_churn_rate(double rate);
 
   /// Changes sybilThreshold mid-run; strategies read it through params()
@@ -327,11 +353,6 @@ class World {
   /// audit builds; prefer InvariantAuditor directly when the failure
   /// details matter.
   bool check_invariants() const;
-
-  /// True iff the per-physical-node cached arena slots agree with
-  /// vnode_ids and the ring (the consume() fast path relies on them).
-  /// O(ring log ring); for the auditor and tests.
-  bool vnode_cache_consistent() const;
 
   /// True iff the alive-position index (the O(1) swap-pop depart
   /// bookkeeping) and the cached home shards agree with alive_ and the
@@ -352,37 +373,36 @@ class World {
   /// Builds the ArcView of the vnode a cursor points at.
   ArcView view_at(const FlatRing::Cursor& cursor) const;
 
-  /// Generates a fresh SHA-1 node/task ID not colliding with the ring,
-  /// drawing from the given stream (or the world's construction RNG).
-  Uint160 fresh_ring_id() { return fresh_ring_id(rng_); }
+  /// Generates a fresh SHA-1 node ID not colliding with the ring,
+  /// drawing from the given stream.
   Uint160 fresh_ring_id(support::Rng& rng);
 
-  /// Removes one vnode, merging its tasks into its successor.  The vnode
-  /// must not be the last one in the ring.
-  void remove_vnode(const Uint160& id);
+  /// Removes the vnode in `slot`, merging its tasks into its successor.
+  /// The vnode must not be the last one in the ring.  The caller drops
+  /// the slot from its owner's vnode_slots.
+  void remove_vnode(Slot slot);
 
-  /// Shared join logic: splits the arc covering `id` and inserts a new
-  /// vnode there for `owner`.  Returns the tasks acquired.
+  /// Shared join logic: splits the arc covering `id`, inserts a new
+  /// vnode there for `owner` and appends its slot to the owner's
+  /// vnode_slots.  Returns the tasks acquired.
   std::uint64_t insert_vnode(NodeIndex owner, const Uint160& id,
                              bool is_sybil);
 
   Params params_;
   support::Rng& rng_;
   FlatRing ring_;
+  // Each node's vnode_slots hold FlatRing slots, which stay valid for
+  // their vnode's lifetime (the arena recycles but never moves live
+  // slots), so consume() reaches a node's TaskStores without a ring
+  // search.
   std::vector<PhysicalNode> physicals_;
-  // Cached ring slot for each entry of physicals_[i].vnode_ids, same
-  // order.  FlatRing slots stay stable across other vnodes'
-  // insert/erase (the arena recycles but never moves live slots), so
-  // consume() can reach a node's TaskStores without an O(log ring)
-  // search per vnode per tick.  Maintained at every vnode_ids mutation
-  // site; audited by vnode_cache_consistent().
-  std::vector<std::vector<Slot>> vnode_cache_;
   std::vector<NodeIndex> alive_;
   std::vector<NodeIndex> waiting_;
-  // alive_pos_[idx] = position of idx within alive_, or kNotAlive.  Lets
-  // depart() swap-pop in O(1) instead of std::erase's O(alive) scan —
-  // the difference between O(alive) and O(alive^2 * churn) per tick at
-  // 1M vnodes.  Audited by alive_index_consistent().
+  // alive_pos_[idx] = position of idx within alive_, or kNotAlive: the
+  // one record of aliveness (is_alive).  Lets depart() swap-pop in O(1)
+  // instead of std::erase's O(alive) scan — the difference between
+  // O(alive) and O(alive^2 * churn) per tick at 1M vnodes.  Audited by
+  // alive_index_consistent().
   static constexpr std::uint32_t kNotAlive = 0xFFFFFFFFu;
   std::vector<std::uint32_t> alive_pos_;
   // home_shard_[idx] = arc_shard(primary vnode id, kTickShards), cached

@@ -57,7 +57,7 @@ TEST(MedianTaskKey, SplitsKeysExactlyInHalf) {
   p.total_tasks = 5000;
   World w(p, rng);
   for (const auto idx : w.alive_indices()) {
-    const Uint160 vid = w.physical(idx).vnode_ids[0];
+    const Uint160 vid = w.primary_id(idx);
     const sim::ArcView arc = w.arc_of(vid);
     if (arc.task_count < 2) continue;
     const auto median = w.median_task_key(vid);
@@ -81,8 +81,7 @@ TEST(MedianTaskKey, EmptyVnodeHasNoMedian) {
   World w(p, rng);
   const auto idx = w.alive_indices()[0];
   (void)w.consume(idx, w.workload(idx));
-  EXPECT_FALSE(
-      w.median_task_key(w.physical(idx).vnode_ids[0]).has_value());
+  EXPECT_FALSE(w.median_task_key(w.primary_id(idx)).has_value());
 }
 
 TEST(ArcCovering, AgreesWithOwnershipRule) {

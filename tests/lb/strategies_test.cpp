@@ -104,7 +104,8 @@ TEST(Common, ShuffledAliveIsAPermutation) {
   Params p = tiny(50, 100);
   World w(p, rng);
   Rng shuffle_rng(5);
-  auto order = shuffled_alive(w, shuffle_rng);
+  std::vector<sim::NodeIndex> order;
+  shuffled_alive_into(w, shuffle_rng, order);
   auto sorted = order;
   std::sort(sorted.begin(), sorted.end());
   auto expected = w.alive_indices();
@@ -201,7 +202,7 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
   (void)w.consume(idx, w.workload(idx));
-  const support::Uint160 self = w.physical(idx).vnode_ids[0];
+  const support::Uint160 self = w.primary_id(idx);
   // Record the neighborhood BEFORE the injection.
   const auto succs_before = w.successors_of(self, p.num_successors);
 
@@ -210,7 +211,7 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
   Rng decision_rng(13);
   strat.decide(w, decision_rng, c);
   ASSERT_EQ(c.sybils_created, 1u);
-  const support::Uint160 sybil = w.physical(idx).vnode_ids.back();
+  const support::Uint160 sybil = w.vnode_id(w.physical(idx).vnode_slots.back());
   // The Sybil must lie inside the arc (self, last-successor].
   EXPECT_TRUE(
       support::in_half_open_arc(sybil, self, succs_before.back()))
@@ -225,7 +226,7 @@ TEST(NeighborInjectionTest, SmartModePicksMostLoadedSuccessor) {
   World w2(p2, rng2);
   const sim::NodeIndex idx = w2.alive_indices()[0];
   (void)w2.consume(idx, w2.workload(idx));
-  const support::Uint160 self = w2.physical(idx).vnode_ids[0];
+  const support::Uint160 self = w2.primary_id(idx);
   const auto succs = w2.successors_of(self, p2.num_successors);
   std::uint64_t best = 0;
   support::Uint160 target;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "harness/telemetry.hpp"
@@ -142,6 +143,33 @@ TEST(ScenarioVm, ChordLookupsAreCorrectOnAQuietRing) {
   const ScenarioResult r = run_scenario(s, 2);
   EXPECT_EQ(metric(r, "lookups"), 20.0);
   EXPECT_EQ(metric(r, "lookups_correct"), 20.0);
+}
+
+// Without a `ticks` horizon the engine stops at max(200 x ideal, 10000)
+// ticks; a block scheduled past that cap must fail before tick 1
+// instead of idling the run to the cap and reporting success.
+TEST(ScenarioVm, RejectsBlocksPastTheTickCapWithoutAHorizon) {
+  const Script at_block = parse(
+      "name unreachable\nnodes 10\ntasks 10\n"
+      "at 1000000000000\n  join 1\nend\n");
+  try {
+    run_scenario(at_block, 1);
+    FAIL() << "a block past the tick cap must be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("10000"), std::string::npos) << what;
+    EXPECT_NE(what.find("'ticks' horizon"), std::string::npos) << what;
+  }
+  const Script every_block = parse(
+      "name long\nnodes 10\ntasks 10\n"
+      "every 5 from 5 until 10001\n  join 1\nend\n");
+  EXPECT_THROW(run_scenario(every_block, 1), std::runtime_error);
+  // At the cap (ideal 1 tick here) the block still fires; with a
+  // horizon the parser bounds blocks instead.
+  const Script at_cap = parse(
+      "name edge\nnodes 10\ntasks 10\nat 10000\n  join 1\nend\n");
+  EXPECT_EQ(metric(run_scenario(at_cap, 1), "scripted_joins"), 1.0);
 }
 
 TEST(ScenarioVm, ResolveSeedPrecedence) {

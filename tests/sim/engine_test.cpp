@@ -132,6 +132,23 @@ TEST(Engine, ChurnConservesTasks) {
   EXPECT_TRUE(engine.world().check_invariants());
 }
 
+// The engine keeps no Params copy: a churn rate set on the world mid-run
+// drives the very next tick's draws (the scenario `set churn` path).
+TEST(Engine, ChurnRateSetOnTheWorldDrivesTheNextTick) {
+  Params p = tiny(100, 10'000);
+  p.churn_rate = 0.0;
+  Engine engine(p, 3);
+  ASSERT_TRUE(engine.step());
+  engine.world().set_churn_rate(1.0);
+  ASSERT_TRUE(engine.step());
+  engine.world().set_churn_rate(0.0);
+  const RunResult r = engine.run();
+  // At rate 1 every alive node but the last leaves; then the whole pool
+  // (100 waiting + 99 leavers) joins.  No other tick churns.
+  EXPECT_EQ(r.leaves, 99u);
+  EXPECT_EQ(r.joins, 199u);
+}
+
 TEST(Engine, ChurnSpeedsUpTheBaseline) {
   // The paper's central churn claim (Table II): nonzero churn lowers the
   // runtime factor.  Compare means over a few seeds to damp variance.

@@ -97,6 +97,26 @@ TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
   EXPECT_EQ(ring.tasks(a).size(), 1u);
 }
 
+TEST(FlatRingTest, IsLiveTracksASlotsLifetime) {
+  FlatRing ring;
+  EXPECT_FALSE(ring.is_live(0)) << "empty ring, empty arena";
+  const Slot a = ring.insert(id(5), 0, false);
+  const Slot b = ring.insert(id(9), 0, false);
+  const Slot keep = ring.insert(id(20), 0, false);
+  EXPECT_TRUE(ring.is_live(a));
+  EXPECT_TRUE(ring.is_live(b));
+  EXPECT_FALSE(ring.is_live(keep + 1)) << "past the arena";
+  ring.erase(id(5));
+  ring.erase(id(9));
+  EXPECT_FALSE(ring.is_live(a)) << "freed slot";
+  EXPECT_FALSE(ring.is_live(b)) << "freed slot";
+  // Re-inserting id 5 recycles b (the most recently freed slot): a still
+  // stores id 5, but the index maps id 5 to b, so a stays dead.
+  EXPECT_EQ(ring.insert(id(5), 0, false), b);
+  EXPECT_TRUE(ring.is_live(b));
+  EXPECT_FALSE(ring.is_live(a));
+}
+
 TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   // The replacement for the old "map value pointers never move"
   // contract: a cached Slot must survive inserts, erases, and the block

@@ -174,6 +174,19 @@ TEST(TaskStreamEngine, IdealTicksFloorsAtTheArrivalWindow) {
   EXPECT_EQ(engine.ideal_ticks(), 40u);
 }
 
+// A job smaller than its window arrives one task per tick, so its last
+// arrival is tick total_tasks: the ideal floors there, not at the window.
+TEST(TaskStreamEngine, IdealTicksFloorsAtTheLastArrivalTick) {
+  Params p = streamed_params(100, 100, 1'000);
+  p.churn_rate = 0.0;
+  Engine engine(p, 7);
+  EXPECT_EQ(engine.ideal_ticks(), 100u);
+  const RunResult result = engine.run();
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.ticks, 100u);
+  EXPECT_DOUBLE_EQ(result.runtime_factor, 1.0);
+}
+
 RunResult run_streamed_at(const Params& p, std::uint64_t seed,
                           std::size_t threads) {
   Engine engine(p, seed, lb::make_strategy("random-injection"));

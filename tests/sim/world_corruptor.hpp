@@ -41,15 +41,15 @@ struct WorldCorruptor {
     return true;
   }
 
-  /// Appends a vnode ID already owned by one physical node to another
+  /// Appends a vnode slot already owned by one physical node to another
   /// physical node's vnode list — two nodes claiming the same arc.
   /// Target check: sybil-ownership.
   static bool duplicate_arc(World& world) {
     if (world.alive_.size() < 2) return false;
     const NodeIndex a = world.alive_[0];
     const NodeIndex b = world.alive_[1];
-    world.physicals_[b].vnode_ids.push_back(
-        world.physicals_[a].vnode_ids.front());
+    world.physicals_[b].vnode_slots.push_back(
+        world.physicals_[a].vnode_slots.front());
     return true;
   }
 

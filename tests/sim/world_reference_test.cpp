@@ -2,10 +2,12 @@
 //
 // The reference holds the exact task keys and recomputes ownership and
 // workloads from first principles on every check — no incremental
-// caches, no split/merge shortcuts.  A long randomized sequence of
-// membership operations must keep the two models exactly equal.  This
-// is the strongest guard on the split/merge/cache bookkeeping every
-// experiment depends on.
+// caches, no split/merge shortcuts — and keeps each node's vnode list
+// and aliveness as plain ordered data.  A long randomized sequence of
+// membership operations must keep the two models exactly equal: the
+// keys, the owners, each node's slot list resolved to ids (in order)
+// and is_alive.  This is the strongest guard on the split/merge/cache
+// bookkeeping every experiment depends on.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "sim/world.hpp"
+#include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
 namespace dhtlb::sim {
@@ -20,13 +23,40 @@ namespace {
 
 using support::Uint160;
 
-/// Brute-force mirror: flat key multiset + vnode->owner map; every
-/// query is a full scan.
+/// Brute-force mirror: flat key multiset + vnode->owner map + each alive
+/// node's ordered vnode list (primary first); every query is a full scan.
 class ReferenceModel {
  public:
-  void add_vnode(const Uint160& id, NodeIndex owner) { vnodes_[id] = owner; }
-  void remove_vnode(const Uint160& id) { vnodes_.erase(id); }
+  /// Appends a vnode to `owner`'s list; the first one makes it alive.
+  void add_vnode(const Uint160& id, NodeIndex owner) {
+    vnodes_[id] = owner;
+    lists_[owner].push_back(id);
+  }
+  void remove_sybils(NodeIndex owner) {
+    std::vector<Uint160>& list = lists_.at(owner);
+    for (std::size_t i = 1; i < list.size(); ++i) vnodes_.erase(list[i]);
+    list.resize(1);
+  }
+  void depart(NodeIndex owner) {
+    for (const Uint160& id : lists_.at(owner)) vnodes_.erase(id);
+    lists_.erase(owner);
+  }
+  /// The vnode keeps its owner and its place in the owner's list.
+  void move_vnode(const Uint160& old_id, const Uint160& new_id) {
+    const NodeIndex owner = vnodes_.at(old_id);
+    vnodes_.erase(old_id);
+    vnodes_[new_id] = owner;
+    for (Uint160& id : lists_.at(owner)) {
+      if (id == old_id) id = new_id;
+    }
+  }
   void add_key(const Uint160& key) { keys_.insert(key); }
+
+  bool alive(NodeIndex owner) const { return lists_.count(owner) != 0; }
+  std::vector<Uint160> list(NodeIndex owner) const {
+    const auto it = lists_.find(owner);
+    return it == lists_.end() ? std::vector<Uint160>{} : it->second;
+  }
 
   Uint160 owner_vnode(const Uint160& key) const {
     auto it = vnodes_.lower_bound(key);
@@ -55,6 +85,7 @@ class ReferenceModel {
 
  private:
   std::map<Uint160, NodeIndex> vnodes_;
+  std::map<NodeIndex, std::vector<Uint160>> lists_;
   std::multiset<Uint160> keys_;
 };
 
@@ -71,7 +102,8 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   // Mirror the exact initial state (vnodes + real keys).
   ReferenceModel ref;
   for (const NodeIndex idx : world.alive_indices()) {
-    for (const auto& vid : world.physical(idx).vnode_ids) {
+    for (const Slot slot : world.physical(idx).vnode_slots) {
+      const Uint160& vid = world.vnode_id(slot);
       ref.add_vnode(vid, idx);
       for (const auto& key : world.vnode_keys(vid)) ref.add_key(key);
     }
@@ -100,41 +132,62 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
           << "owner " << a << " at step " << step;
     }
     ASSERT_EQ(ref.total_keys(), world.remaining_tasks());
+    // Each node's slot list is the only record of its vnodes: every
+    // slot must be live and resolve to the model's ids, primary first.
+    for (NodeIndex idx = 0; idx < world.physical_count(); ++idx) {
+      ASSERT_EQ(world.is_alive(idx), ref.alive(idx))
+          << "node " << idx << " at step " << step;
+      std::vector<Uint160> listed;
+      for (const Slot slot : world.physical(idx).vnode_slots) {
+        ASSERT_TRUE(world.vnode_live(slot))
+            << "node " << idx << " lists freed slot " << slot << " at step "
+            << step;
+        listed.push_back(world.vnode_id(slot));
+      }
+      ASSERT_EQ(listed, ref.list(idx)) << "node " << idx << " at step "
+                                       << step;
+    }
   };
 
   support::Rng op_rng(seed + 1);
   for (int step = 0; step < 100; ++step) {
     const auto alive = world.alive_indices();
     const NodeIndex idx = alive[op_rng.below(alive.size())];
-    switch (op_rng.below(4)) {
+    switch (op_rng.below(5)) {
       case 0: {  // sybil at an explicit fresh ID
         const Uint160 id = op_rng.uniform_u160();
         if (world.create_sybil(idx, id)) ref.add_vnode(id, idx);
         break;
       }
       case 1: {  // retire all sybils
-        const auto& ids = world.physical(idx).vnode_ids;
-        for (std::size_t i = ids.size(); i-- > 1;) {
-          ref.remove_vnode(ids[i]);
-        }
         world.remove_sybils(idx);
+        ref.remove_sybils(idx);
         break;
       }
       case 2: {  // departure (all vnodes go)
         if (world.alive_count() <= 1) break;
-        const auto ids = world.physical(idx).vnode_ids;  // copy
-        if (world.depart(idx)) {
-          for (const auto& vid : ids) ref.remove_vnode(vid);
-        }
+        if (world.depart(idx)) ref.depart(idx);
         break;
       }
       case 3: {  // join from the waiting pool
         const std::size_t before = world.vnode_count();
         const auto joined = world.join_from_pool();
         if (joined && world.vnode_count() == before + 1) {
-          ref.add_vnode(world.physical(*joined).vnode_ids.front(),
-                        *joined);
+          ref.add_vnode(world.primary_id(*joined), *joined);
         }
+        break;
+      }
+      case 4: {  // neighbor move of one of idx's vnodes, either way
+        const auto& slots = world.physical(idx).vnode_slots;
+        const Uint160 old_id =
+            world.vnode_id(slots[op_rng.below(slots.size())]);
+        const ArcView arc = world.arc_of(old_id);
+        const auto succs = world.successors_of(old_id, 1);
+        if (succs.empty()) break;
+        const Uint160 new_id = op_rng.below(2) == 0
+                                   ? support::arc_midpoint(arc.pred, old_id)
+                                   : support::arc_midpoint(old_id, succs[0]);
+        if (world.move_vnode(old_id, new_id)) ref.move_vnode(old_id, new_id);
         break;
       }
     }

@@ -114,7 +114,7 @@ TEST(World, CreateSybilTransfersExactArcKeys) {
   // Split some victim's arc at its midpoint; the beneficiary must gain
   // exactly what the victim loses.
   const NodeIndex victim = w.alive_indices()[1];
-  const Uint160 victim_vnode = w.physical(victim).vnode_ids[0];
+  const Uint160 victim_vnode = w.primary_id(victim);
   const ArcView arc = w.arc_of(victim_vnode);
   const Uint160 mid = support::arc_midpoint(arc.pred, arc.id);
   const std::uint64_t victim_before = w.workload(victim);
@@ -133,7 +133,7 @@ TEST(World, CreateSybilOnTakenIdFails) {
   Rng rng(9);
   World w(small_params(5, 100), rng);
   const NodeIndex idx = w.alive_indices()[0];
-  const Uint160 existing = w.physical(w.alive_indices()[1]).vnode_ids[0];
+  const Uint160 existing = w.primary_id(w.alive_indices()[1]);
   EXPECT_FALSE(w.create_sybil(idx, existing).has_value());
   EXPECT_EQ(w.sybil_count(idx), 0u);
 }
@@ -160,7 +160,7 @@ TEST(World, DepartMovesTasksToSuccessorAndNodeToPool) {
   const std::uint64_t total = w.remaining_tasks();
   const NodeIndex idx = w.alive_indices()[3];
   EXPECT_TRUE(w.depart(idx));
-  EXPECT_FALSE(w.physical(idx).alive);
+  EXPECT_FALSE(w.is_alive(idx));
   EXPECT_EQ(w.alive_count(), 9u);
   EXPECT_EQ(w.waiting_count(), 11u);
   EXPECT_EQ(w.remaining_tasks(), total);
@@ -193,7 +193,7 @@ TEST(World, JoinFromPoolAcquiresArcWork) {
   const std::uint64_t total = w.remaining_tasks();
   const auto joined = w.join_from_pool();
   ASSERT_TRUE(joined.has_value());
-  EXPECT_TRUE(w.physical(*joined).alive);
+  EXPECT_TRUE(w.is_alive(*joined));
   EXPECT_EQ(w.alive_count(), 21u);
   EXPECT_EQ(w.waiting_count(), 19u);
   EXPECT_EQ(w.remaining_tasks(), total);
@@ -210,7 +210,7 @@ TEST(World, JoinFromEmptyPoolFails) {
 TEST(World, SuccessorsOfWalkClockwise) {
   Rng rng(16);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto succs = w.successors_of(start, 4);
   ASSERT_EQ(succs.size(), 4u);
   // Each successor's predecessor chain leads back: succ[i]'s arc starts
@@ -225,7 +225,7 @@ TEST(World, SuccessorsOfWalkClockwise) {
 TEST(World, SuccessorsStopAtFullLoop) {
   Rng rng(17);
   World w(small_params(3, 10), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto succs = w.successors_of(start, 10);
   EXPECT_EQ(succs.size(), 2u) << "only 2 other vnodes exist";
 }
@@ -233,7 +233,7 @@ TEST(World, SuccessorsStopAtFullLoop) {
 TEST(World, PredecessorsOfWalkCounterClockwise) {
   Rng rng(18);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto preds = w.predecessors_of(start, 3);
   ASSERT_EQ(preds.size(), 3u);
   EXPECT_EQ(w.arc_of(start).pred, preds[0]);
@@ -247,7 +247,7 @@ TEST(World, ArcWalksMatchVectorApis) {
   Rng rng(42);
   World w(small_params(12, 300), rng);
   for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 start = w.physical(idx).vnode_ids[0];
+    const Uint160 start = w.primary_id(idx);
     for (const std::size_t k : {0u, 1u, 3u, 50u}) {
       const auto succ_vec = w.successors_of(start, k);
       std::vector<Uint160> succ_walk;
@@ -270,7 +270,7 @@ TEST(World, ArcWalkYieldsFullArcViews) {
   // Each walked element is a complete ArcView, identical to arc_of.
   Rng rng(43);
   World w(small_params(8, 200), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   for (const ArcView& arc : w.successor_arcs(start, 5)) {
     const ArcView direct = w.arc_of(arc.id);
     EXPECT_EQ(arc.pred, direct.pred);
@@ -284,7 +284,7 @@ TEST(World, ArcViewReportsOwnerAndCount) {
   Rng rng(19);
   World w(small_params(5, 500), rng);
   for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 vid = w.physical(idx).vnode_ids[0];
+    const Uint160 vid = w.primary_id(idx);
     const ArcView arc = w.arc_of(vid);
     EXPECT_EQ(arc.owner, idx);
     EXPECT_FALSE(arc.is_sybil);
