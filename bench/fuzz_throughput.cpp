@@ -8,9 +8,10 @@
 // gate the campaign applies), and runs it in-process through the
 // scenario VM.  Generation counts (scripts, blocks, events, ticks) and
 // an order-sensitive fold over every telemetry row are recorded as
-// value records, so compare_bench --check-values pins the generator's
-// output and the VM's run results bit-for-bit at the baseline seed,
-// while wall_ms gates throughput regressions.
+// value records, so compare_bench.py pins the generator's output and
+// the VM's run results bit-for-bit at the baseline seed.  wall_ms is
+// informational; perfbench's fuzz_mixed_audited workload measures this
+// loop's speed.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -116,7 +117,7 @@ int main() {
     telemetry.record(name, "ticks_total", static_cast<double>(ticks_total),
                      0.0, scripts);
     // Low 53 bits fit a double exactly, so the JSON round trip is
-    // lossless and --check-values can demand bit-equality.
+    // lossless and compare_bench.py can demand bit-equality.
     telemetry.record(name, "telemetry_fold",
                      static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 0.0,
                      scripts);

@@ -126,34 +126,17 @@ std::string Telemetry::output_path() const {
 }
 
 bool Telemetry::flush() {
-  std::vector<Record> out;
+  std::string text;
   {
     support::MutexLock lock(mu_);
     if (flushed_) return true;
     if (!json_enabled()) return false;
     flushed_ = true;
-    out = records_;
+    text = to_json(experiment_, records_);
   }
-  // Serialization and the calibration run happen outside the lock:
-  // calibrate_ms() deliberately burns ~10ms of CPU, and nothing below
-  // touches guarded state.
-  if (!deterministic()) {
-    // Machine-speed yardstick, measured at flush so it reflects this
-    // very run's conditions.
-    Record cal;
-    cal.experiment = experiment_;
-    cal.cell = "__calibration__";
-    cal.metric = "splitmix64_20m_ms";
-    cal.value = calibrate_ms();
-    cal.wall_ms = cal.value;
-    cal.seed = support::env_seed();
-    cal.trials = 1;
-    out.insert(out.begin(), std::move(cal));
-  }
-
   std::ofstream file(output_path(), std::ios::binary | std::ios::trunc);
   if (!file) return false;
-  file << to_json(experiment_, out);
+  file << text;
   return static_cast<bool>(file);
 }
 

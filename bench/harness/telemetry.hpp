@@ -5,8 +5,9 @@
 // Telemetry collector, which mirrors the human-readable text output
 // into a structured JSON file `BENCH_<experiment>.json`.  CI diffs
 // these files against committed baselines (scripts/compare_bench.py)
-// to catch both wall-time regressions and silent changes to the
-// deterministic result values.
+// to catch silent changes to the deterministic result values and
+// peak-RSS growth.  wall_ms is recorded for people, not gated: speed
+// is measured by perfbench/.
 //
 // Env knobs (alongside the existing DHTLB_TRIALS/SEED/THREADS):
 //   DHTLB_BENCH_DIR           — output directory (default ".")
@@ -58,10 +59,9 @@ std::string to_json(const std::string& experiment,
                     const std::vector<Record>& records);
 
 /// Times a fixed, repo-independent integer workload (a splitmix64
-/// chain) and returns elapsed milliseconds.  compare_bench.py divides
-/// wall_ms by this machine-speed yardstick before comparing against the
-/// committed baseline, so a slower CI runner is not flagged as a
-/// regression.
+/// chain) and returns elapsed milliseconds.  Only perfbench reads it,
+/// as the `host_cal_ms` machine-speed line of its provenance; no
+/// BENCH_*.json record carries it.
 double calibrate_ms();
 
 /// Wall-clock stopwatch for labelling records.
@@ -111,9 +111,9 @@ class Telemetry {
   std::vector<Record> records() const EXCLUDES(mu_);
   std::string json() const EXCLUDES(mu_);
 
-  /// Writes the JSON file (prepending a __calibration__ record unless
-  /// in deterministic mode).  Returns false on I/O failure or when the
-  /// JSON side channel is disabled.  Idempotent.
+  /// Writes the JSON file with exactly the recorded records.  Returns
+  /// false on I/O failure or when the JSON side channel is disabled.
+  /// Idempotent.
   bool flush() EXCLUDES(mu_);
 
   /// The path flush() writes to.

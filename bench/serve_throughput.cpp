@@ -10,14 +10,15 @@
 // serve plane, not the shard fan, dominates the wall time.
 //
 // Telemetry per (traffic, readers) cell:
-//   wall_ms        tick-loop + serve wall (gated vs baseline in CI)
+//   wall_ms        tick-loop + serve wall (informational; perfbench's
+//                  serve_zipf_100k workload measures serve speed)
 //   speedup_vs_r1  wall(r1) / wall(rN); zeroed in deterministic mode
 //                  and exempt from value checks (a ratio of clocks)
 // plus per-traffic result rows (lookups, hop percentiles, Sybil
 // absorption, owner-load skew, view lifecycle counts) recorded once —
 // the binary aborts if any reader count produces different results, so
 // every run is also a 1-vs-N serve determinism check, and the recorded
-// values let compare_bench --check-values enforce identity against the
+// values let compare_bench.py enforce identity against the
 // committed baseline across machines.
 #include <cstdint>
 #include <cstdio>
@@ -126,7 +127,7 @@ int main() {
                      std::to_string(print & 0xFFFFFFFFFFFFFull)});
     }
     // Identical across reader counts (checked above): record the serve
-    // results once per traffic model for --check-values.
+    // results once per traffic model for the value gate.
     telemetry.record(tname, "lookups",
                      static_cast<double>(rep_r1.lookups), 0.0, 1);
     telemetry.record(tname, "hops_mean", rep_r1.hops_mean, 0.0, 1);

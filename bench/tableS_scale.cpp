@@ -5,8 +5,8 @@
 // usable at the 100k..1M scales the roadmap targets.
 //
 // Every record's metric is "wall_ms" (value == wall time), so CI's
-// value-equality gate skips these machine-dependent rows; the
-// normalized wall-time gate and the peak_rss_bytes gate still apply.
+// value-equality gate skips these machine-dependent rows; only the
+// peak_rss_bytes gate applies.  perfbench measures engine speed.
 // The audited-off tick loop matches how large worlds are actually run
 // (the per-tick auditor is O(ring + tasks)).
 //

@@ -7,10 +7,10 @@
 // shard by shard in fold order — the same order the engine injects in —
 // folding every key into an order-sensitive fingerprint.  The fold and
 // the per-tick count identities are recorded as value records, so
-// compare_bench --check-values pins the stream's key sequence (any
-// change to the seed derivation, the shard split, or the SHA-1 path
-// shows up as value drift against the committed baseline), while
-// wall_ms gates draw throughput regressions.
+// compare_bench.py pins the stream's key sequence (any change to the
+// seed derivation, the shard split, or the SHA-1 path shows up as value
+// drift against the committed baseline).  wall_ms is informational;
+// perfbench's invite_stream_250k workload measures streamed arrivals.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -83,11 +83,11 @@ int main() {
     const std::string name = "tasks=" + std::to_string(cell.tasks) +
                              "/window=" + std::to_string(cell.window);
     // Throughput is implied by wall_ms at fixed work, so only wall_ms is
-    // recorded — a keys/ms value record would trip --check-values on
+    // recorded — a keys/ms value record would trip the value gate on
     // machine noise (only wall_ms and speedup* metrics are exempt).
     telemetry.record(name, "wall_ms", det ? 0.0 : wall, wall, 1, rss);
     // Low 53 bits fit a double exactly — the JSON round-trip is lossless,
-    // so --check-values can demand bit-equality (same trick as
+    // so compare_bench.py can demand bit-equality (same trick as
     // tick_parallel's state_fingerprint).
     telemetry.record(name, "key_fold",
                      static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 0.0, 1);

@@ -8,7 +8,8 @@
 // apply here — because the curve itself is the measurement.
 //
 // Telemetry per (n, threads) cell:
-//   wall_ms        the tick-loop wall time (gated vs baseline in CI)
+//   wall_ms        the tick-loop wall time (informational; perfbench's
+//                  invite_stream_250k measures one-thread engine speed)
 //   speedup_vs_t1  wall(t1) / wall(tN); zeroed in deterministic mode and
 //                  exempt from value checks (it is a ratio of clocks).
 //                  The nightly lane gates the best of these with
@@ -17,7 +18,7 @@
 // (workloads, remaining tasks, membership counts).  The binary aborts if
 // any thread count produces a different fingerprint — every run of this
 // bench is therefore also a 1-vs-N determinism check — and the recorded
-// value lets compare_bench --check-values enforce the same identity
+// value lets compare_bench.py enforce the same identity
 // against the committed baseline across machines.
 #include <cstdint>
 #include <cstdio>
@@ -124,7 +125,7 @@ int main() {
     }
     // The fingerprint is identical across thread counts (checked above);
     // record it once per world size.  The low 53 bits fit a double
-    // exactly, so the JSON round-trip is lossless and --check-values can
+    // exactly, so the JSON round-trip is lossless and compare_bench.py can
     // require bit-equality against the committed baseline.
     telemetry.record("n=" + std::to_string(nodes), "state_fingerprint",
                      static_cast<double>(print_t1 & 0x1FFFFFFFFFFFFFull),

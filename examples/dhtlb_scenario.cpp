@@ -26,10 +26,10 @@
 // the Sybil-absorption fraction, the load seen by traffic (gini and
 // max-over-mean over owner hits) and view-lifecycle counters.  The only
 // wall-derived rows, the per-lookup latency percentiles, are recorded
-// under the metric name "wall_ms" (which the value gate in
-// scripts/compare_bench.py skips) and zeroed in DHTLB_BENCH_DETERMINISTIC
-// mode, where latency capture is off.  Lookups/sec is printed on stdout
-// only, never in the JSON.
+// under the metric name "wall_ms", the telemetry schema's marker for a
+// wall-clock row, and zeroed in DHTLB_BENCH_DETERMINISTIC mode, where
+// latency capture is off, so --check can byte-compare the file.
+// Lookups/sec is printed on stdout only, never in the JSON.
 //
 // --trace writes a Chrome trace_event JSON (open in chrome://tracing);
 // --metrics writes per-tick metrics JSONL, with the serve catalog when

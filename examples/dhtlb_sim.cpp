@@ -81,7 +81,14 @@ int main(int argc, char** argv) {
   params.total_tasks = cli.get_u64("tasks");
   params.churn_rate = cli.get_double("churn");
   params.heterogeneous = cli.get_bool("het");
-  params.work_measure = cli.get("work-measure") == "strength"
+  const std::string work_measure = cli.get("work-measure");
+  if (work_measure != "one" && work_measure != "strength") {
+    std::fprintf(stderr,
+                 "error: --work-measure %s is not one of one|strength\n",
+                 work_measure.c_str());
+    return 2;
+  }
+  params.work_measure = work_measure == "strength"
                             ? sim::WorkMeasure::kStrengthPerTick
                             : sim::WorkMeasure::kOneTaskPerTick;
   params.sybil_threshold = cli.get_u64("threshold");
@@ -101,6 +108,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       cli.has("seed") ? cli.get_u64("seed") : support::env_seed();
   const std::size_t trials = cli.get_u64("trials");
+  if (trials == 0) {
+    std::fprintf(stderr, "error: --trials 0 is out of range (at least 1)\n");
+    return 2;
+  }
   const auto snapshot_ticks = cli.get_u64_list("snapshots");
 
   try {

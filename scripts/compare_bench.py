@@ -3,34 +3,36 @@
 
 Every bench binary (bench/) writes a BENCH_<name>.json next to its text
 output: flat records {cell, experiment, metric, seed, trials, value,
-wall_ms} plus one __calibration__ record timing a fixed splitmix64 loop
-on the machine that produced the file.  This script compares a freshly
-generated set of files against the baselines committed under
+wall_ms} with an optional peak_rss_bytes.  This script compares a
+freshly generated set of files against the baselines committed under
 bench/baselines/ and fails when
 
-  * a wall-time regression exceeds --max-regression (default 20%),
-    after normalizing both sides by their calibration record so a
-    slower CI runner is not mistaken for a slower program, or
-  * with --check-values, any deterministic `value` drifts beyond
-    --value-tolerance (default: exact) at matching (seed, trials).
+  * a baseline record is missing from the current run,
+  * a deterministic `value` differs at all at matching (seed, trials),
+  * a record's peak RSS grows by more than 25%, or
+  * with --min-speedup, the best speedup_vs_t1 record is below the floor.
+
+Wall time is not gated here: perfbench/ is the repo's speed instrument.
 
 Usage:
   compare_bench.py --baseline-dir bench/baselines --current-dir out
-  compare_bench.py ... --check-values          # also diff values
-  compare_bench.py ... --self-test             # prove the gate trips
+  compare_bench.py ... --min-speedup 2         # thread-scaling floor
+  compare_bench.py --self-test                 # prove every gate trips
 Exit codes: 0 ok, 1 regression/drift found, 2 usage or missing files.
 """
 
 import argparse
+import copy
 import json
-import math
 import os
 import sys
+import tempfile
 
-CALIBRATION_CELL = "__calibration__"
-# Records faster than this are dominated by scheduler noise; the wall
-# check skips them (value checks still apply).
-MIN_COMPARABLE_MS = 20.0
+# Allowed fractional peak-RSS increase for records carrying
+# peak_rss_bytes.
+MAX_RSS_REGRESSION = 0.25
+# The metric --min-speedup scans (bench/tick_parallel's curve).
+SPEEDUP_METRIC = "speedup_vs_t1"
 
 
 def load_records(path):
@@ -39,42 +41,16 @@ def load_records(path):
     if doc.get("schema_version") != 1:
         raise ValueError(f"{path}: unsupported schema_version "
                          f"{doc.get('schema_version')!r}")
-    return doc["experiment"], doc["records"]
-
-
-def split_calibration(records):
-    cal = None
-    rest = []
-    for r in records:
-        if r["cell"] == CALIBRATION_CELL:
-            cal = r["value"]
-        else:
-            rest.append(r)
-    return cal, rest
+    return doc["records"]
 
 
 def index_by_key(records):
-    out = {}
-    for r in records:
-        out[(r["cell"], r["metric"])] = r
-    return out
+    return {(r["cell"], r["metric"]): r for r in records}
 
 
-def compare_file(name, base_path, cur_path, args, failures):
-    _, base_records = load_records(base_path)
-    _, cur_records = load_records(cur_path)
-    base_cal, base_records = split_calibration(base_records)
-    cur_cal, cur_records = split_calibration(cur_records)
-
-    # Without calibration on both sides (e.g. deterministic mode), wall
-    # times are either zeroed or incomparable across machines; fall back
-    # to raw comparison only when both files carry real wall times.
-    scale = 1.0
-    if base_cal and cur_cal and base_cal > 0 and cur_cal > 0:
-        scale = base_cal / cur_cal  # >1 → current machine is faster
-
-    base_idx = index_by_key(base_records)
-    cur_idx = index_by_key(cur_records)
+def compare_file(name, base_path, cur_path, failures):
+    base_idx = index_by_key(load_records(base_path))
+    cur_idx = index_by_key(load_records(cur_path))
 
     for key, base_r in sorted(base_idx.items()):
         cur_r = cur_idx.get(key)
@@ -82,184 +58,136 @@ def compare_file(name, base_path, cur_path, args, failures):
             failures.append(f"{name}: record {key} missing from current run")
             continue
 
-        base_wall = base_r["wall_ms"]
-        cur_wall = cur_r["wall_ms"] * scale
-        if base_wall >= MIN_COMPARABLE_MS and cur_wall > 0:
-            ratio = cur_wall / base_wall
-            if ratio > 1.0 + args.max_regression:
-                failures.append(
-                    f"{name}: {key} wall-time regression: "
-                    f"{base_wall:.1f}ms -> {cur_wall:.1f}ms normalized "
-                    f"({ratio:.2f}x, limit {1.0 + args.max_regression:.2f}x)")
-
-        # Peak-RSS gate: memory is machine-comparable (no calibration
-        # scaling).  The field is optional — only records where both
-        # sides measured it are gated.
+        # Memory is machine-comparable.  The field is optional: only
+        # records where both sides measured it are gated.
         base_rss = base_r.get("peak_rss_bytes", 0)
         cur_rss = cur_r.get("peak_rss_bytes", 0)
         if base_rss > 0 and cur_rss > 0:
             rss_ratio = cur_rss / base_rss
-            if rss_ratio > 1.0 + args.max_rss_regression:
+            if rss_ratio > 1.0 + MAX_RSS_REGRESSION:
                 failures.append(
                     f"{name}: {key} peak-RSS regression: "
                     f"{base_rss} -> {cur_rss} bytes ({rss_ratio:.2f}x, "
-                    f"limit {1.0 + args.max_rss_regression:.2f}x)")
+                    f"limit {1.0 + MAX_RSS_REGRESSION:.2f}x)")
 
-        if args.check_values and key[1] != "wall_ms" \
-                and not key[1].startswith("speedup"):
-            # wall_ms-metric records (grid fan timings) are wall clock
-            # re-exposed as a value, and speedup* metrics are ratios of
-            # wall clocks; only the normalized wall check above (and the
-            # --min-speedup floor below) applies to them.
-            same_config = (base_r["seed"] == cur_r["seed"]
-                           and base_r["trials"] == cur_r["trials"])
-            if same_config:
-                bv, cv = base_r["value"], cur_r["value"]
-                if not math.isclose(bv, cv, rel_tol=args.value_tolerance,
-                                    abs_tol=args.value_tolerance):
-                    failures.append(
-                        f"{name}: {key} value drift at same seed/trials: "
-                        f"{bv!r} -> {cv!r}")
+        # wall_ms-metric records (grid fan timings) are wall clock
+        # re-exposed as a value, and speedup* metrics are ratios of wall
+        # clocks; only the --min-speedup floor below applies to them.
+        if key[1] == "wall_ms" or key[1].startswith("speedup"):
+            continue
+        same_config = ((base_r["seed"], base_r["trials"])
+                       == (cur_r["seed"], cur_r["trials"]))
+        if same_config and base_r["value"] != cur_r["value"]:
+            failures.append(
+                f"{name}: {key} value drift at same seed/trials: "
+                f"{base_r['value']!r} -> {cur_r['value']!r}")
 
     for key in sorted(set(cur_idx) - set(base_idx)):
         print(f"note: {name}: new record {key} (not in baseline)")
 
 
-def check_speedup_floor(current_dir, args, failures):
+def check_speedup_floor(current_dir, min_speedup, failures):
     """Enforces --min-speedup against the current run's speedup records.
 
-    Scans every BENCH_*.json in the current dir for records whose metric
-    is --speedup-metric and whose value is positive (deterministic-mode
-    runs zero them out, so they never gate).  The best observed speedup
-    must reach the floor — this is the thread-scaling gate the nightly
-    lane runs on bench/tick_parallel telemetry, guarded by a core-count
-    check in the workflow so 2-core runners don't fail a 4x floor.
+    Scans every BENCH_*.json in the current dir for positive
+    SPEEDUP_METRIC records (deterministic-mode runs zero them, so they
+    never gate).  The best one must reach the floor: the thread-scaling
+    gate the nightly lane runs on bench/tick_parallel telemetry, guarded
+    by a core-count check in the workflow.
     """
     best = None
     best_key = None
     for name in sorted(os.listdir(current_dir)):
         if not (name.startswith("BENCH_") and name.endswith(".json")):
             continue
-        _, records = load_records(os.path.join(current_dir, name))
-        for r in records:
-            if r["metric"] != args.speedup_metric or r["value"] <= 0:
+        for r in load_records(os.path.join(current_dir, name)):
+            if r["metric"] != SPEEDUP_METRIC or r["value"] <= 0:
                 continue
             if best is None or r["value"] > best:
                 best = r["value"]
                 best_key = f"{name}: ({r['cell']}, {r['metric']})"
     if best is None:
         failures.append(
-            f"--min-speedup {args.min_speedup}: no positive "
-            f"{args.speedup_metric!r} record found in {current_dir} "
+            f"--min-speedup {min_speedup}: no positive {SPEEDUP_METRIC!r} "
+            f"record found in {current_dir} "
             f"(was the bench run in deterministic mode?)")
-        return
-    if best < args.min_speedup:
+    elif best < min_speedup:
         failures.append(
-            f"speedup floor: best {args.speedup_metric} is {best:.2f}x "
-            f"({best_key}), below the --min-speedup {args.min_speedup}x "
-            f"floor")
+            f"speedup floor: best {SPEEDUP_METRIC} is {best:.2f}x "
+            f"({best_key}), below the --min-speedup {min_speedup}x floor")
     else:
         print(f"speedup floor: {best_key} reached {best:.2f}x "
-              f"(floor {args.min_speedup}x)")
+              f"(floor {min_speedup}x)")
 
 
-def self_test(args):
-    """Feeds the comparator a synthetic 2x slowdown; it must trip."""
+def self_test():
+    """Feeds each gate a planted regression; every one must trip."""
     base = {
         "schema_version": 1,
         "experiment": "selftest",
         "records": [
-            {"cell": CALIBRATION_CELL, "experiment": "selftest",
-             "metric": "splitmix64_20m_ms", "seed": 0, "trials": 1,
-             "value": 50.0, "wall_ms": 50.0},
             {"cell": "c", "experiment": "selftest", "metric": "m",
              "seed": 0, "trials": 1, "value": 1.0, "wall_ms": 100.0,
              "peak_rss_bytes": 1000000},
+            {"cell": "n=1000/t8", "experiment": "selftest",
+             "metric": SPEEDUP_METRIC, "seed": 0, "trials": 1,
+             "value": 1.4, "wall_ms": 0.0},
         ],
     }
-    slow = json.loads(json.dumps(base))
-    slow["records"][1]["wall_ms"] = 200.0  # injected 2x slowdown
-    drift = json.loads(json.dumps(base))
-    drift["records"][1]["value"] = 2.0  # injected value drift
-    bloat = json.loads(json.dumps(base))
-    bloat["records"][1]["peak_rss_bytes"] = 2000000  # injected 2x RSS
 
-    import tempfile
+    def planted(mutate):
+        doc = copy.deepcopy(base)
+        mutate(doc["records"])
+        return doc
+
+    legs = [
+        ("value drift", "value drift",
+         planted(lambda rs: rs[0].update(value=2.0))),
+        ("2x RSS growth", "peak-RSS",
+         planted(lambda rs: rs[0].update(peak_rss_bytes=2000000))),
+        ("missing record", "missing from current run",
+         planted(lambda rs: rs.pop(0))),
+    ]
+
     with tempfile.TemporaryDirectory() as tmp:
         def write(subdir, doc):
             d = os.path.join(tmp, subdir)
-            os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, "BENCH_selftest.json")
-            with open(path, "w") as f:
+            os.makedirs(d)
+            with open(os.path.join(d, "BENCH_selftest.json"), "w") as f:
                 json.dump(doc, f)
             return d
 
+        def compare(cur_dir):
+            failures = []
+            compare_file("BENCH_selftest.json",
+                         os.path.join(base_dir, "BENCH_selftest.json"),
+                         os.path.join(cur_dir, "BENCH_selftest.json"),
+                         failures)
+            return failures
+
         base_dir = write("base", base)
+        for i, (what, marker, doc) in enumerate(legs):
+            hits = [f for f in compare(write(f"leg{i}", doc)) if marker in f]
+            if not hits:
+                print(f"self-test FAILED: {what} was not flagged")
+                return 1
+            print(f"self-test: {what} correctly flagged: {hits[0]}")
 
-        failures = []
-        compare_file("BENCH_selftest.json",
-                     os.path.join(base_dir, "BENCH_selftest.json"),
-                     os.path.join(write("slow", slow),
-                                  "BENCH_selftest.json"),
-                     args, failures)
-        if not failures:
-            print("self-test FAILED: 2x slowdown was not flagged")
-            return 1
-        print(f"self-test: slowdown correctly flagged: {failures[0]}")
-
-        failures = []
-        args.check_values = True
-        compare_file("BENCH_selftest.json",
-                     os.path.join(base_dir, "BENCH_selftest.json"),
-                     os.path.join(write("drift", drift),
-                                  "BENCH_selftest.json"),
-                     args, failures)
-        value_failures = [f for f in failures if "value drift" in f]
-        if not value_failures:
-            print("self-test FAILED: value drift was not flagged")
-            return 1
-        print(f"self-test: drift correctly flagged: {value_failures[0]}")
-
-        failures = []
-        compare_file("BENCH_selftest.json",
-                     os.path.join(base_dir, "BENCH_selftest.json"),
-                     os.path.join(write("bloat", bloat),
-                                  "BENCH_selftest.json"),
-                     args, failures)
-        rss_failures = [f for f in failures if "peak-RSS" in f]
-        if not rss_failures:
-            print("self-test FAILED: 2x RSS growth was not flagged")
-            return 1
-        print(f"self-test: RSS growth correctly flagged: {rss_failures[0]}")
-
-        failures = []
-        compare_file("BENCH_selftest.json",
-                     os.path.join(base_dir, "BENCH_selftest.json"),
-                     os.path.join(base_dir, "BENCH_selftest.json"),
-                     args, failures)
+        failures = compare(base_dir)
         if failures:
             print(f"self-test FAILED: identical files flagged: {failures}")
             return 1
         print("self-test: identical files pass")
 
-        # Speedup floor: a 1.4x curve must fail a 2x floor and pass 1.2x.
-        scaling = json.loads(json.dumps(base))
-        scaling["records"].append(
-            {"cell": "n=1000/t8", "experiment": "selftest",
-             "metric": "speedup_vs_t1", "seed": 0, "trials": 1,
-             "value": 1.4, "wall_ms": 0.0})
-        scale_dir = write("scaling", scaling)
-        args.speedup_metric = "speedup_vs_t1"
+        # Speedup floor: the 1.4x curve must fail a 2x floor and pass 1.2x.
         failures = []
-        args.min_speedup = 2.0
-        check_speedup_floor(scale_dir, args, failures)
+        check_speedup_floor(base_dir, 2.0, failures)
         if not [f for f in failures if "speedup floor" in f]:
             print("self-test FAILED: 1.4x curve passed a 2x speedup floor")
             return 1
         print(f"self-test: speedup floor correctly flagged: {failures[0]}")
         failures = []
-        args.min_speedup = 1.2
-        check_speedup_floor(scale_dir, args, failures)
+        check_speedup_floor(base_dir, 1.2, failures)
         if failures:
             print(f"self-test FAILED: 1.4x curve failed a 1.2x floor: "
                   f"{failures}")
@@ -273,27 +201,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline-dir", default="bench/baselines")
     ap.add_argument("--current-dir", default=".")
-    ap.add_argument("--max-regression", type=float, default=0.20,
-                    help="allowed fractional wall-time increase (0.20=20%%)")
-    ap.add_argument("--max-rss-regression", type=float, default=0.25,
-                    help="allowed fractional peak-RSS increase, for records"
-                         " carrying peak_rss_bytes (0.25=25%%)")
-    ap.add_argument("--check-values", action="store_true",
-                    help="also compare deterministic values at equal "
-                         "seed/trials")
-    ap.add_argument("--value-tolerance", type=float, default=0.0,
-                    help="relative+absolute tolerance for --check-values")
     ap.add_argument("--min-speedup", type=float, default=0.0,
-                    help="require the best --speedup-metric record in the "
-                         "current dir to reach this ratio (0 = off)")
-    ap.add_argument("--speedup-metric", default="speedup_vs_t1",
-                    help="metric name scanned by --min-speedup")
+                    help=f"require the best {SPEEDUP_METRIC} record in the "
+                         f"current dir to reach this ratio (0 = off)")
     ap.add_argument("--self-test", action="store_true",
-                    help="verify the gate trips on an injected 2x slowdown")
+                    help="verify every gate trips on a planted regression")
     args = ap.parse_args()
 
     if args.self_test:
-        sys.exit(self_test(args))
+        sys.exit(self_test())
 
     if not os.path.isdir(args.baseline_dir):
         print(f"error: baseline dir {args.baseline_dir} not found",
@@ -315,7 +231,7 @@ def main():
             print(f"note: {name}: not produced by this run, skipping")
             continue
         compare_file(name, os.path.join(args.baseline_dir, name), cur_path,
-                     args, failures)
+                     failures)
         compared += 1
 
     if compared == 0:
@@ -324,7 +240,7 @@ def main():
         sys.exit(2)
 
     if args.min_speedup > 0:
-        check_speedup_floor(args.current_dir, args, failures)
+        check_speedup_floor(args.current_dir, args.min_speedup, failures)
 
     if failures:
         print(f"\ncompare_bench: {len(failures)} failure(s):")

@@ -210,20 +210,27 @@ TEST(Telemetry, JsonKnobDisablesFlush) {
   EXPECT_FALSE(t.flush());
 }
 
-TEST(Telemetry, CalibrationRecordOmittedInDeterministicMode) {
+// The file holds exactly the recorded records: no calibration record
+// is prepended, with or without deterministic mode.
+TEST(Telemetry, FlushWritesOnlyRecordedRecords) {
   ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
-  {
-    Telemetry t("caltest");
-    t.record("c", "m", 1.0, 0.0, 1);
-    ASSERT_TRUE(t.flush());
+  for (const char* det : {"0", "1"}) {
+    ScopedEnv mode("DHTLB_BENCH_DETERMINISTIC", det);
+    std::string expected;
+    {
+      Telemetry t("caltest");
+      t.record("c", "m", 1.0, 2.0, 1);
+      expected = t.json();
+      ASSERT_TRUE(t.flush());
+    }
+    const std::string path = ::testing::TempDir() + "/BENCH_caltest.json";
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    EXPECT_EQ(buf.str(), expected) << "DHTLB_BENCH_DETERMINISTIC=" << det;
+    EXPECT_EQ(buf.str().find("__calibration__"), std::string::npos);
+    std::remove(path.c_str());
   }
-  const std::string path = ::testing::TempDir() + "/BENCH_caltest.json";
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str().find("__calibration__"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

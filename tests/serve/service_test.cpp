@@ -70,9 +70,10 @@ void expect_reports_identical(const Report& a, const Report& b) {
 
 TEST(ServiceTest, ConcurrentServeUnderChurn) {
   // 8 readers hammering views while a churn-heavy, Sybil-spawning run
-  // refreezes the ring every tick.  Run under the tsan preset (the
-  // tsan-serve-soak CI lane) this is the data-race probe for the whole
-  // serve plane, the single-view handoff at each barrier included.
+  // refreezes the ring every tick.  Run under the tsan preset (beside
+  // serve.golden.serve_churn_soak.t8.r8) this is the data-race probe for
+  // the whole serve plane, the single-view handoff at each barrier
+  // included.
   const RunOutput out = run_serve(4, 8, 0xC0DE, /*latency=*/true);
   ASSERT_TRUE(out.sim.completed);
 
