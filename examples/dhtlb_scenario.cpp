@@ -66,7 +66,8 @@ int fail(const std::string& message) {
 
 /// The serving-plane configuration from --traffic, --readers, --qps and
 /// --keys; nullopt without --traffic.  Throws std::invalid_argument on a
-/// bad value, or on a serve flag given without --traffic.
+/// bad value, on a serve flag given without --traffic, or on --keys
+/// given for a model other than zipf.
 std::optional<serve::Config> serve_config(const support::CliParser& cli) {
   if (!cli.has("traffic")) {
     for (const char* flag : {"readers", "qps", "keys"}) {
@@ -83,12 +84,25 @@ std::optional<serve::Config> serve_config(const support::CliParser& cli) {
     throw std::invalid_argument("unknown --traffic: " + cli.get("traffic"));
   }
   config.traffic = *traffic;
+  // Readers past the shard count would never receive a shard.
   config.readers = cli.get_u64("readers");
-  if (config.readers == 0) {
-    throw std::invalid_argument("--readers must be >= 1");
+  if (config.readers == 0 || config.readers > serve::kServeShards) {
+    throw std::invalid_argument(
+        "--readers " + std::to_string(config.readers) +
+        " is out of range [1, " + std::to_string(serve::kServeShards) + "]");
   }
   config.lookups_per_tick = cli.get_u64("qps");
+  if (cli.has("keys") && config.traffic != serve::Traffic::kZipf) {
+    throw std::invalid_argument("--keys applies to --traffic zipf only");
+  }
   config.traffic_config.key_universe = cli.get_u64("keys");
+  if (config.traffic_config.key_universe == 0 ||
+      config.traffic_config.key_universe > serve::kMaxKeyUniverse) {
+    throw std::invalid_argument(
+        "--keys " + std::to_string(config.traffic_config.key_universe) +
+        " is out of range [1, " + std::to_string(serve::kMaxKeyUniverse) +
+        "]");
+  }
   // Latency needs a real clock; deterministic mode trades it for
   // byte-stable output (the latency rows stay, zeroed).
   config.measure_latency = !bench::Telemetry::deterministic();
@@ -158,15 +172,14 @@ int main(int argc, char** argv) {
                "uniform | zipf | hotspot (sim substrate only; writes "
                "BENCH_serve_<name>.json)");
   cli.add_flag("readers", "N", "4",
-               "with --traffic: reader worker threads serving lookups "
-               "(execution knob: results are byte-identical at any "
+               "with --traffic: reader worker threads serving lookups, "
+               "1..16 (execution knob: results are byte-identical at any "
                "setting)");
   cli.add_flag("qps", "N", "2000",
                "with --traffic: lookups per tick (one batch per published "
                "ring view)");
   cli.add_flag("keys", "N", "100000",
-               "with --traffic: zipf key-universe size (zipf only; "
-               "<= 2^22)");
+               "with --traffic zipf: key-universe size, 1..2^22");
   cli.add_flag("quiet", "", "", "suppress the metric table on stdout");
   cli.add_flag("help", "", "", "show this help");
 

@@ -21,6 +21,12 @@
 //     <= 160 hops and averages ~log2(ring size), the textbook Chord
 //     bound.  This prices each lookup in hops as seen by user traffic,
 //     which the tick loop never measures.
+//
+// Both answer through the shared sorted-id kernel
+// (support/sorted_search.hpp) that FlatRing uses: cover() interpolates
+// over the whole ring, and each route() hop searches only its bracket
+// (cur, target] — the finger's covering vnode always lies there — with
+// the estimate taken between the bracket's end ids.
 #pragma once
 
 #include <cstddef>
@@ -85,9 +91,15 @@ class RingView {
   Route route(const Uint160& key, std::size_t origin) const;
 
  private:
+  /// First i in [lo, hi) with id_at(i) >= point, or hi; the ids of the
+  /// range have top 64 bits in [lo_high, hi_high].
+  std::size_t lower_bound(std::size_t lo, std::size_t hi,
+                          std::uint64_t lo_high, std::uint64_t hi_high,
+                          const Uint160& point) const;
+
   // Struct-of-arrays, ascending-id order (the freeze of FlatRing's
-  // index): binary searches touch only ids_, owner/Sybil metadata loads
-  // only on the final hop.
+  // index): the interpolated searches touch only ids_, owner/Sybil
+  // metadata loads only for the final cover.
   std::vector<Uint160> ids_;
   std::vector<NodeIndex> owners_;
   std::vector<std::uint8_t> sybils_;

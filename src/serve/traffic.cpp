@@ -53,7 +53,7 @@ KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
       break;
     case Traffic::kZipf: {
       const std::uint64_t n = config.key_universe;
-      DHTLB_CHECK(n > 0 && n <= (1ULL << 22),
+      DHTLB_CHECK(n > 0 && n <= kMaxKeyUniverse,
                   "traffic: zipf key_universe " << n
                                                 << " outside [1, 2^22]");
       // Harmonic weights 1/(r+1), folded into a normalized CDF with
@@ -68,6 +68,18 @@ KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
       }
       for (double& c : cdf_) c /= total;
       cdf_.back() = 1.0;  // guard against accumulated rounding
+      // guide_[j] = first rank with cdf > j/2^16, or the last rank.  A
+      // draw u in [j/2^16, (j+1)/2^16) has its answer in
+      // [guide_[j], guide_[j+1]]; j/2^16 and u·2^16 are exact in IEEE
+      // arithmetic, so the narrowed search picks the very same rank.
+      guide_.resize(kZipfGuideSize + 1);
+      std::uint32_t r = 0;
+      for (std::size_t j = 0; j <= kZipfGuideSize; ++j) {
+        const double threshold =
+            static_cast<double>(j) / static_cast<double>(kZipfGuideSize);
+        while (r + 1 < n && !(cdf_[r] > threshold)) ++r;
+        guide_[j] = r;
+      }
       break;
     }
     case Traffic::kHotspot: {
@@ -89,9 +101,11 @@ Uint160 KeyStream::draw(support::Rng& rng) const {
       return rng.uniform_u160();
     case Traffic::kZipf: {
       const double u = rng.uniform();
-      // First rank whose CDF exceeds u.
-      std::size_t lo = 0;
-      std::size_t hi = cdf_.size() - 1;
+      // First rank whose CDF exceeds u, within u's guide bucket.
+      const auto j = static_cast<std::size_t>(
+          u * static_cast<double>(kZipfGuideSize));
+      std::size_t lo = guide_[j];
+      std::size_t hi = guide_[j + 1];
       while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
         if (cdf_[mid] > u) {

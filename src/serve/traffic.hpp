@@ -22,6 +22,7 @@
 // sequence on every machine, at any thread or reader count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -43,9 +44,12 @@ std::optional<Traffic> parse_traffic(std::string_view name);
 /// The canonical CLI / telemetry name of a traffic model.
 std::string_view traffic_name(Traffic traffic);
 
+/// Largest zipf key universe: bounds the precomputed CDF and key table.
+inline constexpr std::uint64_t kMaxKeyUniverse = 1ULL << 22;
+
 struct TrafficConfig {
-  /// Zipf universe size (distinct keys).  Bounded so the precomputed
-  /// CDF + key table stay cheap: freeze() DHTLB_CHECKs <= 2^22.
+  /// Zipf universe size (distinct keys), in [1, kMaxKeyUniverse]; the
+  /// KeyStream constructor DHTLB_CHECKs it.
   std::uint64_t key_universe = 100000;
   /// Hotspot: probability a draw lands inside the hot arc.
   double hotspot_fraction = 0.9;
@@ -76,9 +80,15 @@ class KeyStream {
  private:
   Traffic traffic_;
   double hotspot_fraction_ = 0.0;
-  // Zipf: cdf_[r] = P(rank <= r); keys_[r] = SHA-1(rank r).
+  // Zipf draws start from a guide table over [0, 1] in 2^16 equal steps.
+  static constexpr std::size_t kZipfGuideSize = std::size_t{1} << 16;
+
+  // Zipf: cdf_[r] = P(rank <= r); keys_[r] = SHA-1(rank r);
+  // guide_[j] = first rank with cdf_ > j/kZipfGuideSize (clamped to the
+  // last rank), kZipfGuideSize + 1 entries.
   std::vector<double> cdf_;
   std::vector<Uint160> keys_;
+  std::vector<std::uint32_t> guide_;
   // Hotspot arc [hot_start_, hot_end_), width = hotspot_arc of the ring.
   Uint160 hot_start_;
   Uint160 hot_end_;

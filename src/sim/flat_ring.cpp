@@ -2,99 +2,27 @@
 
 #include <algorithm>
 
+#include "support/sorted_search.hpp"
+
 namespace dhtlb::sim {
-namespace {
-
-// Below this many candidates a plain binary search beats any estimate.
-constexpr std::size_t kInterpolateMin = 16;
-
-// First gallop step out of an estimate: about the estimate's expected
-// error at both levels (a few blocks in the summary, a few entries in a
-// block of a few hundred uniform ids).
-constexpr std::size_t kGallopStep = 8;
-
-/// First i in [lo, hi) with id_at(i) >= id, or hi.
-template <typename IdAt>
-std::size_t binary_lower_bound(std::size_t lo, std::size_t hi,
-                               const Uint160& id, const IdAt& id_at) {
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (id_at(mid) < id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-/// First i in [0, n) with id_at(i) >= id, or n, searched outward from
-/// the estimate `est` (< n): gallop with doubling steps until the answer
-/// is bracketed, then binary-search the bracket.  Ids are SHA-1 outputs,
-/// i.e. uniform on the ring, so a rank estimate is off by O(sqrt n) and
-/// the bracket stays small and cache-resident.
-template <typename IdAt>
-std::size_t guided_lower_bound(std::size_t n, std::size_t est,
-                               const Uint160& id, const IdAt& id_at) {
-  std::size_t lo;
-  std::size_t hi;
-  std::size_t step = kGallopStep;
-  if (id_at(est) < id) {
-    lo = est + 1;
-    hi = est + 1;
-    while (hi < n && id_at(hi) < id) {
-      lo = hi + 1;
-      hi += step;
-      step *= 2;
-    }
-    if (hi > n) hi = n;
-  } else {
-    hi = est;
-    lo = hi >= step ? hi - step : 0;
-    while (lo > 0 && !(id_at(lo) < id)) {
-      hi = lo;
-      step *= 2;
-      lo = lo >= step ? lo - step : 0;
-    }
-  }
-  return binary_lower_bound(lo, hi, id, id_at);
-}
-
-}  // namespace
 
 // --- search ---------------------------------------------------------------
 
 std::size_t FlatRing::block_lower_bound(const Uint160& id) const {
-  const std::size_t n = block_max_.size();
-  const auto max_at = [this](std::size_t b) -> const Uint160& {
-    return block_max_[b];
-  };
-  if (n < kInterpolateMin) return binary_lower_bound(0, n, id, max_at);
-  // Blocks cut the ring into n roughly equal arcs, so the block of `id`
-  // is ≈ high64/2^64 · n; the top 32 bits keep this in 64-bit arithmetic.
-  const std::size_t est = static_cast<std::size_t>(
-      ((id.high64() >> 32) * static_cast<std::uint64_t>(n)) >> 32);  // < n
-  return guided_lower_bound(n, est, id, max_at);
+  // Blocks cut the ring into roughly equal arcs, so the block of `id` is
+  // interpolated over the whole ring.
+  return support::interpolated_lower_bound(
+      0, block_max_.size(), 0, ~std::uint64_t{0}, id,
+      [this](std::size_t b) -> const Uint160& { return block_max_[b]; });
 }
 
 std::size_t FlatRing::pos_lower_bound(std::size_t b, const Uint160& id) const {
   const Block& block = blocks_[b];
-  const std::size_t n = block.size();
-  const auto id_at = [&block](std::size_t i) -> const Uint160& {
-    return block[i].id;
-  };
-  // The block spans ids in (block_max_[b-1], block_max_[b]]; interpolate
-  // the position of `id` between those bounds on their top 64 bits.
-  const std::uint64_t lo = b > 0 ? block_max_[b - 1].high64() : 0;
-  const std::uint64_t span = block_max_[b].high64() - lo;
-  if (n < kInterpolateMin || span == 0) {
-    return binary_lower_bound(0, n, id, id_at);
-  }
-  const std::uint64_t offset = std::min(id.high64() - lo, span);
-  // Drop 32 low bits of wide spans so offset · n cannot overflow.
-  const int shift = span >> 32 != 0 ? 32 : 0;
-  const std::uint64_t est = (offset >> shift) * n / (span >> shift);
-  return guided_lower_bound(n, std::min<std::size_t>(est, n - 1), id, id_at);
+  // The block spans ids in (block_max_[b-1], block_max_[b]].
+  return support::interpolated_lower_bound(
+      0, block.size(), b > 0 ? block_max_[b - 1].high64() : 0,
+      block_max_[b].high64(), id,
+      [&block](std::size_t i) -> const Uint160& { return block[i].id; });
 }
 
 FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {

@@ -9,8 +9,9 @@
 //  * an *index*: the (id, slot) entries in ascending id order, cut into
 //    sorted blocks of fewer than kBlockCapacity entries, plus a summary
 //    vector holding each block's largest id.  find/cover pick the block
-//    from the summary and the position inside it, both by
-//    interpolation-guided search; successor/predecessor steps walk a
+//    from the summary and the position inside it, both with the shared
+//    interpolate-then-gallop kernel of support/sorted_search.hpp (the
+//    one RingView's lookups use); successor/predecessor steps walk a
 //    position within a block and cross to the neighbouring block at its
 //    ends (O(1) steps on contiguous memory instead of tree pointer
 //    chases);

@@ -1,10 +1,35 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace dhtlb::support {
+namespace {
+
+/// Parses `raw` as a decimal u64 for flag --`name`.  strtoull would
+/// negate a leading '-' and saturate an overflow to 2^64 - 1, so both
+/// are rejected here along with non-numeric text (`what` names that
+/// case in the message).
+std::uint64_t parse_u64(const std::string& name, const std::string& raw,
+                        const char* what) {
+  if (raw.find('-') != std::string::npos) {
+    throw std::invalid_argument("--" + name + ": negative value: " + raw);
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
+  if (end == raw.c_str() || *end != '\0') {
+    throw std::invalid_argument("--" + name + ": " + what + ": " + raw);
+  }
+  if (errno == ERANGE) {
+    throw std::invalid_argument("--" + name + ": out of range: " + raw);
+  }
+  return v;
+}
+
+}  // namespace
 
 void CliParser::add_flag(const std::string& name,
                          const std::string& value_name,
@@ -69,13 +94,7 @@ std::string CliParser::get(const std::string& name) const {
 }
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
-  const std::string raw = get(name);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    throw std::invalid_argument("--" + name + ": not an integer: " + raw);
-  }
-  return v;
+  return parse_u64(name, get(name), "not an integer");
 }
 
 double CliParser::get_double(const std::string& name) const {
@@ -103,12 +122,7 @@ std::vector<std::uint64_t> CliParser::get_u64_list(
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0') {
-      throw std::invalid_argument("--" + name + ": bad list item: " + item);
-    }
-    out.push_back(v);
+    out.push_back(parse_u64(name, item, "bad list item"));
   }
   return out;
 }

@@ -28,11 +28,14 @@ class CliParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Decimal u64.  Throws std::invalid_argument naming the flag and the
+  /// raw text on non-numeric input, a '-' sign, or a value above 2^64 - 1.
   std::uint64_t get_u64(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  /// Comma-separated integers, e.g. "--snapshots 0,5,35".
+  /// Comma-separated integers, e.g. "--snapshots 0,5,35"; each item is
+  /// checked as get_u64 checks its value.
   std::vector<std::uint64_t> get_u64_list(const std::string& name) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }

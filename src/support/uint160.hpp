@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
@@ -96,13 +97,13 @@ class Uint160 {
   }
 
   /// Number of bits needed to represent the value: index of the highest
-  /// set bit plus one; 0 for zero.  (std::bit_width for 160-bit values.)
+  /// set bit plus one; 0 for zero: std::bit_width of the most
+  /// significant nonzero limb plus 32 per limb below it.
   constexpr int bit_length() const {
     for (int i = 0; i < kLimbs; ++i) {
       const std::uint32_t limb = limbs_[static_cast<std::size_t>(i)];
       if (limb != 0) {
-        int width = 0;
-        for (std::uint32_t v = limb; v != 0; v >>= 1) ++width;
+        const int width = static_cast<int>(std::bit_width(limb));
         return (kLimbs - 1 - i) * 32 + width;
       }
     }

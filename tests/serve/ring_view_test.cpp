@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "sim/params.hpp"
@@ -89,25 +91,91 @@ TEST(RingViewTest, RouteReachesCoverFromEveryOrigin) {
   EXPECT_EQ(view.route(key, target).hops, 0u);
 }
 
+// The canonical Chord lookup on the frozen ring: walk clockwise from
+// `origin` until the arc (pred, id] covers the key.
+std::size_t successor_walk(const RingView& view, const Uint160& key,
+                           std::size_t origin) {
+  if (view.size() == 1) return 0;  // one vnode owns the whole ring
+  std::size_t i = origin;
+  std::size_t pred = origin == 0 ? view.size() - 1 : origin - 1;
+  for (std::size_t step = 0; step < view.size(); ++step) {
+    const Uint160 offset = key - view.id_at(pred);
+    if (!offset.is_zero() && offset <= view.id_at(i) - view.id_at(pred)) {
+      return i;
+    }
+    pred = i;
+    i = view.next(i);
+  }
+  ADD_FAILURE() << "successor walk found no arc covering " << key;
+  return 0;
+}
+
+// The greedy perfect-finger walk of RingView::route, with every hop's
+// cover found by a plain whole-array std::lower_bound.
+RingView::Route reference_route(const RingView& view, const Uint160& key,
+                                std::size_t origin) {
+  std::vector<Uint160> ids;
+  for (std::size_t i = 0; i < view.size(); ++i) ids.push_back(view.id_at(i));
+  const auto cover = [&ids](const Uint160& point) -> std::size_t {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), point);
+    return it == ids.end() ? 0 : static_cast<std::size_t>(it - ids.begin());
+  };
+  RingView::Route r;
+  r.index = origin;
+  const std::size_t target = cover(key);
+  while (r.index != target && r.hops < RingView::kMaxHops) {
+    const Uint160 dist = key - ids[r.index];
+    r.index = cover(ids[r.index] + Uint160::pow2(dist.bit_length() - 1));
+    ++r.hops;
+  }
+  return r;
+}
+
 TEST(RingViewTest, RouteDifferentialAgainstSuccessorWalkOnSevenSeeds) {
   // The greedy finger route must land exactly where a plain clockwise
-  // successor walk (the canonical Chord lookup on the frozen ring)
-  // lands — never overshoot the covering vnode.
-  for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u, 77u}) {
-    support::Rng rng(seed);
-    sim::World world(small_params(), rng);
-    const RingView view = RingView::freeze(world, 0);
+  // successor walk lands, in exactly the hops of a reference greedy
+  // walk that searches the whole ring per hop.  Ring sizes straddle the
+  // kernel's interpolation threshold (16 candidates), and origins sit
+  // before, after and at the covering vnode.
+  const std::uint64_t seeds[] = {11, 22, 33, 44, 55, 66, 77};
+  const std::uint32_t sizes[] = {1, 2, 15, 16, 17, 64, 2000};
+  for (std::size_t c = 0; c < std::size(seeds); ++c) {
+    for (const std::uint32_t nodes : sizes) {
+      sim::Params params;
+      params.initial_nodes = nodes;
+      params.total_tasks = 10;
+      support::Rng rng(support::mix_seed(seeds[c], nodes));
+      sim::World world(params, rng);
+      const RingView view = RingView::freeze(world, 0);
+      const std::size_t n = view.size();
 
-    support::Rng probe(support::mix_seed(seed, 0xD1FF));
-    for (int k = 0; k < 200; ++k) {
-      const Uint160 key = probe.uniform_u160();
-      const std::size_t origin =
-          static_cast<std::size_t>(probe.below(view.size()));
-      // Successor walk: advance clockwise until the arc (pred, id]
-      // covers the key.
-      std::size_t walk = view.cover(key);
-      const RingView::Route route = view.route(key, origin);
-      EXPECT_EQ(route.index, walk) << "seed " << seed << " probe " << k;
+      support::Rng probe(support::mix_seed(seeds[c], 0xD1FF));
+      for (int k = 0; k < 60; ++k) {
+        // Uniform keys, plus exact vnode ids and their neighbours.
+        Uint160 key = probe.uniform_u160();
+        const Uint160 id = view.id_at(static_cast<std::size_t>(probe.below(n)));
+        if (k % 3 == 1) key = id;
+        if (k % 3 == 2) key = id + Uint160::pow2(0);
+        const std::size_t expect = successor_walk(view, key, 0);
+        const std::size_t origins[] = {
+            expect,
+            expect == 0 ? n - 1 : expect - 1,
+            view.next(expect),
+            0,
+            n - 1,
+            static_cast<std::size_t>(probe.below(n))};
+        for (const std::size_t origin : origins) {
+          ASSERT_EQ(successor_walk(view, key, origin), expect);
+          const RingView::Route ref = reference_route(view, key, origin);
+          const RingView::Route route = view.route(key, origin);
+          EXPECT_EQ(route.index, expect)
+              << "seed " << seeds[c] << " size " << n << " probe " << k
+              << " origin " << origin;
+          EXPECT_EQ(route.hops, ref.hops)
+              << "seed " << seeds[c] << " size " << n << " probe " << k
+              << " origin " << origin;
+        }
+      }
     }
   }
 }

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "hashing/sha1.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
@@ -57,6 +60,40 @@ TEST(TrafficTest, ZipfHeadDominates) {
   EXPECT_GT(best, draws / 20);
   // The universe bound holds: never more than 1000 distinct keys.
   EXPECT_LE(counts.size(), 1000u);
+}
+
+TEST(TrafficTest, ZipfDrawMatchesReferenceInverseCdf) {
+  // The reference: the same harmonic CDF, built with the same IEEE
+  // operations, inverted by a binary search over the full rank range.
+  // KeyStream narrows the search with its guide table; replaying one
+  // Rng stream through both must pick the same rank key every draw.
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{65535}, std::uint64_t{65536}, std::uint64_t{65537},
+        std::uint64_t{100000}, std::uint64_t{1} << 22}) {
+    std::vector<double> cdf(n);
+    double total = 0.0;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      total += 1.0 / static_cast<double>(r + 1);
+      cdf[r] = total;
+    }
+    for (double& c : cdf) c /= total;
+    cdf.back() = 1.0;
+
+    TrafficConfig config;
+    config.key_universe = n;
+    const KeyStream stream(Traffic::kZipf, config, 1);
+    support::Rng rng(support::mix_seed(n, 0x21BF));
+    support::Rng ref_rng(support::mix_seed(n, 0x21BF));
+    for (int i = 0; i < 20000; ++i) {
+      const double u = ref_rng.uniform();
+      const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+      ASSERT_NE(it, cdf.end());
+      const auto rank = static_cast<std::uint64_t>(it - cdf.begin());
+      ASSERT_EQ(stream.draw(rng), hashing::Sha1::hash_u64(rank))
+          << "universe " << n << " draw " << i << " u " << u;
+    }
+  }
 }
 
 TEST(TrafficTest, HotspotConcentratesInArc) {

@@ -87,6 +87,51 @@ TEST(Cli, TypeErrorsThrow) {
   EXPECT_THROW((void)cli.get_double("churn"), std::invalid_argument);
 }
 
+TEST(Cli, NegativeIntegersThrowNamingFlagAndValue) {
+  // strtoull would negate "-1" into 2^64 - 1.
+  CliParser cli = sample_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "-1", "--snapshots", "0,-5,35"}));
+  try {
+    (void)cli.get_u64("nodes");
+    FAIL() << "--nodes -1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--nodes: negative value: -1");
+  }
+  try {
+    (void)cli.get_u64_list("snapshots");
+    FAIL() << "--snapshots item -5 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--snapshots: negative value: -5");
+  }
+  CliParser spaced = sample_parser();
+  ASSERT_TRUE(parse(spaced, {"--nodes", " -0"}));
+  EXPECT_THROW((void)spaced.get_u64("nodes"), std::invalid_argument);
+}
+
+TEST(Cli, OutOfRangeIntegersThrowNamingFlagAndValue) {
+  // strtoull would saturate these to 2^64 - 1.
+  CliParser cli = sample_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "99999999999999999999", "--snapshots",
+                          "1,18446744073709551616"}));
+  try {
+    (void)cli.get_u64("nodes");
+    FAIL() << "--nodes 99999999999999999999 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--nodes: out of range: 99999999999999999999");
+  }
+  try {
+    (void)cli.get_u64_list("snapshots");
+    FAIL() << "--snapshots item 2^64 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--snapshots: out of range: 18446744073709551616");
+  }
+  // The largest u64 itself still parses.
+  CliParser max = sample_parser();
+  ASSERT_TRUE(parse(max, {"--nodes", "18446744073709551615"}));
+  EXPECT_EQ(max.get_u64("nodes"), 18446744073709551615u);
+}
+
 TEST(Cli, UnregisteredAccessThrows) {
   CliParser cli = sample_parser();
   ASSERT_TRUE(parse(cli, {}));
