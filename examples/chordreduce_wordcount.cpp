@@ -11,14 +11,15 @@
 //
 // Usage: chordreduce_wordcount [nodes] [chunks]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "hashing/sha1.hpp"
 #include "lb/factory.hpp"
 #include "sim/engine.hpp"
+#include "support/cli.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -54,10 +55,19 @@ sim::RunResult time_phase(std::size_t nodes, std::uint64_t tasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t nodes =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 200;
-  const std::size_t chunks =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 20'000;
+  std::size_t nodes = 0;
+  std::size_t chunks = 0;
+  try {
+    nodes = support::positional_count(argc, argv, 1, "nodes", 200);
+    chunks = support::positional_count(argc, argv, 2, "chunks", 20'000);
+    sim::Params p;
+    p.initial_nodes = nodes;
+    p.total_tasks = chunks;
+    p.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "chordreduce_wordcount: %s\n", e.what());
+    return 1;
+  }
   const std::size_t words_per_chunk = 40;
   const std::size_t reducers = nodes * 4;
   const std::uint64_t seed = support::env_seed();

@@ -1,7 +1,7 @@
 // dhtlb_fuzz: the scenario-fuzzing campaign driver.
 //
-// Batch mode generates seeded scripts and runs each one in a child
-// process per thread count, checking two oracles on every run: the
+// Batch mode generates seeded scripts and runs each one in a forked
+// child per thread count, checking two oracles on every run: the
 // per-tick invariant auditor (--audit) and cross-thread telemetry
 // byte-identity.  On the first failure it ddmin-shrinks the script
 // against the same child-run predicate and writes the failing + the
@@ -11,27 +11,35 @@
 //   dhtlb_fuzz --profile chord-faults --seed 7 --count 20
 //       --threads-matrix 1,4 --out-dir fuzz-out
 //   dhtlb_fuzz --profile storm --seed 3 --count 10 --emit-dir corpus
-//       --emit-only          # corpus generation, no runs
-//   dhtlb_fuzz --run-file corpus/fuzz_storm_123.scn --audit
 //
 // Scripts are pure functions of (profile, seed): script i of a batch
 // uses seed mix_seed(--seed, --index + i), carries that seed in its
 // header, and is byte-identical on every platform — so a REPRO.txt line
-// like `--seed S --index i --count 1` replays the exact failure.
+// like `--seed S --index i --count 1` replays the exact failure, and
+// `DHTLB_THREADS=t dhtlb_scenario <minimized.scn> --audit` replays one
+// run of the minimized script.
 //
-// Child runs isolate the parent from DHTLB_CHECK aborts (the auditor's
-// failure mode) and give each thread count its own DHTLB_THREADS
-// environment.  DHTLB_FUZZ_CORRUPT=<tick> arms a test-only world
-// corruptor in --run-file mode (first post-tick at or after <tick>),
-// which is how CI proves the lane catches and shrinks a real invariant
-// break end to end.
+// Each child loads the candidate .scn the parent wrote, so the artifact
+// is byte-for-byte what ran.  Forked children isolate the parent from
+// DHTLB_CHECK aborts (the auditor's failure mode) and each sizes its own
+// engine pool; the parent never creates one, so it is single-threaded
+// when it forks.  DHTLB_FUZZ_CORRUPT=<tick> arms a test-only world
+// corruptor in every child (first post-tick at or after <tick>), which
+// is how the FuzzCampaign test proves the campaign catches and shrinks a
+// real invariant break end to end.
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,52 +76,89 @@ std::string read_file(const fs::path& path) {
   return buffer.str();
 }
 
-std::string shell_quote(const std::string& s) {
-  std::string quoted = "'";
-  for (const char c : s) {
-    if (c == '\'') {
-      quoted += "'\\''";
-    } else {
-      quoted += c;
+/// What every child run shares, read once by the parent at startup.
+struct ChildConfig {
+  bool audit = false;
+  std::uint64_t fallback_seed = 0;  // DHTLB_SEED, for scripts without one
+  std::uint64_t corrupt_tick = 0;   // DHTLB_FUZZ_CORRUPT; 0 = disarmed
+};
+
+/// The child's body: runs `scn` at `threads` engine workers and writes
+/// the telemetry JSON to `telemetry_out`.  Never returns.
+[[noreturn]] void child_main(const ChildConfig& config, const fs::path& scn,
+                             std::uint64_t threads,
+                             const fs::path& telemetry_out,
+                             const fs::path& err_out) {
+  const int err =
+      ::open(err_out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (err < 0 || ::dup2(err, STDERR_FILENO) < 0) ::_exit(1);
+  ::close(err);
+  try {
+    const scenario::Script script = scenario::Script::load(scn.string());
+    const std::uint64_t seed =
+        scenario::resolve_seed(script, false, 0, config.fallback_seed);
+    // Test-only fault injection: at the first tick barrier at or after
+    // corrupt_tick, bump the world's remaining-task counter behind the
+    // engine's back.  The post-tick hook runs before the engine's audit
+    // fold, so an armed run must abort the same tick — proving the
+    // campaign's oracle actually fires.
+    scenario::ObsSinks sinks;
+    sinks.configure_engine = [&config, threads](sim::Engine& engine) {
+      engine.set_threads(threads);
+      if (config.corrupt_tick == 0) return;
+      auto fired = std::make_shared<bool>(false);
+      engine.set_post_tick_hook([&config, fired,
+                                 &engine](std::uint64_t tick) {
+        if (*fired || tick < config.corrupt_tick) return;
+        *fired = true;
+        sim::testing::WorldCorruptor::inflate_remaining(engine.world());
+      });
+    };
+    const scenario::ScenarioResult result =
+        scenario::run_scenario(script, seed, config.audit, sinks);
+    if (!write_file(telemetry_out,
+                    bench::to_json(result.experiment, result.records))) {
+      std::cerr << "dhtlb_fuzz: cannot write " << telemetry_out.string()
+                << "\n";
+      ::_exit(1);
     }
+  } catch (const std::exception& e) {
+    std::cerr << "dhtlb_fuzz: " << e.what() << "\n";
+    ::_exit(1);
   }
-  quoted += "'";
-  return quoted;
+  ::_exit(0);
 }
 
-/// Path of this very binary (children re-invoke it in --run-file mode).
-std::string self_exe(const char* argv0) {
-  std::error_code ec;
-  const fs::path proc = fs::read_symlink("/proc/self/exe", ec);
-  if (!ec) return proc.string();
-  return argv0;  // non-procfs fallback: argv[0] relative to the cwd
-}
-
-/// Runs one script file in a child at `threads` workers; returns the
-/// child's exit status (nonzero = auditor abort or any other failure).
-int run_child(const std::string& exe, const fs::path& scn, std::size_t threads,
-              bool audit, const fs::path& telemetry_out,
+/// Runs `scn` in a forked child at `threads` engine workers, with the
+/// child's stderr in `err_out`; returns the raw waitpid status (nonzero
+/// = auditor abort or any other failure), or -1 when fork or waitpid
+/// fails.
+int run_child(const ChildConfig& config, const fs::path& scn,
+              std::uint64_t threads, const fs::path& telemetry_out,
               const fs::path& err_out) {
-  std::string cmd = "DHTLB_THREADS=" + std::to_string(threads) + " " +
-                    shell_quote(exe) + " --run-file " +
-                    shell_quote(scn.string());
-  if (audit) cmd += " --audit";
-  cmd += " --telemetry-out " + shell_quote(telemetry_out.string());
-  cmd += " > /dev/null 2> " + shell_quote(err_out.string());
-  return std::system(cmd.c_str());
+  std::cout.flush();  // a child that flushed stdio would repeat buffered lines
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) child_main(config, scn, threads, telemetry_out, err_out);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return -1;
+  }
+  return status;
 }
 
 struct RunVerdict {
   bool failed = false;
   std::string reason;
+  std::uint64_t threads = 0;  // the thread count that failed
 };
 
 /// The batch oracle: run `script` once per thread count; fail on any
 /// nonzero child exit or any cross-thread telemetry byte difference.
-RunVerdict run_across_matrix(const std::string& exe,
+RunVerdict run_across_matrix(const ChildConfig& config,
                              const scenario::Script& script,
                              const std::vector<std::uint64_t>& threads,
-                             bool audit, const fs::path& scratch) {
+                             const fs::path& scratch) {
   RunVerdict verdict;
   const fs::path scn = scratch / "candidate.scn";
   if (!write_file(scn, scenario::emit_script(script))) {
@@ -126,7 +171,14 @@ RunVerdict run_across_matrix(const std::string& exe,
     const fs::path out = scratch / ("telemetry_t" +
                                     std::to_string(threads[i]) + ".json");
     const fs::path err = scratch / "child.err";
-    const int status = run_child(exe, scn, threads[i], audit, out, err);
+    verdict.threads = threads[i];
+    const int status = run_child(config, scn, threads[i], out, err);
+    if (status < 0) {
+      verdict.failed = true;
+      verdict.reason = std::string("cannot run a child: ") +
+                       std::strerror(errno);
+      return verdict;
+    }
     if (status != 0) {
       verdict.failed = true;
       verdict.reason = "child exited with status " + std::to_string(status) +
@@ -148,56 +200,9 @@ RunVerdict run_across_matrix(const std::string& exe,
   return verdict;
 }
 
-int run_file_mode(const support::CliParser& cli) {
-  scenario::Script script;
-  try {
-    script = scenario::Script::load(cli.get("run-file"));
-  } catch (const std::exception& e) {
-    return fail(e.what());
-  }
-  const std::uint64_t seed = scenario::resolve_seed(
-      script, cli.has("seed"), cli.has("seed") ? cli.get_u64("seed") : 0,
-      support::env_seed());
-
-  // DHTLB_THREADS sizes the engine: the --threads-matrix oracle runs
-  // this mode once per thread count.
-  //
-  // Test-only fault injection: at the first tick barrier at or after
-  // DHTLB_FUZZ_CORRUPT, bump the world's remaining-task counter behind
-  // the engine's back.  The post-tick hook runs before the engine's
-  // audit fold, so an armed run must abort the same tick — proving the
-  // fuzz lane's oracle actually fires.
-  scenario::ObsSinks sinks;
-  const std::uint64_t corrupt_tick =
-      support::env_u64("DHTLB_FUZZ_CORRUPT", 0);
-  sinks.configure_engine = [corrupt_tick](sim::Engine& engine) {
-    engine.set_threads(support::env_threads());
-    if (corrupt_tick == 0) return;
-    auto fired = std::make_shared<bool>(false);
-    engine.set_post_tick_hook(
-        [corrupt_tick, fired, &engine](std::uint64_t tick) {
-          if (*fired || tick < corrupt_tick) return;
-          *fired = true;
-          sim::testing::WorldCorruptor::inflate_remaining(engine.world());
-        });
-  };
-
-  const scenario::ScenarioResult result =
-      scenario::run_scenario(script, seed, cli.get_bool("audit"), sinks);
-  const std::string json = bench::to_json(result.experiment, result.records);
-  if (cli.has("telemetry-out") && !cli.get("telemetry-out").empty()) {
-    if (!write_file(cli.get("telemetry-out"), json)) {
-      return fail("cannot write " + cli.get("telemetry-out"));
-    }
-  } else {
-    std::cout << json;
-  }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   support::CliParser cli;
   cli.add_flag("profile", "NAME", "mixed",
                "generator profile (see --list-profiles)");
@@ -214,13 +219,6 @@ int main(int argc, char** argv) {
                "scratch + failure-artifact directory");
   cli.add_flag("emit-dir", "DIR", "",
                "also write every generated .scn here (corpus)");
-  cli.add_flag("emit-only", "", "",
-               "generate and write scripts without running them "
-               "(requires --emit-dir)");
-  cli.add_flag("run-file", "FILE", "",
-               "run one scenario file in-process (child mode)");
-  cli.add_flag("telemetry-out", "FILE", "",
-               "with --run-file: write the telemetry JSON here");
   cli.add_flag("list-profiles", "", "", "list generator profiles and exit");
   cli.add_flag("quiet", "", "", "suppress per-script progress lines");
   cli.add_flag("help", "", "", "show this help");
@@ -228,7 +226,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return fail(cli.error());
   if (cli.get_bool("help")) {
     std::cout << cli.help(
-        "dhtlb_fuzz [--profile P --seed S --count N | --run-file F]",
+        "dhtlb_fuzz [--profile P --seed S --count N]",
         "Seeded scenario fuzzer: generates .scn timelines, runs each "
         "under the invariant auditor across a thread matrix, and "
         "shrinks failures to a minimized repro.");
@@ -240,10 +238,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (cli.has("run-file") && !cli.get("run-file").empty()) {
-    return run_file_mode(cli);
-  }
-
   const std::string profile = cli.get("profile");
   if (!scenario::is_fuzz_profile(profile)) {
     return fail("unknown profile '" + profile +
@@ -253,15 +247,14 @@ int main(int argc, char** argv) {
       cli.has("seed") ? cli.get_u64("seed") : support::env_seed();
   const std::uint64_t first_index = cli.get_u64("index");
   const std::uint64_t count = cli.get_u64("count");
-  const bool audit = cli.get_bool("audit");
   const bool quiet = cli.get_bool("quiet");
-  const bool emit_only = cli.get_bool("emit-only");
   const std::vector<std::uint64_t> threads = cli.get_u64_list(
       "threads-matrix");
   if (threads.empty()) return fail("--threads-matrix must not be empty");
-  if (emit_only && cli.get("emit-dir").empty()) {
-    return fail("--emit-only requires --emit-dir");
-  }
+  ChildConfig child;
+  child.audit = cli.get_bool("audit");
+  child.fallback_seed = support::env_seed();
+  child.corrupt_tick = support::env_u64("DHTLB_FUZZ_CORRUPT", 0);
 
   const fs::path out_dir = cli.get("out-dir");
   const fs::path scratch = out_dir / "work";
@@ -275,7 +268,6 @@ int main(int argc, char** argv) {
     if (ec) return fail("cannot create " + emit_dir.string());
   }
 
-  const std::string exe = self_exe(argv[0]);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t index = first_index + i;
     const std::uint64_t script_seed = support::mix_seed(base_seed, index);
@@ -294,14 +286,8 @@ int main(int argc, char** argv) {
         !write_file(emit_dir / (script.name + ".scn"), text)) {
       return fail("cannot write corpus file for " + script.name);
     }
-    if (emit_only) {
-      if (!quiet) std::cout << "[" << index << "] emitted " << script.name
-                            << ".scn\n";
-      continue;
-    }
-
     const RunVerdict verdict =
-        run_across_matrix(exe, script, threads, audit, scratch);
+        run_across_matrix(child, script, threads, scratch);
     if (!verdict.failed) {
       if (!quiet) std::cout << "[" << index << "] " << script.name
                             << " ok\n";
@@ -312,8 +298,7 @@ int main(int argc, char** argv) {
               << verdict.reason << "\n";
     const scenario::Script minimized = scenario::shrink_script(
         script, [&](const scenario::Script& candidate) {
-          return run_across_matrix(exe, candidate, threads, audit, scratch)
-              .failed;
+          return run_across_matrix(child, candidate, threads, scratch).failed;
         });
     const fs::path failing = out_dir / (script.name + ".failing.scn");
     const fs::path min_path = out_dir / (script.name + ".minimized.scn");
@@ -327,12 +312,13 @@ int main(int argc, char** argv) {
           << "minimized blocks: " << minimized.blocks.size() << "\n"
           << "repro (batch):  dhtlb_fuzz --profile " << profile << " --seed "
           << base_seed << " --index " << index << " --count 1"
-          << (audit ? " --audit" : "") << " --threads-matrix ";
+          << (child.audit ? " --audit" : "") << " --threads-matrix ";
     for (std::size_t t = 0; t < threads.size(); ++t) {
       repro << (t ? "," : "") << threads[t];
     }
-    repro << "\nrepro (single): dhtlb_fuzz --run-file " << min_path.string()
-          << (audit ? " --audit" : "") << "\n";
+    repro << "\nrepro (single): DHTLB_THREADS=" << verdict.threads
+          << " dhtlb_scenario " << min_path.string()
+          << (child.audit ? " --audit" : "") << "\n";
     write_file(out_dir / (script.name + ".REPRO.txt"), repro.str());
     std::cerr << "dhtlb_fuzz: wrote " << failing.string() << ", "
               << min_path.string() << " (" << minimized.blocks.size()
@@ -340,9 +326,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!quiet) {
-    std::cout << "dhtlb_fuzz: " << count << " script(s) "
-              << (emit_only ? "emitted" : "passed") << " (profile "
+    std::cout << "dhtlb_fuzz: " << count << " script(s) passed (profile "
               << profile << ", base seed " << base_seed << ")\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value, e.g. `--count abc` (CliParser's typed getters).
+  return fail(e.what());
 }

@@ -152,7 +152,7 @@ std::vector<bench::Record> serve_records(const serve::Report& rep,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   support::CliParser cli;
   cli.add_flag("seed", "N", "", "override the RNG seed (default: the "
                "script's `seed` header, then DHTLB_SEED)");
@@ -311,4 +311,7 @@ int main(int argc, char** argv) {
     if (!quiet) std::cout << "wrote " << path << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value, e.g. `--seed abc` (CliParser's typed getters).
+  return fail(e.what());
 }

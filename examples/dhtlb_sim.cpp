@@ -10,6 +10,7 @@
 //   dhtlb_sim --list-strategies
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "exp/experiment.hpp"
@@ -22,7 +23,7 @@
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dhtlb;
 
   support::CliParser cli;
@@ -196,4 +197,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value, e.g. `--nodes abc` (CliParser's typed getters).
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

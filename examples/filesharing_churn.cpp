@@ -12,14 +12,15 @@
 // Usage: filesharing_churn [peers] [chunks]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "chord/network.hpp"
 #include "chord/sybil_placement.hpp"
 #include "hashing/sha1.hpp"
+#include "support/cli.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -27,10 +28,15 @@
 int main(int argc, char** argv) {
   using namespace dhtlb;
 
-  const std::size_t peers =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 64;
-  const std::size_t chunks =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 2000;
+  std::size_t peers = 0;
+  std::size_t chunks = 0;
+  try {
+    peers = support::positional_count(argc, argv, 1, "peers", 64);
+    chunks = support::positional_count(argc, argv, 2, "chunks", 2000);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "filesharing_churn: %s\n", e.what());
+    return 1;
+  }
   support::Rng rng(support::env_seed());
 
   // Bootstrap the swarm.

@@ -9,12 +9,13 @@
 //
 // Usage: heterogeneous_cluster [nodes] [tasks]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <stdexcept>
 
 #include "lb/factory.hpp"
 #include "sim/engine.hpp"
 #include "stats/load_metrics.hpp"
+#include "support/cli.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 
@@ -22,12 +23,18 @@ int main(int argc, char** argv) {
   using namespace dhtlb;
 
   sim::Params params;
-  params.initial_nodes =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 500;
-  params.total_tasks =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100'000;
   params.heterogeneous = true;
   params.work_measure = sim::WorkMeasure::kStrengthPerTick;
+  try {
+    params.initial_nodes =
+        support::positional_count(argc, argv, 1, "nodes", 500);
+    params.total_tasks =
+        support::positional_count(argc, argv, 2, "tasks", 100'000);
+    params.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "heterogeneous_cluster: %s\n", e.what());
+    return 1;
+  }
   const std::uint64_t seed = support::env_seed();
 
   std::printf("cluster: %s\n\n", params.describe().c_str());

@@ -4,12 +4,13 @@
 //
 // Usage: strategy_comparison [nodes] [tasks] [trials]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "exp/experiment.hpp"
 #include "lb/factory.hpp"
 #include "stats/histogram.hpp"
+#include "support/cli.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -19,10 +20,18 @@ int main(int argc, char** argv) {
   using namespace dhtlb;
 
   sim::Params params;
-  params.initial_nodes = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 500;
-  params.total_tasks = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50'000;
-  const std::size_t trials =
-      argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 10;
+  std::size_t trials = 0;
+  try {
+    params.initial_nodes =
+        support::positional_count(argc, argv, 1, "nodes", 500);
+    params.total_tasks =
+        support::positional_count(argc, argv, 2, "tasks", 50'000);
+    trials = support::positional_count(argc, argv, 3, "trials", 10);
+    params.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "strategy_comparison: %s\n", e.what());
+    return 1;
+  }
   const std::uint64_t seed = support::env_seed();
 
   support::ThreadPool pool(support::env_threads());

@@ -40,11 +40,7 @@ Escape hatches, in preference order:
      of the form `<repo-relative-path>:<rule>`.
 
 Engine: a comment/string-aware line scrubber plus per-rule regexes — no
-clang tooling required, so the lint runs anywhere python3 runs.  When
-python libclang bindings are importable, --use-libclang upgrades the
-unordered-iteration rule from "any unordered container mention" to "a
-range-for over an unordered container" (AST-confirmed iteration); the
-regex engine remains the authoritative CI gate.
+clang tooling required, so the lint runs anywhere python3 runs.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 `--self-test` proves every rule trips on an injected violation and that
@@ -226,30 +222,7 @@ def load_allowlist(path, root):
     return entries
 
 
-def libclang_unordered_iteration_lines(path):
-    """AST-confirmed iteration: 1-based lines of range-fors over unordered
-    containers, or None when libclang is unusable for this file."""
-    try:
-        from clang import cindex  # noqa: PLC0415 — optional dependency
-    except ImportError:
-        return None
-    try:
-        tu = cindex.Index.create().parse(path, args=["-std=c++20"])
-        lines = set()
-        def walk(cursor):
-            if cursor.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                children = list(cursor.get_children())
-                if children and "unordered_" in children[0].type.spelling:
-                    lines.add(cursor.location.line)
-            for child in cursor.get_children():
-                walk(child)
-        walk(tu.cursor)
-        return lines
-    except Exception:  # noqa: BLE001 — any parse hiccup → regex fallback
-        return None
-
-
-def scan_file(path, rel, file_allows, use_libclang):
+def scan_file(path, rel, file_allows):
     """Returns a list of (rel, line_number, rule, source_line) findings."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -258,10 +231,6 @@ def scan_file(path, rel, file_allows, use_libclang):
     except ValueError as err:
         raise ValueError(f"{rel}: {err}") from err
     code = scrub_code(lines)
-
-    ast_unordered = None
-    if use_libclang:
-        ast_unordered = libclang_unordered_iteration_lines(path)
 
     top_dir = rel.split("/", 1)[0]
     findings = []
@@ -272,16 +241,13 @@ def scan_file(path, rel, file_allows, use_libclang):
             if rule in file_allows or top_dir not in RULE_DIRS.get(
                     rule, SCAN_DIRS):
                 continue
-            if rule == "unordered-iteration" and ast_unordered is not None:
-                hit = lineno in ast_unordered
-            else:
-                hit = pattern.search(stripped) is not None
-            if hit and rule not in allows.get(lineno, ()):
+            if (pattern.search(stripped) is not None
+                    and rule not in allows.get(lineno, ())):
                 findings.append((rel, lineno, rule, lines[lineno - 1].strip()))
     return findings
 
 
-def scan_tree(root, allowlist, use_libclang):
+def scan_tree(root, allowlist):
     findings = []
     for scan_dir in SCAN_DIRS:
         base = os.path.join(root, scan_dir)
@@ -295,8 +261,7 @@ def scan_tree(root, allowlist, use_libclang):
                 path = os.path.join(dirpath, name)
                 rel = os.path.relpath(path, root).replace(os.sep, "/")
                 findings.extend(
-                    scan_file(path, rel, allowlist.get(rel, set()),
-                              use_libclang)
+                    scan_file(path, rel, allowlist.get(rel, set()))
                 )
     return findings
 
@@ -363,7 +328,7 @@ def self_test():
             name = f"violation_{rule.replace('-', '_')}.cpp"
             with open(os.path.join(src, name), "w", encoding="utf-8") as fh:
                 fh.write(body)
-        findings = scan_tree(tmp, {}, use_libclang=False)
+        findings = scan_tree(tmp, {})
         tripped = {rule for (_f, _l, rule, _s) in findings}
         for rule in RULES:
             check(f"rule '{rule}' trips on an injected violation",
@@ -385,7 +350,7 @@ def self_test():
                 "int g() { return std::rand(); }"
                 "  // dhtlb:lint-allow(raw-rand) audited\n"
             )
-        findings = scan_tree(tmp, {}, use_libclang=False)
+        findings = scan_tree(tmp, {})
         allowed = [f for f in findings if f[0] == "src/allowed.cpp"]
         check("inline dhtlb:lint-allow suppresses both comment styles",
               not allowed)
@@ -403,7 +368,7 @@ def self_test():
             fh.write("# telemetry timer owns the wall clock\n"
                      "src/timer.hpp:wall-clock\n")
         allowlist = load_allowlist(allow_path, tmp)
-        findings = scan_tree(tmp, allowlist, use_libclang=False)
+        findings = scan_tree(tmp, allowlist)
         check("allowlist file suppresses file-wide",
               not [f for f in findings if f[0] == "src/timer.hpp"])
 
@@ -416,7 +381,7 @@ def self_test():
                 "   comments too */\n"
                 'const char* kMsg = "std::rand() is banned";\n'
             )
-        findings = scan_tree(tmp, {}, use_libclang=False)
+        findings = scan_tree(tmp, {})
         check("comments and string literals are scrubbed",
               not [f for f in findings if f[0] == "src/comments.cpp"])
 
@@ -426,7 +391,7 @@ def self_test():
         with open(os.path.join(bench, "main.cpp"), "w",
                   encoding="utf-8") as fh:
             fh.write(SELF_TEST_VIOLATIONS["env-read"])
-        findings = scan_tree(tmp, {}, use_libclang=False)
+        findings = scan_tree(tmp, {})
         check("env-read does not apply outside src/",
               not [f for f in findings if f[0] == "bench/main.cpp"])
         env_lines = {f[1] for f in findings
@@ -439,7 +404,7 @@ def self_test():
                   encoding="utf-8") as fh:
             fh.write("int x;  // dhtlb:lint-allow(no-such-rule)\n")
         try:
-            scan_tree(tmp, {}, use_libclang=False)
+            scan_tree(tmp, {})
             check("unknown lint-allow rule rejected", False)
         except ValueError:
             check("unknown lint-allow rule rejected", True)
@@ -462,10 +427,6 @@ def main(argv):
     parser.add_argument("--allowlist", default=None,
                         help="allowlist file (default: "
                              "<root>/scripts/determinism_allowlist.txt)")
-    parser.add_argument("--use-libclang", action="store_true",
-                        help="AST-confirm unordered-iteration findings via "
-                             "python libclang when importable (falls back "
-                             "to the regex engine per file)")
     parser.add_argument("--self-test", action="store_true",
                         help="prove every rule trips on an injected "
                              "violation, then exit")
@@ -479,7 +440,7 @@ def main(argv):
         root, "scripts", "determinism_allowlist.txt")
     try:
         allowlist = load_allowlist(allow_path, root)
-        findings = scan_tree(root, allowlist, args.use_libclang)
+        findings = scan_tree(root, allowlist)
     except ValueError as err:
         print(f"lint_determinism: error: {err}", file=sys.stderr)
         return 2

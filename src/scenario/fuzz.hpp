@@ -4,7 +4,8 @@
 //
 // The generator is a pure function of (profile, seed): the same pair
 // always yields the same Script, bit for bit, on every platform — the
-// property the nightly lane and check_determinism.sh gate on.  Profiles
+// property dhtlb_fuzz re-checks before every run and REPRO.txt lines rely
+// on.  Profiles
 // shape the event mix (churn bursts, membership storms, hotspot floods,
 // strategy hot-swaps, chord fault storms, streamed provisioning); the
 // "mixed" profile draws from the whole sim vocabulary and is the

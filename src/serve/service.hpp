@@ -20,7 +20,8 @@
 // accumulators fold in fixed shard order on the barrier thread.  The
 // reader-thread count is purely an execution knob — any --readers and
 // any DHTLB_THREADS produce bit-identical counts, hop statistics and
-// owner-load telemetry (check_determinism.sh enforces it).  The only
+// owner-load telemetry (the ctest serve.golden.* entries enforce it
+// across both knobs).  The only
 // intentionally nondeterministic outputs are wall-clock latencies,
 // which exist only when measure_latency is on (drivers disable it in
 // deterministic mode, zeroing those fields).

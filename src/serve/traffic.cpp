@@ -1,7 +1,5 @@
 #include "serve/traffic.hpp"
 
-#include <cmath>
-
 #include "hashing/sha1.hpp"
 #include "support/check.hpp"
 
@@ -14,18 +12,13 @@ namespace {
 // shards' per-(tick, shard) streams.
 constexpr std::uint64_t kHotArcStream = 0x40A2C5E12EULL;  // "hot arc serve"
 
-/// Ring arc width covering `fraction` of the 2^160 key space, in fixed
-/// point: max() * round(fraction * 2^32) / 2^32 — the same construction
-/// the scenario VM uses for inject-hotspot, so serve hotspots and
-/// scripted hotspot floods agree on what "1/64 of the ring" means.
-Uint160 arc_width(double fraction) {
-  DHTLB_CHECK(fraction > 0.0 && fraction < 1.0,
-              "traffic: hotspot_arc " << fraction << " outside (0, 1)");
-  const double scaled = std::round(fraction * 4294967296.0);
-  auto scale = static_cast<std::uint32_t>(scaled);
-  if (scale == 0) scale = 1;
-  return Uint160::max().shr(32).mul_small(scale);
-}
+// Hotspot model: 90% of draws land in one arc 1/64 of the ring wide.
+// The width is max() * kHotArcScale / 2^32 in fixed point, the
+// construction the scenario VM uses for inject-hotspot, so serve
+// hotspots and scripted hotspot floods agree on what "1/64 of the ring"
+// means.
+constexpr double kHotspotFraction = 0.9;
+constexpr std::uint32_t kHotArcScale = std::uint32_t{1} << 26;  // 2^32 / 64
 
 }  // namespace
 
@@ -47,7 +40,7 @@ std::string_view traffic_name(Traffic traffic) {
 
 KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
                      std::uint64_t run_seed)
-    : traffic_(traffic), hotspot_fraction_(config.hotspot_fraction) {
+    : traffic_(traffic) {
   switch (traffic_) {
     case Traffic::kUniform:
       break;
@@ -83,13 +76,9 @@ KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
       break;
     }
     case Traffic::kHotspot: {
-      DHTLB_CHECK(
-          hotspot_fraction_ >= 0.0 && hotspot_fraction_ <= 1.0,
-          "traffic: hotspot_fraction " << hotspot_fraction_
-                                       << " outside [0, 1]");
       support::Rng arc_rng(support::stream_seed(run_seed, kHotArcStream));
       hot_start_ = arc_rng.uniform_u160();
-      hot_end_ = hot_start_ + arc_width(config.hotspot_arc);
+      hot_end_ = hot_start_ + Uint160::max().shr(32).mul_small(kHotArcScale);
       break;
     }
   }
@@ -117,7 +106,7 @@ Uint160 KeyStream::draw(support::Rng& rng) const {
       return keys_[lo];
     }
     case Traffic::kHotspot:
-      if (rng.bernoulli(hotspot_fraction_)) {
+      if (rng.bernoulli(kHotspotFraction)) {
         return rng.uniform_in_arc(hot_start_, hot_end_);
       }
       return rng.uniform_u160();

@@ -9,9 +9,9 @@
 //             Balancing in Heterogeneous Dynamic Networks", PAPERS.md);
 //             the universe keys are SHA-1 hashes of their rank, so the
 //             popular keys scatter uniformly around the ring.
-//   hotspot — a fraction of the probability mass lands uniformly inside
-//             one narrow ring arc (position derived from the run seed),
-//             the rest is uniform.  Models a flash crowd parked on one
+//   hotspot — 90% of the probability mass lands uniformly inside one
+//             ring arc 1/64 of the key space wide (position derived from
+//             the run seed), the rest is uniform.  Models a flash crowd parked on one
 //             key range — the adversarial case for ring balance.
 //
 // Determinism: a KeyStream is immutable after construction (shared by
@@ -51,10 +51,6 @@ struct TrafficConfig {
   /// Zipf universe size (distinct keys), in [1, kMaxKeyUniverse]; the
   /// KeyStream constructor DHTLB_CHECKs it.
   std::uint64_t key_universe = 100000;
-  /// Hotspot: probability a draw lands inside the hot arc.
-  double hotspot_fraction = 0.9;
-  /// Hotspot: hot-arc width as a fraction of the ring (in (0, 1)).
-  double hotspot_arc = 0.015625;  // 1/64 of the key space
 };
 
 /// An immutable, shareable key source.  Construction precomputes the
@@ -79,7 +75,6 @@ class KeyStream {
 
  private:
   Traffic traffic_;
-  double hotspot_fraction_ = 0.0;
   // Zipf draws start from a guide table over [0, 1] in 2^16 equal steps.
   static constexpr std::size_t kZipfGuideSize = std::size_t{1} << 16;
 
@@ -89,7 +84,8 @@ class KeyStream {
   std::vector<double> cdf_;
   std::vector<Uint160> keys_;
   std::vector<std::uint32_t> guide_;
-  // Hotspot arc [hot_start_, hot_end_), width = hotspot_arc of the ring.
+  // Hotspot arc [hot_start_, hot_end_), 1/64 of the ring; 90% of draws
+  // land in it.
   Uint160 hot_start_;
   Uint160 hot_end_;
 };

@@ -15,7 +15,8 @@ namespace {
 // stochastic phase of a tick draws from stream_seed(mix_seed(seed, tick),
 // phase[, shard]).  Sibling phases and shards are decorrelated by
 // construction, and no stream ever depends on thread count or execution
-// order — the determinism contract the threads-matrix CI lane enforces.
+// order — the determinism contract the ctest scenario.golden.* entries
+// (1, 2 and 8 threads) and parallel_determinism_test enforce.
 enum TickStream : std::uint64_t {
   kStreamChurnLeave = 1,  // per-shard departure Bernoullis
   kStreamJoinCount = 2,   // per-shard waiting-pool Bernoullis

@@ -8,23 +8,23 @@
 namespace dhtlb::support {
 namespace {
 
-/// Parses `raw` as a decimal u64 for flag --`name`.  strtoull would
-/// negate a leading '-' and saturate an overflow to 2^64 - 1, so both
-/// are rejected here along with non-numeric text (`what` names that
-/// case in the message).
-std::uint64_t parse_u64(const std::string& name, const std::string& raw,
+/// Parses `raw` as a decimal u64 for the argument `label` (a flag's
+/// `--name` or a positional's name).  strtoull would negate a leading '-'
+/// and saturate an overflow to 2^64 - 1, so both are rejected here along
+/// with non-numeric text (`what` names that case in the message).
+std::uint64_t parse_u64(const std::string& label, const std::string& raw,
                         const char* what) {
   if (raw.find('-') != std::string::npos) {
-    throw std::invalid_argument("--" + name + ": negative value: " + raw);
+    throw std::invalid_argument(label + ": negative value: " + raw);
   }
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
   if (end == raw.c_str() || *end != '\0') {
-    throw std::invalid_argument("--" + name + ": " + what + ": " + raw);
+    throw std::invalid_argument(label + ": " + what + ": " + raw);
   }
   if (errno == ERANGE) {
-    throw std::invalid_argument("--" + name + ": out of range: " + raw);
+    throw std::invalid_argument(label + ": out of range: " + raw);
   }
   return v;
 }
@@ -94,7 +94,7 @@ std::string CliParser::get(const std::string& name) const {
 }
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
-  return parse_u64(name, get(name), "not an integer");
+  return parse_u64("--" + name, get(name), "not an integer");
 }
 
 double CliParser::get_double(const std::string& name) const {
@@ -122,7 +122,7 @@ std::vector<std::uint64_t> CliParser::get_u64_list(
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
-    out.push_back(parse_u64(name, item, "bad list item"));
+    out.push_back(parse_u64("--" + name, item, "bad list item"));
   }
   return out;
 }
@@ -144,6 +144,15 @@ std::string CliParser::help(const std::string& program,
     out << '\n';
   }
   return out.str();
+}
+
+std::uint64_t positional_count(int argc, const char* const* argv, int index,
+                               const std::string& name,
+                               std::uint64_t fallback) {
+  if (index >= argc) return fallback;
+  const std::uint64_t v = parse_u64(name, argv[index], "not an integer");
+  if (v == 0) throw std::invalid_argument(name + ": must be at least 1: 0");
+  return v;
 }
 
 }  // namespace dhtlb::support

@@ -59,4 +59,12 @@ class CliParser {
   std::string error_;
 };
 
+/// A positional count for the example programs: argv[index] checked as
+/// CliParser::get_u64 checks a flag value, or `fallback` when argc <=
+/// index.  Throws std::invalid_argument naming `name` and the raw text
+/// on malformed input and on zero.
+std::uint64_t positional_count(int argc, const char* const* argv, int index,
+                               const std::string& name,
+                               std::uint64_t fallback);
+
 }  // namespace dhtlb::support

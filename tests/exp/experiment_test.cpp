@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 namespace dhtlb::exp {
 namespace {
@@ -23,17 +24,53 @@ TEST(RunTrials, AggregatesRequestedTrialCount) {
   EXPECT_DOUBLE_EQ(agg.completion_rate, 1.0);
 }
 
+/// Exact (bitwise) equality of every Aggregate number the examples print.
+void expect_identical(const stats::Summary& a, const stats::Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.p25, b.p25);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p75, b.p75);
+  EXPECT_EQ(a.max, b.max);
+}
+
+void expect_identical(const Aggregate& a, const Aggregate& b) {
+  EXPECT_EQ(a.strategy, b.strategy);
+  EXPECT_EQ(a.trials, b.trials);
+  expect_identical(a.runtime_factor, b.runtime_factor);
+  expect_identical(a.ticks, b.ticks);
+  EXPECT_EQ(a.completion_rate, b.completion_rate);
+  EXPECT_EQ(a.mean_joins, b.mean_joins);
+  EXPECT_EQ(a.mean_leaves, b.mean_leaves);
+  EXPECT_EQ(a.mean_sybils_created, b.mean_sybils_created);
+  EXPECT_EQ(a.mean_sybils_retired, b.mean_sybils_retired);
+  EXPECT_EQ(a.mean_failed_placements, b.mean_failed_placements);
+  EXPECT_EQ(a.mean_workload_queries, b.mean_workload_queries);
+  EXPECT_EQ(a.mean_invitations_sent, b.mean_invitations_sent);
+  EXPECT_EQ(a.mean_invitations_accepted, b.mean_invitations_accepted);
+}
+
 TEST(RunTrials, SerialAndParallelAgreeExactly) {
   // Trials are functions of (base_seed, index) only: the thread pool
-  // must not change any number.
+  // must not change any number strategy_comparison or dhtlb_cli prints,
+  // with or without churn.
+  sim::Params churny = tiny();
+  churny.churn_rate = 0.01;
+  const std::vector<CellSpec> cells = {
+      {tiny(), "random-injection", 8},
+      {churny, "churn", 8},
+  };
   support::ThreadPool pool(4);
-  const Aggregate serial = run_trials(tiny(), "random-injection", 8, 2);
-  const Aggregate parallel =
-      run_trials(tiny(), "random-injection", 8, 2, &pool);
-  EXPECT_DOUBLE_EQ(serial.runtime_factor.mean, parallel.runtime_factor.mean);
-  EXPECT_DOUBLE_EQ(serial.runtime_factor.min, parallel.runtime_factor.min);
-  EXPECT_DOUBLE_EQ(serial.runtime_factor.max, parallel.runtime_factor.max);
-  EXPECT_DOUBLE_EQ(serial.mean_sybils_created, parallel.mean_sybils_created);
+  for (const CellSpec& cell : cells) {
+    SCOPED_TRACE(cell.strategy);
+    const Aggregate serial =
+        run_trials(cell.params, cell.strategy, cell.trials, 2);
+    const Aggregate parallel =
+        run_trials(cell.params, cell.strategy, cell.trials, 2, &pool);
+    expect_identical(serial, parallel);
+  }
 }
 
 TEST(RunTrials, DifferentBaseSeedsDiffer) {

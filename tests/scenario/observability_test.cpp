@@ -1,10 +1,10 @@
-// End-to-end observability contract over every canned scenario:
+// End-to-end observability contract over every canned scenario (each
+// scenarios/*.scn, so a new script is covered without a list edit):
 //
-//   1. Determinism — running the same (script, seed) twice with sinks
-//      attached produces byte-identical trace and metrics output.  (The
-//      scenario VM is single-threaded, so an in-process byte-compare is
-//      exactly the DHTLB_THREADS=1-vs-4 guarantee; the shell-level
-//      cross-process check lives in scripts/check_determinism.sh.)
+//   1. Determinism — the same (script, seed) run with sinks attached on
+//      a one-thread engine and on an eight-shard-worker engine produces
+//      byte-identical trace and metrics output: the engine's thread
+//      count never leaks into the observability channels.
 //   2. Schema validity — the trace is a structurally well-formed Chrome
 //      trace_event document (header, one event per line, required keys,
 //      known phases, tick-monotone timestamps) and every metrics row is
@@ -14,7 +14,9 @@
 //
 // DHTLB_SCENARIO_DIR is injected by the build and points at the
 // checked-in scenarios/ directory.
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "scenario/script.hpp"
 #include "scenario/vm.hpp"
+#include "sim/engine.hpp"
 
 namespace dhtlb::scenario {
 namespace {
@@ -35,15 +38,23 @@ struct SinkOutput {
   ScenarioResult result;
 };
 
-SinkOutput run_with_sinks(const Script& script, std::uint64_t seed) {
+/// Runs `script` with both sinks attached on an engine of `threads`
+/// workers (the sim substrate; the chord substrate always runs serially).
+SinkOutput run_with_sinks(const Script& script, std::uint64_t seed,
+                          std::size_t threads = 1) {
   std::ostringstream trace_out;
   std::ostringstream metrics_out;
   SinkOutput out;
   {
     obs::TraceSink trace(trace_out);
     obs::MetricsRegistry metrics(metrics_out);
-    out.result =
-        run_scenario(script, seed, /*audit=*/false, {&trace, &metrics});
+    ObsSinks sinks;
+    sinks.trace = &trace;
+    sinks.metrics = &metrics;
+    sinks.configure_engine = [threads](sim::Engine& engine) {
+      engine.set_threads(threads);
+    };
+    out.result = run_scenario(script, seed, /*audit=*/false, sinks);
     trace.close();
     metrics.flush();
   }
@@ -60,8 +71,34 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+/// "" when equal, else the first differing line of each, for a readable
+/// failure on traces too long to diff whole.
+std::string first_difference(const std::string& a, const std::string& b) {
+  if (a == b) return "";
+  const std::vector<std::string> la = lines_of(a);
+  const std::vector<std::string> lb = lines_of(b);
+  std::size_t i = 0;
+  while (i < la.size() && i < lb.size() && la[i] == lb[i]) ++i;
+  return "first difference at line " + std::to_string(i + 1) + ":\n  " +
+         (i < la.size() ? la[i] : "<end>") + "\n  " +
+         (i < lb.size() ? lb[i] : "<end>");
+}
+
+/// Every canned scenario name (scenarios/*.scn), sorted.
+std::vector<std::string> canned_scenarios() {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DHTLB_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 class CannedScenarioObservability
-    : public ::testing::TestWithParam<const char*> {
+    : public ::testing::TestWithParam<std::string> {
  protected:
   Script load_script() const {
     return Script::load(std::string(DHTLB_SCENARIO_DIR) + "/" + GetParam() +
@@ -72,10 +109,12 @@ class CannedScenarioObservability
 TEST_P(CannedScenarioObservability, TraceAndMetricsAreByteDeterministic) {
   const Script script = load_script();
   const std::uint64_t seed = resolve_seed(script, false, 0, 1);
-  const SinkOutput a = run_with_sinks(script, seed);
-  const SinkOutput b = run_with_sinks(script, seed);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.metrics, b.metrics);
+  const SinkOutput serial = run_with_sinks(script, seed, 1);
+  const SinkOutput sharded = run_with_sinks(script, seed, 8);
+  EXPECT_EQ(first_difference(serial.trace, sharded.trace), "")
+      << "trace differs between 1 and 8 engine threads";
+  EXPECT_EQ(first_difference(serial.metrics, sharded.metrics), "")
+      << "metrics differ between 1 and 8 engine threads";
 }
 
 TEST_P(CannedScenarioObservability, TraceIsStructurallyValidChromeJson) {
@@ -186,12 +225,7 @@ TEST_P(CannedScenarioObservability, AttachingSinksNeverChangesResults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCanned, CannedScenarioObservability,
-                         ::testing::Values("flash_crowd",
-                                           "diurnal_churn_wave",
-                                           "mass_failure",
-                                           "hotspot_workload",
-                                           "sybil_saturation",
-                                           "lossy_network"));
+                         ::testing::ValuesIn(canned_scenarios()));
 
 }  // namespace
 }  // namespace dhtlb::scenario

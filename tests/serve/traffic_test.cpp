@@ -97,10 +97,7 @@ TEST(TrafficTest, ZipfDrawMatchesReferenceInverseCdf) {
 }
 
 TEST(TrafficTest, HotspotConcentratesInArc) {
-  TrafficConfig config;
-  config.hotspot_fraction = 0.9;
-  config.hotspot_arc = 0.015625;
-  const KeyStream stream(Traffic::kHotspot, config, 77);
+  const KeyStream stream(Traffic::kHotspot, TrafficConfig{}, 77);
 
   support::Rng rng(13);
   const int draws = 10000;

@@ -1,10 +1,11 @@
 // Randomized differential test for the parallel tick engine: the same
 // (seed, scenario) must produce bit-identical results at every thread
-// count.  This is the unit-shard counterpart of CI's threads-matrix
-// golden check — it compares full RunResult structs (snapshots, tick
-// series, event and strategy counters) rather than rendered output, and
-// it runs with the invariant auditor forced ON so a divergent
-// intermediate state trips even when the final numbers happen to agree.
+// count.  This is the unit-shard counterpart of the scenario.golden.*
+// ctests at 1, 2 and 8 threads — it compares full RunResult structs
+// (snapshots, tick series, event and strategy counters) rather than
+// rendered output, and it runs with the invariant auditor forced ON so a
+// divergent intermediate state trips even when the final numbers happen
+// to agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace dhtlb::support {
 namespace {
 
@@ -130,6 +133,27 @@ TEST(Cli, OutOfRangeIntegersThrowNamingFlagAndValue) {
   CliParser max = sample_parser();
   ASSERT_TRUE(parse(max, {"--nodes", "18446744073709551615"}));
   EXPECT_EQ(max.get_u64("nodes"), 18446744073709551615u);
+}
+
+TEST(Cli, PositionalCountsAreCheckedAndNonZero) {
+  const char* argv[] = {"prog", "250", "x", "-5", "0",
+                        "99999999999999999999"};
+  constexpr int argc = 6;
+  EXPECT_EQ(positional_count(argc, argv, 1, "nodes", 7), 250u);
+  EXPECT_EQ(positional_count(argc, argv, 6, "trials", 7), 7u)
+      << "an absent positional takes the fallback";
+  const auto message = [&](int index) {
+    try {
+      (void)positional_count(argc, argv, index, "nodes", 7);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message(2), "nodes: not an integer: x");
+  EXPECT_EQ(message(3), "nodes: negative value: -5");
+  EXPECT_EQ(message(4), "nodes: must be at least 1: 0");
+  EXPECT_EQ(message(5), "nodes: out of range: 99999999999999999999");
 }
 
 TEST(Cli, UnregisteredAccessThrows) {
