@@ -40,8 +40,8 @@ int main() {
   std::printf("\nidle: none %.3f vs injection %.3f | gini: %.3f vs %.3f\n",
               stats::idle_fraction(ln), stats::idle_fraction(li),
               stats::gini(ln), stats::gini(li));
-  session.record("tick35/none", "gini", stats::gini(ln), 0.0, 1);
-  session.record("tick35/random-injection", "gini", stats::gini(li), 0.0, 1);
+  session.record("tick35/none", "gini", stats::gini(ln), 1);
+  session.record("tick35/random-injection", "gini", stats::gini(li), 1);
 
   // Multi-trial runtime comparison: het gains exist but are smaller than
   // hom gains (§VI-B).

@@ -24,7 +24,6 @@ int main() {
   const auto params = bench::paper_defaults(1000, 100'000);
   const auto seed = support::env_seed();
 
-  const bench::WallTimer timer;
   const auto none = exp::run_with_snapshots(params, "none", seed, {35});
   const auto est =
       exp::run_with_snapshots(params, "neighbor-injection", seed, {35});
@@ -61,18 +60,17 @@ int main() {
               stats::idle_fraction(ls));
   std::printf("(paper: smart idles significantly fewer nodes than "
               "estimating)\n\n");
-  session.record("run/none", "runtime_factor", none.runtime_factor,
-                 timer.elapsed_ms(), 1);
+  session.record("run/none", "runtime_factor", none.runtime_factor, 1);
   session.record("run/neighbor-injection", "runtime_factor",
-                 est.runtime_factor, 0.0, 1);
+                 est.runtime_factor, 1);
   session.record("run/smart-neighbor-injection", "runtime_factor",
-                 smart.runtime_factor, 0.0, 1);
+                 smart.runtime_factor, 1);
   session.record("tick35/none", "max_workload",
-                 static_cast<double>(max_of(ln)), 0.0, 1);
+                 static_cast<double>(max_of(ln)), 1);
   session.record("tick35/neighbor-injection", "max_workload",
-                 static_cast<double>(max_of(le)), 0.0, 1);
+                 static_cast<double>(max_of(le)), 1);
   session.record("tick35/smart-neighbor-injection", "idle_fraction",
-                 stats::idle_fraction(ls), 0.0, 1);
+                 stats::idle_fraction(ls), 1);
   std::printf("runtime factors: none %.2f | neighbor %.2f | smart %.2f\n",
               none.runtime_factor, est.runtime_factor,
               smart.runtime_factor);

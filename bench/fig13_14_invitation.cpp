@@ -24,7 +24,6 @@ int main() {
   const auto params = bench::paper_defaults(1000, 100'000);
   const auto seed = support::env_seed();
 
-  const bench::WallTimer timer;
   const auto none = exp::run_with_snapshots(params, "none", seed, {35});
   const auto inv = exp::run_with_snapshots(params, "invitation", seed, {35});
   const auto smart = exp::run_with_snapshots(params,
@@ -57,17 +56,15 @@ int main() {
               "load-balances better)\n\n",
               stats::gini(ls), stats::gini(li));
 
-  session.record("run/none", "runtime_factor", none.runtime_factor,
-                 timer.elapsed_ms(), 1);
+  session.record("run/none", "runtime_factor", none.runtime_factor, 1);
   session.record("run/smart-neighbor-injection", "runtime_factor",
-                 smart.runtime_factor, 0.0, 1);
-  session.record("run/invitation", "runtime_factor", inv.runtime_factor,
-                 0.0, 1);
+                 smart.runtime_factor, 1);
+  session.record("run/invitation", "runtime_factor", inv.runtime_factor, 1);
   session.record("tick35/invitation", "max_workload",
-                 static_cast<double>(max_of(li)), 0.0, 1);
-  session.record("tick35/invitation", "gini", stats::gini(li), 0.0, 1);
+                 static_cast<double>(max_of(li)), 1);
+  session.record("tick35/invitation", "gini", stats::gini(li), 1);
   session.record("tick35/smart-neighbor-injection", "gini", stats::gini(ls),
-                 0.0, 1);
+                 1);
   std::printf("runtime factors: none %.2f | smart %.2f | invitation %.2f\n",
               none.runtime_factor, smart.runtime_factor,
               inv.runtime_factor);

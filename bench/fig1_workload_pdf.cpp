@@ -18,15 +18,13 @@ int main() {
   bench::Session session("fig1_workload_pdf", "Figure 1",
                          "workload PDF, 1000 nodes / 1,000,000 tasks", 1);
 
-  const bench::WallTimer timer;
   const auto loads =
       exp::initial_workloads(1000, 1'000'000, support::env_seed());
   std::vector<double> d(loads.begin(), loads.end());
   const auto summary = stats::summarize(d);
-  session.record("1000n/1e6t", "median_workload", summary.median,
-                 timer.elapsed_ms(), 1);
-  session.record("1000n/1e6t", "mean_workload", summary.mean, 0.0, 1);
-  session.record("1000n/1e6t", "max_workload", summary.max, 0.0, 1);
+  session.record("1000n/1e6t", "median_workload", summary.median, 1);
+  session.record("1000n/1e6t", "mean_workload", summary.mean, 1);
+  session.record("1000n/1e6t", "max_workload", summary.max, 1);
 
   // Log-spaced bins from 10 to ~20000 tasks, plus an underflow bin.
   stats::LogHistogram hist(10.0, 20'000.0, 22);

@@ -46,8 +46,8 @@ void show(bench::Session& session, const char* cell, const char* title,
     max_owned = std::max(max_owned, owned[n]);
     min_owned = std::min(min_owned, owned[n]);
   }
-  session.record(cell, "max_tasks_owned", max_owned, 0.0, 1);
-  session.record(cell, "min_tasks_owned", min_owned, 0.0, 1);
+  session.record(cell, "max_tasks_owned", max_owned, 1);
+  session.record(cell, "min_tasks_owned", min_owned, 1);
   std::printf("%s\n", table.render().c_str());
 }
 

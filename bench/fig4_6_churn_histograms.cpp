@@ -25,11 +25,9 @@ int main() {
   churned.churn_rate = 0.01;
 
   const auto seed = support::env_seed();
-  const bench::WallTimer timer;
   const auto none = exp::run_with_snapshots(params, "none", seed, {0, 5, 35});
   const auto churn = exp::run_with_snapshots(churned, "churn", seed,
                                              {0, 5, 35});
-  const double wall = timer.elapsed_ms();
 
   const char* fig_names[] = {"Figure 4 (tick 0 — initial)",
                              "Figure 5 (beginning of tick 5)",
@@ -50,14 +48,14 @@ int main() {
                 stats::gini(ln), stats::gini(lc));
     const std::string tick = "tick" + std::to_string(none.snapshots[i].tick);
     session.record(tick + "/none", "idle_fraction", stats::idle_fraction(ln),
-                   0.0, 1);
+                   1);
     session.record(tick + "/churn", "idle_fraction", stats::idle_fraction(lc),
-                   0.0, 1);
-    session.record(tick + "/none", "gini", stats::gini(ln), 0.0, 1);
-    session.record(tick + "/churn", "gini", stats::gini(lc), 0.0, 1);
+                   1);
+    session.record(tick + "/none", "gini", stats::gini(ln), 1);
+    session.record(tick + "/churn", "gini", stats::gini(lc), 1);
   }
-  session.record("run/none", "runtime_factor", none.runtime_factor, wall, 1);
-  session.record("run/churn", "runtime_factor", churn.runtime_factor, 0.0, 1);
+  session.record("run/none", "runtime_factor", none.runtime_factor, 1);
+  session.record("run/churn", "runtime_factor", churn.runtime_factor, 1);
   std::printf("runtime: none %llu ticks (factor %.2f), churn %llu ticks "
               "(factor %.2f)\n",
               static_cast<unsigned long long>(none.ticks),

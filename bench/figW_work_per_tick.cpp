@@ -28,13 +28,11 @@ int main() {
        {"none", "churn", "random-injection", "invitation"}) {
     sim::Params p = params;
     if (std::string_view(strategy) == "churn") p.churn_rate = 0.01;
-    const bench::WallTimer timer;
     sim::Engine engine(p, seed, lb::make_strategy(strategy));
     engine.record_tick_series(true);
     const auto r = engine.run();
-    session.record(strategy, "avg_work_per_tick", r.avg_work_per_tick,
-                   timer.elapsed_ms(), 1);
-    session.record(strategy, "ticks", static_cast<double>(r.ticks), 0.0, 1);
+    session.record(strategy, "avg_work_per_tick", r.avg_work_per_tick, 1);
+    session.record(strategy, "ticks", static_cast<double>(r.ticks), 1);
     table.add_row({strategy, std::to_string(r.ticks),
                    support::format_fixed(r.avg_work_per_tick, 1),
                    std::to_string(params.initial_nodes)});

@@ -9,8 +9,8 @@
 // scenario VM.  Generation counts (scripts, blocks, events, ticks) and
 // an order-sensitive fold over every telemetry row are recorded as
 // value records, so compare_bench.py pins the generator's output and
-// the VM's run results bit-for-bit at the baseline seed.  wall_ms is
-// informational; perfbench's fuzz_mixed_audited workload measures this
+// the VM's run results bit-for-bit at the baseline seed.  Wall time is
+// printed only; perfbench's fuzz_mixed_audited workload measures this
 // loop's speed.
 #include <cstdint>
 #include <cstdio>
@@ -102,25 +102,22 @@ int main() {
     const double wall = timer.elapsed_ms();
 
     const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
-    const bool det = bench::Telemetry::deterministic();
     const double per_s =
         wall > 0.0 ? 1000.0 * static_cast<double>(scripts) / wall : 0.0;
     const std::string name = std::string("profile=") + std::string(profile) +
                              "/scripts=" + std::to_string(scripts);
-    telemetry.record(name, "wall_ms", det ? 0.0 : wall, wall, scripts, rss);
-    telemetry.record(name, "scripts", static_cast<double>(scripts), 0.0,
-                     scripts);
+    telemetry.record(name, "scripts", static_cast<double>(scripts), scripts,
+                     rss);
     telemetry.record(name, "blocks_total", static_cast<double>(blocks_total),
-                     0.0, scripts);
+                     scripts);
     telemetry.record(name, "events_total", static_cast<double>(events_total),
-                     0.0, scripts);
+                     scripts);
     telemetry.record(name, "ticks_total", static_cast<double>(ticks_total),
-                     0.0, scripts);
+                     scripts);
     // Low 53 bits fit a double exactly, so the JSON round trip is
     // lossless and compare_bench.py can demand bit-equality.
     telemetry.record(name, "telemetry_fold",
-                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 0.0,
-                     scripts);
+                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), scripts);
     table.add_row({std::string(profile), std::to_string(scripts),
                    support::format_fixed(wall, 1),
                    support::format_fixed(per_s, 1),

@@ -21,16 +21,15 @@ std::string to_json(const std::string& experiment,
                     const std::vector<Record>& records) {
   std::string out;
   out.reserve(128 + records.size() * 160);
-  out += "{\n  \"schema_version\": 1,\n  \"experiment\": ";
+  out += "{\n  \"schema_version\": 2,\n  \"experiment\": ";
   json_append_escaped(out, experiment);
   out += ",\n  \"records\": [";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     out += (i == 0) ? "\n" : ",\n";
     // Keys in alphabetical order: cell, experiment, metric,
-    // [peak_rss_bytes], seed, trials, value, wall_ms.  peak_rss_bytes
-    // is only present when nonzero, so records that never measured
-    // memory serialize exactly as they did before the field existed.
+    // [peak_rss_bytes], seed, trials, value.  peak_rss_bytes is only
+    // present when nonzero.
     out += "    {\"cell\": ";
     json_append_escaped(out, r.cell);
     out += ", \"experiment\": ";
@@ -47,8 +46,6 @@ std::string to_json(const std::string& experiment,
     json_append_u64(out, r.trials);
     out += ", \"value\": ";
     json_append_double(out, r.value);
-    out += ", \"wall_ms\": ";
-    json_append_double(out, r.wall_ms);
     out += "}";
   }
   out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -81,17 +78,16 @@ Telemetry::Telemetry(std::string experiment)
 Telemetry::~Telemetry() { flush(); }
 
 void Telemetry::record(const std::string& cell, const std::string& metric,
-                       double value, double wall_ms, std::uint64_t trials,
+                       double value, std::uint64_t trials,
                        std::uint64_t peak_rss_bytes) {
   Record r;
   r.experiment = experiment_;
   r.cell = cell;
   r.metric = metric;
   r.value = value;
-  r.wall_ms = deterministic() ? 0.0 : wall_ms;
   r.seed = support::env_seed();
   r.trials = trials;
-  r.peak_rss_bytes = deterministic() ? 0 : peak_rss_bytes;
+  r.peak_rss_bytes = peak_rss_bytes;
   support::MutexLock lock(mu_);
   records_.push_back(std::move(r));
 }
@@ -130,7 +126,6 @@ bool Telemetry::flush() {
   {
     support::MutexLock lock(mu_);
     if (flushed_) return true;
-    if (!json_enabled()) return false;
     flushed_ = true;
     text = to_json(experiment_, records_);
   }
@@ -138,14 +133,6 @@ bool Telemetry::flush() {
   if (!file) return false;
   file << text;
   return static_cast<bool>(file);
-}
-
-bool Telemetry::json_enabled() {
-  return support::env_flag("DHTLB_BENCH_JSON", true);
-}
-
-bool Telemetry::deterministic() {
-  return support::env_flag("DHTLB_BENCH_DETERMINISTIC", false);
 }
 
 }  // namespace dhtlb::bench

@@ -1,28 +1,26 @@
 // Machine-readable benchmark telemetry.
 //
-// Every bench/ binary — the four micro_* microbenchmarks and the
-// table*/fig* paper reproductions — routes its measurements through a
-// Telemetry collector, which mirrors the human-readable text output
-// into a structured JSON file `BENCH_<experiment>.json`.  CI diffs
-// these files against committed baselines (scripts/compare_bench.py)
-// to catch silent changes to the deterministic result values and
-// peak-RSS growth.  wall_ms is recorded for people, not gated: speed
-// is measured by perfbench/.
+// The table*/fig* paper reproductions and the scale benches route their
+// results through a Telemetry collector, which mirrors the
+// human-readable text output into a structured JSON file
+// `BENCH_<experiment>.json`.  CI diffs these files against committed
+// baselines (scripts/compare_bench.py) to catch silent changes to the
+// deterministic result values and peak-RSS growth.  Records hold
+// reproducible values only: wall time is printed on stdout, never
+// recorded (speed is measured by perfbench/).  The one exception is
+// tick_parallel's speedup_vs_t1 curve, a ratio of clocks that the
+// comparator exempts from the value check.
 //
-// Env knobs (alongside the existing DHTLB_TRIALS/SEED/THREADS):
-//   DHTLB_BENCH_DIR           — output directory (default ".")
-//   DHTLB_BENCH_JSON=0        — disable the JSON side channel entirely
-//   DHTLB_BENCH_DETERMINISTIC — zero out wall_ms so files byte-compare
-//                               across machines and thread counts
+// DHTLB_BENCH_DIR names the output directory (default ".").
 //
 // The JSON schema is deliberately flat — one record per (cell, metric)
 // pair, every record self-describing — so downstream tooling needs no
 // joins:
-//   {"schema_version": 1,
+//   {"schema_version": 2,
 //    "experiment": "table2_churn",
 //    "records": [
 //      {"cell": "...", "experiment": "...", "metric": "...",
-//       "seed": 123, "trials": 8, "value": 1.25, "wall_ms": 41.2}, ...]}
+//       "seed": 123, "trials": 8, "value": 1.25}, ...]}
 // Record keys are emitted in alphabetical order and floats with %.17g,
 // so equal inputs produce byte-equal files.
 #pragma once
@@ -42,13 +40,11 @@ struct Record {
   std::string cell;     // grid cell label, e.g. "churn=0.01/1e3n-1e5t"
   std::string metric;   // what `value` is, e.g. "runtime_factor_mean"
   double value = 0.0;
-  double wall_ms = 0.0;  // wall time spent producing this value
   std::uint64_t seed = 0;
   std::uint64_t trials = 0;
   // Process peak RSS observed after producing this value, or 0 when the
   // bench does not track memory.  Zero is "absent": the field is only
-  // emitted when nonzero, so memory-blind benches keep byte-identical
-  // output, and it is zeroed in deterministic mode like wall_ms.
+  // emitted when nonzero, so memory-blind records stay byte-stable.
   std::uint64_t peak_rss_bytes = 0;
 };
 
@@ -80,7 +76,7 @@ class WallTimer {
 
 /// Collects records for one experiment and writes
 /// `<DHTLB_BENCH_DIR>/BENCH_<experiment>.json` on flush (or
-/// destruction).  Honours the env knobs documented above.
+/// destruction).
 ///
 /// Accumulation is guarded by an internal dhtlb::Mutex (checked by
 /// Clang -Wthread-safety), so record() may be called from worker
@@ -95,11 +91,9 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Appends one record.  `seed` defaults to support::env_seed();
-  /// wall_ms (and peak_rss_bytes, when given) are zeroed when
-  /// DHTLB_BENCH_DETERMINISTIC is set.
+  /// Appends one record; its seed is support::env_seed().
   void record(const std::string& cell, const std::string& metric,
-              double value, double wall_ms, std::uint64_t trials,
+              double value, std::uint64_t trials,
               std::uint64_t peak_rss_bytes = 0) EXCLUDES(mu_);
 
   /// This process's peak resident set so far, in bytes (getrusage
@@ -112,15 +106,11 @@ class Telemetry {
   std::string json() const EXCLUDES(mu_);
 
   /// Writes the JSON file with exactly the recorded records.  Returns
-  /// false on I/O failure or when the JSON side channel is disabled.
-  /// Idempotent.
+  /// false on I/O failure.  Idempotent.
   bool flush() EXCLUDES(mu_);
 
   /// The path flush() writes to.
   std::string output_path() const;
-
-  static bool json_enabled();    // DHTLB_BENCH_JSON != 0
-  static bool deterministic();   // DHTLB_BENCH_DETERMINISTIC set
 
  private:
   std::string experiment_;

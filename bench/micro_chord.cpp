@@ -4,8 +4,6 @@
 // is cheap.
 #include <benchmark/benchmark.h>
 
-#include "harness/micro.hpp"
-
 #include "chord/network.hpp"
 #include "chord/sybil_placement.hpp"
 #include "hashing/sha1.hpp"
@@ -97,6 +95,4 @@ BENCHMARK(BM_SybilHashSearch)->Arg(8)->Arg(10)->Arg(12);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return dhtlb::bench::micro_main("micro_chord", argc, argv);
-}
+BENCHMARK_MAIN();

@@ -7,8 +7,6 @@
 // "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
-#include "harness/micro.hpp"
-
 #include <optional>
 #include <vector>
 
@@ -141,6 +139,4 @@ BENCHMARK(BM_ScaleSybilWave)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return dhtlb::bench::micro_main("micro_scale", argc, argv);
-}
+BENCHMARK_MAIN();

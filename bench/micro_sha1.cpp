@@ -2,8 +2,6 @@
 // ID/key-generation primitive the simulator calls millions of times.
 #include <benchmark/benchmark.h>
 
-#include "harness/micro.hpp"
-
 #include <string>
 #include <vector>
 
@@ -45,6 +43,4 @@ BENCHMARK(BM_Sha1IncrementalChunks);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return dhtlb::bench::micro_main("micro_sha1", argc, argv);
-}
+BENCHMARK_MAIN();

@@ -3,8 +3,6 @@
 // creation (arc split) cost, and full-run cost per strategy.
 #include <benchmark/benchmark.h>
 
-#include "harness/micro.hpp"
-
 #include <optional>
 
 #include "lb/factory.hpp"
@@ -101,6 +99,4 @@ BENCHMARK(BM_FullRunByStrategy)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return dhtlb::bench::micro_main("micro_sim", argc, argv);
-}
+BENCHMARK_MAIN();

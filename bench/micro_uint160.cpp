@@ -2,8 +2,6 @@
 // assignment, arc splits and interval tests.
 #include <benchmark/benchmark.h>
 
-#include "harness/micro.hpp"
-
 #include <vector>
 
 #include "support/ring_math.hpp"
@@ -86,6 +84,4 @@ BENCHMARK(BM_RngUniformInArc);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return dhtlb::bench::micro_main("micro_uint160", argc, argv);
-}
+BENCHMARK_MAIN();

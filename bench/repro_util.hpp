@@ -9,7 +9,8 @@
 // Every binary opens a Session, which owns the thread pool AND the
 // telemetry collector (harness/telemetry.hpp): each printed number is
 // also recorded as a structured JSON record, so CI can diff the run
-// against a committed baseline without parsing the text tables.
+// against a committed baseline without parsing the text tables.  The
+// scale benches share state_fingerprint() for their end-state records.
 #pragma once
 
 #include <cstdio>
@@ -18,12 +19,31 @@
 
 #include "exp/experiment.hpp"
 #include "harness/telemetry.hpp"
+#include "sim/engine.hpp"
 #include "sim/params.hpp"
 #include "support/env.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace dhtlb::bench {
+
+/// Order-sensitive fold of everything a run changed in the world
+/// (workloads, remaining tasks, membership counts): any divergence — a
+/// reordered alive list, one extra RNG draw, a task consumed by the
+/// wrong node — changes it.  Truncated to the low 53 bits, which a
+/// double holds exactly, so the JSON round trip is lossless and
+/// compare_bench.py can require bit-equality against a baseline.
+inline double state_fingerprint(const sim::Engine& engine) {
+  const sim::Snapshot snap = engine.capture(engine.current_tick());
+  std::uint64_t h = support::mix_seed(snap.remaining_tasks, snap.tick);
+  h = support::mix_seed(h, snap.vnode_count);
+  h = support::mix_seed(h, snap.alive_count);
+  for (const std::uint64_t load : snap.workloads) {
+    h = support::mix_seed(h, load);
+  }
+  return static_cast<double>(h & 0x1FFFFFFFFFFFFFull);
+}
 
 /// Prints the standard reproduction banner: what is being regenerated
 /// and with how many trials.
@@ -70,50 +90,37 @@ class Session {
   support::ThreadPool& pool() { return pool_; }
   Telemetry& telemetry() { return telemetry_; }
 
-  /// One mean-runtime-factor cell: runs the trials, records both the
-  /// value and the wall time it took under `cell`.
+  /// One mean-runtime-factor cell: runs the trials and records the
+  /// value under `cell`.
   double mean_factor(const sim::Params& params, const char* strategy,
                      const std::string& cell) {
-    const WallTimer timer;
     const double mean =
         exp::run_trials(params, strategy, trials_, support::env_seed(), &pool_)
             .runtime_factor.mean;
-    telemetry_.record(cell, "runtime_factor_mean", mean, timer.elapsed_ms(),
-                      trials_);
+    telemetry_.record(cell, "runtime_factor_mean", mean, trials_);
     return mean;
   }
 
   /// A whole grid of cells through ONE batched fan (exp::run_cells):
   /// threads drain the tail of one cell while starting the next, so the
   /// grid has a single pool barrier instead of one per cell.  Records
-  /// each cell's mean runtime factor (wall_ms = 0: per-cell wall is not
-  /// observable in a batched fan) plus one `__grid__`/wall_ms record
-  /// for the whole fan, which is what CI's regression check tracks.
+  /// each cell's mean runtime factor.
   std::vector<exp::Aggregate> run_grid(
       const std::vector<exp::CellSpec>& cells,
-      const std::vector<std::string>& cell_labels,
-      const std::string& grid_cell = "__grid__") {
-    const WallTimer timer;
+      const std::vector<std::string>& cell_labels) {
     auto aggs = exp::run_cells(cells, support::env_seed(), &pool_);
-    // The grid record carries wall clock as its *value*, so it must be
-    // zeroed in deterministic mode just like the wall_ms field.
-    const double wall =
-        Telemetry::deterministic() ? 0.0 : timer.elapsed_ms();
     for (std::size_t i = 0; i < aggs.size(); ++i) {
       telemetry_.record(cell_labels[i], "runtime_factor_mean",
-                        aggs[i].runtime_factor.mean, 0.0, cells[i].trials);
+                        aggs[i].runtime_factor.mean, cells[i].trials);
     }
-    telemetry_.record(grid_cell, "wall_ms", wall, wall, trials_);
     return aggs;
   }
 
   /// Records a value computed outside the helpers above (figure series
-  /// points, message counts, ...).  wall_ms defaults to 0 for derived
-  /// values that cost nothing to produce.
+  /// points, message counts, ...); `trials` 0 means the session's count.
   void record(const std::string& cell, const std::string& metric,
-              double value, double wall_ms = 0.0, std::uint64_t trials = 0) {
-    telemetry_.record(cell, metric, value, wall_ms,
-                      trials == 0 ? trials_ : trials);
+              double value, std::uint64_t trials = 0) {
+    telemetry_.record(cell, metric, value, trials == 0 ? trials_ : trials);
   }
 
  private:

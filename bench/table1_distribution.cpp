@@ -40,7 +40,6 @@ int main() {
                             "sigma (ours)", "sigma (paper)"});
 
   for (const Row& row : rows) {
-    const bench::WallTimer timer;
     std::vector<double> medians(trials), sigmas(trials);
     session.pool().parallel_for(trials, [&](std::size_t t) {
       const auto loads = exp::initial_workloads(
@@ -54,8 +53,7 @@ int main() {
     const double mean_sigma = stats::summarize(sigmas).mean;
     const std::string cell = support::format_count(row.nodes) + "n/" +
                              support::format_count(row.tasks) + "t";
-    const double wall = timer.elapsed_ms();
-    session.record(cell, "median_workload_mean", mean_median, wall);
+    session.record(cell, "median_workload_mean", mean_median);
     session.record(cell, "workload_sigma_mean", mean_sigma);
     table.add_row({support::format_count(row.nodes),
                    support::format_count(row.tasks),

@@ -61,7 +61,6 @@ int main() {
     for (const auto& [burst, tick] :
          std::vector<std::pair<std::size_t, std::uint64_t>>{
              {0, 0}, {250, 10}, {250, 50}, {500, 10}}) {
-      const bench::WallTimer timer;
       double factor = 0.0;
       for (std::size_t t = 0; t < trials; ++t) {
         factor += run_flash(strategy, burst, tick,
@@ -72,7 +71,7 @@ int main() {
       if (burst == 0) no_burst = factor;
       session.record(std::string(strategy) + "/burst=" +
                          std::to_string(burst) + "@t" + std::to_string(tick),
-                     "runtime_factor_mean", factor, timer.elapsed_ms());
+                     "runtime_factor_mean", factor);
       table.add_row({strategy, std::to_string(burst),
                      burst == 0 ? "-" : std::to_string(tick),
                      support::format_fixed(factor, 3),

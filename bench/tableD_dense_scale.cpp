@@ -10,18 +10,19 @@
 // horizon keeps the lane's wall time predictable across strategies.
 //
 // Env knobs: DHTLB_DENSE_NODES (default 10k; nightly sets 1M),
-// DHTLB_DENSE_TICKS (default 100), DHTLB_DENSE_PROVISIONING
-// ("streamed", the default, or "preallocated"), DHTLB_TRIALS,
-// DHTLB_SEED, DHTLB_THREADS (nightly sets 0 = all cores; outputs are
-// thread-count independent so the committed baseline still gates
-// values bit-for-bit).
+// DHTLB_DENSE_TICKS (default 100), DHTLB_TRIALS, DHTLB_SEED,
+// DHTLB_THREADS (nightly sets 0 = all cores; outputs are thread-count
+// independent so the committed baseline still gates values
+// bit-for-bit).
 //
-// Provisioning: preallocated mode materializes 2*nodes*horizon keys at
-// tick 0 — ~10 GiB at 1M nodes, which is what kept the nightly grid at
-// 100k (EXPERIMENTS.md "Memory trajectory").  Streamed mode (the
-// default) delivers the same job through a sim::TaskStream at an
-// arrival rate matched to capacity, so resident tasks track the
-// backlog and the full 1M all-strategy grid fits a standard runner.
+// Provisioning is streamed: the job arrives through a sim::TaskStream
+// at a rate matched to capacity, so resident tasks track the backlog
+// and the full 1M all-strategy grid fits a standard runner.
+// Preallocating it would materialize 2*nodes*horizon keys at tick 0 —
+// ~10 GiB at 1M nodes (EXPERIMENTS.md "Memory trajectory").
+//
+// Each strategy's wall time is printed only; its done_frac_mean record
+// carries the peak RSS for the memory gate.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -33,7 +34,6 @@
 #include "sim/params.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/check.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -52,20 +52,13 @@ int main() {
   const std::uint64_t horizon = support::env_u64("DHTLB_DENSE_TICKS", 100);
   const std::uint64_t trials = support::env_trials(3);
   const std::size_t threads = support::env_threads();
-  const std::string provisioning =
-      support::env_string("DHTLB_DENSE_PROVISIONING", "streamed");
-  const bool streamed = provisioning == "streamed";
-  DHTLB_CHECK(streamed || provisioning == "preallocated",
-              "DHTLB_DENSE_PROVISIONING must be 'streamed' or "
-              "'preallocated', got '" << provisioning << "'");
 
   std::printf("=== tableD_dense_scale — all strategies under churn ===\n");
   std::printf("%zu nodes, %llu-tick horizon, %llu trial(s), seed %llu, "
-              "%s provisioning\n\n",
+              "streamed provisioning\n\n",
               nodes, static_cast<unsigned long long>(horizon),
               static_cast<unsigned long long>(trials),
-              static_cast<unsigned long long>(base_seed),
-              provisioning.c_str());
+              static_cast<unsigned long long>(base_seed));
 
   support::TextTable table({"strategy", "done frac", "gini", "stddev",
                             "joins+leaves", "wall ms"});
@@ -97,15 +90,13 @@ int main() {
       p.total_tasks = 2 * nodes * horizon;
       p.churn_rate = 0.02;
       p.max_ticks = horizon;
-      if (streamed) {
-        // Auto arrival window (= the ideal runtime): arrivals flow at
-        // exactly the initial capacity, so the ring is under steady
-        // per-tick load for the whole horizon while the resident
-        // backlog stays bounded — that bound is what lets this lane
-        // run at 1M nodes inside a CI runner's memory budget.
-        p.provisioning = sim::TaskProvisioning::kStreamed;
-        p.arrival_ticks = 0;
-      }
+      // Auto arrival window (= the ideal runtime): arrivals flow at
+      // exactly the initial capacity, so the ring is under steady
+      // per-tick load for the whole horizon while the resident backlog
+      // stays bounded — that bound is what lets this lane run at 1M
+      // nodes inside a CI runner's memory budget.
+      p.provisioning = sim::TaskProvisioning::kStreamed;
+      p.arrival_ticks = 0;
 
       sim::Engine engine(p, support::mix_seed(base_seed, trial),
                          lb::make_strategy(strategy));
@@ -136,17 +127,13 @@ int main() {
 
     const double wall = strategy_timer.elapsed_ms();
     const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
-    const bool det = bench::Telemetry::deterministic();
     const std::string cell =
         "s=" + std::string(strategy) + "/n=" + std::to_string(nodes);
-    telemetry.record(cell, "done_frac_mean", done_frac.mean(), wall, trials,
-                     rss);
-    telemetry.record(cell, "gini_mean", gini.mean(), 0.0, trials);
-    telemetry.record(cell, "workload_stddev_mean", stddev.mean(), 0.0,
+    telemetry.record(cell, "done_frac_mean", done_frac.mean(), trials, rss);
+    telemetry.record(cell, "gini_mean", gini.mean(), trials);
+    telemetry.record(cell, "workload_stddev_mean", stddev.mean(), trials);
+    telemetry.record(cell, "churn_events", static_cast<double>(churn_events),
                      trials);
-    telemetry.record(cell, "churn_events",
-                     static_cast<double>(churn_events), 0.0, trials);
-    telemetry.record(cell, "wall_ms", det ? 0.0 : wall, wall, trials, rss);
 
     table.add_row({std::string(strategy),
                    support::format_fixed(done_frac.mean(), 4),

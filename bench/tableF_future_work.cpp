@@ -33,8 +33,7 @@ int main() {
       cells.push_back({p, name, session.trials()});
       labels.push_back(std::string(cell_prefix) + "/" + name);
     }
-    const auto aggs = session.run_grid(
-        cells, labels, std::string(cell_prefix) + "/__grid__");
+    const auto aggs = session.run_grid(cells, labels);
     for (const auto& agg : aggs) {
       table.add_row({agg.strategy,
                      support::format_fixed(agg.runtime_factor.mean, 3),

@@ -20,11 +20,9 @@ int main() {
   support::TextTable table({"configuration", "factor (ours)", "paper says"});
 
   auto row = [&](sim::Params p, const char* cfg, const char* note) {
-    const bench::WallTimer timer;
     const auto agg = exp::run_trials(p, "invitation", trials,
                                      support::env_seed(), &session.pool());
-    session.record(cfg, "runtime_factor_mean", agg.runtime_factor.mean,
-                   timer.elapsed_ms());
+    session.record(cfg, "runtime_factor_mean", agg.runtime_factor.mean);
     table.add_row({cfg, support::format_fixed(agg.runtime_factor.mean, 3),
                    note});
     return agg;
@@ -51,16 +49,16 @@ int main() {
                                              seed, {35});
   const double gini_inv = stats::gini(inv.snapshots[0].workloads);
   const double gini_smart = stats::gini(smart.snapshots[0].workloads);
-  session.record("tick35/invitation", "gini", gini_inv, 0.0, 1);
-  session.record("tick35/smart-neighbor", "gini", gini_smart, 0.0, 1);
+  session.record("tick35/invitation", "gini", gini_inv, 1);
+  session.record("tick35/smart-neighbor", "gini", gini_smart, 1);
   session.record("tick35/invitation", "messages",
                  static_cast<double>(inv.strategy_counters.invitations_sent +
                                      inv.strategy_counters.sybils_created),
-                 0.0, 1);
+                 1);
   session.record("tick35/smart-neighbor", "messages",
                  static_cast<double>(smart.strategy_counters.workload_queries +
                                      smart.strategy_counters.sybils_created),
-                 0.0, 1);
+                 1);
   std::printf("tick-35 gini: invitation %.3f vs smart %.3f "
               "(paper: invitation balances better)\n",
               gini_inv, gini_smart);

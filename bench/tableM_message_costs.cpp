@@ -43,7 +43,6 @@ int main() {
                             "maint msgs", "msgs/task", "sybils",
                             "sha1/sybil", "fail+join"});
   for (const Row& row : rows) {
-    const bench::WallTimer timer;
     double factor = 0.0, total = 0.0, maint = 0.0, sybils = 0.0,
            hashes = 0.0, churn_events = 0.0;
     for (std::size_t t = 0; t < trials; ++t) {
@@ -62,8 +61,7 @@ int main() {
       churn_events += static_cast<double>(r.failures + r.joins);
     }
     const auto n = static_cast<double>(trials);
-    session.record(row.label, "runtime_factor_mean", factor / n,
-                   timer.elapsed_ms());
+    session.record(row.label, "runtime_factor_mean", factor / n);
     session.record(row.label, "total_messages_mean", total / n);
     session.record(row.label, "maintenance_messages_mean", maint / n);
     table.add_row(

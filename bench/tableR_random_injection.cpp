@@ -27,12 +27,10 @@ int main() {
     // strength tasks per tick (weak nodes steal work from strong ones
     // and then finish it slowly); use that mode for the het rows.
     if (het) p.work_measure = sim::WorkMeasure::kStrengthPerTick;
-    const bench::WallTimer timer;
     const auto agg = exp::run_trials(p, "random-injection", trials,
                                      support::env_seed(), &session.pool());
     session.record(std::string(label) + (het ? "/het" : "/hom"),
-                   "runtime_factor_mean", agg.runtime_factor.mean,
-                   timer.elapsed_ms());
+                   "runtime_factor_mean", agg.runtime_factor.mean);
     table.add_row({label, het ? "heterogeneous" : "homogeneous",
                    support::format_fixed(agg.runtime_factor.mean, 3) + "  [" +
                        support::format_fixed(agg.runtime_factor.min, 2) +

@@ -9,7 +9,7 @@
 // the per-tick count identities are recorded as value records, so
 // compare_bench.py pins the stream's key sequence (any change to the
 // seed derivation, the shard split, or the SHA-1 path shows up as value
-// drift against the committed baseline).  wall_ms is informational;
+// drift against the committed baseline).  Wall time is printed only;
 // perfbench's invite_stream_250k workload measures streamed arrivals.
 #include <cstdint>
 #include <cstdio>
@@ -77,20 +77,15 @@ int main() {
                 "task_stream: schedule did not deliver the whole job");
 
     const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
-    const bool det = bench::Telemetry::deterministic();
     const double keys_per_ms =
         wall > 0.0 ? static_cast<double>(delivered) / wall : 0.0;
     const std::string name = "tasks=" + std::to_string(cell.tasks) +
                              "/window=" + std::to_string(cell.window);
-    // Throughput is implied by wall_ms at fixed work, so only wall_ms is
-    // recorded — a keys/ms value record would trip the value gate on
-    // machine noise (only wall_ms and speedup* metrics are exempt).
-    telemetry.record(name, "wall_ms", det ? 0.0 : wall, wall, 1, rss);
     // Low 53 bits fit a double exactly — the JSON round-trip is lossless,
     // so compare_bench.py can demand bit-equality (same trick as
     // tick_parallel's state_fingerprint).
     telemetry.record(name, "key_fold",
-                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 0.0, 1);
+                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 1, rss);
     table.add_row({std::to_string(cell.tasks), std::to_string(cell.window),
                    support::format_fixed(wall, 1),
                    support::format_fixed(keys_per_ms, 0),

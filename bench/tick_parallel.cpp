@@ -8,48 +8,36 @@
 // apply here — because the curve itself is the measurement.
 //
 // Telemetry per (n, threads) cell:
-//   wall_ms        the tick-loop wall time (informational; perfbench's
-//                  invite_stream_250k measures one-thread engine speed)
-//   speedup_vs_t1  wall(t1) / wall(tN); zeroed in deterministic mode and
-//                  exempt from value checks (it is a ratio of clocks).
-//                  The nightly lane gates the best of these with
-//                  compare_bench.py --min-speedup.
-// plus one state_fingerprint per n: a fold of the post-run snapshot
-// (workloads, remaining tasks, membership counts).  The binary aborts if
-// any thread count produces a different fingerprint — every run of this
-// bench is therefore also a 1-vs-N determinism check — and the recorded
-// value lets compare_bench.py enforce the same identity
-// against the committed baseline across machines.
+//   state_fingerprint  a fold of the post-run snapshot (workloads,
+//                      remaining tasks, membership counts), carrying the
+//                      cell's peak RSS
+//   speedup_vs_t1      wall(t1) / wall(tN), the one wall-derived record:
+//                      exempt from value checks (a ratio of clocks), and
+//                      the nightly lane gates the best of these with
+//                      compare_bench.py --min-speedup
+// plus one state_fingerprint per n.  The tick-loop wall time is printed
+// only (perfbench's invite_stream_250k measures one-thread engine
+// speed).  The binary aborts if any thread count produces a different
+// fingerprint — every run of this bench is therefore also a 1-vs-N
+// determinism check — and the recorded values let compare_bench.py
+// enforce the same identity against the committed baseline across
+// machines.
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/telemetry.hpp"
+#include "repro_util.hpp"
 #include "sim/engine.hpp"
 #include "sim/params.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
-#include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace dhtlb;
-
-/// Order-sensitive fold of everything a run changed in the world: any
-/// divergence between thread counts — a reordered alive list, one extra
-/// RNG draw, a task consumed by the wrong node — changes it.
-std::uint64_t fingerprint(const sim::Engine& engine) {
-  const sim::Snapshot snap = engine.capture(engine.current_tick());
-  std::uint64_t h = support::mix_seed(snap.remaining_tasks, snap.tick);
-  h = support::mix_seed(h, snap.vnode_count);
-  h = support::mix_seed(h, snap.alive_count);
-  for (const std::uint64_t load : snap.workloads) {
-    h = support::mix_seed(h, load);
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -99,7 +87,8 @@ int main() {
         if (!engine.step()) break;
       }
       const double wall = timer.elapsed_ms();
-      const std::uint64_t print = fingerprint(engine);
+      const auto print =
+          static_cast<std::uint64_t>(bench::state_fingerprint(engine));
       const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
 
       if (threads == 1) {
@@ -112,11 +101,11 @@ int main() {
                       << ") — the engine's outputs depend on thread count");
 
       const double speedup = wall > 0.0 ? wall_t1 / wall : 0.0;
-      const bool det = bench::Telemetry::deterministic();
       const std::string cell =
           "n=" + std::to_string(nodes) + "/t" + std::to_string(threads);
-      telemetry.record(cell, "wall_ms", det ? 0.0 : wall, wall, 1, rss);
-      telemetry.record(cell, "speedup_vs_t1", det ? 0.0 : speedup, 0.0, 1);
+      telemetry.record(cell, "state_fingerprint", static_cast<double>(print),
+                       1, rss);
+      telemetry.record(cell, "speedup_vs_t1", speedup, 1);
       table.add_row({std::to_string(nodes), std::to_string(threads),
                      std::to_string(ticks),
                      support::format_fixed(wall, 1),
@@ -124,12 +113,9 @@ int main() {
                      std::to_string(print & 0xFFFFFFFFFFFFFull)});
     }
     // The fingerprint is identical across thread counts (checked above);
-    // record it once per world size.  The low 53 bits fit a double
-    // exactly, so the JSON round-trip is lossless and compare_bench.py can
-    // require bit-equality against the committed baseline.
+    // the per-world-size record is the one the baseline has always held.
     telemetry.record("n=" + std::to_string(nodes), "state_fingerprint",
-                     static_cast<double>(print_t1 & 0x1FFFFFFFFFFFFFull),
-                     0.0, 1);
+                     static_cast<double>(print_t1), 1);
   }
   std::printf("%s\n", table.render().c_str());
 

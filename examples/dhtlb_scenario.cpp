@@ -12,7 +12,7 @@
 //   dhtlb_scenario scenarios/serve_churn_soak.scn --traffic zipf --check scenarios/goldens/BENCH_serve_serve_churn_soak.json
 //
 // The JSON output is BENCH_scenario_<name>.json, or BENCH_serve_<name>.json
-// with --traffic (honoring DHTLB_BENCH_DIR and DHTLB_BENCH_JSON=0).  It is
+// with --traffic, written to DHTLB_BENCH_DIR (default ".").  It is
 // byte-stable for a fixed (file, seed, --traffic, --qps, --keys) at any
 // DHTLB_THREADS and --readers setting: both are execution knobs, and no
 // record carries either.  --check compares it against a committed golden
@@ -24,12 +24,9 @@
 //
 // Serve telemetry holds lookup and batch counts, hop-count statistics,
 // the Sybil-absorption fraction, the load seen by traffic (gini and
-// max-over-mean over owner hits) and view-lifecycle counters.  The only
-// wall-derived rows, the per-lookup latency percentiles, are recorded
-// under the metric name "wall_ms", the telemetry schema's marker for a
-// wall-clock row, and zeroed in DHTLB_BENCH_DETERMINISTIC mode, where
-// latency capture is off, so --check can byte-compare the file.
-// Lookups/sec is printed on stdout only, never in the JSON.
+// max-over-mean over owner hits) and view-lifecycle counters, all
+// deterministic.  Wall time and lookups/sec are printed on stdout
+// only, never in the JSON.
 //
 // --trace writes a Chrome trace_event JSON (open in chrome://tracing);
 // --metrics writes per-tick metrics JSONL, with the serve catalog when
@@ -103,9 +100,6 @@ std::optional<serve::Config> serve_config(const support::CliParser& cli) {
         " is out of range [1, " + std::to_string(serve::kMaxKeyUniverse) +
         "]");
   }
-  // Latency needs a real clock; deterministic mode trades it for
-  // byte-stable output (the latency rows stay, zeroed).
-  config.measure_latency = !bench::Telemetry::deterministic();
   return config;
 }
 
@@ -113,23 +107,17 @@ std::optional<serve::Config> serve_config(const support::CliParser& cli) {
 std::vector<bench::Record> serve_records(const serve::Report& rep,
                                          const std::string& experiment,
                                          const std::string& cell,
-                                         std::uint64_t seed,
-                                         double wall_ms) {
+                                         std::uint64_t seed) {
   std::vector<bench::Record> records;
-  auto push = [&](const std::string& row_cell, const std::string& metric,
-                  double value, double row_wall_ms) {
+  auto row = [&](const std::string& metric, double value) {
     bench::Record rec;
     rec.experiment = experiment;
-    rec.cell = row_cell;
+    rec.cell = cell;
     rec.metric = metric;
     rec.value = value;
-    rec.wall_ms = row_wall_ms;
     rec.seed = seed;
     rec.trials = 1;
     records.push_back(rec);
-  };
-  auto row = [&](const std::string& metric, double value) {
-    push(cell, metric, value, 0.0);
   };
   auto d = [](std::uint64_t v) { return static_cast<double>(v); };
   row("lookups", d(rep.lookups));
@@ -145,8 +133,6 @@ std::vector<bench::Record> serve_records(const serve::Report& rep,
   row("views_published", d(rep.views.published));
   row("views_reclaimed", d(rep.views.reclaimed));
   row("views_retire_depth_max", d(rep.views.retire_depth_max));
-  push(cell + "/latency_p50_ns", "wall_ms", rep.latency_p50_ns, wall_ms);
-  push(cell + "/latency_p99_ns", "wall_ms", rep.latency_p99_ns, wall_ms);
   return records;
 }
 
@@ -260,21 +246,19 @@ int main(int argc, char** argv) try {
     // The engine is gone; the final batch may still be in flight against
     // the Service's live view, so drain() is the run's closing barrier.
     service->drain();
-    wall_ms = bench::Telemetry::deterministic() ? 0.0 : timer.elapsed_ms();
+    wall_ms = timer.elapsed_ms();
     const serve::Report rep = service->report();
     lookups = rep.lookups;
     const std::string cell(serve::traffic_name(serving->traffic));
     experiment = "serve_" + script.name;
-    records = serve_records(rep, experiment, cell, seed, wall_ms);
+    records = serve_records(rep, experiment, cell, seed);
     summary += ", traffic " + cell + ", " + result.experiment;
   }
   const bool quiet = cli.get_bool("quiet");
   if (!quiet) {
     std::cout << experiment << " (" << summary << ")\n";
     for (const bench::Record& rec : records) {
-      std::printf("  %-28s %.17g\n",
-                  (rec.metric == "wall_ms" ? rec.cell : rec.metric).c_str(),
-                  rec.value);
+      std::printf("  %-28s %.17g\n", rec.metric.c_str(), rec.value);
     }
     if (wall_ms > 0.0) {
       std::printf("  %-28s %.0f\n", "lookups_per_sec",
@@ -302,14 +286,12 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  if (bench::Telemetry::json_enabled()) {
-    const std::string dir = support::env_string("DHTLB_BENCH_DIR", ".");
-    const std::string path = dir + "/BENCH_" + experiment + ".json";
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return fail("cannot write " + path);
-    out << json;
-    if (!quiet) std::cout << "wrote " << path << "\n";
-  }
+  const std::string dir = support::env_string("DHTLB_BENCH_DIR", ".");
+  const std::string path = dir + "/BENCH_" + experiment + ".json";
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return fail("cannot write " + path);
+  out << json;
+  if (!quiet) std::cout << "wrote " << path << "\n";
   return 0;
 } catch (const std::invalid_argument& e) {
   // A malformed flag value, e.g. `--seed abc` (CliParser's typed getters).

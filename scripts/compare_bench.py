@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Compare BENCH_*.json telemetry against committed baselines.
 
-Every bench binary (bench/) writes a BENCH_<name>.json next to its text
-output: flat records {cell, experiment, metric, seed, trials, value,
-wall_ms} with an optional peak_rss_bytes.  This script compares a
+Every telemetry bench (bench/) writes a BENCH_<name>.json next to its
+text output: schema-2 flat records {cell, experiment, metric, seed,
+trials, value} with an optional peak_rss_bytes.  This script compares a
 freshly generated set of files against the baselines committed under
 bench/baselines/ and fails when
 
@@ -12,21 +12,27 @@ bench/baselines/ and fails when
   * a record's peak RSS grows by more than 25%, or
   * with --min-speedup, the best speedup_vs_t1 record is below the floor.
 
-Wall time is not gated here: perfbench/ is the repo's speed instrument.
+Records hold reproducible values only; the one wall-derived metric,
+tick_parallel's speedup_vs_t1, is exempt from the value check and gated
+by --min-speedup alone.  perfbench/ is the repo's speed instrument.
 
 Usage:
   compare_bench.py --baseline-dir bench/baselines --current-dir out
   compare_bench.py ... --min-speedup 2         # thread-scaling floor
   compare_bench.py --self-test                 # prove every gate trips
-Exit codes: 0 ok, 1 regression/drift found, 2 usage or missing files.
+Exit codes: 0 ok, 1 regression/drift found, 2 usage, missing,
+unreadable or wrong-schema files.
 """
 
 import argparse
 import copy
 import json
 import os
+import subprocess
 import sys
 import tempfile
+
+SCHEMA_VERSION = 2
 
 # Allowed fractional peak-RSS increase for records carrying
 # peak_rss_bytes.
@@ -35,12 +41,20 @@ MAX_RSS_REGRESSION = 0.25
 SPEEDUP_METRIC = "speedup_vs_t1"
 
 
+class BadFile(Exception):
+    """A telemetry file that cannot be read or is not schema 2."""
+
+
 def load_records(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema_version") != 1:
-        raise ValueError(f"{path}: unsupported schema_version "
-                         f"{doc.get('schema_version')!r}")
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise BadFile(f"{path}: unreadable: {e}") from e
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION or not isinstance(doc.get("records"), list):
+        raise BadFile(f"{path}: unsupported schema_version {version!r} "
+                      f"(expected {SCHEMA_VERSION})")
     return doc["records"]
 
 
@@ -70,10 +84,8 @@ def compare_file(name, base_path, cur_path, failures):
                     f"{base_rss} -> {cur_rss} bytes ({rss_ratio:.2f}x, "
                     f"limit {1.0 + MAX_RSS_REGRESSION:.2f}x)")
 
-        # wall_ms-metric records (grid fan timings) are wall clock
-        # re-exposed as a value, and speedup* metrics are ratios of wall
-        # clocks; only the --min-speedup floor below applies to them.
-        if key[1] == "wall_ms" or key[1].startswith("speedup"):
+        # A ratio of wall clocks: only the --min-speedup floor applies.
+        if key[1] == SPEEDUP_METRIC:
             continue
         same_config = ((base_r["seed"], base_r["trials"])
                        == (cur_r["seed"], cur_r["trials"]))
@@ -90,10 +102,9 @@ def check_speedup_floor(current_dir, min_speedup, failures):
     """Enforces --min-speedup against the current run's speedup records.
 
     Scans every BENCH_*.json in the current dir for positive
-    SPEEDUP_METRIC records (deterministic-mode runs zero them, so they
-    never gate).  The best one must reach the floor: the thread-scaling
-    gate the nightly lane runs on bench/tick_parallel telemetry, guarded
-    by a core-count check in the workflow.
+    SPEEDUP_METRIC records.  The best one must reach the floor: the
+    thread-scaling gate the nightly lane runs on bench/tick_parallel
+    telemetry, guarded by a core-count check in the workflow.
     """
     best = None
     best_key = None
@@ -109,8 +120,7 @@ def check_speedup_floor(current_dir, min_speedup, failures):
     if best is None:
         failures.append(
             f"--min-speedup {min_speedup}: no positive {SPEEDUP_METRIC!r} "
-            f"record found in {current_dir} "
-            f"(was the bench run in deterministic mode?)")
+            f"record found in {current_dir}")
     elif best < min_speedup:
         failures.append(
             f"speedup floor: best {SPEEDUP_METRIC} is {best:.2f}x "
@@ -123,15 +133,15 @@ def check_speedup_floor(current_dir, min_speedup, failures):
 def self_test():
     """Feeds each gate a planted regression; every one must trip."""
     base = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "experiment": "selftest",
         "records": [
             {"cell": "c", "experiment": "selftest", "metric": "m",
-             "seed": 0, "trials": 1, "value": 1.0, "wall_ms": 100.0,
+             "seed": 0, "trials": 1, "value": 1.0,
              "peak_rss_bytes": 1000000},
             {"cell": "n=1000/t8", "experiment": "selftest",
              "metric": SPEEDUP_METRIC, "seed": 0, "trials": 1,
-             "value": 1.4, "wall_ms": 0.0},
+             "value": 1.4},
         ],
     }
 
@@ -179,6 +189,31 @@ def self_test():
             return 1
         print("self-test: identical files pass")
 
+        # A schema-1 file and a truncated one are not drift: the CLI must
+        # exit 2 with one stderr line naming the file.
+        old = copy.deepcopy(base)
+        old["schema_version"] = 1
+        bad_legs = [("schema-1 file", "unsupported schema_version",
+                     json.dumps(old)),
+                    ("truncated file", "unreadable", json.dumps(base)[:40])]
+        for i, (what, marker, text) in enumerate(bad_legs):
+            d = os.path.join(tmp, f"bad{i}")
+            os.makedirs(d)
+            path = os.path.join(d, "BENCH_selftest.json")
+            with open(path, "w") as f:
+                f.write(text)
+            run = subprocess.run(
+                [sys.executable, os.path.abspath(__file__),
+                 "--baseline-dir", base_dir, "--current-dir", d],
+                capture_output=True, text=True)
+            lines = run.stderr.splitlines()
+            if (run.returncode != 2 or len(lines) != 1
+                    or path not in lines[0] or marker not in lines[0]):
+                print(f"self-test FAILED: {what} gave exit "
+                      f"{run.returncode}, stderr {run.stderr!r}")
+                return 1
+            print(f"self-test: {what} correctly rejected: {lines[0]}")
+
         # Speedup floor: the 1.4x curve must fail a 2x floor and pass 1.2x.
         failures = []
         check_speedup_floor(base_dir, 2.0, failures)
@@ -225,22 +260,26 @@ def main():
 
     failures = []
     compared = 0
-    for name in baselines:
-        cur_path = os.path.join(args.current_dir, name)
-        if not os.path.isfile(cur_path):
-            print(f"note: {name}: not produced by this run, skipping")
-            continue
-        compare_file(name, os.path.join(args.baseline_dir, name), cur_path,
-                     failures)
-        compared += 1
+    try:
+        for name in baselines:
+            cur_path = os.path.join(args.current_dir, name)
+            if not os.path.isfile(cur_path):
+                print(f"note: {name}: not produced by this run, skipping")
+                continue
+            compare_file(name, os.path.join(args.baseline_dir, name),
+                         cur_path, failures)
+            compared += 1
 
-    if compared == 0:
-        print("error: no baseline file matched a current file",
-              file=sys.stderr)
+        if compared == 0:
+            print("error: no baseline file matched a current file",
+                  file=sys.stderr)
+            sys.exit(2)
+
+        if args.min_speedup > 0:
+            check_speedup_floor(args.current_dir, args.min_speedup, failures)
+    except BadFile as e:
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(2)
-
-    if args.min_speedup > 0:
-        check_speedup_floor(args.current_dir, args.min_speedup, failures)
 
     if failures:
         print(f"\ncompare_bench: {len(failures)} failure(s):")

@@ -13,9 +13,10 @@ keeps hidden environment knobs out of library code):
                        iteration that feeds output silently breaks goldens.
                        Membership-only uses are fine: annotate them.
   wall-clock           chrono *_clock::now() / time() / gettimeofday /
-                       clock_gettime outside the telemetry wall-ms
-                       allowlist (bench wall_ms is zeroed in deterministic
-                       mode; simulation code must use the tick clock).
+                       clock_gettime outside the bench stopwatch
+                       allowlist (wall time is printed on stdout, never
+                       recorded in telemetry; simulation code must use
+                       the tick clock).
   raw-rand             std::rand / srand / std::random_device — unseeded
                        global entropy.  All randomness flows through
                        support::Rng streams derived from mix_seed.
@@ -72,7 +73,7 @@ RULES = {
             r"\s*\(|\bgettimeofday\s*\(|\bclock_gettime\s*\("
             r"|\bstd::time\s*\(|(?<![\w:])time\s*\(\s*(NULL|nullptr|0)\s*\)"
         ),
-        "wall-clock read outside the telemetry wall-ms allowlist; simulation "
+        "wall-clock read outside the bench stopwatch allowlist; simulation "
         "code must derive time from the tick counter",
     ),
     "raw-rand": (

@@ -107,7 +107,6 @@ void push(ScenarioResult& out, const std::string& cell,
   rec.cell = cell;
   rec.metric = metric;
   rec.value = value;
-  rec.wall_ms = 0.0;  // scenarios are result goldens, never timings
   rec.seed = seed;
   rec.trials = 1;
   out.records.push_back(rec);

@@ -17,7 +17,7 @@
 // count, and a scenario edit does not shift the engine's churn draws.
 //
 // The result is a fixed-order list of bench::Record telemetry rows
-// (wall_ms always 0, trials always 1): serializing them with
+// (trials always 1): serializing them with
 // bench::to_json yields a byte-stable golden for regression testing.
 #pragma once
 

@@ -1,8 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cmath>
 
 #include "stats/load_metrics.hpp"
@@ -117,30 +115,10 @@ void Service::serve_shard(std::size_t shard) {
   ShardAccum& acc = accums_[shard];
   const std::uint64_t quota = shard_quota(shard);
   support::Rng rng(support::stream_seed(serve_seed_, view.tick(), shard));
-  const bool timed = config_.measure_latency;
   for (std::uint64_t i = 0; i < quota; ++i) {
     const Uint160 key = stream_.draw(rng);
     const auto origin = static_cast<std::size_t>(rng.below(view.size()));
-    // Latency is the one serve output off the determinism contract:
-    // capture is gated on measure_latency, which drivers disable in
-    // deterministic mode (see the Config comment).
-    std::chrono::steady_clock::time_point t0;
-    if (timed) {
-      // dhtlb:lint-allow(wall-clock) per-lookup latency stopwatch open.
-      t0 = std::chrono::steady_clock::now();
-    }
     const RingView::Route route = view.route(key, origin);
-    if (timed) {
-      // dhtlb:lint-allow(wall-clock) per-lookup latency stopwatch close.
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count();
-      const auto width = static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(std::max<long long>(
-              0, ns))));
-      ++acc.lat_hist[std::min(width, kLatBuckets - 1)];
-    }
     ++acc.lookups;
     ++acc.batch_lookups;
     acc.hops += route.hops;
@@ -181,7 +159,6 @@ Report Service::report() const {
   Report rep;
   rep.batches = batches_;
   std::array<std::uint64_t, kHopBuckets> hop_hist{};
-  std::array<std::uint64_t, kLatBuckets> lat_hist{};
   std::uint64_t sybil_hits = 0;
   std::vector<std::uint64_t> owner_hits;
   for (const ShardAccum& acc : accums_) {
@@ -191,9 +168,6 @@ Report Service::report() const {
     sybil_hits += acc.sybil_hits;
     for (std::size_t i = 0; i < kHopBuckets; ++i) {
       hop_hist[i] += acc.hop_hist[i];
-    }
-    for (std::size_t i = 0; i < kLatBuckets; ++i) {
-      lat_hist[i] += acc.lat_hist[i];
     }
     if (owner_hits.size() < acc.owner_hits.size()) {
       owner_hits.resize(acc.owner_hits.size(), 0);
@@ -227,17 +201,6 @@ Report Service::report() const {
   rep.views.published = batches_;
   rep.views.reclaimed = batches_ > 0 ? batches_ - 1 : 0;
   rep.views.retire_depth_max = batches_ > 1 ? 1 : 0;
-  if (config_.measure_latency && rep.lookups > 0) {
-    // Bucket b holds latencies with bit_width(ns) == b; report the
-    // bucket's lower bound (2^(b-1) ns) — coarse but monotone.
-    const auto bucket_ns = [](std::uint64_t b) {
-      return b == 0 ? 0.0 : static_cast<double>(1ULL << (b - 1));
-    };
-    rep.latency_p50_ns =
-        bucket_ns(hist_percentile(lat_hist, rep.lookups, 50.0));
-    rep.latency_p99_ns =
-        bucket_ns(hist_percentile(lat_hist, rep.lookups, 99.0));
-  }
   return rep;
 }
 

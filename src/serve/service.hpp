@@ -21,10 +21,8 @@
 // reader-thread count is purely an execution knob — any --readers and
 // any DHTLB_THREADS produce bit-identical counts, hop statistics and
 // owner-load telemetry (the ctest serve.golden.* entries enforce it
-// across both knobs).  The only
-// intentionally nondeterministic outputs are wall-clock latencies,
-// which exist only when measure_latency is on (drivers disable it in
-// deterministic mode, zeroing those fields).
+// across both knobs).  Every Report field is deterministic; the plane
+// reads no clock.
 //
 // Thread-safety model: everything here is phase-owned, not lock-guarded.
 // Each ShardAccum is written by exactly one shard job per batch and
@@ -64,10 +62,6 @@ struct Config {
   /// Lookups per batch (one batch per published view; the driver's
   /// --qps, with the tick as the unit of time).
   std::uint64_t lookups_per_tick = 2000;
-  /// Record per-lookup wall-clock latency histograms.  Off in
-  /// deterministic mode — the clock is the one serve output that
-  /// cannot be made reproducible.
-  bool measure_latency = false;
 };
 
 /// View accounting.  The Service freezes one view at attach and one per
@@ -80,8 +74,8 @@ struct ViewStats {
   std::uint64_t retire_depth_max = 0;  // published > 1 ? 1 : 0
 };
 
-/// Folded end-of-run serve statistics.  Everything except the latency
-/// fields is deterministic in (params, scenario, seed, config).
+/// Folded end-of-run serve statistics, deterministic in (params,
+/// scenario, seed, config).
 struct Report {
   std::uint64_t lookups = 0;
   std::uint64_t batches = 0;       // views a batch ran against
@@ -98,10 +92,6 @@ struct Report {
   double owner_hits_gini = 0.0;    // over owners with >= 1 hit
   double owner_hits_max_over_mean = 0.0;
   ViewStats views;
-  /// Wall-clock per-lookup latency (ns), from log2-bucket histograms;
-  /// all zero unless Config::measure_latency.
-  double latency_p50_ns = 0.0;
-  double latency_p99_ns = 0.0;
 };
 
 class Service {
@@ -141,8 +131,7 @@ class Service {
   Report report() const;
 
  private:
-  static constexpr std::size_t kHopBuckets = 64;   // exact counts 0..62, 63+
-  static constexpr std::size_t kLatBuckets = 64;   // log2(ns) buckets
+  static constexpr std::size_t kHopBuckets = 64;  // exact counts 0..62, 63+
 
   void freeze(const sim::World& world, std::uint64_t tick);
   void dispatch();
@@ -159,7 +148,6 @@ class Service {
     std::uint64_t hops_max = 0;
     std::uint64_t sybil_hits = 0;
     std::array<std::uint64_t, kHopBuckets> hop_hist{};
-    std::array<std::uint64_t, kLatBuckets> lat_hist{};
     std::vector<std::uint64_t> owner_hits;  // sized owner_count at attach
     // Per-batch deltas (zeroed at dispatch, read at collect).
     std::uint64_t batch_lookups = 0;

@@ -6,14 +6,11 @@
 #include <stdexcept>
 
 namespace dhtlb::support {
-namespace {
 
-/// Parses `raw` as a decimal u64 for the argument `label` (a flag's
-/// `--name` or a positional's name).  strtoull would negate a leading '-'
-/// and saturate an overflow to 2^64 - 1, so both are rejected here along
-/// with non-numeric text (`what` names that case in the message).
 std::uint64_t parse_u64(const std::string& label, const std::string& raw,
                         const char* what) {
+  // strtoull would negate a leading '-' and saturate an overflow to
+  // 2^64 - 1, so both are rejected along with non-numeric text.
   if (raw.find('-') != std::string::npos) {
     throw std::invalid_argument(label + ": negative value: " + raw);
   }
@@ -28,8 +25,6 @@ std::uint64_t parse_u64(const std::string& label, const std::string& raw,
   }
   return v;
 }
-
-}  // namespace
 
 void CliParser::add_flag(const std::string& name,
                          const std::string& value_name,

@@ -59,6 +59,13 @@ class CliParser {
   std::string error_;
 };
 
+/// Parses `raw` as a decimal u64 for the input `label` (a flag's
+/// `--name`, a positional's name or an env var).  Throws
+/// std::invalid_argument naming `label` and the raw text on a negative
+/// value, on overflow and on non-numeric text (`what` names that case).
+std::uint64_t parse_u64(const std::string& label, const std::string& raw,
+                        const char* what = "not an integer");
+
 /// A positional count for the example programs: argv[index] checked as
 /// CliParser::get_u64 checks a flag value, or `fallback` when argc <=
 /// index.  Throws std::invalid_argument naming `name` and the raw text

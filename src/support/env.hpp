@@ -6,19 +6,30 @@
 //   DHTLB_TRIALS  — override the trial count (0/unset = binary's default)
 //   DHTLB_SEED    — override the base RNG seed
 //   DHTLB_THREADS — worker threads for the trial fan or the engine's
-//                   shard pool (0/unset = all cores)
+//                   shard pool (0/unset = all cores, at most
+//                   kMaxEnvThreads)
 // EXPERIMENTS.md records which settings produced the committed numbers.
 // Only programs (bench/, examples/) call these; library code takes the
 // values as arguments (the env-read rule of scripts/lint_determinism.py).
+//
+// A set integer knob must be a plain decimal: garbage, negative and
+// overflowing values throw std::invalid_argument naming the variable,
+// so a typo fails the run instead of silently using the default.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace dhtlb::support {
 
-/// Reads an unsigned integer env var; returns fallback when unset, empty,
-/// or unparseable.
+/// Upper bound on DHTLB_THREADS: a pool this large is already far past
+/// any useful fan, and a typo must not spawn unbounded threads.
+inline constexpr std::size_t kMaxEnvThreads = 1024;
+
+/// Reads an unsigned integer env var; returns fallback when unset or
+/// empty.  Throws std::invalid_argument naming `name` when the value is
+/// not a decimal integer, is negative or overflows 64 bits.
 std::uint64_t env_u64(const std::string& name, std::uint64_t fallback);
 
 /// Trial count for a reproduction binary: DHTLB_TRIALS or the default.
@@ -28,13 +39,10 @@ std::size_t env_trials(std::size_t fallback);
 std::uint64_t env_seed();
 
 /// Thread count for trial fans: DHTLB_THREADS or 0 (= hardware).
+/// Throws std::invalid_argument above kMaxEnvThreads.
 std::size_t env_threads();
 
 /// Reads a string env var; returns fallback when unset or empty.
 std::string env_string(const std::string& name, const std::string& fallback);
-
-/// Reads a boolean env var: "0"/"false"/"off" → false, anything else
-/// non-empty → true, unset/empty → fallback.
-bool env_flag(const std::string& name, bool fallback);
 
 }  // namespace dhtlb::support

@@ -1,5 +1,5 @@
 // Tests for the bench telemetry harness: schema fields, stable key
-// ordering, deterministic output at a fixed seed, and the env knobs.
+// ordering, deterministic output at a fixed seed, and the output dir.
 #include "harness/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -43,7 +43,6 @@ std::vector<Record> sample_records() {
   a.cell = "cell/one";
   a.metric = "runtime_factor_mean";
   a.value = 1.25;
-  a.wall_ms = 10.5;
   a.seed = 42;
   a.trials = 8;
   Record b = a;
@@ -54,20 +53,38 @@ std::vector<Record> sample_records() {
 
 TEST(ToJson, ContainsEverySchemaField) {
   const std::string json = to_json("exp", sample_records());
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"experiment\": \"exp\""), std::string::npos);
   for (const char* key :
-       {"\"cell\"", "\"metric\"", "\"seed\"", "\"trials\"", "\"value\"",
-        "\"wall_ms\""}) {
+       {"\"cell\"", "\"metric\"", "\"seed\"", "\"trials\"", "\"value\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
 
+// The whole schema-2 document, byte for byte: the layout every
+// committed baseline and golden is stored in.
+TEST(ToJson, SchemaTwoExactBytes) {
+  auto records = sample_records();
+  records[0].peak_rss_bytes = 4096;
+  EXPECT_EQ(to_json("exp", records),
+            "{\n"
+            "  \"schema_version\": 2,\n"
+            "  \"experiment\": \"exp\",\n"
+            "  \"records\": [\n"
+            "    {\"cell\": \"cell/one\", \"experiment\": \"exp\", "
+            "\"metric\": \"runtime_factor_mean\", \"peak_rss_bytes\": 4096, "
+            "\"seed\": 42, \"trials\": 8, \"value\": 1.25},\n"
+            "    {\"cell\": \"cell/two\", \"experiment\": \"exp\", "
+            "\"metric\": \"runtime_factor_mean\", \"seed\": 42, "
+            "\"trials\": 8, \"value\": 0.30000000000000004}\n"
+            "  ]\n"
+            "}\n");
+}
+
 TEST(ToJson, KeysInAlphabeticalOrderWithinRecord) {
   const std::string json = to_json("exp", sample_records());
-  const char* keys[] = {"\"cell\"",  "\"experiment\"", "\"metric\"",
-                        "\"seed\"",  "\"trials\"",     "\"value\"",
-                        "\"wall_ms\""};
+  const char* keys[] = {"\"cell\"", "\"experiment\"", "\"metric\"",
+                        "\"seed\"", "\"trials\"",     "\"value\""};
   const std::size_t record_start = json.find("{\"cell\"");
   ASSERT_NE(record_start, std::string::npos);
   std::size_t prev = record_start;
@@ -105,8 +122,7 @@ TEST(ToJson, EmptyRecordsYieldValidSkeleton) {
 }
 
 TEST(ToJson, PeakRssOmittedWhenZeroAndSortedBetweenMetricAndSeed) {
-  // Absent by default: zero-RSS records serialize exactly as before the
-  // field existed.
+  // Absent by default: zero-RSS records carry no RSS key.
   const std::string without = to_json("exp", sample_records());
   EXPECT_EQ(without.find("peak_rss_bytes"), std::string::npos);
 
@@ -122,16 +138,6 @@ TEST(ToJson, PeakRssOmittedWhenZeroAndSortedBetweenMetricAndSeed) {
   EXPECT_EQ(with.find("\"peak_rss_bytes\"", pos + 1), std::string::npos);
 }
 
-TEST(Telemetry, PeakRssZeroedInDeterministicMode) {
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
-  ScopedEnv nojson("DHTLB_BENCH_JSON", "0");
-  Telemetry t("unit");
-  t.record("c", "m", 1.0, 9.0, 1, /*peak_rss_bytes=*/1 << 20);
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.records()[0].peak_rss_bytes, 0u);
-  EXPECT_EQ(t.json().find("peak_rss_bytes"), std::string::npos);
-}
-
 TEST(Telemetry, CurrentPeakRssIsPlausible) {
   // A running process has touched at least a megabyte and (on any
   // machine this suite targets) well under a terabyte.
@@ -140,27 +146,25 @@ TEST(Telemetry, CurrentPeakRssIsPlausible) {
   EXPECT_LT(rss, 1ull << 40);
 }
 
-TEST(Telemetry, RecordCapturesEnvSeedAndZeroesWallWhenDeterministic) {
+TEST(Telemetry, RecordCapturesEnvSeedAndRss) {
+  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   ScopedEnv seed("DHTLB_SEED", "1234");
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
-  ScopedEnv nojson("DHTLB_BENCH_JSON", "0");  // no file side effects
   Telemetry t("unit");
-  t.record("c", "m", 2.5, 99.0, 4);
+  t.record("c", "m", 2.5, 4, /*peak_rss_bytes=*/1 << 20);
   ASSERT_EQ(t.records().size(), 1u);
   EXPECT_EQ(t.records()[0].seed, 1234u);
   EXPECT_EQ(t.records()[0].trials, 4u);
-  EXPECT_DOUBLE_EQ(t.records()[0].wall_ms, 0.0);  // deterministic mode
+  EXPECT_EQ(t.records()[0].peak_rss_bytes, 1u << 20);
   EXPECT_DOUBLE_EQ(t.records()[0].value, 2.5);
 }
 
 TEST(Telemetry, IdenticalRunsProduceIdenticalJson) {
+  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   ScopedEnv seed("DHTLB_SEED", "7");
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
-  ScopedEnv nojson("DHTLB_BENCH_JSON", "0");
   auto run = [] {
     Telemetry t("unit");
-    t.record("a", "m", 1.0, 5.0, 2);
-    t.record("b", "m", 2.0, 6.0, 2);
+    t.record("a", "m", 1.0, 2);
+    t.record("b", "m", 2.0, 2);
     return t.json();
   };
   EXPECT_EQ(run(), run());
@@ -168,10 +172,9 @@ TEST(Telemetry, IdenticalRunsProduceIdenticalJson) {
 
 TEST(Telemetry, FlushWritesFileToBenchDir) {
   ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
   {
     Telemetry t("flushtest");
-    t.record("c", "m", 3.0, 0.0, 1);
+    t.record("c", "m", 3.0, 1);
     EXPECT_TRUE(t.flush());
   }
   const std::string path = ::testing::TempDir() + "/BENCH_flushtest.json";
@@ -189,48 +192,37 @@ TEST(Telemetry, FlushWritesFileToBenchDir) {
 // can record concurrently: the fan must lose no records, and records()
 // returns a consistent snapshot.
 TEST(Telemetry, ConcurrentRecordsAreAllKept) {
-  ScopedEnv det("DHTLB_BENCH_DETERMINISTIC", "1");
-  ScopedEnv nojson("DHTLB_BENCH_JSON", "0");
+  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   Telemetry t("unit");
   constexpr std::size_t kTasks = 8;
   constexpr int kRecordsPerTask = 500;
   support::ThreadPool pool(4);
   pool.parallel_for(kTasks, [&](std::size_t task) {
     for (int i = 0; i < kRecordsPerTask; ++i) {
-      t.record("cell/" + std::to_string(task), "m", 1.0, 0.0, 1);
+      t.record("cell/" + std::to_string(task), "m", 1.0, 1);
     }
   });
   EXPECT_EQ(t.records().size(), kTasks * kRecordsPerTask);
 }
 
-TEST(Telemetry, JsonKnobDisablesFlush) {
-  ScopedEnv nojson("DHTLB_BENCH_JSON", "0");
-  Telemetry t("disabled");
-  t.record("c", "m", 1.0, 0.0, 1);
-  EXPECT_FALSE(t.flush());
-}
-
 // The file holds exactly the recorded records: no calibration record
-// is prepended, with or without deterministic mode.
+// is prepended.
 TEST(Telemetry, FlushWritesOnlyRecordedRecords) {
   ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  for (const char* det : {"0", "1"}) {
-    ScopedEnv mode("DHTLB_BENCH_DETERMINISTIC", det);
-    std::string expected;
-    {
-      Telemetry t("caltest");
-      t.record("c", "m", 1.0, 2.0, 1);
-      expected = t.json();
-      ASSERT_TRUE(t.flush());
-    }
-    const std::string path = ::testing::TempDir() + "/BENCH_caltest.json";
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), expected) << "DHTLB_BENCH_DETERMINISTIC=" << det;
-    EXPECT_EQ(buf.str().find("__calibration__"), std::string::npos);
-    std::remove(path.c_str());
+  std::string expected;
+  {
+    Telemetry t("caltest");
+    t.record("c", "m", 1.0, 1);
+    expected = t.json();
+    ASSERT_TRUE(t.flush());
   }
+  const std::string path = ::testing::TempDir() + "/BENCH_caltest.json";
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), expected);
+  EXPECT_EQ(buf.str().find("__calibration__"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

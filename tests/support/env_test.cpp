@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace dhtlb::support {
 namespace {
@@ -26,13 +28,24 @@ TEST_F(EnvTest, SetValueIsParsed) {
   EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 12345u);
 }
 
-TEST_F(EnvTest, GarbageUsesFallback) {
-  ::setenv("DHTLB_TEST_VAR", "not-a-number", 1);
-  EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 17u);
-  ::setenv("DHTLB_TEST_VAR", "12abc", 1);
-  EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 17u);
+// A set knob is a plain decimal or an error naming the variable: a typo
+// must not silently run with the default, and strtoull must not wrap a
+// negative or saturate an overflow.
+TEST_F(EnvTest, GarbageIsRejected) {
+  for (const char* raw : {"not-a-number", "12abc", "banana", "-1",
+                          "18446744073709551616"}) {
+    ::setenv("DHTLB_TEST_VAR", raw, 1);
+    try {
+      env_u64("DHTLB_TEST_VAR", 17);
+      ADD_FAILURE() << raw << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DHTLB_TEST_VAR"), std::string::npos) << what;
+      EXPECT_NE(what.find(raw), std::string::npos) << what;
+    }
+  }
   ::setenv("DHTLB_TEST_VAR", "", 1);
-  EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 17u);
+  EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 17u) << "empty means unset";
 }
 
 TEST_F(EnvTest, TrialsOverride) {
@@ -53,6 +66,15 @@ TEST_F(EnvTest, ThreadsDefaultIsZero) {
   EXPECT_EQ(env_threads(), 0u);
   ::setenv("DHTLB_THREADS", "3", 1);
   EXPECT_EQ(env_threads(), 3u);
+}
+
+TEST_F(EnvTest, ThreadsAboveCapAreRejected) {
+  ::setenv("DHTLB_THREADS", std::to_string(kMaxEnvThreads).c_str(), 1);
+  EXPECT_EQ(env_threads(), kMaxEnvThreads);
+  ::setenv("DHTLB_THREADS", "100000", 1);
+  EXPECT_THROW(env_threads(), std::invalid_argument);
+  ::setenv("DHTLB_SEED", "banana", 1);
+  EXPECT_THROW(env_seed(), std::invalid_argument);
 }
 
 }  // namespace
