@@ -94,7 +94,7 @@ void BM_ScaleChurn(benchmark::State& state) {
     const auto victim =
         alive[static_cast<std::size_t>(pick.range(0, alive.size() - 1))];
     benchmark::DoNotOptimize(w.depart(victim));
-    benchmark::DoNotOptimize(w.join_from_pool());
+    benchmark::DoNotOptimize(w.join_from_pool(rng));
   }
 }
 BENCHMARK(BM_ScaleChurn)

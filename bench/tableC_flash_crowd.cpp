@@ -14,10 +14,16 @@
 #include "repro_util.hpp"
 #include "sim/engine.hpp"
 #include "support/env.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 using namespace dhtlb;
+
+// Label of the burst-join placement stream: each trial's late joiners
+// draw their ring IDs from mix_seed(trial seed, kBurstStream), apart
+// from every stream the engine derives from the same seed.
+constexpr std::uint64_t kBurstStream = 0xF1A5C20ULL;  // "flash crowd"
 
 struct FlashResult {
   std::uint64_t ticks = 0;
@@ -29,11 +35,12 @@ FlashResult run_flash(const char* strategy, std::size_t burst,
                       std::uint64_t burst_tick, std::uint64_t seed) {
   sim::Params p = bench::paper_defaults(500, 50'000);
   sim::Engine engine(p, seed, lb::make_strategy(strategy));
+  support::Rng burst_rng(support::mix_seed(seed, kBurstStream));
   FlashResult result;
   while (true) {
     if (engine.current_tick() == burst_tick) {
       for (std::size_t i = 0; i < burst; ++i) {
-        if (engine.world().join_from_pool()) ++result.joined;
+        if (engine.world().join_from_pool(burst_rng)) ++result.joined;
       }
     }
     if (!engine.step()) break;

@@ -10,10 +10,9 @@
 // horizon keeps the lane's wall time predictable across strategies.
 //
 // Env knobs: DHTLB_DENSE_NODES (default 10k; nightly sets 1M),
-// DHTLB_DENSE_TICKS (default 100), DHTLB_TRIALS, DHTLB_SEED,
-// DHTLB_THREADS (nightly sets 0 = all cores; outputs are thread-count
-// independent so the committed baseline still gates values
-// bit-for-bit).
+// DHTLB_TRIALS, DHTLB_SEED, DHTLB_THREADS (nightly sets 0 = all cores;
+// outputs are thread-count independent so the committed baseline still
+// gates values bit-for-bit).  The churn horizon is fixed at 100 ticks.
 //
 // Provisioning is streamed: the job arrives through a sim::TaskStream
 // at a rate matched to capacity, so resident tasks track the backlog
@@ -49,7 +48,7 @@ int main() {
   const std::uint64_t base_seed = support::env_seed();
   const std::size_t nodes = static_cast<std::size_t>(
       support::env_u64("DHTLB_DENSE_NODES", 10'000));
-  const std::uint64_t horizon = support::env_u64("DHTLB_DENSE_TICKS", 100);
+  const std::uint64_t horizon = 100;  // ticks every cell runs
   const std::uint64_t trials = support::env_trials(3);
   const std::size_t threads = support::env_threads();
 

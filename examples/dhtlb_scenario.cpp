@@ -31,9 +31,8 @@
 // --trace writes a Chrome trace_event JSON (open in chrome://tracing);
 // --metrics writes per-tick metrics JSONL, with the serve catalog when
 // --traffic is given.  Both are deterministic for a fixed (file, seed)
-// and byte-identical at any DHTLB_THREADS; both override the script's
-// `trace`/`metrics` header keys, and observation never changes the
-// telemetry (see OBSERVABILITY.md).
+// and byte-identical at any DHTLB_THREADS, and observation never
+// changes the telemetry (see OBSERVABILITY.md).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -148,11 +147,8 @@ int main(int argc, char** argv) try {
                "compare the telemetry JSON against a golden file and exit "
                "nonzero on any byte difference (implies no file output)");
   cli.add_flag("trace", "FILE", "",
-               "write a Chrome trace_event JSON of the run (overrides the "
-               "script's `trace` header)");
-  cli.add_flag("metrics", "FILE", "",
-               "write per-tick metrics JSONL (overrides the script's "
-               "`metrics` header)");
+               "write a Chrome trace_event JSON of the run");
+  cli.add_flag("metrics", "FILE", "", "write per-tick metrics JSONL");
   cli.add_flag("traffic", "MODEL", "",
                "attach the serving plane with this key distribution: "
                "uniform | zipf | hotspot (sim substrate only; writes "
@@ -203,11 +199,9 @@ int main(int argc, char** argv) try {
       script, cli.has("seed"), cli.has("seed") ? cli.get_u64("seed") : 0,
       support::env_seed());
 
-  // Observability sinks: CLI flag first, then the script header key.
   examples::SinkFiles sinks;
-  if (const std::string error = sinks.open(
-          cli.has("trace") ? cli.get("trace") : script.trace_path,
-          cli.has("metrics") ? cli.get("metrics") : script.metrics_path);
+  if (const std::string error =
+          sinks.open(cli.get("trace"), cli.get("metrics"));
       !error.empty()) {
     return fail(error);
   }

@@ -12,6 +12,10 @@ bench/baselines/ and fails when
   * a record's peak RSS grows by more than 25%, or
   * with --min-speedup, the best speedup_vs_t1 record is below the floor.
 
+ctest runs it once per smoke bench (`bench.baseline.<name>`, registered
+in bench/CMakeLists.txt): the bench writes into its own current dir and
+only the baselines it produced are compared.
+
 Records hold reproducible values only; the one wall-derived metric,
 tick_parallel's speedup_vs_t1, is exempt from the value check and gated
 by --min-speedup alone.  perfbench/ is the repo's speed instrument.

@@ -291,8 +291,6 @@ std::string emit_script(const Script& script) {
     line("mark-failed-ranges",
          script.params.mark_failed_ranges ? "true" : "false");
   }
-  if (!script.trace_path.empty()) line("trace", script.trace_path);
-  if (!script.metrics_path.empty()) line("metrics", script.metrics_path);
 
   for (const Block& block : script.blocks) {
     out += '\n';

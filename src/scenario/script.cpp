@@ -321,19 +321,14 @@ Script Script::parse(std::string_view text, std::string_view filename) {
     } else if (head == "ticks") {
       cur.expect_tokens(tokens, 2, "ticks <horizon>");
       script.horizon = cur.parse_u64(tokens[1], "tick horizon");
-    } else if (head == "trace") {
-      cur.expect_tokens(tokens, 2, "trace <file>");
-      script.trace_path = tokens[1];
-    } else if (head == "metrics") {
-      cur.expect_tokens(tokens, 2, "metrics <file>");
-      script.metrics_path = tokens[1];
     } else if (head == "nodes") {
       cur.expect_tokens(tokens, 2, "nodes <count>");
       script.params.initial_nodes =
           cur.parse_count(tokens[1], "node count", kMaxScriptNodes);
     } else if (head == "successors") {
       cur.expect_tokens(tokens, 2, "successors <k>");
-      script.params.num_successors = cur.parse_u64(tokens[1], "successors");
+      script.params.num_successors = cur.parse_count(
+          tokens[1], "successors", sim::Params::kMaxSuccessors);
     } else if (head == "strategy") {
       cur.expect_tokens(tokens, 2, "strategy <name>");
       cur.check_strategy(tokens[1]);

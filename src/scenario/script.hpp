@@ -31,10 +31,6 @@
 // a loop iteration, so a count past its limit is a ParseError rather
 // than a run that allocates until it dies.
 //
-// Optional observability headers (both substrates): `trace <file>` and
-// `metrics <file>` name default output paths for the Chrome trace and
-// the per-tick metrics JSONL; runner --trace/--metrics flags override.
-//
 // Two substrates share the format:
 //   substrate sim    (default) — drives sim::Engine through its timeline
 //                    hook; events: join/leave/crash, inject-uniform,
@@ -135,12 +131,6 @@ struct Script {
   /// Default seed from the `seed` header; callers may override.
   std::uint64_t seed = 0;
   bool seed_set = false;
-
-  /// Observability outputs from the `trace` / `metrics` header keys:
-  /// default file paths for the Chrome trace and the metrics JSONL.
-  /// Empty = disabled.  Runner `--trace` / `--metrics` flags override.
-  std::string trace_path;
-  std::string metrics_path;
 
   std::vector<Block> blocks;
 

@@ -111,26 +111,33 @@ void InvariantAuditor::check_successor_lists(AuditReport& report) const {
   const std::size_t k = std::max<std::size_t>(1, world_.params().num_successors);
   const std::size_t expected_len = std::min(k, n - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto succs = world_.successors_of(ids[i], k);
-    const auto preds = world_.predecessors_of(ids[i], k);
-    if (succs.size() != expected_len || preds.size() != expected_len) {
+    // Walk both lists, noting the first entry off ring order.
+    std::size_t bad = expected_len;
+    std::size_t succs = 0;
+    for (const ArcView& arc : world_.successor_arcs(ids[i], k)) {
+      if (succs < expected_len && arc.id != ids[(i + 1 + succs) % n]) {
+        bad = std::min(bad, succs);
+      }
+      ++succs;
+    }
+    std::size_t preds = 0;
+    for (const ArcView& arc : world_.predecessor_arcs(ids[i], k)) {
+      if (preds < expected_len && arc.id != ids[(i + n - 1 - preds) % n]) {
+        bad = std::min(bad, preds);
+      }
+      ++preds;
+    }
+    if (succs != expected_len || preds != expected_len) {
       fail(report, "successor-lists", [&](std::ostream& os) {
-        os << "vnode " << ids[i].to_short_hex() << " has " << succs.size()
-           << " successors / " << preds.size() << " predecessors, expected "
+        os << "vnode " << ids[i].to_short_hex() << " has " << succs
+           << " successors / " << preds << " predecessors, expected "
            << expected_len;
       });
-      continue;
-    }
-    for (std::size_t j = 0; j < expected_len; ++j) {
-      const Uint160& expected_succ = ids[(i + 1 + j) % n];
-      const Uint160& expected_pred = ids[(i + n - 1 - j) % n];
-      if (succs[j] != expected_succ || preds[j] != expected_pred) {
-        fail(report, "successor-lists", [&](std::ostream& os) {
-          os << "vnode " << ids[i].to_short_hex() << " list entry " << j
-             << " disagrees with ring order";
-        });
-        break;
-      }
+    } else if (bad != expected_len) {
+      fail(report, "successor-lists", [&](std::ostream& os) {
+        os << "vnode " << ids[i].to_short_hex() << " list entry " << bad
+           << " disagrees with ring order";
+      });
     }
   }
 }

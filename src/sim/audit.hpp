@@ -17,8 +17,9 @@
 //   key-partition    every task key lies in its owning vnode's arc
 //                    (pred, id] — together with uniqueness of storage
 //                    this is exact key-partition coverage
-//   successor-lists  successors_of / predecessors_of agree with the
-//                    ring order (length num_successors, §V-B)
+//   successor-lists  successor_arcs / predecessor_arcs — the walks the
+//                    strategies read — agree with the ring order
+//                    (length num_successors, §V-B)
 //   sybil-ownership  every vnode's owner is alive and lists it exactly
 //                    once; is_sybil matches list position; every slot a
 //                    node lists is a live vnode, indexed under its own
@@ -34,8 +35,7 @@
 //
 // In audit builds (-DDHTLB_AUDIT=ON) sim::Engine runs the full audit
 // after every tick and aborts with the offending tick + seed on the
-// first violation; World::check_invariants() is a boolean wrapper for
-// tests.
+// first violation; tests run InvariantAuditor(world).run() directly.
 #pragma once
 
 #include <string>

@@ -28,11 +28,19 @@ enum TickStream : std::uint64_t {
   // from the same per-tick root itself.
 };
 
+// World construction draws from the run seed's root stream.  World uses
+// the stream inside its constructor only; every later draw comes from a
+// per-tick stream above.
+World build_world(const Params& params, std::uint64_t seed) {
+  support::Rng rng(seed);
+  return World(params, rng);
+}
+
 }  // namespace
 
 Engine::Engine(const Params& params, std::uint64_t seed,
                std::unique_ptr<Strategy> strategy)
-    : seed_(seed), rng_(seed), world_(params, rng_),
+    : seed_(seed), world_(build_world(params, seed)),
       strategy_(std::move(strategy)) {
   // Ideal runtime (§V-C): tasks spread perfectly over the initial
   // capacity, no churn, no Sybils.  Ceiling division: a partial final

@@ -44,7 +44,6 @@
 #include "sim/strategy.hpp"
 #include "sim/task_stream.hpp"
 #include "sim/world.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace dhtlb::sim {
@@ -187,7 +186,6 @@ class Engine {
   void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   std::uint64_t seed_;
-  support::Rng rng_;
   World world_;
   std::unique_ptr<Strategy> strategy_;
   std::uint64_t tick_ = 0;

@@ -28,6 +28,10 @@ void Params::validate() const {
   if (num_successors == 0) {
     throw std::invalid_argument("Params: num_successors must be >= 1");
   }
+  if (num_successors > kMaxSuccessors) {
+    throw std::invalid_argument("Params: num_successors must be at most " +
+                                std::to_string(kMaxSuccessors));
+  }
   if (decision_period == 0) {
     throw std::invalid_argument("Params: decision_period must be >= 1");
   }

@@ -37,6 +37,12 @@ struct Params {
   /// 0..2·n-1 must stay below it.
   static constexpr std::size_t kMaxInitialNodes = 0x7FFF'FFFF;
 
+  /// Largest num_successors.  Strategies walk or probe this many
+  /// neighbor arcs per node per decision round, and the auditor walks
+  /// both lists of every vnode, so the length multiplies per-round work.
+  /// The paper uses 5 (§V-B).
+  static constexpr std::size_t kMaxSuccessors = 64;
+
   /// Nodes alive at tick zero.  A pool of equally many waiting nodes is
   /// created alongside (§IV-A), so churn joins/leaves roughly balance.
   std::size_t initial_nodes = 1000;

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "hashing/sha1.hpp"
-#include "sim/audit.hpp"
 #include "support/check.hpp"
 #include "support/ring_math.hpp"
 
@@ -30,7 +29,7 @@ using IdSet = std::unordered_set<Uint160, IdHash>;
 }  // namespace
 
 World::World(const Params& params, support::Rng& rng)
-    : params_(params), rng_(rng) {
+    : params_(params) {
   static_assert(2 * Params::kMaxInitialNodes < kNotAlive,
                 "physical indices 0..2n-1 must stay below the sentinel");
   params_.validate();
@@ -41,7 +40,7 @@ World::World(const Params& params, support::Rng& rng)
   physicals_.resize(2 * n);
   auto roll_strength = [&]() -> unsigned {
     if (!params_.heterogeneous) return 1;
-    return static_cast<unsigned>(rng_.range(1, params_.max_sybils));
+    return static_cast<unsigned>(rng.range(1, params_.max_sybils));
   };
   for (PhysicalNode& node : physicals_) node.strength = roll_strength();
 
@@ -66,9 +65,9 @@ World::World(const Params& params, support::Rng& rng)
   IdSet placed;
   placed.reserve(n);
   for (const NodeIndex idx : alive_) {
-    Uint160 id = hashing::Sha1::hash_u64(rng_());
+    Uint160 id = hashing::Sha1::hash_u64(rng());
     while (!placed.insert(id).second) {
-      id = hashing::Sha1::hash_u64(rng_());
+      id = hashing::Sha1::hash_u64(rng());
     }
     physicals_[idx].vnode_slots.push_back(
         ring_.bulk_append(id, idx, /*is_sybil=*/false));
@@ -100,7 +99,7 @@ World::World(const Params& params, support::Rng& rng)
   // indexed by slot serves as the bucket counter.
   std::vector<std::uint32_t> bucket_sizes(n, 0);
   for (std::uint64_t t = 0; t < params_.total_tasks; ++t) {
-    const Uint160 key = hashing::Sha1::hash_u64(rng_());
+    const Uint160 key = hashing::Sha1::hash_u64(rng());
     const Slot slot = ring_.slot_at(ring_.cover(key));
     keys.push_back(key);
     owners.push_back(slot);
@@ -162,26 +161,6 @@ World::ArcWalk World::successor_arcs(const Uint160& vnode_id,
 World::ArcWalk World::predecessor_arcs(const Uint160& vnode_id,
                                        std::size_t k) const {
   return ArcWalk(this, ring_.find(vnode_id), k, /*forward=*/false);
-}
-
-std::vector<Uint160> World::successors_of(const Uint160& vnode_id,
-                                          std::size_t k) const {
-  std::vector<Uint160> out;
-  out.reserve(k);
-  for (const ArcView& arc : successor_arcs(vnode_id, k)) {
-    out.push_back(arc.id);
-  }
-  return out;
-}
-
-std::vector<Uint160> World::predecessors_of(const Uint160& vnode_id,
-                                            std::size_t k) const {
-  std::vector<Uint160> out;
-  out.reserve(k);
-  for (const ArcView& arc : predecessor_arcs(vnode_id, k)) {
-    out.push_back(arc.id);
-  }
-  return out;
 }
 
 ArcView World::arc_covering(const Uint160& point) const {
@@ -348,10 +327,6 @@ bool World::depart(NodeIndex idx) {
   return true;
 }
 
-std::optional<NodeIndex> World::join_from_pool() {
-  return join_from_pool(rng_);
-}
-
 std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   if (waiting_.empty()) return std::nullopt;
   const NodeIndex idx = waiting_.back();
@@ -360,12 +335,6 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   alive_.push_back(idx);
   insert_vnode(idx, fresh_ring_id(id_rng), /*is_sybil=*/false);
   return idx;
-}
-
-std::uint64_t World::consume(NodeIndex idx, std::uint64_t budget) {
-  const std::uint64_t consumed = consume_local(idx, budget, rng_);
-  remaining_ -= consumed;
-  return consumed;
 }
 
 std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,
@@ -434,10 +403,6 @@ std::vector<Uint160> World::ring_ids() const {
   ids.reserve(ring_.size());
   ring_.for_each([&](const Uint160& id, Slot) { ids.push_back(id); });
   return ids;
-}
-
-bool World::check_invariants() const {
-  return InvariantAuditor(*this).run().ok();
 }
 
 bool World::alive_index_consistent() const {

@@ -76,16 +76,19 @@ class World {
   /// arcs here; streamed mode starts the ring empty — the engine's
   /// sim::TaskStream delivers each tick's arrivals through inject_task().
   /// Node placement consumes the identical RNG sequence either way.
+  /// `rng` is the construction stream: it is drawn from here only and
+  /// never stored, so every later draw comes from a stream the caller
+  /// names (DESIGN.md §8, "RNG streams").
   World(const Params& params, support::Rng& rng);
 
-  /// Lazy, allocation-free walk over up to k neighbor arcs of a vnode —
-  /// the hot-path form of successors_of/predecessors_of + arc_of.  Each
-  /// dereference yields the ArcView of the next vnode clockwise (or
+  /// Lazy, allocation-free walk over up to k neighbor arcs of a vnode:
+  /// a node's successor or predecessor list (§V-B).  Each dereference
+  /// yields the ArcView of the next vnode clockwise (or
   /// counterclockwise) using a cached ring cursor, so a full scan of a
   /// successor list costs one ring lookup total instead of one per
-  /// neighbor plus a vector allocation.  The walk stops early when the
-  /// ring wraps back to the starting vnode.  Cursors are invalidated
-  /// by any ring mutation (join/depart/create_sybil/remove_sybils).
+  /// neighbor.  The walk stops early when the ring wraps back to the
+  /// starting vnode.  Cursors are invalidated by any ring mutation
+  /// (join/depart/create_sybil/remove_sybils).
   class ArcWalk {
    public:
     class iterator {
@@ -225,24 +228,13 @@ class World {
   /// Arc of a vnode that exists in the ring.
   ArcView arc_of(const Uint160& vnode_id) const;
 
-  /// Up to k vnode IDs clockwise after `vnode_id` (its successor list).
-  /// Stops early if the ring wraps back to the starting vnode.
-  /// Convenience wrapper over successor_arcs(); allocates the vector.
-  std::vector<Uint160> successors_of(const Uint160& vnode_id,
-                                     std::size_t k) const;
-
-  /// Up to k vnode IDs counterclockwise before `vnode_id`.
-  /// Convenience wrapper over predecessor_arcs(); allocates the vector.
-  std::vector<Uint160> predecessors_of(const Uint160& vnode_id,
-                                       std::size_t k) const;
-
-  /// Allocation-free walk over the ArcViews of up to k successors of
-  /// `vnode_id`, clockwise.  Yields exactly the arcs that
-  /// successors_of + arc_of would produce, in the same order.
+  /// Walk over the ArcViews of up to k successors of `vnode_id`,
+  /// clockwise (its successor list).  Stops early if the ring wraps back
+  /// to the starting vnode.
   ArcWalk successor_arcs(const Uint160& vnode_id, std::size_t k) const;
 
-  /// Allocation-free walk over the ArcViews of up to k predecessors of
-  /// `vnode_id`, counterclockwise.
+  /// Walk over the ArcViews of up to k predecessors of `vnode_id`,
+  /// counterclockwise.
   ArcWalk predecessor_arcs(const Uint160& vnode_id, std::size_t k) const;
 
   bool ring_contains(const Uint160& id) const { return ring_.contains(id); }
@@ -304,26 +296,21 @@ class World {
 
   /// Pops one waiting node and joins it at a fresh SHA-1 ID; returns its
   /// index, or nullopt if the pool is empty.  The joiner immediately
-  /// acquires the keys in its arc (§IV-A).  The no-argument form draws
-  /// the ID from the world's construction RNG; the overload draws from
-  /// the caller's stream instead, so engine churn and scripted scenario
-  /// joins each own their placement randomness.
-  std::optional<NodeIndex> join_from_pool();
+  /// acquires the keys in its arc (§IV-A).  The ID is drawn from the
+  /// caller's stream, so engine churn and scripted scenario joins each
+  /// own their placement randomness.
   std::optional<NodeIndex> join_from_pool(support::Rng& id_rng);
 
   // --- mutation: work -----------------------------------------------------
 
   /// Consumes up to `budget` tasks from `idx`'s vnodes (most-loaded vnode
-  /// first).  Returns tasks actually consumed.
-  std::uint64_t consume(NodeIndex idx, std::uint64_t budget);
-
-  /// The shard-parallel form of consume(): identical task selection, but
-  /// the uniform picks come from the caller's per-shard RNG stream and
-  /// the global remaining-task counter is NOT debited — the tick engine
-  /// folds per-shard consumed totals and settles the counter once at the
-  /// barrier via debit_remaining().  Thread-compatible: safe to call
-  /// concurrently for nodes on different shards, because every mutation
-  /// (TaskStores, workload cache) is local to `idx`'s own vnodes.
+  /// first), with uniform picks from the caller's RNG stream.  Returns
+  /// tasks actually consumed.  The global remaining-task counter is NOT
+  /// debited — the tick engine folds per-shard consumed totals and
+  /// settles the counter once at the barrier via debit_remaining().
+  /// Thread-compatible: safe to call concurrently for nodes on different
+  /// shards, because every mutation (TaskStores, workload cache) is
+  /// local to `idx`'s own vnodes.
   std::uint64_t consume_local(NodeIndex idx, std::uint64_t budget,
                               support::Rng& rng);
 
@@ -347,12 +334,6 @@ class World {
   /// Changes sybilThreshold mid-run; strategies read it through params()
   /// on their next decision tick.
   void set_sybil_threshold(std::uint64_t threshold);
-
-  /// Runs the full InvariantAuditor (see sim/audit.hpp) and reports
-  /// whether every check passed.  O(ring + tasks).  Used by tests and
-  /// audit builds; prefer InvariantAuditor directly when the failure
-  /// details matter.
-  bool check_invariants() const;
 
   /// True iff the alive-position index (the O(1) swap-pop depart
   /// bookkeeping) and the cached home shards agree with alive_ and the
@@ -389,11 +370,10 @@ class World {
                              bool is_sybil);
 
   Params params_;
-  support::Rng& rng_;
   FlatRing ring_;
   // Each node's vnode_slots hold FlatRing slots, which stay valid for
   // their vnode's lifetime (the arena recycles but never moves live
-  // slots), so consume() reaches a node's TaskStores without a ring
+  // slots), so consume_local() reaches a node's TaskStores without a ring
   // search.
   std::vector<PhysicalNode> physicals_;
   std::vector<NodeIndex> alive_;

@@ -11,6 +11,7 @@
 #include "hashing/sha1.hpp"
 #include "lb/factory.hpp"
 #include "sim/engine.hpp"
+#include "sim/world_testing.hpp"
 #include "stats/load_metrics.hpp"
 #include "support/rng.hpp"
 
@@ -32,7 +33,7 @@ TEST(Integration, TaskConservationUnderEveryStrategy) {
     const sim::RunResult r = engine.run();
     EXPECT_TRUE(r.completed) << name;
     EXPECT_EQ(engine.world().remaining_tasks(), 0u) << name;
-    EXPECT_TRUE(engine.world().check_invariants()) << name;
+    EXPECT_TRUE(sim::testing::AuditClean(engine.world())) << name;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "lb/factory.hpp"
 #include "lb/strength_aware.hpp"
 #include "sim/engine.hpp"
+#include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 
 namespace dhtlb::lb {
@@ -16,6 +17,8 @@ namespace {
 using sim::Engine;
 using sim::Params;
 using sim::World;
+using sim::testing::AuditClean;
+using sim::testing::consume;
 using support::Rng;
 using support::Uint160;
 
@@ -80,7 +83,7 @@ TEST(MedianTaskKey, EmptyVnodeHasNoMedian) {
   p.total_tasks = 100;
   World w(p, rng);
   const auto idx = w.alive_indices()[0];
-  (void)w.consume(idx, w.workload(idx));
+  (void)consume(w, idx, w.workload(idx), rng);
   EXPECT_FALSE(w.median_task_key(w.primary_id(idx)).has_value());
 }
 
@@ -194,7 +197,7 @@ TEST(StrengthAwareTest, StrongIdleNodeTakesProportionalShare) {
     }
   }
   ASSERT_TRUE(strong.has_value());
-  (void)w.consume(*strong, w.workload(*strong));
+  (void)consume(w, *strong, w.workload(*strong), rng);
 
   StrengthAware strat;
   sim::StrategyCounters c;
@@ -234,7 +237,7 @@ TEST(StrengthAwareTest, CompletesOnEveryNetworkShape) {
       Engine engine(p, 13, make_strategy("strength-aware"));
       const auto r = engine.run();
       EXPECT_TRUE(r.completed) << "het=" << het;
-      EXPECT_TRUE(engine.world().check_invariants());
+      EXPECT_TRUE(AuditClean(engine.world()));
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "lb/neighbor_injection.hpp"
 #include "lb/random_injection.hpp"
 #include "sim/engine.hpp"
+#include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 
 namespace dhtlb::lb {
@@ -20,6 +21,7 @@ using sim::Engine;
 using sim::Params;
 using sim::RunResult;
 using sim::World;
+using sim::testing::consume;
 using support::Rng;
 
 Params tiny(std::size_t nodes = 100, std::uint64_t tasks = 10'000) {
@@ -67,7 +69,7 @@ TEST(Common, RetireIdleSybilsOnlyWhenIdle) {
   EXPECT_EQ(retire_idle_sybils(w, idx, c), 0u);
   EXPECT_EQ(w.sybil_count(idx), 1u);
   // Drain it: sybils retire.
-  (void)w.consume(idx, w.workload(idx));
+  (void)consume(w, idx, w.workload(idx), rng);
   EXPECT_EQ(retire_idle_sybils(w, idx, c), 1u);
   EXPECT_EQ(w.sybil_count(idx), 0u);
   EXPECT_EQ(c.sybils_retired, 1u);
@@ -123,7 +125,7 @@ TEST(RandomInjectionTest, CreatesSybilsOnlyForEligibleNodes) {
   std::vector<sim::NodeIndex> drained;
   for (int i = 0; i < 3; ++i) {
     const sim::NodeIndex idx = w.alive_indices()[static_cast<std::size_t>(i)];
-    (void)w.consume(idx, w.workload(idx));
+    (void)consume(w, idx, w.workload(idx), rng);
     drained.push_back(idx);
   }
   RandomInjection strat;
@@ -142,14 +144,14 @@ TEST(RandomInjectionTest, RespectsSybilCapAcrossRounds) {
   p.max_sybils = 3;
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
-  (void)w.consume(idx, w.workload(idx));
+  (void)consume(w, idx, w.workload(idx), rng);
   RandomInjection strat;
   sim::StrategyCounters c;
   Rng decision_rng(9);
   for (int round = 0; round < 10; ++round) {
     // Keep the node idle so it stays eligible but also keeps retiring...
     // drain whatever its Sybils grabbed first.
-    (void)w.consume(idx, w.workload(idx));
+    (void)consume(w, idx, w.workload(idx), rng);
     strat.decide(w, decision_rng, c);
     EXPECT_LE(w.sybil_count(idx), 3u);
   }
@@ -187,7 +189,7 @@ TEST(RandomInjectionTest, HeterogeneousCapIsStrength) {
   sim::StrategyCounters c;
   Rng decision_rng(11);
   for (int round = 0; round < 5; ++round) {
-    (void)w.consume(weak, w.workload(weak));
+    (void)consume(w, weak, w.workload(weak), rng);
     strat.decide(w, decision_rng, c);
     EXPECT_LE(w.sybil_count(weak), 1u);
   }
@@ -201,10 +203,13 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
   p.num_successors = 5;
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
-  (void)w.consume(idx, w.workload(idx));
+  (void)consume(w, idx, w.workload(idx), rng);
   const support::Uint160 self = w.primary_id(idx);
-  // Record the neighborhood BEFORE the injection.
-  const auto succs_before = w.successors_of(self, p.num_successors);
+  // Record the neighborhood's far end BEFORE the injection.
+  support::Uint160 last_succ;
+  for (const sim::ArcView& arc : w.successor_arcs(self, p.num_successors)) {
+    last_succ = arc.id;
+  }
 
   NeighborInjection strat(NeighborInjection::Mode::kEstimate);
   sim::StrategyCounters c;
@@ -214,7 +219,7 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
   const support::Uint160 sybil = w.vnode_id(w.physical(idx).vnode_slots.back());
   // The Sybil must lie inside the arc (self, last-successor].
   EXPECT_TRUE(
-      support::in_half_open_arc(sybil, self, succs_before.back()))
+      support::in_half_open_arc(sybil, self, last_succ))
       << "placement restricted to the successor list's span";
 }
 
@@ -225,16 +230,15 @@ TEST(NeighborInjectionTest, SmartModePicksMostLoadedSuccessor) {
   Params p2 = tiny(10, 5000);
   World w2(p2, rng2);
   const sim::NodeIndex idx = w2.alive_indices()[0];
-  (void)w2.consume(idx, w2.workload(idx));
+  (void)consume(w2, idx, w2.workload(idx), rng2);
   const support::Uint160 self = w2.primary_id(idx);
-  const auto succs = w2.successors_of(self, p2.num_successors);
   std::uint64_t best = 0;
   support::Uint160 target;
-  for (const auto& sid : succs) {
-    const auto arc = w2.arc_of(sid);
+  for (const sim::ArcView& arc :
+       w2.successor_arcs(self, p2.num_successors)) {
     if (arc.owner != idx && arc.task_count > best) {
       best = arc.task_count;
-      target = sid;
+      target = arc.id;
     }
   }
   ASSERT_GT(best, 0u);
@@ -257,7 +261,7 @@ TEST(NeighborInjectionTest, EstimateModeSendsNoQueries) {
   Params p = tiny(30, 3000);
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
-  (void)w.consume(idx, w.workload(idx));
+  (void)consume(w, idx, w.workload(idx), rng);
   NeighborInjection strat(NeighborInjection::Mode::kEstimate);
   sim::StrategyCounters c;
   Rng decision_rng(18);
@@ -273,7 +277,7 @@ TEST(NeighborInjectionTest, MarkFailedRangesStopsRepeatPlacements) {
   World w(p, rng);
   // Drain the whole network so every placement acquires nothing.
   for (const auto idx : w.alive_indices()) {
-    (void)w.consume(idx, w.workload(idx));
+    (void)consume(w, idx, w.workload(idx), rng);
   }
   NeighborInjection strat(NeighborInjection::Mode::kEstimate);
   sim::StrategyCounters c;
@@ -312,7 +316,7 @@ TEST(InvitationTest, IdlePredecessorHelpsOverburdenedNode) {
   // eligible helpers.
   const sim::NodeIndex heavy = w.alive_indices()[0];
   for (const auto idx : w.alive_indices()) {
-    if (idx != heavy) (void)w.consume(idx, w.workload(idx));
+    if (idx != heavy) (void)consume(w, idx, w.workload(idx), rng);
   }
   ASSERT_GT(w.workload(heavy), 0u);
   const std::uint64_t heavy_before = w.workload(heavy);
@@ -365,7 +369,7 @@ TEST(InvitationTest, RefusedWhenHelpersAreAtSybilCap) {
     // ...then drain to a small nonzero load: eligible (<= threshold)
     // but not idle, so retire_idle_sybils leaves the cap exhausted.
     if (w.workload(idx) > 10) {
-      (void)w.consume(idx, w.workload(idx) - 10);
+      (void)consume(w, idx, w.workload(idx) - 10, rng);
     }
   }
   Invitation strat;

@@ -95,20 +95,12 @@ TEST(ScenarioParser, ChordScenarioParses) {
   EXPECT_DOUBLE_EQ(s.blocks[0].events[0].value, 0.1);
 }
 
+// Sink paths are runner flags (dhtlb_scenario --trace/--metrics), not
+// header keys.
 TEST(ScenarioParser, TraceAndMetricsHeaderKeys) {
-  const Script s = parse(
-      "name x\nticks 10\n"
-      "trace out/x_trace.json\n"
-      "metrics out/x_metrics.jsonl\n"
-      "at 5\n  join 1\nend\n");
-  EXPECT_EQ(s.trace_path, "out/x_trace.json");
-  EXPECT_EQ(s.metrics_path, "out/x_metrics.jsonl");
-}
-
-TEST(ScenarioParser, TraceAndMetricsDefaultToDisabled) {
-  const Script s = parse("name x\nticks 10\nat 5\n  join 1\nend\n");
-  EXPECT_TRUE(s.trace_path.empty());
-  EXPECT_TRUE(s.metrics_path.empty());
+  expect_error("name x\ntrace out/x_trace.json\n", 2, "unknown key 'trace'");
+  expect_error("name x\nmetrics out/x_metrics.jsonl\n", 2,
+               "unknown key 'metrics'");
 }
 
 // --- the promised diagnostics -------------------------------------------
@@ -125,15 +117,6 @@ TEST(ScenarioParser, OutOfOrderAtTicks) {
 
 TEST(ScenarioParser, DuplicateHeaderKey) {
   expect_error("name x\nnodes 10\nnodes 20\n", 3, "duplicate key 'nodes'");
-}
-
-TEST(ScenarioParser, DuplicateTraceKey) {
-  expect_error("name x\ntrace a.json\ntrace b.json\n", 3,
-               "duplicate key 'trace'");
-}
-
-TEST(ScenarioParser, TraceWithoutFileIsAnError) {
-  expect_error("name x\ntrace\n", 2, "trace <file>");
 }
 
 TEST(ScenarioParser, TrailingGarbageOnEvent) {
@@ -193,6 +176,15 @@ TEST(ScenarioParser, NodesHeaderAboveLimit) {
                "range (at most 4000000)");
   EXPECT_EQ(parse("name x\nnodes 4000000\n").params.initial_nodes,
             kMaxScriptNodes);
+}
+
+// Every node walks its successor list each decision round; a huge k
+// would allocate or loop until the run dies.
+TEST(ScenarioParser, SuccessorsHeaderAboveLimit) {
+  expect_error("name x\nsuccessors 1000000000000\n", 2,
+               "successors 1000000000000 is out of range (at most 64)");
+  EXPECT_EQ(parse("name x\nsuccessors 64\n").params.num_successors,
+            sim::Params::kMaxSuccessors);
 }
 
 TEST(ScenarioParser, TasksHeaderAboveLimit) {

@@ -13,11 +13,13 @@
 #include "sim/engine.hpp"
 #include "sim/world.hpp"
 #include "sim/world_corruptor.hpp"
+#include "sim/world_testing.hpp"
 #include "support/rng.hpp"
 
 namespace dhtlb::sim {
 namespace {
 
+using testing::AuditClean;
 using testing::WorldCorruptor;
 
 Params small_params() {
@@ -39,9 +41,7 @@ std::set<std::string> failing_checks(const World& world) {
 TEST(InvariantAuditorTest, CleanWorldPassesEveryCheck) {
   support::Rng rng(7);
   World world(small_params(), rng);
-  const AuditReport report = InvariantAuditor(world).run();
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_TRUE(world.check_invariants());
+  EXPECT_TRUE(AuditClean(world));
 }
 
 TEST(InvariantAuditorTest, CleanWorldStaysCleanThroughMutation) {
@@ -50,21 +50,20 @@ TEST(InvariantAuditorTest, CleanWorldStaysCleanThroughMutation) {
   params.churn_rate = 0.05;
   World world(params, rng);
   for (int round = 0; round < 20; ++round) {
-    world.join_from_pool();
+    world.join_from_pool(rng);
     if (world.alive_count() > 1) world.depart(world.alive_indices().front());
     for (const NodeIndex idx : world.alive_indices()) {
-      world.consume(idx, 1);
+      testing::consume(world, idx, 1, rng);
     }
   }
-  const AuditReport report = InvariantAuditor(world).run();
-  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_TRUE(AuditClean(world));
 }
 
 TEST(InvariantAuditorTest, DetectsOrphanedKey) {
   support::Rng rng(13);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::orphan_key(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("key-partition"));
 }
 
@@ -72,7 +71,7 @@ TEST(InvariantAuditorTest, DetectsDuplicatedArc) {
   support::Rng rng(17);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::duplicate_arc(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
 }
 
@@ -80,7 +79,7 @@ TEST(InvariantAuditorTest, DetectsDanglingSybilOwner) {
   support::Rng rng(19);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::dangle_sybil_owner(world, rng));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
 }
 
@@ -88,7 +87,7 @@ TEST(InvariantAuditorTest, DetectsBrokenTaskConservation) {
   support::Rng rng(23);
   World world(small_params(), rng);
   WorldCorruptor::inflate_remaining(world);
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("conservation"));
 }
 
@@ -96,7 +95,7 @@ TEST(InvariantAuditorTest, DetectsStaleWorkloadCache) {
   support::Rng rng(29);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::corrupt_workload_cache(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("workload-cache"));
 }
 
@@ -104,7 +103,7 @@ TEST(InvariantAuditorTest, DetectsMembershipCorruption) {
   support::Rng rng(31);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::break_membership(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("membership"));
 }
 
@@ -115,7 +114,7 @@ TEST(InvariantAuditorTest, DetectsDesyncedRingIndex) {
   support::Rng rng(41);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::desync_ring_index(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("index-integrity"));
 }
 
@@ -126,7 +125,7 @@ TEST(InvariantAuditorTest, DetectsStaleBlockSummary) {
   support::Rng rng(43);
   World world(small_params(), rng);
   ASSERT_TRUE(WorldCorruptor::stale_ring_summary(world));
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   const std::set<std::string> failing = failing_checks(world);
   EXPECT_TRUE(failing.contains("index-integrity"));
   EXPECT_FALSE(failing.contains("ring-order"));
@@ -144,7 +143,7 @@ TEST(InvariantAuditorTest, SybilCapViolationIsDetected) {
   while (placed < 2) {
     if (world.create_sybil(idx, hashing::Sha1::hash_u64(rng()))) ++placed;
   }
-  EXPECT_FALSE(world.check_invariants());
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
   EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
 }
 
@@ -171,8 +170,8 @@ TEST_P(AuditedEngineRunTest, StaysCleanFor200Ticks) {
     if (!engine.step()) break;
   }
   // The per-tick audit already ran inside step(); double-check the final
-  // state through the boolean wrapper too.
-  EXPECT_TRUE(engine.world().check_invariants());
+  // state from outside the engine too.
+  EXPECT_TRUE(AuditClean(engine.world()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, AuditedEngineRunTest,

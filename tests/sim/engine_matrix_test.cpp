@@ -11,6 +11,7 @@
 
 #include "lb/factory.hpp"
 #include "sim/engine.hpp"
+#include "sim/world_testing.hpp"
 
 namespace dhtlb::sim {
 namespace {
@@ -60,7 +61,7 @@ TEST_P(EngineMatrix, CompletesConservesAndStaysConsistent) {
 
   EXPECT_TRUE(r.completed) << "run must drain all tasks";
   EXPECT_EQ(engine.world().remaining_tasks(), 0u);
-  EXPECT_TRUE(engine.world().check_invariants());
+  EXPECT_TRUE(testing::AuditClean(engine.world()));
   EXPECT_GE(r.ticks, engine.ideal_ticks() / 4)
       << "no run can beat the capacity bound by 4x";
   EXPECT_LT(r.runtime_factor, 60.0) << "sanity ceiling";

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "lb/factory.hpp"
+#include "sim/world_testing.hpp"
 
 namespace dhtlb::sim {
 namespace {
@@ -129,7 +130,7 @@ TEST(Engine, ChurnConservesTasks) {
   EXPECT_EQ(engine.world().remaining_tasks(), 0u);
   EXPECT_GT(r.leaves, 0u);
   EXPECT_GT(r.joins, 0u);
-  EXPECT_TRUE(engine.world().check_invariants());
+  EXPECT_TRUE(testing::AuditClean(engine.world()));
 }
 
 // The engine keeps no Params copy: a churn rate set on the world mid-run

@@ -73,6 +73,14 @@ TEST(Params, ValidateRejectsZeroKnobs) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+TEST(Params, ValidateBoundsSuccessors) {
+  Params p;
+  p.num_successors = Params::kMaxSuccessors;
+  EXPECT_NO_THROW(p.validate());
+  p.num_successors = Params::kMaxSuccessors + 1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
 TEST(Params, EffectiveMaxTicksHonoursExplicitCap) {
   Params p;
   p.max_ticks = 77;

@@ -9,7 +9,6 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/params.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace dhtlb::sim {
@@ -17,18 +16,14 @@ namespace {
 
 // Sanitizer builds run the same test at a tenth of the size: the goal
 // there is instrumented coverage of the bulk paths, not wall time.
-std::size_t scale_nodes() {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr std::uint64_t kDefault = 10'000;
+constexpr std::size_t kScaleNodes = 10'000;
 #else
-  constexpr std::uint64_t kDefault = 100'000;
+constexpr std::size_t kScaleNodes = 100'000;
 #endif
-  return static_cast<std::size_t>(
-      support::env_u64("DHTLB_SCALE_TEST_NODES", kDefault));
-}
 
 TEST(ScaleTest, LargeWorldBuildsAndPassesFullAudit) {
-  const std::size_t nodes = scale_nodes();
+  const std::size_t nodes = kScaleNodes;
   Params p;
   p.initial_nodes = nodes;
   p.total_tasks = 2 * nodes;
@@ -41,7 +36,7 @@ TEST(ScaleTest, LargeWorldBuildsAndPassesFullAudit) {
 }
 
 TEST(ScaleTest, LargeWorldSurvivesAuditedOffChurnTicks) {
-  const std::size_t nodes = scale_nodes();
+  const std::size_t nodes = kScaleNodes;
   Params p;
   p.initial_nodes = nodes;
   p.total_tasks = 2 * nodes;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -171,7 +172,7 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
       }
       case 3: {  // join from the waiting pool
         const std::size_t before = world.vnode_count();
-        const auto joined = world.join_from_pool();
+        const auto joined = world.join_from_pool(world_rng);
         if (joined && world.vnode_count() == before + 1) {
           ref.add_vnode(world.primary_id(*joined), *joined);
         }
@@ -182,11 +183,14 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
         const Uint160 old_id =
             world.vnode_id(slots[op_rng.below(slots.size())]);
         const ArcView arc = world.arc_of(old_id);
-        const auto succs = world.successors_of(old_id, 1);
-        if (succs.empty()) break;
+        std::optional<Uint160> succ;
+        for (const ArcView& next : world.successor_arcs(old_id, 1)) {
+          succ = next.id;
+        }
+        if (!succ) break;
         const Uint160 new_id = op_rng.below(2) == 0
                                    ? support::arc_midpoint(arc.pred, old_id)
-                                   : support::arc_midpoint(old_id, succs[0]);
+                                   : support::arc_midpoint(old_id, *succ);
         if (world.move_vnode(old_id, new_id)) ref.move_vnode(old_id, new_id);
         break;
       }

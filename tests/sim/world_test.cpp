@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
@@ -12,6 +13,7 @@ namespace {
 
 using support::Rng;
 using support::Uint160;
+using testing::AuditClean;
 
 Params small_params(std::size_t nodes = 50, std::uint64_t tasks = 5000) {
   Params p;
@@ -27,7 +29,7 @@ TEST(World, InitialPopulationShape) {
   EXPECT_EQ(w.waiting_count(), 50u) << "waiting pool equals network size";
   EXPECT_EQ(w.vnode_count(), 50u);
   EXPECT_EQ(w.remaining_tasks(), 5000u);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, AllTasksAssignedToSomeNode) {
@@ -96,15 +98,16 @@ TEST(World, ConsumeRespectsBudgetAndWorkload) {
   const NodeIndex idx = w.alive_indices().front();
   const std::uint64_t before = w.workload(idx);
   ASSERT_GT(before, 0u);
-  EXPECT_EQ(w.consume(idx, 1), 1u);
+  EXPECT_EQ(testing::consume(w, idx, 1, rng), 1u);
   EXPECT_EQ(w.workload(idx), before - 1);
   EXPECT_EQ(w.remaining_tasks(), 999u);
   // Budget larger than workload consumes exactly the workload.
   const std::uint64_t rest = w.workload(idx);
-  EXPECT_EQ(w.consume(idx, rest + 100), rest);
+  EXPECT_EQ(testing::consume(w, idx, rest + 100, rng), rest);
   EXPECT_EQ(w.workload(idx), 0u);
-  EXPECT_EQ(w.consume(idx, 5), 0u) << "idle node consumes nothing";
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_EQ(testing::consume(w, idx, 5, rng), 0u)
+      << "idle node consumes nothing";
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, CreateSybilTransfersExactArcKeys) {
@@ -126,7 +129,7 @@ TEST(World, CreateSybilTransfersExactArcKeys) {
   EXPECT_EQ(w.workload(beneficiary), bene_before + *acquired);
   EXPECT_EQ(w.sybil_count(beneficiary), 1u);
   EXPECT_EQ(w.vnode_count(), 6u);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, CreateSybilOnTakenIdFails) {
@@ -151,7 +154,7 @@ TEST(World, RemoveSybilsReturnsTasksToRing) {
   EXPECT_EQ(w.sybil_count(idx), 0u);
   EXPECT_EQ(w.remaining_tasks(), total_before) << "no tasks lost";
   EXPECT_EQ(w.vnode_count(), 5u);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, DepartMovesTasksToSuccessorAndNodeToPool) {
@@ -165,7 +168,7 @@ TEST(World, DepartMovesTasksToSuccessorAndNodeToPool) {
   EXPECT_EQ(w.waiting_count(), 11u);
   EXPECT_EQ(w.remaining_tasks(), total);
   EXPECT_EQ(w.workload(idx), 0u);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, LastNodeCannotDepart) {
@@ -184,86 +187,70 @@ TEST(World, DepartWithSybilsDropsAllVnodes) {
   const std::size_t vnodes_before = w.vnode_count();
   EXPECT_TRUE(w.depart(idx));
   EXPECT_EQ(w.vnode_count(), vnodes_before - 3);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, JoinFromPoolAcquiresArcWork) {
   Rng rng(14);
   World w(small_params(20, 10'000), rng);
   const std::uint64_t total = w.remaining_tasks();
-  const auto joined = w.join_from_pool();
+  const auto joined = w.join_from_pool(rng);
   ASSERT_TRUE(joined.has_value());
   EXPECT_TRUE(w.is_alive(*joined));
   EXPECT_EQ(w.alive_count(), 21u);
   EXPECT_EQ(w.waiting_count(), 19u);
   EXPECT_EQ(w.remaining_tasks(), total);
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
 }
 
 TEST(World, JoinFromEmptyPoolFails) {
   Rng rng(15);
   World w(small_params(3, 100), rng);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(w.join_from_pool().has_value());
-  EXPECT_FALSE(w.join_from_pool().has_value());
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(w.join_from_pool(rng).has_value());
+  EXPECT_FALSE(w.join_from_pool(rng).has_value());
 }
 
 TEST(World, SuccessorsOfWalkClockwise) {
   Rng rng(16);
   World w(small_params(10, 100), rng);
   const Uint160 start = w.primary_id(w.alive_indices()[0]);
-  const auto succs = w.successors_of(start, 4);
-  ASSERT_EQ(succs.size(), 4u);
-  // Each successor's predecessor chain leads back: succ[i]'s arc starts
-  // where the previous vnode ends.
+  // Each successor's arc starts where the previous vnode ends.
   Uint160 prev = start;
-  for (const auto& sid : succs) {
-    EXPECT_EQ(w.arc_of(sid).pred, prev);
-    prev = sid;
+  std::size_t walked = 0;
+  for (const ArcView& arc : w.successor_arcs(start, 4)) {
+    EXPECT_EQ(arc.pred, prev);
+    EXPECT_EQ(w.arc_of(arc.id).pred, prev);
+    prev = arc.id;
+    ++walked;
   }
+  EXPECT_EQ(walked, 4u);
 }
 
 TEST(World, SuccessorsStopAtFullLoop) {
   Rng rng(17);
   World w(small_params(3, 10), rng);
   const Uint160 start = w.primary_id(w.alive_indices()[0]);
-  const auto succs = w.successors_of(start, 10);
-  EXPECT_EQ(succs.size(), 2u) << "only 2 other vnodes exist";
+  std::size_t walked = 0;
+  for (const ArcView& arc : w.successor_arcs(start, 10)) {
+    EXPECT_NE(arc.id, start);
+    ++walked;
+  }
+  EXPECT_EQ(walked, 2u) << "only 2 other vnodes exist";
 }
 
 TEST(World, PredecessorsOfWalkCounterClockwise) {
   Rng rng(18);
   World w(small_params(10, 100), rng);
   const Uint160 start = w.primary_id(w.alive_indices()[0]);
-  const auto preds = w.predecessors_of(start, 3);
-  ASSERT_EQ(preds.size(), 3u);
-  EXPECT_EQ(w.arc_of(start).pred, preds[0]);
-  EXPECT_EQ(w.arc_of(preds[0]).pred, preds[1]);
-  EXPECT_EQ(w.arc_of(preds[1]).pred, preds[2]);
-}
-
-TEST(World, ArcWalksMatchVectorApis) {
-  // The allocation-free walks must yield exactly the vnodes the vector
-  // APIs return, in the same order, for every start point and length.
-  Rng rng(42);
-  World w(small_params(12, 300), rng);
-  for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 start = w.primary_id(idx);
-    for (const std::size_t k : {0u, 1u, 3u, 50u}) {
-      const auto succ_vec = w.successors_of(start, k);
-      std::vector<Uint160> succ_walk;
-      for (const ArcView& arc : w.successor_arcs(start, k)) {
-        succ_walk.push_back(arc.id);
-      }
-      EXPECT_EQ(succ_walk, succ_vec);
-
-      const auto pred_vec = w.predecessors_of(start, k);
-      std::vector<Uint160> pred_walk;
-      for (const ArcView& arc : w.predecessor_arcs(start, k)) {
-        pred_walk.push_back(arc.id);
-      }
-      EXPECT_EQ(pred_walk, pred_vec);
-    }
+  // Each predecessor is the previous vnode's arc start.
+  Uint160 next = start;
+  std::size_t walked = 0;
+  for (const ArcView& arc : w.predecessor_arcs(start, 3)) {
+    EXPECT_EQ(w.arc_of(next).pred, arc.id);
+    next = arc.id;
+    ++walked;
   }
+  EXPECT_EQ(walked, 3u);
 }
 
 TEST(World, ArcWalkYieldsFullArcViews) {
@@ -317,17 +304,17 @@ TEST(World, RandomOperationSequencePreservesInvariants) {
         if (w.alive_count() > 1) (void)w.depart(idx);
         break;
       case 3:
-        (void)w.join_from_pool();
+        (void)w.join_from_pool(rng);
         break;
       case 4:
-        consumed_total += w.consume(idx, 1 + op_rng.below(5));
+        consumed_total += testing::consume(w, idx, 1 + op_rng.below(5), rng);
         break;
     }
     if (step % 50 == 0) {
-      ASSERT_TRUE(w.check_invariants()) << "step " << step;
+      ASSERT_TRUE(AuditClean(w)) << "step " << step;
     }
   }
-  EXPECT_TRUE(w.check_invariants());
+  EXPECT_TRUE(AuditClean(w));
   EXPECT_EQ(w.remaining_tasks() + consumed_total, 3000u)
       << "tasks are conserved: consumed + remaining == total";
 }
