@@ -5,13 +5,13 @@
 // Examples:
 //   dhtlb_sim --strategy random-injection --nodes 1000 --tasks 100000
 //   dhtlb_sim --strategy churn --churn 0.01 --trials 20
-//   dhtlb_sim --strategy invitation --het --work-measure strength
+//   dhtlb_sim --strategy invitation --heterogeneous --work-measure strength
 //             --snapshots 0,5,35 --csv results/invite   (one line)
 //   dhtlb_sim --list-strategies
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
@@ -23,23 +23,30 @@
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
+namespace {
+
+// The Params fields this driver exposes, in --help order.  Each flag is
+// the field's sim::param_fields() key, with its grammar and limit.
+constexpr std::string_view kParamFlags[] = {
+    "nodes",     "tasks",      "churn",      "heterogeneous", "work-measure",
+    "threshold", "successors", "max-sybils", "mark-failed-ranges"};
+
+}  // namespace
+
 int main(int argc, char** argv) try {
   using namespace dhtlb;
 
   support::CliParser cli;
   cli.add_flag("strategy", "name", "random-injection",
                "balancing strategy (see --list-strategies)");
-  cli.add_flag("nodes", "n", "1000", "initial network size");
-  cli.add_flag("tasks", "n", "100000", "job size in tasks");
-  cli.add_flag("churn", "rate", "0", "per-tick leave/join probability");
-  cli.add_flag("het", "", "", "heterogeneous strengths U{1..max-sybils}");
-  cli.add_flag("work-measure", "one|strength", "one",
-               "tasks consumed per tick");
-  cli.add_flag("threshold", "tasks", "0", "sybilThreshold");
-  cli.add_flag("successors", "k", "5", "successor/predecessor list size");
-  cli.add_flag("max-sybils", "k", "5", "Sybil cap / strength ceiling");
-  cli.add_flag("mark-failed-ranges", "", "",
-               "neighbor injection: skip arcs that yielded nothing");
+  sim::Params params;
+  for (const std::string_view key : kParamFlags) {
+    const sim::ParamField& field = *sim::find_param_field(key);
+    const bool boolean = field.grammar == sim::ParamField::Grammar::kBool;
+    cli.add_flag(std::string(key),
+                 boolean ? "" : std::string(field.value_name),
+                 params.format(key), std::string(field.help));
+  }
   cli.add_flag("trials", "n", "1", "independent trials to aggregate");
   cli.add_flag("seed", "s", "", "base seed (default: DHTLB_SEED)");
   cli.add_flag("snapshots", "t1,t2,...", "",
@@ -77,33 +84,15 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  sim::Params params;
-  params.initial_nodes = cli.get_u64("nodes");
-  params.total_tasks = cli.get_u64("tasks");
-  params.churn_rate = cli.get_double("churn");
-  params.heterogeneous = cli.get_bool("het");
-  const std::string work_measure = cli.get("work-measure");
-  if (work_measure != "one" && work_measure != "strength") {
-    std::fprintf(stderr,
-                 "error: --work-measure %s is not one of one|strength\n",
-                 work_measure.c_str());
-    return 2;
+  for (const std::string_view key : kParamFlags) {
+    const std::string flag(key);
+    if (!cli.has(flag)) continue;
+    try {
+      params.set(key, cli.get(flag));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("--" + flag + ": " + e.what());
+    }
   }
-  params.work_measure = work_measure == "strength"
-                            ? sim::WorkMeasure::kStrengthPerTick
-                            : sim::WorkMeasure::kOneTaskPerTick;
-  params.sybil_threshold = cli.get_u64("threshold");
-  params.num_successors = cli.get_u64("successors");
-  const std::uint64_t max_sybils = cli.get_u64("max-sybils");
-  if (max_sybils > std::numeric_limits<unsigned>::max()) {
-    std::fprintf(stderr,
-                 "error: --max-sybils %s is out of range (at most %u)\n",
-                 cli.get("max-sybils").c_str(),
-                 std::numeric_limits<unsigned>::max());
-    return 2;
-  }
-  params.max_sybils = static_cast<unsigned>(max_sybils);
-  params.mark_failed_ranges = cli.get_bool("mark-failed-ranges");
 
   const std::string strategy = cli.get("strategy");
   const std::uint64_t seed =

@@ -1,7 +1,6 @@
 #include "scenario/fuzz.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <optional>
 #include <stdexcept>
 
@@ -71,14 +70,6 @@ const ProfileSpec& find_profile(std::string_view profile) {
   }
   throw std::invalid_argument("unknown fuzz profile: " +
                               std::string(profile));
-}
-
-/// Shortest round-trip decimal form (std::to_chars), so emitted doubles
-/// re-parse to the identical bit pattern and re-emit byte-identically.
-std::string format_double(double value) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  return std::string(buf, static_cast<std::size_t>(ptr - buf));
 }
 
 /// Every name make_strategy accepts — hot-swap targets and header picks.
@@ -266,30 +257,19 @@ std::string emit_script(const Script& script) {
   line("substrate", sim ? "sim" : "chord");
   if (script.seed_set) line("seed", std::to_string(script.seed));
   if (script.horizon != 0) line("ticks", std::to_string(script.horizon));
-  line("nodes", std::to_string(script.params.initial_nodes));
-  line("successors", std::to_string(script.params.num_successors));
+  // Params lines from the field table: the chord keys first, then (sim
+  // only) the strategy and every other field in table order.
+  const auto param_lines = [&](bool chord) {
+    for (const sim::ParamField& field : sim::param_fields()) {
+      if (field.chord == chord && field.applies(script.params)) {
+        line(field.key, script.params.format(field.key));
+      }
+    }
+  };
+  param_lines(/*chord=*/true);
   if (sim) {
     line("strategy", script.strategy);
-    line("tasks", std::to_string(script.params.total_tasks));
-    line("churn", format_double(script.params.churn_rate));
-    line("heterogeneous",
-         script.params.heterogeneous ? "true" : "false");
-    line("work-measure",
-         script.params.work_measure == sim::WorkMeasure::kStrengthPerTick
-             ? "strength"
-             : "one");
-    line("threshold", std::to_string(script.params.sybil_threshold));
-    line("max-sybils", std::to_string(script.params.max_sybils));
-    line("decision-period",
-         std::to_string(script.params.decision_period));
-    const bool streamed =
-        script.params.provisioning == sim::TaskProvisioning::kStreamed;
-    line("provisioning", streamed ? "streamed" : "preallocated");
-    if (streamed) {
-      line("arrival-ticks", std::to_string(script.params.arrival_ticks));
-    }
-    line("mark-failed-ranges",
-         script.params.mark_failed_ranges ? "true" : "false");
+    param_lines(/*chord=*/false);
   }
 
   for (const Block& block : script.blocks) {
@@ -303,41 +283,7 @@ std::string emit_script(const Script& script) {
       out += "at " + std::to_string(block.at) + '\n';
     }
     for (const Event& event : block.events) {
-      out += "  ";
-      switch (event.kind) {
-        case K::kJoin:
-          out += "join " + std::to_string(event.count);
-          break;
-        case K::kLeave:
-          out += "leave " + std::to_string(event.count);
-          break;
-        case K::kCrash:
-          out += "crash " + std::to_string(event.count);
-          break;
-        case K::kInjectUniform:
-          out += "inject-uniform " + std::to_string(event.count);
-          break;
-        case K::kInjectHotspot:
-          out += "inject-hotspot " + std::to_string(event.count) + ' ' +
-                 format_double(event.value);
-          break;
-        case K::kSetChurn:
-          out += "set churn " + format_double(event.value);
-          break;
-        case K::kSetThreshold:
-          out += "set threshold " + std::to_string(event.count);
-          break;
-        case K::kSetStrategy:
-          out += "strategy " + event.text;
-          break;
-        case K::kFault:
-          out += "fault " + event.text + ' ' + format_double(event.value);
-          break;
-        case K::kLookup:
-          out += "lookup " + std::to_string(event.count);
-          break;
-      }
-      out += '\n';
+      out += "  " + format_event(event) + '\n';
     }
     out += "end\n";
   }

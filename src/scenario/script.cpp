@@ -1,14 +1,11 @@
 #include "scenario/script.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <set>
+#include <map>
 #include <sstream>
 
 #include "lb/factory.hpp"
+#include "support/number.hpp"
 
 namespace dhtlb::scenario {
 
@@ -33,65 +30,9 @@ struct Cursor {
     throw ParseError(file, line, message);
   }
 
-  std::uint64_t parse_u64(const std::string& token,
-                          const char* what) const {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || ptr != token.data() + token.size()) {
-      fail(std::string("expected an unsigned integer for ") + what +
-           ", got '" + token + "'");
-    }
-    return value;
-  }
-
-  /// parse_u64 capped at `max` (a kMaxScript* limit or the field's
-  /// type).
-  std::uint64_t parse_count(const std::string& token, const char* what,
-                            std::uint64_t max) const {
-    const std::uint64_t value = parse_u64(token, what);
-    if (value > max) {
-      fail(std::string(what) + " " + token + " is out of range (at most " +
-           std::to_string(max) + ")");
-    }
-    return value;
-  }
-
-  double parse_double(const std::string& token, const char* what) const {
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || token.empty()) {
-      fail(std::string("expected a number for ") + what + ", got '" + token +
-           "'");
-    }
-    if (!std::isfinite(value)) {
-      fail(std::string("expected a finite number for ") + what + ", got '" +
-           token + "'");
-    }
-    return value;
-  }
-
-  double parse_probability(const std::string& token,
-                           const char* what) const {
-    const double value = parse_double(token, what);
-    if (!(value >= 0.0 && value <= 1.0)) {
-      fail(std::string(what) + " must be in [0, 1], got '" + token + "'");
-    }
-    return value;
-  }
-
-  bool parse_bool(const std::string& token, const char* what) const {
-    if (token == "true") return true;
-    if (token == "false") return false;
-    fail(std::string("expected true/false for ") + what + ", got '" + token +
-         "'");
-  }
-
   void expect_tokens(const std::vector<std::string>& tokens,
-                     std::size_t count, const char* usage) const {
-    if (tokens.size() < count) {
-      fail(std::string("missing argument; usage: ") + usage);
-    }
+                     std::size_t count, const std::string& usage) const {
+    if (tokens.size() < count) fail("missing argument; usage: " + usage);
     if (tokens.size() > count) {
       fail("trailing garbage '" + tokens[count] + "' after " + usage);
     }
@@ -106,28 +47,32 @@ struct Cursor {
   }
 };
 
+using sim::Params;
+using support::parse_count;
+using support::parse_probability;
+
 Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
   Event event;
   event.line = cur.line;
   const std::string& head = tokens[0];
   if (head == "join" || head == "leave" || head == "crash") {
-    cur.expect_tokens(tokens, 2, (head + " <count>").c_str());
+    cur.expect_tokens(tokens, 2, head + " <count>");
     event.kind = head == "join"    ? Event::Kind::kJoin
                  : head == "leave" ? Event::Kind::kLeave
                                    : Event::Kind::kCrash;
-    event.count = cur.parse_count(tokens[1], "count", kMaxScriptNodes);
+    event.count = parse_count("count", tokens[1], Params::kMaxInputNodes);
     if (event.count == 0) cur.fail(head + " count must be >= 1");
   } else if (head == "inject-uniform") {
     cur.expect_tokens(tokens, 2, "inject-uniform <tasks>");
     event.kind = Event::Kind::kInjectUniform;
-    event.count = cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
+    event.count = parse_count("task count", tokens[1], Params::kMaxInputTasks);
     if (event.count == 0) cur.fail("inject-uniform count must be >= 1");
   } else if (head == "inject-hotspot") {
     cur.expect_tokens(tokens, 3, "inject-hotspot <tasks> <ring-fraction>");
     event.kind = Event::Kind::kInjectHotspot;
-    event.count = cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
+    event.count = parse_count("task count", tokens[1], Params::kMaxInputTasks);
     if (event.count == 0) cur.fail("inject-hotspot count must be >= 1");
-    event.value = cur.parse_double(tokens[2], "ring fraction");
+    event.value = support::parse_number("ring fraction", tokens[2]);
     if (!(event.value > 0.0 && event.value <= 1.0)) {
       cur.fail("hotspot ring fraction must be in (0, 1], got '" + tokens[2] +
                "'");
@@ -136,10 +81,10 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
     cur.expect_tokens(tokens, 3, "set churn|threshold <value>");
     if (tokens[1] == "churn") {
       event.kind = Event::Kind::kSetChurn;
-      event.value = cur.parse_probability(tokens[2], "churn rate");
+      event.value = parse_probability("churn rate", tokens[2]);
     } else if (tokens[1] == "threshold") {
       event.kind = Event::Kind::kSetThreshold;
-      event.count = cur.parse_u64(tokens[2], "sybilThreshold");
+      event.count = parse_count("sybilThreshold", tokens[2]);
     } else {
       cur.fail("unknown parameter '" + tokens[1] +
                "' (expected churn or threshold)");
@@ -158,12 +103,11 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
     }
     event.kind = Event::Kind::kFault;
     event.text = tokens[1];
-    event.value = cur.parse_probability(tokens[2], "fault probability");
+    event.value = parse_probability("fault probability", tokens[2]);
   } else if (head == "lookup") {
     cur.expect_tokens(tokens, 2, "lookup <count>");
     event.kind = Event::Kind::kLookup;
-    event.count =
-        cur.parse_count(tokens[1], "lookup count", kMaxScriptLookups);
+    event.count = parse_count("lookup count", tokens[1], kMaxScriptLookups);
     if (event.count == 0) cur.fail("lookup count must be >= 1");
   } else {
     cur.fail("unknown event '" + head + "'");
@@ -171,50 +115,51 @@ Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
   return event;
 }
 
-bool event_allowed(Event::Kind kind, Substrate substrate) {
-  switch (kind) {
-    case Event::Kind::kJoin:
-    case Event::Kind::kLeave:
-    case Event::Kind::kCrash:
-      return true;
-    case Event::Kind::kInjectUniform:
-    case Event::Kind::kInjectHotspot:
-    case Event::Kind::kSetChurn:
-    case Event::Kind::kSetThreshold:
-    case Event::Kind::kSetStrategy:
-      return substrate == Substrate::kSim;
-    case Event::Kind::kFault:
-    case Event::Kind::kLookup:
-      return substrate == Substrate::kChord;
-  }
-  return false;
+// Each event kind's words before its operands, which operands it
+// carries (written in the order text, count, value) and where it runs.
+struct EventShape {
+  Event::Kind kind;
+  std::string_view name;
+  bool text, count, value;
+  bool sim, chord;
+};
+constexpr EventShape kEventShapes[] = {
+    {Event::Kind::kJoin, "join", false, true, false, true, true},
+    {Event::Kind::kLeave, "leave", false, true, false, true, true},
+    {Event::Kind::kCrash, "crash", false, true, false, true, true},
+    {Event::Kind::kInjectUniform, "inject-uniform", false, true, false, true,
+     false},
+    {Event::Kind::kInjectHotspot, "inject-hotspot", false, true, true, true,
+     false},
+    {Event::Kind::kSetChurn, "set churn", false, false, true, true, false},
+    {Event::Kind::kSetThreshold, "set threshold", false, true, false, true,
+     false},
+    {Event::Kind::kSetStrategy, "strategy", true, false, false, true, false},
+    {Event::Kind::kFault, "fault", true, false, true, false, true},
+    {Event::Kind::kLookup, "lookup", false, true, false, false, true},
+};
+static_assert(
+    [] {
+      std::size_t i = 0;
+      for (const EventShape& s : kEventShapes) {
+        if (s.kind != static_cast<Event::Kind>(i++)) return false;
+      }
+      return i == static_cast<std::size_t>(Event::Kind::kLookup) + 1;
+    }(),
+    "kEventShapes lists every Event::Kind once, in declaration order");
+
+const EventShape& shape(Event::Kind kind) {
+  return kEventShapes[static_cast<std::size_t>(kind)];
 }
 
-const char* event_name(Event::Kind kind) {
-  switch (kind) {
-    case Event::Kind::kJoin: return "join";
-    case Event::Kind::kLeave: return "leave";
-    case Event::Kind::kCrash: return "crash";
-    case Event::Kind::kInjectUniform: return "inject-uniform";
-    case Event::Kind::kInjectHotspot: return "inject-hotspot";
-    case Event::Kind::kSetChurn: return "set churn";
-    case Event::Kind::kSetThreshold: return "set threshold";
-    case Event::Kind::kSetStrategy: return "strategy";
-    case Event::Kind::kFault: return "fault";
-    case Event::Kind::kLookup: return "lookup";
-  }
-  return "?";
-}
-
-}  // namespace
-
-Script Script::parse(std::string_view text, std::string_view filename) {
+// Script::parse without the final rewrap: the number parsers and
+// Params::set throw std::invalid_argument, which Script::parse reports
+// at `cur.line`.
+Script parse_lines(std::string_view text, Cursor& cur) {
   Script script;
-  Cursor cur{filename, 0};
-  std::set<std::string> seen_keys;
-  // Sim-only header keys, for the substrate cross-check; value = the
-  // line the key appeared on.
-  std::set<std::pair<std::string, int>> sim_only_keys;
+  // Header key -> the line it appeared on, for the duplicate check and
+  // the substrate cross-check.
+  std::map<std::string, int> header_lines;
   bool in_block = false;
   bool any_block = false;
   Block block;
@@ -237,16 +182,17 @@ Script Script::parse(std::string_view text, std::string_view filename) {
         if (tokens.size() != 2 && tokens.size() != 4 && tokens.size() != 6) {
           cur.fail("usage: every <period> [from <tick>] [until <tick>]");
         }
-        block.at = cur.parse_u64(tokens[1], "period");
+        block.at = parse_count("period", tokens[1], kMaxScriptTicks);
         if (block.at == 0) cur.fail("every period must be >= 1");
         std::size_t i = 2;
         if (i < tokens.size() && tokens[i] == "from") {
-          block.from = cur.parse_u64(tokens[i + 1], "from tick");
+          block.from = parse_count("from tick", tokens[i + 1], kMaxScriptTicks);
           if (block.from == 0) cur.fail("from tick must be >= 1");
           i += 2;
         }
         if (i < tokens.size() && tokens[i] == "until") {
-          block.until = cur.parse_u64(tokens[i + 1], "until tick");
+          block.until =
+              parse_count("until tick", tokens[i + 1], kMaxScriptTicks);
           // 0 is the internal "open-ended" sentinel; accepting it here
           // would silently stretch the block to the horizon instead of
           // meaning "never fires" — reject rather than guess.
@@ -264,7 +210,7 @@ Script Script::parse(std::string_view text, std::string_view filename) {
         }
       } else {
         cur.expect_tokens(tokens, 2, "at <tick>");
-        block.at = cur.parse_u64(tokens[1], "tick");
+        block.at = parse_count("tick", tokens[1], kMaxScriptTicks);
         if (block.at == 0) cur.fail("at tick must be >= 1 (tick 0 is the "
                                     "initial state)");
         if (block.at <= last_at_tick) {
@@ -298,7 +244,7 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       cur.fail("header key '" + head + "' after the first event block "
                "(headers must come first)");
     }
-    if (!seen_keys.insert(head).second) {
+    if (!header_lines.emplace(head, cur.line).second) {
       cur.fail("duplicate key '" + head + "'");
     }
     if (head == "name") {
@@ -316,106 +262,43 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       }
     } else if (head == "seed") {
       cur.expect_tokens(tokens, 2, "seed <u64>");
-      script.seed = cur.parse_u64(tokens[1], "seed");
+      script.seed = parse_count("seed", tokens[1]);
       script.seed_set = true;
     } else if (head == "ticks") {
       cur.expect_tokens(tokens, 2, "ticks <horizon>");
-      script.horizon = cur.parse_u64(tokens[1], "tick horizon");
-    } else if (head == "nodes") {
-      cur.expect_tokens(tokens, 2, "nodes <count>");
-      script.params.initial_nodes =
-          cur.parse_count(tokens[1], "node count", kMaxScriptNodes);
-    } else if (head == "successors") {
-      cur.expect_tokens(tokens, 2, "successors <k>");
-      script.params.num_successors = cur.parse_count(
-          tokens[1], "successors", sim::Params::kMaxSuccessors);
+      script.horizon = parse_count("tick horizon", tokens[1], kMaxScriptTicks);
     } else if (head == "strategy") {
       cur.expect_tokens(tokens, 2, "strategy <name>");
       cur.check_strategy(tokens[1]);
       script.strategy = tokens[1];
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "tasks") {
-      cur.expect_tokens(tokens, 2, "tasks <count>");
-      script.params.total_tasks =
-          cur.parse_count(tokens[1], "task count", kMaxScriptTasks);
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "churn") {
-      cur.expect_tokens(tokens, 2, "churn <rate>");
-      script.params.churn_rate = cur.parse_probability(tokens[1],
-                                                       "churn rate");
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "heterogeneous") {
-      cur.expect_tokens(tokens, 2, "heterogeneous true|false");
-      script.params.heterogeneous = cur.parse_bool(tokens[1],
-                                                   "heterogeneous");
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "work-measure") {
-      cur.expect_tokens(tokens, 2, "work-measure one|strength");
-      if (tokens[1] == "one") {
-        script.params.work_measure = sim::WorkMeasure::kOneTaskPerTick;
-      } else if (tokens[1] == "strength") {
-        script.params.work_measure = sim::WorkMeasure::kStrengthPerTick;
-      } else {
-        cur.fail("unknown work-measure '" + tokens[1] +
-                 "' (expected one or strength)");
-      }
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "threshold") {
-      cur.expect_tokens(tokens, 2, "threshold <tasks>");
-      script.params.sybil_threshold = cur.parse_u64(tokens[1],
-                                                    "sybilThreshold");
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "max-sybils") {
-      cur.expect_tokens(tokens, 2, "max-sybils <k>");
-      script.params.max_sybils = static_cast<unsigned>(cur.parse_count(
-          tokens[1], "max-sybils", std::numeric_limits<unsigned>::max()));
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "decision-period") {
-      cur.expect_tokens(tokens, 2, "decision-period <ticks>");
-      script.params.decision_period = cur.parse_u64(tokens[1],
-                                                    "decision period");
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "provisioning") {
-      cur.expect_tokens(tokens, 2, "provisioning preallocated|streamed");
-      if (tokens[1] == "preallocated") {
-        script.params.provisioning = sim::TaskProvisioning::kPreallocated;
-      } else if (tokens[1] == "streamed") {
-        script.params.provisioning = sim::TaskProvisioning::kStreamed;
-      } else {
-        cur.fail("unknown provisioning '" + tokens[1] +
-                 "' (expected preallocated or streamed)");
-      }
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "arrival-ticks") {
-      cur.expect_tokens(tokens, 2, "arrival-ticks <ticks>");
-      script.params.arrival_ticks = cur.parse_u64(tokens[1],
-                                                  "arrival ticks");
-      sim_only_keys.emplace(head, cur.line);
-    } else if (head == "mark-failed-ranges") {
-      cur.expect_tokens(tokens, 2, "mark-failed-ranges true|false");
-      script.params.mark_failed_ranges =
-          cur.parse_bool(tokens[1], "mark-failed-ranges");
-      sim_only_keys.emplace(head, cur.line);
+    } else if (const sim::ParamField* field = sim::find_param_field(head)) {
+      cur.expect_tokens(tokens, 2,
+                        head + " <" + std::string(field->value_name) + ">");
+      script.params.set(head, tokens[1]);
     } else {
       cur.fail("unknown key '" + head + "'");
     }
   }
 
   if (in_block) {
-    throw ParseError(filename, block.line,
+    throw ParseError(cur.file, block.line,
                      "unterminated at/every block (missing 'end')");
   }
 
   // --- whole-script validation -------------------------------------------
   auto fail_at = [&](int line, const std::string& message) -> void {
-    throw ParseError(filename, line, message);
+    throw ParseError(cur.file, line, message);
   };
   if (script.name.empty()) {
     fail_at(cur.line == 0 ? 1 : cur.line, "missing required key 'name'");
   }
   if (script.substrate == Substrate::kChord) {
-    for (const auto& [key, line] : sim_only_keys) {
-      fail_at(line, "key '" + key + "' only applies to the sim substrate");
+    // The chord run reads nodes and successors only.
+    for (const auto& [key, line] : header_lines) {
+      const sim::ParamField* field = sim::find_param_field(key);
+      if (field != nullptr ? !field->chord : key == "strategy") {
+        fail_at(line, "key '" + key + "' only applies to the sim substrate");
+      }
     }
     if (script.horizon == 0) {
       fail_at(cur.line, "chord scenarios need a 'ticks' horizon (the "
@@ -436,10 +319,10 @@ Script Script::parse(std::string_view text, std::string_view filename) {
       }
     }
     for (const Event& e : b.events) {
-      if (!event_allowed(e.kind, script.substrate)) {
+      const EventShape& ev = shape(e.kind);
+      if (!(script.substrate == Substrate::kSim ? ev.sim : ev.chord)) {
         fail_at(e.line,
-                std::string("event '") + event_name(e.kind) +
-                    "' is not valid on the " +
+                "event '" + std::string(ev.name) + "' is not valid on the " +
                     (script.substrate == Substrate::kSim ? "sim" : "chord") +
                     " substrate");
       }
@@ -449,12 +332,28 @@ Script Script::parse(std::string_view text, std::string_view filename) {
   for (Block& b : script.blocks) {
     if (b.recurring && b.until == 0) b.until = script.horizon;
   }
-  try {
-    script.params.validate();
-  } catch (const std::invalid_argument& e) {
-    fail_at(cur.line == 0 ? 1 : cur.line, e.what());
-  }
+  script.params.validate();  // a failure is reported at the last line
   return script;
+}
+
+}  // namespace
+
+Script Script::parse(std::string_view text, std::string_view filename) {
+  Cursor cur{filename, 0};
+  try {
+    return parse_lines(text, cur);
+  } catch (const std::invalid_argument& e) {
+    cur.fail(e.what());
+  }
+}
+
+std::string format_event(const Event& event) {
+  const EventShape& ev = shape(event.kind);
+  std::string out(ev.name);
+  if (ev.text) out += ' ' + event.text;
+  if (ev.count) out += ' ' + std::to_string(event.count);
+  if (ev.value) out += ' ' + support::format_real(event.value);
+  return out;
 }
 
 Script Script::load(const std::string& path) {

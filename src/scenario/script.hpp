@@ -26,10 +26,12 @@
 // increasing tick order.  `#` starts a comment; blank lines are ignored.
 // Every diagnostic is file:line-prefixed — see ParseError.
 //
-// Counts are bounded (kMaxScriptNodes, kMaxScriptTasks,
-// kMaxScriptLookups below): each unit of a count costs the run memory or
-// a loop iteration, so a count past its limit is a ParseError rather
-// than a run that allocates until it dies.
+// Counts and ticks are bounded (kMaxScriptTicks and kMaxScriptLookups
+// below; node and task counts by sim::Params' input limits): each unit
+// costs the run memory or a loop iteration, so a number past its limit
+// is a ParseError rather than a run that allocates or loops until it
+// dies.  The `Params` header keys are sim::param_fields(): one table
+// gives their grammar, limits and canonical text.
 //
 // Two substrates share the format:
 //   substrate sim    (default) — drives sim::Engine through its timeline
@@ -50,13 +52,10 @@
 
 namespace dhtlb::scenario {
 
-/// Largest `nodes` header, and largest join/leave/crash count (no event
-/// can move more nodes than a world of this size holds).
-inline constexpr std::uint64_t kMaxScriptNodes = 4'000'000;
-
-/// Largest `tasks` header, and largest inject-uniform/inject-hotspot
-/// count; every task is a resident 20-byte key.
-inline constexpr std::uint64_t kMaxScriptTasks = 100'000'000;
+/// Largest `ticks` horizon, `at` tick and `every` period/from/until:
+/// 100x the longest committed horizon (soak_churn_10k's 10,000).  The
+/// runner loops once per tick up to the horizon.
+inline constexpr std::uint64_t kMaxScriptTicks = 1'000'000;
 
 /// Largest `lookup` count (chord); every lookup routes messages.
 inline constexpr std::uint64_t kMaxScriptLookups = 10'000'000;
@@ -97,6 +96,10 @@ struct Block {
   std::vector<Event> events;
   int line = 0;
 };
+
+/// The canonical `.scn` text of one event line, e.g. "inject-hotspot 10
+/// 0.125"; parsing it yields the same event.
+std::string format_event(const Event& event);
 
 /// Parse failure with the offending location.  what() is already
 /// "<file>:<line>: <message>".

@@ -5,11 +5,19 @@
 // sybilThreshold, successors, plus the 5-tick decision cadence from
 // §IV-B and one optional extension flag (§IV-C's "mark failed ranges"
 // suggestion).
+//
+// The user-settable fields also form a table (ParamField, below): one
+// entry per `.scn` header key / dhtlb_cli flag, holding the value
+// grammar and the input limit.  Params::set and Params::format are the
+// only text <-> field mapping; the scenario parser, the canonical
+// emitter and the CLI all go through them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace dhtlb::sim {
 
@@ -42,6 +50,14 @@ struct Params {
   /// both lists of every vnode, so the length multiplies per-round work.
   /// The paper uses 5 (§V-B).
   static constexpr std::size_t kMaxSuccessors = 64;
+
+  /// Input limits: the largest initial_nodes and total_tasks a text
+  /// input (a `.scn` header, a dhtlb_cli flag) may set, also the largest
+  /// node and task counts of one scenario event.  Each node is a vnode
+  /// slot and each task a resident 20-byte key, so a count past these is
+  /// rejected rather than run until the process dies.
+  static constexpr std::uint64_t kMaxInputNodes = 4'000'000;
+  static constexpr std::uint64_t kMaxInputTasks = 100'000'000;
 
   /// Nodes alive at tick zero.  A pool of equally many waiting nodes is
   /// created alongside (§IV-A), so churn joins/leaves roughly balance.
@@ -102,6 +118,54 @@ struct Params {
   std::uint64_t effective_max_ticks(std::uint64_t ideal_ticks) const;
 
   std::string describe() const;
+
+  /// Sets the field whose table key is `key` from its text, checking
+  /// its grammar and input limit (structural and cross-field checks stay
+  /// in validate()).  Throws std::invalid_argument worded for a `.scn`
+  /// diagnostic: "node count 5000000 is out of range (at most 4000000)",
+  /// "unknown key 'x'".
+  void set(std::string_view key, std::string_view text);
+
+  /// The canonical text of field `key`; set(key, format(key)) is a no-op.
+  std::string format(std::string_view key) const;
 };
+
+/// One user-settable Params field: its `.scn` header key (also the
+/// dhtlb_cli flag name), value grammar and input limit.
+struct ParamField {
+  // kCount: support::parse_count up to `max`; kProbability: a real in
+  // [0, 1]; kBool and kEnum: one of `names`.
+  enum class Grammar { kCount, kProbability, kBool, kEnum };
+  // A value in table form: a count, flag or enum index in `n`, a
+  // probability in `x`.
+  struct Value {
+    std::uint64_t n = 0;
+    double x = 0.0;
+  };
+
+  std::string_view key;
+  Grammar grammar;
+  std::string_view noun;                    // names the value in messages
+  std::uint64_t max;                        // kCount: the input limit
+  std::span<const std::string_view> names;  // kBool/kEnum: text of value i
+  std::string_view value_name;              // usage: `nodes <count>`
+  std::string_view help;                    // --help description
+  bool chord;                               // also a chord-substrate key
+  bool streamed_only;  // meaningful under streamed provisioning only
+  Value (*load)(const Params&);
+  void (*store)(Params&, Value);
+
+  /// Whether the field means anything under `p` (what the canonical
+  /// emitter writes).
+  bool applies(const Params& p) const {
+    return !streamed_only || p.provisioning == TaskProvisioning::kStreamed;
+  }
+};
+
+/// Every user-settable field, in canonical (emit) order.
+std::span<const ParamField> param_fields();
+
+/// The field with `key`, or nullptr.
+const ParamField* find_param_field(std::string_view key);
 
 }  // namespace dhtlb::sim

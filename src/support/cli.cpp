@@ -1,30 +1,11 @@
 #include "support/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
-namespace dhtlb::support {
+#include "support/number.hpp"
 
-std::uint64_t parse_u64(const std::string& label, const std::string& raw,
-                        const char* what) {
-  // strtoull would negate a leading '-' and saturate an overflow to
-  // 2^64 - 1, so both are rejected along with non-numeric text.
-  if (raw.find('-') != std::string::npos) {
-    throw std::invalid_argument(label + ": negative value: " + raw);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    throw std::invalid_argument(label + ": " + what + ": " + raw);
-  }
-  if (errno == ERANGE) {
-    throw std::invalid_argument(label + ": out of range: " + raw);
-  }
-  return v;
-}
+namespace dhtlb::support {
 
 void CliParser::add_flag(const std::string& name,
                          const std::string& value_name,
@@ -89,17 +70,7 @@ std::string CliParser::get(const std::string& name) const {
 }
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
-  return parse_u64("--" + name, get(name), "not an integer");
-}
-
-double CliParser::get_double(const std::string& name) const {
-  const std::string raw = get(name);
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    throw std::invalid_argument("--" + name + ": not a number: " + raw);
-  }
-  return v;
+  return parse_u64("--" + name, get(name));
 }
 
 bool CliParser::get_bool(const std::string& name) const {
@@ -145,7 +116,7 @@ std::uint64_t positional_count(int argc, const char* const* argv, int index,
                                const std::string& name,
                                std::uint64_t fallback) {
   if (index >= argc) return fallback;
-  const std::uint64_t v = parse_u64(name, argv[index], "not an integer");
+  const std::uint64_t v = parse_u64(name, argv[index]);
   if (v == 0) throw std::invalid_argument(name + ": must be at least 1: 0");
   return v;
 }

@@ -28,10 +28,9 @@ class CliParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
-  /// Decimal u64.  Throws std::invalid_argument naming the flag and the
-  /// raw text on non-numeric input, a '-' sign, or a value above 2^64 - 1.
+  /// Decimal u64 under support/number.hpp's grammar.  Throws
+  /// std::invalid_argument naming the flag and the raw text.
   std::uint64_t get_u64(const std::string& name) const;
-  double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
   /// Comma-separated integers, e.g. "--snapshots 0,5,35"; each item is
@@ -58,13 +57,6 @@ class CliParser {
   std::vector<std::string> positionals_;
   std::string error_;
 };
-
-/// Parses `raw` as a decimal u64 for the input `label` (a flag's
-/// `--name`, a positional's name or an env var).  Throws
-/// std::invalid_argument naming `label` and the raw text on a negative
-/// value, on overflow and on non-numeric text (`what` names that case).
-std::uint64_t parse_u64(const std::string& label, const std::string& raw,
-                        const char* what = "not an integer");
 
 /// A positional count for the example programs: argv[index] checked as
 /// CliParser::get_u64 checks a flag value, or `fallback` when argc <=

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "support/cli.hpp"
+#include "support/number.hpp"
 
 namespace dhtlb::support {
 

@@ -12,9 +12,10 @@
 // Only programs (bench/, examples/) call these; library code takes the
 // values as arguments (the env-read rule of scripts/lint_determinism.py).
 //
-// A set integer knob must be a plain decimal: garbage, negative and
-// overflowing values throw std::invalid_argument naming the variable,
-// so a typo fails the run instead of silently using the default.
+// A set integer knob must be a plain decimal (the integer grammar of
+// support/number.hpp): garbage, signed, padded and overflowing values
+// throw std::invalid_argument naming the variable, so a typo fails the
+// run instead of silently using the default.
 #pragma once
 
 #include <cstddef>

@@ -168,14 +168,14 @@ TEST(ScenarioParser, MaxSybilsAboveUintMax) {
             4294967295u);
 }
 
-// Counts are bounded by the kMaxScript* limits: one past the limit is a
+// Counts are bounded by the input limits: one past the limit is a
 // line-numbered error, the limit itself parses.  Unbounded, a huge count
 // allocates or loops until the process runs out of memory.
 TEST(ScenarioParser, NodesHeaderAboveLimit) {
   expect_error("name x\nnodes 4000001\n", 2, "node count 4000001 is out of "
                "range (at most 4000000)");
   EXPECT_EQ(parse("name x\nnodes 4000000\n").params.initial_nodes,
-            kMaxScriptNodes);
+            sim::Params::kMaxInputNodes);
 }
 
 // Every node walks its successor list each decision round; a huge k
@@ -191,7 +191,7 @@ TEST(ScenarioParser, TasksHeaderAboveLimit) {
   expect_error("name x\ntasks 18446744073709551615\n", 2,
                "task count 18446744073709551615 is out of range");
   EXPECT_EQ(parse("name x\ntasks 100000000\n").params.total_tasks,
-            kMaxScriptTasks);
+            sim::Params::kMaxInputTasks);
 }
 
 TEST(ScenarioParser, JoinCountAboveLimit) {
@@ -217,7 +217,7 @@ TEST(ScenarioParser, InjectUniformCountAboveLimit) {
                 .blocks[0]
                 .events[0]
                 .count,
-            kMaxScriptTasks);
+            sim::Params::kMaxInputTasks);
 }
 
 TEST(ScenarioParser, InjectHotspotCountAboveLimit) {
@@ -229,6 +229,46 @@ TEST(ScenarioParser, LookupCountAboveLimit) {
   expect_error(
       "name x\nsubstrate chord\nticks 5\nat 1\n  lookup 10000001\nend\n",
       5, "lookup count 10000001 is out of range (at most 10000000)");
+}
+
+// The runner loops once per tick up to the horizon, so an unbounded
+// `ticks` (or a block tick that needs one) would run until killed.
+TEST(ScenarioParser, TicksHeaderAboveLimit) {
+  expect_error("name huge\nsubstrate chord\nnodes 8\n"
+               "ticks 18446744073709551615\n",
+               4,
+               "tick horizon 18446744073709551615 is out of range (at most "
+               "1000000)");
+  EXPECT_EQ(parse("name x\nticks 1000000\n").horizon, kMaxScriptTicks);
+}
+
+TEST(ScenarioParser, AtTickAboveLimit) {
+  expect_error("name x\nat 1000001\n  join 1\nend\n", 2,
+               "tick 1000001 is out of range (at most 1000000)");
+  EXPECT_EQ(parse("name x\nat 1000000\n  join 1\nend\n").blocks[0].at,
+            kMaxScriptTicks);
+}
+
+TEST(ScenarioParser, EveryTicksAboveLimit) {
+  expect_error("name x\nevery 1000001 until 5\n  join 1\nend\n", 2,
+               "period 1000001 is out of range (at most 1000000)");
+  expect_error("name x\nevery 1 from 1000001 until 5\n  join 1\nend\n", 2,
+               "from tick 1000001 is out of range (at most 1000000)");
+  expect_error(
+      "name x\nevery 1 until 18446744073709551615\n  join 1\nend\n", 2,
+      "until tick 18446744073709551615 is out of range (at most 1000000)");
+  const Script s =
+      parse("name x\nevery 1000000 from 1000000 until 1000000\n"
+            "  join 1\nend\n");
+  EXPECT_EQ(s.blocks[0].until, kMaxScriptTicks);
+}
+
+// Numbers follow the one grammar (support/number.hpp): no sign.
+TEST(ScenarioParser, SignedCountsAreRejected) {
+  expect_error("name x\nnodes +50\n", 2,
+               "expected an unsigned integer for node count, got '+50'");
+  expect_error("name x\nat 1\n  join -1\nend\n", 3,
+               "expected an unsigned integer for count, got '-1'");
 }
 
 TEST(ScenarioParser, ChurnRateOutOfRange) {

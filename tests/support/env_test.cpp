@@ -48,6 +48,19 @@ TEST_F(EnvTest, GarbageIsRejected) {
   EXPECT_EQ(env_u64("DHTLB_TEST_VAR", 17), 17u) << "empty means unset";
 }
 
+TEST_F(EnvTest, SignedAndPaddedValuesAreRejected) {
+  for (const char* raw : {"+5", " 5", "5 "}) {
+    ::setenv("DHTLB_TEST_VAR", raw, 1);
+    try {
+      env_u64("DHTLB_TEST_VAR", 17);
+      ADD_FAILURE() << "'" << raw << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("DHTLB_TEST_VAR: not an integer: ") + raw);
+    }
+  }
+}
+
 TEST_F(EnvTest, TrialsOverride) {
   EXPECT_EQ(env_trials(100), 100u);
   ::setenv("DHTLB_TRIALS", "5", 1);
