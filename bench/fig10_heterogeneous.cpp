@@ -5,25 +5,17 @@
 // Expected shape (paper): random injection still yields a clearly better
 // distribution, though the runtime gains are smaller than in the
 // homogeneous case.
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
-#include "stats/histogram.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig10_heterogeneous", "Figure 10",
-                         "heterogeneous networks at tick 35", 6);
+void fig10_heterogeneous(Session& session) {
   const std::size_t trials = session.trials();
 
-  sim::Params params = bench::paper_defaults(1000, 100'000);
+  sim::Params params = paper_defaults(1000, 100'000);
   params.heterogeneous = true;
-  const auto seed = support::env_seed();
+  const auto seed = session.seed();
 
   const auto none = exp::run_with_snapshots(params, "none", seed, {35});
   const auto inj =
@@ -31,12 +23,8 @@ int main() {
 
   const auto& ln = none.snapshots[0].workloads;
   const auto& li = inj.snapshots[0].workloads;
-  std::printf("%s", viz::render_comparison(
-                        stats::workload_histogram(ln, 12).bins(),
-                        "no strategy (het)",
-                        stats::workload_histogram(li, 12).bins(),
-                        "random injection (het)")
-                        .c_str());
+  print_histogram_pair("Figure 10 (tick 35)", ln, "no strategy (het)", li,
+                       "random injection (het)");
   std::printf("\nidle: none %.3f vs injection %.3f | gini: %.3f vs %.3f\n",
               stats::idle_fraction(ln), stats::idle_fraction(li),
               stats::gini(ln), stats::gini(li));
@@ -45,7 +33,7 @@ int main() {
 
   // Multi-trial runtime comparison: het gains exist but are smaller than
   // hom gains (§VI-B).
-  sim::Params hom = bench::paper_defaults(1000, 100'000);
+  sim::Params hom = paper_defaults(1000, 100'000);
   const double het_inj =
       session.mean_factor(params, "random-injection", "het/random-injection");
   const double het_none = session.mean_factor(params, "none", "het/none");
@@ -59,5 +47,6 @@ int main() {
               het_none, het_inj, het_none - het_inj);
   std::printf("shape check (paper): both gains positive; heterogeneous "
               "improvement is the weaker of the two.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -6,23 +6,14 @@
 // left — a lower maximum workload (~450 vs ~650 at tick 35) but MORE
 // idle nodes than no strategy has busy low-load nodes; the smart variant
 // keeps the lower maximum while idling far fewer nodes.
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
-#include "stats/histogram.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig11_12_neighbor", "Figures 11-12",
-                         "neighbor injection variants at tick 35", 1);
-
-  const auto params = bench::paper_defaults(1000, 100'000);
-  const auto seed = support::env_seed();
+void fig11_12_neighbor(Session& session) {
+  const auto params = paper_defaults(1000, 100'000);
+  const auto seed = session.seed();
 
   const auto none = exp::run_with_snapshots(params, "none", seed, {35});
   const auto est =
@@ -31,30 +22,19 @@ int main() {
                                              "smart-neighbor-injection",
                                              seed, {35});
 
-  auto max_of = [](const std::vector<std::uint64_t>& v) {
-    return *std::max_element(v.begin(), v.end());
-  };
   const auto& ln = none.snapshots[0].workloads;
   const auto& le = est.snapshots[0].workloads;
   const auto& ls = smart.snapshots[0].workloads;
 
-  std::printf("--- Figure 11: estimating neighbor injection ---\n%s",
-              viz::render_comparison(
-                  stats::workload_histogram(ln, 12).bins(), "no strategy",
-                  stats::workload_histogram(le, 12).bins(),
-                  "neighbor injection")
-                  .c_str());
+  print_histogram_pair("Figure 11: estimating neighbor injection", ln,
+                       "no strategy", le, "neighbor injection");
   std::printf("max workload: none %llu vs neighbor %llu "
               "(paper: ~650 vs ~450)\n\n",
               static_cast<unsigned long long>(max_of(ln)),
               static_cast<unsigned long long>(max_of(le)));
 
-  std::printf("--- Figure 12: smart neighbor injection ---\n%s",
-              viz::render_comparison(
-                  stats::workload_histogram(ln, 12).bins(), "no strategy",
-                  stats::workload_histogram(ls, 12).bins(),
-                  "smart neighbor")
-                  .c_str());
+  print_histogram_pair("Figure 12: smart neighbor injection", ln,
+                       "no strategy", ls, "smart neighbor");
   std::printf("idle fractions: none %.3f | estimating %.3f | smart %.3f\n",
               stats::idle_fraction(ln), stats::idle_fraction(le),
               stats::idle_fraction(ls));
@@ -83,5 +63,6 @@ int main() {
                   smart.strategy_counters.sybils_created),
               static_cast<unsigned long long>(
                   smart.strategy_counters.workload_queries));
-  return 0;
 }
+
+}  // namespace dhtlb::bench

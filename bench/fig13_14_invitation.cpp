@@ -6,23 +6,14 @@
 // ~500 vs ~650); against smart neighbor, invitation leaves fewer
 // low-workload nodes and more mid/high-workload nodes — while sending
 // far fewer messages, because it reacts instead of probing.
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
-#include "stats/histogram.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig13_14_invitation", "Figures 13-14",
-                         "invitation at tick 35", 1);
-
-  const auto params = bench::paper_defaults(1000, 100'000);
-  const auto seed = support::env_seed();
+void fig13_14_invitation(Session& session) {
+  const auto params = paper_defaults(1000, 100'000);
+  const auto seed = session.seed();
 
   const auto none = exp::run_with_snapshots(params, "none", seed, {35});
   const auto inv = exp::run_with_snapshots(params, "invitation", seed, {35});
@@ -30,28 +21,19 @@ int main() {
                                              "smart-neighbor-injection",
                                              seed, {35});
 
-  auto max_of = [](const std::vector<std::uint64_t>& v) {
-    return *std::max_element(v.begin(), v.end());
-  };
   const auto& ln = none.snapshots[0].workloads;
   const auto& li = inv.snapshots[0].workloads;
   const auto& ls = smart.snapshots[0].workloads;
 
-  std::printf("--- Figure 13: invitation vs no strategy ---\n%s",
-              viz::render_comparison(
-                  stats::workload_histogram(ln, 12).bins(), "no strategy",
-                  stats::workload_histogram(li, 12).bins(), "invitation")
-                  .c_str());
+  print_histogram_pair("Figure 13: invitation vs no strategy", ln,
+                       "no strategy", li, "invitation");
   std::printf("max workload: none %llu vs invitation %llu "
               "(paper: ~650 vs ~500)\n\n",
               static_cast<unsigned long long>(max_of(ln)),
               static_cast<unsigned long long>(max_of(li)));
 
-  std::printf("--- Figure 14: invitation vs smart neighbor ---\n%s",
-              viz::render_comparison(
-                  stats::workload_histogram(ls, 12).bins(), "smart neighbor",
-                  stats::workload_histogram(li, 12).bins(), "invitation")
-                  .c_str());
+  print_histogram_pair("Figure 14: invitation vs smart neighbor", ls,
+                       "smart neighbor", li, "invitation");
   std::printf("gini: smart %.3f vs invitation %.3f (paper: invitation "
               "load-balances better)\n\n",
               stats::gini(ls), stats::gini(li));
@@ -80,5 +62,6 @@ int main() {
       static_cast<unsigned long long>(
           inv.strategy_counters.invitations_accepted),
       static_cast<unsigned long long>(inv.strategy_counters.sybils_created));
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -2,24 +2,14 @@
 // in a DHT with 1000 nodes and 1,000,000 tasks, with the median marked.
 // The paper's figure uses a log-scaled workload axis: most nodes hold
 // fewer than 1000 tasks while a few unlucky ones exceed 10,000.
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
-#include "support/env.hpp"
-#include "support/table.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig1_workload_pdf", "Figure 1",
-                         "workload PDF, 1000 nodes / 1,000,000 tasks", 1);
-
+void fig1_workload_pdf(Session& session) {
   const auto loads =
-      exp::initial_workloads(1000, 1'000'000, support::env_seed());
+      exp::initial_workloads(1000, 1'000'000, session.seed());
   std::vector<double> d(loads.begin(), loads.end());
   const auto summary = stats::summarize(d);
   session.record("1000n/1e6t", "median_workload", summary.median, 1);
@@ -46,5 +36,6 @@ int main() {
   std::printf("vertical-line check: median (%0.0f) < mean (%0.0f), i.e. over\n"
               "half the network holds less than the fair share.\n",
               summary.median, summary.mean);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -3,24 +3,19 @@
 // then with evenly spaced nodes (tasks still cluster).  Prints an ASCII
 // ring plus per-node ownership counts, and emits the exact (x, y) CSV
 // the paper's plots use.
-#include <cstdio>
 #include <map>
-#include <vector>
 
 #include "hashing/sha1.hpp"
 #include "repro_util.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 #include "support/uint160.hpp"
 #include "viz/ring_layout.hpp"
 
+namespace dhtlb::bench {
 namespace {
 
-using namespace dhtlb;
 using support::Uint160;
 
-void show(bench::Session& session, const char* cell, const char* title,
+void show(Session& session, const char* cell, const char* title,
           const std::vector<Uint160>& nodes,
           const std::vector<Uint160>& tasks) {
   std::printf("--- %s ---\n", title);
@@ -53,11 +48,8 @@ void show(bench::Session& session, const char* cell, const char* title,
 
 }  // namespace
 
-int main() {
-  bench::Session session("fig2_3_ring_layout", "Figures 2-3",
-                         "10 nodes / 100 tasks on the unit circle", 1);
-
-  support::Rng rng(support::env_seed());
+void fig2_3_ring_layout(Session& session) {
+  support::Rng rng(session.seed());
   std::vector<Uint160> tasks;
   for (int i = 0; i < 100; ++i) {
     tasks.push_back(hashing::Sha1::hash_u64(rng()));
@@ -95,5 +87,6 @@ int main() {
     pos = next == std::string::npos ? next : next + 1;
   }
   std::printf("...\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -5,26 +5,17 @@
 // Expected shape (paper): identical at tick 0; by tick 5 the churned
 // network has fewer low-workload nodes; by tick 35 the difference is
 // pronounced (far fewer idlers under churn).
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
-#include "stats/histogram.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig4_6_churn_histograms", "Figures 4-6",
-                         "churn 0.01 vs none at ticks 0/5/35", 1);
-
-  const auto params = bench::paper_defaults(1000, 100'000);
+void fig4_6_churn_histograms(Session& session) {
+  const auto params = paper_defaults(1000, 100'000);
   sim::Params churned = params;
   churned.churn_rate = 0.01;
 
-  const auto seed = support::env_seed();
+  const auto seed = session.seed();
   const auto none = exp::run_with_snapshots(params, "none", seed, {0, 5, 35});
   const auto churn = exp::run_with_snapshots(churned, "churn", seed,
                                              {0, 5, 35});
@@ -35,13 +26,7 @@ int main() {
   for (std::size_t i = 0; i < 3; ++i) {
     const auto& ln = none.snapshots[i].workloads;
     const auto& lc = churn.snapshots[i].workloads;
-    std::printf("--- %s ---\n", fig_names[i]);
-    std::printf("%s", viz::render_comparison(
-                          stats::workload_histogram(ln, 12).bins(),
-                          "no strategy",
-                          stats::workload_histogram(lc, 12).bins(),
-                          "churn 0.01")
-                          .c_str());
+    print_histogram_pair(fig_names[i], ln, "no strategy", lc, "churn 0.01");
     std::printf("idle fraction: none %.3f vs churn %.3f | gini: none %.3f "
                 "vs churn %.3f\n\n",
                 stats::idle_fraction(ln), stats::idle_fraction(lc),
@@ -62,5 +47,6 @@ int main() {
               none.runtime_factor,
               static_cast<unsigned long long>(churn.ticks),
               churn.runtime_factor);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

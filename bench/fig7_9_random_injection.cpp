@@ -5,25 +5,16 @@
 // Expected shape (paper): by tick 5 a single balancing round already
 // beats the initial distribution; by tick 35 the injected network has
 // far fewer idle nodes than either alternative.
-#include <cstdio>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
-#include "stats/histogram.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "viz/ascii_hist.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("fig7_9_random_injection", "Figures 7-9",
-                         "random injection vs none / churn", 1);
-
-  const auto params = bench::paper_defaults(1000, 100'000);
+void fig7_9_random_injection(Session& session) {
+  const auto params = paper_defaults(1000, 100'000);
   sim::Params churned = params;
   churned.churn_rate = 0.01;
-  const auto seed = support::env_seed();
+  const auto seed = session.seed();
 
   const auto none = exp::run_with_snapshots(params, "none", seed, {5, 35});
   const auto inj =
@@ -35,13 +26,7 @@ int main() {
                     const char* left_label,
                     const std::vector<std::uint64_t>& right,
                     const char* right_label) {
-    std::printf("--- %s ---\n", title);
-    std::printf("%s", viz::render_comparison(
-                          stats::workload_histogram(left, 12).bins(),
-                          left_label,
-                          stats::workload_histogram(right, 12).bins(),
-                          right_label)
-                          .c_str());
+    print_histogram_pair(title, left, left_label, right, right_label);
     std::printf("idle: %s %.3f vs %s %.3f | gini: %.3f vs %.3f\n\n",
                 left_label, stats::idle_fraction(left), right_label,
                 stats::idle_fraction(right), stats::gini(left),
@@ -67,5 +52,6 @@ int main() {
                  stats::idle_fraction(none.snapshots[1].workloads), 1);
   session.record("tick35/random-injection", "idle_fraction",
                  stats::idle_fraction(inj.snapshots[1].workloads), 1);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

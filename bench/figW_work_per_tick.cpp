@@ -4,22 +4,15 @@
 // the baseline's throughput collapses once most nodes idle, while the
 // balancing strategies hold throughput near the network capacity until
 // the job drains.
-#include <cstdio>
-
 #include "lb/factory.hpp"
 #include "repro_util.hpp"
-#include "sim/engine.hpp"
-#include "support/env.hpp"
 #include "viz/series.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("figW_work_per_tick", "Work per tick (SS V-C output)",
-                         "throughput curves per strategy", 1);
-
-  const auto params = bench::paper_defaults(1000, 100'000);
-  const auto seed = support::env_seed();
+void figW_work_per_tick(Session& session) {
+  const auto params = paper_defaults(1000, 100'000);
+  const auto seed = session.seed();
 
   std::vector<viz::LabeledSeries> curves;
   support::TextTable table(
@@ -48,5 +41,6 @@ int main() {
       "\nReading guide: 'none' plummets early (idle majority) and limps on\n"
       "a long tail; the balancing strategies hold throughput near 1000\n"
       "tasks/tick — that area difference IS the runtime-factor gap.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

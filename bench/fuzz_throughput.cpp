@@ -12,32 +12,23 @@
 // the VM's run results bit-for-bit at the baseline seed.  Wall time is
 // printed only; perfbench's fuzz_mixed_audited workload measures this
 // loop's speed.
-#include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <string>
 #include <string_view>
 
-#include "harness/telemetry.hpp"
+#include "repro_util.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/script.hpp"
 #include "scenario/vm.hpp"
-#include "sim/engine.hpp"
-#include "support/check.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 
+namespace dhtlb::bench {
 namespace {
-
-using namespace dhtlb;
 
 // Order-sensitive fold over a run's telemetry rows: metric names and
 // raw double bits both feed the accumulator, so any drift in row order,
 // row set, or value shows up as a fold mismatch against the baseline.
 std::uint64_t fold_result(std::uint64_t fold,
                           const scenario::ScenarioResult& result) {
-  for (const bench::Record& record : result.records) {
+  for (const Record& record : result.records) {
     for (const char c : record.metric) {
       fold = support::mix_seed(fold, static_cast<std::uint64_t>(c));
     }
@@ -51,23 +42,19 @@ std::uint64_t fold_result(std::uint64_t fold,
 
 }  // namespace
 
-int main() {
-  bench::Telemetry telemetry("fuzz_throughput");
-  const std::uint64_t seed = support::env_seed();
+void fuzz_throughput(Session& session) {
+  const std::uint64_t seed = session.seed();
   // 5 scripts per trial: DHTLB_TRIALS=2 (the smoke/baseline setting)
   // runs a 10-script campaign slice per profile.
   const std::uint64_t scripts =
-      5 * static_cast<std::uint64_t>(support::env_trials(2));
+      5 * static_cast<std::uint64_t>(session.trials());
   // DHTLB_THREADS sizes each run's engine, as the campaign runner does.
-  const std::size_t threads = support::env_threads();
   scenario::ObsSinks sinks;
-  sinks.configure_engine = [threads](sim::Engine& engine) {
-    engine.set_threads(threads);
+  sinks.configure_engine = [&session](sim::Engine& engine) {
+    engine.set_threads(session.threads());
   };
-  std::printf("=== fuzz_throughput — scenario-fuzz campaign rate ===\n");
-  std::printf("seed %llu, %llu scripts per profile\n\n",
-              static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(scripts));
+  std::printf("%llu scripts per profile\n\n",
+              static_cast<unsigned long long>(scripts));
 
   support::TextTable table({"profile", "scripts", "wall ms", "scripts/s",
                             "blocks", "events", "ticks", "fold"});
@@ -81,7 +68,7 @@ int main() {
     std::uint64_t events_total = 0;
     std::uint64_t ticks_total = 0;
     std::uint64_t fold = support::mix_seed(seed, scripts);
-    const bench::WallTimer timer;
+    const WallTimer timer;
     for (std::uint64_t i = 0; i < scripts; ++i) {
       const scenario::Script script =
           scenario::generate_script(profile, support::mix_seed(seed, i));
@@ -95,29 +82,30 @@ int main() {
       ticks_total += parsed.horizon;
       const scenario::ScenarioResult result =
           scenario::run_scenario(parsed, parsed.seed, /*audit=*/false, sinks);
-      DHTLB_CHECK(!result.records.empty(),
-                  "fuzz_throughput: empty telemetry from " << parsed.name);
+      if (result.records.empty()) {
+        throw std::runtime_error("empty telemetry from " + parsed.name);
+      }
       fold = fold_result(fold, result);
     }
     const double wall = timer.elapsed_ms();
 
-    const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+    const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
     const double per_s =
         wall > 0.0 ? 1000.0 * static_cast<double>(scripts) / wall : 0.0;
     const std::string name = std::string("profile=") + std::string(profile) +
                              "/scripts=" + std::to_string(scripts);
-    telemetry.record(name, "scripts", static_cast<double>(scripts), scripts,
-                     rss);
-    telemetry.record(name, "blocks_total", static_cast<double>(blocks_total),
-                     scripts);
-    telemetry.record(name, "events_total", static_cast<double>(events_total),
-                     scripts);
-    telemetry.record(name, "ticks_total", static_cast<double>(ticks_total),
-                     scripts);
+    session.record(name, "scripts", static_cast<double>(scripts), scripts,
+                   rss);
+    session.record(name, "blocks_total", static_cast<double>(blocks_total),
+                   scripts);
+    session.record(name, "events_total", static_cast<double>(events_total),
+                   scripts);
+    session.record(name, "ticks_total", static_cast<double>(ticks_total),
+                   scripts);
     // Low 53 bits fit a double exactly, so the JSON round trip is
     // lossless and compare_bench.py can demand bit-equality.
-    telemetry.record(name, "telemetry_fold",
-                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), scripts);
+    session.record(name, "telemetry_fold",
+                   static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), scripts);
     table.add_row({std::string(profile), std::to_string(scripts),
                    support::format_fixed(wall, 1),
                    support::format_fixed(per_s, 1),
@@ -126,9 +114,6 @@ int main() {
                    std::to_string(fold & 0xFFFFFFFFFFFFFull)});
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -75,8 +75,6 @@ double calibrate_ms() {
 Telemetry::Telemetry(std::string experiment)
     : experiment_(std::move(experiment)) {}
 
-Telemetry::~Telemetry() { flush(); }
-
 void Telemetry::record(const std::string& cell, const std::string& metric,
                        double value, std::uint64_t trials,
                        std::uint64_t peak_rss_bytes) {
@@ -122,17 +120,11 @@ std::string Telemetry::output_path() const {
 }
 
 bool Telemetry::flush() {
-  std::string text;
-  {
-    support::MutexLock lock(mu_);
-    if (flushed_) return true;
-    flushed_ = true;
-    text = to_json(experiment_, records_);
-  }
+  const std::string text = json();
   std::ofstream file(output_path(), std::ios::binary | std::ios::trunc);
-  if (!file) return false;
   file << text;
-  return static_cast<bool>(file);
+  file.close();
+  return !file.fail();
 }
 
 }  // namespace dhtlb::bench

@@ -1,7 +1,7 @@
 // Machine-readable benchmark telemetry.
 //
-// The table*/fig* paper reproductions and the scale benches route their
-// results through a Telemetry collector, which mirrors the
+// Every bench of dhtlb_bench routes its results through the Telemetry
+// collector its Session owns (bench/repro_util.hpp), which mirrors the
 // human-readable text output into a structured JSON file
 // `BENCH_<experiment>.json`.  CI diffs these files against committed
 // baselines (scripts/compare_bench.py) to catch silent changes to the
@@ -75,8 +75,8 @@ class WallTimer {
 };
 
 /// Collects records for one experiment and writes
-/// `<DHTLB_BENCH_DIR>/BENCH_<experiment>.json` on flush (or
-/// destruction).
+/// `<DHTLB_BENCH_DIR>/BENCH_<experiment>.json` on flush() — never on
+/// destruction, so a run that fails part-way leaves no partial file.
 ///
 /// Accumulation is guarded by an internal dhtlb::Mutex (checked by
 /// Clang -Wthread-safety), so record() may be called from worker
@@ -86,7 +86,6 @@ class WallTimer {
 class Telemetry {
  public:
   explicit Telemetry(std::string experiment);
-  ~Telemetry();  // flushes if not already flushed
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
@@ -106,7 +105,7 @@ class Telemetry {
   std::string json() const EXCLUDES(mu_);
 
   /// Writes the JSON file with exactly the recorded records.  Returns
-  /// false on I/O failure.  Idempotent.
+  /// false on I/O failure.
   bool flush() EXCLUDES(mu_);
 
   /// The path flush() writes to.
@@ -116,7 +115,6 @@ class Telemetry {
   std::string experiment_;
   mutable support::Mutex mu_;
   std::vector<Record> records_ GUARDED_BY(mu_);
-  bool flushed_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace dhtlb::bench

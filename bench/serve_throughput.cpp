@@ -14,26 +14,15 @@
 // Telemetry per (traffic, readers) cell is the run's state_fingerprint,
 // carrying the cell's peak RSS, plus per-traffic result rows (lookups,
 // hop percentiles, Sybil absorption, owner-load skew, view lifecycle
-// counts) recorded once — the binary aborts if any reader count
+// counts) recorded once — the run fails if any reader count
 // produces different results, so every run is also a 1-vs-N serve
 // determinism check, and the recorded values let compare_bench.py
 // enforce identity against the committed baseline across machines.
-#include <cstdint>
-#include <cstdio>
-#include <string>
-
-#include "harness/telemetry.hpp"
+#include "repro_util.hpp"
 #include "serve/service.hpp"
-#include "sim/engine.hpp"
-#include "sim/params.hpp"
-#include "support/check.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 
+namespace dhtlb::bench {
 namespace {
-
-using namespace dhtlb;
 
 /// Order-sensitive fold of every integer output of a serve run: one
 /// extra lookup, a reordered fold, or a hop miscount changes it.
@@ -49,9 +38,8 @@ std::uint64_t fingerprint(const serve::Report& rep) {
 
 }  // namespace
 
-int main() {
-  bench::Telemetry telemetry("serve_throughput");
-  const std::uint64_t seed = support::env_seed();
+void serve_throughput(Session& session) {
+  const std::uint64_t seed = session.seed();
   const int ticks = 30;
 
   sim::Params p;
@@ -59,11 +47,10 @@ int main() {
   p.total_tasks = 40'000;
   p.churn_rate = 0.02;
 
-  std::printf("=== serve_throughput — serving-plane reader scaling ===\n");
-  std::printf("%zu vnodes, %d ticks, 20000 lookups/tick, seed %llu, "
-              "%zu serve shards\n\n",
+  std::printf("%zu vnodes, %d ticks, 20000 lookups/tick, %zu serve "
+              "shards\n\n",
               static_cast<std::size_t>(p.initial_nodes), ticks,
-              static_cast<unsigned long long>(seed), serve::kServeShards);
+              serve::kServeShards);
 
   support::TextTable table({"traffic", "readers", "wall ms", "klookups/s",
                             "speedup", "hops p99", "fingerprint"});
@@ -90,7 +77,7 @@ int main() {
       serve::Service service(config, seed);
       service.attach(engine);
 
-      const bench::WallTimer timer;
+      const WallTimer timer;
       for (int t = 0; t < ticks; ++t) {
         if (!engine.step()) break;
       }
@@ -98,25 +85,26 @@ int main() {
       const double wall = timer.elapsed_ms();
       const serve::Report rep = service.report();
       const std::uint64_t print = fingerprint(rep);
-      const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+      const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
 
       if (readers == 1) {
         wall_r1 = wall;
         print_r1 = print;
         rep_r1 = rep;
       }
-      DHTLB_CHECK(print == print_r1,
-                  "serve_throughput: results diverged at "
-                      << readers << " readers (traffic " << tname
-                      << ") — serve outputs depend on the reader count");
+      if (print != print_r1) {
+        throw std::runtime_error(
+            "results diverged at " + std::to_string(readers) +
+            " readers (traffic " + tname +
+            ") — serve outputs depend on the reader count");
+      }
 
       const double speedup = wall > 0.0 ? wall_r1 / wall : 0.0;
       const double klps =
           wall > 0.0 ? static_cast<double>(rep.lookups) / wall : 0.0;
       const std::string cell = tname + "/r" + std::to_string(readers);
-      telemetry.record(cell, "state_fingerprint",
-                       static_cast<double>(print & 0x1FFFFFFFFFFFFFull), 1,
-                       rss);
+      session.record(cell, "state_fingerprint",
+                     static_cast<double>(print & 0x1FFFFFFFFFFFFFull), 1, rss);
       table.add_row({tname, std::to_string(readers),
                      support::format_fixed(wall, 1),
                      support::format_fixed(klps, 0),
@@ -126,27 +114,22 @@ int main() {
     }
     // Identical across reader counts (checked above): record the serve
     // results once per traffic model for the value gate.
-    telemetry.record(tname, "lookups", static_cast<double>(rep_r1.lookups),
-                     1);
-    telemetry.record(tname, "hops_mean", rep_r1.hops_mean, 1);
-    telemetry.record(tname, "hops_p50", rep_r1.hops_p50, 1);
-    telemetry.record(tname, "hops_p99", rep_r1.hops_p99, 1);
-    telemetry.record(tname, "sybil_hit_fraction", rep_r1.sybil_hit_fraction,
-                     1);
-    telemetry.record(tname, "owner_hits_gini", rep_r1.owner_hits_gini, 1);
-    telemetry.record(tname, "owner_hits_max_over_mean",
-                     rep_r1.owner_hits_max_over_mean, 1);
-    telemetry.record(tname, "views_published",
-                     static_cast<double>(rep_r1.views.published), 1);
-    telemetry.record(tname, "views_reclaimed",
-                     static_cast<double>(rep_r1.views.reclaimed), 1);
-    telemetry.record(tname, "state_fingerprint",
-                     static_cast<double>(print_r1 & 0x1FFFFFFFFFFFFFull), 1);
+    session.record(tname, "lookups", static_cast<double>(rep_r1.lookups), 1);
+    session.record(tname, "hops_mean", rep_r1.hops_mean, 1);
+    session.record(tname, "hops_p50", rep_r1.hops_p50, 1);
+    session.record(tname, "hops_p99", rep_r1.hops_p99, 1);
+    session.record(tname, "sybil_hit_fraction", rep_r1.sybil_hit_fraction, 1);
+    session.record(tname, "owner_hits_gini", rep_r1.owner_hits_gini, 1);
+    session.record(tname, "owner_hits_max_over_mean",
+                   rep_r1.owner_hits_max_over_mean, 1);
+    session.record(tname, "views_published",
+                   static_cast<double>(rep_r1.views.published), 1);
+    session.record(tname, "views_reclaimed",
+                   static_cast<double>(rep_r1.views.reclaimed), 1);
+    session.record(tname, "state_fingerprint",
+                   static_cast<double>(print_r1 & 0x1FFFFFFFFFFFFFull), 1);
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -5,22 +5,12 @@
 // Paper values (100 trials): e.g. (1000, 1e6) -> median 692.300, sigma
 // 996.982; medians sit at ~ln2 x mean because SHA-1 arcs are
 // ~exponentially distributed.
-#include <cstdio>
-#include <vector>
-
-#include "exp/experiment.hpp"
 #include "repro_util.hpp"
 #include "stats/descriptive.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("table1_distribution", "Table I",
-                         "initial workload distribution", 25);
+void table1_distribution(Session& session) {
   const std::size_t trials = session.trials();
 
   struct Row {
@@ -43,7 +33,7 @@ int main() {
     std::vector<double> medians(trials), sigmas(trials);
     session.pool().parallel_for(trials, [&](std::size_t t) {
       const auto loads = exp::initial_workloads(
-          row.nodes, row.tasks, support::mix_seed(support::env_seed(), t));
+          row.nodes, row.tasks, support::mix_seed(session.seed(), t));
       std::vector<double> d(loads.begin(), loads.end());
       const auto s = stats::summarize(d);
       medians[t] = s.median;
@@ -66,5 +56,6 @@ int main() {
   std::printf(
       "Shape check: medians ~= ln(2) x mean workload (exponential arcs);\n"
       "sigma ~= mean workload.  Both should track the paper closely.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

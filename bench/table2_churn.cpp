@@ -6,17 +6,11 @@
 // Expected shape (paper): every column falls monotonically as churn
 // rises; larger task counts gain more (the 100-node/1e6-task column
 // reaches ~1.3 at churn 0.01).
-#include <cstdio>
-#include <vector>
-
 #include "repro_util.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("table2_churn", "Table II",
-                         "Induced Churn runtime factors", 8);
-
+void table2_churn(Session& session) {
   struct Config {
     std::size_t nodes;
     std::uint64_t tasks;
@@ -42,7 +36,7 @@ int main() {
   std::vector<std::string> labels;
   for (int r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      sim::Params p = bench::paper_defaults(configs[c].nodes,
+      sim::Params p = paper_defaults(configs[c].nodes,
                                             configs[c].tasks);
       p.churn_rate = churn_rates[r];
       cells.push_back({p, "churn", session.trials()});
@@ -71,5 +65,6 @@ int main() {
   std::printf(
       "Shape checks: factors fall monotonically down every column; gains\n"
       "grow with the task count; smaller networks start from a lower base.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

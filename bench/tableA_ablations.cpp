@@ -8,16 +8,11 @@
 //   * maxSybils 5 vs 10 in heterogeneous networks: bigger disparity is
 //     worse (+0.3..1 depending on ratio); no effect homogeneous
 //   * mark_failed_ranges (the paper's §IV-C suggestion): measured here
-#include <cstdio>
-
 #include "repro_util.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableA_ablations", "Ablations (SS VI-B.1, VI-C)",
-                         "variable effects", 8);
-
+void tableA_ablations(Session& session) {
   support::TextTable table({"ablation", "baseline", "variant", "delta",
                             "paper says"});
 
@@ -36,7 +31,7 @@ int main() {
 
   // sybilThreshold on low-ratio homogeneous networks (100 tasks/node).
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     sim::Params thresh = base;
     thresh.sybil_threshold = 5;
     ablate("threshold 0->5, 1e3n/1e5t hom", base, thresh, "random-injection",
@@ -44,7 +39,7 @@ int main() {
   }
   // sybilThreshold at high ratio: no effect.
   {
-    sim::Params base = bench::paper_defaults(1000, 1'000'000);
+    sim::Params base = paper_defaults(1000, 1'000'000);
     sim::Params thresh = base;
     thresh.sybil_threshold = 5;
     ablate("threshold 0->5, 1e3n/1e6t hom", base, thresh, "random-injection",
@@ -52,7 +47,7 @@ int main() {
   }
   // sybilThreshold in heterogeneous networks: no effect.
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     base.heterogeneous = true;
     sim::Params thresh = base;
     thresh.sybil_threshold = 5;
@@ -61,7 +56,7 @@ int main() {
   }
   // Churn layered under random injection.
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     sim::Params churned = base;
     churned.churn_rate = 0.01;
     ablate("churn 0->0.01 under injection", base, churned,
@@ -69,7 +64,7 @@ int main() {
   }
   // maxSybils in heterogeneous networks, low and high ratio.
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     base.heterogeneous = true;
     base.work_measure = sim::WorkMeasure::kStrengthPerTick;
     sim::Params wide = base;
@@ -78,7 +73,7 @@ int main() {
            "+~1 (disparity hurts)");
   }
   {
-    sim::Params base = bench::paper_defaults(1000, 1'000'000);
+    sim::Params base = paper_defaults(1000, 1'000'000);
     base.heterogeneous = true;
     base.work_measure = sim::WorkMeasure::kStrengthPerTick;
     sim::Params wide = base;
@@ -88,7 +83,7 @@ int main() {
   }
   // maxSybils in homogeneous networks: no noticeable effect (footnote 1).
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     sim::Params wide = base;
     wide.max_sybils = 10;
     ablate("hom maxSybils 5->10", base, wide, "random-injection",
@@ -96,7 +91,7 @@ int main() {
   }
   // mark_failed_ranges for neighbor injection (§IV-C suggestion).
   {
-    sim::Params base = bench::paper_defaults(1000, 100'000);
+    sim::Params base = paper_defaults(1000, 100'000);
     sim::Params marked = base;
     marked.mark_failed_ranges = true;
     ablate("neighbor: mark failed ranges", base, marked,
@@ -104,5 +99,6 @@ int main() {
   }
 
   std::printf("%s\n", table.render().c_str());
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -9,18 +9,12 @@
 // 1000-node / 100k-task column).  The cross-over — gains flattening
 // past 0.01 while repair traffic keeps climbing linearly — is the
 // footnote's "certain point".
-#include <cstdio>
-#include <vector>
-
 #include "hashing/sha1.hpp"
 #include "repro_util.hpp"
 #include "sim/backup.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
 
+namespace dhtlb::bench {
 namespace {
-
-using namespace dhtlb;
 
 /// Replica transfers per tick under sustained churn at `rate`, averaged
 /// over `ticks` fail/join/repair cycles on an n-node ring with k keys.
@@ -65,10 +59,7 @@ double repair_traffic_per_tick(double rate, std::size_t n,
 
 }  // namespace
 
-int main() {
-  bench::Session session("tableB_backup_costs",
-                         "Backup costs (SS VI-A footnote)",
-                         "churn gains vs replica-repair traffic", 6);
+void tableB_backup_costs(Session& session) {
   const double rates[] = {0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05};
 
   support::TextTable table({"churn rate", "runtime factor",
@@ -76,7 +67,7 @@ int main() {
                             "transfers per saved tick"});
   double base_factor = 0.0;
   for (const double rate : rates) {
-    sim::Params p = bench::paper_defaults(1000, 100'000);
+    sim::Params p = paper_defaults(1000, 100'000);
     p.churn_rate = rate;
     const std::string cell = "churn=" + support::format_fixed(rate, 4);
     const double factor = session.mean_factor(p, "churn", cell);
@@ -84,7 +75,7 @@ int main() {
     const double traffic =
         rate == 0.0 ? 0.0
                     : repair_traffic_per_tick(rate, 1000, 100'000,
-                                              support::env_seed());
+                                              session.seed());
     session.record(cell, "repair_transfers_per_tick", traffic);
     const double gain_ticks = (base_factor - factor) * 100.0;  // ideal=100
     table.add_row(
@@ -102,5 +93,6 @@ int main() {
       "diminishing returns) while repair traffic grows ~linearly in the\n"
       "churn rate — the footnote's 'prohibitively expensive' regime is\n"
       "where the last column blows up.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

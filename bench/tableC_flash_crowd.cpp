@@ -7,18 +7,11 @@
 // the Folding@Home 2020 story from §I).  Measured: how much of the
 // remaining work the newcomers absorb and how much the makespan drops,
 // with and without a Sybil strategy running alongside.
-#include <cstdio>
-#include <vector>
-
 #include "lb/factory.hpp"
 #include "repro_util.hpp"
-#include "sim/engine.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
 
+namespace dhtlb::bench {
 namespace {
-
-using namespace dhtlb;
 
 // Label of the burst-join placement stream: each trial's late joiners
 // draw their ring IDs from mix_seed(trial seed, kBurstStream), apart
@@ -33,7 +26,7 @@ struct FlashResult {
 
 FlashResult run_flash(const char* strategy, std::size_t burst,
                       std::uint64_t burst_tick, std::uint64_t seed) {
-  sim::Params p = bench::paper_defaults(500, 50'000);
+  sim::Params p = paper_defaults(500, 50'000);
   sim::Engine engine(p, seed, lb::make_strategy(strategy));
   support::Rng burst_rng(support::mix_seed(seed, kBurstStream));
   FlashResult result;
@@ -56,9 +49,7 @@ FlashResult run_flash(const char* strategy, std::size_t burst,
 
 }  // namespace
 
-int main() {
-  bench::Session session("tableC_flash_crowd", "Flash crowd (SS VII / SS I)",
-                         "late joiners absorbing an in-flight job", 5);
+void tableC_flash_crowd(Session& session) {
   const std::size_t trials = session.trials();
 
   support::TextTable table({"strategy", "burst", "at tick",
@@ -71,7 +62,7 @@ int main() {
       double factor = 0.0;
       for (std::size_t t = 0; t < trials; ++t) {
         factor += run_flash(strategy, burst, tick,
-                            support::mix_seed(support::env_seed(), t))
+                            support::mix_seed(session.seed(), t))
                       .runtime_factor;
       }
       factor /= static_cast<double>(trials);
@@ -93,5 +84,6 @@ int main() {
       "random arcs and take over work — the churn mechanism); an early\n"
       "burst helps more than a late one; with random injection running,\n"
       "the crowd is folded in even faster.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

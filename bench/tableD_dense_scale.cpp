@@ -9,10 +9,11 @@
 // is "how balanced is the ring while work is flowing", and a bounded
 // horizon keeps the lane's wall time predictable across strategies.
 //
-// Env knobs: DHTLB_DENSE_NODES (default 10k; nightly sets 1M),
-// DHTLB_TRIALS, DHTLB_SEED, DHTLB_THREADS (nightly sets 0 = all cores;
-// outputs are thread-count independent so the committed baseline still
-// gates values bit-for-bit).  The churn horizon is fixed at 100 ticks.
+// Env knobs: DHTLB_DENSE_NODES (default 10k; nightly sets 1M; read as
+// the `nodes` Params field, so 1..4,000,000), DHTLB_TRIALS, DHTLB_SEED,
+// DHTLB_THREADS (nightly sets 0 = all cores; outputs are thread-count
+// independent so the committed baseline still gates values
+// bit-for-bit).  The churn horizon is fixed at 100 ticks.
 //
 // Provisioning is streamed: the job arrives through a sim::TaskStream
 // at a rate matched to capacity, so resident tasks track the backlog
@@ -22,42 +23,42 @@
 //
 // Each strategy's wall time is printed only; its done_frac_mean record
 // carries the peak RSS for the memory gate.
-#include <cstdint>
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "harness/telemetry.hpp"
 #include "lb/factory.hpp"
-#include "sim/engine.hpp"
-#include "sim/params.hpp"
+#include "repro_util.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 
-namespace {
+namespace dhtlb::bench {
 
-using namespace dhtlb;
-
-}  // namespace
-
-int main() {
-  bench::Telemetry telemetry("tableD_dense_scale");
-  const std::uint64_t base_seed = support::env_seed();
-  const std::size_t nodes = static_cast<std::size_t>(
-      support::env_u64("DHTLB_DENSE_NODES", 10'000));
+void tableD_dense_scale(Session& session) {
   const std::uint64_t horizon = 100;  // ticks every cell runs
-  const std::uint64_t trials = support::env_trials(3);
-  const std::size_t threads = support::env_threads();
+  const std::uint64_t trials = session.trials();
 
-  std::printf("=== tableD_dense_scale — all strategies under churn ===\n");
-  std::printf("%zu nodes, %llu-tick horizon, %llu trial(s), seed %llu, "
-              "streamed provisioning\n\n",
-              nodes, static_cast<unsigned long long>(horizon),
-              static_cast<unsigned long long>(trials),
-              static_cast<unsigned long long>(base_seed));
+  sim::Params p;
+  p.churn_rate = 0.02;
+  p.max_ticks = horizon;
+  // Auto arrival window (= the ideal runtime): arrivals flow at exactly
+  // the initial capacity, so the ring is under steady per-tick load for
+  // the whole horizon while the resident backlog stays bounded — that
+  // bound is what lets this lane run at 1M nodes inside a CI runner's
+  // memory budget.
+  p.provisioning = sim::TaskProvisioning::kStreamed;
+  p.arrival_ticks = 0;
+  try {
+    p.set("nodes", support::env_string("DHTLB_DENSE_NODES", "10000"));
+    // Twice the horizon's aggregate capacity: the ring is still under
+    // load when we measure, so the balance metrics see live imbalance
+    // rather than a drained ring.
+    p.total_tasks = 2 * p.initial_nodes * horizon;
+    p.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("DHTLB_DENSE_NODES: ") +
+                                e.what());
+  }
+  const std::size_t nodes = p.initial_nodes;
+
+  std::printf("%zu nodes, %llu-tick horizon, streamed provisioning\n\n",
+              nodes, static_cast<unsigned long long>(horizon));
 
   support::TextTable table({"strategy", "done frac", "gini", "stddev",
                             "joins+leaves", "wall ms"});
@@ -74,33 +75,17 @@ int main() {
   }
 
   for (const auto strategy : strategies) {
-    const bench::WallTimer strategy_timer;
+    const WallTimer strategy_timer;
     stats::RunningStats done_frac;
     stats::RunningStats gini;
     stats::RunningStats stddev;
     std::uint64_t churn_events = 0;
 
     for (std::uint64_t trial = 0; trial < trials; ++trial) {
-      sim::Params p;
-      p.initial_nodes = nodes;
-      // Twice the horizon's aggregate capacity: the ring is still under
-      // load when we measure, so the balance metrics see live imbalance
-      // rather than a drained ring.
-      p.total_tasks = 2 * nodes * horizon;
-      p.churn_rate = 0.02;
-      p.max_ticks = horizon;
-      // Auto arrival window (= the ideal runtime): arrivals flow at
-      // exactly the initial capacity, so the ring is under steady
-      // per-tick load for the whole horizon while the resident backlog
-      // stays bounded — that bound is what lets this lane run at 1M
-      // nodes inside a CI runner's memory budget.
-      p.provisioning = sim::TaskProvisioning::kStreamed;
-      p.arrival_ticks = 0;
-
-      sim::Engine engine(p, support::mix_seed(base_seed, trial),
+      sim::Engine engine(p, support::mix_seed(session.seed(), trial),
                          lb::make_strategy(strategy));
       engine.set_audit(false);
-      engine.set_threads(threads);
+      engine.set_threads(session.threads());
       // Hold the horizon even if the task pool drains: the lane measures
       // the ring under sustained churn, not time-to-completion.
       engine.set_pre_tick_hook(
@@ -125,14 +110,14 @@ int main() {
     }
 
     const double wall = strategy_timer.elapsed_ms();
-    const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+    const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
     const std::string cell =
         "s=" + std::string(strategy) + "/n=" + std::to_string(nodes);
-    telemetry.record(cell, "done_frac_mean", done_frac.mean(), trials, rss);
-    telemetry.record(cell, "gini_mean", gini.mean(), trials);
-    telemetry.record(cell, "workload_stddev_mean", stddev.mean(), trials);
-    telemetry.record(cell, "churn_events", static_cast<double>(churn_events),
-                     trials);
+    session.record(cell, "done_frac_mean", done_frac.mean(), trials, rss);
+    session.record(cell, "gini_mean", gini.mean(), trials);
+    session.record(cell, "workload_stddev_mean", stddev.mean(), trials);
+    session.record(cell, "churn_events", static_cast<double>(churn_events),
+                   trials);
 
     table.add_row({std::string(strategy),
                    support::format_fixed(done_frac.mean(), 4),
@@ -142,9 +127,6 @@ int main() {
                    support::format_fixed(wall, 1)});
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

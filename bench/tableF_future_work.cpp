@@ -9,17 +9,12 @@
 // Compares the extensions against the paper's best (random injection)
 // and the matching information-model baselines on homogeneous and
 // heterogeneous networks.
-#include <cstdio>
-
 #include "lb/factory.hpp"
 #include "repro_util.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableF_future_work", "Future work (SS VII)",
-                         "extension strategies", 8);
-
+void tableF_future_work(Session& session) {
   auto run_set = [&](const char* title, const char* cell_prefix,
                      sim::Params p,
                      std::initializer_list<const char*> strategies) {
@@ -46,12 +41,12 @@ int main() {
   // Homogeneous: chosen-ID vs the paper's strategies — isolates the
   // value of ID choice at both reach scopes.
   run_set("homogeneous 1000 n / 1e5 t", "hom",
-          bench::paper_defaults(1000, 100'000),
+          paper_defaults(1000, 100'000),
           {"none", "random-injection", "smart-neighbor-injection",
            "chosen-id-neighbor", "chosen-id-global"});
 
   // Heterogeneous with strength consumption: strength-aware vs blind.
-  sim::Params het = bench::paper_defaults(1000, 100'000);
+  sim::Params het = paper_defaults(1000, 100'000);
   het.heterogeneous = true;
   het.work_measure = sim::WorkMeasure::kStrengthPerTick;
   run_set("heterogeneous (strength/tick) 1000 n / 1e5 t", "het", het,
@@ -69,5 +64,6 @@ int main() {
       "Reading guide: strength-aware should beat random injection on the\n"
       "heterogeneous rows (the paper's efficiency gap); chosen-id-global\n"
       "approaching 1.0 bounds what ID choice alone can buy.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

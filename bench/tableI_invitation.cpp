@@ -5,34 +5,30 @@
 //     1000 n / 1e5 t)
 //   * invitation balances better than smart neighbor while sending far
 //     fewer messages
-#include <cstdio>
-
 #include "repro_util.hpp"
 #include "stats/load_metrics.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableI_invitation", "Table I' (SS VI-D text)",
-                         "invitation strategy", 10);
+void tableI_invitation(Session& session) {
   const std::size_t trials = session.trials();
 
   support::TextTable table({"configuration", "factor (ours)", "paper says"});
 
   auto row = [&](sim::Params p, const char* cfg, const char* note) {
     const auto agg = exp::run_trials(p, "invitation", trials,
-                                     support::env_seed(), &session.pool());
+                                     session.seed(), &session.pool());
     session.record(cfg, "runtime_factor_mean", agg.runtime_factor.mean);
     table.add_row({cfg, support::format_fixed(agg.runtime_factor.mean, 3),
                    note});
     return agg;
   };
 
-  const auto small = row(bench::paper_defaults(100, 100'000),
+  const auto small = row(paper_defaults(100, 100'000),
                          "100 n / 1e5 t", "3.749 base");
-  const auto large = row(bench::paper_defaults(1000, 100'000),
+  const auto large = row(paper_defaults(1000, 100'000),
                          "1000 n / 1e5 t", "5.673 base");
-  sim::Params het = bench::paper_defaults(1000, 100'000);
+  sim::Params het = paper_defaults(1000, 100'000);
   het.heterogeneous = true;
   het.work_measure = sim::WorkMeasure::kStrengthPerTick;
   row(het, "het, strength/tick", "6.097 (worse than hom)");
@@ -41,8 +37,8 @@ int main() {
 
   // Balance-vs-traffic comparison against smart neighbor (single run,
   // matching Figure 14's setting).
-  const auto params = bench::paper_defaults(1000, 100'000);
-  const auto seed = support::env_seed();
+  const auto params = paper_defaults(1000, 100'000);
+  const auto seed = session.seed();
   const auto inv = exp::run_with_snapshots(params, "invitation", seed, {35});
   const auto smart = exp::run_with_snapshots(params,
                                              "smart-neighbor-injection",
@@ -78,5 +74,6 @@ int main() {
               "the paper's reported factors; the\nnetwork-size dependence "
               "(smaller %.3f vs larger %.3f) is the shape check.\n",
               small.runtime_factor.mean, large.runtime_factor.mean);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -10,20 +10,12 @@
 //
 // Also cross-validates the tick simulator: runtime-factor ordering at
 // protocol fidelity must match src/sim's ordering.
-#include <cstdio>
-#include <vector>
-
 #include "chord/compute.hpp"
 #include "repro_util.hpp"
-#include "support/env.hpp"
-#include "support/table.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableM_message_costs",
-                         "Message costs (protocol-level ChordReduce)",
-                         "runtime vs traffic per policy", 3);
+void tableM_message_costs(Session& session) {
   const std::size_t trials = session.trials();
 
   struct Row {
@@ -51,7 +43,7 @@ int main() {
       cfg.tasks = 6400;
       cfg.policy = row.policy;
       cfg.churn_rate = row.churn;
-      cfg.seed = support::mix_seed(support::env_seed(), t);
+      cfg.seed = support::mix_seed(session.seed(), t);
       const auto r = chord::run_compute(cfg);
       factor += r.runtime_factor;
       total += static_cast<double>(r.messages.total());
@@ -83,5 +75,6 @@ int main() {
       "    own neighborhood.\n"
       "  * the runtime-factor ordering matches the tick simulator\n"
       "    (src/sim), validating its idealizations.\n");
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -5,16 +5,11 @@
 //   * larger numSuccessors lowers the factor by ~0.3
 //   * heterogeneous + strength consumption is WORSE, exacerbated by a
 //     higher maxSybils
-#include <cstdio>
-
 #include "repro_util.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableN_neighbor", "Table N (SS VI-C text)",
-                         "neighbor injection variants", 10);
-
+void tableN_neighbor(Session& session) {
   support::TextTable table({"configuration", "strategy", "factor (ours)",
                             "paper says"});
 
@@ -27,11 +22,11 @@ int main() {
   };
 
   // Base vs no strategy, both network scales.
-  sim::Params big = bench::paper_defaults(1000, 100'000);
+  sim::Params big = paper_defaults(1000, 100'000);
   const double big_none = row(big, "none", "1000 n / 1e5 t", "7.476 base");
   const double big_est =
       row(big, "neighbor-injection", "1000 n / 1e5 t", "5.033 (-2.4)");
-  sim::Params small = bench::paper_defaults(100, 10'000);
+  sim::Params small = paper_defaults(100, 10'000);
   const double small_none = row(small, "none", "100 n / 1e4 t", "~5.0 base");
   const double small_est =
       row(small, "neighbor-injection", "100 n / 1e4 t", "3.006 (-2.0)");
@@ -68,5 +63,6 @@ int main() {
               est10 - big_est);
   std::printf("  het maxSybils 10 vs 5: %+.3f (paper: positive => worse)\n",
               h10 - h5);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -5,15 +5,11 @@
 //     network slightly faster (by ~0.086 in the paper's 100-tasks/node pair)
 //   * heterogeneous networks improve but less; large ratios tolerate
 //     heterogeneity better
-#include <cstdio>
-
 #include "repro_util.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
-  bench::Session session("tableR_random_injection", "Table R (SS VI-B text)",
-                         "random injection runtime factors", 10);
+void tableR_random_injection(Session& session) {
   const std::size_t trials = session.trials();
 
   support::TextTable table(
@@ -21,14 +17,14 @@ int main() {
 
   auto cell = [&](std::size_t nodes, std::uint64_t tasks, bool het,
                   const char* label, const char* paper_note) {
-    sim::Params p = bench::paper_defaults(nodes, tasks);
+    sim::Params p = paper_defaults(nodes, tasks);
     p.heterogeneous = het;
     // The paper's heterogeneous degradation appears when nodes consume
     // strength tasks per tick (weak nodes steal work from strong ones
     // and then finish it slowly); use that mode for the het rows.
     if (het) p.work_measure = sim::WorkMeasure::kStrengthPerTick;
     const auto agg = exp::run_trials(p, "random-injection", trials,
-                                     support::env_seed(), &session.pool());
+                                     session.seed(), &session.pool());
     session.record(std::string(label) + (het ? "/het" : "/hom"),
                    "runtime_factor_mean", agg.runtime_factor.mean);
     table.add_row({label, het ? "heterogeneous" : "homogeneous",
@@ -57,5 +53,6 @@ int main() {
               hom_1e5 - hom_1e6);
   std::printf("  same-ratio pair: smaller net faster by %.3f (paper: 0.086)\n",
               large_ratio - small_ratio);
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -14,27 +14,16 @@
 // The sweep stops at DHTLB_SCALE_MAX_NODES (default 100k, the largest
 // cell in the committed baseline); the nightly scale lane raises it to
 // 1M to prove the top cell still builds and ticks.
-#include <cstdio>
-
-#include "harness/telemetry.hpp"
 #include "repro_util.hpp"
-#include "sim/engine.hpp"
-#include "sim/params.hpp"
-#include "support/env.hpp"
-#include "support/table.hpp"
 
-int main() {
-  using namespace dhtlb;
+namespace dhtlb::bench {
 
+void tableS_scale(Session& session) {
   const std::uint64_t max_nodes =
       support::env_u64("DHTLB_SCALE_MAX_NODES", 100'000);
-  std::printf("=== tableS_scale — flat-ring scale sweep ===\n");
-  std::printf("cap: %llu nodes (override with DHTLB_SCALE_MAX_NODES), "
-              "seed %llu\n\n",
-              static_cast<unsigned long long>(max_nodes),
-              static_cast<unsigned long long>(support::env_seed()));
+  std::printf("cap: %llu nodes (override with DHTLB_SCALE_MAX_NODES)\n\n",
+              static_cast<unsigned long long>(max_nodes));
 
-  bench::Telemetry telemetry("tableS_scale");
   support::TextTable table(
       {"vnodes", "tasks", "construct ms", "100 ticks ms", "peak RSS MiB"});
 
@@ -51,29 +40,29 @@ int main() {
     p.total_tasks = 2 * nodes;
     p.churn_rate = 0.01;  // ticks must exercise joins/departs, not idle
 
-    const bench::WallTimer construct_timer;
-    sim::Engine engine(p, support::env_seed());
+    const WallTimer construct_timer;
+    sim::Engine engine(p, session.seed());
     const double construct_ms = construct_timer.elapsed_ms();
     const auto vnodes = static_cast<double>(engine.world().vnode_count());
 
     engine.set_audit(false);
     // The tick loop fans shard work across DHTLB_THREADS workers; the
     // recorded outputs are thread-count independent, only wall time moves.
-    engine.set_threads(support::env_threads());
+    engine.set_threads(session.threads());
     // Keep ticking through the full 100 even if the (small) task load
     // drains early — churn keeps the ring mutating either way.
     engine.set_pre_tick_hook([](std::uint64_t tick) { return tick <= 100; });
-    const bench::WallTimer tick_timer;
+    const WallTimer tick_timer;
     for (int t = 0; t < 100; ++t) {
       if (!engine.step()) break;
     }
     const double ticks_ms = tick_timer.elapsed_ms();
-    const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+    const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
 
     const std::string cell = "n=" + std::to_string(nodes);
-    telemetry.record(cell + "/construct", "vnodes", vnodes, 1, rss);
-    telemetry.record(cell + "/ticks100", "state_fingerprint",
-                     bench::state_fingerprint(engine), 1, rss);
+    session.record(cell + "/construct", "vnodes", vnodes, 1, rss);
+    session.record(cell + "/ticks100", "state_fingerprint",
+                   state_fingerprint(engine), 1, rss);
 
     table.add_row({std::to_string(nodes), std::to_string(2 * nodes),
                    support::format_fixed(construct_ms, 1),
@@ -82,9 +71,6 @@ int main() {
                        static_cast<double>(rss) / (1024.0 * 1024.0), 1)});
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

@@ -11,31 +11,15 @@
 // seed derivation, the shard split, or the SHA-1 path shows up as value
 // drift against the committed baseline).  Wall time is printed only;
 // perfbench's invite_stream_250k workload measures streamed arrivals.
-#include <cstdint>
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "harness/telemetry.hpp"
+#include "repro_util.hpp"
 #include "sim/task_stream.hpp"
 #include "sim/world.hpp"
-#include "support/check.hpp"
-#include "support/env.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 
-namespace {
+namespace dhtlb::bench {
 
-using namespace dhtlb;
-
-}  // namespace
-
-int main() {
-  bench::Telemetry telemetry("task_stream");
-  const std::uint64_t seed = support::env_seed();
-  std::printf("=== task_stream — streamed provisioning draw throughput ===\n");
-  std::printf("seed %llu, %zu ring shards\n\n",
-              static_cast<unsigned long long>(seed), sim::kTickShards);
+void task_stream(Session& session) {
+  const std::uint64_t seed = session.seed();
+  std::printf("%zu ring shards\n\n", sim::kTickShards);
 
   support::TextTable table(
       {"tasks", "window", "wall ms", "keys/ms", "fingerprint"});
@@ -50,33 +34,36 @@ int main() {
     std::vector<sim::TaskKey> keys;
     std::uint64_t fold = support::mix_seed(cell.tasks, cell.window);
     std::uint64_t delivered = 0;
-    const bench::WallTimer timer;
+    const WallTimer timer;
     for (std::uint64_t tick = 1; tick <= cell.window; ++tick) {
       std::uint64_t tick_count = 0;
       for (std::size_t s = 0; s < sim::kTickShards; ++s) {
         keys.clear();
         stream.draw_shard(tick, s, keys);
-        DHTLB_CHECK(keys.size() == stream.shard_count(tick, s),
-                    "task_stream: shard draw size mismatch at tick "
-                        << tick << ", shard " << s);
+        if (keys.size() != stream.shard_count(tick, s)) {
+          throw std::runtime_error("shard draw size mismatch at tick " +
+                                   std::to_string(tick) + ", shard " +
+                                   std::to_string(s));
+        }
         for (const sim::TaskKey& key : keys) {
           fold = support::mix_seed(fold, key.low64());
         }
         tick_count += keys.size();
       }
       delivered += tick_count;
-      DHTLB_CHECK(tick_count == stream.count_at(tick),
-                  "task_stream: shard counts disagree with the tick "
-                  "schedule at tick " << tick);
-      DHTLB_CHECK(delivered == stream.cumulative(tick),
-                  "task_stream: delivered total diverged from the "
-                  "closed-form prefix sum at tick " << tick);
+      if (tick_count != stream.count_at(tick) ||
+          delivered != stream.cumulative(tick)) {
+        throw std::runtime_error(
+            "delivered counts diverged from the closed-form schedule at "
+            "tick " + std::to_string(tick));
+      }
     }
     const double wall = timer.elapsed_ms();
-    DHTLB_CHECK(delivered == cell.tasks && stream.exhausted_after(cell.window),
-                "task_stream: schedule did not deliver the whole job");
+    if (delivered != cell.tasks || !stream.exhausted_after(cell.window)) {
+      throw std::runtime_error("schedule did not deliver the whole job");
+    }
 
-    const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+    const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
     const double keys_per_ms =
         wall > 0.0 ? static_cast<double>(delivered) / wall : 0.0;
     const std::string name = "tasks=" + std::to_string(cell.tasks) +
@@ -84,17 +71,14 @@ int main() {
     // Low 53 bits fit a double exactly — the JSON round-trip is lossless,
     // so compare_bench.py can demand bit-equality (same trick as
     // tick_parallel's state_fingerprint).
-    telemetry.record(name, "key_fold",
-                     static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 1, rss);
+    session.record(name, "key_fold",
+                   static_cast<double>(fold & 0x1FFFFFFFFFFFFFull), 1, rss);
     table.add_row({std::to_string(cell.tasks), std::to_string(cell.window),
                    support::format_fixed(wall, 1),
                    support::format_fixed(keys_per_ms, 0),
                    std::to_string(fold & 0xFFFFFFFFFFFFFull)});
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

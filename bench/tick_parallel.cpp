@@ -17,40 +17,21 @@
 //                      compare_bench.py --min-speedup
 // plus one state_fingerprint per n.  The tick-loop wall time is printed
 // only (perfbench's invite_stream_250k measures one-thread engine
-// speed).  The binary aborts if any thread count produces a different
+// speed).  The run fails if any thread count produces a different
 // fingerprint — every run of this bench is therefore also a 1-vs-N
 // determinism check — and the recorded values let compare_bench.py
 // enforce the same identity against the committed baseline across
 // machines.
-#include <cstdint>
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "harness/telemetry.hpp"
 #include "repro_util.hpp"
-#include "sim/engine.hpp"
-#include "sim/params.hpp"
-#include "support/check.hpp"
-#include "support/env.hpp"
-#include "support/table.hpp"
 
-namespace {
+namespace dhtlb::bench {
 
-using namespace dhtlb;
-
-}  // namespace
-
-int main() {
-  bench::Telemetry telemetry("tick_parallel");
-  const std::uint64_t seed = support::env_seed();
+void tick_parallel(Session& session) {
   const std::size_t max_nodes = static_cast<std::size_t>(
       support::env_u64("DHTLB_SCALE_MAX_NODES", 100'000));
-  std::printf("=== tick_parallel — sharded tick engine thread scaling ===\n");
   std::printf("cap: %zu nodes (override with DHTLB_SCALE_MAX_NODES), "
-              "seed %llu, %zu ring shards\n\n",
-              max_nodes, static_cast<unsigned long long>(seed),
-              sim::kTickShards);
+              "%zu ring shards\n\n",
+              max_nodes, sim::kTickShards);
 
   support::TextTable table(
       {"vnodes", "threads", "ticks", "wall ms", "speedup", "fingerprint"});
@@ -75,37 +56,39 @@ int main() {
     std::uint64_t print_t1 = 0;
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      sim::Engine engine(p, seed);
+      sim::Engine engine(p, session.seed());
       engine.set_audit(false);
       engine.set_threads(threads);
       engine.set_pre_tick_hook(
           [ticks](std::uint64_t tick) {
             return tick <= static_cast<std::uint64_t>(ticks);
           });
-      const bench::WallTimer timer;
+      const WallTimer timer;
       for (int t = 0; t < ticks; ++t) {
         if (!engine.step()) break;
       }
       const double wall = timer.elapsed_ms();
       const auto print =
-          static_cast<std::uint64_t>(bench::state_fingerprint(engine));
-      const std::uint64_t rss = bench::Telemetry::current_peak_rss_bytes();
+          static_cast<std::uint64_t>(state_fingerprint(engine));
+      const std::uint64_t rss = Telemetry::current_peak_rss_bytes();
 
       if (threads == 1) {
         wall_t1 = wall;
         print_t1 = print;
       }
-      DHTLB_CHECK(print == print_t1,
-                  "tick_parallel: state fingerprint diverged at "
-                      << threads << " threads (n=" << nodes
-                      << ") — the engine's outputs depend on thread count");
+      if (print != print_t1) {
+        throw std::runtime_error(
+            "state fingerprint diverged at " + std::to_string(threads) +
+            " threads (n=" + std::to_string(nodes) +
+            ") — the engine's outputs depend on thread count");
+      }
 
       const double speedup = wall > 0.0 ? wall_t1 / wall : 0.0;
       const std::string cell =
           "n=" + std::to_string(nodes) + "/t" + std::to_string(threads);
-      telemetry.record(cell, "state_fingerprint", static_cast<double>(print),
-                       1, rss);
-      telemetry.record(cell, "speedup_vs_t1", speedup, 1);
+      session.record(cell, "state_fingerprint", static_cast<double>(print), 1,
+                     rss);
+      session.record(cell, "speedup_vs_t1", speedup, 1);
       table.add_row({std::to_string(nodes), std::to_string(threads),
                      std::to_string(ticks),
                      support::format_fixed(wall, 1),
@@ -114,13 +97,10 @@ int main() {
     }
     // The fingerprint is identical across thread counts (checked above);
     // the per-world-size record is the one the baseline has always held.
-    telemetry.record("n=" + std::to_string(nodes), "state_fingerprint",
-                     static_cast<double>(print_t1), 1);
+    session.record("n=" + std::to_string(nodes), "state_fingerprint",
+                   static_cast<double>(print_t1), 1);
   }
   std::printf("%s\n", table.render().c_str());
-
-  if (telemetry.flush()) {
-    std::printf("[telemetry] wrote %s\n", telemetry.output_path().c_str());
-  }
-  return 0;
 }
+
+}  // namespace dhtlb::bench

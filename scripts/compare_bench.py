@@ -41,7 +41,7 @@ SCHEMA_VERSION = 2
 # Allowed fractional peak-RSS increase for records carrying
 # peak_rss_bytes.
 MAX_RSS_REGRESSION = 0.25
-# The metric --min-speedup scans (bench/tick_parallel's curve).
+# The metric --min-speedup scans (`dhtlb_bench tick_parallel`'s curve).
 SPEEDUP_METRIC = "speedup_vs_t1"
 
 
@@ -107,7 +107,7 @@ def check_speedup_floor(current_dir, min_speedup, failures):
 
     Scans every BENCH_*.json in the current dir for positive
     SPEEDUP_METRIC records.  The best one must reach the floor: the
-    thread-scaling gate the nightly lane runs on bench/tick_parallel
+    thread-scaling gate the nightly lane runs on dhtlb_bench tick_parallel
     telemetry, guarded by a core-count check in the workflow.
     """
     best = None

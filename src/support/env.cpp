@@ -13,21 +13,30 @@ std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
   return parse_u64(name, raw);
 }
 
+namespace {
+
+// A capped count knob: the value of `name`, or 0 when unset.
+std::size_t env_capped(const std::string& name, std::size_t cap) {
+  const std::uint64_t v = env_u64(name, 0);
+  if (v > cap) {
+    throw std::invalid_argument(name + ": above the cap of " +
+                                std::to_string(cap) + ": " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 std::size_t env_trials(std::size_t fallback) {
-  const std::uint64_t v = env_u64("DHTLB_TRIALS", 0);
-  return v == 0 ? fallback : static_cast<std::size_t>(v);
+  const std::size_t v = env_capped("DHTLB_TRIALS", kMaxEnvTrials);
+  return v == 0 ? fallback : v;
 }
 
 std::uint64_t env_seed() { return env_u64("DHTLB_SEED", 0x5EEDBA5EULL); }
 
 std::size_t env_threads() {
-  const std::uint64_t v = env_u64("DHTLB_THREADS", 0);
-  if (v > kMaxEnvThreads) {
-    throw std::invalid_argument("DHTLB_THREADS: above the cap of " +
-                                std::to_string(kMaxEnvThreads) + ": " +
-                                std::to_string(v));
-  }
-  return static_cast<std::size_t>(v);
+  return env_capped("DHTLB_THREADS", kMaxEnvThreads);
 }
 
 std::string env_string(const std::string& name, const std::string& fallback) {

@@ -188,6 +188,19 @@ TEST(Telemetry, FlushWritesFileToBenchDir) {
   std::remove(path.c_str());
 }
 
+// flush() is the only writer: a bench that throws part-way destroys its
+// Telemetry unflushed and must leave no partial record set behind.
+TEST(Telemetry, DestructionWithoutFlushWritesNothing) {
+  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
+  const std::string path = ::testing::TempDir() + "/BENCH_unflushed.json";
+  std::remove(path.c_str());
+  {
+    Telemetry t("unflushed");
+    t.record("c", "m", 1.0, 1);
+  }
+  EXPECT_FALSE(std::ifstream(path).good()) << path;
+}
+
 // Telemetry is mutex-guarded (support/sync.hpp) so parallel bench cells
 // can record concurrently: the fan must lose no records, and records()
 // returns a consistent snapshot.

@@ -90,5 +90,17 @@ TEST_F(EnvTest, ThreadsAboveCapAreRejected) {
   EXPECT_THROW(env_seed(), std::invalid_argument);
 }
 
+TEST_F(EnvTest, TrialsAboveCapAreRejected) {
+  ::setenv("DHTLB_TRIALS", std::to_string(kMaxEnvTrials).c_str(), 1);
+  EXPECT_EQ(env_trials(3), kMaxEnvTrials);
+  ::setenv("DHTLB_TRIALS", std::to_string(kMaxEnvTrials + 1).c_str(), 1);
+  try {
+    env_trials(3);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "DHTLB_TRIALS: above the cap of 10000: 10001");
+  }
+}
+
 }  // namespace
 }  // namespace dhtlb::support
