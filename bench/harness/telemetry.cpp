@@ -6,7 +6,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "support/env.hpp"
 #include "support/json.hpp"
 
 namespace dhtlb::bench {
@@ -72,8 +71,9 @@ double calibrate_ms() {
   return timer.elapsed_ms();
 }
 
-Telemetry::Telemetry(std::string experiment)
-    : experiment_(std::move(experiment)) {}
+Telemetry::Telemetry(std::string experiment, std::uint64_t seed,
+                     std::string dir)
+    : experiment_(std::move(experiment)), seed_(seed), dir_(std::move(dir)) {}
 
 void Telemetry::record(const std::string& cell, const std::string& metric,
                        double value, std::uint64_t trials,
@@ -83,7 +83,7 @@ void Telemetry::record(const std::string& cell, const std::string& metric,
   r.cell = cell;
   r.metric = metric;
   r.value = value;
-  r.seed = support::env_seed();
+  r.seed = seed_;
   r.trials = trials;
   r.peak_rss_bytes = peak_rss_bytes;
   support::MutexLock lock(mu_);
@@ -115,8 +115,7 @@ std::uint64_t Telemetry::current_peak_rss_bytes() {
 }
 
 std::string Telemetry::output_path() const {
-  return support::env_string("DHTLB_BENCH_DIR", ".") + "/BENCH_" +
-         experiment_ + ".json";
+  return dir_ + "/BENCH_" + experiment_ + ".json";
 }
 
 bool Telemetry::flush() {

@@ -11,7 +11,9 @@
 // tick_parallel's speedup_vs_t1 curve, a ratio of clocks that the
 // comparator exempts from the value check.
 //
-// DHTLB_BENCH_DIR names the output directory (default ".").
+// The owner passes the run's seed and output directory in (Session reads
+// DHTLB_SEED and DHTLB_BENCH_DIR once, for its banner and this file);
+// the collector itself reads no environment.
 //
 // The JSON schema is deliberately flat — one record per (cell, metric)
 // pair, every record self-describing — so downstream tooling needs no
@@ -75,8 +77,8 @@ class WallTimer {
 };
 
 /// Collects records for one experiment and writes
-/// `<DHTLB_BENCH_DIR>/BENCH_<experiment>.json` on flush() — never on
-/// destruction, so a run that fails part-way leaves no partial file.
+/// `<dir>/BENCH_<experiment>.json` on flush() — never on destruction, so
+/// a run that fails part-way leaves no partial file.
 ///
 /// Accumulation is guarded by an internal dhtlb::Mutex (checked by
 /// Clang -Wthread-safety), so record() may be called from worker
@@ -85,12 +87,13 @@ class WallTimer {
 /// from the coordinating thread after each fan completes.
 class Telemetry {
  public:
-  explicit Telemetry(std::string experiment);
+  /// Every record carries `seed`; flush() writes into `dir`.
+  Telemetry(std::string experiment, std::uint64_t seed, std::string dir);
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Appends one record; its seed is support::env_seed().
+  /// Appends one record, stamped with the constructor's seed.
   void record(const std::string& cell, const std::string& metric,
               double value, std::uint64_t trials,
               std::uint64_t peak_rss_bytes = 0) EXCLUDES(mu_);
@@ -113,6 +116,8 @@ class Telemetry {
 
  private:
   std::string experiment_;
+  std::uint64_t seed_;
+  std::string dir_;
   mutable support::Mutex mu_;
   std::vector<Record> records_ GUARDED_BY(mu_);
 };

@@ -73,12 +73,10 @@ void BM_CreateSybil(benchmark::State& state) {
 BENCHMARK(BM_CreateSybil)->Unit(benchmark::kMicrosecond);
 
 void BM_FullRunByStrategy(benchmark::State& state) {
-  static const char* kNames[] = {"none", "churn", "random-injection",
-                                 "neighbor-injection",
-                                 "smart-neighbor-injection", "invitation"};
-  const char* name = kNames[state.range(0)];
+  const std::string_view name =
+      dhtlb::lb::strategy_names()[static_cast<std::size_t>(state.range(0))];
   Params p = make_params(500, 50'000);
-  if (std::string_view(name) == "churn") p.churn_rate = 0.01;
+  if (name == "churn") p.churn_rate = 0.01;
   std::uint64_t seed = 11;
   double factor_sum = 0.0;
   std::uint64_t runs = 0;
@@ -89,12 +87,12 @@ void BM_FullRunByStrategy(benchmark::State& state) {
     ++runs;
     benchmark::DoNotOptimize(r.ticks);
   }
-  state.SetLabel(name);
+  state.SetLabel(std::string(name));
   state.counters["runtime_factor"] = benchmark::Counter(
       factor_sum / static_cast<double>(runs));
 }
 BENCHMARK(BM_FullRunByStrategy)
-    ->DenseRange(0, 5)
+    ->DenseRange(0, static_cast<int>(dhtlb::lb::strategy_names().size()) - 1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

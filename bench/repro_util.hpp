@@ -83,8 +83,9 @@ inline sim::Params paper_defaults(std::size_t nodes, std::uint64_t tasks) {
 
 /// One bench run: env knobs, banner, thread pool, telemetry.  The
 /// constructor reads DHTLB_TRIALS (unless the bench runs no trials),
-/// DHTLB_SEED and DHTLB_THREADS, so a malformed knob throws
-/// std::invalid_argument before any work.  `file_id` names the JSON
+/// DHTLB_SEED, DHTLB_THREADS and DHTLB_BENCH_DIR (default "."), so a
+/// malformed knob throws std::invalid_argument before any work; the
+/// telemetry gets the seed and directory from here.  `file_id` names the JSON
 /// output (BENCH_<file_id>.json); `experiment_id` is the human-facing
 /// label ("Table II"); `default_trials` 0 marks a bench without trials.
 class Session {
@@ -95,7 +96,8 @@ class Session {
                                     : support::env_trials(default_trials)),
         seed_(support::env_seed()),
         threads_(support::env_threads()),
-        telemetry_(file_id) {
+        telemetry_(file_id, seed_,
+                   support::env_string("DHTLB_BENCH_DIR", ".")) {
     std::printf("=== %s — %s ===\n", experiment_id, description);
     if (trials_ != 0) {
       std::printf("trials per cell: %zu (override with DHTLB_TRIALS), ",

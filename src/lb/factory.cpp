@@ -3,57 +3,90 @@
 #include <stdexcept>
 #include <string>
 
-#include "lb/chosen_id.hpp"
-#include "lb/invitation.hpp"
-#include "lb/item_balance.hpp"
-#include "lb/neighbor_injection.hpp"
-#include "lb/random_injection.hpp"
-#include "lb/strength_aware.hpp"
+#include "lb/rules.hpp"
 
 namespace dhtlb::lb {
 
-std::unique_ptr<sim::Strategy> make_strategy(std::string_view name) {
-  if (name == "none" || name == "churn") return nullptr;
-  if (name == "random-injection") {
-    return std::make_unique<RandomInjection>();
+namespace {
+
+// The order reaches fuzz-generated scripts (see strategy_table()).
+constexpr StrategyEntry kTable[] = {
+    // name, section, paper, rule, param, retires idle Sybils
+    {"none", "VI", true, nullptr, 0, false},
+    {"churn", "IV-A", true, nullptr, 0, false},
+    {"random-injection", "IV-B", true, random_injection, 0, true},
+    {"neighbor-injection", "IV-C", true, neighbor_injection, kEstimate,
+     true},
+    {"smart-neighbor-injection", "IV-C", true, neighbor_injection, kSmart,
+     true},
+    {"invitation", "IV-D", true, invitation, 0, true},
+    {"strength-aware", "VII", false, strength_aware, 0, true},
+    {"chosen-id-neighbor", "VII", false, chosen_id, kNeighborhood, true},
+    {"chosen-id-global", "VII", false, chosen_id, kGlobal, true},
+    {"item-balance", "arXiv 1210.7954", false, item_balance, 2, false},
+    {"item-balance-conservative", "arXiv 1210.7954", false, item_balance, 4,
+     false},
+};
+
+/// The one decision round every balancing strategy runs.  It owns the
+/// visitation buffer and any per-instance rule memory (neighbor
+/// injection's failed-range marks), so a hot-swap, which builds a new
+/// driver, starts from a clean slate.
+class DecisionRound final : public sim::Strategy {
+ public:
+  explicit DecisionRound(const StrategyEntry& entry) : entry_(entry) {}
+
+  std::string_view name() const override { return entry_.name; }
+
+  void decide(sim::World& world, support::Rng& rng,
+              sim::StrategyCounters& counters) override {
+    shuffled_alive_into(world, rng, order_);
+    NodeTurn turn{world, rng, counters, failed_ranges_};
+    for (const sim::NodeIndex idx : order_) {
+      if (entry_.retires_idle_sybils) retire_idle_sybils(world, idx, counters);
+      turn.idx = idx;
+      entry_.rule(turn, entry_.param);
+    }
   }
-  if (name == "neighbor-injection") {
-    return std::make_unique<NeighborInjection>(
-        NeighborInjection::Mode::kEstimate);
+
+ private:
+  const StrategyEntry& entry_;
+  std::vector<sim::NodeIndex> order_;  // reused visitation-order buffer
+  FailedRanges failed_ranges_;
+};
+
+std::vector<std::string_view> names_where(bool paper) {
+  std::vector<std::string_view> names;
+  for (const StrategyEntry& entry : kTable) {
+    if (entry.paper == paper) names.push_back(entry.name);
   }
-  if (name == "smart-neighbor-injection") {
-    return std::make_unique<NeighborInjection>(
-        NeighborInjection::Mode::kSmart);
-  }
-  if (name == "invitation") return std::make_unique<Invitation>();
-  // Future-work extensions (paper §VII), not part of the original four:
-  if (name == "strength-aware") return std::make_unique<StrengthAware>();
-  if (name == "chosen-id-neighbor") {
-    return std::make_unique<ChosenIdSplit>(ChosenIdSplit::Scope::kNeighborhood);
-  }
-  if (name == "chosen-id-global") {
-    return std::make_unique<ChosenIdSplit>(ChosenIdSplit::Scope::kGlobal);
-  }
-  // Non-Sybil neighbor-move family (Chawachat & Fakcharoenphol):
-  if (name == "item-balance") return std::make_unique<ItemBalance>(2);
-  if (name == "item-balance-conservative") {
-    return std::make_unique<ItemBalance>(4);
-  }
-  throw std::invalid_argument("unknown strategy: " + std::string(name));
+  return names;
 }
 
-std::vector<std::string_view> strategy_names() {
-  return {"none",
-          "churn",
-          "random-injection",
-          "neighbor-injection",
-          "smart-neighbor-injection",
-          "invitation"};
+}  // namespace
+
+std::span<const StrategyEntry> strategy_table() { return kTable; }
+
+const StrategyEntry* find_strategy(std::string_view name) {
+  for (const StrategyEntry& entry : kTable) {
+    if (entry.name == name) return &entry;
+  }
+  return nullptr;
 }
+
+std::unique_ptr<sim::Strategy> make_strategy(std::string_view name) {
+  const StrategyEntry* entry = find_strategy(name);
+  if (entry == nullptr) {
+    throw std::invalid_argument("unknown strategy: " + std::string(name));
+  }
+  if (entry->rule == nullptr) return nullptr;
+  return std::make_unique<DecisionRound>(*entry);
+}
+
+std::vector<std::string_view> strategy_names() { return names_where(true); }
 
 std::vector<std::string_view> extension_strategy_names() {
-  return {"strength-aware", "chosen-id-neighbor", "chosen-id-global",
-          "item-balance", "item-balance-conservative"};
+  return names_where(false);
 }
 
 }  // namespace dhtlb::lb

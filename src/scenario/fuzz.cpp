@@ -72,13 +72,11 @@ const ProfileSpec& find_profile(std::string_view profile) {
                               std::string(profile));
 }
 
-/// Every name make_strategy accepts — hot-swap targets and header picks.
-std::vector<std::string_view> all_strategy_names() {
-  std::vector<std::string_view> names = lb::strategy_names();
-  for (const std::string_view name : lb::extension_strategy_names()) {
-    names.push_back(name);
-  }
-  return names;
+/// A strategy name drawn by table index — hot-swap targets and header
+/// picks.  The table order therefore reaches generated scripts.
+std::string random_strategy_name(Rng& rng) {
+  const auto table = lb::strategy_table();
+  return std::string(table[rng.below(table.size())].name);
 }
 
 Event random_event(K kind, Rng& rng, const Script& script) {
@@ -109,11 +107,9 @@ Event random_event(K kind, Rng& rng, const Script& script) {
     case K::kSetThreshold:
       event.count = rng.below(64);
       break;
-    case K::kSetStrategy: {
-      const auto names = all_strategy_names();
-      event.text = std::string(names[rng.below(names.size())]);
+    case K::kSetStrategy:
+      event.text = random_strategy_name(rng);
       break;
-    }
     case K::kFault: {
       static constexpr std::string_view kFaults[] = {"drop", "delay",
                                                      "duplicate"};
@@ -193,8 +189,7 @@ Script generate_script(std::string_view profile, std::uint64_t seed) {
       const std::uint64_t pick = rng.below(3);
       script.params.arrival_ticks = pick == 0 ? 0 : pick * script.horizon;
     }
-    const auto names = all_strategy_names();
-    script.strategy = std::string(names[rng.below(names.size())]);
+    script.strategy = random_strategy_name(rng);
   }
 
   // `at` blocks need strictly increasing ticks within [1, horizon]:

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -13,29 +12,6 @@
 
 namespace dhtlb::bench {
 namespace {
-
-// setenv/unsetenv scoped helper; tests below mutate DHTLB_* knobs.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_;
-};
 
 std::vector<Record> sample_records() {
   Record a;
@@ -146,10 +122,8 @@ TEST(Telemetry, CurrentPeakRssIsPlausible) {
   EXPECT_LT(rss, 1ull << 40);
 }
 
-TEST(Telemetry, RecordCapturesEnvSeedAndRss) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  ScopedEnv seed("DHTLB_SEED", "1234");
-  Telemetry t("unit");
+TEST(Telemetry, RecordCapturesSeedAndRss) {
+  Telemetry t("unit", 1234, ::testing::TempDir());
   t.record("c", "m", 2.5, 4, /*peak_rss_bytes=*/1 << 20);
   ASSERT_EQ(t.records().size(), 1u);
   EXPECT_EQ(t.records()[0].seed, 1234u);
@@ -159,10 +133,8 @@ TEST(Telemetry, RecordCapturesEnvSeedAndRss) {
 }
 
 TEST(Telemetry, IdenticalRunsProduceIdenticalJson) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  ScopedEnv seed("DHTLB_SEED", "7");
   auto run = [] {
-    Telemetry t("unit");
+    Telemetry t("unit", 7, ::testing::TempDir());
     t.record("a", "m", 1.0, 2);
     t.record("b", "m", 2.0, 2);
     return t.json();
@@ -171,9 +143,8 @@ TEST(Telemetry, IdenticalRunsProduceIdenticalJson) {
 }
 
 TEST(Telemetry, FlushWritesFileToBenchDir) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   {
-    Telemetry t("flushtest");
+    Telemetry t("flushtest", 42, ::testing::TempDir());
     t.record("c", "m", 3.0, 1);
     EXPECT_TRUE(t.flush());
   }
@@ -191,11 +162,10 @@ TEST(Telemetry, FlushWritesFileToBenchDir) {
 // flush() is the only writer: a bench that throws part-way destroys its
 // Telemetry unflushed and must leave no partial record set behind.
 TEST(Telemetry, DestructionWithoutFlushWritesNothing) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   const std::string path = ::testing::TempDir() + "/BENCH_unflushed.json";
   std::remove(path.c_str());
   {
-    Telemetry t("unflushed");
+    Telemetry t("unflushed", 42, ::testing::TempDir());
     t.record("c", "m", 1.0, 1);
   }
   EXPECT_FALSE(std::ifstream(path).good()) << path;
@@ -205,8 +175,7 @@ TEST(Telemetry, DestructionWithoutFlushWritesNothing) {
 // can record concurrently: the fan must lose no records, and records()
 // returns a consistent snapshot.
 TEST(Telemetry, ConcurrentRecordsAreAllKept) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
-  Telemetry t("unit");
+  Telemetry t("unit", 42, ::testing::TempDir());
   constexpr std::size_t kTasks = 8;
   constexpr int kRecordsPerTask = 500;
   support::ThreadPool pool(4);
@@ -221,10 +190,9 @@ TEST(Telemetry, ConcurrentRecordsAreAllKept) {
 // The file holds exactly the recorded records: no calibration record
 // is prepended.
 TEST(Telemetry, FlushWritesOnlyRecordedRecords) {
-  ScopedEnv dir("DHTLB_BENCH_DIR", ::testing::TempDir().c_str());
   std::string expected;
   {
-    Telemetry t("caltest");
+    Telemetry t("caltest", 42, ::testing::TempDir());
     t.record("c", "m", 1.0, 1);
     expected = t.json();
     ASSERT_TRUE(t.flush());

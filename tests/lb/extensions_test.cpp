@@ -4,9 +4,7 @@
 
 #include <algorithm>
 
-#include "lb/chosen_id.hpp"
 #include "lb/factory.hpp"
-#include "lb/strength_aware.hpp"
 #include "sim/engine.hpp"
 #include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
@@ -176,10 +174,10 @@ TEST(StrengthAwareTest, HomogeneousReducesToThresholdBehavior) {
   p.initial_nodes = 20;
   p.total_tasks = 2000;
   World w(p, rng);
-  StrengthAware strat;
+  const auto strat = make_strategy("strength-aware");
   sim::StrategyCounters c;
   Rng decision_rng(10);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_EQ(c.sybils_created, 0u)
       << "nobody is idle yet, so nobody may acquire";
 }
@@ -199,12 +197,64 @@ TEST(StrengthAwareTest, StrongIdleNodeTakesProportionalShare) {
   ASSERT_TRUE(strong.has_value());
   (void)consume(w, *strong, w.workload(*strong), rng);
 
-  StrengthAware strat;
+  const auto strat = make_strategy("strength-aware");
   sim::StrategyCounters c;
   Rng decision_rng(12);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_GE(c.sybils_created, 1u);
   EXPECT_GT(w.workload(*strong), 0u) << "the strong node acquired work";
+}
+
+TEST(StrengthAwareTest, AppetiteSaturatesAtHugeThresholds) {
+  // The threshold key accepts any u64.  At 2^63 every node is hungry;
+  // strength * threshold must saturate rather than wrap (for strength 2
+  // it would wrap to an appetite of 1, starving every loaded node).
+  Rng rng(14);
+  Params p = het_params(50, 5000);
+  p.sybil_threshold = std::uint64_t{1} << 63;
+  World w(p, rng);
+  std::vector<std::uint64_t> before(w.physical_count());
+  for (const auto idx : w.alive_indices()) before[idx] = w.workload(idx);
+  sim::StrategyCounters c;
+  Rng decision_rng(15);
+  make_strategy("strength-aware")->decide(w, decision_rng, c);
+  std::size_t checked = 0;
+  for (const auto idx : w.alive_indices()) {
+    if (w.physical(idx).strength != 2 || before[idx] < 2) continue;
+    ++checked;
+    EXPECT_EQ(w.sybil_count(idx), 1u) << "loaded strength-2 node " << idx;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(StrengthAwareTest, StrengthSplitStaysInsideTheTargetArc) {
+  // max-sybils accepts up to UINT_MAX, so two heterogeneous strengths can
+  // sum past 32 bits.  The weighted split must still land inside the
+  // foreign arc it targets: on a two-node ring every arc a node can
+  // target ends at a vnode of the other node, so each Sybil's clockwise
+  // successor must belong to someone else.
+  std::size_t sybils = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(seed);
+    Params p = het_params(2, 400);
+    p.max_sybils = 4'294'967'295u;
+    World w(p, rng);
+    sim::StrategyCounters c;
+    Rng decision_rng(seed + 100);
+    make_strategy("strength-aware")->decide(w, decision_rng, c);
+    for (const auto idx : w.alive_indices()) {
+      const auto& slots = w.physical(idx).vnode_slots;
+      for (std::size_t s = 1; s < slots.size(); ++s) {
+        ++sybils;
+        for (const sim::ArcView& next :
+             w.successor_arcs(w.vnode_id(slots[s]), 1)) {
+          EXPECT_NE(next.owner, idx)
+              << "seed " << seed << ": Sybil landed past its target arc";
+        }
+      }
+    }
+  }
+  EXPECT_GT(sybils, 12u);
 }
 
 TEST(StrengthAwareTest, ImprovesHeterogeneousRuntimeOverRandomInjection) {

@@ -5,11 +5,8 @@
 
 #include <algorithm>
 
-#include "lb/common.hpp"
 #include "lb/factory.hpp"
-#include "lb/invitation.hpp"
-#include "lb/neighbor_injection.hpp"
-#include "lb/random_injection.hpp"
+#include "lb/rules.hpp"
 #include "sim/engine.hpp"
 #include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
@@ -128,10 +125,10 @@ TEST(RandomInjectionTest, CreatesSybilsOnlyForEligibleNodes) {
     (void)consume(w, idx, w.workload(idx), rng);
     drained.push_back(idx);
   }
-  RandomInjection strat;
+  const auto strat = make_strategy("random-injection");
   sim::StrategyCounters c;
   Rng decision_rng(7);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_EQ(c.sybils_created, 3u) << "exactly the drained nodes act";
   for (const auto idx : drained) {
     EXPECT_EQ(w.sybil_count(idx), 1u) << "one Sybil per decision round";
@@ -145,14 +142,14 @@ TEST(RandomInjectionTest, RespectsSybilCapAcrossRounds) {
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
   (void)consume(w, idx, w.workload(idx), rng);
-  RandomInjection strat;
+  const auto strat = make_strategy("random-injection");
   sim::StrategyCounters c;
   Rng decision_rng(9);
   for (int round = 0; round < 10; ++round) {
     // Keep the node idle so it stays eligible but also keeps retiring...
     // drain whatever its Sybils grabbed first.
     (void)consume(w, idx, w.workload(idx), rng);
-    strat.decide(w, decision_rng, c);
+    strat->decide(w, decision_rng, c);
     EXPECT_LE(w.sybil_count(idx), 3u);
   }
 }
@@ -185,12 +182,12 @@ TEST(RandomInjectionTest, HeterogeneousCapIsStrength) {
     }
   }
   ASSERT_TRUE(found);
-  RandomInjection strat;
+  const auto strat = make_strategy("random-injection");
   sim::StrategyCounters c;
   Rng decision_rng(11);
   for (int round = 0; round < 5; ++round) {
     (void)consume(w, weak, w.workload(weak), rng);
-    strat.decide(w, decision_rng, c);
+    strat->decide(w, decision_rng, c);
     EXPECT_LE(w.sybil_count(weak), 1u);
   }
 }
@@ -211,10 +208,10 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
     last_succ = arc.id;
   }
 
-  NeighborInjection strat(NeighborInjection::Mode::kEstimate);
+  const auto strat = make_strategy("neighbor-injection");
   sim::StrategyCounters c;
   Rng decision_rng(13);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   ASSERT_EQ(c.sybils_created, 1u);
   const support::Uint160 sybil = w.vnode_id(w.physical(idx).vnode_slots.back());
   // The Sybil must lie inside the arc (self, last-successor].
@@ -244,10 +241,10 @@ TEST(NeighborInjectionTest, SmartModePicksMostLoadedSuccessor) {
   ASSERT_GT(best, 0u);
   const std::uint64_t before = w2.arc_of(target).task_count;
 
-  NeighborInjection strat(NeighborInjection::Mode::kSmart);
+  const auto strat = make_strategy("smart-neighbor-injection");
   sim::StrategyCounters c;
   Rng decision_rng(16);
-  strat.decide(w2, decision_rng, c);
+  strat->decide(w2, decision_rng, c);
   EXPECT_EQ(c.sybils_created, 1u);
   EXPECT_GT(c.workload_queries, 0u) << "smart mode pays probe messages";
   EXPECT_LT(w2.arc_of(target).task_count, before)
@@ -262,10 +259,10 @@ TEST(NeighborInjectionTest, EstimateModeSendsNoQueries) {
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
   (void)consume(w, idx, w.workload(idx), rng);
-  NeighborInjection strat(NeighborInjection::Mode::kEstimate);
+  const auto strat = make_strategy("neighbor-injection");
   sim::StrategyCounters c;
   Rng decision_rng(18);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_EQ(c.workload_queries, 0u);
 }
 
@@ -279,10 +276,10 @@ TEST(NeighborInjectionTest, MarkFailedRangesStopsRepeatPlacements) {
   for (const auto idx : w.alive_indices()) {
     (void)consume(w, idx, w.workload(idx), rng);
   }
-  NeighborInjection strat(NeighborInjection::Mode::kEstimate);
+  const auto strat = make_strategy("neighbor-injection");
   sim::StrategyCounters c;
   Rng decision_rng(20);
-  for (int round = 0; round < 8; ++round) strat.decide(w, decision_rng, c);
+  for (int round = 0; round < 8; ++round) strat->decide(w, decision_rng, c);
   EXPECT_GT(c.ranges_marked_invalid, 0u);
   // Marking must strictly reduce re-spamming: with 30 nodes x 5
   // successor arcs there are at most ~5 distinct marks per node, so
@@ -321,10 +318,10 @@ TEST(InvitationTest, IdlePredecessorHelpsOverburdenedNode) {
   ASSERT_GT(w.workload(heavy), 0u);
   const std::uint64_t heavy_before = w.workload(heavy);
 
-  Invitation strat;
+  const auto strat = make_strategy("invitation");
   sim::StrategyCounters c;
   Rng decision_rng(22);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_GT(c.invitations_sent, 0u);
   // At least the heavy node's invitation is accepted; helpers that
   // acquired work may themselves recruit later in the same round
@@ -338,10 +335,10 @@ TEST(InvitationTest, RefusedWhenNoPredecessorIsIdle) {
   Rng rng(23);
   Params p = tiny(20, 20'000);  // everyone starts loaded
   World w(p, rng);
-  Invitation strat;
+  const auto strat = make_strategy("invitation");
   sim::StrategyCounters c;
   Rng decision_rng(24);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_GT(c.invitations_sent, 0u);
   EXPECT_EQ(c.invitations_accepted, 0u)
       << "no node is at the threshold; every invitation is refused";
@@ -372,10 +369,10 @@ TEST(InvitationTest, RefusedWhenHelpersAreAtSybilCap) {
       (void)consume(w, idx, w.workload(idx) - 10, rng);
     }
   }
-  Invitation strat;
+  const auto strat = make_strategy("invitation");
   sim::StrategyCounters c;
   Rng decision_rng(26);
-  strat.decide(w, decision_rng, c);
+  strat->decide(w, decision_rng, c);
   EXPECT_GT(c.invitations_sent, 0u);
   EXPECT_EQ(c.invitations_accepted, 0u)
       << "every candidate helper is at its Sybil cap";
