@@ -1,21 +1,25 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
-// assignment), successor-arc walks, point lookups (cover), churn
-// (join/depart cycles), and Sybil waves (bulk create_sybil growth), the
-// last two driving the blocked index's in-block shifts and splits.  These are
-// the throughput numbers the scaling work is judged by — see the
-// "Performance trajectory" section of EXPERIMENTS.md.
+// assignment), successor-arc walks, point and batched lookups (cover,
+// cover_sorted), churn (join/depart cycles), and Sybil waves (bulk
+// create_sybil growth), the last two driving the blocked index's
+// in-block shifts and splits.  These are the throughput numbers the
+// scaling work is judged by — see the "Performance trajectory" section
+// of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 #include <vector>
 
+#include "sim/flat_ring.hpp"
 #include "sim/world.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
+using dhtlb::sim::FlatRing;
 using dhtlb::sim::Params;
+using dhtlb::sim::Slot;
 using dhtlb::sim::World;
 using dhtlb::support::Rng;
 using dhtlb::support::Uint160;
@@ -76,11 +80,42 @@ void BM_ScaleCover(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.arc_covering(key_rng.uniform_u160()));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ScaleCover)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kNanosecond);
+
+void BM_ScaleCoverBatch(benchmark::State& state) {
+  // BM_ScaleCover's ring and keys, resolved as batches of one key per
+  // vnode through FlatRing::cover_sorted (bucket, sort, one sweep) — the
+  // search of the arrival fold.  Items are keys, so items/s compares
+  // with BM_ScaleCover's per-key point lookups.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World w(make_params(nodes, 2 * nodes), rng);
+  FlatRing ring;
+  ring.reserve(w.vnode_count());
+  for (const Uint160& id : w.ring_ids()) ring.bulk_append(id, 0, false);
+  ring.finalize_bulk();
+  Rng key_rng(7);
+  std::vector<Uint160> keys(nodes);
+  for (Uint160& key : keys) key = key_rng.uniform_u160();
+  std::vector<Slot> slots(nodes);
+  FlatRing::CoverScratch scratch;
+  for (auto _ : state) {
+    ring.cover_sorted(keys, slots, scratch);
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ScaleCoverBatch)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ScaleChurn(benchmark::State& state) {
   // One depart + one join per iteration: an erase and an insert in the

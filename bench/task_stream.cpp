@@ -38,13 +38,8 @@ void task_stream(Session& session) {
     for (std::uint64_t tick = 1; tick <= cell.window; ++tick) {
       std::uint64_t tick_count = 0;
       for (std::size_t s = 0; s < sim::kTickShards; ++s) {
-        keys.clear();
+        keys.resize(stream.shard_count(tick, s));
         stream.draw_shard(tick, s, keys);
-        if (keys.size() != stream.shard_count(tick, s)) {
-          throw std::runtime_error("shard draw size mismatch at tick " +
-                                   std::to_string(tick) + ", shard " +
-                                   std::to_string(s));
-        }
         for (const sim::TaskKey& key : keys) {
           fold = support::mix_seed(fold, key.low64());
         }

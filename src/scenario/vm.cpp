@@ -1,8 +1,10 @@
 #include "scenario/vm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "chord/network.hpp"
 #include "hashing/sha1.hpp"
@@ -121,6 +123,25 @@ struct SimCounters {
   std::uint64_t injected = 0;
 };
 
+/// Injects `count` keys from `draw()` through World::inject_tasks, in
+/// batches of at most kInjectBatch keys so a large event's scratch stays
+/// bounded.  The draws never read the world, and each batch appends in
+/// draw order, so batching leaves every store as one-by-one injection
+/// would.
+template <typename Draw>
+void inject_drawn(sim::World& world, std::uint64_t count, Draw&& draw) {
+  constexpr std::uint64_t kInjectBatch = std::uint64_t{1} << 20;
+  std::vector<Uint160> keys;
+  keys.reserve(static_cast<std::size_t>(std::min(count, kInjectBatch)));
+  while (count > 0) {
+    const std::uint64_t batch = std::min(count, kInjectBatch);
+    keys.clear();
+    for (std::uint64_t i = 0; i < batch; ++i) keys.push_back(draw());
+    world.inject_tasks(keys);
+    count -= batch;
+  }
+}
+
 void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
                      SimCounters& counters) {
   sim::World& world = engine.world();
@@ -148,19 +169,17 @@ void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
       }
       break;
     case Event::Kind::kInjectUniform:
-      for (std::uint64_t i = 0; i < e.count; ++i) {
-        world.inject_task(rng.uniform_u160());
-        ++counters.injected;
-      }
+      inject_drawn(world, e.count, [&] { return rng.uniform_u160(); });
+      counters.injected += e.count;
       break;
     case Event::Kind::kInjectHotspot: {
       const Uint160 start = rng.uniform_u160();
       const auto width = arc_width(e.value);
-      for (std::uint64_t i = 0; i < e.count; ++i) {
-        world.inject_task(width ? rng.uniform_in_arc(start, start + *width)
-                                : rng.uniform_u160());
-        ++counters.injected;
-      }
+      inject_drawn(world, e.count, [&] {
+        return width ? rng.uniform_in_arc(start, start + *width)
+                     : rng.uniform_u160();
+      });
+      counters.injected += e.count;
       break;
     }
     case Event::Kind::kSetChurn:

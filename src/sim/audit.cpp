@@ -88,9 +88,10 @@ void InvariantAuditor::check_ring_order(AuditReport& report) const {
 
 void InvariantAuditor::check_key_partition(AuditReport& report) const {
   if (world_.vnode_count() <= 1) return;  // a single vnode owns everything
-  world_.for_each_arc([&](const ArcView& arc) {
+  world_.for_each_arc([&](const ArcView& arc,
+                          const std::vector<TaskKey>& keys) {
     const Uint160& id = arc.id;
-    for (const TaskKey& key : world_.vnode_keys(id)) {
+    for (const TaskKey& key : keys) {
       if (!support::in_half_open_arc(key, arc.pred, arc.id)) {
         fail(report, "key-partition", [&](std::ostream& os) {
           os << "key " << key.to_short_hex() << " stored on vnode "

@@ -174,22 +174,20 @@ void Engine::arrival_step() {
   tick_arrived_ = 0;
   if (!stream_ || stream_->count_at(tick_) == 0) return;
   // Key draws are embarrassingly parallel — each (tick, shard) cell owns
-  // its RNG stream and its own staging vector.  Insertion splits and
-  // workload bumps can land on any arc, so the fold below applies the
-  // staged keys sequentially in fixed shard order, exactly like the
-  // churn folds.
+  // its RNG stream and its closed-form range of the one arrival buffer.
+  // Placements can land on any arc, so the fold below applies the whole
+  // buffer sequentially, in fixed shard order, exactly like the churn
+  // folds: one sorted sweep resolves every key's owner, then the keys
+  // are appended in buffer order.
+  arrivals_.resize(stream_->count_at(tick_));
+  const std::span<TaskKey> buffer(arrivals_);
   for_each_shard([&](std::size_t s) {
-    ShardScratch& shard = shards_[s];
-    shard.arrivals.clear();
-    stream_->draw_shard(tick_, s, shard.arrivals);
+    stream_->draw_shard(tick_, s,
+                        buffer.subspan(stream_->shard_offset(tick_, s),
+                                       stream_->shard_count(tick_, s)));
   });
-  std::uint64_t arrived = 0;
-  for (auto& shard : shards_) {
-    for (const TaskKey& key : shard.arrivals) {
-      world_.inject_task(key);
-    }
-    arrived += shard.arrivals.size();
-  }
+  world_.inject_tasks(arrivals_);
+  const std::uint64_t arrived = arrivals_.size();
   stream_arrived_ += arrived;
   tick_arrived_ = arrived;
   if (trace_) trace_->instant("arrivals", "stream", {{"count", arrived}});

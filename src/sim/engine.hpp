@@ -7,7 +7,8 @@
 //   1. churn       — each alive node leaves w.p. churn_rate; each waiting
 //                    node joins w.p. churn_rate (§IV-A)
 //   2. arrivals    — streamed provisioning only: this tick's TaskStream
-//                    keys are drawn per shard and folded into the ring
+//                    keys are drawn per shard into one buffer and placed
+//                    in one sorted sweep (World::inject_tasks)
 //   3. decision    — strategy->decide() when t % decision_period == 0
 //   4. consumption — each alive node consumes work_per_tick tasks
 //   5. snapshot    — if t was requested (tick 0 = initial state)
@@ -197,7 +198,6 @@ class Engine {
   struct ShardScratch {
     std::vector<NodeIndex> members;     // this tick's shard partition
     std::vector<NodeIndex> departures;  // churn draw results, pre-fold
-    std::vector<TaskKey> arrivals;      // streamed task keys, pre-fold
     std::uint64_t consumed = 0;         // consumption total, pre-fold
     std::uint64_t join_draws = 0;       // Binomial successes, pre-fold
   };
@@ -206,6 +206,9 @@ class Engine {
   // the arrival source and the running count of stream-delivered tasks,
   // audited each tick against the schedule's closed-form prefix sum.
   std::unique_ptr<TaskStream> stream_;
+  // This tick's streamed keys, pre-fold: shard s draws into its
+  // TaskStream::shard_offset range, so the buffer is in shard order.
+  std::vector<TaskKey> arrivals_;
   std::uint64_t stream_arrived_ = 0;
   std::uint64_t tick_arrived_ = 0;  // this tick's arrivals, for metrics
   std::unique_ptr<support::ThreadPool> pool_;  // null = inline execution

@@ -1,10 +1,26 @@
 #include "sim/flat_ring.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/sorted_search.hpp"
 
 namespace dhtlb::sim {
+
+namespace {
+
+// cover_sorted's counting pass aims at about this many keys per bucket,
+// so sorting a bucket costs a few compares per key.
+constexpr std::size_t kKeysPerBucket = 8;
+// Buckets up to this size are insertion-sorted; larger ones (a narrow
+// hotspot batch piles into a few buckets) go through std::sort, so any
+// batch sorts in O(n log n).
+constexpr std::size_t kInsertionSortMax = 32;
+// At most 2^24 buckets: the sort records' 32 prefix bits then sit
+// inside the key's top 64 bits (bucket bits + 32 <= 56).
+constexpr int kMaxBucketBits = 24;
+
+}  // namespace
 
 // --- search ---------------------------------------------------------------
 
@@ -59,6 +75,107 @@ FlatRing::Cursor FlatRing::cover(const Uint160& point) const {
   const Cursor c = lower_bound(point);
   if (c.block == blocks_.size()) return first();  // wrapped past the top
   return c;
+}
+
+void FlatRing::cover_sorted(std::span<const Uint160> keys,
+                            std::span<Slot> slots,
+                            CoverScratch& scratch) const {
+  DHTLB_CHECK(slots.size() == keys.size(),
+              "FlatRing::cover_sorted: " << slots.size() << " slots for "
+                                         << keys.size() << " keys");
+  if (keys.empty()) return;
+  DHTLB_CHECK(!bulk_mode_, "FlatRing::cover_sorted during bulk load");
+  DHTLB_CHECK(live_ > 0, "FlatRing::cover_sorted on empty ring");
+  DHTLB_CHECK(keys.size() <= 0xFFFFFFFFu,
+              "FlatRing::cover_sorted: batch of " << keys.size()
+                                                  << " keys exceeds 2^32 - 1");
+  const std::size_t n = keys.size();
+
+  // Counting pass: bucket b holds the keys whose top `bits` bits are b.
+  // Each sort record packs the 32 key bits below the bucket bits over
+  // the key's batch index, so a record's bucket and prefix give the
+  // key's top bits + 32 bits without reading the key.
+  const int bits = std::min(
+      kMaxBucketBits, static_cast<int>(std::bit_width(n / kKeysPerBucket)));
+  const int shift = 32 - bits;  // high64() >> shift: bucket bits + prefix
+  const auto bucket_of = [bits](std::uint64_t high) -> std::size_t {
+    return bits == 0 ? 0 : static_cast<std::size_t>(high >> (64 - bits));
+  };
+  std::vector<std::uint32_t>& ends = scratch.bucket_end;
+  ends.assign(std::size_t{1} << bits, 0);
+  for (const Uint160& key : keys) ++ends[bucket_of(key.high64())];
+  std::uint32_t start = 0;
+  for (std::uint32_t& end : ends) {
+    const std::uint32_t count = end;
+    end = start;
+    start += count;
+  }
+  std::vector<std::uint64_t>& order = scratch.order;
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t high = keys[i].high64();
+    const auto prefix = static_cast<std::uint32_t>(high >> shift);
+    order[ends[bucket_of(high)]++] =
+        (static_cast<std::uint64_t>(prefix) << 32) | i;
+  }
+  // Now ends[b] is one past bucket b's last record.
+
+  // Records order on their prefix, then on the full key: keys sharing
+  // the prefix bits may still differ below them.
+  const auto record_less = [&keys](std::uint64_t a, std::uint64_t b) {
+    if ((a >> 32) != (b >> 32)) return a < b;
+    return keys[static_cast<std::uint32_t>(a)] <
+           keys[static_cast<std::uint32_t>(b)];
+  };
+  // True iff ring id `id` sorts below the key of `record` in bucket
+  // `bucket`; reads the key only when the prefix bits tie.
+  const auto id_below = [&keys, shift](const Uint160& id, std::uint64_t bucket,
+                                        std::uint64_t record) {
+    const std::uint64_t id_prefix = id.high64() >> shift;
+    const std::uint64_t key_prefix = (bucket << 32) | (record >> 32);
+    if (id_prefix != key_prefix) return id_prefix < key_prefix;
+    return id < keys[static_cast<std::uint32_t>(record)];
+  };
+
+  // Sort each bucket while it is cache-hot, then sweep it: the cursor
+  // (block, pos) only ever moves forward, to the first id at or above
+  // each key in turn.  Keys above the largest id wrap to the first vnode.
+  const Slot wrap_slot = blocks_.front().front().slot;
+  std::size_t block = 0;
+  std::size_t pos = 0;
+  std::size_t begin = 0;
+  for (std::size_t bucket = 0; bucket < ends.size(); ++bucket) {
+    const std::size_t end = ends[bucket];
+    if (end - begin > kInsertionSortMax) {
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                order.begin() + static_cast<std::ptrdiff_t>(end), record_less);
+    } else {
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        const std::uint64_t record = order[i];
+        std::size_t j = i;
+        for (; j > begin && record_less(record, order[j - 1]); --j) {
+          order[j] = order[j - 1];
+        }
+        order[j] = record;
+      }
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint64_t record = order[i];
+      while (block < blocks_.size() &&
+             id_below(block_max_[block], bucket, record)) {
+        ++block;
+        pos = 0;
+      }
+      Slot slot = wrap_slot;
+      if (block < blocks_.size()) {
+        const Block& entries = blocks_[block];
+        while (id_below(entries[pos].id, bucket, record)) ++pos;
+        slot = entries[pos].slot;
+      }
+      slots[static_cast<std::uint32_t>(record)] = slot;
+    }
+    begin = end;
+  }
 }
 
 FlatRing::Cursor FlatRing::first() const {

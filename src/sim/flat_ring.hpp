@@ -30,6 +30,10 @@
 // Construction has a separate bulk path (bulk_append + finalize_bulk):
 // append unsorted, sort once, cut into half-full blocks.
 //
+// Bulk key placement has a batch search too (cover_sorted): sort the
+// batch once, then resolve every key in one forward sweep over the
+// blocks, instead of one random-access search per key.
+//
 // Determinism: this container is purely representational — it stores
 // exactly the (id -> payload) ring the std::map stored, iterates in the
 // same ascending-id order, and draws no randomness — so replacing the
@@ -37,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/task_store.hpp"
@@ -113,6 +118,24 @@ class FlatRing {
 
   /// Cursor of the smallest id.  Ring must be non-empty.
   Cursor first() const;
+
+  /// Working memory of cover_sorted: the batch's sort records and its
+  /// bucket offsets.  Reusing one across calls keeps steady-state
+  /// batches allocation-free.
+  struct CoverScratch {
+    std::vector<std::uint64_t> order;
+    std::vector<std::uint32_t> bucket_end;
+  };
+
+  /// Batch form of cover(): writes to slots[i] the slot of the vnode
+  /// whose arc covers keys[i], for every i (slots.size() ==
+  /// keys.size(); the ring must be non-empty unless the batch is).
+  /// One counting pass buckets the keys on their top bits, each bucket
+  /// is sorted by full key, and one forward sweep over the blocks then
+  /// resolves the sorted keys in order; keys past the largest id wrap
+  /// to the first vnode.  Point lookups keep using cover().
+  void cover_sorted(std::span<const Uint160> keys, std::span<Slot> slots,
+                    CoverScratch& scratch) const;
 
   // Neighbor steps are the inner loop of every ring walk; they live at
   // the bottom of this header so they inline into the walk iterators.

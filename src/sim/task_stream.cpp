@@ -1,5 +1,7 @@
 #include "sim/task_stream.hpp"
 
+#include <algorithm>
+
 #include "hashing/sha1.hpp"
 #include "sim/world.hpp"  // kTickShards
 #include "support/check.hpp"
@@ -16,6 +18,13 @@ namespace {
 std::uint64_t cell_share(std::uint64_t total, std::uint64_t cells,
                          std::uint64_t cell) {
   return total / cells + (cell < total % cells ? 1 : 0);
+}
+
+// Sum of cell_share over cells 0..cell-1: cell quotients plus one
+// remainder unit for each of the first min(cell, total % cells) cells.
+std::uint64_t cell_prefix(std::uint64_t total, std::uint64_t cells,
+                          std::uint64_t cell) {
+  return cell * (total / cells) + std::min(cell, total % cells);
 }
 
 }  // namespace
@@ -35,11 +44,7 @@ std::uint64_t TaskStream::count_at(std::uint64_t tick) const {
 
 std::uint64_t TaskStream::cumulative(std::uint64_t tick) const {
   if (tick >= arrival_ticks_) return total_tasks_;
-  // Ticks 1..tick: tick quotients plus one remainder unit for each of
-  // the first min(tick, total % arrival_ticks) ticks.
-  const std::uint64_t q = total_tasks_ / arrival_ticks_;
-  const std::uint64_t r = total_tasks_ % arrival_ticks_;
-  return tick * q + (tick < r ? tick : r);
+  return cell_prefix(total_tasks_, arrival_ticks_, tick);  // ticks 1..tick
 }
 
 std::uint64_t TaskStream::shard_count(std::uint64_t tick,
@@ -47,19 +52,23 @@ std::uint64_t TaskStream::shard_count(std::uint64_t tick,
   return cell_share(count_at(tick), kTickShards, shard);
 }
 
+std::uint64_t TaskStream::shard_offset(std::uint64_t tick,
+                                       std::size_t shard) const {
+  return cell_prefix(count_at(tick), kTickShards, shard);
+}
+
 void TaskStream::draw_shard(std::uint64_t tick, std::size_t shard,
-                            std::vector<TaskKey>& out) const {
-  const std::uint64_t n = shard_count(tick, shard);
-  if (n == 0) return;
+                            std::span<TaskKey> out) const {
+  DHTLB_CHECK(out.size() == shard_count(tick, shard),
+              "TaskStream::draw_shard: " << out.size() << " keys for a cell of "
+                                         << shard_count(tick, shard));
+  if (out.empty()) return;
   // Same derivation shape as the engine's churn/consume streams: per-tick
   // root, then (phase, shard).  Keys are SHA-1 images of the raw draws,
   // exactly like preallocated construction and scenario injection.
   support::Rng rng(support::stream_seed(support::mix_seed(run_seed_, tick),
                                         kStreamArrive, shard));
-  out.reserve(out.size() + n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(hashing::Sha1::hash_u64(rng()));
-  }
+  for (TaskKey& key : out) key = hashing::Sha1::hash_u64(rng());
 }
 
 }  // namespace dhtlb::sim

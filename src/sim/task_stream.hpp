@@ -21,7 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/task_store.hpp"
 
@@ -38,8 +38,8 @@ inline constexpr std::uint64_t kStreamArrive = 6;
 /// every task has arrived once tick arrival_ticks completes.  Each tick's
 /// count is split the same way over kTickShards, and each (tick, shard)
 /// cell draws its keys from its own RNG stream — the engine fans the
-/// draws across workers and folds the insertions sequentially in shard
-/// order.
+/// draws across workers, each into its own range of one tick buffer,
+/// and folds the whole buffer in shard order.
 class TaskStream {
  public:
   /// `arrival_ticks` must be >= 1; `run_seed` is the engine's run seed
@@ -66,11 +66,16 @@ class TaskStream {
   /// the per-tick schedule, over kTickShards cells).
   std::uint64_t shard_count(std::uint64_t tick, std::size_t shard) const;
 
-  /// Appends shard `shard`'s keys for `tick` to `out`, drawn from the
-  /// (tick, shard) stream.  Thread-compatible: distinct (tick, shard)
-  /// cells share no state.
+  /// Closed-form prefix sum: `tick`'s arrivals in shards 0..shard-1, so
+  /// shard `shard` owns [shard_offset, shard_offset + shard_count) of a
+  /// count_at(tick)-key buffer laid out in shard order.  O(1).
+  std::uint64_t shard_offset(std::uint64_t tick, std::size_t shard) const;
+
+  /// Fills `out` (exactly shard_count(tick, shard) keys) with shard
+  /// `shard`'s keys for `tick`, drawn from the (tick, shard) stream.
+  /// Thread-compatible: distinct (tick, shard) cells share no state.
   void draw_shard(std::uint64_t tick, std::size_t shard,
-                  std::vector<TaskKey>& out) const;
+                  std::span<TaskKey> out) const;
 
  private:
   std::uint64_t run_seed_;

@@ -78,43 +78,37 @@ World::World(const Params& params, support::Rng& rng)
   ring_.finalize_bulk();
 
   // Streamed provisioning: no tasks exist at tick 0 — the engine's
-  // TaskStream injects each tick's arrivals through inject_task(), which
+  // TaskStream injects each tick's arrivals through inject_tasks(), which
   // raises remaining_/total_tasks_ as they land.  The node-placement RNG
   // sequence above is identical in both modes.
   if (params_.provisioning == TaskProvisioning::kStreamed) return;
 
   // Assign SHA-1-keyed tasks to their owner arcs: owner of key k is the
-  // first vnode clockwise at or after k.  Two passes over the keys —
-  // first resolve every owner slot and count its bucket, then reserve
-  // each TaskStore exactly and append in draw order — so no bucket ever
-  // reallocates mid-fill.  Keys are drawn before any is appended, which
-  // consumes the identical RNG sequence (assignment draws nothing), and
-  // appending in draw order keeps every TaskStore's contents
-  // bit-identical to the incremental construction.
+  // first vnode clockwise at or after k.  Draw every key, resolve all
+  // owner slots in one sorted sweep, reserve each TaskStore exactly, then
+  // append in draw order — so no bucket ever reallocates mid-fill.
+  // Assignment draws nothing, so the RNG sequence is the one key per
+  // draw of the incremental construction, and appending in draw order
+  // keeps every TaskStore's contents bit-identical to it.
   std::vector<Uint160> keys;
-  std::vector<Slot> owners;
   keys.reserve(params_.total_tasks);
-  owners.reserve(params_.total_tasks);
+  for (std::uint64_t t = 0; t < params_.total_tasks; ++t) {
+    keys.push_back(hashing::Sha1::hash_u64(rng()));
+  }
+  std::vector<Slot> owners(keys.size());
+  {
+    // Scoped so the sort scratch is freed before the stores are sized.
+    FlatRing::CoverScratch scratch;
+    ring_.cover_sorted(keys, owners, scratch);
+  }
   // Bulk-load slots are allocated densely as 0..n-1, so a plain vector
   // indexed by slot serves as the bucket counter.
   std::vector<std::uint32_t> bucket_sizes(n, 0);
-  for (std::uint64_t t = 0; t < params_.total_tasks; ++t) {
-    const Uint160 key = hashing::Sha1::hash_u64(rng());
-    const Slot slot = ring_.slot_at(ring_.cover(key));
-    keys.push_back(key);
-    owners.push_back(slot);
-    ++bucket_sizes[slot];
-  }
+  for (const Slot slot : owners) ++bucket_sizes[slot];
   for (Slot slot = 0; slot < bucket_sizes.size(); ++slot) {
     if (bucket_sizes[slot] != 0) ring_.tasks(slot).reserve(bucket_sizes[slot]);
   }
-  for (std::size_t t = 0; t < keys.size(); ++t) {
-    const Slot slot = owners[t];
-    ring_.tasks(slot).add(keys[t]);
-    ++physicals_[ring_.owner(slot)].workload;
-  }
-  remaining_ = params_.total_tasks;
-  total_tasks_ = params_.total_tasks;
+  append_tasks(keys, owners);
 }
 
 std::uint64_t World::work_per_tick(NodeIndex idx) const {
@@ -380,12 +374,21 @@ void World::debit_remaining(std::uint64_t consumed) {
   remaining_ -= consumed;
 }
 
-void World::inject_task(const Uint160& key) {
-  const Slot slot = ring_.slot_at(ring_.cover(key));
-  ring_.tasks(slot).add(key);
-  ++physicals_[ring_.owner(slot)].workload;
-  ++remaining_;
-  ++total_tasks_;
+void World::inject_tasks(std::span<const TaskKey> keys) {
+  cover_slots_.resize(keys.size());
+  ring_.cover_sorted(keys, cover_slots_, cover_scratch_);
+  append_tasks(keys, cover_slots_);
+}
+
+void World::append_tasks(std::span<const TaskKey> keys,
+                         std::span<const Slot> slots) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Slot slot = slots[i];
+    ring_.tasks(slot).add(keys[i]);
+    ++physicals_[ring_.owner(slot)].workload;
+  }
+  remaining_ += keys.size();
+  total_tasks_ += keys.size();
 }
 
 void World::set_churn_rate(double rate) {

@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/flat_ring.hpp"
@@ -74,7 +76,7 @@ class World {
   /// depends on Params::provisioning (DESIGN.md §0): preallocated mode
   /// additionally assigns `total_tasks` SHA-1-keyed tasks to their owner
   /// arcs here; streamed mode starts the ring empty — the engine's
-  /// sim::TaskStream delivers each tick's arrivals through inject_task().
+  /// sim::TaskStream delivers each tick's arrivals through inject_tasks().
   /// Node placement consumes the identical RNG sequence either way.
   /// `rng` is the construction stream: it is drawn from here only and
   /// never stored, so every later draw comes from a stream the caller
@@ -186,8 +188,11 @@ class World {
 
   /// Calls fn(const ArcView&) for every vnode in clockwise (ascending)
   /// order — the bulk form of arc_of over the whole ring, O(ring) total
-  /// instead of one ring search per vnode.  Same global-knowledge caveat
-  /// as ring_ids(): for the auditor, snapshots and tests only.
+  /// instead of one ring search per vnode.  A callback that also takes
+  /// a `const std::vector<TaskKey>&` receives the vnode's keys as its
+  /// second argument (vnode_keys without the id search).  Same
+  /// global-knowledge caveat as ring_ids(): for the auditor, snapshots
+  /// and tests only.
   template <typename Fn>
   void for_each_arc(Fn&& fn) const;
 
@@ -318,12 +323,15 @@ class World {
   /// consumption phase: subtracts the folded per-shard total.
   void debit_remaining(std::uint64_t consumed);
 
-  /// Adds one task with `key` to the vnode whose arc covers it — the
+  /// Adds one task per key to the vnode whose arc covers it — the
   /// mid-run workload entry point shared by scenario injection events
   /// and streamed provisioning (the engine folds each tick's TaskStream
-  /// arrivals through here; DESIGN.md §0).  Raises total_tasks()
-  /// alongside remaining_tasks() so conservation stays exact.
-  void inject_task(const Uint160& key);
+  /// arrivals through here; DESIGN.md §0).  The whole batch is placed
+  /// in one sorted sweep (FlatRing::cover_sorted), then appended in
+  /// batch order, so every TaskStore receives its keys in the order
+  /// they appear in `keys`.  Raises total_tasks() alongside
+  /// remaining_tasks() so conservation stays exact.
+  void inject_tasks(std::span<const TaskKey> keys);
 
   // --- mutation: scenario re-parameterization -----------------------------
 
@@ -363,6 +371,11 @@ class World {
   /// the slot from its owner's vnode_slots.
   void remove_vnode(Slot slot);
 
+  /// Appends keys[i] to the store of slots[i] in batch order and
+  /// credits the owners' workloads and the task counters.
+  void append_tasks(std::span<const TaskKey> keys,
+                    std::span<const Slot> slots);
+
   /// Shared join logic: splits the arc covering `id`, inserts a new
   /// vnode there for `owner` and appends its slot to the owner's
   /// vnode_slots.  Returns the tasks acquired.
@@ -391,6 +404,10 @@ class World {
   std::uint64_t remaining_ = 0;
   std::uint64_t total_tasks_ = 0;  // initial job + injected tasks
   std::uint64_t initial_capacity_ = 0;
+  // inject_tasks' working memory, kept so steady-state batches do not
+  // allocate: the resolved slot per key and the sweep's sort scratch.
+  std::vector<Slot> cover_slots_;
+  FlatRing::CoverScratch cover_scratch_;
 };
 
 // The walk iterator ops live here (not in world.cpp) so the per-arc ring
@@ -454,7 +471,12 @@ void World::for_each_arc(Fn&& fn) const {
     view.owner = ring_.owner(slot);
     view.is_sybil = ring_.is_sybil(slot);
     view.task_count = ring_.tasks(slot).size();
-    fn(static_cast<const ArcView&>(view));
+    if constexpr (std::is_invocable_v<Fn&, const ArcView&,
+                                      const std::vector<TaskKey>&>) {
+      fn(static_cast<const ArcView&>(view), ring_.tasks(slot).keys());
+    } else {
+      fn(static_cast<const ArcView&>(view));
+    }
     pred = id;
   });
 }

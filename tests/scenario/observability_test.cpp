@@ -190,7 +190,9 @@ TEST_P(CannedScenarioObservability, MetricsRowsMatchTheDocumentedSchema) {
     ASSERT_NE(type_pos, std::string::npos) << line;
     ASSERT_NE(unit_pos, std::string::npos) << line;
     ASSERT_NE(value_pos, std::string::npos) << line;
-    if (le_pos != std::string::npos) EXPECT_LT(le_pos, metric_pos) << line;
+    if (le_pos != std::string::npos) {
+      EXPECT_LT(le_pos, metric_pos) << line;
+    }
     EXPECT_LT(metric_pos, tick_pos);
     EXPECT_LT(tick_pos, type_pos);
     EXPECT_LT(type_pos, unit_pos);
@@ -203,7 +205,9 @@ TEST_P(CannedScenarioObservability, MetricsRowsMatchTheDocumentedSchema) {
     const bool is_histogram =
         line.find("\"type\":\"histogram\"") != std::string::npos;
     EXPECT_TRUE(is_counter || is_gauge || is_histogram) << line;
-    if (le_pos != std::string::npos) EXPECT_TRUE(is_histogram) << line;
+    if (le_pos != std::string::npos) {
+      EXPECT_TRUE(is_histogram) << line;
+    }
     // Ticks are non-decreasing through the file (one block per tick).
     const std::uint64_t tick = std::stoull(line.substr(tick_pos + 7));
     EXPECT_GE(tick, last_tick) << line;

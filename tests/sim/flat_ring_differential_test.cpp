@@ -8,10 +8,17 @@
 // blocks' worth of ids (so whole blocks empty and are dropped).  This
 // pins the blocked index to the simple ordered-map semantics the rest of
 // the simulator was written against.
+//
+// The batch search cover_sorted is pinned the same way, against per-key
+// cover() on mutated multi-block rings and on the edge batches its
+// bucketing and sweep could get wrong: wrap-around, exact hits, ids
+// that share their top bits with the keys, and a one-bucket hotspot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "sim/flat_ring.hpp"
@@ -182,6 +189,185 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatRingDifferentialTest,
                          ::testing::Values(1, 2, 3, 7, 42, 1337, 9001));
+
+// --- cover_sorted against per-key cover ----------------------------------
+
+/// Resolves `keys` with one cover_sorted call and checks every slot
+/// against a point cover() of the same key.
+void expect_batch_matches_point_covers(const FlatRing& ring,
+                                       const std::vector<Uint160>& keys,
+                                       const std::string& what) {
+  std::vector<Slot> slots(keys.size(), FlatRing::kNoSlot);
+  FlatRing::CoverScratch scratch;
+  ring.cover_sorted(keys, slots, scratch);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(slots[i], ring.slot_at(ring.cover(keys[i])))
+        << what << ": key " << i << " " << keys[i];
+  }
+}
+
+/// Key whose top 64 bits are `high` and low 96 bits are `low`.
+Uint160 with_high(std::uint64_t high, std::uint64_t low) {
+  return Uint160{high}.shl(96) + Uint160{low};
+}
+
+/// A multi-block ring: bulk-loaded, then grown by inserts (splitting
+/// blocks) and thinned by erases (emptying some), so block sizes are
+/// uneven.  Returns the live ids.
+std::vector<Uint160> build_mutated_ring(FlatRing& ring, support::Rng& rng) {
+  std::map<Uint160, bool> live;
+  for (int i = 0; i < 3000; ++i) live[rng.uniform_u160()] = true;
+  ring.reserve(live.size());
+  for (const auto& [id, unused] : live) ring.bulk_append(id, 0, false);
+  ring.finalize_bulk();
+  for (int i = 0; i < 2000; ++i) {
+    const Uint160 id = rng.uniform_u160();
+    if (live.emplace(id, true).second) ring.insert(id, 1, true);
+  }
+  // Erase a contiguous run (whole blocks drop) and a random sprinkle.
+  auto it = live.begin();
+  std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size() / 2)));
+  for (std::size_t i = 0; i < 2 * FlatRing::kBlockCapacity; ++i) {
+    ring.erase(it->first);
+    it = live.erase(it);
+  }
+  for (int i = 0; i < 300; ++i) {
+    auto victim = live.begin();
+    std::advance(victim,
+                 static_cast<std::ptrdiff_t>(rng.below(live.size())));
+    ring.erase(victim->first);
+    live.erase(victim);
+  }
+  EXPECT_TRUE(ring.index_consistent());
+  std::vector<Uint160> ids;
+  for (const auto& [id, unused] : live) ids.push_back(id);
+  return ids;
+}
+
+class CoverSortedDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CoverSortedDifferentialTest, MutatedRingMatchesPointCovers) {
+  support::Rng rng(GetParam());
+  FlatRing ring;
+  const std::vector<Uint160> ids = build_mutated_ring(ring, rng);
+  ASSERT_GT(ring.size(), 4 * FlatRing::kBlockCapacity);
+
+  // Uniform batches from a handful of keys (one bucket) up to many keys
+  // per vnode (thousands of buckets).
+  for (const std::size_t n : {1u, 7u, 100u, 5000u, 40000u}) {
+    std::vector<Uint160> keys;
+    for (std::size_t i = 0; i < n; ++i) keys.push_back(rng.uniform_u160());
+    expect_batch_matches_point_covers(ring, keys,
+                                      "uniform n=" + std::to_string(n));
+  }
+
+  // Exact hits and both neighbors of every vnode id, the ring's ends,
+  // and a duplicate of each, in a shuffled order.
+  std::vector<Uint160> edges = {Uint160::zero(), Uint160::max(),
+                                Uint160::zero(), Uint160::max()};
+  for (const Uint160& id : ids) {
+    edges.push_back(id);
+    edges.push_back(id + Uint160{1});
+    edges.push_back(id - Uint160{1});
+    edges.push_back(id);
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.below(i)]);
+  }
+  expect_batch_matches_point_covers(ring, edges, "ids, id+-1, ends");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverSortedDifferentialTest,
+                         ::testing::Values(1, 2, 3, 7, 42, 1337, 9001));
+
+TEST(CoverSorted, EmptyBatchNeedsNoRing) {
+  const FlatRing empty;
+  FlatRing::CoverScratch scratch;
+  empty.cover_sorted({}, {}, scratch);  // no vnode to cover with: no-op
+  FlatRing ring;
+  ring.insert(with_high(5, 0), 0, false);
+  ring.cover_sorted({}, {}, scratch);
+  EXPECT_EQ(ring.size(), 1u);
+}
+
+TEST(CoverSorted, OneVnodeRingCoversEveryKey) {
+  FlatRing ring;
+  const Slot only = ring.insert(with_high(1000, 77), 3, false);
+  const std::vector<Uint160> keys = {
+      Uint160::zero(),   with_high(1000, 76), with_high(1000, 77),
+      with_high(1000, 78), Uint160::max(),    with_high(1000, 77)};
+  std::vector<Slot> slots(keys.size(), FlatRing::kNoSlot);
+  FlatRing::CoverScratch scratch;
+  ring.cover_sorted(keys, slots, scratch);
+  for (const Slot slot : slots) EXPECT_EQ(slot, only);
+}
+
+TEST(CoverSorted, KeysSharingTopBitsSweepInFullKeyOrder) {
+  // Ring ids and keys that all share one high64 value, differing only
+  // below it: the bucket and prefix bits tie, so only the full-key
+  // order can place them.  Plus a second cluster to cross into.
+  FlatRing ring;
+  constexpr std::uint64_t kHigh = 0x8000000000000000ull;
+  for (const std::uint64_t low : {10u, 20u, 30u}) {
+    ring.insert(with_high(kHigh, low), 0, false);
+    ring.insert(with_high(kHigh + 1, low), 0, false);
+  }
+  std::vector<Uint160> keys;
+  for (std::uint64_t low = 40; low-- > 0;) {  // descending batch order
+    keys.push_back(with_high(kHigh, low));
+    keys.push_back(with_high(kHigh + 1, low));
+  }
+  keys.push_back(with_high(kHigh - 1, 5));  // just below the cluster
+  expect_batch_matches_point_covers(ring, keys, "shared high64");
+
+  // The same on a multi-block ring, where each of 2000 clusters shares
+  // its high64 with batch keys on both sides of every member.
+  FlatRing big;
+  support::Rng rng(17);
+  std::vector<std::uint64_t> highs;
+  for (int i = 0; i < 2000; ++i) highs.push_back(rng());
+  std::sort(highs.begin(), highs.end());
+  highs.erase(std::unique(highs.begin(), highs.end()), highs.end());
+  for (const std::uint64_t high : highs) {
+    big.bulk_append(with_high(high, 100), 0, false);
+    big.bulk_append(with_high(high, 200), 0, false);
+  }
+  big.finalize_bulk();
+  std::vector<Uint160> cluster_keys;
+  for (const std::uint64_t high : highs) {
+    for (const std::uint64_t low : {0u, 99u, 100u, 101u, 150u, 200u, 201u}) {
+      cluster_keys.push_back(with_high(high, low));
+    }
+  }
+  for (std::size_t i = cluster_keys.size(); i > 1; --i) {
+    std::swap(cluster_keys[i - 1], cluster_keys[rng.below(i)]);
+  }
+  expect_batch_matches_point_covers(big, cluster_keys, "clusters");
+}
+
+TEST(CoverSorted, NarrowHotspotBatchSortsInNLogN) {
+  // 10^5 keys inside a 2^100-wide arc share their top 60 bits, so they
+  // all land in one bucket.  A quadratic bucket sort would need ~10^9
+  // moves here; the std::sort fallback keeps it to milliseconds.
+  support::Rng rng(23);
+  FlatRing ring;
+  const std::vector<Uint160> ids = build_mutated_ring(ring, rng);
+  const Uint160 start = ids[ids.size() / 2] - Uint160::pow2(99);
+  std::vector<Uint160> keys;
+  for (int i = 0; i < 100'000; ++i) {
+    keys.push_back(rng.uniform_in_arc(start, start + Uint160::pow2(100)));
+  }
+  // Ring ids inside the arc, so the sweep has to stop within it.
+  for (int i = 0; i < 20; ++i) {
+    const Uint160 id = rng.uniform_in_arc(start, start + Uint160::pow2(100));
+    if (!ring.contains(id)) ring.insert(id, 2, true);
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  expect_batch_matches_point_covers(ring, keys, "hotspot");
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
 
 }  // namespace
 }  // namespace dhtlb::sim

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hashing/sha1.hpp"
@@ -66,15 +67,36 @@ TEST(TaskStream, ShardCountsPartitionTheTick) {
   }
 }
 
+TEST(TaskStream, ShardOffsetsTileTheTickBuffer) {
+  // Shard s's range starts where shard s-1's ends, from 0 to count_at.
+  const TaskStream stream(7, 100'003, 97);
+  for (const std::uint64_t t : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{50}, std::uint64_t{97},
+                                std::uint64_t{98}}) {
+    std::uint64_t next = 0;
+    for (std::size_t s = 0; s < kTickShards; ++s) {
+      EXPECT_EQ(stream.shard_offset(t, s), next) << "tick " << t;
+      next += stream.shard_count(t, s);
+    }
+    EXPECT_EQ(next, stream.count_at(t)) << "tick " << t;
+  }
+}
+
+TEST(TaskStreamDeathTest, DrawRejectsAMisSizedRange) {
+  const TaskStream stream(99, 5000, 13);
+  std::vector<TaskKey> short_by_one(stream.shard_count(1, 0) - 1);
+  EXPECT_DEATH(stream.draw_shard(1, 0, short_by_one),
+               "keys for a cell of");
+}
+
 TEST(TaskStream, DrawMatchesShardCountAndIsRepeatable) {
   const TaskStream stream(99, 5000, 13);
   for (std::uint64_t t = 1; t <= 13; ++t) {
     for (std::size_t s = 0; s < kTickShards; ++s) {
-      std::vector<TaskKey> once;
-      std::vector<TaskKey> twice;
+      std::vector<TaskKey> once(stream.shard_count(t, s));
+      std::vector<TaskKey> twice(stream.shard_count(t, s));
       stream.draw_shard(t, s, once);
       stream.draw_shard(t, s, twice);
-      EXPECT_EQ(once.size(), stream.shard_count(t, s));
       EXPECT_EQ(once, twice) << "draws must be pure in (tick, shard)";
     }
   }
@@ -91,10 +113,14 @@ TEST(TaskStream, EagerDrawMatchesReferenceReplayOnSevenSeeds) {
   for (const std::uint64_t seed : kSeeds) {
     const TaskStream stream(seed, kTotal, kWindow);
     for (std::uint64_t t = 1; t <= kWindow; ++t) {
-      // Eager per-tick multiset via the production API.
-      std::vector<TaskKey> eager;
+      // Eager per-tick multiset via the production API: one tick buffer,
+      // each shard drawing into its closed-form range.
+      std::vector<TaskKey> eager(stream.count_at(t));
       for (std::size_t s = 0; s < kTickShards; ++s) {
-        stream.draw_shard(t, s, eager);
+        stream.draw_shard(t, s,
+                          std::span<TaskKey>(eager).subspan(
+                              stream.shard_offset(t, s),
+                              stream.shard_count(t, s)));
       }
       // Reference replay, from first principles: balanced tick share,
       // balanced shard share, then raw stream_seed + SHA-1 draws.

@@ -199,6 +199,85 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   }
 }
 
+// inject_tasks places a whole batch in one sorted sweep, then appends
+// it in batch order.  Against the reference's per-key placement, after
+// every batch: each vnode holds its previous keys followed by exactly
+// the batch keys the reference assigns to it, in batch order, and the
+// workloads and both task counters follow.  Batches mix uniform keys,
+// a narrow hotspot, vnode ids and their neighbors, and duplicates;
+// membership changes between batches move the arcs they land on.
+TEST_P(WorldReferenceTest, InjectedBatchesAppendInBatchOrder) {
+  const std::uint64_t seed = GetParam();
+  support::Rng world_rng(seed);
+  Params params;
+  params.initial_nodes = 12;
+  params.total_tasks = 600;
+  World world(params, world_rng);
+
+  ReferenceModel ref;
+  for (const NodeIndex idx : world.alive_indices()) {
+    for (const Slot slot : world.physical(idx).vnode_slots) {
+      const Uint160& vid = world.vnode_id(slot);
+      ref.add_vnode(vid, idx);
+      for (const auto& key : world.vnode_keys(vid)) ref.add_key(key);
+    }
+  }
+
+  support::Rng op_rng(seed + 2);
+  for (int step = 0; step < 30; ++step) {
+    const auto alive = world.alive_indices();
+    const NodeIndex idx = alive[op_rng.below(alive.size())];
+    if (op_rng.below(3) != 0) {
+      const Uint160 id = op_rng.uniform_u160();
+      if (world.create_sybil(idx, id)) ref.add_vnode(id, idx);
+    } else if (world.alive_count() > 2 && world.depart(idx)) {
+      ref.depart(idx);
+    }
+
+    std::vector<Uint160> batch;
+    const std::uint64_t uniform = op_rng.below(300);
+    for (std::uint64_t i = 0; i < uniform; ++i) {
+      batch.push_back(op_rng.uniform_u160());
+    }
+    const Uint160 start = op_rng.uniform_u160();
+    for (int i = 0; i < 50; ++i) {
+      batch.push_back(op_rng.uniform_in_arc(start, start + Uint160::pow2(90)));
+    }
+    for (const auto& [vid, owner] : ref.vnodes()) {
+      if (op_rng.below(4) == 0) {
+        batch.push_back(vid);
+        batch.push_back(vid + Uint160{1});
+      }
+    }
+    batch.push_back(batch[op_rng.below(batch.size())]);
+
+    std::map<Uint160, std::vector<Uint160>> expected;
+    for (const auto& [vid, owner] : ref.vnodes()) {
+      expected[vid] = world.vnode_keys(vid);
+    }
+    for (const Uint160& key : batch) {
+      expected[ref.owner_vnode(key)].push_back(key);
+      ref.add_key(key);
+    }
+    const std::uint64_t total_before = world.total_tasks();
+    world.inject_tasks(batch);
+
+    for (const auto& [vid, keys] : expected) {
+      ASSERT_EQ(world.vnode_keys(vid), keys)
+          << "vnode " << vid << " at step " << step;
+    }
+    const auto ref_loads = ref.owner_loads();
+    for (const NodeIndex a : world.alive_indices()) {
+      const auto it = ref_loads.find(a);
+      ASSERT_EQ(world.workload(a), it == ref_loads.end() ? 0 : it->second)
+          << "owner " << a << " at step " << step;
+    }
+    ASSERT_EQ(world.remaining_tasks(), ref.total_keys()) << "step " << step;
+    ASSERT_EQ(world.total_tasks(), total_before + batch.size())
+        << "step " << step;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WorldReferenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 99, 1234));
 
