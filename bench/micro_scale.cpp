@@ -1,23 +1,26 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
 // assignment), successor-arc walks, point and batched lookups (cover,
-// cover_sorted), churn (join/depart cycles), and Sybil waves (bulk
-// create_sybil growth), the last two driving the blocked index's
-// in-block shifts and splits.  These are the throughput numbers the
-// scaling work is judged by — see the "Performance trajectory" section
-// of EXPERIMENTS.md.
+// cover_sorted), the full invariant audit, churn (join/depart
+// cycles), and Sybil waves (bulk create_sybil growth), the last two
+// driving the blocked index's in-block shifts and splits.  These are
+// the throughput numbers the scaling work is judged by — see the
+// "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 #include <vector>
 
+#include "sim/audit.hpp"
 #include "sim/flat_ring.hpp"
 #include "sim/world.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
+using dhtlb::sim::AuditReport;
 using dhtlb::sim::FlatRing;
+using dhtlb::sim::InvariantAuditor;
 using dhtlb::sim::Params;
 using dhtlb::sim::Slot;
 using dhtlb::sim::World;
@@ -86,6 +89,29 @@ BENCHMARK(BM_ScaleCover)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kNanosecond);
+
+void BM_ScaleAudit(benchmark::State& state) {
+  // The full InvariantAuditor::run() over BM_ScaleCover's world: every
+  // check, which is what an audited run pays per tick at this scale.
+  // Items are vnodes.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World w(make_params(nodes, 2 * nodes), rng);
+  for (auto _ : state) {
+    const AuditReport report = InvariantAuditor(w).run();
+    benchmark::DoNotOptimize(report);
+    if (!report.ok()) {
+      state.SkipWithError("audit of a clean world failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(w.vnode_count()));
+}
+BENCHMARK(BM_ScaleAudit)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScaleCoverBatch(benchmark::State& state) {
   // BM_ScaleCover's ring and keys, resolved as batches of one key per

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "support/ring_math.hpp"
 
@@ -52,38 +51,61 @@ void InvariantAuditor::check_index_integrity(AuditReport& report) const {
 }
 
 void InvariantAuditor::check_ring_order(AuditReport& report) const {
-  const auto ids = world_.ring_ids();
-  const std::size_t n = ids.size();
+  const std::size_t n = world_.vnode_count();
   if (n == 0) {
     fail(report, "ring-order", [](std::ostream& os) { os << "empty ring"; });
     return;
   }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (!(ids[i] < ids[i + 1])) {
+  // One ascending sweep.  Its first visit also walks the whole ring
+  // counterclockwise, so reported[j] is the predecessor the walk's j-th
+  // arc reports: that arc is sweep position n - 1 - j.  Position 0's
+  // predecessor comes from one arc_of.
+  std::vector<Uint160> reported;
+  reported.reserve(n - 1);
+  Uint160 first;
+  Uint160 prev;
+  std::size_t i = 0;
+  auto check_pred = [&](const Uint160& id, const Uint160& pred,
+                        const Uint160& expected_pred) {
+    if (pred != expected_pred) {
       fail(report, "ring-order", [&](std::ostream& os) {
-        os << "ids not strictly ascending at position " << i << ": "
-           << ids[i].to_short_hex() << " !< " << ids[i + 1].to_short_hex();
-      });
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Uint160 expected_pred = ids[(i + n - 1) % n];
-    const ArcView arc = world_.arc_of(ids[i]);
-    if (arc.pred != expected_pred) {
-      fail(report, "ring-order", [&](std::ostream& os) {
-        os << "vnode " << ids[i].to_short_hex() << " reports predecessor "
-           << arc.pred.to_short_hex() << ", ring order says "
+        os << "vnode " << id.to_short_hex() << " reports predecessor "
+           << pred.to_short_hex() << ", ring order says "
            << expected_pred.to_short_hex();
       });
     }
+  };
+  world_.for_each_arc([&](const ArcView& arc) {
+    const Uint160& id = arc.id;
+    if (i == 0) {
+      first = id;
+      for (const ArcView& walked : world_.predecessor_arcs(id, n)) {
+        reported.push_back(walked.pred);
+      }
+    } else {
+      if (!(prev < id)) {
+        fail(report, "ring-order", [&](std::ostream& os) {
+          os << "ids not strictly ascending at position " << i - 1 << ": "
+             << prev.to_short_hex() << " !< " << id.to_short_hex();
+        });
+      }
+      // A walk of the wrong length is successor-lists' finding; only
+      // the steps it did take are read here.
+      if (n - 1 - i < reported.size()) {
+        check_pred(id, reported[n - 1 - i], prev);
+      }
+    }
     // A lookup for a vnode's own ID must land exactly on that vnode.
-    if (world_.arc_covering(ids[i]).id != ids[i]) {
+    if (world_.arc_covering(id).id != id) {
       fail(report, "ring-order", [&](std::ostream& os) {
-        os << "lookup for vnode " << ids[i].to_short_hex()
+        os << "lookup for vnode " << id.to_short_hex()
            << " lands on a different vnode";
       });
     }
-  }
+    prev = id;
+    ++i;
+  });
+  check_pred(first, world_.arc_of(first).pred, prev);
 }
 
 void InvariantAuditor::check_key_partition(AuditReport& report) const {
@@ -91,7 +113,15 @@ void InvariantAuditor::check_key_partition(AuditReport& report) const {
   world_.for_each_arc([&](const ArcView& arc,
                           const std::vector<TaskKey>& keys) {
     const Uint160& id = arc.id;
+    // A key whose top 64 bits lie strictly between those of the ends of
+    // an arc that does not wrap is inside it; the rest take the exact
+    // 160-bit test.
+    const bool wraps = !(arc.pred < arc.id);
+    const std::uint64_t low = arc.pred.high64();
+    const std::uint64_t high = arc.id.high64();
     for (const TaskKey& key : keys) {
+      const std::uint64_t top = key.high64();
+      if (!wraps && low < top && top < high) continue;
       if (!support::in_half_open_arc(key, arc.pred, arc.id)) {
         fail(report, "key-partition", [&](std::ostream& os) {
           os << "key " << key.to_short_hex() << " stored on vnode "
@@ -106,40 +136,49 @@ void InvariantAuditor::check_key_partition(AuditReport& report) const {
 }
 
 void InvariantAuditor::check_successor_lists(AuditReport& report) const {
+  // Every k-list a strategy reads is an ArcWalk: a run of consecutive
+  // next() (or prev()) steps from one vnode's cursor that stops after k
+  // steps or when it wraps back to its start, whichever comes first.
+  // So one whole-ring walk per direction, from the first vnode with
+  // k = n, takes every step any list can take.  If each step lands on
+  // the next id in ring order and each walk stops after exactly n - 1
+  // steps (the wrap back to the start, never earlier or later), then
+  // every vnode's list is the next min(k, n - 1) ids of ring order:
+  // the §V-B length rule.
   const auto ids = world_.ring_ids();
   const std::size_t n = ids.size();
   if (n == 0) return;
-  const std::size_t k = std::max<std::size_t>(1, world_.params().num_successors);
-  const std::size_t expected_len = std::min(k, n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Walk both lists, noting the first entry off ring order.
-    std::size_t bad = expected_len;
-    std::size_t succs = 0;
-    for (const ArcView& arc : world_.successor_arcs(ids[i], k)) {
-      if (succs < expected_len && arc.id != ids[(i + 1 + succs) % n]) {
-        bad = std::min(bad, succs);
+  // Step j of the clockwise walk should land on ids[j], step j of the
+  // counterclockwise one on ids[n - j].  Only the first step off ring
+  // order is reported: every later step of that walk is misaligned and
+  // would only repeat it.
+  auto walk = [&](bool clockwise) {
+    const World::ArcWalk arcs =
+        clockwise ? world_.successor_arcs(ids.front(), n)
+                  : world_.predecessor_arcs(ids.front(), n);
+    std::size_t steps = 0;
+    bool off_order = false;
+    for (const ArcView& arc : arcs) {
+      ++steps;
+      const std::size_t at = clockwise ? steps : n - steps;
+      if (!off_order && steps < n && arc.id != ids[at]) {
+        off_order = true;
+        const Uint160& from = ids[clockwise ? at - 1 : (at + 1) % n];
+        fail(report, "successor-lists", [&](std::ostream& os) {
+          os << "vnode " << from.to_short_hex()
+             << " list entry 0 disagrees with ring order";
+        });
       }
-      ++succs;
     }
-    std::size_t preds = 0;
-    for (const ArcView& arc : world_.predecessor_arcs(ids[i], k)) {
-      if (preds < expected_len && arc.id != ids[(i + n - 1 - preds) % n]) {
-        bad = std::min(bad, preds);
-      }
-      ++preds;
-    }
-    if (succs != expected_len || preds != expected_len) {
-      fail(report, "successor-lists", [&](std::ostream& os) {
-        os << "vnode " << ids[i].to_short_hex() << " has " << succs
-           << " successors / " << preds << " predecessors, expected "
-           << expected_len;
-      });
-    } else if (bad != expected_len) {
-      fail(report, "successor-lists", [&](std::ostream& os) {
-        os << "vnode " << ids[i].to_short_hex() << " list entry " << bad
-           << " disagrees with ring order";
-      });
-    }
+    return steps;
+  };
+  const std::size_t succs = walk(/*clockwise=*/true);
+  const std::size_t preds = walk(/*clockwise=*/false);
+  if (succs != n - 1 || preds != n - 1) {
+    fail(report, "successor-lists", [&](std::ostream& os) {
+      os << "vnode " << ids.front().to_short_hex() << " has " << succs
+         << " successors / " << preds << " predecessors, expected " << n - 1;
+    });
   }
 }
 
@@ -179,8 +218,9 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
       }
     }
   });
-  // Every listed slot must be a live vnode owned by its lister: one ring
-  // search per vnode.  A freed slot left in a list fails here.
+  // Every listed slot must be a live vnode owned by its lister, read
+  // from one sweep's live marks.  A freed slot left in a list fails here.
+  const std::vector<std::uint8_t> live = world_.vnode_live_marks();
   for (const NodeIndex idx : world_.alive_indices()) {
     const std::vector<Slot>& slots = world_.physical(idx).vnode_slots;
     if (slots.empty()) {
@@ -190,7 +230,7 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
       continue;
     }
     for (const Slot slot : slots) {
-      if (!world_.vnode_live(slot)) {
+      if (slot >= live.size() || live[slot] == 0) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
           os << "node " << idx << " lists slot " << slot
              << ", which holds no vnode in the ring";
@@ -249,9 +289,7 @@ void InvariantAuditor::check_membership(AuditReport& report) const {
          << " physical nodes";
     });
   }
-  // Duplicate-membership probe: insert() results only, never iterated.
-  // dhtlb:lint-allow(unordered-iteration)
-  std::unordered_set<NodeIndex> seen;
+  std::vector<std::uint8_t> seen(physicals, 0);
   auto visit = [&](const std::vector<NodeIndex>& list, const char* label) {
     for (const NodeIndex idx : list) {
       if (idx >= physicals) {
@@ -260,11 +298,12 @@ void InvariantAuditor::check_membership(AuditReport& report) const {
         });
         continue;
       }
-      if (!seen.insert(idx).second) {
+      if (seen[idx] != 0) {
         fail(report, "membership", [&](std::ostream& os) {
           os << "node " << idx << " appears in both membership lists";
         });
       }
+      seen[idx] = 1;
     }
   };
   visit(world_.alive_indices(), "alive");

@@ -18,8 +18,9 @@
 //                    (pred, id] — together with uniqueness of storage
 //                    this is exact key-partition coverage
 //   successor-lists  successor_arcs / predecessor_arcs — the walks the
-//                    strategies read — agree with the ring order
-//                    (length num_successors, §V-B)
+//                    strategies read — agree with the ring order and
+//                    stop after min(k, n - 1) steps (§V-B): checked by
+//                    one whole-ring walk per direction
 //   sybil-ownership  every vnode's owner is alive and lists it exactly
 //                    once; is_sybil matches list position; every slot a
 //                    node lists is a live vnode, indexed under its own
@@ -32,6 +33,12 @@
 //                    is_alive and the cached home shards agree with
 //                    alive_
 //   conservation     tasks stored in the ring == remaining task count
+//
+// Cost model: every check is an ordered pass over the ring, its keys or
+// the physical population, O(ring + keys) per audit with no per-vnode
+// search.  The one exception is ring-order's point lookup per vnode,
+// since "a lookup for a vnode's own ID lands on it" is the invariant it
+// tests.  Nothing is cached between audits.
 //
 // In audit builds (-DDHTLB_AUDIT=ON) sim::Engine runs the full audit
 // after every tick and aborts with the offending tick + seed on the

@@ -59,6 +59,14 @@ bool FlatRing::is_live(Slot s) const {
   return slot_at(c) == s && id_at(c) == ids_[s];
 }
 
+std::vector<std::uint8_t> FlatRing::live_marks() const {
+  std::vector<std::uint8_t> marks(ids_.size(), 0);
+  for_each([&](const Uint160& id, Slot s) {
+    if (s < ids_.size() && ids_[s] == id) marks[s] = 1;
+  });
+  return marks;
+}
+
 // --- cursors --------------------------------------------------------------
 
 FlatRing::Cursor FlatRing::find(const Uint160& id) const {

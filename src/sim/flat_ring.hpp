@@ -90,6 +90,10 @@ class FlatRing {
   /// True iff `s` is an arena slot whose stored id is in the index and
   /// maps back to `s` (false for freed or out-of-range slots).  One search.
   bool is_live(Slot s) const;
+  /// Bulk form of is_live: one mark per arena slot, set iff the index
+  /// holds the slot's stored id at that slot.  One index sweep, no
+  /// search; slots at or past the returned size are not live.
+  std::vector<std::uint8_t> live_marks() const;
   NodeIndex owner(Slot s) const { return owners_[s]; }
   void set_owner(Slot s, NodeIndex owner) { owners_[s] = owner; }
   bool is_sybil(Slot s) const { return sybils_[s] != 0; }

@@ -166,9 +166,13 @@ class World {
   /// Owner recorded in a slot's arena entry.
   NodeIndex vnode_owner(Slot slot) const { return ring_.owner(slot); }
 
-  /// True iff `slot` holds a vnode in the ring, indexed under the id the
-  /// slot stores.  One ring search; for the auditor and tests.
-  bool vnode_live(Slot slot) const { return ring_.is_live(slot); }
+  /// One mark per slot: marks[s] != 0 iff slot s holds a vnode in the
+  /// ring, indexed under the id the slot stores; no slot at or past
+  /// marks.size() is live.  One ring sweep, no search; for the auditor
+  /// and tests.
+  std::vector<std::uint8_t> vnode_live_marks() const {
+    return ring_.live_marks();
+  }
 
   /// Ring id of an alive node's primary vnode.
   const Uint160& primary_id(NodeIndex idx) const {

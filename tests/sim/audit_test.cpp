@@ -67,6 +67,19 @@ TEST(InvariantAuditorTest, DetectsOrphanedKey) {
   EXPECT_TRUE(failing_checks(world).contains("key-partition"));
 }
 
+TEST(InvariantAuditorTest, DetectsKeyJustOutsideItsArc) {
+  // A key at an arc's excluded end or one past its id shares the top 64
+  // bits of that end, so it reaches the exact 160-bit arc test.
+  for (const bool past_id : {false, true}) {
+    support::Rng rng(67);
+    World world(small_params(), rng);
+    ASSERT_TRUE(WorldCorruptor::plant_boundary_key(world, past_id));
+    const std::set<std::string> failing = failing_checks(world);
+    EXPECT_TRUE(failing.contains("key-partition")) << "past_id " << past_id;
+    EXPECT_EQ(failing.size(), 1u) << InvariantAuditor(world).run().to_string();
+  }
+}
+
 TEST(InvariantAuditorTest, DetectsDuplicatedArc) {
   support::Rng rng(17);
   World world(small_params(), rng);
@@ -129,6 +142,56 @@ TEST(InvariantAuditorTest, DetectsStaleBlockSummary) {
   const std::set<std::string> failing = failing_checks(world);
   EXPECT_TRUE(failing.contains("index-integrity"));
   EXPECT_FALSE(failing.contains("ring-order"));
+}
+
+TEST(InvariantAuditorTest, DetectsOutOfOrderIndex) {
+  // Two adjacent index entries trade places.  Both walks follow the
+  // index, so successor-lists and the predecessor edges agree with its
+  // sweep; ring-order's ascending check and point lookups must catch it.
+  support::Rng rng(47);
+  World world(small_params(), rng);
+  ASSERT_TRUE(WorldCorruptor::misorder_ring_index(world));
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
+  EXPECT_TRUE(failing_checks(world).contains("ring-order"));
+}
+
+TEST(InvariantAuditorTest, DetectsListedFreedSlot) {
+  // The Sybil's vnode is gone from the ring (its keys merged into the
+  // successor) but its owner still lists the freed slot: the slot's
+  // arena entry still names the owner, so only the live mark says it
+  // holds no vnode.
+  support::Rng rng(53);
+  World world(small_params(), rng);
+  ASSERT_TRUE(WorldCorruptor::list_freed_slot(world, rng));
+  EXPECT_FALSE(InvariantAuditor(world).run().ok());
+  EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
+}
+
+TEST(InvariantAuditorTest, TinyRingsPassEveryCheck) {
+  // The whole-ring walks at their edges: a lone vnode (both walks
+  // empty), two and three vnodes (every step wraps within a list), and a
+  // ring shorter than its successor lists (n - 1 < num_successors).
+  for (const std::size_t nodes : {1u, 2u, 3u}) {
+    support::Rng rng(59 + nodes);
+    Params params;
+    params.initial_nodes = nodes;
+    params.total_tasks = 50;
+    const World world(params, rng);
+    ASSERT_EQ(world.vnode_count(), nodes);
+    EXPECT_TRUE(AuditClean(world)) << nodes << " vnodes";
+  }
+  support::Rng rng(61);
+  Params params;
+  params.initial_nodes = 4;
+  params.total_tasks = 50;
+  params.num_successors = 8;
+  World world(params, rng);
+  ASSERT_LT(world.vnode_count() - 1, params.num_successors);
+  EXPECT_TRUE(AuditClean(world));
+  const NodeIndex idx = world.alive_indices().front();
+  ASSERT_TRUE(
+      world.create_sybil(idx, hashing::Sha1::hash_u64(rng())).has_value());
+  EXPECT_TRUE(AuditClean(world)) << "after a Sybil joins";
 }
 
 TEST(InvariantAuditorTest, SybilCapViolationIsDetected) {

@@ -6,6 +6,7 @@
 // strategies and exotic configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -26,8 +27,9 @@ struct MatrixCase {
   unsigned max_sybils;
 };
 
-std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
-  const MatrixCase& c = info.param;
+// The test-name suffix, also what gtest prints for the parameter (no
+// raw bytes, so --gtest_list_tests output is reproducible).
+std::string describe(const MatrixCase& c) {
   std::string name = c.strategy;
   for (auto& ch : name) {
     if (ch == '-') ch = '_';
@@ -39,6 +41,12 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   name += c.churn > 0 ? "_churn" : "_nochurn";
   name += "_m" + std::to_string(c.max_sybils);
   return name;
+}
+
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << describe(c); }
+
+std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
+  return describe(info.param);
 }
 
 class EngineMatrix : public ::testing::TestWithParam<MatrixCase> {};

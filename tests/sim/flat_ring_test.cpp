@@ -117,6 +117,30 @@ TEST(FlatRingTest, IsLiveTracksASlotsLifetime) {
   EXPECT_FALSE(ring.is_live(a));
 }
 
+TEST(FlatRingTest, LiveMarksAgreeWithIsLive) {
+  FlatRing ring;
+  EXPECT_TRUE(ring.live_marks().empty()) << "empty arena";
+  const Slot a = ring.insert(id(5), 0, false);
+  const Slot b = ring.insert(id(9), 0, false);
+  ring.insert(id(20), 0, false);
+  ring.erase(id(5));
+  ring.erase(id(9));
+  ring.insert(id(5), 0, false);  // recycles b; a still stores id 5
+  auto expect_agree = [&ring](const char* label) {
+    const std::vector<std::uint8_t> marks = ring.live_marks();
+    ASSERT_EQ(marks.size(), 3u) << label;
+    for (Slot s = 0; s < marks.size(); ++s) {
+      EXPECT_EQ(marks[s] != 0, ring.is_live(s)) << label << ", slot " << s;
+    }
+  };
+  expect_agree("recycled slot");
+  EXPECT_EQ(ring.live_marks()[a], 0) << "a stores id 5, indexed under b";
+  EXPECT_NE(ring.live_marks()[b], 0);
+  // An index entry whose slot stores a different id marks nothing.
+  ASSERT_TRUE(testing::FlatRingCorruptor::desync_arena_id(ring));
+  expect_agree("desynced arena id");
+}
+
 TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   // The replacement for the old "map value pointers never move"
   // contract: a cached Slot must survive inserts, erases, and the block

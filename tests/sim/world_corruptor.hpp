@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 
 #include "hashing/sha1.hpp"
 #include "sim/world.hpp"
@@ -38,6 +39,30 @@ struct WorldCorruptor {
     ring.tasks(dst_slot).add(key);
     --world.physicals_[ring.owner(src_slot)].workload;
     ++world.physicals_[ring.owner(dst_slot)].workload;
+    return true;
+  }
+
+  /// Stores one extra task key on the second vnode in ring order, whose
+  /// arc (first, second] does not wrap: the arc's own predecessor id
+  /// (the excluded end) or, with `past_id`, its id + 1.  Either lies
+  /// just outside the arc and shares its top 64 bits with an arc end.
+  /// Workload and task counters are raised to match.  Target check:
+  /// key-partition.
+  static bool plant_boundary_key(World& world, bool past_id) {
+    if (world.ring_.size() < 2) return false;
+    FlatRing& ring = world.ring_;
+    const FlatRing::Cursor first = ring.first();
+    const FlatRing::Cursor second = ring.next(first);
+    TaskKey key = ring.id_at(first);
+    if (past_id) {
+      key = ring.id_at(second);
+      key += Uint160{1};
+    }
+    const Slot slot = ring.slot_at(second);
+    ring.tasks(slot).add(key);
+    ++world.physicals_[ring.owner(slot)].workload;
+    ++world.remaining_;
+    ++world.total_tasks_;
     return true;
   }
 
@@ -75,6 +100,21 @@ struct WorldCorruptor {
     return true;
   }
 
+  /// Creates a Sybil through the public API, then removes its vnode
+  /// from the ring (keys merged into the successor, workload caches
+  /// kept consistent) while its owner still lists the freed slot.
+  /// Target check: sybil-ownership.
+  static bool list_freed_slot(World& world, support::Rng& rng) {
+    if (world.alive_.empty()) return false;
+    const NodeIndex creator = world.alive_[0];
+    Uint160 sybil_id;
+    do {
+      sybil_id = hashing::Sha1::hash_u64(rng());
+    } while (!world.create_sybil(creator, sybil_id));
+    world.remove_vnode(world.physicals_[creator].vnode_slots.back());
+    return true;
+  }
+
   /// Inflates the remaining-task counter past what the ring stores.
   /// Target check: conservation.
   static void inflate_remaining(World& world) { ++world.remaining_; }
@@ -102,6 +142,10 @@ struct WorldCorruptor {
   /// Leaves the flat ring's last block summary id stale (see
   /// FlatRingCorruptor).  Target check: index-integrity.
   static bool stale_ring_summary(World& world);
+
+  /// Swaps two adjacent index entries of the flat ring (see
+  /// FlatRingCorruptor).  Target check: ring-order.
+  static bool misorder_ring_index(World& world);
 };
 
 /// Backdoor into FlatRing's private halves (friend of FlatRing), for
@@ -125,6 +169,18 @@ struct FlatRingCorruptor {
     ring.block_max_.back() += Uint160{1};
     return true;
   }
+
+  /// Swaps two adjacent (id, slot) entries in the middle of the first
+  /// block, so the index is out of ascending order at one point while
+  /// every entry still maps to its own slot.  The first entry stays in
+  /// place, so a search for the smallest id still finds it.
+  static bool swap_adjacent_entries(FlatRing& ring) {
+    if (ring.empty() || ring.blocks_.front().size() < 3) return false;
+    auto& block = ring.blocks_.front();
+    const std::size_t pos = block.size() / 2;
+    std::swap(block[pos - 1], block[pos]);
+    return true;
+  }
 };
 
 inline bool WorldCorruptor::desync_ring_index(World& world) {
@@ -133,6 +189,10 @@ inline bool WorldCorruptor::desync_ring_index(World& world) {
 
 inline bool WorldCorruptor::stale_ring_summary(World& world) {
   return FlatRingCorruptor::stale_block_summary(world.ring_);
+}
+
+inline bool WorldCorruptor::misorder_ring_index(World& world) {
+  return FlatRingCorruptor::swap_adjacent_entries(world.ring_);
 }
 
 }  // namespace dhtlb::sim::testing
