@@ -1,9 +1,10 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
 // assignment), successor-arc walks, point and batched lookups (cover,
-// cover_sorted), the full invariant audit, churn (join/depart
-// cycles), and Sybil waves (bulk create_sybil growth), the last two
-// driving the blocked index's in-block shifts and splits.  These are
+// cover_sorted), the full invariant audit, one consume pass and one
+// invitation round (the tick's two serial node loops), churn
+// (join/depart cycles), and Sybil waves (bulk create_sybil growth),
+// the last two driving the blocked index's in-block shifts and splits.  These are
 // the throughput numbers the scaling work is judged by — see the
 // "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
@@ -11,8 +12,10 @@
 #include <optional>
 #include <vector>
 
+#include "lb/factory.hpp"
 #include "sim/audit.hpp"
 #include "sim/flat_ring.hpp"
+#include "sim/strategy.hpp"
 #include "sim/world.hpp"
 #include "support/rng.hpp"
 
@@ -21,6 +24,7 @@ namespace {
 using dhtlb::sim::AuditReport;
 using dhtlb::sim::FlatRing;
 using dhtlb::sim::InvariantAuditor;
+using dhtlb::sim::NodeIndex;
 using dhtlb::sim::Params;
 using dhtlb::sim::Slot;
 using dhtlb::sim::World;
@@ -109,6 +113,65 @@ void BM_ScaleAudit(benchmark::State& state) {
                           static_cast<std::int64_t>(w.vnode_count()));
 }
 BENCHMARK(BM_ScaleAudit)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScaleConsume(benchmark::State& state) {
+  // One consume pass over BM_ScaleCover's world, as the engine's consume
+  // phase runs it: the alive nodes binned by home shard, each shard's
+  // members consumed in order on one stream.  Every iteration starts
+  // from a fresh copy of the world (not timed).  Items are nodes.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World start(make_params(nodes, 2 * nodes), rng);
+  std::vector<std::vector<NodeIndex>> shards(dhtlb::sim::kTickShards);
+  for (const NodeIndex idx : start.alive_indices()) {
+    shards[start.home_shard(idx)].push_back(idx);
+  }
+  std::optional<World> w;
+  for (auto _ : state) {
+    state.PauseTiming();
+    w.emplace(start);
+    Rng consume_rng(5);
+    state.ResumeTiming();
+    std::uint64_t consumed = 0;
+    for (const auto& members : shards) {
+      consumed += w->consume_members(members, consume_rng);
+    }
+    benchmark::DoNotOptimize(consumed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ScaleConsume)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScaleDecide(benchmark::State& state) {
+  // One Invitation decision round over BM_ScaleCover's world: every
+  // alive node in a shuffled order, overburdened ones inviting a
+  // predecessor to split their busiest arc.  Every iteration starts
+  // from a fresh copy of the world (not timed).  Items are nodes.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World start(make_params(nodes, 2 * nodes), rng);
+  const auto strategy = dhtlb::lb::make_strategy("invitation");
+  std::optional<World> w;
+  for (auto _ : state) {
+    state.PauseTiming();
+    w.emplace(start);
+    Rng decide_rng(5);
+    dhtlb::sim::StrategyCounters counters;
+    state.ResumeTiming();
+    strategy->decide(*w, decide_rng, counters);
+    benchmark::DoNotOptimize(counters.sybils_created);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ScaleDecide)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "lb/rules.hpp"
+#include "support/prefetch.hpp"
 
 namespace dhtlb::lb {
 
@@ -28,6 +29,12 @@ constexpr StrategyEntry kTable[] = {
      false},
 };
 
+/// Turns ahead at which the round hints the id of a node's busiest
+/// vnode, the key of the ring search a rule starts from.  Below
+/// World::kNodePrefetchDistance, so the store headers the busiest scan
+/// reads were hinted a few turns earlier.
+constexpr std::size_t kBusiestPrefetchDistance = 2;
+
 /// The one decision round every balancing strategy runs.  It owns the
 /// visitation buffer and any per-instance rule memory (neighbor
 /// injection's failed-range marks), so a hot-swap, which builds a new
@@ -42,7 +49,15 @@ class DecisionRound final : public sim::Strategy {
               sim::StrategyCounters& counters) override {
     shuffled_alive_into(world, rng, order_);
     NodeTurn turn{world, rng, counters, failed_ranges_};
-    for (const sim::NodeIndex idx : order_) {
+    const std::size_t n = order_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      // Cache hints only: each turn reads the world afresh.
+      world.prefetch_ahead(order_, i);
+      if (i + kBusiestPrefetchDistance < n) {
+        support::prefetch(&world.vnode_id(
+            world.busiest_vnode(order_[i + kBusiestPrefetchDistance])));
+      }
+      const sim::NodeIndex idx = order_[i];
       if (entry_.retires_idle_sybils) retire_idle_sybils(world, idx, counters);
       turn.idx = idx;
       entry_.rule(turn, entry_.param);

@@ -1,5 +1,6 @@
 #include "lb/rules.hpp"
 
+#include <array>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -165,24 +166,32 @@ void invitation(NodeTurn& turn, std::uint64_t /*unused*/) {
 
   // The announcer's most-loaded vnode is the arc worth splitting (purely
   // local information).  Overloaded means workload > 0, so that arc
-  // holds tasks.
-  const sim::ArcView heavy =
-      world.arc_of(world.vnode_id(world.busiest_vnode(idx)));
+  // holds tasks.  The arc and its predecessor walk share one ring search.
+  const sim::World::ArcWalk predecessors = world.predecessor_arcs(
+      world.vnode_id(world.busiest_vnode(idx)), world.params().num_successors);
+  const sim::ArcView heavy = predecessors.start_arc();
   if (!has_interior(heavy)) return;  // nowhere to stand
   ++turn.counters.invitations_sent;
 
+  // Gather the candidate owners first and hint their records, so the
+  // record misses overlap instead of coming one per predecessor.
+  std::array<sim::NodeIndex, sim::Params::kMaxSuccessors> candidates;
+  std::size_t count = 0;
+  for (const sim::ArcView& parc : predecessors) {
+    if (parc.owner == idx) continue;  // don't invite ourselves
+    world.prefetch_node(parc.owner, sim::World::NodeLines::kRecord);
+    candidates[count++] = parc.owner;
+  }
+
   std::optional<sim::NodeIndex> helper;
   std::uint64_t helper_load = 0;
-  for (const sim::ArcView& parc :
-       world.predecessor_arcs(heavy.id, world.params().num_successors)) {
-    if (parc.owner == idx) continue;  // don't invite ourselves
-    const std::uint64_t load = world.workload(parc.owner);
+  for (std::size_t i = 0; i < count; ++i) {
+    const sim::NodeIndex owner = candidates[i];
+    const std::uint64_t load = world.workload(owner);
     if (load > threshold) continue;
-    if (world.sybil_count(parc.owner) >= world.sybil_cap(parc.owner)) {
-      continue;
-    }
+    if (world.sybil_count(owner) >= world.sybil_cap(owner)) continue;
     if (!helper || load < helper_load) {
-      helper = parc.owner;
+      helper = owner;
       helper_load = load;
     }
   }

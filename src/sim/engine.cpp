@@ -342,11 +342,7 @@ bool Engine::step() {
   for_each_shard([&](std::size_t s) {
     ShardScratch& shard = shards_[s];
     support::Rng rng(support::stream_seed(tick_seed, kStreamConsume, s));
-    std::uint64_t consumed = 0;
-    for (const NodeIndex idx : shard.members) {
-      consumed += world_.consume_local(idx, world_.work_per_tick(idx), rng);
-    }
-    shard.consumed = consumed;
+    shard.consumed = world_.consume_members(shard.members, rng);
   });
   std::uint64_t done_this_tick = 0;
   for (const auto& shard : shards_) done_this_tick += shard.consumed;

@@ -42,6 +42,7 @@ std::size_t FlatRing::pos_lower_bound(std::size_t b, const Uint160& id) const {
 }
 
 FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
+  DHTLB_CHECK(!bulk_mode_, "FlatRing::lower_bound during bulk load");
   const std::size_t b = block_lower_bound(id);
   if (b == blocks_.size()) return Cursor{b, 0};
   return Cursor{b, pos_lower_bound(b, id)};
@@ -49,8 +50,7 @@ FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
 
 bool FlatRing::contains(const Uint160& id) const {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::contains during bulk load");
-  const Cursor c = lower_bound(id);
-  return c.block < blocks_.size() && id_at(c) == id;
+  return holds(lower_bound(id), id);
 }
 
 bool FlatRing::is_live(Slot s) const {
@@ -72,17 +72,14 @@ std::vector<std::uint8_t> FlatRing::live_marks() const {
 FlatRing::Cursor FlatRing::find(const Uint160& id) const {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::find during bulk load");
   const Cursor c = lower_bound(id);
-  DHTLB_CHECK(c.block < blocks_.size() && id_at(c) == id,
-              "FlatRing::find: id " << id << " not in ring");
+  DHTLB_CHECK(holds(c, id), "FlatRing::find: id " << id << " not in ring");
   return c;
 }
 
 FlatRing::Cursor FlatRing::cover(const Uint160& point) const {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::cover during bulk load");
   DHTLB_CHECK(live_ > 0, "FlatRing::cover on empty ring");
-  const Cursor c = lower_bound(point);
-  if (c.block == blocks_.size()) return first();  // wrapped past the top
-  return c;
+  return wrap(lower_bound(point));  // past the top wraps to the first
 }
 
 void FlatRing::cover_sorted(std::span<const Uint160> keys,
@@ -227,7 +224,12 @@ void FlatRing::free_slot(Slot s) {
 // --- mutation -------------------------------------------------------------
 
 Slot FlatRing::insert(const Uint160& id, NodeIndex owner, bool is_sybil) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::insert during bulk load");
+  return insert_at(lower_bound(id), id, owner, is_sybil);
+}
+
+Slot FlatRing::insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
+                         bool is_sybil) {
+  DHTLB_CHECK(!bulk_mode_, "FlatRing::insert_at during bulk load");
   if (blocks_.empty()) {
     const Slot slot = alloc_slot(id, owner, is_sybil);
     blocks_.push_back(Block{Entry{id, slot}});
@@ -235,16 +237,24 @@ Slot FlatRing::insert(const Uint160& id, NodeIndex owner, bool is_sybil) {
     ++live_;
     return slot;
   }
-  std::size_t b = block_lower_bound(id);
-  std::size_t pos;
-  if (b == blocks_.size()) {
+  std::size_t b = at.block;
+  std::size_t pos = at.pos;
+  if (is_end(at)) {
     b = blocks_.size() - 1;  // past every id: becomes the last block's max
     pos = blocks_[b].size();
   } else {
-    pos = pos_lower_bound(b, id);
+    DHTLB_CHECK(b < blocks_.size() && pos < blocks_[b].size(),
+                "FlatRing::insert_at: cursor out of range");
     DHTLB_ASSERT(!(blocks_[b][pos].id == id),
                  "FlatRing::insert: duplicate id " << id);
   }
+  // `at` must be id's lower_bound: the entry it points at (if any) above
+  // id, the entry before it below.
+  DHTLB_ASSERT((is_end(at) || id < blocks_[b][pos].id) &&
+                   ((b == 0 && pos == 0) ||
+                    (pos > 0 ? blocks_[b][pos - 1].id : block_max_[b - 1]) <
+                        id),
+               "FlatRing::insert_at: cursor is not the lower_bound of " << id);
   const Slot slot = alloc_slot(id, owner, is_sybil);
   Block& block = blocks_[b];
   block.insert(block.begin() + static_cast<std::ptrdiff_t>(pos),
@@ -267,10 +277,15 @@ void FlatRing::split_block(std::size_t b) {
 }
 
 void FlatRing::erase(const Uint160& id) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::erase during bulk load");
   const Cursor c = lower_bound(id);
-  DHTLB_CHECK(c.block < blocks_.size() && id_at(c) == id,
-              "FlatRing::erase: id " << id << " not in ring");
+  DHTLB_CHECK(holds(c, id), "FlatRing::erase: id " << id << " not in ring");
+  erase_at(c);
+}
+
+void FlatRing::erase_at(const Cursor& c) {
+  DHTLB_CHECK(!bulk_mode_, "FlatRing::erase_at during bulk load");
+  DHTLB_CHECK(c.block < blocks_.size() && c.pos < blocks_[c.block].size(),
+              "FlatRing::erase_at: cursor out of range");
   Block& block = blocks_[c.block];
   free_slot(block[c.pos].slot);
   block.erase(block.begin() + static_cast<std::ptrdiff_t>(c.pos));

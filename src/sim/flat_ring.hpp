@@ -110,7 +110,28 @@ class FlatRing {
   struct Cursor {
     std::size_t block = 0;
     std::size_t pos = 0;
+    friend bool operator==(const Cursor&, const Cursor&) = default;
   };
+
+  /// Cursor of the first vnode with id >= `id`, or the end cursor
+  /// (is_end) when every id is smaller: the one search behind contains,
+  /// find, cover, insert and erase.  A caller that probes an id and then
+  /// inserts or erases it hands this cursor to insert_at/erase_at
+  /// instead of searching a second time.
+  Cursor lower_bound(const Uint160& id) const;
+
+  /// True iff `c` is the end cursor: no vnode at or after the id
+  /// lower_bound searched for.
+  bool is_end(const Cursor& c) const { return c.block == blocks_.size(); }
+
+  /// True iff the lower_bound cursor `c` of `id` points at `id` itself.
+  bool holds(const Cursor& c, const Uint160& id) const {
+    return !is_end(c) && id_at(c) == id;
+  }
+
+  /// cover(id) from lower_bound(id): the end cursor wraps clockwise to
+  /// the first vnode.  Ring must be non-empty.
+  Cursor wrap(const Cursor& c) const { return is_end(c) ? first() : c; }
 
   /// Cursor of an id that is in the ring (DHTLB_CHECKs otherwise).
   Cursor find(const Uint160& id) const;
@@ -164,12 +185,24 @@ class FlatRing {
   // --- mutation -----------------------------------------------------------
 
   /// Inserts a new vnode (id must not be present) into its block and
-  /// returns its arena slot.  O(kBlockCapacity).
+  /// returns its arena slot.  O(kBlockCapacity).  lower_bound plus
+  /// insert_at.
   Slot insert(const Uint160& id, NodeIndex owner, bool is_sybil);
+
+  /// Cursor form of insert: `at` must be lower_bound(id), taken since
+  /// the last mutation, and must not hold `id`.  The new vnode goes in
+  /// at that position without a second search.
+  Slot insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
+                 bool is_sybil);
 
   /// Removes a vnode (id must be present), freeing its slot.  Any tasks
   /// still in its store are dropped — callers merge them out first.
+  /// lower_bound plus erase_at.
   void erase(const Uint160& id);
+
+  /// Cursor form of erase: removes the vnode `c` points at (a cursor
+  /// taken since the last mutation) without a second search.
+  void erase_at(const Cursor& c);
 
   /// Pre-sizes the arena (and the block list) for n vnodes.
   void reserve(std::size_t n);
@@ -208,9 +241,6 @@ class FlatRing {
   /// First position in blocks_[b] with id >= `id`; blocks_[b].size() if
   /// none.
   std::size_t pos_lower_bound(std::size_t b, const Uint160& id) const;
-  /// Cursor of the first entry with id >= `id`; block == blocks_.size()
-  /// when every id is smaller.
-  Cursor lower_bound(const Uint160& id) const;
 
   Cursor last() const;
 

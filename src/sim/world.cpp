@@ -132,17 +132,6 @@ std::vector<std::uint64_t> World::alive_workloads() const {
   return loads;
 }
 
-ArcView World::view_at(const FlatRing::Cursor& cursor) const {
-  const Slot slot = ring_.slot_at(cursor);
-  ArcView view;
-  view.id = ring_.id_at(cursor);
-  view.pred = ring_.id_at(ring_.prev(cursor));
-  view.owner = ring_.owner(slot);
-  view.is_sybil = ring_.is_sybil(slot);
-  view.task_count = ring_.tasks(slot).size();
-  return view;
-}
-
 ArcView World::arc_of(const Uint160& vnode_id) const {
   return view_at(ring_.find(vnode_id));
 }
@@ -190,27 +179,30 @@ const std::vector<TaskKey>& World::vnode_keys(const Uint160& vnode_id) const {
   return ring_.tasks(ring_.slot_at(ring_.find(vnode_id))).keys();
 }
 
-Uint160 World::fresh_ring_id(support::Rng& rng) {
+Uint160 World::fresh_ring_id(support::Rng& rng, FlatRing::Cursor& at) const {
   // SHA-1 of a random 64-bit value (§V: "Nodes obtain an ID, drawn from
   // a call to SHA1").  Collisions are ~2^-160 but re-draw regardless.
   for (;;) {
     const Uint160 id = hashing::Sha1::hash_u64(rng());
-    if (!ring_.contains(id)) return id;
+    at = ring_.lower_bound(id);
+    if (!ring_.holds(at, id)) return id;
   }
 }
 
 std::uint64_t World::insert_vnode(NodeIndex owner, const Uint160& id,
+                                  const FlatRing::Cursor& at,
                                   bool is_sybil) {
-  // Find the vnode currently covering `id` (first vnode clockwise at or
-  // after it); the new vnode takes the keys in (pred, id] from it.
-  const FlatRing::Cursor succ = ring_.cover(id);
+  // The vnode currently covering `id` (first vnode clockwise at or
+  // after it) is `at`, wrapped past the top; the new vnode takes the
+  // keys in (pred, id] from it.
+  const FlatRing::Cursor succ = ring_.wrap(at);
   const Slot succ_slot = ring_.slot_at(succ);
   const Uint160 pred_id = ring_.id_at(ring_.prev(succ));
 
   // Insert before splitting: the insert may grow the arena, so the
   // TaskStore references must be taken afterwards.  Slots are stable,
   // so succ_slot survives the mutation even though the cursor doesn't.
-  const Slot slot = ring_.insert(id, owner, is_sybil);
+  const Slot slot = ring_.insert_at(at, id, owner, is_sybil);
   const std::uint64_t acquired = ring_.tasks(succ_slot).split_arc_into(
       pred_id, id, ring_.tasks(slot));
   physicals_[ring_.owner(succ_slot)].workload -= acquired;
@@ -226,20 +218,25 @@ std::uint64_t World::insert_vnode(NodeIndex owner, const Uint160& id,
 
 std::optional<std::uint64_t> World::create_sybil(NodeIndex owner,
                                                  Uint160 id) {
-  if (ring_.contains(id)) return std::nullopt;
-  return insert_vnode(owner, id, /*is_sybil=*/true);
+  // One search: the collision probe's cursor is the insert position.
+  const FlatRing::Cursor at = ring_.lower_bound(id);
+  if (ring_.holds(at, id)) return std::nullopt;
+  return insert_vnode(owner, id, at, /*is_sybil=*/true);
 }
 
 void World::remove_vnode(Slot slot) {
   const Uint160 id = ring_.id_of(slot);
   DHTLB_CHECK(ring_.size() > 1,
               "remove_vnode: removing " << id << " would empty the ring");
-  const Slot succ_slot = ring_.slot_at(ring_.next(ring_.find(id)));
+  // One search: the merge does not touch the index, so the vnode's
+  // cursor still addresses it for the erase.
+  const FlatRing::Cursor cursor = ring_.find(id);
+  const Slot succ_slot = ring_.slot_at(ring_.next(cursor));
   const std::uint64_t moved =
       ring_.tasks(succ_slot).merge_from(ring_.tasks(slot));
   physicals_[ring_.owner(slot)].workload -= moved;
   physicals_[ring_.owner(succ_slot)].workload += moved;
-  ring_.erase(id);
+  ring_.erase_at(cursor);
 }
 
 void World::remove_sybils(NodeIndex owner) {
@@ -253,7 +250,9 @@ void World::remove_sybils(NodeIndex owner) {
 
 std::optional<std::uint64_t> World::move_vnode(const Uint160& old_id,
                                                const Uint160& new_id) {
-  if (new_id == old_id || ring_.contains(new_id)) return std::nullopt;
+  if (new_id == old_id) return std::nullopt;
+  const FlatRing::Cursor at = ring_.lower_bound(new_id);
+  if (ring_.holds(at, new_id)) return std::nullopt;
   if (ring_.size() < 2) return std::nullopt;  // alone: a move is a no-op
   const FlatRing::Cursor cursor = ring_.find(old_id);
   const Slot old_slot = ring_.slot_at(cursor);
@@ -277,7 +276,7 @@ std::optional<std::uint64_t> World::move_vnode(const Uint160& old_id,
   //   acquire (clockwise): the insert splits the successor's arc,
   //     pulling (old_id, new_id] over to the owner; removing old_id
   //     merges its untouched keys into the new vnode, a self-transfer.
-  const std::uint64_t acquired = insert_vnode(owner, new_id, is_sybil);
+  const std::uint64_t acquired = insert_vnode(owner, new_id, at, is_sybil);
   const std::uint64_t shed = ring_.tasks(old_slot).size();
   remove_vnode(old_slot);
 
@@ -327,7 +326,9 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   waiting_.pop_back();
   alive_pos_[idx] = static_cast<std::uint32_t>(alive_.size());
   alive_.push_back(idx);
-  insert_vnode(idx, fresh_ring_id(id_rng), /*is_sybil=*/false);
+  FlatRing::Cursor at;
+  const Uint160 id = fresh_ring_id(id_rng, at);
+  insert_vnode(idx, id, at, /*is_sybil=*/false);
   return idx;
 }
 
@@ -347,6 +348,17 @@ std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,
     }
     consumed += take;
     node.workload -= take;
+  }
+  return consumed;
+}
+
+std::uint64_t World::consume_members(std::span<const NodeIndex> members,
+                                     support::Rng& rng) {
+  std::uint64_t consumed = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    prefetch_ahead(members, i);
+    const NodeIndex idx = members[i];
+    consumed += consume_local(idx, work_per_tick(idx), rng);
   }
   return consumed;
 }

@@ -32,6 +32,7 @@
 #include "sim/params.hpp"
 #include "sim/task_store.hpp"
 #include "support/check.hpp"
+#include "support/prefetch.hpp"
 #include "support/rng.hpp"
 #include "support/uint160.hpp"
 
@@ -111,19 +112,24 @@ class World {
      private:
       friend class ArcWalk;
       const World* world_ = nullptr;
+      // The visited vnode and its predecessor.  Either direction steps
+      // one of them and takes the other over: clockwise the visited
+      // vnode becomes the next pred, counterclockwise the pred becomes
+      // the next visited vnode.  So a step costs one ring step, and ids
+      // are read only in operator*, for the fields a caller uses.
       FlatRing::Cursor cursor_{};
-      Uint160 start_{};
-      // Forward walks visit each arc right after its predecessor, so the
-      // pred id is carried along instead of re-derived with a ring step
-      // per dereference.  Backward walks visit pred-first and cannot
-      // cache it; they call prev() in operator*.
-      Uint160 pred_{};
+      FlatRing::Cursor pred_{};
+      FlatRing::Cursor start_{};
       std::size_t remaining_ = 0;  // 0 == end
       bool forward_ = true;
     };
 
     iterator begin() const;
     iterator end() const { return iterator{}; }
+
+    /// Arc of the vnode the walk starts from (not itself part of the
+    /// walk), read from the walk's own cursor: no second ring search.
+    ArcView start_arc() const { return world_->view_at(start_); }
 
    private:
     friend class World;
@@ -184,6 +190,31 @@ class World {
   /// Slot of an alive node's most-loaded vnode: the first maximum of
   /// task count in vnode_slots order.  No ring search.
   Slot busiest_vnode(NodeIndex idx) const;
+
+  // --- cache hints for loops over nodes in a known order -----------------
+
+  /// A visit to a node reads a chain of dependent cache lines: its
+  /// PhysicalNode record, then its vnode_slots array, then those slots'
+  /// TaskStore headers, then the keys a consume or a split reads.
+  /// prefetch_node hints one link of that chain; each link past the
+  /// record reads the lines the link before it hinted.  A node without
+  /// work reads no store, so the last two links skip it.
+  enum class NodeLines { kRecord, kSlotList, kStores, kKeys };
+  void prefetch_node(NodeIndex idx, NodeLines lines) const;
+
+  /// Turns between the links prefetch_ahead hints: about one memory
+  /// latency of the cheapest visit (a consume turn), so each link has
+  /// landed by the time the next one reads it.
+  static constexpr std::size_t kNodePrefetchDistance = 4;
+
+  /// One turn of the prefetch pipeline of a loop visiting `order`,
+  /// called before visiting order[i]: hints link k (kRecord = 0 ..
+  /// kKeys = 3) of the node (4 - k)·kNodePrefetchDistance turns ahead,
+  /// so each visit finds its chain cached.  Hints only: it reads the
+  /// world but never changes it, and a turn must not use anything it
+  /// computed.  Reads only nodes in `order`, so a shard may run it over
+  /// its own members while other shards mutate theirs.
+  void prefetch_ahead(std::span<const NodeIndex> order, std::size_t i) const;
 
   /// Every vnode ID in the ring, in clockwise (ascending) order.  For
   /// the invariant auditor, snapshots and tests — strategies must not
@@ -323,6 +354,14 @@ class World {
   std::uint64_t consume_local(NodeIndex idx, std::uint64_t budget,
                               support::Rng& rng);
 
+  /// consume_local for each node of `members` in order, each with its
+  /// work_per_tick budget, all on one RNG stream: one engine shard's
+  /// consumption.  Returns the tasks consumed.  Runs prefetch_ahead
+  /// over `members`, so the nodes' cache misses overlap.  Thread-
+  /// compatible like consume_local, for disjoint member lists.
+  std::uint64_t consume_members(std::span<const NodeIndex> members,
+                                support::Rng& rng);
+
   /// Settles the global remaining-task counter after a parallel
   /// consumption phase: subtracts the folded per-shard total.
   void debit_remaining(std::uint64_t consumed);
@@ -363,12 +402,16 @@ class World {
   // makes impossible by construction.
   friend struct testing::WorldCorruptor;
 
-  /// Builds the ArcView of the vnode a cursor points at.
+  /// Builds the ArcView of the vnode a cursor points at; the second
+  /// form takes the cursor of its predecessor as well.
   ArcView view_at(const FlatRing::Cursor& cursor) const;
+  ArcView view_at(const FlatRing::Cursor& cursor,
+                  const FlatRing::Cursor& pred) const;
 
   /// Generates a fresh SHA-1 node ID not colliding with the ring,
-  /// drawing from the given stream.
-  Uint160 fresh_ring_id(support::Rng& rng);
+  /// drawing from the given stream; `at` receives its lower_bound
+  /// cursor, the insert position of the join.
+  Uint160 fresh_ring_id(support::Rng& rng, FlatRing::Cursor& at) const;
 
   /// Removes the vnode in `slot`, merging its tasks into its successor.
   /// The vnode must not be the last one in the ring.  The caller drops
@@ -382,9 +425,11 @@ class World {
 
   /// Shared join logic: splits the arc covering `id`, inserts a new
   /// vnode there for `owner` and appends its slot to the owner's
-  /// vnode_slots.  Returns the tasks acquired.
+  /// vnode_slots.  `at` is ring_.lower_bound(id), taken since the last
+  /// ring mutation, and `id` is not in the ring: the caller's collision
+  /// check is the insert's only search.  Returns the tasks acquired.
   std::uint64_t insert_vnode(NodeIndex owner, const Uint160& id,
-                             bool is_sybil);
+                             const FlatRing::Cursor& at, bool is_sybil);
 
   Params params_;
   FlatRing ring_;
@@ -416,49 +461,97 @@ class World {
 
 // The walk iterator ops live here (not in world.cpp) so the per-arc ring
 // steps inline into strategy loops — they are the hot path of every
-// successor-list scan.
-inline ArcView World::ArcWalk::iterator::operator*() const {
-  if (!forward_) return world_->view_at(cursor_);
-  const Slot slot = world_->ring_.slot_at(cursor_);
+// successor-list scan — and the loads of fields a caller never reads
+// drop out.
+inline ArcView World::view_at(const FlatRing::Cursor& cursor,
+                              const FlatRing::Cursor& pred) const {
+  const Slot slot = ring_.slot_at(cursor);
   ArcView view;
-  view.pred = pred_;
-  view.id = world_->ring_.id_at(cursor_);
-  view.owner = world_->ring_.owner(slot);
-  view.is_sybil = world_->ring_.is_sybil(slot);
-  view.task_count = world_->ring_.tasks(slot).size();
+  view.pred = ring_.id_at(pred);
+  view.id = ring_.id_at(cursor);
+  view.owner = ring_.owner(slot);
+  view.is_sybil = ring_.is_sybil(slot);
+  view.task_count = ring_.tasks(slot).size();
   return view;
 }
 
+inline ArcView World::view_at(const FlatRing::Cursor& cursor) const {
+  return view_at(cursor, ring_.prev(cursor));
+}
+
+inline ArcView World::ArcWalk::iterator::operator*() const {
+  return world_->view_at(cursor_, pred_);
+}
+
 inline World::ArcWalk::iterator& World::ArcWalk::iterator::operator++() {
+  const FlatRing& ring = world_->ring_;
   if (forward_) {
-    pred_ = world_->ring_.id_at(cursor_);
-    cursor_ = world_->ring_.next(cursor_);
+    pred_ = cursor_;
+    cursor_ = ring.next(cursor_);
   } else {
-    cursor_ = world_->ring_.prev(cursor_);
+    cursor_ = pred_;
+    pred_ = ring.prev(pred_);
   }
   --remaining_;
-  if (remaining_ != 0 && world_->ring_.id_at(cursor_) == start_) {
-    remaining_ = 0;
-  }
+  if (remaining_ != 0 && cursor_ == start_) remaining_ = 0;
   return *this;
 }
 
 inline World::ArcWalk::iterator World::ArcWalk::begin() const {
+  const FlatRing& ring = world_->ring_;
   iterator it;
   it.world_ = world_;
   it.forward_ = forward_;
-  it.start_ = world_->ring_.id_at(start_);
+  it.start_ = start_;
   if (forward_) {
-    it.pred_ = it.start_;  // the first visited arc succeeds the start
-    it.cursor_ = world_->ring_.next(start_);
+    it.pred_ = start_;  // the first visited arc succeeds the start
+    it.cursor_ = ring.next(start_);
   } else {
-    it.cursor_ = world_->ring_.prev(start_);
+    it.cursor_ = ring.prev(start_);
+    it.pred_ = ring.prev(it.cursor_);
   }
   // A walk is empty when k is zero or the starting vnode is alone in the
   // ring (its only neighbor is itself).
-  it.remaining_ =
-      (k_ == 0 || world_->ring_.id_at(it.cursor_) == it.start_) ? 0 : k_;
+  it.remaining_ = (k_ == 0 || it.cursor_ == start_) ? 0 : k_;
   return it;
+}
+
+inline void World::prefetch_node(NodeIndex idx, NodeLines lines) const {
+  const PhysicalNode& node = physicals_[idx];
+  switch (lines) {
+    case NodeLines::kRecord:
+      support::prefetch_object(&node);
+      break;
+    case NodeLines::kSlotList:
+      if (!node.vnode_slots.empty()) support::prefetch(&node.vnode_slots[0]);
+      break;
+    case NodeLines::kStores:
+      if (node.workload == 0) break;
+      for (const Slot slot : node.vnode_slots) {
+        support::prefetch(&ring_.tasks(slot));
+      }
+      break;
+    case NodeLines::kKeys:
+      if (node.workload == 0) break;
+      for (const Slot slot : node.vnode_slots) {
+        // A consume reads a random key and the last one.
+        const std::vector<TaskKey>& keys = ring_.tasks(slot).keys();
+        if (keys.empty()) continue;
+        support::prefetch(keys.data());
+        support::prefetch(&keys.back());
+      }
+      break;
+  }
+}
+
+inline void World::prefetch_ahead(std::span<const NodeIndex> order,
+                                  std::size_t i) const {
+  constexpr std::size_t d = kNodePrefetchDistance;
+  const std::size_t n = order.size();
+  if (i + 4 * d < n) prefetch_node(order[i + 4 * d], NodeLines::kRecord);
+  if (i + 3 * d < n) prefetch_node(order[i + 3 * d], NodeLines::kSlotList);
+  if (i + 2 * d < n) prefetch_node(order[i + 2 * d], NodeLines::kStores);
+  if (i + d < n) prefetch_node(order[i + d], NodeLines::kKeys);
 }
 
 template <typename Fn>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "lb/factory.hpp"
 #include "lb/rules.hpp"
@@ -376,6 +377,100 @@ TEST(InvitationTest, RefusedWhenHelpersAreAtSybilCap) {
   EXPECT_GT(c.invitations_sent, 0u);
   EXPECT_EQ(c.invitations_accepted, 0u)
       << "every candidate helper is at its Sybil cap";
+}
+
+/// The helper the invitation rule picks for `idx`, written in the plain
+/// ArcWalk form: arc_of the busiest vnode, a second search for its
+/// predecessor walk, and each predecessor judged as the walk reaches
+/// it.  nullopt when no invitation goes out or nobody accepts.
+std::optional<sim::NodeIndex> walk_form_helper(const World& w,
+                                               sim::NodeIndex idx) {
+  const std::uint64_t threshold = w.params().sybil_threshold;
+  if (w.workload(idx) <= threshold) return std::nullopt;
+  const sim::ArcView heavy = w.arc_of(w.vnode_id(w.busiest_vnode(idx)));
+  if (support::clockwise_distance(heavy.pred, heavy.id) <=
+      support::Uint160{1}) {
+    return std::nullopt;
+  }
+  std::optional<sim::NodeIndex> helper;
+  std::uint64_t helper_load = 0;
+  for (const sim::ArcView& parc :
+       w.predecessor_arcs(heavy.id, w.params().num_successors)) {
+    if (parc.owner == idx) continue;
+    const std::uint64_t load = w.workload(parc.owner);
+    if (load > threshold) continue;
+    if (w.sybil_count(parc.owner) >= w.sybil_cap(parc.owner)) continue;
+    if (!helper || load < helper_load) {
+      helper = parc.owner;
+      helper_load = load;
+    }
+  }
+  return helper;
+}
+
+TEST(InvitationTest, TinyRingsPickTheWalkFormHelper) {
+  // Rings of 2..5 physical nodes (n - 1 below num_successors = 8, so
+  // every predecessor walk wraps short), where the announcer owns some
+  // of its own predecessors (Sybils just counterclockwise of its arcs).
+  // For every announcer the rule must place exactly the Sybil the walk
+  // form above predicts: same helper, at the heavy arc's midpoint.
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    Params p = tiny(2 + seed % 4, 60);
+    p.num_successors = 8;
+    p.max_sybils = 3;
+    p.sybil_threshold = seed % 3;
+    World base(p, rng);
+    // Self-owned predecessors: each node drops a Sybil just before its
+    // own primary, inside its own arc.
+    for (const sim::NodeIndex idx : base.alive_indices()) {
+      const sim::ArcView arc = base.arc_of(base.primary_id(idx));
+      if (support::clockwise_distance(arc.pred, arc.id) > support::Uint160{2}) {
+        (void)base.create_sybil(idx, arc.id - support::Uint160{1});
+      }
+    }
+    // Drain every other node so some helpers qualify.
+    for (std::size_t i = 0; i < base.alive_indices().size(); i += 2) {
+      const sim::NodeIndex idx = base.alive_indices()[i];
+      (void)consume(base, idx, base.workload(idx), rng);
+    }
+    for (const sim::NodeIndex announcer : base.alive_indices()) {
+      World w = base;
+      const std::optional<sim::NodeIndex> expected =
+          walk_form_helper(w, announcer);
+      std::optional<support::Uint160> midpoint;
+      if (expected) {
+        const sim::ArcView heavy =
+            w.arc_of(w.vnode_id(w.busiest_vnode(announcer)));
+        midpoint = support::arc_midpoint(heavy.pred, heavy.id);
+      }
+      const std::size_t vnodes = w.vnode_count();
+      const std::size_t helper_sybils =
+          expected ? w.sybil_count(*expected) : 0;
+      sim::StrategyCounters counters;
+      FailedRanges failed;
+      NodeTurn turn{w, rng, counters, failed, announcer};
+      invitation(turn, 0);
+      if (!expected) {
+        EXPECT_EQ(w.vnode_count(), vnodes) << "seed " << seed;
+        EXPECT_EQ(counters.invitations_accepted, 0u) << "seed " << seed;
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(counters.invitations_accepted, 1u) << "seed " << seed;
+      EXPECT_EQ(w.vnode_count(), vnodes + 1) << "seed " << seed;
+      EXPECT_EQ(w.sybil_count(*expected), helper_sybils + 1)
+          << "seed " << seed;
+      ASSERT_TRUE(w.ring_contains(*midpoint)) << "seed " << seed;
+      EXPECT_EQ(w.arc_of(*midpoint).owner, *expected) << "seed " << seed;
+    }
+  }
+  // Both outcomes occur, so the comparison is not vacuous.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(InvitationTest, ImprovesRuntimeOverBaseline) {

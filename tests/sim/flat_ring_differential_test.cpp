@@ -13,12 +13,19 @@
 // cover() on mutated multi-block rings and on the edge batches its
 // bucketing and sweep could get wrong: wrap-around, exact hits, ids
 // that share their top bits with the keys, and a one-bucket hotspot.
+//
+// The cursor mutations insert_at/erase_at are pinned against the id
+// forms insert/erase: two rings take the same mutation sequence, one
+// through each form, and must stay entry-for-entry and slot-for-slot
+// identical, across the wrap past the largest id, the removal of a
+// block's last entry (a summary update) and block splits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/flat_ring.hpp"
@@ -367,6 +374,148 @@ TEST(CoverSorted, NarrowHotspotBatchSortsInNLogN) {
   expect_batch_matches_point_covers(ring, keys, "hotspot");
   const auto elapsed = std::chrono::steady_clock::now() - begin;
   EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
+// --- insert_at / erase_at against insert / erase -------------------------
+
+/// Every entry of `ring` in ring order, with its slot's payload.
+std::vector<std::tuple<Uint160, Slot, NodeIndex, bool>> entries_of(
+    const FlatRing& ring) {
+  std::vector<std::tuple<Uint160, Slot, NodeIndex, bool>> out;
+  ring.for_each([&](const Uint160& id, Slot slot) {
+    out.emplace_back(id, slot, ring.owner(slot), ring.is_sybil(slot));
+  });
+  return out;
+}
+
+/// Ids of the entries that end their block (the ones the block summary
+/// holds), found by walking cursors: next() leaves the block after them.
+std::vector<Uint160> block_last_ids(const FlatRing& ring) {
+  std::vector<Uint160> ids;
+  FlatRing::Cursor c = ring.first();
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const FlatRing::Cursor next = ring.next(c);
+    if (next.block != c.block) ids.push_back(ring.id_at(c));
+    c = next;
+  }
+  return ids;
+}
+
+/// Two rings taking the same mutations: `by_id` through insert/erase,
+/// `by_cursor` through lower_bound plus insert_at/erase_at.
+struct TwinRings {
+  FlatRing by_id;
+  FlatRing by_cursor;
+
+  void insert(const Uint160& id, NodeIndex owner, bool sybil) {
+    const FlatRing::Cursor at = by_cursor.lower_bound(id);
+    ASSERT_FALSE(by_cursor.holds(at, id)) << id;
+    const Slot cursor_slot = by_cursor.insert_at(at, id, owner, sybil);
+    ASSERT_EQ(by_id.insert(id, owner, sybil), cursor_slot) << id;
+  }
+
+  void erase(const Uint160& id) {
+    const FlatRing::Cursor at = by_cursor.lower_bound(id);
+    ASSERT_TRUE(by_cursor.holds(at, id)) << id;
+    by_cursor.erase_at(at);
+    by_id.erase(id);
+  }
+
+  void expect_identical(const std::string& what) const {
+    ASSERT_TRUE(by_cursor.index_consistent()) << what;
+    ASSERT_TRUE(by_id.index_consistent()) << what;
+    ASSERT_EQ(entries_of(by_cursor), entries_of(by_id)) << what;
+  }
+};
+
+class CursorMutationDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CursorMutationDifferentialTest, CursorFormsMatchIdForms) {
+  TwinRings twins;
+  {
+    // Identical multi-block starting rings (bulk load, inserts, erases).
+    support::Rng rng_a(GetParam());
+    support::Rng rng_b(GetParam());
+    build_mutated_ring(twins.by_id, rng_a);
+    build_mutated_ring(twins.by_cursor, rng_b);
+  }
+  twins.expect_identical("start");
+  support::Rng rng(GetParam() * 31 + 5);
+
+  // Splits: 3 * kBlockCapacity inserts into one narrow arc keep landing
+  // in the same few blocks, which fill and split again and again.
+  const Uint160 base = rng.uniform_u160();
+  for (std::size_t i = 0; i < 3 * FlatRing::kBlockCapacity; ++i) {
+    const Uint160 id = rng.uniform_in_arc(base, base + Uint160::pow2(120));
+    if (twins.by_id.contains(id)) continue;
+    twins.insert(id, static_cast<NodeIndex>(i % 7), i % 3 == 0);
+  }
+  twins.expect_identical("narrow-arc splits");
+
+  // The wrap: ids past the largest one take the end cursor and append to
+  // the last block, becoming its summary; then the largest ids leave,
+  // each a last-entry erase.
+  for (int i = 0; i < 40; ++i) {
+    const Uint160 top = twins.by_id.id_at(twins.by_id.prev(twins.by_id.first()));
+    if (top == Uint160::max()) break;
+    const Uint160 id = rng.uniform_in_arc(top, Uint160::max());
+    ASSERT_TRUE(twins.by_cursor.is_end(twins.by_cursor.lower_bound(id)));
+    twins.insert(id, 9, false);
+  }
+  twins.expect_identical("past the largest id");
+  for (int i = 0; i < 60; ++i) {
+    twins.erase(twins.by_id.id_at(twins.by_id.prev(twins.by_id.first())));
+  }
+  twins.expect_identical("largest ids erased");
+
+  // Block-last entries: erasing one moves its block's summary down.
+  std::vector<Uint160> lasts = block_last_ids(twins.by_id);
+  ASSERT_GT(lasts.size(), 4u);
+  for (std::size_t i = 0; i < lasts.size(); i += 2) twins.erase(lasts[i]);
+  twins.expect_identical("block-last erases");
+
+  // Random churn, and below the smallest id (position 0 of block 0).
+  std::vector<Uint160> members;
+  twins.by_id.for_each([&](const Uint160& id, Slot) { members.push_back(id); });
+  for (int step = 0; step < 2000; ++step) {
+    if (rng.below(2) == 0 && members.size() > 2) {
+      const std::size_t victim = rng.below(members.size());
+      twins.erase(members[victim]);
+      members[victim] = members.back();
+      members.pop_back();
+    } else {
+      const Uint160 id = step % 50 == 0
+                             ? twins.by_id.id_at(twins.by_id.first()) -
+                                   Uint160{1}
+                             : rng.uniform_u160();
+      if (twins.by_id.contains(id)) continue;
+      twins.insert(id, static_cast<NodeIndex>(step % 5), false);
+      members.push_back(id);
+    }
+  }
+  twins.expect_identical("churn");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CursorMutationDifferentialTest,
+                         ::testing::Values(1, 2, 3, 7, 42, 1337, 9001));
+
+TEST(CursorMutation, EmptyRingInsertAndEraseAtTheEndCursor) {
+  FlatRing ring;
+  const Uint160 id = with_high(77, 1);
+  const FlatRing::Cursor at = ring.lower_bound(id);
+  EXPECT_TRUE(ring.is_end(at));
+  EXPECT_FALSE(ring.holds(at, id));
+  const Slot slot = ring.insert_at(at, id, 4, true);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.slot_at(ring.find(id)), slot);
+  EXPECT_EQ(ring.owner(slot), 4u);
+  EXPECT_TRUE(ring.index_consistent());
+  const FlatRing::Cursor again = ring.lower_bound(id);
+  EXPECT_TRUE(ring.holds(again, id));
+  ring.erase_at(again);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.index_consistent());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <tuple>
 
 #include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
@@ -139,6 +141,71 @@ TEST(World, CreateSybilOnTakenIdFails) {
   const Uint160 existing = w.primary_id(w.alive_indices()[1]);
   EXPECT_FALSE(w.create_sybil(idx, existing).has_value());
   EXPECT_EQ(w.sybil_count(idx), 0u);
+}
+
+TEST(World, CreateSybilAtAnExistingIdChangesNothing) {
+  // The collision probe's cursor is also the insert position, so a
+  // refused Sybil must leave before touching the ring: same ids, same
+  // keys in every store, same workloads and counters.  Tried at a
+  // primary, at a Sybil and at the largest id (whose insert position is
+  // the end cursor).
+  Rng rng(19);
+  World w(small_params(8, 600), rng);
+  const NodeIndex owner = w.alive_indices()[2];
+  const ArcView arc = w.arc_of(w.primary_id(w.alive_indices()[5]));
+  ASSERT_TRUE(
+      w.create_sybil(owner, support::arc_midpoint(arc.pred, arc.id)));
+  const std::vector<Uint160> ids = w.ring_ids();
+  const auto snapshot = [&w, owner] {
+    std::vector<std::vector<TaskKey>> keys;
+    for (const Uint160& id : w.ring_ids()) keys.push_back(w.vnode_keys(id));
+    std::vector<std::uint64_t> loads;
+    for (NodeIndex idx = 0; idx < w.physical_count(); ++idx) {
+      loads.push_back(w.physical(idx).workload);
+    }
+    return std::make_tuple(w.ring_ids(), keys, loads, w.remaining_tasks(),
+                           w.total_tasks(), w.sybil_count(owner));
+  };
+  const auto before = snapshot();
+  for (const Uint160& taken :
+       {w.primary_id(w.alive_indices()[1]),
+        w.vnode_id(w.physical(owner).vnode_slots.back()), ids.back()}) {
+    for (const NodeIndex who : {owner, w.alive_indices()[0]}) {
+      EXPECT_FALSE(w.create_sybil(who, taken).has_value()) << taken;
+      EXPECT_EQ(snapshot(), before) << taken;
+    }
+  }
+  EXPECT_TRUE(AuditClean(w));
+}
+
+TEST(World, CreateSybilOnTheWrappingArc) {
+  // The arc (largest id, smallest id] wraps through zero.  A Sybil past
+  // the largest id takes the end cursor as its insert position and must
+  // land last in the ring; one below the smallest id lands first.  Each
+  // takes exactly the wrapping arc's keys on its side of the new id.
+  Rng rng(23);
+  World w(small_params(6, 3000), rng);
+  const NodeIndex owner = w.alive_indices()[3];
+  const std::vector<Uint160> before = w.ring_ids();
+  const Uint160 past_top = before.back() + (Uint160::max() - before.back()).shr(1);
+  const Uint160 below_bottom = before.front().shr(1);
+  for (const Uint160& id : {past_top, below_bottom}) {
+    const ArcView wrap = w.arc_covering(id);
+    std::uint64_t expected = 0;
+    for (const TaskKey& key : w.vnode_keys(wrap.id)) {
+      if (support::in_half_open_arc(key, wrap.pred, id)) ++expected;
+    }
+    ASSERT_GT(expected, 0u) << id;
+    const auto acquired = w.create_sybil(owner, id);
+    ASSERT_TRUE(acquired.has_value()) << id;
+    EXPECT_EQ(*acquired, expected) << id;
+    EXPECT_EQ(w.arc_of(id).owner, owner);
+    EXPECT_TRUE(AuditClean(w));
+  }
+  const std::vector<Uint160> after = w.ring_ids();
+  EXPECT_EQ(after.back(), past_top);
+  EXPECT_EQ(after.front(), below_bottom);
+  EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
 }
 
 TEST(World, RemoveSybilsReturnsTasksToRing) {
