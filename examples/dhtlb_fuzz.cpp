@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/report.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/script.hpp"
 #include "scenario/vm.hpp"
@@ -60,13 +61,6 @@ namespace fs = std::filesystem;
 int fail(const std::string& message) {
   std::cerr << "dhtlb_fuzz: " << message << "\n";
   return 1;
-}
-
-bool write_file(const fs::path& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
 }
 
 std::string read_file(const fs::path& path) {
@@ -116,8 +110,8 @@ struct ChildConfig {
     };
     const scenario::ScenarioResult result =
         scenario::run_scenario(script, seed, config.audit, sinks);
-    if (!write_file(telemetry_out,
-                    bench::to_json(result.experiment, result.records))) {
+    if (!exp::write_file(telemetry_out.string(),
+                         bench::to_json(result.experiment, result.records))) {
       std::cerr << "dhtlb_fuzz: cannot write " << telemetry_out.string()
                 << "\n";
       ::_exit(1);
@@ -161,7 +155,7 @@ RunVerdict run_across_matrix(const ChildConfig& config,
                              const fs::path& scratch) {
   RunVerdict verdict;
   const fs::path scn = scratch / "candidate.scn";
-  if (!write_file(scn, scenario::emit_script(script))) {
+  if (!exp::write_file(scn.string(), scenario::emit_script(script))) {
     verdict.failed = true;
     verdict.reason = "cannot write " + scn.string();
     return verdict;
@@ -283,7 +277,8 @@ int main(int argc, char** argv) try {
                   std::to_string(script_seed));
     }
     if (!emit_dir.empty() &&
-        !write_file(emit_dir / (script.name + ".scn"), text)) {
+        !exp::write_file((emit_dir / (script.name + ".scn")).string(),
+                         text)) {
       return fail("cannot write corpus file for " + script.name);
     }
     const RunVerdict verdict =
@@ -302,8 +297,8 @@ int main(int argc, char** argv) try {
         });
     const fs::path failing = out_dir / (script.name + ".failing.scn");
     const fs::path min_path = out_dir / (script.name + ".minimized.scn");
-    write_file(failing, text);
-    write_file(min_path, scenario::emit_script(minimized));
+    exp::write_file(failing.string(), text);
+    exp::write_file(min_path.string(), scenario::emit_script(minimized));
     std::ostringstream repro;
     repro << "profile: " << profile << "\n"
           << "script seed: " << script_seed << " (base " << base_seed
@@ -319,7 +314,8 @@ int main(int argc, char** argv) try {
     repro << "\nrepro (single): DHTLB_THREADS=" << verdict.threads
           << " dhtlb_scenario " << min_path.string()
           << (child.audit ? " --audit" : "") << "\n";
-    write_file(out_dir / (script.name + ".REPRO.txt"), repro.str());
+    exp::write_file((out_dir / (script.name + ".REPRO.txt")).string(),
+                    repro.str());
     std::cerr << "dhtlb_fuzz: wrote " << failing.string() << ", "
               << min_path.string() << " (" << minimized.blocks.size()
               << " block(s)) and REPRO.txt\n";

@@ -11,6 +11,12 @@
 //   dhtlb_scenario scenarios/serve_churn_soak.scn --traffic zipf --readers 8
 //   dhtlb_scenario scenarios/serve_churn_soak.scn --traffic zipf --check scenarios/goldens/BENCH_serve_serve_churn_soak.json
 //
+// A plain configuration run (one Params + one strategy, run to
+// completion) is a header-only script: `name`, `strategy` and any of the
+// Params keys --help lists, with no event blocks.  It runs exactly the
+// engine that sim::Engine(params, seed, lb::make_strategy(strategy))
+// builds.
+//
 // The JSON output is BENCH_scenario_<name>.json, or BENCH_serve_<name>.json
 // with --traffic, written to DHTLB_BENCH_DIR (default ".").  It is
 // byte-stable for a fixed (file, seed, --traffic, --qps, --keys) at any
@@ -40,13 +46,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/telemetry.hpp"
+#include "lb/factory.hpp"
 #include "scenario/script.hpp"
 #include "scenario/vm.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
+#include "sim/params.hpp"
 #include "sink_files.hpp"
 #include "support/cli.hpp"
 #include "support/env.hpp"
@@ -100,6 +109,32 @@ std::optional<serve::Config> serve_config(const support::CliParser& cli) {
         "]");
   }
   return config;
+}
+
+/// The `.scn` vocabulary after the flags: every Params header key with its
+/// value, default and meaning, then every name the `strategy` key takes.
+std::string vocabulary_help() {
+  std::ostringstream out;
+  auto row = [&out](const std::string& left, std::string_view text) {
+    out << left << std::string(left.size() < 28 ? 28 - left.size() : 2, ' ')
+        << text;
+  };
+  out << "\n.scn header: name <identifier> (required), strategy <name>, "
+         "substrate sim|chord,\nseed <u64>, ticks <horizon>, and these "
+         "Params keys:\n";
+  const sim::Params defaults;
+  for (const sim::ParamField& field : sim::param_fields()) {
+    row("  " + std::string(field.key) + " <" + std::string(field.value_name) +
+            ">",
+        field.help);
+    out << " (default: " << defaults.format(field.key) << ")\n";
+  }
+  out << "\nstrategies (paper section, or the source of an extension):\n";
+  for (const lb::StrategyEntry& entry : lb::strategy_table()) {
+    row("  " + std::string(entry.name), entry.section);
+    out << (entry.paper ? "\n" : " (extension)\n");
+  }
+  return out.str();
 }
 
 /// The serve telemetry rows of BENCH_serve_<name>.json, in file order.
@@ -170,11 +205,18 @@ int main(int argc, char** argv) try {
     std::cout << cli.help("dhtlb_scenario <scenario.scn>",
                           "Run a scripted scenario deterministically and "
                           "emit BENCH_scenario_<name>.json telemetry, or "
-                          "BENCH_serve_<name>.json with --traffic.");
+                          "BENCH_serve_<name>.json with --traffic.  A "
+                          "script with no event blocks runs one "
+                          "configuration to completion.")
+              << vocabulary_help();
     return 0;
   }
   if (cli.positionals().size() != 1) {
     return fail("expected exactly one scenario file (see --help)");
+  }
+  // An empty path (say, an unset CI variable) must not skip the compare.
+  if (cli.has("check") && cli.get("check").empty()) {
+    return fail("--check needs a golden file path");
   }
 
   std::optional<serve::Config> serving;
@@ -263,7 +305,7 @@ int main(int argc, char** argv) try {
   sinks.finish(/*report=*/!quiet);
   const std::string json = bench::to_json(experiment, records);
 
-  if (cli.has("check") && !cli.get("check").empty()) {
+  if (cli.has("check")) {
     const std::string golden_path = cli.get("check");
     std::ifstream golden_file(golden_path, std::ios::binary);
     if (!golden_file) return fail("cannot open golden: " + golden_path);

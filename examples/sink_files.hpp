@@ -1,6 +1,6 @@
-// Observability sink files for the command-line programs (dhtlb_cli,
-// dhtlb_scenario): opens the Chrome trace and the per-tick metrics JSONL
-// named by --trace/--metrics and owns both the streams and the sinks.
+// Observability sink files for dhtlb_scenario: opens the Chrome trace
+// and the per-tick metrics JSONL named by --trace/--metrics and owns both
+// the streams and the sinks.
 #pragma once
 
 #include <cstdio>

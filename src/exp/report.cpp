@@ -2,64 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace dhtlb::exp {
-
-ResultRow to_row(const std::string& experiment, const std::string& config,
-                 const Aggregate& aggregate) {
-  ResultRow row;
-  row.experiment = experiment;
-  row.strategy = aggregate.strategy;
-  row.config = config;
-  row.nodes = aggregate.params.initial_nodes;
-  row.tasks = aggregate.params.total_tasks;
-  row.churn_rate = aggregate.params.churn_rate;
-  row.heterogeneous = aggregate.params.heterogeneous;
-  row.trials = aggregate.trials;
-  row.runtime_factor_mean = aggregate.runtime_factor.mean;
-  row.runtime_factor_min = aggregate.runtime_factor.min;
-  row.runtime_factor_max = aggregate.runtime_factor.max;
-  row.runtime_factor_stddev = aggregate.runtime_factor.stddev;
-  row.completion_rate = aggregate.completion_rate;
-  row.mean_sybils = aggregate.mean_sybils_created;
-  row.mean_queries = aggregate.mean_workload_queries;
-  row.mean_leaves = aggregate.mean_leaves;
-  return row;
-}
-
-std::string rows_to_csv(const std::vector<ResultRow>& rows) {
-  support::TextTable table(
-      {"experiment", "strategy", "config", "nodes", "tasks", "churn_rate",
-       "heterogeneous", "trials", "runtime_factor_mean",
-       "runtime_factor_min", "runtime_factor_max", "runtime_factor_stddev",
-       "completion_rate", "mean_sybils", "mean_queries", "mean_leaves"});
-  for (const auto& row : rows) {
-    table.add_row({row.experiment, row.strategy, row.config,
-                   std::to_string(row.nodes), std::to_string(row.tasks),
-                   support::format_fixed(row.churn_rate, 6),
-                   row.heterogeneous ? "1" : "0",
-                   std::to_string(row.trials),
-                   support::format_fixed(row.runtime_factor_mean, 6),
-                   support::format_fixed(row.runtime_factor_min, 6),
-                   support::format_fixed(row.runtime_factor_max, 6),
-                   support::format_fixed(row.runtime_factor_stddev, 6),
-                   support::format_fixed(row.completion_rate, 4),
-                   support::format_fixed(row.mean_sybils, 2),
-                   support::format_fixed(row.mean_queries, 2),
-                   support::format_fixed(row.mean_leaves, 2)});
-  }
-  return table.render_csv();
-}
-
-std::string snapshot_to_csv(const sim::Snapshot& snapshot) {
-  std::ostringstream out;
-  out << "node_index,workload\n";
-  for (std::size_t i = 0; i < snapshot.workloads.size(); ++i) {
-    out << i << ',' << snapshot.workloads[i] << '\n';
-  }
-  return out.str();
-}
 
 bool write_file(const std::string& path, const std::string& content) {
   std::error_code ec;

@@ -1,53 +1,14 @@
-// Result reporting: aggregate rows -> text table / CSV artifacts.
-//
-// The reproduction binaries print paper-style tables; this module also
-// lets them (and downstream users) persist machine-readable CSVs so the
-// figures can be replotted outside C++ (the workflow EXPERIMENTS.md
-// documents).
+// Result files: the one helper the programs use to persist an artifact
+// (a generated script, a telemetry document) under a path whose
+// directories may not exist yet.
 #pragma once
 
 #include <string>
-#include <vector>
-
-#include "exp/experiment.hpp"
-#include "sim/snapshot.hpp"
-#include "support/table.hpp"
 
 namespace dhtlb::exp {
 
-/// Canonical flat record of one aggregate, for CSV export.
-struct ResultRow {
-  std::string experiment;  // e.g. "table2", "fig10"
-  std::string strategy;
-  std::string config;      // free-form cell label
-  std::size_t nodes = 0;
-  std::uint64_t tasks = 0;
-  double churn_rate = 0.0;
-  bool heterogeneous = false;
-  std::size_t trials = 0;
-  double runtime_factor_mean = 0.0;
-  double runtime_factor_min = 0.0;
-  double runtime_factor_max = 0.0;
-  double runtime_factor_stddev = 0.0;
-  double completion_rate = 0.0;
-  double mean_sybils = 0.0;
-  double mean_queries = 0.0;
-  double mean_leaves = 0.0;
-};
-
-/// Builds a flat row from an aggregate.
-ResultRow to_row(const std::string& experiment, const std::string& config,
-                 const Aggregate& aggregate);
-
-/// Renders rows as a CSV document (header + one line per row).
-std::string rows_to_csv(const std::vector<ResultRow>& rows);
-
-/// Renders a snapshot's workloads as a two-column CSV (node_index,
-/// workload) — the raw data behind each histogram figure.
-std::string snapshot_to_csv(const sim::Snapshot& snapshot);
-
 /// Writes `content` to `path`, creating parent directories as needed.
-/// Returns false (and leaves no partial file) on I/O failure.
+/// Returns false on I/O failure.
 bool write_file(const std::string& path, const std::string& content);
 
 }  // namespace dhtlb::exp

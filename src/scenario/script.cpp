@@ -1,5 +1,6 @@
 #include "scenario/script.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -35,6 +36,20 @@ struct Cursor {
     if (tokens.size() < count) fail("missing argument; usage: " + usage);
     if (tokens.size() > count) {
       fail("trailing garbage '" + tokens[count] + "' after " + usage);
+    }
+  }
+
+  // The name becomes the output file BENCH_scenario_<name>.json: a path
+  // separator or `..` would write outside the output directory, and a
+  // quote has no use in a file name.
+  void check_name(const std::string& name) const {
+    for (const char c : name) {
+      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '_' || c == '-';
+      if (!ok) {
+        fail("name '" + name +
+             "' may hold only letters, digits, '_' and '-'");
+      }
     }
   }
 
@@ -247,6 +262,7 @@ Script parse_lines(std::string_view text, Cursor& cur) {
     }
     if (head == "name") {
       cur.expect_tokens(tokens, 2, "name <identifier>");
+      cur.check_name(tokens[1]);
       script.name = tokens[1];
     } else if (head == "substrate") {
       cur.expect_tokens(tokens, 2, "substrate sim|chord");
@@ -358,6 +374,12 @@ Script Script::load(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     throw std::runtime_error("cannot open scenario file: " + path);
+  }
+  // A directory opens but reads as empty, which would surface as a
+  // misleading "missing required key 'name'".
+  if (std::filesystem::is_directory(path)) {
+    throw std::runtime_error("cannot read scenario file: " + path +
+                             " is a directory");
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();

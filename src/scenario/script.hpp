@@ -24,6 +24,9 @@
 // decisions, and consumption); `every <period>` blocks fire on every
 // matching tick of [from, until].  `at` blocks must appear in strictly
 // increasing tick order.  `#` starts a comment; blank lines are ignored.
+// A script with no blocks is a plain configuration run: the engine runs
+// the header's Params and strategy to completion, as the paper's
+// experiments do (§V-C).
 // Every diagnostic is file:line-prefixed — see ParseError.
 //
 // Counts and ticks are bounded (kMaxScriptTicks and kMaxScriptLookups
@@ -117,7 +120,9 @@ class ParseError : public std::runtime_error {
 
 /// A fully parsed and validated scenario.
 struct Script {
-  std::string name;  // required; names the telemetry experiment
+  /// Required; [A-Za-z0-9_-]+, since it names the telemetry experiment
+  /// and its output file.
+  std::string name;
   Substrate substrate = Substrate::kSim;
 
   /// Simulation parameters assembled from the header (sim substrate).

@@ -7,10 +7,10 @@
 // suggestion).
 //
 // The user-settable fields also form a table (ParamField, below): one
-// entry per `.scn` header key / dhtlb_cli flag, holding the value
-// grammar and the input limit.  Params::set and Params::format are the
-// only text <-> field mapping; the scenario parser, the canonical
-// emitter and the CLI all go through them.
+// entry per `.scn` header key, holding the value grammar and the input
+// limit.  Params::set and Params::format are the only text <-> field
+// mapping; the scenario parser, the canonical emitter and
+// `dhtlb_scenario --help` all go through them.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +52,10 @@ struct Params {
   static constexpr std::size_t kMaxSuccessors = 64;
 
   /// Input limits: the largest initial_nodes and total_tasks a text
-  /// input (a `.scn` header, a dhtlb_cli flag) may set, also the largest
-  /// node and task counts of one scenario event.  Each node is a vnode
-  /// slot and each task a resident 20-byte key, so a count past these is
-  /// rejected rather than run until the process dies.
+  /// input (a `.scn` header, an env knob read as a field) may set, also
+  /// the largest node and task counts of one scenario event.  Each node
+  /// is a vnode slot and each task a resident 20-byte key, so a count
+  /// past these is rejected rather than run until the process dies.
   static constexpr std::uint64_t kMaxInputNodes = 4'000'000;
   static constexpr std::uint64_t kMaxInputTasks = 100'000'000;
 
@@ -130,8 +130,8 @@ struct Params {
   std::string format(std::string_view key) const;
 };
 
-/// One user-settable Params field: its `.scn` header key (also the
-/// dhtlb_cli flag name), value grammar and input limit.
+/// One user-settable Params field: its `.scn` header key, value grammar
+/// and input limit.
 struct ParamField {
   // kCount: support::parse_count up to `max`; kProbability: a real in
   // [0, 1]; kBool and kEnum: one of `names`.
@@ -149,7 +149,7 @@ struct ParamField {
   std::uint64_t max;                        // kCount: the input limit
   std::span<const std::string_view> names;  // kBool/kEnum: text of value i
   std::string_view value_name;              // usage: `nodes <count>`
-  std::string_view help;                    // --help description
+  std::string_view help;  // dhtlb_scenario --help description
   bool chord;                               // also a chord-substrate key
   bool streamed_only;  // meaningful under streamed provisioning only
   Value (*load)(const Params&);

@@ -33,7 +33,7 @@ class CliParser {
   std::uint64_t get_u64(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  /// Comma-separated integers, e.g. "--snapshots 0,5,35"; each item is
+  /// Comma-separated integers, e.g. "--threads-matrix 1,4"; each item is
   /// checked as get_u64 checks its value.
   std::vector<std::uint64_t> get_u64_list(const std::string& name) const;
 

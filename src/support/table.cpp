@@ -47,30 +47,6 @@ std::string TextTable::render() const {
   return out.str();
 }
 
-std::string TextTable::render_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char c : s) {
-      if (c == '"') q += '"';
-      q += c;
-    }
-    q += '"';
-    return q;
-  };
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ',';
-      out << quote(row[c]);
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string format_fixed(double v, int digits) {
   std::ostringstream out;
   out.setf(std::ios::fixed);

@@ -26,9 +26,6 @@ class TextTable {
   /// Renders with a header rule and two-space column gutters.
   std::string render() const;
 
-  /// Renders as RFC-4180-ish CSV (commas, quoted only when needed).
-  std::string render_csv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

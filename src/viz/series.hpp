@@ -36,7 +36,7 @@ std::string render_series_comparison(
     const SeriesRenderOptions& options = {});
 
 /// Mean of each of `buckets` equal slices of the series (the downsample
-/// kernel used by render_series; exposed for tests and CSV export).
+/// kernel used by render_series; exposed for tests).
 std::vector<double> bucket_means(std::span<const std::uint64_t> series,
                                  std::size_t buckets);
 

@@ -54,7 +54,7 @@ void expect_identical(const Aggregate& a, const Aggregate& b) {
 
 TEST(RunTrials, SerialAndParallelAgreeExactly) {
   // Trials are functions of (base_seed, index) only: the thread pool
-  // must not change any number strategy_comparison or dhtlb_cli prints,
+  // must not change any number strategy_comparison or dhtlb_bench prints,
   // with or without churn.
   sim::Params churny = tiny();
   churny.churn_rate = 0.01;

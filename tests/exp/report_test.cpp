@@ -9,47 +9,6 @@
 namespace dhtlb::exp {
 namespace {
 
-Aggregate sample_aggregate() {
-  sim::Params p;
-  p.initial_nodes = 100;
-  p.total_tasks = 10'000;
-  p.churn_rate = 0.01;
-  return run_trials(p, "churn", 2, 7);
-}
-
-TEST(Report, ToRowCopiesEveryField) {
-  const Aggregate agg = sample_aggregate();
-  const ResultRow row = to_row("table2", "cell-a", agg);
-  EXPECT_EQ(row.experiment, "table2");
-  EXPECT_EQ(row.config, "cell-a");
-  EXPECT_EQ(row.strategy, "churn");
-  EXPECT_EQ(row.nodes, 100u);
-  EXPECT_EQ(row.tasks, 10'000u);
-  EXPECT_DOUBLE_EQ(row.churn_rate, 0.01);
-  EXPECT_EQ(row.trials, 2u);
-  EXPECT_DOUBLE_EQ(row.runtime_factor_mean, agg.runtime_factor.mean);
-  EXPECT_GT(row.mean_leaves, 0.0);
-}
-
-TEST(Report, CsvHasHeaderAndOneLinePerRow) {
-  const Aggregate agg = sample_aggregate();
-  const std::string csv =
-      rows_to_csv({to_row("t", "a", agg), to_row("t", "b", agg)});
-  std::size_t lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 3u);
-  EXPECT_EQ(csv.substr(0, 10), "experiment");
-}
-
-TEST(Report, SnapshotCsv) {
-  sim::Snapshot snap;
-  snap.workloads = {5, 0, 12};
-  const std::string csv = snapshot_to_csv(snap);
-  EXPECT_EQ(csv, "node_index,workload\n0,5\n1,0\n2,12\n");
-}
-
 TEST(Report, WriteFileCreatesDirectories) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "dhtlb_report_test").string();

@@ -153,6 +153,17 @@ TEST(ScenarioParser, MissingName) {
   expect_error("nodes 10\n", 1, "missing required key 'name'");
 }
 
+// The name becomes the output file BENCH_scenario_<name>.json: a path
+// separator or `..` would write outside the output directory.
+TEST(ScenarioParser, UnsafeNameIsRejected) {
+  expect_error("name x/../../escaped\n", 1,
+               "name 'x/../../escaped' may hold only letters, digits, '_' "
+               "and '-'");
+  expect_error("nodes 10\nname ..\n", 2, "name '..' may hold only");
+  expect_error("name a\"b\n", 1, "name 'a\"b' may hold only");
+  EXPECT_EQ(parse("name Az_09-x\n").name, "Az_09-x");
+}
+
 TEST(ScenarioParser, AtTickZero) {
   expect_error("name x\nat 0\n  join 1\nend\n", 2, "must be >= 1");
 }
@@ -174,6 +185,9 @@ TEST(ScenarioParser, MaxSybilsAboveUintMax) {
 TEST(ScenarioParser, NodesHeaderAboveLimit) {
   expect_error("name x\nnodes 4000001\n", 2, "node count 4000001 is out of "
                "range (at most 4000000)");
+  // 2^31 nodes would need physical indices past the 32-bit NodeIndex.
+  expect_error("name x\nnodes 2147483648\n", 2, "node count 2147483648 is "
+               "out of range (at most 4000000)");
   EXPECT_EQ(parse("name x\nnodes 4000000\n").params.initial_nodes,
             sim::Params::kMaxInputNodes);
 }
@@ -190,6 +204,10 @@ TEST(ScenarioParser, SuccessorsHeaderAboveLimit) {
 TEST(ScenarioParser, TasksHeaderAboveLimit) {
   expect_error("name x\ntasks 18446744073709551615\n", 2,
                "task count 18446744073709551615 is out of range");
+  // 10^18 tasks would abort in the task store's reserve().
+  expect_error("name x\ntasks 1000000000000000000\n", 2,
+               "task count 1000000000000000000 is out of range (at most "
+               "100000000)");
   EXPECT_EQ(parse("name x\ntasks 100000000\n").params.total_tasks,
             sim::Params::kMaxInputTasks);
 }
@@ -368,6 +386,10 @@ TEST(ScenarioParser, ProvisioningDefaultsToPreallocated) {
 TEST(ScenarioParser, UnknownProvisioningMode) {
   expect_error("name x\nprovisioning eager\n", 2,
                "expected preallocated or streamed");
+  // The other enum key fails the same way; a misspelt work-measure would
+  // otherwise run as one task per tick.
+  expect_error("name x\nwork-measure strenght\n", 2,
+               "unknown work-measure 'strenght' (expected one or strength)");
 }
 
 TEST(ScenarioParser, ArrivalTicksRequiresStreamed) {

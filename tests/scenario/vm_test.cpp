@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "harness/telemetry.hpp"
+#include "lb/factory.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scenario/script.hpp"
+#include "sim/engine.hpp"
 
 namespace dhtlb::scenario {
 namespace {
@@ -44,6 +49,53 @@ TEST(ScenarioVm, ReplaysByteIdentically) {
   // injected keys); equality here would mean the seed is ignored.
   const std::string c = as_json(run_scenario(s, 43));
   EXPECT_NE(a, c);
+}
+
+// A plain configuration run is a header-only script: through the VM it
+// must be the bare engine built from the header's Params and strategy,
+// down to the trace and metrics bytes.
+TEST(ScenarioVm, EventFreeScriptIsTheBareEngine) {
+  const Script s = parse(
+      "name plain\nstrategy random-injection\nnodes 200\ntasks 20000\n");
+  const std::uint64_t seed = 1337;
+
+  std::ostringstream vm_trace;
+  std::ostringstream vm_metrics;
+  ScenarioResult vm;
+  {
+    obs::TraceSink trace(vm_trace);
+    obs::MetricsRegistry metrics(vm_metrics);
+    ObsSinks sinks;
+    sinks.trace = &trace;
+    sinks.metrics = &metrics;
+    vm = run_scenario(s, seed, /*audit=*/false, sinks);
+    trace.close();
+    metrics.flush();
+  }
+
+  std::ostringstream engine_trace;
+  std::ostringstream engine_metrics;
+  sim::RunResult bare;
+  {
+    obs::TraceSink trace(engine_trace);
+    obs::MetricsRegistry metrics(engine_metrics);
+    sim::Engine engine(s.params, seed, lb::make_strategy(s.strategy));
+    engine.set_trace(&trace);
+    engine.set_metrics(&metrics);
+    bare = engine.run();
+    trace.close();
+    metrics.flush();
+  }
+
+  ASSERT_TRUE(bare.completed);
+  EXPECT_GT(bare.strategy_counters.sybils_created, 0u);
+  EXPECT_FALSE(vm_metrics.str().empty());
+  EXPECT_TRUE(vm_trace.str() == engine_trace.str()) << "trace differs";
+  EXPECT_TRUE(vm_metrics.str() == engine_metrics.str()) << "metrics differ";
+  EXPECT_EQ(metric(vm, "ticks"), static_cast<double>(bare.ticks));
+  EXPECT_EQ(metric(vm, "runtime_factor"), bare.runtime_factor);
+  EXPECT_EQ(metric(vm, "sybils_created"),
+            static_cast<double>(bare.strategy_counters.sybils_created));
 }
 
 TEST(ScenarioVm, ScriptedJoinsGrowTheRing) {

@@ -42,23 +42,6 @@ TEST(TextTable, RowCount) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
-TEST(TextTable, CsvEscapesSpecials) {
-  TextTable t({"k", "v"});
-  t.add_row({"plain", "has,comma"});
-  t.add_row({"quote\"inside", "line\nbreak"});
-  const std::string csv = t.render_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_NE(csv.find("\"line\nbreak\""), std::string::npos);
-  EXPECT_NE(csv.find("plain"), std::string::npos);
-}
-
-TEST(TextTable, CsvHeaderFirstLine) {
-  TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.render_csv().substr(0, 4), "x,y\n");
-}
-
 TEST(FormatFixed, Precision) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(3.0, 3), "3.000");
