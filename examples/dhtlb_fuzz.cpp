@@ -41,6 +41,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/report.hpp"
@@ -297,8 +298,7 @@ int main(int argc, char** argv) try {
         });
     const fs::path failing = out_dir / (script.name + ".failing.scn");
     const fs::path min_path = out_dir / (script.name + ".minimized.scn");
-    exp::write_file(failing.string(), text);
-    exp::write_file(min_path.string(), scenario::emit_script(minimized));
+    const fs::path repro_path = out_dir / (script.name + ".REPRO.txt");
     std::ostringstream repro;
     repro << "profile: " << profile << "\n"
           << "script seed: " << script_seed << " (base " << base_seed
@@ -314,8 +314,14 @@ int main(int argc, char** argv) try {
     repro << "\nrepro (single): DHTLB_THREADS=" << verdict.threads
           << " dhtlb_scenario " << min_path.string()
           << (child.audit ? " --audit" : "") << "\n";
-    exp::write_file((out_dir / (script.name + ".REPRO.txt")).string(),
-                    repro.str());
+    for (const auto& [path, content] :
+         {std::pair{failing, text},
+          std::pair{min_path, scenario::emit_script(minimized)},
+          std::pair{repro_path, repro.str()}}) {
+      if (!exp::write_file(path.string(), content)) {
+        return fail("cannot write " + path.string());
+      }
+    }
     std::cerr << "dhtlb_fuzz: wrote " << failing.string() << ", "
               << min_path.string() << " (" << minimized.blocks.size()
               << " block(s)) and REPRO.txt\n";

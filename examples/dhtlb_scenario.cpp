@@ -18,10 +18,11 @@
 // builds.
 //
 // The JSON output is BENCH_scenario_<name>.json, or BENCH_serve_<name>.json
-// with --traffic, written to DHTLB_BENCH_DIR (default ".").  It is
-// byte-stable for a fixed (file, seed, --traffic, --qps, --keys) at any
-// DHTLB_THREADS and --readers setting: both are execution knobs, and no
-// record carries either.  --check compares it against a committed golden
+// with --traffic, written to DHTLB_BENCH_DIR (default "."); a directory
+// that cannot take it fails before the run.  It is byte-stable for a
+// fixed (file, seed, --traffic, --qps, --keys) at any DHTLB_THREADS and
+// --readers setting: both are execution knobs, and no record carries
+// either.  --check compares it against a committed golden
 // and exits nonzero on any byte difference, which is how CI
 // regression-tests the scenario engine and the serving plane.
 //
@@ -39,7 +40,10 @@
 // --traffic is given.  Both are deterministic for a fixed (file, seed)
 // and byte-identical at any DHTLB_THREADS, and observation never
 // changes the telemetry (see OBSERVABILITY.md).
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -67,6 +71,13 @@ using namespace dhtlb;
 int fail(const std::string& message) {
   std::cerr << "dhtlb_scenario: " << message << "\n";
   return 1;
+}
+
+/// Whether `dir` is a directory this process may create files in.
+bool writable_dir(const std::string& dir) {
+  std::error_code ec;
+  return std::filesystem::is_directory(dir, ec) &&
+         ::access(dir.c_str(), W_OK) == 0;
 }
 
 /// The serving-plane configuration from --traffic, --readers, --qps and
@@ -237,6 +248,17 @@ int main(int argc, char** argv) try {
                 "(script declares `substrate chord`)");
   }
 
+  // The telemetry file is written after the run, so a directory that
+  // cannot take it is reported now instead of after a long run.  The
+  // file is not created yet: a run that fails leaves none behind.
+  const std::string bench_dir = support::env_string("DHTLB_BENCH_DIR", ".");
+  const std::string bench_path = bench_dir + "/BENCH_" +
+                                 (serving ? "serve_" : "scenario_") +
+                                 script.name + ".json";
+  if (!cli.has("check") && !writable_dir(bench_dir)) {
+    return fail("cannot write " + bench_path);
+  }
+
   const std::uint64_t seed = scenario::resolve_seed(
       script, cli.has("seed"), cli.has("seed") ? cli.get_u64("seed") : 0,
       support::env_seed());
@@ -322,12 +344,10 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  const std::string dir = support::env_string("DHTLB_BENCH_DIR", ".");
-  const std::string path = dir + "/BENCH_" + experiment + ".json";
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return fail("cannot write " + path);
+  std::ofstream out(bench_path, std::ios::binary);
+  if (!out) return fail("cannot write " + bench_path);
   out << json;
-  if (!quiet) std::cout << "wrote " << path << "\n";
+  if (!quiet) std::cout << "wrote " << bench_path << "\n";
   return 0;
 } catch (const std::invalid_argument& e) {
   // A malformed flag value, e.g. `--seed abc` (CliParser's typed getters).

@@ -79,11 +79,12 @@ std::string random_strategy_name(Rng& rng) {
   return std::string(table[rng.below(table.size())].name);
 }
 
-Event random_event(K kind, Rng& rng, const Script& script) {
+/// An event of a kind drawn from the profile's weighted pool.
+Event random_event(const ProfileSpec& spec, Rng& rng, const Script& script) {
   Event event;
-  event.kind = kind;
+  event.kind = spec.kinds[rng.below(spec.kinds.size())];
   const std::uint64_t nodes = script.params.initial_nodes;
-  switch (kind) {
+  switch (event.kind) {
     case K::kJoin:
       event.count = 1 + rng.below(std::max<std::uint64_t>(1, nodes / 4));
       break;
@@ -92,11 +93,10 @@ Event random_event(K kind, Rng& rng, const Script& script) {
       event.count = 1 + rng.below(std::max<std::uint64_t>(1, nodes / 8));
       break;
     case K::kInjectUniform:
-      event.count = 1 + rng.below(2000);
-      break;
     case K::kInjectHotspot:
       event.count = 1 + rng.below(2000);
-      // Narrow arcs, (0, 1/8] of the ring, in exact 1/256 steps.
+      // Hotspots take narrow arcs, (0, 1/8] of the ring, in 1/256 steps.
+      if (event.kind == K::kInjectUniform) break;
       event.value = static_cast<double>(1 + rng.below(32)) / 256.0;
       break;
     case K::kSetChurn:
@@ -110,13 +110,10 @@ Event random_event(K kind, Rng& rng, const Script& script) {
     case K::kSetStrategy:
       event.text = random_strategy_name(rng);
       break;
-    case K::kFault: {
-      static constexpr std::string_view kFaults[] = {"drop", "delay",
-                                                     "duplicate"};
-      event.text = std::string(kFaults[rng.below(3)]);
+    case K::kFault:
+      event.text = fault_kinds()[rng.below(fault_kinds().size())].name;
       event.value = static_cast<double>(rng.below(26)) / 100.0;  // <= 0.25
       break;
-    }
     case K::kLookup:
       event.count = 1 + rng.below(32);
       break;
@@ -128,18 +125,13 @@ Event random_event(K kind, Rng& rng, const Script& script) {
 
 std::vector<std::string_view> fuzz_profiles() {
   std::vector<std::string_view> names;
-  names.reserve(profile_specs().size());
-  for (const ProfileSpec& spec : profile_specs()) {
-    names.push_back(spec.name);
-  }
+  for (const ProfileSpec& spec : profile_specs()) names.push_back(spec.name);
   return names;
 }
 
 bool is_fuzz_profile(std::string_view profile) {
-  for (const ProfileSpec& spec : profile_specs()) {
-    if (spec.name == profile) return true;
-  }
-  return false;
+  return std::ranges::find(profile_specs(), profile, &ProfileSpec::name) !=
+         profile_specs().end();
 }
 
 Script generate_script(std::string_view profile, std::uint64_t seed) {
@@ -206,11 +198,8 @@ Script generate_script(std::string_view profile, std::uint64_t seed) {
     Block block;
     block.recurring = false;
     block.at = tick;
-    const std::size_t n_events = 1 + rng.below(3);
-    for (std::size_t e = 0; e < n_events; ++e) {
-      block.events.push_back(
-          random_event(spec.kinds[rng.below(spec.kinds.size())], rng,
-                       script));
+    for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {  // 1..3 events
+      block.events.push_back(random_event(spec, rng, script));
     }
     script.blocks.push_back(std::move(block));
   }
@@ -225,11 +214,8 @@ Script generate_script(std::string_view profile, std::uint64_t seed) {
     block.at = 1 + rng.below(script.horizon / 4 + 1);
     block.from = 1 + rng.below(script.horizon);
     block.until = block.from + rng.below(script.horizon - block.from + 1);
-    const std::size_t n_events = 1 + rng.below(2);
-    for (std::size_t e = 0; e < n_events; ++e) {
-      block.events.push_back(
-          random_event(spec.kinds[rng.below(spec.kinds.size())], rng,
-                       script));
+    for (std::uint64_t n = 1 + rng.below(2); n > 0; --n) {  // 1..2 events
+      block.events.push_back(random_event(spec, rng, script));
     }
     const std::size_t pos = rng.below(script.blocks.size() + 1);
     script.blocks.insert(

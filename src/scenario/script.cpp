@@ -1,10 +1,13 @@
 #include "scenario/script.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 
+#include "chord/network.hpp"
 #include "lb/factory.hpp"
 #include "support/number.hpp"
 
@@ -52,117 +55,178 @@ struct Cursor {
       }
     }
   }
-
-  void check_strategy(const std::string& name) const {
-    if (lb::find_strategy(name) == nullptr) {
-      fail("unknown strategy '" + name + "'");
-    }
-  }
 };
 
 using sim::Params;
 using support::parse_count;
-using support::parse_probability;
 
-Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens) {
-  Event event;
-  event.line = cur.line;
-  const std::string& head = tokens[0];
-  if (head == "join" || head == "leave" || head == "crash") {
-    cur.expect_tokens(tokens, 2, head + " <count>");
-    event.kind = head == "join"    ? Event::Kind::kJoin
-                 : head == "leave" ? Event::Kind::kLeave
-                                   : Event::Kind::kCrash;
-    event.count = parse_count("count", tokens[1], Params::kMaxInputNodes);
-    if (event.count == 0) cur.fail(head + " count must be >= 1");
-  } else if (head == "inject-uniform") {
-    cur.expect_tokens(tokens, 2, "inject-uniform <tasks>");
-    event.kind = Event::Kind::kInjectUniform;
-    event.count = parse_count("task count", tokens[1], Params::kMaxInputTasks);
-    if (event.count == 0) cur.fail("inject-uniform count must be >= 1");
-  } else if (head == "inject-hotspot") {
-    cur.expect_tokens(tokens, 3, "inject-hotspot <tasks> <ring-fraction>");
-    event.kind = Event::Kind::kInjectHotspot;
-    event.count = parse_count("task count", tokens[1], Params::kMaxInputTasks);
-    if (event.count == 0) cur.fail("inject-hotspot count must be >= 1");
-    event.value = support::parse_number("ring fraction", tokens[2]);
-    if (!(event.value > 0.0 && event.value <= 1.0)) {
-      cur.fail("hotspot ring fraction must be in (0, 1], got '" + tokens[2] +
-               "'");
-    }
-  } else if (head == "set") {
-    cur.expect_tokens(tokens, 3, "set churn|threshold <value>");
-    if (tokens[1] == "churn") {
-      event.kind = Event::Kind::kSetChurn;
-      event.value = parse_probability("churn rate", tokens[2]);
-    } else if (tokens[1] == "threshold") {
-      event.kind = Event::Kind::kSetThreshold;
-      event.count = parse_count("sybilThreshold", tokens[2]);
-    } else {
-      cur.fail("unknown parameter '" + tokens[1] +
-               "' (expected churn or threshold)");
-    }
-  } else if (head == "strategy") {
-    cur.expect_tokens(tokens, 2, "strategy <name>");
-    event.kind = Event::Kind::kSetStrategy;
-    cur.check_strategy(tokens[1]);
-    event.text = tokens[1];
-  } else if (head == "fault") {
-    cur.expect_tokens(tokens, 3, "fault drop|delay|duplicate <probability>");
-    if (tokens[1] != "drop" && tokens[1] != "delay" &&
-        tokens[1] != "duplicate") {
-      cur.fail("unknown fault kind '" + tokens[1] +
-               "' (expected drop, delay, or duplicate)");
-    }
-    event.kind = Event::Kind::kFault;
-    event.text = tokens[1];
-    event.value = parse_probability("fault probability", tokens[2]);
-  } else if (head == "lookup") {
-    cur.expect_tokens(tokens, 2, "lookup <count>");
-    event.kind = Event::Kind::kLookup;
-    event.count = parse_count("lookup count", tokens[1], kMaxScriptLookups);
-    if (event.count == 0) cur.fail("lookup count must be >= 1");
-  } else {
-    cur.fail("unknown event '" + head + "'");
-  }
-  return event;
+// Substrate names, indexed by Substrate.
+constexpr std::string_view kSubstrates[] = {"sim", "chord"};
+
+// The `fault` kinds and the chord message-fault probability each sets.
+constexpr FaultKind kFaultKinds[] = {
+    {"drop", &chord::FaultConfig::drop},
+    {"delay", &chord::FaultConfig::delay},
+    {"duplicate", &chord::FaultConfig::duplicate}};
+
+// An operand's grammar and the Event field it fills: kCount `count`, up
+// to `max`; kReal `value`, in [0, 1] with zero_ok, else in (0, 1];
+// kStrategy and kFault `text`; kParam `count` or `value`, read by the
+// sim::param_fields() row the event's second word names (`set churn`).
+enum class Grammar { kNone, kCount, kReal, kStrategy, kFault, kParam };
+using enum Grammar;
+
+struct Operand {
+  Grammar grammar = kNone;
+  std::string_view noun = {};  // names the value in diagnostics
+  std::uint64_t max = 0;       // kCount: the input limit
+  bool zero_ok = false;        // whether 0 is a valid value
+};
+constexpr Operand kNodes{kCount, "count", Params::kMaxInputNodes};
+constexpr Operand kTasks{kCount, "task count", Params::kMaxInputTasks};
+
+// One row per Event::Kind: its words, the usage text of its operands
+// (after the fault kinds, for `fault`), the operands in text order, the
+// substrates it runs on and its trace instant name.
+struct EventSpec {
+  Event::Kind kind;
+  std::string_view words, usage;
+  Operand operands[2];
+  bool sim, chord;
+  std::string_view label;
+};
+using K = Event::Kind;
+constexpr EventSpec kEventTable[] = {
+    {K::kJoin, "join", "<count>", {kNodes}, true, true, "scripted_join"},
+    {K::kLeave, "leave", "<count>", {kNodes}, true, true, "scripted_leave"},
+    {K::kCrash, "crash", "<count>", {kNodes}, true, true, "scripted_crash"},
+    {K::kInjectUniform, "inject-uniform", "<tasks>", {kTasks}, true, false,
+     "inject_uniform"},
+    {K::kInjectHotspot, "inject-hotspot", "<tasks> <ring-fraction>",
+     {kTasks, {kReal, "hotspot ring fraction"}}, true, false,
+     "inject_hotspot"},
+    {K::kSetChurn, "set churn", "<value>", {{kParam}}, true, false,
+     "set_churn"},
+    {K::kSetThreshold, "set threshold", "<value>", {{kParam}}, true, false,
+     "set_threshold"},
+    {K::kSetStrategy, "strategy", "<name>", {{kStrategy}}, true, false,
+     "set_strategy"},
+    {K::kFault, "fault", "<probability>",
+     {{kFault, "fault kind"}, {kReal, "fault probability", 0, true}}, false,
+     true, "set_fault"},
+    // Every lookup routes messages through the ring.
+    {K::kLookup, "lookup", "<count>",
+     {{kCount, "lookup count", 10'000'000}}, false, true,
+     "scripted_lookup"},
+};
+static_assert(std::size(kEventTable) == std::size_t(K::kLookup) + 1);
+
+const EventSpec& spec_of(Event::Kind kind) {
+  return *std::ranges::find(kEventTable, kind, &EventSpec::kind);
 }
 
-// Each event kind's words before its operands, which operands it
-// carries (written in the order text, count, value) and where it runs.
-struct EventShape {
-  Event::Kind kind;
-  std::string_view name;
-  bool text, count, value;
-  bool sim, chord;
-};
-constexpr EventShape kEventShapes[] = {
-    {Event::Kind::kJoin, "join", false, true, false, true, true},
-    {Event::Kind::kLeave, "leave", false, true, false, true, true},
-    {Event::Kind::kCrash, "crash", false, true, false, true, true},
-    {Event::Kind::kInjectUniform, "inject-uniform", false, true, false, true,
-     false},
-    {Event::Kind::kInjectHotspot, "inject-hotspot", false, true, true, true,
-     false},
-    {Event::Kind::kSetChurn, "set churn", false, false, true, true, false},
-    {Event::Kind::kSetThreshold, "set threshold", false, true, false, true,
-     false},
-    {Event::Kind::kSetStrategy, "strategy", true, false, false, true, false},
-    {Event::Kind::kFault, "fault", true, false, true, false, true},
-    {Event::Kind::kLookup, "lookup", false, true, false, false, true},
-};
-static_assert(
-    [] {
-      std::size_t i = 0;
-      for (const EventShape& s : kEventShapes) {
-        if (s.kind != static_cast<Event::Kind>(i++)) return false;
-      }
-      return i == static_cast<std::size_t>(Event::Kind::kLookup) + 1;
-    }(),
-    "kEventShapes lists every Event::Kind once, in declaration order");
+// The word after the first, or "": `churn` in `set churn`.
+std::string_view second_word(std::string_view words) {
+  const std::size_t space = words.find(' ');
+  return space == std::string_view::npos ? "" : words.substr(space + 1);
+}
 
-const EventShape& shape(Event::Kind kind) {
-  return kEventShapes[static_cast<std::size_t>(kind)];
+// The names as usage text "a|b|c", or in prose "a or b", "a, b, or c".
+template <typename Names, typename Proj = std::identity>
+std::string alternatives(const Names& names, bool prose, Proj proj = {}) {
+  const std::size_t n = std::size(names);
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && !prose) out += '|';
+    if (i > 0 && prose) out += n == 2 ? " or " : i + 1 < n ? ", " : ", or ";
+    out += std::invoke(proj, names[i]);
+  }
+  return out;
+}
+
+// The index of `token` in `names`, or a failure naming them all.
+template <typename Names, typename Proj = std::identity>
+std::size_t expect_one_of(const Cursor& cur, std::string_view noun,
+                          const std::string& token, const Names& names,
+                          Proj proj = {}) {
+  const auto it = std::ranges::find(names, token, proj);
+  if (it == std::ranges::end(names)) {
+    cur.fail("unknown " + std::string(noun) + " '" + token + "' (expected " +
+             alternatives(names, true, proj) + ")");
+  }
+  return static_cast<std::size_t>(it - std::ranges::begin(names));
+}
+
+void parse_operand(const Cursor& cur, const EventSpec& spec,
+                   const Operand& op, const std::string& token,
+                   Event& event) {
+  if (op.grammar == kCount) {
+    event.count = parse_count(op.noun, token, op.max);
+    if (event.count == 0 && !op.zero_ok) {
+      cur.fail(std::string(spec.words) + " count must be >= 1");
+    }
+  } else if (op.grammar == kReal) {
+    event.value = support::parse_number(op.noun, token);
+    if (!(op.zero_ok ? event.value >= 0.0 : event.value > 0.0) ||
+        event.value > 1.0) {
+      cur.fail(std::string(op.noun) + " must be in " +
+               (op.zero_ok ? "[" : "(") + "0, 1], got '" + token + "'");
+    }
+  } else if (op.grammar == kParam) {
+    // Through the field, so `set churn x` reads x as the header `churn x`.
+    const std::string_view key = second_word(spec.words);
+    Params params;
+    params.set(key, token);
+    const auto value = sim::find_param_field(key)->load(params);
+    event.count = value.n;
+    event.value = value.x;
+  } else {
+    if (op.grammar == kStrategy && lb::find_strategy(token) == nullptr) {
+      cur.fail("unknown strategy '" + token + "'");
+    }
+    if (op.grammar == kFault) {
+      expect_one_of(cur, op.noun, token, kFaultKinds, &FaultKind::name);
+    }
+    event.text = token;
+  }
+}
+
+// An event line.  Its first word picks the rows spelled with it; where
+// those have a second word, it names the `Params` field to set.
+Event parse_event(const Cursor& cur, const std::vector<std::string>& tokens,
+                  Substrate substrate) {
+  const EventSpec* spec = nullptr;  // the first row, or the one tokens[1] keys
+  std::vector<std::string_view> keys;
+  for (const EventSpec& row : kEventTable) {
+    if (row.words.substr(0, row.words.find(' ')) != tokens[0]) continue;
+    const std::string_view key = second_word(row.words);
+    if (!spec || (tokens.size() > 1 && key == tokens[1])) spec = &row;
+    if (!key.empty()) keys.push_back(key);
+  }
+  if (spec == nullptr) cur.fail("unknown event '" + tokens[0] + "'");
+
+  const std::size_t words = keys.empty() ? 1 : 2;
+  const std::size_t arity = spec->operands[1].grammar == kNone ? 1 : 2;
+  if (tokens.size() != words + arity) {  // the usage text is for the message
+    std::string usage = tokens[0] + ' ';
+    if (words == 2) usage += alternatives(keys, false) + ' ';
+    if (spec->operands[0].grammar == kFault) {
+      usage += alternatives(kFaultKinds, false, &FaultKind::name) + ' ';
+    }
+    cur.expect_tokens(tokens, words + arity, usage + std::string(spec->usage));
+  }
+  if (words == 2) expect_one_of(cur, "parameter", tokens[1], keys);
+
+  Event event{.kind = spec->kind, .text = "", .line = cur.line};
+  for (std::size_t i = 0; i < arity; ++i) {
+    parse_operand(cur, *spec, spec->operands[i], tokens[words + i], event);
+  }
+  if (!(substrate == Substrate::kSim ? spec->sim : spec->chord)) {
+    cur.fail("event '" + std::string(spec->words) + "' is not valid on the " +
+             std::string(kSubstrates[static_cast<int>(substrate)]) +
+             " substrate");
+  }
+  return event;
 }
 
 // Script::parse without the final rewrap: the number parsers and
@@ -174,7 +238,6 @@ Script parse_lines(std::string_view text, Cursor& cur) {
   // the substrate cross-check.
   std::map<std::string, int> header_lines;
   bool in_block = false;
-  bool any_block = false;
   Block block;
   std::uint64_t last_at_tick = 0;
 
@@ -198,18 +261,15 @@ Script parse_lines(std::string_view text, Cursor& cur) {
         block.at = parse_count("period", tokens[1], kMaxScriptTicks);
         if (block.at == 0) cur.fail("every period must be >= 1");
         std::size_t i = 2;
-        if (i < tokens.size() && tokens[i] == "from") {
-          block.from = parse_count("from tick", tokens[i + 1], kMaxScriptTicks);
-          if (block.from == 0) cur.fail("from tick must be >= 1");
-          i += 2;
-        }
-        if (i < tokens.size() && tokens[i] == "until") {
-          block.until =
-              parse_count("until tick", tokens[i + 1], kMaxScriptTicks);
-          // 0 is the internal "open-ended" sentinel; accepting it here
-          // would silently stretch the block to the horizon instead of
-          // meaning "never fires" — reject rather than guess.
-          if (block.until == 0) cur.fail("until tick must be >= 1");
+        // An `until` of 0 is the internal "open-ended" sentinel; accepting
+        // it would silently stretch the block to the horizon instead of
+        // meaning "never fires", so both bounds reject 0.
+        for (const auto& [word, bound] : {std::pair{"from", &Block::from},
+                                          std::pair{"until", &Block::until}}) {
+          if (i == tokens.size() || tokens[i] != word) continue;
+          const std::string noun = std::string(word) + " tick";
+          block.*bound = parse_count(noun, tokens[i + 1], kMaxScriptTicks);
+          if (block.*bound == 0) cur.fail(noun + " must be >= 1");
           i += 2;
         }
         if (i != tokens.size()) {
@@ -233,8 +293,19 @@ Script parse_lines(std::string_view text, Cursor& cur) {
         }
         last_at_tick = block.at;
       }
+      // The horizon header, if any, came before the first block.
+      const std::uint64_t first = block.recurring ? block.from : block.at;
+      if (script.horizon != 0 && first > script.horizon) {
+        cur.fail("block starts at tick " + std::to_string(first) +
+                 ", beyond the ticks horizon " +
+                 std::to_string(script.horizon));
+      }
+      if (block.recurring && block.until == 0 && script.horizon == 0) {
+        cur.fail("every block needs 'until' (or a 'ticks' horizon) so the "
+                 "scenario can end");
+      }
+      if (block.recurring && block.until == 0) block.until = script.horizon;
       in_block = true;
-      any_block = true;
       continue;
     }
 
@@ -248,12 +319,12 @@ Script parse_lines(std::string_view text, Cursor& cur) {
     }
 
     if (in_block) {
-      block.events.push_back(parse_event(cur, tokens));
+      block.events.push_back(parse_event(cur, tokens, script.substrate));
       continue;
     }
 
     // Header line.
-    if (any_block) {
+    if (!script.blocks.empty()) {
       cur.fail("header key '" + head + "' after the first event block "
                "(headers must come first)");
     }
@@ -265,15 +336,10 @@ Script parse_lines(std::string_view text, Cursor& cur) {
       cur.check_name(tokens[1]);
       script.name = tokens[1];
     } else if (head == "substrate") {
-      cur.expect_tokens(tokens, 2, "substrate sim|chord");
-      if (tokens[1] == "sim") {
-        script.substrate = Substrate::kSim;
-      } else if (tokens[1] == "chord") {
-        script.substrate = Substrate::kChord;
-      } else {
-        cur.fail("unknown substrate '" + tokens[1] +
-                 "' (expected sim or chord)");
-      }
+      cur.expect_tokens(tokens, 2,
+                        "substrate " + alternatives(kSubstrates, false));
+      script.substrate = static_cast<Substrate>(
+          expect_one_of(cur, "substrate", tokens[1], kSubstrates));
     } else if (head == "seed") {
       cur.expect_tokens(tokens, 2, "seed <u64>");
       script.seed = parse_count("seed", tokens[1]);
@@ -282,9 +348,8 @@ Script parse_lines(std::string_view text, Cursor& cur) {
       cur.expect_tokens(tokens, 2, "ticks <horizon>");
       script.horizon = parse_count("tick horizon", tokens[1], kMaxScriptTicks);
     } else if (head == "strategy") {
-      cur.expect_tokens(tokens, 2, "strategy <name>");
-      cur.check_strategy(tokens[1]);
-      script.strategy = tokens[1];
+      // Read as the `strategy` event; chord rejects the key below.
+      script.strategy = parse_event(cur, tokens, Substrate::kSim).text;
     } else if (const sim::ParamField* field = sim::find_param_field(head)) {
       cur.expect_tokens(tokens, 2,
                         head + " <" + std::string(field->value_name) + ">");
@@ -319,33 +384,6 @@ Script parse_lines(std::string_view text, Cursor& cur) {
                         "protocol run has no natural end)");
     }
   }
-  for (const Block& b : script.blocks) {
-    if (b.recurring && b.until == 0 && script.horizon == 0) {
-      fail_at(b.line, "every block needs 'until' (or a 'ticks' horizon) "
-                      "so the scenario can end");
-    }
-    if (script.horizon != 0) {
-      const std::uint64_t first = b.recurring ? b.from : b.at;
-      if (first > script.horizon) {
-        fail_at(b.line, "block starts at tick " + std::to_string(first) +
-                            ", beyond the ticks horizon " +
-                            std::to_string(script.horizon));
-      }
-    }
-    for (const Event& e : b.events) {
-      const EventShape& ev = shape(e.kind);
-      if (!(script.substrate == Substrate::kSim ? ev.sim : ev.chord)) {
-        fail_at(e.line,
-                "event '" + std::string(ev.name) + "' is not valid on the " +
-                    (script.substrate == Substrate::kSim ? "sim" : "chord") +
-                    " substrate");
-      }
-    }
-  }
-  // Resolve open-ended every blocks against the horizon.
-  for (Block& b : script.blocks) {
-    if (b.recurring && b.until == 0) b.until = script.horizon;
-  }
   script.params.validate();  // a failure is reported at the last line
   return script;
 }
@@ -362,13 +400,30 @@ Script Script::parse(std::string_view text, std::string_view filename) {
 }
 
 std::string format_event(const Event& event) {
-  const EventShape& ev = shape(event.kind);
-  std::string out(ev.name);
-  if (ev.text) out += ' ' + event.text;
-  if (ev.count) out += ' ' + std::to_string(event.count);
-  if (ev.value) out += ' ' + support::format_real(event.value);
+  const EventSpec& spec = spec_of(event.kind);
+  std::string out(spec.words);
+  for (const Operand& op : spec.operands) {
+    if (op.grammar == kNone) break;
+    out += ' ';
+    if (op.grammar == kCount) {
+      out += std::to_string(event.count);
+    } else if (op.grammar == kReal) {
+      out += support::format_real(event.value);
+    } else if (op.grammar == kParam) {
+      Params params;
+      const std::string_view key = second_word(spec.words);
+      sim::find_param_field(key)->store(params, {event.count, event.value});
+      out += params.format(key);
+    } else {
+      out += event.text;
+    }
+  }
   return out;
 }
+
+std::string_view trace_label(Event::Kind kind) { return spec_of(kind).label; }
+
+std::span<const FaultKind> fault_kinds() { return kFaultKinds; }
 
 Script Script::load(const std::string& path) {
   std::ifstream file(path, std::ios::binary);

@@ -29,29 +29,27 @@
 // experiments do (§V-C).
 // Every diagnostic is file:line-prefixed — see ParseError.
 //
-// Counts and ticks are bounded (kMaxScriptTicks and kMaxScriptLookups
-// below; node and task counts by sim::Params' input limits): each unit
-// costs the run memory or a loop iteration, so a number past its limit
-// is a ParseError rather than a run that allocates or loops until it
-// dies.  The `Params` header keys are sim::param_fields(): one table
-// gives their grammar, limits and canonical text.
-//
-// Two substrates share the format:
-//   substrate sim    (default) — drives sim::Engine through its timeline
-//                    hook; events: join/leave/crash, inject-uniform,
-//                    inject-hotspot, set churn/threshold, strategy
-//   substrate chord  — drives chord::Network, one maintenance round per
-//                    tick; events: join/leave/crash, lookup, fault
-//                    drop/delay/duplicate (seeded message faults)
+// Every count and tick has a limit: each unit costs the run memory or a
+// loop iteration, so a number past it is a ParseError rather than a run
+// that allocates or loops until it dies.  Two tables hold the language:
+// sim::param_fields() the `Params` header keys, and kEventTable
+// (script.cpp) the events, a row per Event::Kind with its words, each
+// operand's grammar, noun and limit, its substrates and its trace name.
+// `substrate sim` (the default) drives sim::Engine through its timeline
+// hook; `substrate chord` drives chord::Network, one maintenance round
+// per tick, with seeded message faults.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/params.hpp"
+
+namespace dhtlb::chord { struct FaultConfig; }
 
 namespace dhtlb::scenario {
 
@@ -60,28 +58,16 @@ namespace dhtlb::scenario {
 /// runner loops once per tick up to the horizon.
 inline constexpr std::uint64_t kMaxScriptTicks = 1'000'000;
 
-/// Largest `lookup` count (chord); every lookup routes messages.
-inline constexpr std::uint64_t kMaxScriptLookups = 10'000'000;
-
 /// Which execution model the scenario drives.
 enum class Substrate { kSim, kChord };
 
-/// One scripted mutation.  `line` points back into the source file for
-/// runtime diagnostics.
+/// One scripted mutation: its kind's kEventTable row (script.cpp) says
+/// which of count, value and text the operands fill.  `line` points back
+/// into the source file for runtime diagnostics.
 struct Event {
   enum class Kind {
-    kJoin,           // count
-    kLeave,          // count (graceful)
-    kCrash,          // count (sim: task-equivalent to leave under active
-                     // backup; chord: abrupt fail(), peers heal lazily)
-    kInjectUniform,  // count tasks at SHA-1 keys
-    kInjectHotspot,  // count tasks uniform in a random arc of `value`
-                     // ring fraction
-    kSetChurn,       // value = new churn rate
-    kSetThreshold,   // count = new sybilThreshold
-    kSetStrategy,    // text = strategy name (lb::make_strategy)
-    kFault,          // text = drop|delay|duplicate, value = probability
-    kLookup,         // count lookups from random origins (chord)
+    kJoin, kLeave, kCrash, kInjectUniform, kInjectHotspot,
+    kSetChurn, kSetThreshold, kSetStrategy, kFault, kLookup
   };
   Kind kind = Kind::kJoin;
   std::uint64_t count = 0;
@@ -103,6 +89,16 @@ struct Block {
 /// The canonical `.scn` text of one event line, e.g. "inject-hotspot 10
 /// 0.125"; parsing it yields the same event.
 std::string format_event(const Event& event);
+
+/// The trace instant name of an event kind, e.g. "scripted_join".
+std::string_view trace_label(Event::Kind kind);
+
+/// A `fault` kind: its name and the message-fault probability it sets.
+struct FaultKind {
+  std::string_view name;
+  double chord::FaultConfig::*probability;
+};
+std::span<const FaultKind> fault_kinds();
 
 /// Parse failure with the offending location.  what() is already
 /// "<file>:<line>: <message>".

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "chord/network.hpp"
@@ -78,50 +81,32 @@ std::optional<Uint160> arc_width(double fraction) {
   return Uint160::max().shr(32).mul_small(scale);
 }
 
-/// Trace label for a scripted event's instant.
-const char* scripted_name(Event::Kind kind) {
-  switch (kind) {
-    case Event::Kind::kJoin: return "scripted_join";
-    case Event::Kind::kLeave: return "scripted_leave";
-    case Event::Kind::kCrash: return "scripted_crash";
-    case Event::Kind::kInjectUniform: return "inject_uniform";
-    case Event::Kind::kInjectHotspot: return "inject_hotspot";
-    case Event::Kind::kSetChurn: return "set_churn";
-    case Event::Kind::kSetThreshold: return "set_threshold";
-    case Event::Kind::kSetStrategy: return "set_strategy";
-    case Event::Kind::kFault: return "set_fault";
-    case Event::Kind::kLookup: return "scripted_lookup";
-  }
-  return "scripted_event";
-}
-
 /// One instant per scripted event, emitted as the event applies so it
 /// lands on the tick it mutates.
 void trace_scripted(obs::TraceSink& trace, const Event& e) {
-  trace.instant(scripted_name(e.kind), "scenario",
+  trace.instant(trace_label(e.kind), "scenario",
                 {{"count", e.count}, {"value", e.value}, {"text", e.text}});
 }
 
+double d(std::uint64_t v) { return static_cast<double>(v); }
+
 void push(ScenarioResult& out, const std::string& cell,
           const std::string& metric, double value, std::uint64_t seed) {
-  bench::Record rec;
-  rec.experiment = out.experiment;
-  rec.cell = cell;
-  rec.metric = metric;
-  rec.value = value;
-  rec.seed = seed;
-  rec.trials = 1;
-  out.records.push_back(rec);
+  out.records.push_back({out.experiment, cell, metric, value, seed, 1});
 }
 
-// --- sim substrate --------------------------------------------------------
-
-struct SimCounters {
+/// Tallies of the scripted events applied; each substrate fills its own.
+struct Counters {
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t crashes = 0;
-  std::uint64_t injected = 0;
+  std::uint64_t injected = 0;  // sim
+  std::uint64_t lookups = 0;   // chord, as are the two below
+  std::uint64_t lookup_hops = 0;
+  std::uint64_t lookups_correct = 0;
 };
+
+// --- sim substrate --------------------------------------------------------
 
 /// Injects `count` keys from `draw()` through World::inject_tasks, in
 /// batches of at most kInjectBatch keys so a large event's scratch stays
@@ -143,7 +128,7 @@ void inject_drawn(sim::World& world, std::uint64_t count, Draw&& draw) {
 }
 
 void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
-                     SimCounters& counters) {
+                     Counters& counters) {
   sim::World& world = engine.world();
   switch (e.kind) {
     case Event::Kind::kJoin:
@@ -210,7 +195,7 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
   engine.set_metrics(sinks.metrics);
   if (sinks.configure_engine) sinks.configure_engine(engine);
   Rng vm_rng(support::mix_seed(seed, kVmStream));
-  SimCounters counters;
+  Counters counters;
 
   engine.set_pre_tick_hook([&](std::uint64_t tick) {
     bool applied = false;
@@ -233,7 +218,6 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
   ScenarioResult out;
   out.experiment = "scenario_" + script.name;
   const std::string cell = "sim";
-  auto d = [](std::uint64_t v) { return static_cast<double>(v); };
   push(out, cell, "ticks", d(result.ticks), seed);
   push(out, cell, "ideal_ticks", d(result.ideal_ticks), seed);
   push(out, cell, "runtime_factor", result.runtime_factor, seed);
@@ -256,12 +240,9 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
 
   // Final load shape: max/mean over alive nodes (1.0 = perfectly even).
   const std::vector<std::uint64_t> loads = world.alive_workloads();
-  std::uint64_t max_load = 0;
-  std::uint64_t sum_load = 0;
-  for (const std::uint64_t w : loads) {
-    max_load = std::max(max_load, w);
-    sum_load += w;
-  }
+  const std::uint64_t max_load = loads.empty() ? 0 : std::ranges::max(loads);
+  const std::uint64_t sum_load =
+      std::accumulate(loads.begin(), loads.end(), std::uint64_t{0});
   const double mean_load =
       loads.empty() ? 0.0 : d(sum_load) / d(loads.size());
   push(out, cell, "final_max_load", d(max_load), seed);
@@ -271,15 +252,6 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
 
 // --- chord substrate ------------------------------------------------------
 
-struct ChordCounters {
-  std::uint64_t joins = 0;
-  std::uint64_t leaves = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t lookup_hops = 0;
-  std::uint64_t lookups_correct = 0;
-};
-
 chord::NodeId pick_node(const chord::Network& net, Rng& rng) {
   const std::vector<chord::NodeId> ids = net.node_ids();
   DHTLB_CHECK(!ids.empty(), "scenario: chord ring is empty");
@@ -287,7 +259,7 @@ chord::NodeId pick_node(const chord::Network& net, Rng& rng) {
 }
 
 void apply_chord_event(const Event& e, chord::Network& net, Rng& rng,
-                       std::uint64_t& next_id, ChordCounters& counters,
+                       std::uint64_t& next_id, Counters& counters,
                        chord::FaultConfig& faults) {
   switch (e.kind) {
     case Event::Kind::kJoin:
@@ -322,12 +294,8 @@ void apply_chord_event(const Event& e, chord::Network& net, Rng& rng,
       }
       break;
     case Event::Kind::kFault:
-      if (e.text == "drop") {
-        faults.drop = e.value;
-      } else if (e.text == "delay") {
-        faults.delay = e.value;
-      } else {
-        faults.duplicate = e.value;
+      for (const FaultKind& kind : fault_kinds()) {
+        if (kind.name == e.text) faults.*kind.probability = e.value;
       }
       net.set_faults(faults);
       break;
@@ -338,6 +306,15 @@ void apply_chord_event(const Event& e, chord::Network& net, Rng& rng,
   }
 }
 
+/// Each chord message kind's metric and MessageStats field.
+constexpr std::pair<std::string_view, std::uint64_t chord::MessageStats::*>
+    kMessageKinds[] = {
+        {"msgs_find_successor", &chord::MessageStats::find_successor},
+        {"msgs_get_predecessor", &chord::MessageStats::get_predecessor},
+        {"msgs_get_successor_list", &chord::MessageStats::get_successor_list},
+        {"msgs_notify", &chord::MessageStats::notify},
+        {"msgs_ping", &chord::MessageStats::ping}};
+
 /// Chord-side instruments, registered once per run; the VM is the
 /// maintenance-loop driver, so it also owns per-tick sampling.
 struct ChordInstruments {
@@ -345,11 +322,7 @@ struct ChordInstruments {
   obs::MetricsRegistry::Id ring_consistent = 0;
   obs::MetricsRegistry::Id delayed_pending = 0;
   obs::MetricsRegistry::Id msgs_total = 0;
-  obs::MetricsRegistry::Id msgs_find_successor = 0;
-  obs::MetricsRegistry::Id msgs_get_predecessor = 0;
-  obs::MetricsRegistry::Id msgs_get_successor_list = 0;
-  obs::MetricsRegistry::Id msgs_notify = 0;
-  obs::MetricsRegistry::Id msgs_ping = 0;
+  obs::MetricsRegistry::Id msgs[std::size(kMessageKinds)] = {};
   obs::MetricsRegistry::Id lookups = 0;
   obs::MetricsRegistry::Id lookup_hops = 0;
 
@@ -359,12 +332,9 @@ struct ChordInstruments {
     ids.ring_consistent = m.gauge("ring_consistent", "bool");
     ids.delayed_pending = m.gauge("delayed_pending", "messages");
     ids.msgs_total = m.counter("msgs_total", "messages");
-    ids.msgs_find_successor = m.counter("msgs_find_successor", "messages");
-    ids.msgs_get_predecessor = m.counter("msgs_get_predecessor", "messages");
-    ids.msgs_get_successor_list =
-        m.counter("msgs_get_successor_list", "messages");
-    ids.msgs_notify = m.counter("msgs_notify", "messages");
-    ids.msgs_ping = m.counter("msgs_ping", "messages");
+    for (std::size_t i = 0; i < std::size(kMessageKinds); ++i) {
+      ids.msgs[i] = m.counter(kMessageKinds[i].first, "messages");
+    }
     ids.lookups = m.counter("lookups", "lookups");
     ids.lookup_hops = m.counter("lookup_hops", "hops");
     return ids;
@@ -401,9 +371,9 @@ ScenarioResult run_chord(const Script& script, std::uint64_t seed,
   ChordInstruments ids;
   if (sinks.metrics) ids = ChordInstruments::register_on(*sinks.metrics);
   chord::MessageStats prev_stats;
-  ChordCounters prev_counters;
+  Counters prev_counters;
 
-  ChordCounters counters;
+  Counters counters;
   chord::FaultConfig faults;
   for (std::uint64_t tick = 1; tick <= script.horizon; ++tick) {
     if (sinks.trace) sinks.trace->set_tick(tick);
@@ -417,21 +387,16 @@ ScenarioResult run_chord(const Script& script, std::uint64_t seed,
     net.maintenance_round();
     if (sinks.metrics || sinks.trace) {
       const chord::MessageStats& s = net.stats();
-      auto d = [](std::uint64_t v) { return static_cast<double>(v); };
       if (sinks.metrics) {
         obs::MetricsRegistry& m = *sinks.metrics;
         m.set(ids.nodes, d(net.size()));
         m.set(ids.ring_consistent, net.ring_consistent() ? 1.0 : 0.0);
         m.set(ids.delayed_pending, d(net.delayed_messages().size()));
         m.add(ids.msgs_total, d(s.total() - prev_stats.total()));
-        m.add(ids.msgs_find_successor,
-              d(s.find_successor - prev_stats.find_successor));
-        m.add(ids.msgs_get_predecessor,
-              d(s.get_predecessor - prev_stats.get_predecessor));
-        m.add(ids.msgs_get_successor_list,
-              d(s.get_successor_list - prev_stats.get_successor_list));
-        m.add(ids.msgs_notify, d(s.notify - prev_stats.notify));
-        m.add(ids.msgs_ping, d(s.ping - prev_stats.ping));
+        for (std::size_t i = 0; i < std::size(kMessageKinds); ++i) {
+          const auto field = kMessageKinds[i].second;
+          m.add(ids.msgs[i], d(s.*field - prev_stats.*field));
+        }
         m.add(ids.lookups, d(counters.lookups - prev_counters.lookups));
         m.add(ids.lookup_hops,
               d(counters.lookup_hops - prev_counters.lookup_hops));
@@ -456,7 +421,6 @@ ScenarioResult run_chord(const Script& script, std::uint64_t seed,
   ScenarioResult out;
   out.experiment = "scenario_" + script.name;
   const std::string cell = "chord";
-  auto d = [](std::uint64_t v) { return static_cast<double>(v); };
   push(out, cell, "ticks", d(script.horizon), seed);
   push(out, cell, "final_nodes", d(net.size()), seed);
   push(out, cell, "ring_consistent", net.ring_consistent() ? 1.0 : 0.0,
@@ -473,12 +437,9 @@ ScenarioResult run_chord(const Script& script, std::uint64_t seed,
        seed);
   push(out, cell, "lookups_correct", d(counters.lookups_correct), seed);
   const chord::MessageStats& stats = net.stats();
-  push(out, cell, "msgs_find_successor", d(stats.find_successor), seed);
-  push(out, cell, "msgs_get_predecessor", d(stats.get_predecessor), seed);
-  push(out, cell, "msgs_get_successor_list", d(stats.get_successor_list),
-       seed);
-  push(out, cell, "msgs_notify", d(stats.notify), seed);
-  push(out, cell, "msgs_ping", d(stats.ping), seed);
+  for (const auto& [metric, field] : kMessageKinds) {
+    push(out, cell, std::string(metric), d(stats.*field), seed);
+  }
   push(out, cell, "msgs_total", d(stats.total()), seed);
   return out;
 }

@@ -9,12 +9,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenario/fuzz.hpp"
 #include "scenario/script.hpp"
+#include "support/rng.hpp"
 
 namespace dhtlb::scenario {
 namespace {
@@ -203,6 +206,38 @@ TEST(FuzzCampaign, InjectedCorruptionIsCaughtAndShrunk) {
   const Script script = Script::load(minimized.string());
   EXPECT_LE(script.blocks.size(), 5u)
       << "shrinker left " << script.blocks.size() << " blocks";
+  fs::remove_all(out_dir);
+}
+
+// A failure artifact that cannot be written fails the batch with a
+// diagnostic, and the runner must not claim it wrote the artifacts.
+// The batch is the corrupted one above; its REPRO.txt path is taken by a
+// directory.
+TEST(FuzzCampaign, UnwritableArtifactIsReportedNotClaimed) {
+  namespace fs = std::filesystem;
+  const fs::path out_dir =
+      fs::path(::testing::TempDir()) / "dhtlb_fuzz_unwritable";
+  fs::remove_all(out_dir);
+  const std::string name =
+      generate_script("mixed", support::mix_seed(99, 0)).name;
+  const fs::path repro = out_dir / (name + ".REPRO.txt");
+  fs::create_directories(repro);
+  const fs::path log = out_dir / "log.txt";
+
+  const std::string cmd =
+      std::string("DHTLB_FUZZ_CORRUPT=3 '") + DHTLB_FUZZ_BIN +
+      "' --profile mixed --seed 99 --count 1 --audit --threads-matrix 1"
+      " --quiet --out-dir '" +
+      out_dir.string() + "' > '" + log.string() + "' 2>&1";
+  EXPECT_NE(std::system(cmd.c_str()), 0) << "corrupted batch must fail";
+
+  std::ifstream in(log);
+  std::stringstream output;
+  output << in.rdbuf();
+  EXPECT_NE(output.str().find("dhtlb_fuzz: cannot write " + repro.string()),
+            std::string::npos)
+      << output.str();
+  EXPECT_EQ(output.str().find("wrote"), std::string::npos) << output.str();
   fs::remove_all(out_dir);
 }
 

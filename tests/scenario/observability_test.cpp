@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -226,6 +227,59 @@ TEST_P(CannedScenarioObservability, AttachingSinksNeverChangesResults) {
     EXPECT_EQ(plain.records[i].value, observed.result.records[i].value)
         << plain.records[i].metric;
   }
+}
+
+/// The names of a trace's `scenario`-category instants, in trace order.
+std::vector<std::string> scenario_instants(const std::string& trace) {
+  std::vector<std::string> names;
+  for (const std::string& line : lines_of(trace)) {
+    if (line.find("\"cat\":\"scenario\"") == std::string::npos) continue;
+    const std::size_t start = line.find("\"name\":\"") + 8;
+    names.push_back(line.substr(start, line.find('"', start) - start));
+  }
+  return names;
+}
+
+// Each event kind's trace instant name, one script per substrate with
+// every kind it runs, against the `scenario` row of OBSERVABILITY.md's
+// instant vocabulary.
+TEST(ScenarioTraceLabels, EveryEventKindNamesItsInstant) {
+  const Script sim_script = Script::parse(
+      "name labels\nnodes 16\ntasks 200\nticks 3\nat 1\n"
+      "  join 1\n  leave 1\n  crash 1\n  inject-uniform 5\n"
+      "  inject-hotspot 5 0.5\n  set churn 0.01\n  set threshold 1\n"
+      "  strategy random-injection\nend\n",
+      "labels.scn");
+  const Script chord_script = Script::parse(
+      "name labels\nsubstrate chord\nnodes 8\nticks 2\nat 1\n"
+      "  fault drop 0\n  lookup 1\nend\n",
+      "labels.scn");
+  std::vector<std::string> names =
+      scenario_instants(run_with_sinks(sim_script, 1).trace);
+  for (const std::string& name :
+       scenario_instants(run_with_sinks(chord_script, 1).trace)) {
+    names.push_back(name);
+  }
+  const std::vector<std::string> expected = {
+      "scripted_join",  "scripted_leave", "scripted_crash",
+      "inject_uniform", "inject_hotspot", "set_churn",
+      "set_threshold",  "set_strategy",   "set_fault",
+      "scripted_lookup"};
+  EXPECT_EQ(names, expected);
+
+  std::ifstream doc(std::string(DHTLB_SCENARIO_DIR) + "/../OBSERVABILITY.md");
+  ASSERT_TRUE(doc) << "OBSERVABILITY.md not found";
+  std::string documented;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.starts_with("| `scenario` | ")) {
+      documented = line.substr(15, line.find(" |", 15) - 15);
+    }
+  }
+  std::string listed;
+  for (const std::string& name : expected) {
+    listed += (listed.empty() ? "`" : ", `") + name + "`";
+  }
+  EXPECT_EQ(documented, listed);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCanned, CannedScenarioObservability,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace dhtlb::scenario {
 namespace {
@@ -400,6 +401,152 @@ TEST(ScenarioParser, ArrivalTicksRequiresStreamed) {
 TEST(ScenarioParser, ProvisioningIsSimOnly) {
   expect_error("name x\nsubstrate chord\nticks 10\nprovisioning streamed\n",
                4, "only applies to the sim substrate");
+}
+
+// --- the event vocabulary, kind by kind ---------------------------------
+
+// One Event::Kind: the words its diagnostics name it by, its canonical
+// line, the substrates it runs on, its usage text, and probes of its
+// operands at and just past their limits.  A probe's `error` is the
+// whole diagnostic after "test.scn:<line>: ", or "" when it parses.
+struct Probe {
+  std::string line;
+  std::string error;
+};
+struct KindPin {
+  Event::Kind kind;
+  std::string words;
+  std::string canonical;
+  bool sim, chord;
+  std::string usage;
+  std::vector<Probe> probes;
+};
+
+std::vector<KindPin> kind_pins() {
+  using K = Event::Kind;
+  const auto membership = [](K kind, const std::string& w) {
+    return KindPin{kind, w, w + " 3", true, true, w + " <count>",
+                   {{w + " 4000000", ""},
+                    {w + " 4000001",
+                     "count 4000001 is out of range (at most 4000000)"},
+                    {w + " 0", w + " count must be >= 1"}}};
+  };
+  return {
+      membership(K::kJoin, "join"),
+      membership(K::kLeave, "leave"),
+      membership(K::kCrash, "crash"),
+      {K::kInjectUniform, "inject-uniform", "inject-uniform 500", true,
+       false, "inject-uniform <tasks>",
+       {{"inject-uniform 100000000", ""},
+        {"inject-uniform 100000001",
+         "task count 100000001 is out of range (at most 100000000)"},
+        {"inject-uniform 0", "inject-uniform count must be >= 1"}}},
+      {K::kInjectHotspot, "inject-hotspot", "inject-hotspot 10 0.125", true,
+       false, "inject-hotspot <tasks> <ring-fraction>",
+       {{"inject-hotspot 100000000 0.5", ""},
+        {"inject-hotspot 100000001 0.5",
+         "task count 100000001 is out of range (at most 100000000)"},
+        {"inject-hotspot 0 0.5", "inject-hotspot count must be >= 1"},
+        {"inject-hotspot 10 1", ""},
+        {"inject-hotspot 10 0",
+         "hotspot ring fraction must be in (0, 1], got '0'"}}},
+      {K::kSetChurn, "set churn", "set churn 0.05", true, false,
+       "set churn|threshold <value>",
+       {{"set churn 0", ""},
+        {"set churn 1", ""},
+        {"set churn 1.5", "churn rate must be in [0, 1], got '1.5'"},
+        {"set bogus 1",
+         "unknown parameter 'bogus' (expected churn or threshold)"}}},
+      {K::kSetThreshold, "set threshold", "set threshold 7", true, false,
+       "set churn|threshold <value>",
+       {{"set threshold 0", ""},
+        {"set threshold 18446744073709551615", ""},
+        {"set threshold 18446744073709551616",
+         "expected an unsigned integer for sybilThreshold, got "
+         "'18446744073709551616'"}}},
+      {K::kSetStrategy, "strategy", "strategy random-injection", true, false,
+       "strategy <name>",
+       {{"strategy banana", "unknown strategy 'banana'"}}},
+      {K::kFault, "fault", "fault drop 0.1", false, true,
+       "fault drop|delay|duplicate <probability>",
+       {{"fault delay 0", ""},
+        {"fault duplicate 1", ""},
+        {"fault drop 1.5", "fault probability must be in [0, 1], got '1.5'"},
+        {"fault bogus 0.1",
+         "unknown fault kind 'bogus' (expected drop, delay, or duplicate)"}}},
+      {K::kLookup, "lookup", "lookup 4", false, true, "lookup <count>",
+       {{"lookup 10000000", ""},
+        {"lookup 10000001",
+         "lookup count 10000001 is out of range (at most 10000000)"},
+        {"lookup 0", "lookup count must be >= 1"}}},
+  };
+}
+
+/// `line` as the only event of a one-block script; the event sits on
+/// line 3 (sim) or 5 (chord).
+std::string one_event_script(const std::string& line, bool chord) {
+  return std::string("name x\n") +
+         (chord ? "substrate chord\nticks 5\n" : "") + "at 1\n  " + line +
+         "\nend\n";
+}
+
+/// The whole diagnostic for `line` as the only event on a substrate, or
+/// "" when it parses.
+std::string event_error(const std::string& line, bool chord) {
+  try {
+    Script::parse(one_event_script(line, chord), "test.scn");
+    return "";
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+}
+
+std::string diagnostic(const std::string& message, bool chord) {
+  return message.empty()
+             ? ""
+             : std::string(chord ? "test.scn:5: " : "test.scn:3: ") +
+                   message;
+}
+
+TEST(ScenarioParser, EveryEventKindAtItsLimits) {
+  const std::vector<KindPin> pins = kind_pins();
+  ASSERT_EQ(pins.size(), static_cast<std::size_t>(Event::Kind::kLookup) + 1);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const KindPin& pin = pins[i];
+    SCOPED_TRACE(pin.canonical);
+    EXPECT_EQ(pin.kind, static_cast<Event::Kind>(i));
+    for (const bool chord : {false, true}) {
+      const bool runs = chord ? pin.chord : pin.sim;
+      if (!runs) {
+        EXPECT_EQ(event_error(pin.canonical, chord),
+                  diagnostic("event '" + pin.words +
+                                 "' is not valid on the " +
+                                 (chord ? "chord" : "sim") + " substrate",
+                             chord));
+        continue;
+      }
+      const Script s =
+          Script::parse(one_event_script(pin.canonical, chord), "test.scn");
+      ASSERT_EQ(s.blocks.size(), 1u);
+      ASSERT_EQ(s.blocks[0].events.size(), 1u);
+      EXPECT_EQ(s.blocks[0].events[0].kind, pin.kind);
+      EXPECT_EQ(s.blocks[0].events[0].line, chord ? 5 : 3);
+      EXPECT_EQ(format_event(s.blocks[0].events[0]), pin.canonical);
+    }
+    const bool chord = !pin.sim;
+    const std::string short_line =
+        pin.canonical.substr(0, pin.canonical.rfind(' '));
+    EXPECT_EQ(event_error(short_line, chord),
+              diagnostic("missing argument; usage: " + pin.usage, chord));
+    EXPECT_EQ(event_error(pin.canonical + " extra", chord),
+              diagnostic("trailing garbage 'extra' after " + pin.usage,
+                         chord));
+    for (const Probe& probe : pin.probes) {
+      EXPECT_EQ(event_error(probe.line, chord),
+                diagnostic(probe.error, chord))
+          << probe.line;
+    }
+  }
 }
 
 TEST(ScenarioParser, LoadMissingFileThrows) {
