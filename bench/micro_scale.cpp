@@ -1,8 +1,9 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
 // assignment), successor-arc walks, point and batched lookups (cover,
-// cover_sorted), the full invariant audit, one consume pass and one
-// invitation round (the tick's two serial node loops), churn
+// cover_sorted), greedy finger routes over a frozen RingView, the full
+// invariant audit, one consume pass and one invitation round (the
+// tick's two serial node loops), churn
 // (join/depart cycles), and Sybil waves (bulk create_sybil growth),
 // the last two driving the blocked index's in-block shifts and splits.  These are
 // the throughput numbers the scaling work is judged by — see the
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "lb/factory.hpp"
+#include "serve/ring_view.hpp"
 #include "sim/audit.hpp"
 #include "sim/flat_ring.hpp"
 #include "sim/strategy.hpp"
@@ -21,6 +23,7 @@
 
 namespace {
 
+using dhtlb::serve::RingView;
 using dhtlb::sim::AuditReport;
 using dhtlb::sim::FlatRing;
 using dhtlb::sim::InvariantAuditor;
@@ -90,6 +93,29 @@ void BM_ScaleCover(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ScaleCover)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kNanosecond);
+
+void BM_ScaleRoute(benchmark::State& state) {
+  // Greedy perfect-finger routes over a frozen view of BM_ScaleCover's
+  // world — the serving plane's per-lookup path: uniform keys from
+  // uniformly random origins.  Items are routes.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World w(make_params(nodes, 2 * nodes), rng);
+  const RingView view = RingView::freeze(w, 0);
+  Rng key_rng(7);
+  std::uint64_t hops = 0;
+  for (auto _ : state) {
+    const Uint160 key = key_rng.uniform_u160();
+    const auto origin = static_cast<std::size_t>(key_rng.below(view.size()));
+    hops += view.route(key, origin).hops;
+  }
+  benchmark::DoNotOptimize(hops);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ScaleRoute)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kNanosecond);

@@ -32,6 +32,34 @@ void BM_U160Add(benchmark::State& state) {
 }
 BENCHMARK(BM_U160Add);
 
+void BM_U160Sub(benchmark::State& state) {
+  // Random operands borrow between limbs about half the time — the
+  // clockwise-distance step of every route() hop.
+  const auto vals = random_values(1024, 7);
+  std::size_t i = 0;
+  Uint160 acc;
+  for (auto _ : state) {
+    acc -= vals[i++ & 1023];
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_U160Sub);
+
+void BM_U160BitLength(benchmark::State& state) {
+  // Widths spread over all 160 bits, so the highest nonzero limb varies.
+  Rng rng(8);
+  std::vector<Uint160> vals;
+  vals.reserve(1024);
+  for (int k = 0; k < 1024; ++k) {
+    vals.push_back(rng.uniform_u160().shr(static_cast<int>(rng.below(160))));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vals[i++ & 1023].bit_length());
+  }
+}
+BENCHMARK(BM_U160BitLength);
+
 void BM_U160Compare(benchmark::State& state) {
   const auto vals = random_values(1024, 2);
   std::size_t i = 0;

@@ -1,5 +1,6 @@
-// RingView: an immutable snapshot of the simulated ring, built once at a
-// tick barrier and consumed lock-free by any number of reader threads.
+// RingView: a snapshot of the simulated ring, frozen at a tick barrier
+// and consumed lock-free by any number of reader threads; immutable
+// while they read it, refrozen in place once they are done.
 //
 // The serving plane (DESIGN.md "Serving plane") generates the ring
 // centrally, as Envoy's ring-hash balancer does: at each tick barrier the
@@ -22,11 +23,13 @@
 //     bound.  This prices each lookup in hops as seen by user traffic,
 //     which the tick loop never measures.
 //
-// Both answer through the shared sorted-id kernel
-// (support/sorted_search.hpp) that FlatRing uses: cover() interpolates
-// over the whole ring, and each route() hop searches only its bracket
-// (cur, target] — the finger's covering vnode always lies there — with
-// the estimate taken between the bracket's end ids.
+// Both answer through a radix directory built at freeze time: with
+// w = bit_width(size), dir_[j] is the first index whose id has top w
+// bits >= j, so cover() binary-searches (support/sorted_search.hpp)
+// only the ids of the key's bucket [dir_[j], dir_[j+1]) — fewer than
+// one id on average, since ids are SHA-1 outputs, and O(log) ids even
+// when Sybils cluster.  Each route() hop is one such cover() of its
+// finger point, so a hop costs O(1) whatever the ring size.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +55,15 @@ class RingView {
   /// so hitting it means the view is corrupt; route() DHTLB_CHECKs.
   static constexpr std::uint32_t kMaxHops = 200;
 
-  /// Freezes the world's ring into an immutable snapshot.  O(ring).
-  /// `tick` labels the view (0 = pre-run state).  The ring must be
-  /// non-empty (a live World always is).
+  /// Freezes the world's ring into a new snapshot: refreeze() on an
+  /// empty view.
   static RingView freeze(const sim::World& world, std::uint64_t tick);
+
+  /// Replaces this view's contents with the world's ring, reusing its
+  /// buffers.  O(ring).  `tick` labels the view (0 = pre-run state).
+  /// The ring must be non-empty (a live World always is), and no reader
+  /// may hold the view while it refills.
+  void refreeze(const sim::World& world, std::uint64_t tick);
 
   std::uint64_t tick() const { return tick_; }
   std::size_t size() const { return ids_.size(); }
@@ -72,7 +80,7 @@ class RingView {
 
   /// Index of the vnode whose ownership arc covers `key`: the first
   /// vnode clockwise at or after it, wrapping past zero — exactly
-  /// FlatRing::cover on the frozen ring.
+  /// FlatRing::cover on the frozen ring.  The view must not be empty.
   std::size_t cover(const Uint160& key) const;
 
   /// Clockwise neighbor, wrapping — the successor walk on the snapshot.
@@ -91,18 +99,21 @@ class RingView {
   Route route(const Uint160& key, std::size_t origin) const;
 
  private:
-  /// First i in [lo, hi) with id_at(i) >= point, or hi; the ids of the
-  /// range have top 64 bits in [lo_high, hi_high].
-  std::size_t lower_bound(std::size_t lo, std::size_t hi,
-                          std::uint64_t lo_high, std::uint64_t hi_high,
-                          const Uint160& point) const;
+  /// Bucket of `id` in dir_: its top dir_bits_ bits.
+  std::size_t bucket(const Uint160& id) const {
+    return static_cast<std::size_t>(id.high64() >> (64 - dir_bits_));
+  }
 
   // Struct-of-arrays, ascending-id order (the freeze of FlatRing's
-  // index): the interpolated searches touch only ids_, owner/Sybil
+  // index): the searches touch only dir_ and ids_, owner/Sybil
   // metadata loads only for the final cover.
   std::vector<Uint160> ids_;
   std::vector<NodeIndex> owners_;
   std::vector<std::uint8_t> sybils_;
+  // Radix directory: 2^dir_bits_ + 1 entries, dir_[j] = first index
+  // whose bucket is >= j; the last entry is size().
+  std::vector<std::uint32_t> dir_;
+  int dir_bits_ = 0;
   std::size_t owner_count_ = 0;
   std::uint64_t tick_ = 0;
 };

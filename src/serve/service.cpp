@@ -77,7 +77,7 @@ void Service::attach(sim::Engine& engine) {
 
 void Service::on_tick_barrier(const sim::World& world, std::uint64_t tick) {
   // collect_batch() returns only after wait_idle(): no shard job still
-  // reads view_, so the barrier thread may replace it.
+  // reads view_, so the barrier thread may refreeze it in place.
   collect_batch();
   freeze(world, tick);
   if (trace_) {
@@ -93,7 +93,7 @@ void Service::on_tick_barrier(const sim::World& world, std::uint64_t tick) {
 void Service::freeze(const sim::World& world, std::uint64_t tick) {
   DHTLB_ASSERT(!batch_in_flight_,
                "Service::freeze: a batch still reads the live view");
-  view_ = RingView::freeze(world, tick);
+  view_.refreeze(world, tick);
   if (metrics_) {
     metrics_->set(ids_.view_vnodes, static_cast<double>(view_.size()));
   }

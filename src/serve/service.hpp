@@ -8,8 +8,8 @@
 //     1. wait for batch t-1's shard jobs, fold its per-batch stats
 //        (this is where serve metrics for the tick land — one tick of
 //        lag by construction, documented in OBSERVABILITY.md)
-//     2. replace the live view with the post-tick world, frozen as
-//        RingView t
+//     2. refreeze the live view in place from the post-tick world, as
+//        RingView t (its buffers are reused: one view is ever alive)
 //     3. dispatch batch t across the serve shards
 //   ...engine computes tick t+1 while the readers serve batch t...
 //   drain()                   wait for + fold the final batch
@@ -28,7 +28,7 @@
 // Each ShardAccum is written by exactly one shard job per batch and
 // read/zeroed by the barrier thread strictly between dispatches.  The
 // Service holds the one live RingView by value: shard jobs only read
-// it, and the barrier thread replaces it only after collect_batch()'s
+// it, and the barrier thread refills it only after collect_batch()'s
 // wait_idle() has returned, so no job can still be reading the old
 // view.  The ThreadPool's submit/wait_idle pair provides every
 // happens-before edge; there is no lock and no shared ownership.
@@ -66,8 +66,8 @@ struct Config {
 
 /// View accounting.  The Service freezes one view at attach and one per
 /// tick barrier, each serves exactly one batch, and each freeze after
-/// the first replaces (reclaims) the previous view once its batch is
-/// collected — so the counts follow from the batch count alone.
+/// the first overwrites (reclaims) the previous view in place once its
+/// batch is collected — so the counts follow from the batch count alone.
 struct ViewStats {
   std::uint64_t published = 0;         // freezes: view 0 + one per tick
   std::uint64_t reclaimed = 0;         // published - 1

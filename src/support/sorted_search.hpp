@@ -1,12 +1,14 @@
 // The one search over sorted Chord ids.
 //
-// Every sorted-id lookup in the tree — both levels of sim::FlatRing and
-// serve::RingView's cover() and route() hops — goes through
+// Every sorted-id lookup in the tree goes through this file.  Both
+// levels of sim::FlatRing, whose blocks mutate in place, use
 // interpolated_lower_bound: estimate the answer's rank from the top 64
 // bits of the id, gallop outward from the estimate until the answer is
 // bracketed, then binary-search the bracket.  Ids are SHA-1 outputs,
 // i.e. uniform on the ring, so the estimate is off by O(sqrt n) and the
-// final bracket stays small and cache-resident.
+// final bracket stays small and cache-resident.  serve::RingView is
+// immutable once frozen, so it builds a radix directory instead, and
+// its cover() and route() hops binary_lower_bound one directory bucket.
 //
 // The searches are templates on an id accessor `id_at(i) -> const
 // Uint160&` over an index range [lo, hi), so callers keep their own

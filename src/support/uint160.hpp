@@ -199,17 +199,16 @@ constexpr Uint160& Uint160::operator+=(const Uint160& rhs) {
 }
 
 constexpr Uint160& Uint160::operator-=(const Uint160& rhs) {
-  std::int64_t borrow = 0;
+  // Branch-free: a limb difference below zero wraps the 64-bit result
+  // past 2^63, so its sign bit is the borrow into the next limb (a
+  // per-limb `if (diff < 0)` mispredicts on random ids).
+  std::uint64_t borrow = 0;
   for (int i = kLimbs - 1; i >= 0; --i) {
     const auto idx = static_cast<std::size_t>(i);
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[idx]) -
-                        static_cast<std::int64_t>(rhs.limbs_[idx]) - borrow;
-    borrow = 0;
-    if (diff < 0) {
-      diff += (std::int64_t{1} << 32);
-      borrow = 1;
-    }
+    const std::uint64_t diff =
+        static_cast<std::uint64_t>(limbs_[idx]) - rhs.limbs_[idx] - borrow;
     limbs_[idx] = static_cast<std::uint32_t>(diff);
+    borrow = diff >> 63;
   }
   return *this;  // underflow wraps mod 2^160, by design
 }

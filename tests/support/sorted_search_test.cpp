@@ -61,8 +61,8 @@ std::vector<Uint160> probes_for(const std::vector<Uint160>& ids,
 }
 
 // Checks interpolated_lower_bound on every [lo, hi) of `ids`, with the
-// range's own end ids as the interpolation bounds (as RingView::route
-// passes them) and with the whole ring's bounds (as cover() does).
+// range's own end ids as the interpolation bounds (as FlatRing passes a
+// block's neighbouring summary ids) and with the whole ring's bounds.
 void check_every_subrange(const std::vector<Uint160>& ids, Rng& rng) {
   const auto id_at = [&ids](std::size_t i) -> const Uint160& {
     return ids[i];
