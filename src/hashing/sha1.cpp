@@ -1,9 +1,11 @@
 #include "hashing/sha1.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 #include "hashing/sha1_block.hpp"
+#include "support/check.hpp"
 
 namespace dhtlb::hashing {
 
@@ -12,9 +14,6 @@ namespace {
 constexpr std::uint32_t rotl32(std::uint32_t x, int k) {
   return (x << k) | (x >> (32 - k));
 }
-
-constexpr std::array<std::uint32_t, 5> kInitState = {
-    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
 
 }  // namespace
 
@@ -105,7 +104,7 @@ void compress_scalar(std::array<std::uint32_t, 5>& state,
 }  // namespace detail
 
 void Sha1::reset() {
-  state_ = kInitState;
+  state_ = detail::kSha1Init;
   buffered_ = 0;
   total_bytes_ = 0;
 }
@@ -195,32 +194,42 @@ Sha1::Digest Sha1::hash(std::string_view data) {
 
 support::Uint160 Sha1::hash_u64(std::uint64_t value) {
   // Single-block fast path: an 8-byte message always pads to exactly one
-  // block (8 LE message bytes, 0x80, zeros, 64-bit big-endian bit length),
-  // so the schedule can be built in place — no buffering, no incremental
-  // padding.  This is the hot primitive of world construction (one call
-  // per task key and per node ID); it must stay bit-identical to
-  // hash(span_of_le_bytes(value)), which tests/hashing asserts.
-  std::uint32_t w[16] = {};
-  const auto byte = [value](int i) {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint8_t>(value >> (8 * i)));
-  };
-  w[0] = (byte(0) << 24) | (byte(1) << 16) | (byte(2) << 8) | byte(3);
-  w[1] = (byte(4) << 24) | (byte(5) << 16) | (byte(6) << 8) | byte(7);
-  w[2] = 0x80000000u;  // terminator bit directly after the message
-  w[15] = 64;          // bit length of the 8-byte message
-
-  std::array<std::uint32_t, 5> state = kInitState;
+  // block, so the schedule is built in place — no buffering, no
+  // incremental padding.  It must stay bit-identical to
+  // hash(span_of_le_bytes(value)), which tests/hashing asserts.  The
+  // digest's big-endian words are the Uint160's limbs.
+  std::uint32_t w[16];
+  detail::u64_block(value, w);
+  std::array<std::uint32_t, 5> state = detail::kSha1Init;
   detail::compress(state, w);
+  return support::Uint160(state);
+}
 
-  std::array<std::uint8_t, 20> digest{};
-  for (std::size_t i = 0; i < 5; ++i) {
-    digest[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+void Sha1::hash_u64_batch(std::span<const std::uint64_t> values,
+                          std::span<support::Uint160> out) {
+  DHTLB_CHECK(out.size() == values.size(),
+              "Sha1::hash_u64_batch: " << out.size() << " outputs for "
+                                       << values.size() << " values");
+  static const bool use_x16 = detail::avx512_supported();
+  if (!use_x16) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out[i] = hash_u64(values[i]);
+    }
+    return;
   }
-  return support::Uint160::from_bytes(digest);
+  std::size_t i = 0;
+  for (; i + 16 <= values.size(); i += 16) {
+    detail::hash_u64_x16(&values[i], &out[i]);
+  }
+  if (i == values.size()) return;
+  // The tail runs padded to a full batch: one kernel call costs about
+  // four one-block hashes.
+  std::uint64_t in[16] = {};
+  support::Uint160 digests[16];
+  const std::size_t tail = values.size() - i;
+  std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(i), tail, in);
+  detail::hash_u64_x16(in, digests);
+  std::copy_n(digests, tail, out.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 support::Uint160 Sha1::hash_to_ring(std::string_view text) {

@@ -15,14 +15,19 @@ namespace dhtlb::scenario {
 
 namespace {
 
-// Tokenizes one logical line: comment stripped, whitespace-split.
+// Tokenizes one logical line: comment stripped, then split on exactly
+// the whitespace `>>` skips in the classic locale.
 std::vector<std::string> tokenize(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
   const std::size_t hash = line.find('#');
   if (hash != std::string_view::npos) line = line.substr(0, hash);
   std::vector<std::string> tokens;
-  std::istringstream stream{std::string(line)};
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
+  std::size_t begin = line.find_first_not_of(kSpace);
+  while (begin != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(kSpace, begin);
+    tokens.emplace_back(line.substr(begin, end - begin));
+    begin = line.find_first_not_of(kSpace, end);
+  }
   return tokens;
 }
 
@@ -241,9 +246,12 @@ Script parse_lines(std::string_view text, Cursor& cur) {
   Block block;
   std::uint64_t last_at_tick = 0;
 
-  std::istringstream lines{std::string(text)};
-  std::string raw;
-  while (std::getline(lines, raw)) {
+  // Lines end at '\n' as std::getline reads them: a final newline opens
+  // no extra line, and a '\r' before it is whitespace to tokenize.
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', pos), text.size());
+    const std::string_view raw = text.substr(pos, newline - pos);
+    pos = newline + 1;
     ++cur.line;
     const std::vector<std::string> tokens = tokenize(raw);
     if (tokens.empty()) continue;

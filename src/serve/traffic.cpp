@@ -1,5 +1,8 @@
 #include "serve/traffic.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "hashing/sha1.hpp"
 #include "support/check.hpp"
 
@@ -57,7 +60,15 @@ KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
       for (std::uint64_t r = 0; r < n; ++r) {
         total += 1.0 / static_cast<double>(r + 1);
         cdf_[r] = total;
-        keys_[r] = hashing::Sha1::hash_u64(r);
+      }
+      // Rank r's key is SHA-1 of r, hashed a chunk of ranks at a time.
+      std::array<std::uint64_t, 256> ranks{};
+      for (std::uint64_t begin = 0; begin < n; begin += ranks.size()) {
+        const auto count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(ranks.size(), n - begin));
+        for (std::size_t i = 0; i < count; ++i) ranks[i] = begin + i;
+        hashing::Sha1::hash_u64_batch(std::span(ranks).first(count),
+                                      std::span(keys_).subspan(begin, count));
       }
       for (double& c : cdf_) c /= total;
       cdf_.back() = 1.0;  // guard against accumulated rounding

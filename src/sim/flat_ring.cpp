@@ -20,6 +20,77 @@ constexpr std::size_t kInsertionSortMax = 32;
 // inside the key's top 64 bits (bucket bits + 32 <= 56).
 constexpr int kMaxBucketBits = 24;
 
+// Bucket bits for a batch of n keys: about kKeysPerBucket keys each.
+int bucket_bits(std::size_t n) {
+  return std::min(kMaxBucketBits,
+                  static_cast<int>(std::bit_width(n / kKeysPerBucket)));
+}
+
+// The ring's one sort kernel, behind cover_sorted and finalize_bulk:
+// orders the n keys key_at(0) .. key_at(n - 1) and hands each bucket's
+// sorted records to visit(bucket, records), bucket by bucket in
+// ascending order, while the bucket is cache-hot.
+//
+// A counting pass buckets the keys on their top bucket_bits(n) bits.
+// Each sort record packs the 32 key bits below the bucket bits over the
+// key's index (record & 0xFFFFFFFF), so a record's bucket and prefix
+// give the key's top bits + 32 bits without reading the key.  Records
+// order on their prefix, then on the full key: keys sharing the prefix
+// bits may still differ below them.  Equal keys keep no defined order.
+template <typename KeyAt, typename Visit>
+void bucket_sort(std::size_t n, const KeyAt& key_at,
+                 FlatRing::CoverScratch& scratch, const Visit& visit) {
+  const int bits = bucket_bits(n);
+  const int shift = 32 - bits;  // high64() >> shift: bucket bits + prefix
+  const auto bucket_of = [bits](std::uint64_t high) -> std::size_t {
+    return bits == 0 ? 0 : static_cast<std::size_t>(high >> (64 - bits));
+  };
+  std::vector<std::uint32_t>& ends = scratch.bucket_end;
+  ends.assign(std::size_t{1} << bits, 0);
+  for (std::size_t i = 0; i < n; ++i) ++ends[bucket_of(key_at(i).high64())];
+  std::uint32_t start = 0;
+  for (std::uint32_t& end : ends) {
+    const std::uint32_t count = end;
+    end = start;
+    start += count;
+  }
+  std::vector<std::uint64_t>& order = scratch.order;
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t high = key_at(i).high64();
+    const auto prefix = static_cast<std::uint32_t>(high >> shift);
+    order[ends[bucket_of(high)]++] =
+        (static_cast<std::uint64_t>(prefix) << 32) | i;
+  }
+  // Now ends[b] is one past bucket b's last record.
+
+  const auto record_less = [&key_at](std::uint64_t a, std::uint64_t b) {
+    if ((a >> 32) != (b >> 32)) return a < b;
+    return key_at(static_cast<std::uint32_t>(a)) <
+           key_at(static_cast<std::uint32_t>(b));
+  };
+  std::size_t begin = 0;
+  for (std::size_t bucket = 0; bucket < ends.size(); ++bucket) {
+    const std::size_t end = ends[bucket];
+    if (end - begin > kInsertionSortMax) {
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                order.begin() + static_cast<std::ptrdiff_t>(end), record_less);
+    } else {
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        const std::uint64_t record = order[i];
+        std::size_t j = i;
+        for (; j > begin && record_less(record, order[j - 1]); --j) {
+          order[j] = order[j - 1];
+        }
+        order[j] = record;
+      }
+    }
+    visit(static_cast<std::uint64_t>(bucket),
+          std::span<const std::uint64_t>(order).subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
 }  // namespace
 
 // --- search ---------------------------------------------------------------
@@ -94,44 +165,7 @@ void FlatRing::cover_sorted(std::span<const Uint160> keys,
   DHTLB_CHECK(keys.size() <= 0xFFFFFFFFu,
               "FlatRing::cover_sorted: batch of " << keys.size()
                                                   << " keys exceeds 2^32 - 1");
-  const std::size_t n = keys.size();
-
-  // Counting pass: bucket b holds the keys whose top `bits` bits are b.
-  // Each sort record packs the 32 key bits below the bucket bits over
-  // the key's batch index, so a record's bucket and prefix give the
-  // key's top bits + 32 bits without reading the key.
-  const int bits = std::min(
-      kMaxBucketBits, static_cast<int>(std::bit_width(n / kKeysPerBucket)));
-  const int shift = 32 - bits;  // high64() >> shift: bucket bits + prefix
-  const auto bucket_of = [bits](std::uint64_t high) -> std::size_t {
-    return bits == 0 ? 0 : static_cast<std::size_t>(high >> (64 - bits));
-  };
-  std::vector<std::uint32_t>& ends = scratch.bucket_end;
-  ends.assign(std::size_t{1} << bits, 0);
-  for (const Uint160& key : keys) ++ends[bucket_of(key.high64())];
-  std::uint32_t start = 0;
-  for (std::uint32_t& end : ends) {
-    const std::uint32_t count = end;
-    end = start;
-    start += count;
-  }
-  std::vector<std::uint64_t>& order = scratch.order;
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t high = keys[i].high64();
-    const auto prefix = static_cast<std::uint32_t>(high >> shift);
-    order[ends[bucket_of(high)]++] =
-        (static_cast<std::uint64_t>(prefix) << 32) | i;
-  }
-  // Now ends[b] is one past bucket b's last record.
-
-  // Records order on their prefix, then on the full key: keys sharing
-  // the prefix bits may still differ below them.
-  const auto record_less = [&keys](std::uint64_t a, std::uint64_t b) {
-    if ((a >> 32) != (b >> 32)) return a < b;
-    return keys[static_cast<std::uint32_t>(a)] <
-           keys[static_cast<std::uint32_t>(b)];
-  };
+  const int shift = 32 - bucket_bits(keys.size());
   // True iff ring id `id` sorts below the key of `record` in bucket
   // `bucket`; reads the key only when the prefix bits tie.
   const auto id_below = [&keys, shift](const Uint160& id, std::uint64_t bucket,
@@ -142,45 +176,31 @@ void FlatRing::cover_sorted(std::span<const Uint160> keys,
     return id < keys[static_cast<std::uint32_t>(record)];
   };
 
-  // Sort each bucket while it is cache-hot, then sweep it: the cursor
-  // (block, pos) only ever moves forward, to the first id at or above
-  // each key in turn.  Keys above the largest id wrap to the first vnode.
+  // Sweep each sorted bucket: the cursor (block, pos) only ever moves
+  // forward, to the first id at or above each key in turn.  Keys above
+  // the largest id wrap to the first vnode.
   const Slot wrap_slot = blocks_.front().front().slot;
   std::size_t block = 0;
   std::size_t pos = 0;
-  std::size_t begin = 0;
-  for (std::size_t bucket = 0; bucket < ends.size(); ++bucket) {
-    const std::size_t end = ends[bucket];
-    if (end - begin > kInsertionSortMax) {
-      std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
-                order.begin() + static_cast<std::ptrdiff_t>(end), record_less);
-    } else {
-      for (std::size_t i = begin + 1; i < end; ++i) {
-        const std::uint64_t record = order[i];
-        std::size_t j = i;
-        for (; j > begin && record_less(record, order[j - 1]); --j) {
-          order[j] = order[j - 1];
+  bucket_sort(
+      keys.size(), [&keys](std::size_t i) -> const Uint160& { return keys[i]; },
+      scratch,
+      [&](std::uint64_t bucket, std::span<const std::uint64_t> records) {
+        for (const std::uint64_t record : records) {
+          while (block < blocks_.size() &&
+                 id_below(block_max_[block], bucket, record)) {
+            ++block;
+            pos = 0;
+          }
+          Slot slot = wrap_slot;
+          if (block < blocks_.size()) {
+            const Block& entries = blocks_[block];
+            while (id_below(entries[pos].id, bucket, record)) ++pos;
+            slot = entries[pos].slot;
+          }
+          slots[static_cast<std::uint32_t>(record)] = slot;
         }
-        order[j] = record;
-      }
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t record = order[i];
-      while (block < blocks_.size() &&
-             id_below(block_max_[block], bucket, record)) {
-        ++block;
-        pos = 0;
-      }
-      Slot slot = wrap_slot;
-      if (block < blocks_.size()) {
-        const Block& entries = blocks_[block];
-        while (id_below(entries[pos].id, bucket, record)) ++pos;
-        slot = entries[pos].slot;
-      }
-      slots[static_cast<std::uint32_t>(record)] = slot;
-    }
-    begin = end;
-  }
+      });
 }
 
 FlatRing::Cursor FlatRing::first() const {
@@ -314,6 +334,8 @@ Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
   if (!bulk_mode_) {
     DHTLB_CHECK(live_ == 0, "FlatRing::bulk_append on a non-empty ring");
     blocks_.emplace_back();
+    // One allocation for the whole load when reserve() sized the arena.
+    blocks_.front().reserve(ids_.capacity());
     bulk_mode_ = true;
   }
   const Slot slot = alloc_slot(id, owner, is_sybil);
@@ -324,19 +346,28 @@ Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
 
 void FlatRing::finalize_bulk() {
   if (!bulk_mode_) return;
-  Block all = std::move(blocks_.front());
+  const Block all = std::move(blocks_.front());
   blocks_.clear();
-  std::sort(all.begin(), all.end(),
-            [](const Entry& a, const Entry& b) { return a.id < b.id; });
   // Half-full blocks leave every block room for kBlockCapacity / 2
-  // inserts before its first split.
+  // inserts before its first split.  Bulk ids are unique, so the sort
+  // kernel's (prefix, id) order is plain id order; blocks are cut as the
+  // sorted buckets stream out.
   constexpr std::size_t kFill = kBlockCapacity / 2;
-  for (std::size_t i = 0; i < all.size(); i += kFill) {
-    const std::size_t end = std::min(i + kFill, all.size());
-    blocks_.emplace_back(all.begin() + static_cast<std::ptrdiff_t>(i),
-                         all.begin() + static_cast<std::ptrdiff_t>(end));
-    block_max_.push_back(all[end - 1].id);
-  }
+  CoverScratch scratch;
+  std::size_t placed = 0;
+  bucket_sort(
+      all.size(), [&all](std::size_t i) -> const Uint160& { return all[i].id; },
+      scratch, [&](std::uint64_t, std::span<const std::uint64_t> records) {
+        for (const std::uint64_t record : records) {
+          if (placed % kFill == 0) {
+            blocks_.emplace_back();
+            blocks_.back().reserve(std::min(kFill, all.size() - placed));
+          }
+          blocks_.back().push_back(all[static_cast<std::uint32_t>(record)]);
+          ++placed;
+        }
+      });
+  for (const Block& block : blocks_) block_max_.push_back(block.back().id);
   bulk_mode_ = false;
 }
 

@@ -28,7 +28,8 @@
 // the whole index: there are no global passes and no deferred work.
 //
 // Construction has a separate bulk path (bulk_append + finalize_bulk):
-// append unsorted, sort once, cut into half-full blocks.
+// append unsorted, sort once with the bucket sort cover_sorted uses,
+// cut into half-full blocks.
 //
 // Bulk key placement has a batch search too (cover_sorted): sort the
 // batch once, then resolve every key in one forward sweep over the

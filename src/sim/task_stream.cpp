@@ -1,11 +1,11 @@
 #include "sim/task_stream.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "hashing/sha1.hpp"
 #include "sim/world.hpp"  // kTickShards
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace dhtlb::sim {
 
@@ -28,6 +28,18 @@ std::uint64_t cell_prefix(std::uint64_t total, std::uint64_t cells,
 }
 
 }  // namespace
+
+void draw_hashed(support::Rng& rng, std::span<support::Uint160> out) {
+  // Small enough to stay on the stack, large enough that the batch
+  // kernel runs full.
+  std::array<std::uint64_t, 256> raw{};
+  for (std::size_t begin = 0; begin < out.size(); begin += raw.size()) {
+    const std::size_t count = std::min(raw.size(), out.size() - begin);
+    for (std::size_t i = 0; i < count; ++i) raw[i] = rng();
+    hashing::Sha1::hash_u64_batch(std::span(raw).first(count),
+                                  out.subspan(begin, count));
+  }
+}
 
 TaskStream::TaskStream(std::uint64_t run_seed, std::uint64_t total_tasks,
                        std::uint64_t arrival_ticks)
@@ -68,7 +80,7 @@ void TaskStream::draw_shard(std::uint64_t tick, std::size_t shard,
   // exactly like preallocated construction and scenario injection.
   support::Rng rng(support::stream_seed(support::mix_seed(run_seed_, tick),
                                         kStreamArrive, shard));
-  for (TaskKey& key : out) key = hashing::Sha1::hash_u64(rng());
+  draw_hashed(rng, out);
 }
 
 }  // namespace dhtlb::sim

@@ -24,12 +24,21 @@
 #include <span>
 
 #include "sim/task_store.hpp"
+#include "support/rng.hpp"
 
 namespace dhtlb::sim {
 
 /// RNG stream label for arrival key draws, a sibling of engine.cpp's
 /// TickStream phases (1..5) under the same per-tick seed root.
 inline constexpr std::uint64_t kStreamArrive = 6;
+
+/// Fills `out` with Sha1::hash_u64(rng()) for out.size() consecutive
+/// draws, in draw order — exactly what a hash_u64(rng()) loop writes —
+/// drawing each fixed-size chunk's raw values first and hashing the
+/// chunk in one Sha1::hash_u64_batch.  Draws exactly out.size() values.
+/// The one key generator of streamed arrivals and preallocated
+/// construction, and the ID generator of World's bulk load.
+void draw_hashed(support::Rng& rng, std::span<support::Uint160> out);
 
 /// Deterministic arrival schedule + lazy key source for one run.
 ///

@@ -1,32 +1,15 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <array>
 
 #include "hashing/sha1.hpp"
+#include "sim/id_table.hpp"
+#include "sim/task_stream.hpp"
 #include "support/check.hpp"
 #include "support/ring_math.hpp"
 
 namespace dhtlb::sim {
-
-namespace {
-
-// Transparent id set for construction-time collision redraws: FlatRing's
-// binary search is unusable mid-bulk-load (the index is unsorted until
-// finalize_bulk), and a tree set would reintroduce the per-node
-// allocations the flat ring removes.  SHA-1 output is uniform, so the
-// low 64 bits are already a perfect hash; equality stays full-width.
-struct IdHash {
-  std::size_t operator()(const Uint160& id) const noexcept {
-    return static_cast<std::size_t>(id.low64());
-  }
-};
-// Probed with contains()/insert() only, never iterated, so the
-// unordered layout cannot reach outputs.
-// dhtlb:lint-allow(unordered-iteration)
-using IdSet = std::unordered_set<Uint160, IdHash>;
-
-}  // namespace
 
 World::World(const Params& params, support::Rng& rng)
     : params_(params) {
@@ -58,19 +41,33 @@ World::World(const Params& params, support::Rng& rng)
 
   // Place the initially alive nodes at SHA-1 IDs through the ring's
   // bulk-load path: unsorted appends plus one sort, instead of n
-  // ordered inserts.  Collision redraws (the ~2^-160 case) consult a
-  // transient hash set holding exactly the ids placed so far, so the
-  // RNG draw sequence matches the incremental construction bit for bit.
+  // ordered inserts.  IDs are hashed in chunks of min(16, nodes still to
+  // place) and handed out in draw order; a collision redraw (the ~2^-160
+  // case, checked against the IDs placed so far) takes the next hash.  So
+  // the RNG yields one value per placed node plus one per redraw, exactly
+  // as sequential hash_u64(rng()) does, and the construction stream the
+  // task keys read next is never over-drawn.
   ring_.reserve(n);
-  IdSet placed;
-  placed.reserve(n);
-  for (const NodeIndex idx : alive_) {
-    Uint160 id = hashing::Sha1::hash_u64(rng());
-    while (!placed.insert(id).second) {
-      id = hashing::Sha1::hash_u64(rng());
-    }
-    physicals_[idx].vnode_slots.push_back(
-        ring_.bulk_append(id, idx, /*is_sybil=*/false));
+  IdTable placed(n);
+  std::array<Uint160, 16> hashed{};
+  std::size_t hashed_count = 0;
+  std::size_t used = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeIndex idx = alive_[i];
+    Uint160 id;
+    std::size_t cell = 0;
+    do {
+      if (used == hashed_count) {
+        hashed_count = std::min(hashed.size(), n - i);
+        draw_hashed(rng, std::span(hashed).first(hashed_count));
+        used = 0;
+      }
+      id = hashed[used++];
+      cell = placed.probe(id, ring_);
+    } while (placed.occupied(cell));
+    const Slot slot = ring_.bulk_append(id, idx, /*is_sybil=*/false);
+    placed.fill(cell, slot);
+    physicals_[idx].vnode_slots.push_back(slot);
     home_shard_[idx] =
         static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
     initial_capacity_ += work_per_tick(idx);
@@ -90,11 +87,8 @@ World::World(const Params& params, support::Rng& rng)
   // Assignment draws nothing, so the RNG sequence is the one key per
   // draw of the incremental construction, and appending in draw order
   // keeps every TaskStore's contents bit-identical to it.
-  std::vector<Uint160> keys;
-  keys.reserve(params_.total_tasks);
-  for (std::uint64_t t = 0; t < params_.total_tasks; ++t) {
-    keys.push_back(hashing::Sha1::hash_u64(rng()));
-  }
+  std::vector<Uint160> keys(params_.total_tasks);
+  draw_hashed(rng, keys);
   std::vector<Slot> owners(keys.size());
   {
     // Scoped so the sort scratch is freed before the stores are sized.

@@ -549,6 +549,56 @@ TEST(ScenarioParser, EveryEventKindAtItsLimits) {
   }
 }
 
+// --- line and token splitting ----------------------------------------------
+//
+// Lines split on '\n' alone; tokens split on exactly the whitespace of
+// `>>` in the classic locale: space, \t, \n, \v, \f and \r.  So a CRLF
+// file parses like its LF twin, and line numbers count '\n's.
+
+TEST(ScenarioParser, CrlfLineEndingsParseLikeLf) {
+  const Script s = parse(
+      "name crlf\r\nnodes 50\r\n\r\nat 5\r\n  join 2\r\nend\r\n");
+  EXPECT_EQ(s.name, "crlf");
+  EXPECT_EQ(s.params.initial_nodes, 50u);
+  ASSERT_EQ(s.blocks.size(), 1u);
+  EXPECT_EQ(s.blocks[0].line, 4);
+  ASSERT_EQ(s.blocks[0].events.size(), 1u);
+  EXPECT_EQ(s.blocks[0].events[0].count, 2u);
+  EXPECT_EQ(s.blocks[0].events[0].line, 5);
+  expect_error("name x\r\nat 5\r\n  explode 3\r\nend\r\n", 3,
+               "unknown event 'explode'");
+}
+
+TEST(ScenarioParser, TabsVerticalTabsAndFormFeedsSeparateTokens) {
+  const Script s = parse(
+      "\tname\tws \t\n\vnodes\f\v60\r\n\fat\t7\n\t\vjoin\f3\t\nend\n");
+  EXPECT_EQ(s.name, "ws");
+  EXPECT_EQ(s.params.initial_nodes, 60u);
+  ASSERT_EQ(s.blocks.size(), 1u);
+  EXPECT_EQ(s.blocks[0].at, 7u);
+  ASSERT_EQ(s.blocks[0].events.size(), 1u);
+  EXPECT_EQ(s.blocks[0].events[0].count, 3u);
+  EXPECT_EQ(s.blocks[0].events[0].line, 4);
+  // A byte outside that set stays inside its token.
+  expect_error("name a\x01" "b\n", 1, "may hold only letters");
+}
+
+TEST(ScenarioParser, LastLineNeedsNoNewline) {
+  const Script s = parse("name tail\nat 5\n  join 1\nend");
+  ASSERT_EQ(s.blocks.size(), 1u);
+  EXPECT_EQ(s.blocks[0].events.size(), 1u);
+  expect_error("name x\nat 5\n  explode 3", 3, "unknown event 'explode'");
+  expect_error("name x\nnodes 10\nnodes 20", 3, "duplicate key 'nodes'");
+}
+
+TEST(ScenarioParser, BlankTrailingLinesAreIgnored) {
+  const Script s = parse("name blank\nat 5\n  join 1\nend\n\n \t\n\r\n\n");
+  ASSERT_EQ(s.blocks.size(), 1u);
+  expect_error("name x\nat 5\n  join 1\n\n\n\n", 2, "unterminated");
+  expect_error("\n\n\r\nname x\n\t\nflavor vanilla\n\n", 6,
+               "unknown key 'flavor'");
+}
+
 TEST(ScenarioParser, LoadMissingFileThrows) {
   EXPECT_THROW(Script::load("/nonexistent/path.scn"), std::runtime_error);
 }

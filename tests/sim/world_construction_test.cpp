@@ -1,0 +1,186 @@
+// Pins World construction: the node IDs and the preallocated task keys
+// a seed produces.  Every experiment's numbers follow from this draw
+// sequence, so however construction is implemented (bulk ring load,
+// batched hashing, collision table) it must equal the plain model built
+// here: one Sha1::hash_u64(rng()) per node in alive order, redrawn on a
+// collision against a std::set, then one hash_u64(rng()) per task key,
+// each key owned by the first node id at or after it.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "hashing/sha1.hpp"
+#include "sim/id_table.hpp"
+#include "sim/world.hpp"
+#include "support/rng.hpp"
+
+namespace dhtlb::sim {
+namespace {
+
+using hashing::Sha1;
+using support::Rng;
+using support::Uint160;
+
+struct ReferenceWorld {
+  std::vector<Uint160> primaries;  // by node index
+  // vnode -> its keys in draw order
+  std::map<Uint160, std::vector<Uint160>> keys;
+};
+
+ReferenceWorld reference(const Params& params, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = params.initial_nodes;
+  if (params.heterogeneous) {
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      (void)rng.range(1, params.max_sybils);
+    }
+  }
+  ReferenceWorld ref;
+  std::set<Uint160> placed;
+  for (std::size_t i = 0; i < n; ++i) {
+    Uint160 id = Sha1::hash_u64(rng());
+    while (!placed.insert(id).second) id = Sha1::hash_u64(rng());
+    ref.primaries.push_back(id);
+    ref.keys[id];
+  }
+  if (params.provisioning == TaskProvisioning::kStreamed) return ref;
+  for (std::uint64_t t = 0; t < params.total_tasks; ++t) {
+    const Uint160 key = Sha1::hash_u64(rng());
+    auto owner = ref.keys.lower_bound(key);
+    if (owner == ref.keys.end()) owner = ref.keys.begin();
+    owner->second.push_back(key);
+  }
+  return ref;
+}
+
+Params construction_params(std::size_t nodes, TaskProvisioning provisioning,
+                           bool heterogeneous) {
+  Params p;
+  p.initial_nodes = nodes;
+  p.total_tasks = 4099;  // not a multiple of any batch width
+  p.provisioning = provisioning;
+  p.heterogeneous = heterogeneous;
+  return p;
+}
+
+class WorldConstruction
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, TaskProvisioning, std::uint64_t>> {};
+
+TEST_P(WorldConstruction, MatchesSequentialHashingWithSetRedraw) {
+  const auto [nodes, provisioning, seed] = GetParam();
+  const Params params = construction_params(nodes, provisioning,
+                                            /*heterogeneous=*/seed % 2 == 1);
+  const ReferenceWorld ref = reference(params, seed);
+  Rng rng(seed);
+  const World world(params, rng);
+
+  std::vector<Uint160> sorted;
+  for (const auto& [id, keys] : ref.keys) sorted.push_back(id);
+  // Stop here on a mismatch: vnode_keys() of an id the ring lacks aborts.
+  ASSERT_EQ(world.ring_ids(), sorted);
+  ASSERT_EQ(world.alive_count(), nodes);
+  for (NodeIndex idx = 0; idx < nodes; ++idx) {
+    EXPECT_EQ(world.primary_id(idx), ref.primaries[idx]) << "node " << idx;
+  }
+  for (const auto& [id, keys] : ref.keys) {
+    EXPECT_EQ(world.vnode_keys(id), keys) << "vnode " << id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesModesSeeds, WorldConstruction,
+    ::testing::Combine(::testing::Values(1, 2, 15, 16, 17, 33, 1000),
+                       ::testing::Values(TaskProvisioning::kPreallocated,
+                                         TaskProvisioning::kStreamed),
+                       ::testing::Values(1, 42, 20260419)));
+
+// Digest of a world's ring ids followed by every vnode's keys in ring
+// order: one number that changes if any id, key or assignment does.
+std::string construction_digest(const World& world) {
+  Sha1 h;
+  const auto absorb = [&h](const Uint160& v) {
+    const auto bytes = v.to_bytes();
+    h.update(std::span<const std::uint8_t>(bytes));
+  };
+  for (const Uint160& id : world.ring_ids()) {
+    absorb(id);
+    for (const Uint160& key : world.vnode_keys(id)) absorb(key);
+  }
+  return Sha1::to_hex(h.finish());
+}
+
+TEST(WorldConstructionPin, DigestsArePinned) {
+  Rng pre_rng(7);
+  const World pre(construction_params(1000, TaskProvisioning::kPreallocated,
+                                      /*heterogeneous=*/true),
+                  pre_rng);
+  EXPECT_EQ(construction_digest(pre),
+            "b2434af945b2a8456b757e06e8106a0103566a9b");
+  Rng streamed_rng(7);
+  const World streamed(
+      construction_params(1000, TaskProvisioning::kStreamed,
+                          /*heterogeneous=*/false),
+      streamed_rng);
+  EXPECT_EQ(construction_digest(streamed),
+            "e1bce1dcab4ec00e22abe5ac4b54c8ac73facd7d");
+  // The construction stream continues where the world left it.
+  EXPECT_EQ(pre_rng(), 863473266666895526u);
+  EXPECT_EQ(streamed_rng(), 3301002798311131737u);
+}
+
+// --- the collision table behind the bulk load -----------------------------
+
+// Probes `id`; if absent, appends it to the bulk-loading ring and records
+// its slot.  True iff it was absent.
+bool place(IdTable& table, FlatRing& ring, const Uint160& id) {
+  const std::size_t cell = table.probe(id, ring);
+  if (table.occupied(cell)) return false;
+  table.fill(cell, ring.bulk_append(id, 0, /*is_sybil=*/false));
+  return true;
+}
+
+TEST(IdTable, RejectsAnExactDuplicate) {
+  FlatRing ring;
+  IdTable table(4);
+  const Uint160 id = Sha1::hash_u64(1);
+  EXPECT_TRUE(place(table, ring, id));
+  EXPECT_FALSE(place(table, ring, id));
+  EXPECT_TRUE(place(table, ring, Sha1::hash_u64(2)));
+  EXPECT_EQ(ring.size(), 2u);
+}
+
+TEST(IdTable, KeepsIdsThatShareOnlyTheirLow64Bits) {
+  FlatRing ring;
+  IdTable table(4);
+  const Uint160 a({1, 0, 0, 0xDEAD, 0xBEEF});
+  const Uint160 b({2, 0, 0, 0xDEAD, 0xBEEF});
+  ASSERT_EQ(a.low64(), b.low64());
+  EXPECT_TRUE(place(table, ring, a));
+  EXPECT_TRUE(place(table, ring, b));
+  EXPECT_FALSE(place(table, ring, a));
+  EXPECT_FALSE(place(table, ring, b));
+}
+
+TEST(IdTable, ProbeWrapsAtTheEndOfTheTable) {
+  FlatRing ring;
+  IdTable table(4);
+  ASSERT_EQ(table.capacity(), 8u);
+  const Uint160 last({1, 0, 0, 0, 7});   // home cell 7, the last
+  const Uint160 spill({2, 0, 0, 0, 7});  // same home cell
+  EXPECT_EQ(table.probe(last, ring), 7u);
+  ASSERT_TRUE(place(table, ring, last));
+  EXPECT_EQ(table.probe(spill, ring), 0u);
+  ASSERT_TRUE(place(table, ring, spill));
+  EXPECT_EQ(table.probe(spill, ring), 0u);
+  EXPECT_TRUE(table.occupied(0));
+  EXPECT_FALSE(place(table, ring, spill));
+}
+
+}  // namespace
+}  // namespace dhtlb::sim
