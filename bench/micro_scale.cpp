@@ -24,6 +24,7 @@
 namespace {
 
 using dhtlb::serve::RingView;
+using dhtlb::sim::ArcView;
 using dhtlb::sim::AuditReport;
 using dhtlb::sim::FlatRing;
 using dhtlb::sim::InvariantAuditor;
@@ -61,15 +62,18 @@ BENCHMARK(BM_ScaleConstruction)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ScaleArcWalk(benchmark::State& state) {
-  // successor_arcs(id, 5) from every vnode — the strategy inner loop.
+  // successor_arcs(slot, 5) from every vnode in ring order — the
+  // strategy inner loop.
   const auto nodes = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   World w(make_params(nodes, 2 * nodes), rng);
-  const auto ids = w.ring_ids();
+  std::vector<Slot> slots;
+  slots.reserve(w.vnode_count());
+  w.for_each_arc([&](const ArcView& arc) { slots.push_back(arc.slot); });
   for (auto _ : state) {
     std::uint64_t sum = 0;
-    for (const auto& id : ids) {
-      for (const auto& arc : w.successor_arcs(id, 5)) sum += arc.task_count;
+    for (const Slot slot : slots) {
+      for (const auto& arc : w.successor_arcs(slot, 5)) sum += arc.task_count;
     }
     benchmark::DoNotOptimize(sum);
   }

@@ -50,7 +50,7 @@ std::optional<sim::ArcView> most_loaded_successor(
     NodeTurn& turn, const MarkedArcs* marks = nullptr) {
   std::optional<sim::ArcView> victim;
   for (const sim::ArcView& arc :
-       turn.world.successor_arcs(turn.world.primary_id(turn.idx),
+       turn.world.successor_arcs(turn.world.primary_slot(turn.idx),
                                  turn.world.params().num_successors)) {
     probe_victim(turn, arc, marks, victim);
   }
@@ -119,7 +119,7 @@ void neighbor_injection(NodeTurn& turn, std::uint64_t mode) {
   } else {
     support::Uint160 best_size{};
     for (const sim::ArcView& arc : world.successor_arcs(
-             world.primary_id(idx), world.params().num_successors)) {
+             world.primary_slot(idx), world.params().num_successors)) {
       if (arc.owner == idx) continue;  // don't shave our own Sybils
       if (marks != nullptr && marks->contains(arc.id)) continue;
       const support::Uint160 size = support::arc_size(arc.pred, arc.id);
@@ -168,7 +168,7 @@ void invitation(NodeTurn& turn, std::uint64_t /*unused*/) {
   // local information).  Overloaded means workload > 0, so that arc
   // holds tasks.  The arc and its predecessor walk share one ring search.
   const sim::World::ArcWalk predecessors = world.predecessor_arcs(
-      world.vnode_id(world.busiest_vnode(idx)), world.params().num_successors);
+      world.busiest_vnode(idx), world.params().num_successors);
   const sim::ArcView heavy = predecessors.start_arc();
   if (!has_interior(heavy)) return;  // nowhere to stand
   ++turn.counters.invitations_sent;
@@ -300,12 +300,11 @@ void chosen_id(NodeTurn& turn, std::uint64_t scope) {
   if (!target || target->task_count < 2) return;  // nothing to halve
 
   // The Sybil takes exactly the lower half of the victim's keys (the
-  // half-open arc (pred, median] contains them by construction).
+  // half-open arc (pred, lower median] contains them by construction).
   ++turn.counters.workload_queries;  // the median query costs one message
-  const auto median = world.median_task_key(target->id);
+  const auto median =
+      world.nth_task_key(*target, (target->task_count - 1) / 2);
   if (!median || *median == target->id) return;
-  if (world.ring_contains(*median)) return;  // pathological collision
-
   if (const auto acquired = world.create_sybil(idx, *median)) {
     record_placement(*acquired, turn.counters);
   }
@@ -341,15 +340,16 @@ void item_balance(NodeTurn& turn, std::uint64_t delta) {
   sim::World& world = turn.world;
   const sim::NodeIndex idx = turn.idx;
   // The primary vnode's own ID is the boundary this node may renegotiate;
-  // Sybil vnodes (left behind by a strategy hot-swap) are ignored.
-  const support::Uint160 self = world.primary_id(idx);
+  // Sybil vnodes (left behind by a strategy hot-swap) are ignored.  Its
+  // own arc and its successor's come from one walk: one ring search.
+  const sim::Slot self = world.primary_slot(idx);
+  const sim::World::ArcWalk succs = world.successor_arcs(self, 1);
   std::optional<sim::ArcView> succ;
-  for (const sim::ArcView& arc : world.successor_arcs(self, 1)) {
-    succ = arc;
-  }
+  for (const sim::ArcView& arc : succs) succ = arc;
   if (!succ || succ->owner == idx) return;  // alone, or own Sybil next
   ++turn.counters.workload_queries;  // probe the successor's item count
-  const std::uint64_t mine = world.arc_of(self).task_count;
+  const sim::ArcView own = succs.start_arc();
+  const std::uint64_t mine = own.task_count;
   const std::uint64_t theirs = succ->task_count;
   if (mine + theirs < 2) return;  // nothing worth splitting
 
@@ -360,20 +360,19 @@ void item_balance(NodeTurn& turn, std::uint64_t delta) {
     // the successor by retreating the boundary to the half-th key.
     if (half == 0 || half >= mine) return;
     ++turn.counters.workload_queries;  // the split-key query is a message
-    split = world.nth_task_key(self, half - 1);
+    split = world.nth_task_key(own, half - 1);
   } else if (theirs >= delta * mine + 1) {
     // Acquire: advance the boundary into the successor's arc so its
     // first (half - mine) keys in arc order come over to us.
     const std::uint64_t take = half - mine;
     if (take == 0 || take >= theirs) return;
     ++turn.counters.workload_queries;
-    split = world.nth_task_key(succ->id, take - 1);
+    split = world.nth_task_key(*succ, take - 1);
   } else {
     return;  // within the δ band — the boundary stays put
   }
 
-  if (!split || *split == self || *split == succ->id) return;
-  if (world.ring_contains(*split)) return;  // pathological collision
+  if (!split || *split == own.id || *split == succ->id) return;
   if (const auto moved = world.move_vnode(self, *split)) {
     ++turn.counters.boundary_moves;
     turn.counters.tasks_moved += *moved;

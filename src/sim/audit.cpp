@@ -56,12 +56,17 @@ void InvariantAuditor::check_ring_order(AuditReport& report) const {
     fail(report, "ring-order", [](std::ostream& os) { os << "empty ring"; });
     return;
   }
-  // One ascending sweep.  Its first visit also walks the whole ring
-  // counterclockwise, so reported[j] is the predecessor the walk's j-th
-  // arc reports: that arc is sweep position n - 1 - j.  Position 0's
-  // predecessor comes from one arc_of.
+  // One counterclockwise walk of the whole ring from the first vnode,
+  // then one ascending sweep.  reported[j] is the predecessor the walk's
+  // j-th arc reports: that arc is sweep position n - 1 - j.  Position
+  // 0's predecessor is the walk's start arc.  The walk starts from the
+  // index's first entry, not from a slot, so a slot whose arena id
+  // disagrees with the index is reported by index-integrity instead of
+  // aborting the walk.
+  const World::ArcWalk ccw = world_.walk_from_first(n, /*clockwise=*/false);
   std::vector<Uint160> reported;
   reported.reserve(n - 1);
+  for (const ArcView& walked : ccw) reported.push_back(walked.pred);
   Uint160 first;
   Uint160 prev;
   std::size_t i = 0;
@@ -79,9 +84,6 @@ void InvariantAuditor::check_ring_order(AuditReport& report) const {
     const Uint160& id = arc.id;
     if (i == 0) {
       first = id;
-      for (const ArcView& walked : world_.predecessor_arcs(id, n)) {
-        reported.push_back(walked.pred);
-      }
     } else {
       if (!(prev < id)) {
         fail(report, "ring-order", [&](std::ostream& os) {
@@ -105,13 +107,12 @@ void InvariantAuditor::check_ring_order(AuditReport& report) const {
     prev = id;
     ++i;
   });
-  check_pred(first, world_.arc_of(first).pred, prev);
+  check_pred(first, ccw.start_arc().pred, prev);
 }
 
 void InvariantAuditor::check_key_partition(AuditReport& report) const {
   if (world_.vnode_count() <= 1) return;  // a single vnode owns everything
-  world_.for_each_arc([&](const ArcView& arc,
-                          const std::vector<TaskKey>& keys) {
+  world_.for_each_arc([&](const ArcView& arc) {
     const Uint160& id = arc.id;
     // A key whose top 64 bits lie strictly between those of the ends of
     // an arc that does not wrap is inside it; the rest take the exact
@@ -119,7 +120,7 @@ void InvariantAuditor::check_key_partition(AuditReport& report) const {
     const bool wraps = !(arc.pred < arc.id);
     const std::uint64_t low = arc.pred.high64();
     const std::uint64_t high = arc.id.high64();
-    for (const TaskKey& key : keys) {
+    for (const TaskKey& key : world_.vnode_keys(arc.slot)) {
       const std::uint64_t top = key.high64();
       if (!wraps && low < top && top < high) continue;
       if (!support::in_half_open_arc(key, arc.pred, arc.id)) {
@@ -144,7 +145,8 @@ void InvariantAuditor::check_successor_lists(AuditReport& report) const {
   // the next id in ring order and each walk stops after exactly n - 1
   // steps (the wrap back to the start, never earlier or later), then
   // every vnode's list is the next min(k, n - 1) ids of ring order:
-  // the §V-B length rule.
+  // the §V-B length rule.  The walks start at the index's first entry,
+  // not from a slot (see check_ring_order).
   const auto ids = world_.ring_ids();
   const std::size_t n = ids.size();
   if (n == 0) return;
@@ -153,9 +155,7 @@ void InvariantAuditor::check_successor_lists(AuditReport& report) const {
   // order is reported: every later step of that walk is misaligned and
   // would only repeat it.
   auto walk = [&](bool clockwise) {
-    const World::ArcWalk arcs =
-        clockwise ? world_.successor_arcs(ids.front(), n)
-                  : world_.predecessor_arcs(ids.front(), n);
+    const World::ArcWalk arcs = world_.walk_from_first(n, clockwise);
     std::size_t steps = 0;
     bool off_order = false;
     for (const ArcView& arc : arcs) {

@@ -119,11 +119,6 @@ FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
   return Cursor{b, pos_lower_bound(b, id)};
 }
 
-bool FlatRing::contains(const Uint160& id) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::contains during bulk load");
-  return holds(lower_bound(id), id);
-}
-
 bool FlatRing::is_live(Slot s) const {
   if (s >= ids_.size() || live_ == 0) return false;
   const Cursor c = cover(ids_[s]);
@@ -140,10 +135,13 @@ std::vector<std::uint8_t> FlatRing::live_marks() const {
 
 // --- cursors --------------------------------------------------------------
 
-FlatRing::Cursor FlatRing::find(const Uint160& id) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::find during bulk load");
-  const Cursor c = lower_bound(id);
-  DHTLB_CHECK(holds(c, id), "FlatRing::find: id " << id << " not in ring");
+FlatRing::Cursor FlatRing::cursor_of(Slot s) const {
+  DHTLB_CHECK(s < ids_.size(),
+              "FlatRing::cursor_of: slot " << s << " is past the arena");
+  const Cursor c = lower_bound(ids_[s]);
+  DHTLB_CHECK(holds(c, ids_[s]) && slot_at(c) == s,
+              "FlatRing::cursor_of: slot " << s << " holds no vnode in the "
+                                              "ring (freed or stale)");
   return c;
 }
 
@@ -243,10 +241,6 @@ void FlatRing::free_slot(Slot s) {
 
 // --- mutation -------------------------------------------------------------
 
-Slot FlatRing::insert(const Uint160& id, NodeIndex owner, bool is_sybil) {
-  return insert_at(lower_bound(id), id, owner, is_sybil);
-}
-
 Slot FlatRing::insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
                          bool is_sybil) {
   DHTLB_CHECK(!bulk_mode_, "FlatRing::insert_at during bulk load");
@@ -266,7 +260,7 @@ Slot FlatRing::insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
     DHTLB_CHECK(b < blocks_.size() && pos < blocks_[b].size(),
                 "FlatRing::insert_at: cursor out of range");
     DHTLB_ASSERT(!(blocks_[b][pos].id == id),
-                 "FlatRing::insert: duplicate id " << id);
+                 "FlatRing::insert_at: duplicate id " << id);
   }
   // `at` must be id's lower_bound: the entry it points at (if any) above
   // id, the entry before it below.
@@ -294,12 +288,6 @@ void FlatRing::split_block(std::size_t b) {
   const auto at = static_cast<std::ptrdiff_t>(b + 1);
   block_max_.insert(block_max_.begin() + at, upper.back().id);
   blocks_.insert(blocks_.begin() + at, std::move(upper));
-}
-
-void FlatRing::erase(const Uint160& id) {
-  const Cursor c = lower_bound(id);
-  DHTLB_CHECK(holds(c, id), "FlatRing::erase: id " << id << " not in ring");
-  erase_at(c);
 }
 
 void FlatRing::erase_at(const Cursor& c) {

@@ -8,9 +8,9 @@
 //
 //  * an *index*: the (id, slot) entries in ascending id order, cut into
 //    sorted blocks of fewer than kBlockCapacity entries, plus a summary
-//    vector holding each block's largest id.  find/cover pick the block
-//    from the summary and the position inside it, both with the shared
-//    interpolate-then-gallop kernel of support/sorted_search.hpp (the
+//    vector holding each block's largest id.  lower_bound picks the
+//    block from the summary and the position inside it, both with the
+//    shared interpolate-then-gallop kernel of support/sorted_search.hpp (the
 //    one RingView's lookups use); successor/predecessor steps walk a
 //    position within a block and cross to the neighbouring block at its
 //    ends (O(1) steps on contiguous memory instead of tree pointer
@@ -83,7 +83,6 @@ class FlatRing {
   /// Live vnodes in the ring.
   std::size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
-  bool contains(const Uint160& id) const;
 
   // --- slot arena (stable handles) ----------------------------------------
 
@@ -115,10 +114,9 @@ class FlatRing {
   };
 
   /// Cursor of the first vnode with id >= `id`, or the end cursor
-  /// (is_end) when every id is smaller: the one search behind contains,
-  /// find, cover, insert and erase.  A caller that probes an id and then
-  /// inserts or erases it hands this cursor to insert_at/erase_at
-  /// instead of searching a second time.
+  /// (is_end) when every id is smaller: the one search behind cover and
+  /// cursor_of.  A caller that probes an id and then inserts it hands
+  /// this cursor to insert_at instead of searching a second time.
   Cursor lower_bound(const Uint160& id) const;
 
   /// True iff `c` is the end cursor: no vnode at or after the id
@@ -134,8 +132,11 @@ class FlatRing {
   /// the first vnode.  Ring must be non-empty.
   Cursor wrap(const Cursor& c) const { return is_end(c) ? first() : c; }
 
-  /// Cursor of an id that is in the ring (DHTLB_CHECKs otherwise).
-  Cursor find(const Uint160& id) const;
+  /// Cursor of the vnode in slot `s`: the one slot -> cursor
+  /// conversion.  Searches the id the slot stores and DHTLB_CHECKs that
+  /// the cursor holds that id at that slot, so a freed, out-of-range or
+  /// desynced slot fails loudly instead of naming another vnode.
+  Cursor cursor_of(Slot s) const;
 
   /// Cursor of the first vnode clockwise at or after `point` (the vnode
   /// whose ownership arc covers it), wrapping past zero.  Ring must be
@@ -185,24 +186,15 @@ class FlatRing {
 
   // --- mutation -----------------------------------------------------------
 
-  /// Inserts a new vnode (id must not be present) into its block and
-  /// returns its arena slot.  O(kBlockCapacity).  lower_bound plus
-  /// insert_at.
-  Slot insert(const Uint160& id, NodeIndex owner, bool is_sybil);
-
-  /// Cursor form of insert: `at` must be lower_bound(id), taken since
-  /// the last mutation, and must not hold `id`.  The new vnode goes in
-  /// at that position without a second search.
+  /// Inserts a new vnode at `at`, which must be lower_bound(id), taken
+  /// since the last mutation, and must not hold `id`; returns its arena
+  /// slot.  O(kBlockCapacity), no search.
   Slot insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
                  bool is_sybil);
 
-  /// Removes a vnode (id must be present), freeing its slot.  Any tasks
-  /// still in its store are dropped — callers merge them out first.
-  /// lower_bound plus erase_at.
-  void erase(const Uint160& id);
-
-  /// Cursor form of erase: removes the vnode `c` points at (a cursor
-  /// taken since the last mutation) without a second search.
+  /// Removes the vnode `c` points at (a cursor taken since the last
+  /// mutation), freeing its slot.  Any tasks still in its store are
+  /// dropped — callers merge them out first.  No search.
   void erase_at(const Cursor& c);
 
   /// Pre-sizes the arena (and the block list) for n vnodes.

@@ -126,39 +126,35 @@ std::vector<std::uint64_t> World::alive_workloads() const {
   return loads;
 }
 
-ArcView World::arc_of(const Uint160& vnode_id) const {
-  return view_at(ring_.find(vnode_id));
+ArcView World::arc_of(Slot slot) const {
+  return view_at(ring_.cursor_of(slot));
 }
 
-World::ArcWalk World::successor_arcs(const Uint160& vnode_id,
-                                     std::size_t k) const {
-  return ArcWalk(this, ring_.find(vnode_id), k, /*forward=*/true);
+World::ArcWalk World::successor_arcs(Slot slot, std::size_t k) const {
+  return ArcWalk(this, ring_.cursor_of(slot), k, /*forward=*/true);
 }
 
-World::ArcWalk World::predecessor_arcs(const Uint160& vnode_id,
-                                       std::size_t k) const {
-  return ArcWalk(this, ring_.find(vnode_id), k, /*forward=*/false);
+World::ArcWalk World::predecessor_arcs(Slot slot, std::size_t k) const {
+  return ArcWalk(this, ring_.cursor_of(slot), k, /*forward=*/false);
+}
+
+World::ArcWalk World::walk_from_first(std::size_t k, bool clockwise) const {
+  return ArcWalk(this, ring_.first(), k, clockwise);
 }
 
 ArcView World::arc_covering(const Uint160& point) const {
   return view_at(ring_.cover(point));
 }
 
-std::optional<Uint160> World::median_task_key(const Uint160& vnode_id) const {
-  const FlatRing::Cursor cursor = ring_.find(vnode_id);
-  const std::size_t count = ring_.tasks(ring_.slot_at(cursor)).size();
-  if (count == 0) return std::nullopt;
-  return nth_task_key(vnode_id, (count - 1) / 2);  // lower median
-}
-
-std::optional<Uint160> World::nth_task_key(const Uint160& vnode_id,
+std::optional<Uint160> World::nth_task_key(const ArcView& arc,
                                            std::uint64_t n) const {
-  const FlatRing::Cursor cursor = ring_.find(vnode_id);
-  const auto& keys = ring_.tasks(ring_.slot_at(cursor)).keys();
+  DHTLB_ASSERT(ring_.id_of(arc.slot) == arc.id,
+               "nth_task_key: arc " << arc.id << " is stale");
+  const auto& keys = ring_.tasks(arc.slot).keys();
   if (n >= keys.size()) return std::nullopt;
   // Order keys by clockwise distance from the arc start so wrapping
   // arcs sort correctly, then select the n-th along the arc.
-  const Uint160 start = ring_.id_at(ring_.prev(cursor));
+  const Uint160& start = arc.pred;
   std::vector<Uint160> offsets;
   offsets.reserve(keys.size());
   for (const auto& k : keys) {
@@ -167,10 +163,6 @@ std::optional<Uint160> World::nth_task_key(const Uint160& vnode_id,
   const auto nth = offsets.begin() + static_cast<std::ptrdiff_t>(n);
   std::nth_element(offsets.begin(), nth, offsets.end());
   return start + *nth;
-}
-
-const std::vector<TaskKey>& World::vnode_keys(const Uint160& vnode_id) const {
-  return ring_.tasks(ring_.slot_at(ring_.find(vnode_id))).keys();
 }
 
 Uint160 World::fresh_ring_id(support::Rng& rng, FlatRing::Cursor& at) const {
@@ -219,12 +211,12 @@ std::optional<std::uint64_t> World::create_sybil(NodeIndex owner,
 }
 
 void World::remove_vnode(Slot slot) {
-  const Uint160 id = ring_.id_of(slot);
-  DHTLB_CHECK(ring_.size() > 1,
-              "remove_vnode: removing " << id << " would empty the ring");
+  DHTLB_CHECK(ring_.size() > 1, "remove_vnode: removing "
+                                    << ring_.id_of(slot)
+                                    << " would empty the ring");
   // One search: the merge does not touch the index, so the vnode's
   // cursor still addresses it for the erase.
-  const FlatRing::Cursor cursor = ring_.find(id);
+  const FlatRing::Cursor cursor = ring_.cursor_of(slot);
   const Slot succ_slot = ring_.slot_at(ring_.next(cursor));
   const std::uint64_t moved =
       ring_.tasks(succ_slot).merge_from(ring_.tasks(slot));
@@ -242,14 +234,14 @@ void World::remove_sybils(NodeIndex owner) {
   }
 }
 
-std::optional<std::uint64_t> World::move_vnode(const Uint160& old_id,
+std::optional<std::uint64_t> World::move_vnode(Slot old_slot,
                                                const Uint160& new_id) {
+  const Uint160 old_id = ring_.id_of(old_slot);
   if (new_id == old_id) return std::nullopt;
   const FlatRing::Cursor at = ring_.lower_bound(new_id);
   if (ring_.holds(at, new_id)) return std::nullopt;
   if (ring_.size() < 2) return std::nullopt;  // alone: a move is a no-op
-  const FlatRing::Cursor cursor = ring_.find(old_id);
-  const Slot old_slot = ring_.slot_at(cursor);
+  const FlatRing::Cursor cursor = ring_.cursor_of(old_slot);
   const NodeIndex owner = ring_.owner(old_slot);
   const bool is_sybil = ring_.is_sybil(old_slot);
   const Uint160 pred = ring_.id_at(ring_.prev(cursor));
@@ -423,7 +415,8 @@ bool World::alive_index_consistent() const {
     const NodeIndex idx = alive_[pos];
     if (alive_pos_[idx] != pos) return false;
     if (physicals_[idx].vnode_slots.empty()) return false;
-    if (home_shard_[idx] != support::arc_shard(primary_id(idx), kTickShards)) {
+    if (home_shard_[idx] !=
+        support::arc_shard(ring_.id_of(primary_slot(idx)), kTickShards)) {
       return false;
     }
   }

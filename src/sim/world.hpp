@@ -8,16 +8,23 @@
 // The full Chord protocol with explicit messages lives in src/chord and
 // is used to validate these assumptions and to cost them in messages.
 //
-// Vocabulary: a *virtual node* (vnode) is a ring position — either a
-// physical node's primary presence or one of its Sybils.  A *physical
-// node* owns 1 + #Sybils vnodes, has a strength, and consumes work.
+// Vocabulary: a *virtual node* (vnode) is a presence on the ring —
+// either a physical node's primary presence or one of its Sybils.  A
+// *physical node* owns 1 + #Sybils vnodes, has a strength, and consumes
+// work.
+//
+// Handles: a vnode is addressed by its Slot, and only by its Slot.  Each
+// physical node lists its vnodes as slots, every ArcView carries the
+// slot of the arc it describes, and every walk, key query and move takes
+// one.  An id is only a ring position: a point to resolve (arc_covering)
+// or a position to occupy (create_sybil, move_vnode's target).  The one
+// slot -> ring position conversion is FlatRing::cursor_of.
 //
 // Storage: the ring lives in a FlatRing (sim/flat_ring.hpp) — a sorted
 // (id, slot) index over a stable slot arena — rather than a
 // std::map<Uint160, VirtualNode>, so 100k..1M-vnode worlds fit in flat
-// arrays instead of a pointer-chased tree.  Per-vnode payloads are
-// addressed by stable Slot handles, and each physical node lists its
-// vnodes as those handles (ids are read back from the slot arena).
+// arrays instead of a pointer-chased tree.  Slots stay valid for their
+// vnode's lifetime; ids are read back from the slot arena.
 // Each world fact is stored once: a node is alive iff it has a position
 // in the alive list (is_alive), and the run's Params live here only.
 #pragma once
@@ -25,7 +32,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "sim/flat_ring.hpp"
@@ -65,6 +71,7 @@ struct PhysicalNode {
 struct ArcView {
   Uint160 pred;  // predecessor vnode's ID: arc is (pred, id]
   Uint160 id;
+  Slot slot = FlatRing::kNoSlot;  // the vnode's handle
   NodeIndex owner = 0;
   bool is_sybil = false;
   std::uint64_t task_count = 0;
@@ -180,11 +187,11 @@ class World {
     return ring_.live_marks();
   }
 
-  /// Ring id of an alive node's primary vnode.
-  const Uint160& primary_id(NodeIndex idx) const {
+  /// Slot of an alive node's primary vnode.
+  Slot primary_slot(NodeIndex idx) const {
     DHTLB_ASSERT(!physicals_[idx].vnode_slots.empty(),
-                 "primary_id: node " << idx << " is not in the ring");
-    return ring_.id_of(physicals_[idx].vnode_slots.front());
+                 "primary_slot: node " << idx << " is not in the ring");
+    return physicals_[idx].vnode_slots.front();
   }
 
   /// Slot of an alive node's most-loaded vnode: the first maximum of
@@ -223,11 +230,8 @@ class World {
 
   /// Calls fn(const ArcView&) for every vnode in clockwise (ascending)
   /// order — the bulk form of arc_of over the whole ring, O(ring) total
-  /// instead of one ring search per vnode.  A callback that also takes
-  /// a `const std::vector<TaskKey>&` receives the vnode's keys as its
-  /// second argument (vnode_keys without the id search).  Same
-  /// global-knowledge caveat as ring_ids(): for the auditor, snapshots
-  /// and tests only.
+  /// instead of one ring search per vnode.  Same global-knowledge caveat
+  /// as ring_ids(): for the auditor, snapshots and tests only.
   template <typename Fn>
   void for_each_arc(Fn&& fn) const;
 
@@ -265,43 +269,44 @@ class World {
 
   // --- local topology queries (strategy building blocks) -----------------
 
-  /// Arc of a vnode that exists in the ring.
-  ArcView arc_of(const Uint160& vnode_id) const;
+  /// Arc of the vnode in `slot`.
+  ArcView arc_of(Slot slot) const;
 
-  /// Walk over the ArcViews of up to k successors of `vnode_id`,
-  /// clockwise (its successor list).  Stops early if the ring wraps back
-  /// to the starting vnode.
-  ArcWalk successor_arcs(const Uint160& vnode_id, std::size_t k) const;
+  /// Walk over the ArcViews of up to k successors of the vnode in
+  /// `slot`, clockwise (its successor list).  Stops early if the ring
+  /// wraps back to the starting vnode.
+  ArcWalk successor_arcs(Slot slot, std::size_t k) const;
 
-  /// Walk over the ArcViews of up to k predecessors of `vnode_id`,
-  /// counterclockwise.
-  ArcWalk predecessor_arcs(const Uint160& vnode_id, std::size_t k) const;
+  /// Walk over the ArcViews of up to k predecessors of the vnode in
+  /// `slot`, counterclockwise.
+  ArcWalk predecessor_arcs(Slot slot, std::size_t k) const;
 
-  bool ring_contains(const Uint160& id) const { return ring_.contains(id); }
+  /// Walk over up to k arcs from the ring's first (smallest-id) vnode,
+  /// clockwise or counterclockwise.  It starts at the index's first
+  /// entry and reads no slot's stored id, so the auditor's whole-ring
+  /// walks still run on an index whose slot arena they are auditing.
+  ArcWalk walk_from_first(std::size_t k, bool clockwise) const;
 
   /// Arc of the vnode whose ownership arc covers `point` (the vnode a
   /// lookup for `point` would land on).
   ArcView arc_covering(const Uint160& point) const;
 
-  /// Median of a vnode's remaining task keys along its arc (the exact
-  /// half-split ID used by the chosen-ID future-work strategy), or
-  /// nullopt when the vnode holds no tasks.  The median is taken in arc
-  /// order (clockwise from the arc's start), not raw numeric order, so
-  /// it is correct for arcs that wrap through zero.
-  std::optional<Uint160> median_task_key(const Uint160& vnode_id) const;
-
-  /// The n-th (0-based) remaining task key of a vnode in arc order
-  /// (clockwise from the arc's start) — the generalized form of
-  /// median_task_key used by the item-balance family to pick an exact
-  /// split point that keeps a chosen number of keys on one side.
-  /// Returns nullopt when the vnode holds fewer than n + 1 tasks.
-  std::optional<Uint160> nth_task_key(const Uint160& vnode_id,
+  /// The n-th (0-based) remaining task key of `arc`'s vnode in arc
+  /// order (clockwise from arc.pred, so arcs that wrap through zero
+  /// order correctly), or nullopt when it holds fewer than n + 1 tasks.
+  /// The exact split point of the chosen-ID (lower median) and
+  /// item-balance (keep n + 1 keys on one side) strategies.  `arc` must
+  /// be current: read since the last ring mutation.  No ring search.
+  std::optional<Uint160> nth_task_key(const ArcView& arc,
                                       std::uint64_t n) const;
 
-  /// Read-only view of a vnode's remaining task keys (unordered).  For
-  /// inspection, tests and reference-model comparison — strategies must
-  /// not use it (it is more than a node could know about a peer).
-  const std::vector<TaskKey>& vnode_keys(const Uint160& vnode_id) const;
+  /// Read-only view of the remaining task keys of the vnode in `slot`
+  /// (unordered).  For inspection, tests and reference-model comparison
+  /// — strategies must not use it (it is more than a node could know
+  /// about a peer).  No ring search.
+  const std::vector<TaskKey>& vnode_keys(Slot slot) const {
+    return ring_.tasks(slot).keys();
+  }
 
   // --- mutation: membership & Sybils --------------------------------------
 
@@ -315,19 +320,20 @@ class World {
   /// successors (exactly like graceful departures).
   void remove_sybils(NodeIndex owner);
 
-  /// Relocates the vnode at `old_id` to `new_id` — the neighbor-move
-  /// primitive of the item-balance family (Chawachat & Fakcharoenphol:
-  /// a node re-joins at a boundary point negotiated with a neighbor
-  /// instead of spawning Sybils).  `new_id` must lie strictly inside the
-  /// open arc (pred(old), succ(old)) so only the two adjacent arcs are
-  /// touched: moving counterclockwise sheds the keys in (new_id, old_id]
-  /// to the old successor; moving clockwise acquires (old_id, new_id]
-  /// from it.  Returns the number of keys that changed owner, or nullopt
-  /// when the move is impossible (collision, new_id outside the
-  /// neighbor arcs, or the vnode is alone in the ring).  Ownership,
-  /// aliveness and the Sybil flag are preserved.
-  std::optional<std::uint64_t> move_vnode(const Uint160& old_id,
-                                          const Uint160& new_id);
+  /// Relocates the vnode in `slot` (at old_id) to `new_id` — the
+  /// neighbor-move primitive of the item-balance family (Chawachat &
+  /// Fakcharoenphol: a node re-joins at a boundary point negotiated with
+  /// a neighbor instead of spawning Sybils).  `new_id` must lie strictly
+  /// inside the open arc (pred(old), succ(old)) so only the two adjacent
+  /// arcs are touched: moving counterclockwise sheds the keys in
+  /// (new_id, old_id] to the old successor; moving clockwise acquires
+  /// (old_id, new_id] from it.  Returns the number of keys that changed
+  /// owner, or nullopt when the move is impossible (collision, new_id
+  /// outside the neighbor arcs, or the vnode is alone in the ring).
+  /// Ownership, aliveness and the Sybil flag are preserved; the vnode
+  /// gets a new slot, which takes the old one's place in its owner's
+  /// vnode_slots.
+  std::optional<std::uint64_t> move_vnode(Slot slot, const Uint160& new_id);
 
   /// An alive node (with all its Sybils) leaves the network and enters
   /// the waiting pool; its tasks fall to ring successors.  Refuses (and
@@ -469,6 +475,7 @@ inline ArcView World::view_at(const FlatRing::Cursor& cursor,
   ArcView view;
   view.pred = ring_.id_at(pred);
   view.id = ring_.id_at(cursor);
+  view.slot = slot;
   view.owner = ring_.owner(slot);
   view.is_sybil = ring_.is_sybil(slot);
   view.task_count = ring_.tasks(slot).size();
@@ -565,15 +572,11 @@ void World::for_each_arc(Fn&& fn) const {
     ArcView view;
     view.pred = pred;
     view.id = id;
+    view.slot = slot;
     view.owner = ring_.owner(slot);
     view.is_sybil = ring_.is_sybil(slot);
     view.task_count = ring_.tasks(slot).size();
-    if constexpr (std::is_invocable_v<Fn&, const ArcView&,
-                                      const std::vector<TaskKey>&>) {
-      fn(static_cast<const ArcView&>(view), ring_.tasks(slot).keys());
-    } else {
-      fn(static_cast<const ArcView&>(view));
-    }
+    fn(static_cast<const ArcView&>(view));
     pred = id;
   });
 }

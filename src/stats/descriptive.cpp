@@ -100,9 +100,4 @@ Summary summarize(std::span<const double> xs) {
   return s;
 }
 
-Summary summarize_u64(std::span<const std::uint64_t> xs) {
-  std::vector<double> d(xs.begin(), xs.end());
-  return summarize(d);
-}
-
 }  // namespace dhtlb::stats

@@ -60,6 +60,5 @@ struct Summary {
 };
 
 Summary summarize(std::span<const double> xs);
-Summary summarize_u64(std::span<const std::uint64_t> xs);
 
 }  // namespace dhtlb::stats

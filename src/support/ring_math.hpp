@@ -34,14 +34,6 @@ constexpr bool in_half_open_arc(const Uint160& x, const Uint160& a,
   return x > a || x <= b;
 }
 
-/// True iff x lies in the half-open arc [a, b), clockwise.
-constexpr bool in_left_closed_arc(const Uint160& x, const Uint160& a,
-                                  const Uint160& b) {
-  if (a == b) return true;
-  if (a < b) return a <= x && x < b;
-  return x >= a || x < b;
-}
-
 /// Clockwise distance from a to b: the number of ring steps walking in
 /// increasing-ID direction.  Always in [0, 2^160); distance(a, a) == 0.
 constexpr Uint160 clockwise_distance(const Uint160& a, const Uint160& b) {

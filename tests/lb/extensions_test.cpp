@@ -49,7 +49,7 @@ TEST(ExtensionFactory, ExtensionsNotInPaperList) {
   }
 }
 
-// --- median key query (World support) --------------------------------------
+// --- median key query: nth_task_key at the lower median (chosen-ID) -------
 
 TEST(MedianTaskKey, SplitsKeysExactlyInHalf) {
   Rng rng(1);
@@ -58,10 +58,9 @@ TEST(MedianTaskKey, SplitsKeysExactlyInHalf) {
   p.total_tasks = 5000;
   World w(p, rng);
   for (const auto idx : w.alive_indices()) {
-    const Uint160 vid = w.primary_id(idx);
-    const sim::ArcView arc = w.arc_of(vid);
+    const sim::ArcView arc = w.arc_of(w.primary_slot(idx));
     if (arc.task_count < 2) continue;
-    const auto median = w.median_task_key(vid);
+    const auto median = w.nth_task_key(arc, (arc.task_count - 1) / 2);
     ASSERT_TRUE(median.has_value());
     // A Sybil at the median acquires the lower half: ceil(n/2) keys for
     // the lower-median convention.
@@ -82,7 +81,7 @@ TEST(MedianTaskKey, EmptyVnodeHasNoMedian) {
   World w(p, rng);
   const auto idx = w.alive_indices()[0];
   (void)consume(w, idx, w.workload(idx), rng);
-  EXPECT_FALSE(w.median_task_key(w.primary_id(idx)).has_value());
+  EXPECT_FALSE(w.nth_task_key(w.arc_of(w.primary_slot(idx)), 0).has_value());
 }
 
 TEST(ArcCovering, AgreesWithOwnershipRule) {
@@ -247,7 +246,7 @@ TEST(StrengthAwareTest, StrengthSplitStaysInsideTheTargetArc) {
       for (std::size_t s = 1; s < slots.size(); ++s) {
         ++sybils;
         for (const sim::ArcView& next :
-             w.successor_arcs(w.vnode_id(slots[s]), 1)) {
+             w.successor_arcs(slots[s], 1)) {
           EXPECT_NE(next.owner, idx)
               << "seed " << seed << ": Sybil landed past its target arc";
         }

@@ -60,18 +60,16 @@ TEST(ItemBalance, NthTaskKeyMatchesArcOrder) {
   // Reference order: keys sorted by clockwise distance from the arc
   // start, exactly the order nth_task_key promises to select from.
   std::vector<Uint160> offsets;
-  for (const Uint160& key : world.vnode_keys(target->id)) {
+  for (const Uint160& key : world.vnode_keys(target->slot)) {
     offsets.push_back(support::clockwise_distance(target->pred, key));
   }
   std::sort(offsets.begin(), offsets.end());
   for (std::uint64_t n = 0; n < offsets.size(); ++n) {
-    const auto key = world.nth_task_key(target->id, n);
+    const auto key = world.nth_task_key(*target, n);
     ASSERT_TRUE(key.has_value());
     EXPECT_EQ(*key, target->pred + offsets[n]) << "n = " << n;
   }
-  EXPECT_FALSE(world.nth_task_key(target->id, offsets.size()).has_value());
-  EXPECT_EQ(world.median_task_key(target->id),
-            world.nth_task_key(target->id, (offsets.size() - 1) / 2));
+  EXPECT_FALSE(world.nth_task_key(*target, offsets.size()).has_value());
 }
 
 TEST(ItemBalance, MoveVnodeShedsAndAcquires) {
@@ -87,15 +85,17 @@ TEST(ItemBalance, MoveVnodeShedsAndAcquires) {
 
   // Shed: retreat the boundary so exactly 2 keys stay with the owner;
   // the other before-2 keys fall to the ring successor.
-  const auto split = world.nth_task_key(target->id, 1);
+  const auto split = world.nth_task_key(*target, 1);
   ASSERT_TRUE(split.has_value());
   ASSERT_NE(*split, target->id);
-  const auto moved = world.move_vnode(target->id, *split);
+  const auto moved = world.move_vnode(target->slot, *split);
   ASSERT_TRUE(moved.has_value());
   EXPECT_EQ(*moved, before - 2);
-  EXPECT_EQ(world.arc_of(*split).task_count, 2u);
-  EXPECT_EQ(world.arc_of(*split).owner, target->owner);
-  EXPECT_FALSE(world.ring_contains(target->id));
+  const ArcView shed = world.arc_covering(*split);
+  ASSERT_EQ(shed.id, *split);
+  EXPECT_EQ(shed.task_count, 2u);
+  EXPECT_EQ(shed.owner, target->owner);
+  EXPECT_NE(world.arc_covering(target->id).id, target->id);
   EXPECT_EQ(world.total_tasks(), total);  // moves never create/destroy work
   EXPECT_TRUE(AuditClean(world));
   EXPECT_TRUE(world.alive_index_consistent());
@@ -103,16 +103,18 @@ TEST(ItemBalance, MoveVnodeShedsAndAcquires) {
   // Acquire: advance the same vnode's boundary into its successor's arc
   // and pull that arc's first key over.
   std::optional<ArcView> succ;
-  for (const ArcView& arc : world.successor_arcs(*split, 1)) succ = arc;
+  for (const ArcView& arc : world.successor_arcs(shed.slot, 1)) succ = arc;
   ASSERT_TRUE(succ.has_value());
-  if (succ->task_count >= 2 && succ->owner != world.arc_of(*split).owner) {
-    const auto ahead = world.nth_task_key(succ->id, 0);
+  if (succ->task_count >= 2 && succ->owner != shed.owner) {
+    const auto ahead = world.nth_task_key(*succ, 0);
     ASSERT_TRUE(ahead.has_value());
-    if (*ahead != succ->id && !world.ring_contains(*ahead)) {
-      const auto acquired = world.move_vnode(*split, *ahead);
+    if (*ahead != succ->id && world.arc_covering(*ahead).id != *ahead) {
+      const auto acquired = world.move_vnode(shed.slot, *ahead);
       ASSERT_TRUE(acquired.has_value());
       EXPECT_EQ(*acquired, 1u);
-      EXPECT_EQ(world.arc_of(*ahead).task_count, 3u);
+      const ArcView grown = world.arc_covering(*ahead);
+      EXPECT_EQ(grown.id, *ahead);
+      EXPECT_EQ(grown.task_count, 3u);
       EXPECT_TRUE(AuditClean(world));
     }
   }
@@ -129,15 +131,15 @@ TEST(ItemBalance, MoveVnodeRejectsIllegalTargets) {
 
   // Same position, colliding position, and a position beyond the
   // immediate neighbors must all be refused.
-  EXPECT_FALSE(world.move_vnode(target->id, target->id).has_value());
+  EXPECT_FALSE(world.move_vnode(target->slot, target->id).has_value());
   std::vector<Uint160> next;
-  for (const ArcView& arc : world.successor_arcs(target->id, 2)) {
+  for (const ArcView& arc : world.successor_arcs(target->slot, 2)) {
     next.push_back(arc.id);
   }
   ASSERT_EQ(next.size(), 2u);
-  EXPECT_FALSE(world.move_vnode(target->id, next[0]).has_value());
+  EXPECT_FALSE(world.move_vnode(target->slot, next[0]).has_value());
   EXPECT_FALSE(
-      world.move_vnode(target->id, next[1] + Uint160(1)).has_value());
+      world.move_vnode(target->slot, next[1] + Uint160(1)).has_value());
   EXPECT_TRUE(AuditClean(world));
 }
 

@@ -202,10 +202,12 @@ TEST(NeighborInjectionTest, SybilLandsWithinSuccessorNeighborhood) {
   World w(p, rng);
   const sim::NodeIndex idx = w.alive_indices()[0];
   (void)consume(w, idx, w.workload(idx), rng);
-  const support::Uint160 self = w.primary_id(idx);
+  const sim::Slot self_slot = w.primary_slot(idx);
+  const support::Uint160 self = w.vnode_id(self_slot);
   // Record the neighborhood's far end BEFORE the injection.
   support::Uint160 last_succ;
-  for (const sim::ArcView& arc : w.successor_arcs(self, p.num_successors)) {
+  for (const sim::ArcView& arc :
+       w.successor_arcs(self_slot, p.num_successors)) {
     last_succ = arc.id;
   }
 
@@ -229,14 +231,13 @@ TEST(NeighborInjectionTest, SmartModePicksMostLoadedSuccessor) {
   World w2(p2, rng2);
   const sim::NodeIndex idx = w2.alive_indices()[0];
   (void)consume(w2, idx, w2.workload(idx), rng2);
-  const support::Uint160 self = w2.primary_id(idx);
   std::uint64_t best = 0;
-  support::Uint160 target;
+  sim::Slot target = sim::FlatRing::kNoSlot;
   for (const sim::ArcView& arc :
-       w2.successor_arcs(self, p2.num_successors)) {
+       w2.successor_arcs(w2.primary_slot(idx), p2.num_successors)) {
     if (arc.owner != idx && arc.task_count > best) {
       best = arc.task_count;
-      target = arc.id;
+      target = arc.slot;
     }
   }
   ASSERT_GT(best, 0u);
@@ -387,7 +388,7 @@ std::optional<sim::NodeIndex> walk_form_helper(const World& w,
                                                sim::NodeIndex idx) {
   const std::uint64_t threshold = w.params().sybil_threshold;
   if (w.workload(idx) <= threshold) return std::nullopt;
-  const sim::ArcView heavy = w.arc_of(w.vnode_id(w.busiest_vnode(idx)));
+  const sim::ArcView heavy = w.arc_of(w.busiest_vnode(idx));
   if (support::clockwise_distance(heavy.pred, heavy.id) <=
       support::Uint160{1}) {
     return std::nullopt;
@@ -395,7 +396,7 @@ std::optional<sim::NodeIndex> walk_form_helper(const World& w,
   std::optional<sim::NodeIndex> helper;
   std::uint64_t helper_load = 0;
   for (const sim::ArcView& parc :
-       w.predecessor_arcs(heavy.id, w.params().num_successors)) {
+       w.predecessor_arcs(heavy.slot, w.params().num_successors)) {
     if (parc.owner == idx) continue;
     const std::uint64_t load = w.workload(parc.owner);
     if (load > threshold) continue;
@@ -426,7 +427,7 @@ TEST(InvitationTest, TinyRingsPickTheWalkFormHelper) {
     // Self-owned predecessors: each node drops a Sybil just before its
     // own primary, inside its own arc.
     for (const sim::NodeIndex idx : base.alive_indices()) {
-      const sim::ArcView arc = base.arc_of(base.primary_id(idx));
+      const sim::ArcView arc = base.arc_of(base.primary_slot(idx));
       if (support::clockwise_distance(arc.pred, arc.id) > support::Uint160{2}) {
         (void)base.create_sybil(idx, arc.id - support::Uint160{1});
       }
@@ -442,8 +443,7 @@ TEST(InvitationTest, TinyRingsPickTheWalkFormHelper) {
           walk_form_helper(w, announcer);
       std::optional<support::Uint160> midpoint;
       if (expected) {
-        const sim::ArcView heavy =
-            w.arc_of(w.vnode_id(w.busiest_vnode(announcer)));
+        const sim::ArcView heavy = w.arc_of(w.busiest_vnode(announcer));
         midpoint = support::arc_midpoint(heavy.pred, heavy.id);
       }
       const std::size_t vnodes = w.vnode_count();
@@ -464,8 +464,9 @@ TEST(InvitationTest, TinyRingsPickTheWalkFormHelper) {
       EXPECT_EQ(w.vnode_count(), vnodes + 1) << "seed " << seed;
       EXPECT_EQ(w.sybil_count(*expected), helper_sybils + 1)
           << "seed " << seed;
-      ASSERT_TRUE(w.ring_contains(*midpoint)) << "seed " << seed;
-      EXPECT_EQ(w.arc_of(*midpoint).owner, *expected) << "seed " << seed;
+      const sim::ArcView placed = w.arc_covering(*midpoint);
+      ASSERT_EQ(placed.id, *midpoint) << "seed " << seed;
+      EXPECT_EQ(placed.owner, *expected) << "seed " << seed;
     }
   }
   // Both outcomes occur, so the comparison is not vacuous.

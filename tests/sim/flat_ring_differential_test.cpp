@@ -14,11 +14,11 @@
 // bucketing and sweep could get wrong: wrap-around, exact hits, ids
 // that share their top bits with the keys, and a one-bucket hotspot.
 //
-// The cursor mutations insert_at/erase_at are pinned against the id
-// forms insert/erase: two rings take the same mutation sequence, one
-// through each form, and must stay entry-for-entry and slot-for-slot
-// identical, across the wrap past the largest id, the removal of a
-// block's last entry (a summary update) and block splits.
+// The cursor mutations insert_at/erase_at are pinned against the map's
+// id-keyed insert/erase: the ring and the map take the same mutation
+// sequence and must stay entry-for-entry identical, across the wrap
+// past the largest id, the removal of a block's last entry (a summary
+// update) and block splits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "sim/flat_ring.hpp"
+#include "sim/flat_ring_testing.hpp"
 #include "support/rng.hpp"
 #include "support/uint160.hpp"
 
@@ -36,6 +37,10 @@ namespace dhtlb::sim {
 namespace {
 
 using support::Uint160;
+using testing::cursor_at_id;
+using testing::erase_id;
+using testing::holds_id;
+using testing::insert_id;
 
 struct RefPayload {
   NodeIndex owner = 0;
@@ -112,7 +117,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
     // Neighbor and payload agreement from a few random members.
     for (int probe = 0; probe < 8; ++probe) {
       const Uint160& id = members[rng.below(members.size())];
-      const FlatRing::Cursor c = ring.find(id);
+      const FlatRing::Cursor c = cursor_at_id(ring, id);
       ASSERT_EQ(ring.id_at(c), id) << "step " << step;
       ASSERT_EQ(ring.id_at(ring.next(c)), ref.successor(id))
           << "step " << step;
@@ -144,7 +149,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
         if (ref.contains(id)) break;
         const auto owner = static_cast<NodeIndex>(rng.below(32));
         const bool sybil = rng.below(4) == 0;
-        ring.insert(id, owner, sybil);
+        insert_id(ring, id, owner, sybil);
         ref.insert(id, owner, sybil);
         members.push_back(id);
         break;
@@ -152,7 +157,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
       case 3: {  // leave
         if (members.size() <= 2) break;
         const std::size_t victim = rng.below(members.size());
-        ring.erase(members[victim]);
+        erase_id(ring, members[victim]);
         ref.erase(members[victim]);
         members[victim] = members.back();
         members.pop_back();
@@ -161,7 +166,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
       case 4: {  // ownership transfer (e.g. sybil handoff)
         const Uint160& id = members[rng.below(members.size())];
         const auto owner = static_cast<NodeIndex>(rng.below(32));
-        ring.set_owner(ring.slot_at(ring.find(id)), owner);
+        ring.set_owner(ring.slot_at(cursor_at_id(ring, id)), owner);
         ref.insert(id, owner, ref.payload(id).is_sybil);
         break;
       }
@@ -177,7 +182,7 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
   for (std::size_t i = 0; i < kRun; ++i) {
     const Uint160 victim = next_victim;
     next_victim = ref.successor(victim);
-    ring.erase(victim);
+    erase_id(ring, victim);
     ref.erase(victim);
     const auto it = std::find(members.begin(), members.end(), victim);
     *it = members.back();
@@ -229,20 +234,20 @@ std::vector<Uint160> build_mutated_ring(FlatRing& ring, support::Rng& rng) {
   ring.finalize_bulk();
   for (int i = 0; i < 2000; ++i) {
     const Uint160 id = rng.uniform_u160();
-    if (live.emplace(id, true).second) ring.insert(id, 1, true);
+    if (live.emplace(id, true).second) insert_id(ring, id, 1, true);
   }
   // Erase a contiguous run (whole blocks drop) and a random sprinkle.
   auto it = live.begin();
   std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size() / 2)));
   for (std::size_t i = 0; i < 2 * FlatRing::kBlockCapacity; ++i) {
-    ring.erase(it->first);
+    erase_id(ring, it->first);
     it = live.erase(it);
   }
   for (int i = 0; i < 300; ++i) {
     auto victim = live.begin();
     std::advance(victim,
                  static_cast<std::ptrdiff_t>(rng.below(live.size())));
-    ring.erase(victim->first);
+    erase_id(ring, victim->first);
     live.erase(victim);
   }
   EXPECT_TRUE(ring.index_consistent());
@@ -293,14 +298,14 @@ TEST(CoverSorted, EmptyBatchNeedsNoRing) {
   FlatRing::CoverScratch scratch;
   empty.cover_sorted({}, {}, scratch);  // no vnode to cover with: no-op
   FlatRing ring;
-  ring.insert(with_high(5, 0), 0, false);
+  insert_id(ring, with_high(5, 0));
   ring.cover_sorted({}, {}, scratch);
   EXPECT_EQ(ring.size(), 1u);
 }
 
 TEST(CoverSorted, OneVnodeRingCoversEveryKey) {
   FlatRing ring;
-  const Slot only = ring.insert(with_high(1000, 77), 3, false);
+  const Slot only = insert_id(ring, with_high(1000, 77), 3, false);
   const std::vector<Uint160> keys = {
       Uint160::zero(),   with_high(1000, 76), with_high(1000, 77),
       with_high(1000, 78), Uint160::max(),    with_high(1000, 77)};
@@ -317,8 +322,8 @@ TEST(CoverSorted, KeysSharingTopBitsSweepInFullKeyOrder) {
   FlatRing ring;
   constexpr std::uint64_t kHigh = 0x8000000000000000ull;
   for (const std::uint64_t low : {10u, 20u, 30u}) {
-    ring.insert(with_high(kHigh, low), 0, false);
-    ring.insert(with_high(kHigh + 1, low), 0, false);
+    insert_id(ring, with_high(kHigh, low));
+    insert_id(ring, with_high(kHigh + 1, low));
   }
   std::vector<Uint160> keys;
   for (std::uint64_t low = 40; low-- > 0;) {  // descending batch order
@@ -368,7 +373,7 @@ TEST(CoverSorted, NarrowHotspotBatchSortsInNLogN) {
   // Ring ids inside the arc, so the sweep has to stop within it.
   for (int i = 0; i < 20; ++i) {
     const Uint160 id = rng.uniform_in_arc(start, start + Uint160::pow2(100));
-    if (!ring.contains(id)) ring.insert(id, 2, true);
+    if (!holds_id(ring, id)) insert_id(ring, id, 2, true);
   }
   const auto begin = std::chrono::steady_clock::now();
   expect_batch_matches_point_covers(ring, keys, "hotspot");
@@ -376,14 +381,15 @@ TEST(CoverSorted, NarrowHotspotBatchSortsInNLogN) {
   EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
-// --- insert_at / erase_at against insert / erase -------------------------
+// --- insert_at / erase_at against the map's insert / erase ---------------
+
+using Entries = std::vector<std::tuple<Uint160, NodeIndex, bool>>;
 
 /// Every entry of `ring` in ring order, with its slot's payload.
-std::vector<std::tuple<Uint160, Slot, NodeIndex, bool>> entries_of(
-    const FlatRing& ring) {
-  std::vector<std::tuple<Uint160, Slot, NodeIndex, bool>> out;
+Entries entries_of(const FlatRing& ring) {
+  Entries out;
   ring.for_each([&](const Uint160& id, Slot slot) {
-    out.emplace_back(id, slot, ring.owner(slot), ring.is_sybil(slot));
+    out.emplace_back(id, ring.owner(slot), ring.is_sybil(slot));
   });
   return out;
 }
@@ -401,30 +407,44 @@ std::vector<Uint160> block_last_ids(const FlatRing& ring) {
   return ids;
 }
 
-/// Two rings taking the same mutations: `by_id` through insert/erase,
-/// `by_cursor` through lower_bound plus insert_at/erase_at.
+/// A ring and its map oracle taking the same mutations: `ring` through
+/// lower_bound plus insert_at/erase_at, `ref` through its id-keyed
+/// insert/erase.
 struct TwinRings {
-  FlatRing by_id;
-  FlatRing by_cursor;
+  FlatRing ring;
+  MapReference ref;
+
+  /// Starts the oracle from the ring's current entries.
+  void sync_reference() {
+    ring.for_each([&](const Uint160& id, Slot slot) {
+      ref.insert(id, ring.owner(slot), ring.is_sybil(slot));
+    });
+  }
 
   void insert(const Uint160& id, NodeIndex owner, bool sybil) {
-    const FlatRing::Cursor at = by_cursor.lower_bound(id);
-    ASSERT_FALSE(by_cursor.holds(at, id)) << id;
-    const Slot cursor_slot = by_cursor.insert_at(at, id, owner, sybil);
-    ASSERT_EQ(by_id.insert(id, owner, sybil), cursor_slot) << id;
+    const FlatRing::Cursor at = ring.lower_bound(id);
+    ASSERT_FALSE(ring.holds(at, id)) << id;
+    const Slot slot = ring.insert_at(at, id, owner, sybil);
+    ASSERT_EQ(ring.id_of(slot), id);
+    ref.insert(id, owner, sybil);
   }
 
   void erase(const Uint160& id) {
-    const FlatRing::Cursor at = by_cursor.lower_bound(id);
-    ASSERT_TRUE(by_cursor.holds(at, id)) << id;
-    by_cursor.erase_at(at);
-    by_id.erase(id);
+    const FlatRing::Cursor at = ring.lower_bound(id);
+    ASSERT_TRUE(ring.holds(at, id)) << id;
+    ring.erase_at(at);
+    ref.erase(id);
   }
 
+  Uint160 largest() const { return ring.id_at(ring.prev(ring.first())); }
+
   void expect_identical(const std::string& what) const {
-    ASSERT_TRUE(by_cursor.index_consistent()) << what;
-    ASSERT_TRUE(by_id.index_consistent()) << what;
-    ASSERT_EQ(entries_of(by_cursor), entries_of(by_id)) << what;
+    ASSERT_TRUE(ring.index_consistent()) << what;
+    Entries expected;
+    for (const auto& [id, payload] : ref.all()) {
+      expected.emplace_back(id, payload.owner, payload.is_sybil);
+    }
+    ASSERT_EQ(entries_of(ring), expected) << what;
   }
 };
 
@@ -434,12 +454,11 @@ class CursorMutationDifferentialTest
 TEST_P(CursorMutationDifferentialTest, CursorFormsMatchIdForms) {
   TwinRings twins;
   {
-    // Identical multi-block starting rings (bulk load, inserts, erases).
-    support::Rng rng_a(GetParam());
-    support::Rng rng_b(GetParam());
-    build_mutated_ring(twins.by_id, rng_a);
-    build_mutated_ring(twins.by_cursor, rng_b);
+    // A multi-block starting ring (bulk load, inserts, erases).
+    support::Rng build_rng(GetParam());
+    build_mutated_ring(twins.ring, build_rng);
   }
+  twins.sync_reference();
   twins.expect_identical("start");
   support::Rng rng(GetParam() * 31 + 5);
 
@@ -448,7 +467,7 @@ TEST_P(CursorMutationDifferentialTest, CursorFormsMatchIdForms) {
   const Uint160 base = rng.uniform_u160();
   for (std::size_t i = 0; i < 3 * FlatRing::kBlockCapacity; ++i) {
     const Uint160 id = rng.uniform_in_arc(base, base + Uint160::pow2(120));
-    if (twins.by_id.contains(id)) continue;
+    if (twins.ref.contains(id)) continue;
     twins.insert(id, static_cast<NodeIndex>(i % 7), i % 3 == 0);
   }
   twins.expect_identical("narrow-arc splits");
@@ -457,27 +476,27 @@ TEST_P(CursorMutationDifferentialTest, CursorFormsMatchIdForms) {
   // the last block, becoming its summary; then the largest ids leave,
   // each a last-entry erase.
   for (int i = 0; i < 40; ++i) {
-    const Uint160 top = twins.by_id.id_at(twins.by_id.prev(twins.by_id.first()));
+    const Uint160 top = twins.largest();
     if (top == Uint160::max()) break;
     const Uint160 id = rng.uniform_in_arc(top, Uint160::max());
-    ASSERT_TRUE(twins.by_cursor.is_end(twins.by_cursor.lower_bound(id)));
+    ASSERT_TRUE(twins.ring.is_end(twins.ring.lower_bound(id)));
     twins.insert(id, 9, false);
   }
   twins.expect_identical("past the largest id");
   for (int i = 0; i < 60; ++i) {
-    twins.erase(twins.by_id.id_at(twins.by_id.prev(twins.by_id.first())));
+    twins.erase(twins.largest());
   }
   twins.expect_identical("largest ids erased");
 
   // Block-last entries: erasing one moves its block's summary down.
-  std::vector<Uint160> lasts = block_last_ids(twins.by_id);
+  std::vector<Uint160> lasts = block_last_ids(twins.ring);
   ASSERT_GT(lasts.size(), 4u);
   for (std::size_t i = 0; i < lasts.size(); i += 2) twins.erase(lasts[i]);
   twins.expect_identical("block-last erases");
 
   // Random churn, and below the smallest id (position 0 of block 0).
   std::vector<Uint160> members;
-  twins.by_id.for_each([&](const Uint160& id, Slot) { members.push_back(id); });
+  for (const auto& [id, payload] : twins.ref.all()) members.push_back(id);
   for (int step = 0; step < 2000; ++step) {
     if (rng.below(2) == 0 && members.size() > 2) {
       const std::size_t victim = rng.below(members.size());
@@ -486,10 +505,10 @@ TEST_P(CursorMutationDifferentialTest, CursorFormsMatchIdForms) {
       members.pop_back();
     } else {
       const Uint160 id = step % 50 == 0
-                             ? twins.by_id.id_at(twins.by_id.first()) -
+                             ? twins.ring.id_at(twins.ring.first()) -
                                    Uint160{1}
                              : rng.uniform_u160();
-      if (twins.by_id.contains(id)) continue;
+      if (twins.ref.contains(id)) continue;
       twins.insert(id, static_cast<NodeIndex>(step % 5), false);
       members.push_back(id);
     }
@@ -508,7 +527,7 @@ TEST(CursorMutation, EmptyRingInsertAndEraseAtTheEndCursor) {
   EXPECT_FALSE(ring.holds(at, id));
   const Slot slot = ring.insert_at(at, id, 4, true);
   EXPECT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.slot_at(ring.find(id)), slot);
+  EXPECT_EQ(ring.cursor_of(slot), ring.lower_bound(id));
   EXPECT_EQ(ring.owner(slot), 4u);
   EXPECT_TRUE(ring.index_consistent());
   const FlatRing::Cursor again = ring.lower_bound(id);

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/flat_ring_testing.hpp"
 #include "sim/world_corruptor.hpp"
 #include "support/rng.hpp"
 #include "support/uint160.hpp"
@@ -21,6 +22,10 @@ namespace dhtlb::sim {
 namespace {
 
 using support::Uint160;
+using testing::cursor_at_id;
+using testing::erase_id;
+using testing::holds_id;
+using testing::insert_id;
 
 Uint160 id(std::uint64_t v) { return Uint160{v}; }
 
@@ -67,7 +72,7 @@ TEST(FlatRingTest, EmptyRingHasNoMembers) {
   FlatRing ring;
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.contains(id(1)));
+  EXPECT_FALSE(holds_id(ring, id(1)));
   EXPECT_TRUE(ring.index_consistent());
 }
 
@@ -78,15 +83,15 @@ TEST(FlatRingTest, BulkLoadSortsOnceAndAnswersQueries) {
   const std::vector<Uint160> expected = {id(10), id(20), id(30), id(40),
                                          id(50)};
   EXPECT_EQ(collect(ring), expected);
-  EXPECT_TRUE(ring.contains(id(30)));
-  EXPECT_FALSE(ring.contains(id(31)));
+  EXPECT_TRUE(holds_id(ring, id(30)));
+  EXPECT_FALSE(holds_id(ring, id(31)));
   EXPECT_TRUE(ring.index_consistent());
 }
 
 TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
   FlatRing ring;
-  const Slot a = ring.insert(id(5), /*owner=*/3, /*is_sybil=*/false);
-  const Slot b = ring.insert(id(9), /*owner=*/4, /*is_sybil=*/true);
+  const Slot a = insert_id(ring, id(5), /*owner=*/3, /*is_sybil=*/false);
+  const Slot b = insert_id(ring, id(9), /*owner=*/4, /*is_sybil=*/true);
   EXPECT_EQ(ring.id_of(a), id(5));
   EXPECT_EQ(ring.owner(a), 3u);
   EXPECT_FALSE(ring.is_sybil(a));
@@ -100,32 +105,49 @@ TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
 TEST(FlatRingTest, IsLiveTracksASlotsLifetime) {
   FlatRing ring;
   EXPECT_FALSE(ring.is_live(0)) << "empty ring, empty arena";
-  const Slot a = ring.insert(id(5), 0, false);
-  const Slot b = ring.insert(id(9), 0, false);
-  const Slot keep = ring.insert(id(20), 0, false);
+  const Slot a = insert_id(ring, id(5), 0, false);
+  const Slot b = insert_id(ring, id(9), 0, false);
+  const Slot keep = insert_id(ring, id(20), 0, false);
   EXPECT_TRUE(ring.is_live(a));
   EXPECT_TRUE(ring.is_live(b));
   EXPECT_FALSE(ring.is_live(keep + 1)) << "past the arena";
-  ring.erase(id(5));
-  ring.erase(id(9));
+  erase_id(ring, id(5));
+  erase_id(ring, id(9));
   EXPECT_FALSE(ring.is_live(a)) << "freed slot";
   EXPECT_FALSE(ring.is_live(b)) << "freed slot";
   // Re-inserting id 5 recycles b (the most recently freed slot): a still
   // stores id 5, but the index maps id 5 to b, so a stays dead.
-  EXPECT_EQ(ring.insert(id(5), 0, false), b);
+  EXPECT_EQ(insert_id(ring, id(5), 0, false), b);
   EXPECT_TRUE(ring.is_live(b));
   EXPECT_FALSE(ring.is_live(a));
+}
+
+TEST(FlatRingTest, CursorOfResolvesEveryLiveSlot) {
+  FlatRing ring = make_ring(spread_ids(3 * kCapacity / 2, 0));  // 3 blocks
+  insert_id(ring, spread(1) + Uint160{1});  // one slot from the churn path
+  ring.for_each([&](const Uint160& vid, Slot s) {
+    EXPECT_EQ(ring.cursor_of(s), cursor_at_id(ring, vid)) << vid;
+  });
+}
+
+TEST(FlatRingDeathTest, CursorOfRejectsFreedAndOutOfRangeSlots) {
+  FlatRing ring = make_ring({10, 20, 30});
+  const Slot freed = ring.slot_at(cursor_at_id(ring, id(20)));
+  erase_id(ring, id(20));
+  // The freed slot still stores id 20, which no index entry holds.
+  EXPECT_DEATH((void)ring.cursor_of(freed), "cursor_of: slot .* no vnode");
+  EXPECT_DEATH((void)ring.cursor_of(3), "cursor_of: slot 3 is past");
 }
 
 TEST(FlatRingTest, LiveMarksAgreeWithIsLive) {
   FlatRing ring;
   EXPECT_TRUE(ring.live_marks().empty()) << "empty arena";
-  const Slot a = ring.insert(id(5), 0, false);
-  const Slot b = ring.insert(id(9), 0, false);
-  ring.insert(id(20), 0, false);
-  ring.erase(id(5));
-  ring.erase(id(9));
-  ring.insert(id(5), 0, false);  // recycles b; a still stores id 5
+  const Slot a = insert_id(ring, id(5), 0, false);
+  const Slot b = insert_id(ring, id(9), 0, false);
+  insert_id(ring, id(20), 0, false);
+  erase_id(ring, id(5));
+  erase_id(ring, id(9));
+  insert_id(ring, id(5), 0, false);  // recycles b; a still stores id 5
   auto expect_agree = [&ring](const char* label) {
     const std::vector<std::uint8_t> marks = ring.live_marks();
     ASSERT_EQ(marks.size(), 3u) << label;
@@ -146,13 +168,13 @@ TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   // contract: a cached Slot must survive inserts, erases, and the block
   // splits and drops they trigger.
   FlatRing ring = make_ring({100});
-  const Slot cached = ring.slot_at(ring.find(id(100)));
+  const Slot cached = ring.slot_at(cursor_at_id(ring, id(100)));
   ring.tasks(cached).add(id(7777));
   for (std::uint64_t v = 0; v < 64; ++v) {
-    ring.insert(id(v), 0, false);
+    insert_id(ring, id(v), 0, false);
   }
   for (std::uint64_t v = 0; v < 64; v += 2) {
-    ring.erase(id(v));
+    erase_id(ring, id(v));
   }
   EXPECT_EQ(ring.id_of(cached), id(100));
   EXPECT_EQ(ring.tasks(cached).size(), 1u);
@@ -165,17 +187,18 @@ TEST(FlatRingTest, InsertSplitsFullBlockInHalf) {
   const std::size_t half = kCapacity / 2;
   FlatRing ring = make_ring(spread_ids(half, 0, /*stride=*/2));
   for (std::uint64_t i = 0; i + 1 < half; ++i) {
-    ring.insert(spread(2 * i + 1), 0, false);  // odd ids fill the gaps
+    insert_id(ring, spread(2 * i + 1), 0, false);  // odd ids fill the gaps
   }
   ASSERT_EQ(ring.size(), kCapacity - 1);
-  EXPECT_EQ(ring.find(spread(2 * half - 2)).block, 0u);  // still one block
+  // Still one block.
+  EXPECT_EQ(cursor_at_id(ring, spread(2 * half - 2)).block, 0u);
   EXPECT_TRUE(ring.index_consistent());
 
-  ring.insert(spread(2 * half - 1), 0, false);  // the capacity-th entry
+  insert_id(ring, spread(2 * half - 1), 0, false);  // the capacity-th entry
   const std::vector<Uint160> order = collect(ring);
   ASSERT_EQ(order.size(), kCapacity);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const FlatRing::Cursor c = ring.find(order[i]);
+    const FlatRing::Cursor c = cursor_at_id(ring, order[i]);
     EXPECT_EQ(c.block, i / half) << "entry " << i;
     EXPECT_EQ(c.pos, i % half) << "entry " << i;
   }
@@ -187,11 +210,11 @@ TEST(FlatRingTest, EraseThatEmptiesABlockDropsIt) {
   // and the survivors move up to block 0.
   const std::size_t half = kCapacity / 2;
   FlatRing ring = make_ring(spread_ids(2 * half, 0));
-  ASSERT_EQ(ring.find(spread(half)).block, 1u);
-  for (std::uint64_t i = 0; i < half; ++i) ring.erase(spread(i));
+  ASSERT_EQ(cursor_at_id(ring, spread(half)).block, 1u);
+  for (std::uint64_t i = 0; i < half; ++i) erase_id(ring, spread(i));
   EXPECT_EQ(ring.size(), half);
-  EXPECT_FALSE(ring.contains(spread(0)));
-  const FlatRing::Cursor c = ring.find(spread(half));
+  EXPECT_FALSE(holds_id(ring, spread(0)));
+  const FlatRing::Cursor c = cursor_at_id(ring, spread(half));
   EXPECT_EQ(c.block, 0u);
   EXPECT_EQ(c.pos, 0u);
   EXPECT_EQ(ring.id_at(ring.prev(c)), spread(2 * half - 1));  // wraps
@@ -200,10 +223,10 @@ TEST(FlatRingTest, EraseThatEmptiesABlockDropsIt) {
 
   // Emptying the last block too leaves an empty, consistent ring that
   // takes inserts again.
-  for (std::uint64_t i = half; i < 2 * half; ++i) ring.erase(spread(i));
+  for (std::uint64_t i = half; i < 2 * half; ++i) erase_id(ring, spread(i));
   EXPECT_TRUE(ring.empty());
   EXPECT_TRUE(ring.index_consistent());
-  ring.insert(spread(5), 0, false);
+  insert_id(ring, spread(5), 0, false);
   EXPECT_EQ(ring.id_at(ring.cover(spread(9))), spread(5));
   EXPECT_TRUE(ring.index_consistent());
 }
@@ -211,7 +234,7 @@ TEST(FlatRingTest, EraseThatEmptiesABlockDropsIt) {
 TEST(FlatRingTest, NextAndPrevCrossBlockBoundariesAndWrap) {
   const std::size_t half = kCapacity / 2;
   FlatRing ring = make_ring(spread_ids(3 * half, 0));  // three blocks
-  const FlatRing::Cursor end_of_first = ring.find(spread(half - 1));
+  const FlatRing::Cursor end_of_first = cursor_at_id(ring, spread(half - 1));
   ASSERT_EQ(end_of_first.block, 0u);
   const FlatRing::Cursor start_of_second = ring.next(end_of_first);
   EXPECT_EQ(start_of_second.block, 1u);
@@ -219,7 +242,7 @@ TEST(FlatRingTest, NextAndPrevCrossBlockBoundariesAndWrap) {
   EXPECT_EQ(ring.id_at(start_of_second), spread(half));
   EXPECT_EQ(ring.id_at(ring.prev(start_of_second)), spread(half - 1));
 
-  const FlatRing::Cursor top = ring.find(spread(3 * half - 1));
+  const FlatRing::Cursor top = cursor_at_id(ring, spread(3 * half - 1));
   EXPECT_EQ(top.block, 2u);
   EXPECT_EQ(ring.id_at(ring.next(top)), spread(0));  // wraps clockwise
   EXPECT_EQ(ring.id_at(ring.prev(ring.first())), spread(3 * half - 1));
@@ -265,12 +288,13 @@ TEST(FlatRingTest, SlotsStayStableAcrossBlockSplits) {
     cached.emplace_back(vid, s);
   });
   for (std::uint64_t i = 0; i < 8 * half; ++i) {
-    if (i % 8 != 0) ring.insert(spread(i), 0, false);
+    if (i % 8 != 0) insert_id(ring, spread(i), 0, false);
   }
-  EXPECT_GT(ring.find(spread(8 * half - 1)).block, 2u);  // split repeatedly
+  // Split repeatedly.
+  EXPECT_GT(cursor_at_id(ring, spread(8 * half - 1)).block, 2u);
   for (const auto& [vid, s] : cached) {
     EXPECT_EQ(ring.id_of(s), vid);
-    EXPECT_EQ(ring.slot_at(ring.find(vid)), s);
+    EXPECT_EQ(ring.cursor_of(s), cursor_at_id(ring, vid));
     ASSERT_EQ(ring.tasks(s).size(), 1u);
   }
   EXPECT_TRUE(ring.index_consistent());
@@ -287,14 +311,14 @@ TEST(FlatRingTest, SustainedChurnSplitsBlocksAndRecyclesSlots) {
     if (rng.below(3) == 0 && alive.size() > 1) {
       auto it = alive.begin();
       std::advance(it, static_cast<long>(rng.below(alive.size())));
-      ring.erase(id(*it));
+      erase_id(ring, id(*it));
       alive.erase(it);
     } else {
-      ring.insert(id(fresh), 0, false);
+      insert_id(ring, id(fresh), 0, false);
       alive.insert(fresh++);
     }
   }
-  EXPECT_GT(ring.find(id(*alive.rbegin())).block, 0u);
+  EXPECT_GT(cursor_at_id(ring, id(*alive.rbegin())).block, 0u);
   EXPECT_EQ(ring.size(), alive.size());
   std::vector<Uint160> expected;
   for (const std::uint64_t v : alive) expected.push_back(id(v));
@@ -304,7 +328,7 @@ TEST(FlatRingTest, SustainedChurnSplitsBlocksAndRecyclesSlots) {
 
 TEST(FlatRingTest, CursorWalksWrapBothDirections) {
   FlatRing ring = make_ring({10, 20, 30});
-  ring.insert(id(25), 0, false);  // one inserted entry in the middle
+  insert_id(ring, id(25), 0, false);  // one inserted entry in the middle
   const std::vector<Uint160> order = {id(10), id(20), id(25), id(30)};
 
   FlatRing::Cursor c = ring.first();
@@ -345,7 +369,7 @@ TEST(FlatRingTest, IndexConsistentPinsStaleBlockSummary) {
 TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
   // Both search levels (block summary, then position in the block)
   // probe from interpolated estimates once they hold enough entries;
-  // find/cover answers must stay identical to the brute-force ordering
+  // lower_bound/cover answers must stay identical to the brute-force ordering
   // for ids anywhere in the 160-bit space, including the skewed high bits
   // interpolation estimates from.  Inserts after the bulk load split
   // blocks unevenly, so the estimates are off by more than one block.
@@ -363,7 +387,7 @@ TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
     // Skewed toward the low quarter of the ring.
     const Uint160 vid = rng.uniform_u160().shr(i % 2 == 0 ? 2 : 0);
     ids.push_back(vid);
-    ring.insert(vid, 0, false);
+    insert_id(ring, vid, 0, false);
   }
   ASSERT_TRUE(ring.index_consistent());
   std::sort(ids.begin(), ids.end());
@@ -375,7 +399,7 @@ TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
   }
   for (int probe = 0; probe < 500; ++probe) {
     const Uint160& member = ids[rng.below(ids.size())];
-    EXPECT_EQ(ring.id_at(ring.find(member)), member);
+    EXPECT_EQ(ring.id_at(cursor_at_id(ring, member)), member);
   }
 }
 

@@ -86,13 +86,11 @@ struct WorldCorruptor {
     if (world.alive_.empty() || world.waiting_.empty()) return false;
     const NodeIndex creator = world.alive_[0];
     std::optional<std::uint64_t> acquired;
-    Uint160 sybil_id;
     while (!acquired) {
-      sybil_id = hashing::Sha1::hash_u64(rng());
-      acquired = world.create_sybil(creator, sybil_id);
+      acquired = world.create_sybil(creator, hashing::Sha1::hash_u64(rng()));
     }
     FlatRing& ring = world.ring_;
-    const Slot slot = ring.slot_at(ring.find(sybil_id));
+    const Slot slot = world.physicals_[creator].vnode_slots.back();
     const NodeIndex dead = world.waiting_.front();
     world.physicals_[creator].workload -= ring.tasks(slot).size();
     world.physicals_[dead].workload += ring.tasks(slot).size();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/world.hpp"
+#include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
@@ -23,6 +24,7 @@ namespace dhtlb::sim {
 namespace {
 
 using support::Uint160;
+using testing::slot_at_id;
 
 /// Brute-force mirror: flat key multiset + vnode->owner map + each alive
 /// node's ordered vnode list (primary first); every query is a full scan.
@@ -104,9 +106,8 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   ReferenceModel ref;
   for (const NodeIndex idx : world.alive_indices()) {
     for (const Slot slot : world.physical(idx).vnode_slots) {
-      const Uint160& vid = world.vnode_id(slot);
-      ref.add_vnode(vid, idx);
-      for (const auto& key : world.vnode_keys(vid)) ref.add_key(key);
+      ref.add_vnode(world.vnode_id(slot), idx);
+      for (const auto& key : world.vnode_keys(slot)) ref.add_key(key);
     }
   }
   ASSERT_EQ(ref.total_keys(), world.remaining_tasks());
@@ -115,11 +116,11 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
     ASSERT_EQ(ref.vnodes().size(), world.vnode_count()) << "step " << step;
     const auto ref_loads = ref.owner_loads();
     for (const auto& [vid, owner] : ref.vnodes()) {
-      ASSERT_TRUE(world.ring_contains(vid)) << "step " << step;
-      const ArcView arc = world.arc_of(vid);
+      const ArcView arc = world.arc_covering(vid);
+      ASSERT_EQ(arc.id, vid) << "step " << step;
       ASSERT_EQ(arc.owner, owner) << "step " << step;
       // Exact key-set agreement per vnode.
-      const auto& world_keys = world.vnode_keys(vid);
+      const auto& world_keys = world.vnode_keys(arc.slot);
       const std::multiset<Uint160> world_set(world_keys.begin(),
                                              world_keys.end());
       ASSERT_EQ(world_set, ref.vnode_keys(vid))
@@ -175,24 +176,24 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
         const std::size_t before = world.vnode_count();
         const auto joined = world.join_from_pool(world_rng);
         if (joined && world.vnode_count() == before + 1) {
-          ref.add_vnode(world.primary_id(*joined), *joined);
+          ref.add_vnode(world.vnode_id(world.primary_slot(*joined)),
+                        *joined);
         }
         break;
       }
       case 4: {  // neighbor move of one of idx's vnodes, either way
         const auto& slots = world.physical(idx).vnode_slots;
-        const Uint160 old_id =
-            world.vnode_id(slots[op_rng.below(slots.size())]);
-        const ArcView arc = world.arc_of(old_id);
+        const Slot slot = slots[op_rng.below(slots.size())];
+        const World::ArcWalk walk = world.successor_arcs(slot, 1);
+        const ArcView arc = walk.start_arc();
+        const Uint160 old_id = arc.id;
         std::optional<Uint160> succ;
-        for (const ArcView& next : world.successor_arcs(old_id, 1)) {
-          succ = next.id;
-        }
+        for (const ArcView& next : walk) succ = next.id;
         if (!succ) break;
         const Uint160 new_id = op_rng.below(2) == 0
                                    ? support::arc_midpoint(arc.pred, old_id)
                                    : support::arc_midpoint(old_id, *succ);
-        if (world.move_vnode(old_id, new_id)) ref.move_vnode(old_id, new_id);
+        if (world.move_vnode(slot, new_id)) ref.move_vnode(old_id, new_id);
         break;
       }
     }
@@ -218,9 +219,8 @@ TEST_P(WorldReferenceTest, InjectedBatchesAppendInBatchOrder) {
   ReferenceModel ref;
   for (const NodeIndex idx : world.alive_indices()) {
     for (const Slot slot : world.physical(idx).vnode_slots) {
-      const Uint160& vid = world.vnode_id(slot);
-      ref.add_vnode(vid, idx);
-      for (const auto& key : world.vnode_keys(vid)) ref.add_key(key);
+      ref.add_vnode(world.vnode_id(slot), idx);
+      for (const auto& key : world.vnode_keys(slot)) ref.add_key(key);
     }
   }
 
@@ -254,7 +254,7 @@ TEST_P(WorldReferenceTest, InjectedBatchesAppendInBatchOrder) {
 
     std::map<Uint160, std::vector<Uint160>> expected;
     for (const auto& [vid, owner] : ref.vnodes()) {
-      expected[vid] = world.vnode_keys(vid);
+      expected[vid] = world.vnode_keys(slot_at_id(world, vid));
     }
     for (const Uint160& key : batch) {
       expected[ref.owner_vnode(key)].push_back(key);
@@ -264,7 +264,7 @@ TEST_P(WorldReferenceTest, InjectedBatchesAppendInBatchOrder) {
     world.inject_tasks(batch);
 
     for (const auto& [vid, keys] : expected) {
-      ASSERT_EQ(world.vnode_keys(vid), keys)
+      ASSERT_EQ(world.vnode_keys(slot_at_id(world, vid)), keys)
           << "vnode " << vid << " at step " << step;
     }
     const auto ref_loads = ref.owner_loads();

@@ -119,8 +119,7 @@ TEST(World, CreateSybilTransfersExactArcKeys) {
   // Split some victim's arc at its midpoint; the beneficiary must gain
   // exactly what the victim loses.
   const NodeIndex victim = w.alive_indices()[1];
-  const Uint160 victim_vnode = w.primary_id(victim);
-  const ArcView arc = w.arc_of(victim_vnode);
+  const ArcView arc = w.arc_of(w.primary_slot(victim));
   const Uint160 mid = support::arc_midpoint(arc.pred, arc.id);
   const std::uint64_t victim_before = w.workload(victim);
   const std::uint64_t bene_before = w.workload(beneficiary);
@@ -138,7 +137,7 @@ TEST(World, CreateSybilOnTakenIdFails) {
   Rng rng(9);
   World w(small_params(5, 100), rng);
   const NodeIndex idx = w.alive_indices()[0];
-  const Uint160 existing = w.primary_id(w.alive_indices()[1]);
+  const Uint160 existing = w.vnode_id(w.primary_slot(w.alive_indices()[1]));
   EXPECT_FALSE(w.create_sybil(idx, existing).has_value());
   EXPECT_EQ(w.sybil_count(idx), 0u);
 }
@@ -152,13 +151,15 @@ TEST(World, CreateSybilAtAnExistingIdChangesNothing) {
   Rng rng(19);
   World w(small_params(8, 600), rng);
   const NodeIndex owner = w.alive_indices()[2];
-  const ArcView arc = w.arc_of(w.primary_id(w.alive_indices()[5]));
+  const ArcView arc = w.arc_of(w.primary_slot(w.alive_indices()[5]));
   ASSERT_TRUE(
       w.create_sybil(owner, support::arc_midpoint(arc.pred, arc.id)));
   const std::vector<Uint160> ids = w.ring_ids();
   const auto snapshot = [&w, owner] {
     std::vector<std::vector<TaskKey>> keys;
-    for (const Uint160& id : w.ring_ids()) keys.push_back(w.vnode_keys(id));
+    w.for_each_arc([&](const ArcView& vnode) {
+      keys.push_back(w.vnode_keys(vnode.slot));
+    });
     std::vector<std::uint64_t> loads;
     for (NodeIndex idx = 0; idx < w.physical_count(); ++idx) {
       loads.push_back(w.physical(idx).workload);
@@ -168,7 +169,7 @@ TEST(World, CreateSybilAtAnExistingIdChangesNothing) {
   };
   const auto before = snapshot();
   for (const Uint160& taken :
-       {w.primary_id(w.alive_indices()[1]),
+       {w.vnode_id(w.primary_slot(w.alive_indices()[1])),
         w.vnode_id(w.physical(owner).vnode_slots.back()), ids.back()}) {
     for (const NodeIndex who : {owner, w.alive_indices()[0]}) {
       EXPECT_FALSE(w.create_sybil(who, taken).has_value()) << taken;
@@ -192,14 +193,15 @@ TEST(World, CreateSybilOnTheWrappingArc) {
   for (const Uint160& id : {past_top, below_bottom}) {
     const ArcView wrap = w.arc_covering(id);
     std::uint64_t expected = 0;
-    for (const TaskKey& key : w.vnode_keys(wrap.id)) {
+    for (const TaskKey& key : w.vnode_keys(wrap.slot)) {
       if (support::in_half_open_arc(key, wrap.pred, id)) ++expected;
     }
     ASSERT_GT(expected, 0u) << id;
     const auto acquired = w.create_sybil(owner, id);
     ASSERT_TRUE(acquired.has_value()) << id;
     EXPECT_EQ(*acquired, expected) << id;
-    EXPECT_EQ(w.arc_of(id).owner, owner);
+    EXPECT_EQ(w.arc_of(w.physical(owner).vnode_slots.back()).id, id);
+    EXPECT_EQ(w.arc_covering(id).owner, owner);
     EXPECT_TRUE(AuditClean(w));
   }
   const std::vector<Uint160> after = w.ring_ids();
@@ -280,13 +282,13 @@ TEST(World, JoinFromEmptyPoolFails) {
 TEST(World, SuccessorsOfWalkClockwise) {
   Rng rng(16);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.primary_id(w.alive_indices()[0]);
+  const Slot start = w.primary_slot(w.alive_indices()[0]);
   // Each successor's arc starts where the previous vnode ends.
-  Uint160 prev = start;
+  Uint160 prev = w.vnode_id(start);
   std::size_t walked = 0;
   for (const ArcView& arc : w.successor_arcs(start, 4)) {
     EXPECT_EQ(arc.pred, prev);
-    EXPECT_EQ(w.arc_of(arc.id).pred, prev);
+    EXPECT_EQ(w.arc_of(arc.slot).pred, prev);
     prev = arc.id;
     ++walked;
   }
@@ -296,10 +298,10 @@ TEST(World, SuccessorsOfWalkClockwise) {
 TEST(World, SuccessorsStopAtFullLoop) {
   Rng rng(17);
   World w(small_params(3, 10), rng);
-  const Uint160 start = w.primary_id(w.alive_indices()[0]);
+  const Slot start = w.primary_slot(w.alive_indices()[0]);
   std::size_t walked = 0;
   for (const ArcView& arc : w.successor_arcs(start, 10)) {
-    EXPECT_NE(arc.id, start);
+    EXPECT_NE(arc.slot, start);
     ++walked;
   }
   EXPECT_EQ(walked, 2u) << "only 2 other vnodes exist";
@@ -308,13 +310,13 @@ TEST(World, SuccessorsStopAtFullLoop) {
 TEST(World, PredecessorsOfWalkCounterClockwise) {
   Rng rng(18);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.primary_id(w.alive_indices()[0]);
+  const Slot start = w.primary_slot(w.alive_indices()[0]);
   // Each predecessor is the previous vnode's arc start.
-  Uint160 next = start;
+  Slot next = start;
   std::size_t walked = 0;
   for (const ArcView& arc : w.predecessor_arcs(start, 3)) {
     EXPECT_EQ(w.arc_of(next).pred, arc.id);
-    next = arc.id;
+    next = arc.slot;
     ++walked;
   }
   EXPECT_EQ(walked, 3u);
@@ -324,9 +326,10 @@ TEST(World, ArcWalkYieldsFullArcViews) {
   // Each walked element is a complete ArcView, identical to arc_of.
   Rng rng(43);
   World w(small_params(8, 200), rng);
-  const Uint160 start = w.primary_id(w.alive_indices()[0]);
+  const Slot start = w.primary_slot(w.alive_indices()[0]);
   for (const ArcView& arc : w.successor_arcs(start, 5)) {
-    const ArcView direct = w.arc_of(arc.id);
+    const ArcView direct = w.arc_of(arc.slot);
+    EXPECT_EQ(arc.id, direct.id);
     EXPECT_EQ(arc.pred, direct.pred);
     EXPECT_EQ(arc.owner, direct.owner);
     EXPECT_EQ(arc.is_sybil, direct.is_sybil);
@@ -338,8 +341,8 @@ TEST(World, ArcViewReportsOwnerAndCount) {
   Rng rng(19);
   World w(small_params(5, 500), rng);
   for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 vid = w.primary_id(idx);
-    const ArcView arc = w.arc_of(vid);
+    const ArcView arc = w.arc_of(w.primary_slot(idx));
+    EXPECT_EQ(arc.slot, w.primary_slot(idx));
     EXPECT_EQ(arc.owner, idx);
     EXPECT_FALSE(arc.is_sybil);
     EXPECT_EQ(arc.task_count, w.workload(idx))

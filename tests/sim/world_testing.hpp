@@ -1,6 +1,7 @@
 // Test helpers over the public World API: a gtest predicate for "the
-// full invariant audit passes" and the serial form of the engine's
-// consumption phase for one node.
+// full invariant audit passes", the serial form of the engine's
+// consumption phase for one node, and the slot of the vnode at an id for
+// tests whose reference models name vnodes by id.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "sim/audit.hpp"
 #include "sim/world.hpp"
 #include "support/rng.hpp"
+#include "support/uint160.hpp"
 
 namespace dhtlb::sim::testing {
 
@@ -29,6 +31,15 @@ inline std::uint64_t consume(World& world, NodeIndex idx,
   const std::uint64_t consumed = world.consume_local(idx, budget, rng);
   world.debit_remaining(consumed);
   return consumed;
+}
+
+/// Slot of the vnode at ring id `id`, read off a lookup for `id`
+/// (World::arc_covering).  Fails the calling test when no vnode sits at
+/// `id`.
+inline Slot slot_at_id(const World& world, const support::Uint160& id) {
+  const ArcView arc = world.arc_covering(id);
+  EXPECT_EQ(arc.id, id) << "no vnode at " << id;
+  return arc.slot;
 }
 
 }  // namespace dhtlb::sim::testing

@@ -54,14 +54,6 @@ TEST(RingMath, HalfOpenDegenerateCoversEverything) {
   EXPECT_TRUE(in_half_open_arc(Uint160::max(), kA, kA));
 }
 
-TEST(RingMath, LeftClosedArc) {
-  EXPECT_TRUE(in_left_closed_arc(kA, kA, kB));
-  EXPECT_FALSE(in_left_closed_arc(kB, kA, kB));
-  EXPECT_TRUE(in_left_closed_arc(Uint160::zero(), kNearTop, kA));
-  EXPECT_TRUE(in_left_closed_arc(kNearTop, kNearTop, kA));
-  EXPECT_FALSE(in_left_closed_arc(kA, kNearTop, kA));
-}
-
 TEST(RingMath, EveryPointIsInExactlyOneSideOfAPartition) {
   // For any cut points a != b, x != a,b lies in exactly one of (a,b), (b,a).
   Rng rng(41);
