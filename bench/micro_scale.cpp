@@ -1,7 +1,8 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
 // assignment), successor-arc walks, point and batched lookups (cover,
-// cover_sorted), greedy finger routes over a frozen RingView, the full
+// cover_sorted), greedy finger routes over a frozen RingView (one at a
+// time and interleaved in batches), the full
 // invariant audit, one consume pass and one invitation round (the
 // tick's two serial node loops), churn
 // (join/depart cycles), and Sybil waves (bulk create_sybil growth),
@@ -123,6 +124,38 @@ BENCHMARK(BM_ScaleRoute)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kNanosecond);
+
+void BM_ScaleRouteBatch(benchmark::State& state) {
+  // BM_ScaleRoute's key and origin stream, routed 256 at a time through
+  // RingView::route_batch as the serving plane's shard jobs route them:
+  // the per-route gain of overlapping walks.  Items are routes.
+  constexpr std::size_t kBatch = 256;
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  const World w(make_params(nodes, 2 * nodes), rng);
+  const RingView view = RingView::freeze(w, 0);
+  Rng key_rng(7);
+  std::vector<Uint160> keys(kBatch);
+  std::vector<std::size_t> origins(kBatch);
+  std::vector<RingView::Route> routes(kBatch);
+  std::uint64_t hops = 0;
+  for (auto _ : state) {
+    // Drawn inside the timed loop, as BM_ScaleRoute draws its own.
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      keys[i] = key_rng.uniform_u160();
+      origins[i] = static_cast<std::size_t>(key_rng.below(view.size()));
+    }
+    view.route_batch(keys, origins, routes);
+    for (const RingView::Route& r : routes) hops += r.hops;
+  }
+  benchmark::DoNotOptimize(hops);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_ScaleRouteBatch)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ScaleAudit(benchmark::State& state) {
   // The full InvariantAuditor::run() over BM_ScaleCover's world: every

@@ -108,6 +108,15 @@ std::optional<serve::Config> serve_config(const support::CliParser& cli) {
         " is out of range [1, " + std::to_string(serve::kServeShards) + "]");
   }
   config.lookups_per_tick = cli.get_u64("qps");
+  // 0 would attach a plane that serves nothing; past the limit a tick
+  // never finishes.
+  if (config.lookups_per_tick == 0 ||
+      config.lookups_per_tick > serve::kMaxLookupsPerTick) {
+    throw std::invalid_argument(
+        "--qps " + std::to_string(config.lookups_per_tick) +
+        " is out of range [1, " + std::to_string(serve::kMaxLookupsPerTick) +
+        "]");
+  }
   if (cli.has("keys") && config.traffic != serve::Traffic::kZipf) {
     throw std::invalid_argument("--keys applies to --traffic zipf only");
   }
@@ -205,7 +214,7 @@ int main(int argc, char** argv) try {
                "setting)");
   cli.add_flag("qps", "N", "2000",
                "with --traffic: lookups per tick (one batch per published "
-               "ring view)");
+               "ring view), 1..10000000");
   cli.add_flag("keys", "N", "100000",
                "with --traffic zipf: key-universe size, 1..2^22");
   cli.add_flag("quiet", "", "", "suppress the metric table on stdout");

@@ -1,16 +1,20 @@
 #include "serve/ring_view.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <limits>
 #include <numeric>
 
 #include "support/check.hpp"
+#include "support/prefetch.hpp"
 #include "support/sorted_search.hpp"
 
 namespace dhtlb::serve {
 
 namespace {
 
-/// id + 2^b (mod 2^160), the finger point of a route() hop.  For
+/// id + 2^b (mod 2^160), the finger point of a route hop.  For
 /// b >= 96 the power lies in the top 64 bits, so one 64-bit add — whose
 /// carry past bit 159 wraps away, as the full add's would — stands in
 /// for the five-limb add; at 100k vnodes every hop takes this path.
@@ -22,6 +26,25 @@ Uint160 finger_point(const Uint160& id, int b) {
   limbs[1] = static_cast<std::uint32_t>(high);
   return Uint160{limbs};
 }
+
+/// Lane target before the lane's first cover, of the key itself, has
+/// found it.
+constexpr std::size_t kUnresolved = std::numeric_limits<std::size_t>::max();
+
+/// One lookup in flight in route_batch().  No member initializers: a
+/// lane is written in full when a lookup loads into it, and route(),
+/// a batch of one, should not pay to clear the other lanes.
+struct Lane {
+  Uint160 key;
+  Uint160 point;       // what this round covers
+  std::size_t lookup;  // index into the batch
+  std::size_t cur;     // the vnode the walk stands on
+  std::size_t target;  // kUnresolved until the key's own cover
+  std::size_t bucket;  // point's dir_ bucket, then its bounds
+  std::size_t lo;
+  std::size_t hi;
+  std::uint32_t hops;
+};
 
 }  // namespace
 
@@ -60,42 +83,109 @@ void RingView::refreeze(const sim::World& world, std::uint64_t tick) {
   std::partial_sum(dir_.begin(), dir_.end(), dir_.begin());
 }
 
+std::size_t RingView::cover_in(std::size_t lo, std::size_t hi,
+                               const Uint160& point) const {
+  const std::size_t i = support::binary_lower_bound(
+      lo, hi, point,
+      [this](std::size_t k) -> const Uint160& { return ids_[k]; });
+  return i == ids_.size() ? 0 : i;  // wrap past zero to the smallest id
+}
+
 std::size_t RingView::cover(const Uint160& key) const {
   DHTLB_CHECK(!dir_.empty(), "RingView::cover: the view is empty");
   const std::size_t j = bucket(key);
-  // Every id below the bucket is < key and every id above it > key, so
-  // the answer lies in [dir_[j], dir_[j+1]].
-  const std::size_t i = support::binary_lower_bound(
-      dir_[j], dir_[j + 1], key,
-      [this](std::size_t k) -> const Uint160& { return ids_[k]; });
-  return i == ids_.size() ? 0 : i;  // wrap past zero to the smallest id
+  return cover_in(dir_[j], dir_[j + 1], key);
 }
 
 RingView::Route RingView::route(const Uint160& key,
                                 std::size_t origin) const {
   DHTLB_CHECK(!dir_.empty(), "RingView::route: the view is empty");
-  DHTLB_ASSERT(origin < ids_.size(),
-               "RingView::route: origin " << origin << " out of range");
   Route r;
-  r.index = origin;
-  const std::size_t target = cover(key);
-  while (r.index != target) {
-    const Uint160& cur_id = ids_[r.index];
-    // Clockwise distance from the current vnode to the key.  Nonzero
-    // here: key == id(cur) would make cur its own cover.
-    const Uint160 dist = key - cur_id;
-    // Longest finger not overshooting the key: id + 2^b with
-    // 2^b <= dist.  Its covering vnode lies in (cur, target] clockwise,
-    // so the remaining distance drops below 2^b — at least a halving
-    // per hop.
-    r.index = cover(finger_point(cur_id, dist.bit_length() - 1));
-    ++r.hops;
-    DHTLB_CHECK(r.hops < kMaxHops,
-                "RingView::route: " << r.hops
-                                    << " hops without convergence — "
-                                       "corrupt snapshot");
-  }
+  route_batch({&key, 1}, {&origin, 1}, {&r, 1});
   return r;
+}
+
+void RingView::route_batch(std::span<const Uint160> keys,
+                           std::span<const std::size_t> origins,
+                           std::span<Route> out) const {
+  DHTLB_CHECK(!dir_.empty(), "RingView::route_batch: the view is empty");
+  DHTLB_CHECK(origins.size() == keys.size() && out.size() == keys.size(),
+              "RingView::route_batch: " << keys.size() << " keys, "
+                                        << origins.size() << " origins, "
+                                        << out.size() << " routes");
+  std::array<Lane, kRouteLanes> lanes;
+  std::size_t active = 0;
+  std::size_t next = 0;  // first lookup not yet given a lane
+  const auto load = [&](Lane& lane) {
+    DHTLB_ASSERT(origins[next] < ids_.size(),
+                 "RingView::route_batch: origin " << origins[next]
+                                                  << " out of range");
+    lane.key = keys[next];
+    lane.lookup = next;
+    lane.cur = origins[next];
+    lane.target = kUnresolved;
+    lane.hops = 0;
+    // The origin's id seeds the first finger point, a round from now.
+    support::prefetch(&ids_[lane.cur]);
+    ++next;
+  };
+  while (active < kRouteLanes && next < keys.size()) load(lanes[active++]);
+  while (active > 0) {
+    // Stage 1: each lane's point — the key until its target is known,
+    // then the longest finger not overshooting the key: id + 2^b with
+    // 2^b <= the clockwise distance (nonzero: key == id(cur) would make
+    // cur its own cover).  Its covering vnode lies in (cur, target]
+    // clockwise, so the remaining distance drops below 2^b — at least a
+    // halving per hop.  Touch the point's directory entry.
+    for (std::size_t l = 0; l < active; ++l) {
+      Lane& lane = lanes[l];
+      if (lane.target == kUnresolved) {
+        lane.point = lane.key;
+      } else {
+        const Uint160& cur_id = ids_[lane.cur];
+        lane.point =
+            finger_point(cur_id, (lane.key - cur_id).bit_length() - 1);
+      }
+      lane.bucket = bucket(lane.point);
+      support::prefetch(&dir_[lane.bucket]);
+    }
+    // Stage 2: the bucket's bounds; touch its first id (an empty bucket
+    // past the last id has none, so clamp).
+    for (std::size_t l = 0; l < active; ++l) {
+      Lane& lane = lanes[l];
+      lane.lo = dir_[lane.bucket];
+      lane.hi = dir_[lane.bucket + 1];
+      support::prefetch(&ids_[std::min(lane.lo, ids_.size() - 1)]);
+    }
+    // Stage 3: cover the point; retire lanes at their target and hand
+    // their slot to the next lookup, or to the last active lane (which
+    // has not yet run this stage this round) once the batch is out.
+    for (std::size_t l = 0; l < active;) {
+      Lane& lane = lanes[l];
+      const std::size_t i = cover_in(lane.lo, lane.hi, lane.point);
+      if (lane.target == kUnresolved) {
+        lane.target = i;
+      } else {
+        lane.cur = i;
+        ++lane.hops;
+        DHTLB_CHECK(lane.hops < kMaxHops,
+                    "RingView::route_batch: "
+                        << lane.hops
+                        << " hops without convergence — corrupt snapshot");
+      }
+      if (lane.cur != lane.target) {
+        ++l;
+        continue;
+      }
+      out[lane.lookup] = Route{lane.cur, lane.hops};
+      if (next < keys.size()) {
+        load(lane);
+        ++l;
+      } else {
+        lane = lanes[--active];
+      }
+    }
+  }
 }
 
 }  // namespace dhtlb::serve

@@ -28,12 +28,27 @@
 // bits >= j, so cover() binary-searches (support/sorted_search.hpp)
 // only the ids of the key's bucket [dir_[j], dir_[j+1]) — fewer than
 // one id on average, since ids are SHA-1 outputs, and O(log) ids even
-// when Sybils cluster.  Each route() hop is one such cover() of its
-// finger point, so a hop costs O(1) whatever the ring size.
+// when Sybils cluster.  Each hop is one such cover of its finger point,
+// so a hop costs O(1) whatever the ring size — but O(1) cache misses,
+// a dir_ entry and then an ids_ bucket, each waiting on the last.
+//
+// route_batch() is the one hop loop, and it overlaps those misses
+// across independent lookups.  It keeps kRouteLanes lookups in flight
+// and advances all of them one cover per round, in three lockstep
+// stages: (1) compute every lane's point (the key itself first, to
+// find the target, then each finger point) and touch its dir_ entry;
+// (2) read every lane's bucket bounds and touch the bucket's first id;
+// (3) search every bucket, count the hop, and retire the lanes that
+// reached their target, refilling them from the batch.  By the time a
+// stage reads a line, the stage before has touched it for every lane,
+// so a round pays about one miss latency instead of one per lane.  A
+// lookup's hops do not depend on its neighbours, so every result is
+// exactly what a walk on its own would give; route() is a batch of one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/flat_ring.hpp"
@@ -50,10 +65,16 @@ class RingView {
   /// An empty view (no vnodes) — what a Service holds before attach.
   RingView() = default;
 
-  /// Hard ceiling on route() hops.  Unreachable by construction (the
+  /// Hard ceiling on route hops.  Unreachable by construction (the
   /// clockwise distance strictly shrinks every hop and has 160 bits),
-  /// so hitting it means the view is corrupt; route() DHTLB_CHECKs.
+  /// so hitting it means the view is corrupt; route_batch() DHTLB_CHECKs.
   static constexpr std::uint32_t kMaxHops = 200;
+
+  /// Lookups route_batch() keeps in flight.  A constant of the walk, not
+  /// a knob: 8, 16 and 32 lanes measured the same on serve_zipf_100k
+  /// (EXPERIMENTS.md, "Interleaved route walks"), and the lane state of
+  /// 16 stays within a few L1 lines per stage.
+  static constexpr std::size_t kRouteLanes = 16;
 
   /// Freezes the world's ring into a new snapshot: refreeze() on an
   /// empty view.
@@ -94,15 +115,29 @@ class RingView {
   };
 
   /// Simulates a Chord lookup for `key` starting at vnode `origin`
-  /// (an index into this view) with a perfect finger table.  Pure and
-  /// lock-free: reads only the frozen arrays.
+  /// (an index into this view) with a perfect finger table: a
+  /// route_batch() of one.  Pure and lock-free: reads only the frozen
+  /// arrays.  The view must not be empty.
   Route route(const Uint160& key, std::size_t origin) const;
+
+  /// out[i] = route(keys[i], origins[i]) for every i, with up to
+  /// kRouteLanes lookups in flight at once (see the header comment).
+  /// The three spans must have one size; the view must not be empty.
+  void route_batch(std::span<const Uint160> keys,
+                   std::span<const std::size_t> origins,
+                   std::span<Route> out) const;
 
  private:
   /// Bucket of `id` in dir_: its top dir_bits_ bits.
   std::size_t bucket(const Uint160& id) const {
     return static_cast<std::size_t>(id.high64() >> (64 - dir_bits_));
   }
+
+  /// The vnode covering `point`, given its bucket's bounds
+  /// [dir_[j], dir_[j+1]]: every id below the bucket is < point and
+  /// every id above it > point, so the answer lies in that range.
+  std::size_t cover_in(std::size_t lo, std::size_t hi,
+                       const Uint160& point) const;
 
   // Struct-of-arrays, ascending-id order (the freeze of FlatRing's
   // index): the searches touch only dir_ and ids_, owner/Sybil

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "stats/load_metrics.hpp"
 #include "support/check.hpp"
@@ -9,12 +10,6 @@
 namespace dhtlb::serve {
 
 namespace {
-
-// Root label of the serving plane's RNG stream tree: serve shard
-// streams are stream_seed(mix_seed(run_seed, kServeStream), tick,
-// shard), decorrelated by construction from the engine's raw-seed tick
-// streams and the scenario VM's kVmStream.
-constexpr std::uint64_t kServeStream = 0x5E12F1A4EULL;  // "serve plane"
 
 /// Smallest value whose cumulative histogram count reaches the q-th
 /// percentile (exclusive-upper integer walk; exact, no interpolation).
@@ -39,7 +34,12 @@ Service::Service(const Config& config, std::uint64_t run_seed)
       serve_seed_(support::mix_seed(run_seed, kServeStream)),
       stream_(config.traffic, config.traffic_config, run_seed),
       readers_(std::make_unique<support::ThreadPool>(
-          std::max<std::size_t>(1, config.readers))) {}
+          std::max<std::size_t>(1, config.readers))) {
+  DHTLB_CHECK(config.lookups_per_tick <= kMaxLookupsPerTick,
+              "serve::Service: " << config.lookups_per_tick
+                                 << " lookups per tick exceed the limit of "
+                                 << kMaxLookupsPerTick);
+}
 
 Service::~Service() { drain(); }
 
@@ -115,18 +115,31 @@ void Service::serve_shard(std::size_t shard) {
   ShardAccum& acc = accums_[shard];
   const std::uint64_t quota = shard_quota(shard);
   support::Rng rng(support::stream_seed(serve_seed_, view.tick(), shard));
-  for (std::uint64_t i = 0; i < quota; ++i) {
-    const Uint160 key = stream_.draw(rng);
-    const auto origin = static_cast<std::size_t>(rng.below(view.size()));
-    const RingView::Route route = view.route(key, origin);
-    ++acc.lookups;
-    ++acc.batch_lookups;
-    acc.hops += route.hops;
-    acc.batch_hops += route.hops;
-    acc.hops_max = std::max<std::uint64_t>(acc.hops_max, route.hops);
-    ++acc.hop_hist[std::min<std::size_t>(route.hops, kHopBuckets - 1)];
-    if (view.sybil_at(route.index)) ++acc.sybil_hits;
-    ++acc.owner_hits[view.owner_at(route.index)];
+  std::array<Uint160, kRouteChunk> keys;
+  std::array<std::size_t, kRouteChunk> origins;
+  std::array<RingView::Route, kRouteChunk> routes;
+  for (std::uint64_t done = 0; done < quota;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kRouteChunk, quota - done));
+    // Draw in the one-lookup-at-a-time order (key, then origin), so the
+    // chunking changes no draw.
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = stream_.draw(rng);
+      origins[i] = static_cast<std::size_t>(rng.below(view.size()));
+    }
+    view.route_batch({keys.data(), n}, {origins.data(), n},
+                     {routes.data(), n});
+    for (const RingView::Route& route : std::span(routes.data(), n)) {
+      ++acc.lookups;
+      ++acc.batch_lookups;
+      acc.hops += route.hops;
+      acc.batch_hops += route.hops;
+      acc.hops_max = std::max<std::uint64_t>(acc.hops_max, route.hops);
+      ++acc.hop_hist[std::min<std::size_t>(route.hops, kHopBuckets - 1)];
+      if (view.sybil_at(route.index)) ++acc.sybil_hits;
+      ++acc.owner_hits[view.owner_at(route.index)];
+    }
+    done += n;
   }
 }
 

@@ -14,10 +14,19 @@
 //   ...engine computes tick t+1 while the readers serve batch t...
 //   drain()                   wait for + fold the final batch
 //
+// A shard job works in chunks of kRouteChunk lookups: it draws the
+// chunk's (key, origin) pairs in lookup order, key then origin, exactly
+// as a one-at-a-time loop would; routes the whole chunk with
+// RingView::route_batch, which keeps RingView::kRouteLanes walks in
+// flight so their cache misses overlap; then folds the routes into its
+// accumulator in lookup order.
+//
 // Determinism contract (the serve twin of the tick engine's): lookups
 // are split over kServeShards fixed shards; shard s of batch t draws
 // every key and origin from Rng(stream_seed(serve_seed, t, s)); shard
-// accumulators fold in fixed shard order on the barrier thread.  The
+// accumulators fold in fixed shard order on the barrier thread.  Each
+// route is a pure function of its (key, origin, view), so neither the
+// chunk size nor the lane count can change a result.  The
 // reader-thread count is purely an execution knob — any --readers and
 // any DHTLB_THREADS produce bit-identical counts, hop statistics and
 // owner-load telemetry (the ctest serve.golden.* entries enforce it
@@ -54,13 +63,30 @@ namespace dhtlb::serve {
 /// results independent of how many threads execute the shards.
 inline constexpr std::size_t kServeShards = 16;
 
+/// Root label of the serving plane's RNG stream tree: serve shard
+/// streams are stream_seed(mix_seed(run_seed, kServeStream), tick,
+/// shard), decorrelated by construction from the engine's raw-seed tick
+/// streams and the scenario VM's kVmStream.
+inline constexpr std::uint64_t kServeStream = 0x5E12F1A4EULL;
+
+/// Lookups a shard job draws, routes and folds at a time: enough to
+/// keep RingView::kRouteLanes walks in flight past most of a chunk, and
+/// a few KiB of stack.
+inline constexpr std::size_t kRouteChunk = 256;
+
+/// Largest batch a view serves: the .scn `lookup` event's ceiling.  A
+/// tick past it would loop for hours (at 2^64 - 1, forever); the
+/// Service constructor DHTLB_CHECKs it, and --qps rejects it first.
+inline constexpr std::uint64_t kMaxLookupsPerTick = 10'000'000;
+
 struct Config {
   /// Reader worker threads (>= 1).  Execution knob only.
   std::size_t readers = 4;
   Traffic traffic = Traffic::kZipf;
   TrafficConfig traffic_config;
   /// Lookups per batch (one batch per published view; the driver's
-  /// --qps, with the tick as the unit of time).
+  /// --qps, with the tick as the unit of time), at most
+  /// kMaxLookupsPerTick.
   std::uint64_t lookups_per_tick = 2000;
 };
 

@@ -1,7 +1,8 @@
 // RingView: frozen-snapshot correctness — freeze vs the live world,
 // cover vs arc_covering, greedy perfect-finger routing (uniform rings,
-// directory-size boundaries, Sybil clusters), refreeze in place vs a
-// fresh freeze, and snapshot isolation under churn.
+// directory-size boundaries, Sybil clusters), batched routing at lane
+// and refill boundaries, refreeze in place vs a fresh freeze, and
+// snapshot isolation under churn.
 #include "serve/ring_view.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "sim/params.hpp"
@@ -112,12 +114,18 @@ std::size_t successor_walk(const RingView& view, const Uint160& key,
   return 0;
 }
 
-// The greedy perfect-finger walk of RingView::route, with every hop's
-// cover found by a plain whole-array std::lower_bound.
-RingView::Route reference_route(const RingView& view, const Uint160& key,
-                                std::size_t origin) {
+// The view's ids in ring order, for reference_route.
+std::vector<Uint160> ids_of(const RingView& view) {
   std::vector<Uint160> ids;
   for (std::size_t i = 0; i < view.size(); ++i) ids.push_back(view.id_at(i));
+  return ids;
+}
+
+// The greedy perfect-finger walk of RingView::route over the ids of a
+// view, with every hop's cover found by a plain whole-array
+// std::lower_bound.
+RingView::Route reference_route(const std::vector<Uint160>& ids,
+                                const Uint160& key, std::size_t origin) {
   const auto cover = [&ids](const Uint160& point) -> std::size_t {
     const auto it = std::lower_bound(ids.begin(), ids.end(), point);
     return it == ids.end() ? 0 : static_cast<std::size_t>(it - ids.begin());
@@ -131,6 +139,26 @@ RingView::Route reference_route(const RingView& view, const Uint160& key,
     ++r.hops;
   }
   return r;
+}
+
+RingView::Route reference_route(const RingView& view, const Uint160& key,
+                                std::size_t origin) {
+  return reference_route(ids_of(view), key, origin);
+}
+
+// A 64-node world plus 1200 Sybils at consecutive ids just past one
+// vnode: more than a thousand ids land in one bucket of the radix
+// directory, the case a Sybil-heavy strategy produces.
+RingView clustered_sybil_view() {
+  support::Rng rng(2024);
+  sim::World world(small_params(), rng);
+  const std::vector<NodeIndex> alive = world.alive_indices();
+  const Uint160 base = world.ring_ids()[10];
+  for (std::uint64_t k = 1; k <= 1200; ++k) {
+    EXPECT_TRUE(
+        world.create_sybil(alive[k % alive.size()], base + Uint160{k}));
+  }
+  return RingView::freeze(world, 0);
 }
 
 TEST(RingViewTest, RouteDifferentialAgainstSuccessorWalkOnSevenSeeds) {
@@ -185,20 +213,10 @@ TEST(RingViewTest, RouteDifferentialAgainstSuccessorWalkOnSevenSeeds) {
 }
 
 TEST(RingViewTest, ClusteredSybilsShareOneDirectoryBucket) {
-  // 1200 Sybils at consecutive ids just past one vnode: more than a
-  // thousand ids land in one bucket of the radix directory, the case a
-  // Sybil-heavy strategy produces.  Every key at, just below and just
-  // above each id, and past both ends of the ring, must cover and route
-  // exactly as the successor walk and the whole-ring reference do.
-  support::Rng rng(2024);
-  sim::World world(small_params(), rng);
-  const std::vector<NodeIndex> alive = world.alive_indices();
-  const Uint160 base = world.ring_ids()[10];
-  for (std::uint64_t k = 1; k <= 1200; ++k) {
-    ASSERT_TRUE(
-        world.create_sybil(alive[k % alive.size()], base + Uint160{k}));
-  }
-  const RingView view = RingView::freeze(world, 0);
+  // Every key at, just below and just above each id of the clustered
+  // world, and past both ends of the ring, must cover and route exactly
+  // as the successor walk and the whole-ring reference do.
+  const RingView view = clustered_sybil_view();
   const std::size_t n = view.size();
   ASSERT_EQ(n, small_params().initial_nodes + 1200u);
 
@@ -222,24 +240,112 @@ TEST(RingViewTest, ClusteredSybilsShareOneDirectoryBucket) {
     keys.push_back(view.id_at(i));
     keys.push_back(view.id_at(i) + one);
   }
+  const std::vector<Uint160> ids = ids_of(view);
   support::Rng probe(77);
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const Uint160& key = keys[k];
     const std::size_t expect = successor_walk(view, key, 0);
     ASSERT_EQ(view.cover(key), expect) << "key " << key;
     // Long routes into the cluster and out of it, plus a random origin
-    // on every tenth key (reference_route copies the whole ring).
+    // on every tenth key.
     std::vector<std::size_t> origins = {view.next(expect), 0};
     if (k % 10 == 0) {
       origins.push_back(static_cast<std::size_t>(probe.below(n)));
     }
     for (const std::size_t origin : origins) {
-      const RingView::Route ref = reference_route(view, key, origin);
+      const RingView::Route ref = reference_route(ids, key, origin);
       const RingView::Route route = view.route(key, origin);
       EXPECT_EQ(route.index, expect) << "key " << key << " origin " << origin;
       EXPECT_EQ(route.hops, ref.hops) << "key " << key << " origin " << origin;
     }
   }
+}
+
+// route_batch over `keys` and `origins`, which must give, lookup by
+// lookup, exactly the reference walk's index and hops.
+std::vector<RingView::Route> expect_batch_matches_reference(
+    const RingView& view, const std::vector<Uint160>& keys,
+    const std::vector<std::size_t>& origins, const std::string& context) {
+  std::vector<RingView::Route> routes(keys.size());
+  view.route_batch(keys, origins, routes);
+  const std::vector<Uint160> ids = ids_of(view);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const RingView::Route ref = reference_route(ids, keys[i], origins[i]);
+    EXPECT_EQ(routes[i].index, ref.index) << context << " lookup " << i;
+    EXPECT_EQ(routes[i].hops, ref.hops) << context << " lookup " << i;
+  }
+  return routes;
+}
+
+TEST(RingViewTest, RouteBatchMatchesRouteOnSevenSeeds) {
+  // Batches shorter than, equal to and just past the lane count, and
+  // past a whole refill cycle, over views from one vnode up across the
+  // directory's bucket-count steps.  Every third lookup starts at its
+  // own target (0 hops: the lane retires on its first cover), every
+  // third key is a vnode id, and every fifth lies above the largest id
+  // (its walk wraps past zero).
+  const std::uint64_t seeds[] = {11, 22, 33, 44, 55, 66, 77};
+  const std::uint32_t sizes[] = {1, 2, 255, 256, 257, 1000, 4095, 4096, 4097};
+  const std::size_t lanes = RingView::kRouteLanes;
+  const std::size_t batches[] = {0, 1, lanes - 1, lanes, lanes + 1, 257};
+  const Uint160 one{1};
+  for (const std::uint64_t seed : seeds) {
+    for (const std::uint32_t nodes : sizes) {
+      sim::Params params;
+      params.initial_nodes = nodes;
+      params.total_tasks = 10;
+      support::Rng rng(support::mix_seed(seed, nodes));
+      sim::World world(params, rng);
+      const RingView view = RingView::freeze(world, 0);
+      const std::size_t n = view.size();
+      const Uint160 top = view.id_at(n - 1);
+      support::Rng probe(support::mix_seed(seed, 0xBA7C));
+      for (const std::size_t batch : batches) {
+        std::vector<Uint160> keys;
+        std::vector<std::size_t> origins;
+        for (std::size_t k = 0; k < batch; ++k) {
+          Uint160 key = probe.uniform_u160();
+          if (k % 3 == 1) {
+            key = view.id_at(static_cast<std::size_t>(probe.below(n)));
+          }
+          if (k % 5 == 4 && top != Uint160::max()) {
+            key = top + one + Uint160{probe.below(1000)};
+            if (key < top) key = Uint160::max();  // no wrap past zero
+          }
+          keys.push_back(key);
+          origins.push_back(k % 3 == 0 ? view.cover(key)
+                                       : static_cast<std::size_t>(
+                                             probe.below(n)));
+        }
+        expect_batch_matches_reference(
+            view, keys, origins,
+            "seed " + std::to_string(seed) + " size " + std::to_string(n) +
+                " batch " + std::to_string(batch));
+      }
+    }
+  }
+
+  // The clustered-Sybil world: walks into the 1200-id cluster run many
+  // hops while the 0-hop lookups around them retire on their first
+  // cover, so lanes retire and refill out of step.
+  const RingView view = clustered_sybil_view();
+  const std::size_t n = view.size();
+  std::vector<Uint160> keys;
+  std::vector<std::size_t> origins;
+  support::Rng probe(1337);
+  for (std::size_t k = 0; k < 257; ++k) {
+    const std::size_t i = static_cast<std::size_t>(probe.below(n));
+    const Uint160 key = view.id_at(i) - (k % 2 == 0 ? one : Uint160{});
+    keys.push_back(key);
+    const std::size_t target = view.cover(key);
+    origins.push_back(k % 4 == 0 ? view.next(target) : target);
+  }
+  std::uint32_t max_hops = 0;
+  for (const RingView::Route& r :
+       expect_batch_matches_reference(view, keys, origins, "clustered")) {
+    max_hops = std::max(max_hops, r.hops);
+  }
+  EXPECT_GE(max_hops, 8u);
 }
 
 TEST(RingViewTest, RefreezeEqualsFreshFreezeAfterChurnAndSybilWaves) {
@@ -308,6 +414,28 @@ TEST(RingViewDeathTest, EmptyViewFailsACheckInsteadOfReading) {
                "DHTLB_CHECK failed.*RingView::cover: the view is empty");
   EXPECT_DEATH((void)empty.route(Uint160{1}, 0),
                "DHTLB_CHECK failed.*RingView::route: the view is empty");
+  const Uint160 key{1};
+  const std::size_t origin = 0;
+  RingView::Route route;
+  EXPECT_DEATH(empty.route_batch({&key, 1}, {&origin, 1}, {&route, 1}),
+               "DHTLB_CHECK failed.*RingView::route_batch: the view is empty");
+}
+
+TEST(RingViewDeathTest, RouteBatchSpanSizesMustMatch) {
+  support::Rng rng(5);
+  sim::World world(small_params(), rng);
+  const RingView view = RingView::freeze(world, 0);
+  const std::vector<Uint160> keys(3, Uint160{1});
+  const std::vector<std::size_t> origins(2, 0);
+  std::vector<RingView::Route> routes(3);
+  EXPECT_DEATH(view.route_batch(keys, origins, routes),
+               "DHTLB_CHECK failed.*RingView::route_batch: 3 keys, 2 "
+               "origins, 3 routes");
+  const std::vector<std::size_t> three_origins(3, 0);
+  std::vector<RingView::Route> short_routes(2);
+  EXPECT_DEATH(view.route_batch(keys, three_origins, short_routes),
+               "DHTLB_CHECK failed.*RingView::route_batch: 3 keys, 3 "
+               "origins, 2 routes");
 }
 
 TEST(RingViewTest, SnapshotIsolationUnderChurn) {

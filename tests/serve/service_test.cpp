@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
+
 #include "lb/factory.hpp"
 #include "sim/engine.hpp"
 #include "sim/params.hpp"
+#include "stats/load_metrics.hpp"
 
 namespace dhtlb::serve {
 namespace {
@@ -162,6 +168,100 @@ TEST(ServiceTest, UntickedRunServesOnlyViewZero) {
   EXPECT_EQ(rep.views.retire_depth_max, 0u);
 }
 
+/// The Report a Service folds from `views` (one batch each), computed
+/// lookup by lookup with RingView::route on the streams the
+/// determinism contract names: shard s of the batch at tick t draws key
+/// then origin from Rng(stream_seed(mix_seed(seed, kServeStream), t, s)).
+Report reference_report(const Config& config, std::uint64_t seed,
+                        const std::vector<RingView>& views) {
+  const KeyStream stream(config.traffic, config.traffic_config, seed);
+  const std::uint64_t serve_seed = support::mix_seed(seed, kServeStream);
+  constexpr std::size_t kBuckets = 64;
+  std::array<std::uint64_t, kBuckets> hist{};
+  std::vector<std::uint64_t> owner_hits(views.front().owner_count(), 0);
+  std::uint64_t sybil_hits = 0;
+  Report rep;
+  for (const RingView& view : views) {
+    for (std::size_t s = 0; s < kServeShards; ++s) {
+      const std::uint64_t quota = config.lookups_per_tick / kServeShards +
+                                  (s < config.lookups_per_tick % kServeShards);
+      support::Rng rng(support::stream_seed(serve_seed, view.tick(), s));
+      for (std::uint64_t i = 0; i < quota; ++i) {
+        const Uint160 key = stream.draw(rng);
+        const auto origin = static_cast<std::size_t>(rng.below(view.size()));
+        const RingView::Route r = view.route(key, origin);
+        ++rep.lookups;
+        rep.hops_total += r.hops;
+        rep.hops_max = std::max<std::uint64_t>(rep.hops_max, r.hops);
+        ++hist[std::min<std::size_t>(r.hops, kBuckets - 1)];
+        if (view.sybil_at(r.index)) ++sybil_hits;
+        ++owner_hits[view.owner_at(r.index)];
+      }
+    }
+  }
+  const auto percentile = [&](double q) {
+    const auto threshold = static_cast<std::uint64_t>(std::max(
+        1.0, std::ceil(q / 100.0 * static_cast<double>(rep.lookups))));
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      cum += hist[i];
+      if (cum >= threshold) return static_cast<double>(i);
+    }
+    return static_cast<double>(kBuckets - 1);
+  };
+  rep.batches = views.size();
+  rep.hops_mean = static_cast<double>(rep.hops_total) /
+                  static_cast<double>(rep.lookups);
+  rep.hops_p50 = percentile(50.0);
+  rep.hops_p99 = percentile(99.0);
+  rep.sybil_hit_fraction =
+      static_cast<double>(sybil_hits) / static_cast<double>(rep.lookups);
+  std::vector<std::uint64_t> hit;
+  for (const std::uint64_t h : owner_hits) {
+    if (h > 0) hit.push_back(h);
+  }
+  rep.owners_hit = hit.size();
+  rep.owner_hits_gini = stats::gini(hit);
+  rep.owner_hits_max_over_mean = stats::max_over_mean(hit);
+  rep.views.published = views.size();
+  rep.views.reclaimed = views.size() - 1;
+  rep.views.retire_depth_max = views.size() > 1 ? 1 : 0;
+  return rep;
+}
+
+TEST(ServiceTest, ChunkBoundaryQuotasMatchPerLookupRoutes) {
+  // Shard quotas of one lookup short of a route chunk, exactly one, one
+  // past it, and a mix of the last two: the chunked draw-route-fold
+  // loop must neither drop, repeat nor reorder a lookup at the seam.
+  // Each run serves the pre-run view and three ticks' views of a
+  // Sybil-spawning run, and must equal the per-lookup fold of the same
+  // views.
+  for (const std::uint64_t per_shard :
+       {kRouteChunk - 1, kRouteChunk, kRouteChunk + 1}) {
+    for (const std::uint64_t extra : {std::uint64_t{0}, std::uint64_t{5}}) {
+      const std::uint64_t seed = 17 + per_shard + extra;
+      sim::Engine engine(churny_params(), seed,
+                         lb::make_strategy("random-injection"));
+      Config config;
+      config.readers = 3;
+      config.traffic = Traffic::kZipf;
+      config.traffic_config.key_universe = 2000;
+      config.lookups_per_tick = per_shard * kServeShards + extra;
+      Service service(config, seed);
+      std::vector<RingView> views = {RingView::freeze(engine.world(), 0)};
+      service.attach(engine);
+      for (int t = 0; t < 3 && engine.step(); ++t) {
+        views.push_back(
+            RingView::freeze(engine.world(), engine.current_tick()));
+      }
+      service.drain();
+      const Report got = service.report();
+      ASSERT_EQ(got.lookups, views.size() * config.lookups_per_tick);
+      expect_reports_identical(got, reference_report(config, seed, views));
+    }
+  }
+}
+
 TEST(ServiceTest, ShardQuotasCoverRaggedLookupCounts) {
   // 1003 = 62*16 + 11: lookups_per_tick that doesn't divide by the
   // shard count must neither drop nor duplicate lookups.
@@ -175,6 +275,17 @@ TEST(ServiceTest, ShardQuotasCoverRaggedLookupCounts) {
   service.drain();
   const Report rep = service.report();
   EXPECT_EQ(rep.lookups, rep.batches * 1003);
+}
+
+TEST(ServiceDeathTest, LookupsPerTickAboveTheLimitFailACheck) {
+  // A batch past the limit would loop for hours per tick; library
+  // callers that skip the driver's --qps range still fail loudly.
+  Config config;
+  config.readers = 1;
+  config.lookups_per_tick = kMaxLookupsPerTick + 1;
+  EXPECT_DEATH(Service(config, 1),
+               "DHTLB_CHECK failed.*10000001 lookups per tick exceed the "
+               "limit of 10000000");
 }
 
 }  // namespace
