@@ -20,15 +20,15 @@ void tableM_message_costs(Session& session) {
 
   struct Row {
     const char* label;
-    chord::ComputePolicy policy;
+    const char* strategy;
     double churn;
   };
   const std::vector<Row> rows = {
-      {"none", chord::ComputePolicy::kNone, 0.0},
-      {"churn 0.01", chord::ComputePolicy::kChurn, 0.01},
-      {"churn 0.03", chord::ComputePolicy::kChurn, 0.03},
-      {"random-injection", chord::ComputePolicy::kRandomInjection, 0.0},
-      {"neighbor-injection", chord::ComputePolicy::kNeighborInjection, 0.0},
+      {"none", "none", 0.0},
+      {"churn 0.01", "churn", 0.01},
+      {"churn 0.03", "churn", 0.03},
+      {"random-injection", "random-injection", 0.0},
+      {"neighbor-injection", "neighbor-injection", 0.0},
   };
 
   support::TextTable table({"policy", "runtime factor", "total msgs",
@@ -38,13 +38,12 @@ void tableM_message_costs(Session& session) {
     double factor = 0.0, total = 0.0, maint = 0.0, sybils = 0.0,
            hashes = 0.0, churn_events = 0.0;
     for (std::size_t t = 0; t < trials; ++t) {
-      chord::ComputeConfig cfg;
-      cfg.nodes = 64;
-      cfg.tasks = 6400;
-      cfg.policy = row.policy;
-      cfg.churn_rate = row.churn;
-      cfg.seed = support::mix_seed(session.seed(), t);
-      const auto r = chord::run_compute(cfg);
+      sim::Params params;
+      params.initial_nodes = 64;
+      params.total_tasks = 6400;
+      params.churn_rate = row.churn;
+      const auto r = chord::run_compute(params, row.strategy,
+                                        support::mix_seed(session.seed(), t));
       factor += r.runtime_factor;
       total += static_cast<double>(r.messages.total());
       maint += static_cast<double>(r.maintenance_messages);
@@ -56,6 +55,11 @@ void tableM_message_costs(Session& session) {
     session.record(row.label, "runtime_factor_mean", factor / n);
     session.record(row.label, "total_messages_mean", total / n);
     session.record(row.label, "maintenance_messages_mean", maint / n);
+    session.record(row.label, "sybils_created_mean", sybils / n);
+    if (sybils > 0) {
+      session.record(row.label, "sha1_per_sybil", hashes / sybils);
+    }
+    session.record(row.label, "fail_join_mean", churn_events / n);
     table.add_row(
         {row.label, support::format_fixed(factor / n, 3),
          support::format_fixed(total / n, 0),

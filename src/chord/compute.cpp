@@ -1,12 +1,18 @@
 #include "chord/compute.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chord/sybil_placement.hpp"
 #include "hashing/sha1.hpp"
+#include "lb/factory.hpp"
+#include "lb/rules.hpp"
+#include "sim/world.hpp"
+#include "support/check.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
@@ -14,268 +20,178 @@ namespace dhtlb::chord {
 
 namespace {
 
-using support::Uint160;
+using sim::NodeIndex;
 
-/// Ground-truth data plane: which keys each live vnode currently stores.
-/// The control plane (routing, membership) is the chord::Network; this
-/// map mirrors the active-backup data movement the paper assumes (§IV-A)
-/// so no key is ever lost when nodes fail.
-class DataPlane {
- public:
-  using Map = std::map<NodeId, std::vector<Uint160>>;
+/// How a strategy with a protocol form places a Sybil.
+enum class Placement { kNone, kRandom, kNeighbor };
 
-  void add_vnode(const NodeId& id) { stores_[id]; }
-
-  /// Initial placement of one key onto its owner arc.
-  void place_key(const Uint160& key) {
-    auto it = stores_.lower_bound(key);
-    if (it == stores_.end()) it = stores_.begin();
-    it->second.push_back(key);
-  }
-
-  /// New vnode `id` takes the keys in (pred, id] from its successor.
-  /// Returns how many keys moved.
-  std::uint64_t split_to(const NodeId& id) {
-    auto it = stores_.find(id);
-    auto succ = std::next(it) == stores_.end() ? stores_.begin()
-                                               : std::next(it);
-    auto pred = it == stores_.begin() ? std::prev(stores_.end())
-                                      : std::prev(it);
-    if (succ == it) return 0;  // alone in the ring
-    const NodeId lo = pred->first;
-    std::uint64_t moved = 0;
-    auto& src = succ->second;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < src.size(); ++read) {
-      if (support::in_half_open_arc(src[read], lo, id)) {
-        it->second.push_back(src[read]);
-        ++moved;
-      } else {
-        src[write++] = src[read];
-      }
+/// The protocol form of strategy-table row `name`: the rows without a
+/// decision round place nothing, and the random and estimating neighbor
+/// rules have the hash-based placements below.  Every other row throws.
+Placement protocol_form(std::string_view name) {
+  if (const lb::StrategyEntry* entry = lb::find_strategy(name)) {
+    if (entry->rule == nullptr) return Placement::kNone;
+    if (entry->rule == &lb::random_injection) return Placement::kRandom;
+    if (entry->rule == &lb::neighbor_injection &&
+        entry->param == lb::kEstimate) {
+      return Placement::kNeighbor;
     }
-    src.resize(write);
-    return moved;
   }
+  throw std::invalid_argument(
+      "run_compute: strategy '" + std::string(name) +
+      "' has no protocol form (expected none, churn, random-injection or "
+      "neighbor-injection)");
+}
 
-  /// Removes a vnode; its keys fall to the next vnode clockwise (the
-  /// successor's active backup).  Returns keys moved.
-  std::uint64_t remove_vnode(const NodeId& id) {
-    auto it = stores_.find(id);
-    auto succ = std::next(it) == stores_.end() ? stores_.begin()
-                                               : std::next(it);
-    std::uint64_t moved = 0;
-    if (succ != it) {
-      moved = it->second.size();
-      succ->second.insert(succ->second.end(), it->second.begin(),
-                          it->second.end());
+/// The widest gap between consecutive entries of `self`'s successor
+/// list (starting at `self`): purely local protocol state.
+std::pair<NodeId, NodeId> widest_gap(const NodeId& self,
+                                     const std::vector<NodeId>& list) {
+  std::pair<NodeId, NodeId> best{self, list.front()};
+  for (std::size_t s = 1; s < list.size(); ++s) {
+    if (support::clockwise_distance(list[s - 1], list[s]) >
+        support::clockwise_distance(best.first, best.second)) {
+      best = {list[s - 1], list[s]};
     }
-    stores_.erase(it);
-    return moved;
   }
-
-  std::uint64_t vnode_load(const NodeId& id) const {
-    const auto it = stores_.find(id);
-    return it == stores_.end() ? 0 : it->second.size();
-  }
-
-  /// Consumes up to `budget` keys across the given vnodes, most loaded
-  /// first; returns keys consumed.
-  std::uint64_t consume(const std::vector<NodeId>& vnodes,
-                        std::uint64_t budget, support::Rng& rng) {
-    std::uint64_t done = 0;
-    while (done < budget) {
-      std::vector<Uint160>* busiest = nullptr;
-      for (const auto& id : vnodes) {
-        auto it = stores_.find(id);
-        if (it == stores_.end()) continue;
-        if (busiest == nullptr || it->second.size() > busiest->size()) {
-          busiest = &it->second;
-        }
-      }
-      if (busiest == nullptr || busiest->empty()) break;
-      const std::uint64_t take =
-          std::min<std::uint64_t>(budget - done, busiest->size());
-      for (std::uint64_t i = 0; i < take; ++i) {
-        const std::size_t pick =
-            static_cast<std::size_t>(rng.below(busiest->size()));
-        (*busiest)[pick] = busiest->back();
-        busiest->pop_back();
-      }
-      done += take;
-    }
-    return done;
-  }
-
-  /// The gap (pred, succ-of-pred) sizes between consecutive entries of
-  /// `ids` in ring order; used by neighbor injection's biggest-gap pick.
-  std::size_t size() const { return stores_.size(); }
-
- private:
-  Map stores_;
-};
-
-struct Owner {
-  bool alive = false;
-  std::vector<NodeId> vnodes;  // [0] = primary
-};
+  return best;
+}
 
 }  // namespace
 
-ComputeResult run_compute(const ComputeConfig& config) {
-  support::Rng rng(config.seed);
-  Network net(config.successor_list);
-  DataPlane data;
+ComputeResult run_compute(const sim::Params& params, std::string_view strategy,
+                          std::uint64_t seed) {
+  const Placement placement = protocol_form(strategy);
+  params.validate();
+  if (params.provisioning == sim::TaskProvisioning::kStreamed) {
+    throw std::invalid_argument(
+        "run_compute: provisioning streamed has no protocol form (the ring "
+        "would start with no tasks)");
+  }
+  if (params.mark_failed_ranges) {
+    throw std::invalid_argument(
+        "run_compute: mark-failed-ranges true has no protocol form");
+  }
+
+  // The data plane draws the node IDs, then the task keys, from the
+  // run's one RNG; the protocol bootstrap below draws nothing.
+  support::Rng rng(seed);
+  sim::World world(params, rng);
+  Network net(params.num_successors);
   ComputeResult result;
+  sim::StrategyCounters counters;
+
+  auto primary_id = [&](NodeIndex idx) {
+    return world.vnode_id(world.primary_slot(idx));
+  };
+  // The first alive node in index order introduces every joiner.
+  auto any_alive = [&] {
+    const auto& alive = world.alive_indices();
+    return primary_id(*std::min_element(alive.begin(), alive.end()));
+  };
+  // Joins `id` through the protocol, then `admit`s it to the world (which
+  // holds exactly the network's IDs, so it is free there too).
+  auto protocol_join = [&](const NodeId& id, auto admit) {
+    if (!net.join(id, any_alive())) return false;
+    net.stabilize(2);  // settle enough for pointers to be usable
+    const std::optional<std::uint64_t> acquired = admit();
+    DHTLB_CHECK(acquired, "run_compute: the world holds " << id);
+    result.tasks_transferred += *acquired;
+    return true;
+  };
 
   // --- membership bootstrap (protocol joins, costed) ---------------------
-  std::vector<Owner> owners(2 * config.nodes);
-  const NodeId bootstrap = hashing::Sha1::hash_u64(rng());
+  const NodeId bootstrap = primary_id(0);
   net.create(bootstrap);
-  data.add_vnode(bootstrap);
-  owners[0].alive = true;
-  owners[0].vnodes.push_back(bootstrap);
-  for (std::size_t i = 1; i < config.nodes; ++i) {
-    const NodeId id = hashing::Sha1::hash_u64(rng());
-    if (!net.join(id, bootstrap)) continue;
+  for (NodeIndex idx = 1; idx < params.initial_nodes; ++idx) {
+    DHTLB_CHECK(net.join(primary_id(idx), bootstrap),
+                "run_compute: bootstrap join of node " << idx << " failed");
     net.stabilize(2);
-    owners[i].alive = true;
-    owners[i].vnodes.push_back(id);
-    data.add_vnode(id);
   }
   net.stabilize(4);
   net.build_all_fingers();
 
-  // --- task placement ------------------------------------------------------
-  std::uint64_t remaining = config.tasks;
-  for (std::uint64_t t = 0; t < config.tasks; ++t) {
-    data.place_key(hashing::Sha1::hash_u64(rng()));
-  }
-  result.ideal_ticks = (config.tasks + config.nodes - 1) / config.nodes;
+  const std::uint64_t capacity = world.initial_capacity();
+  result.ideal_ticks = (world.total_tasks() + capacity - 1) / capacity;
+  const std::uint64_t cap = params.effective_max_ticks(result.ideal_ticks);
+  const auto physicals = static_cast<NodeIndex>(world.physical_count());
 
-  auto owner_load = [&](const Owner& o) {
-    std::uint64_t sum = 0;
-    for (const auto& v : o.vnodes) sum += data.vnode_load(v);
-    return sum;
-  };
-  auto any_bootstrap = [&]() -> std::optional<NodeId> {
-    for (const auto& o : owners) {
-      if (o.alive && !o.vnodes.empty()) return o.vnodes.front();
-    }
-    return std::nullopt;
-  };
-  auto protocol_join = [&](Owner& owner, const NodeId& id) -> bool {
-    const auto boot = any_bootstrap();
-    if (!boot || !net.join(id, *boot)) return false;
-    net.stabilize(2);  // settle enough for pointers to be usable
-    owner.vnodes.push_back(id);
-    data.add_vnode(id);
-    result.tasks_transferred += data.split_to(id);
-    return true;
-  };
-
-  const std::uint64_t cap = std::max<std::uint64_t>(
-      100 * result.ideal_ticks, 5000);
-
-  for (std::uint64_t tick = 1; tick <= cap && remaining > 0; ++tick) {
+  for (std::uint64_t tick = 1; tick <= cap && world.remaining_tasks() > 0;
+       ++tick) {
     result.ticks = tick;
 
     // 1. churn: abrupt failures + protocol re-joins.
-    if (config.policy == ComputePolicy::kChurn) {
-      for (std::size_t i = 0; i < owners.size(); ++i) {
-        Owner& o = owners[i];
-        if (o.alive) {
-          if (net.size() - o.vnodes.size() < 2) continue;  // keep a ring
-          if (!rng.bernoulli(config.churn_rate)) continue;
-          for (const auto& v : o.vnodes) {
-            result.tasks_transferred += data.remove_vnode(v);
-            net.fail(v);  // abrupt: peers discover via maintenance
-          }
-          o.vnodes.clear();
-          o.alive = false;
-          ++result.failures;
-        } else if (rng.bernoulli(config.churn_rate)) {
-          const NodeId id = hashing::Sha1::hash_u64(rng());
-          if (protocol_join(o, id)) {
-            o.alive = true;
-            ++result.joins;
-          }
+    for (NodeIndex idx = 0; idx < physicals; ++idx) {
+      if (world.is_alive(idx)) {
+        const auto& slots = world.physical(idx).vnode_slots;
+        if (world.vnode_count() - slots.size() < 2) continue;  // keep a ring
+        if (!rng.bernoulli(params.churn_rate)) continue;
+        // Abrupt: peers discover the failure via maintenance.
+        for (const sim::Slot slot : slots) net.fail(world.vnode_id(slot));
+        result.tasks_transferred += world.workload(idx);
+        DHTLB_CHECK(world.depart(idx), "run_compute: node " << idx);
+        ++result.failures;
+      } else if (rng.bernoulli(params.churn_rate)) {
+        const NodeId id = hashing::Sha1::hash_u64(rng());
+        if (protocol_join(id, [&] { return world.join_at(idx, id); })) {
+          ++result.joins;
         }
       }
     }
 
     // 2. Sybil decisions (every decision_period ticks).
-    const bool sybil_policy =
-        config.policy == ComputePolicy::kRandomInjection ||
-        config.policy == ComputePolicy::kNeighborInjection;
-    if (sybil_policy && tick % config.decision_period == 0) {
-      for (auto& o : owners) {
-        if (!o.alive) continue;
-        // Retire Sybils when idle (graceful protocol departures).
-        if (o.vnodes.size() > 1 && owner_load(o) == 0) {
-          while (o.vnodes.size() > 1) {
-            result.tasks_transferred += data.remove_vnode(o.vnodes.back());
-            net.leave(o.vnodes.back());
-            o.vnodes.pop_back();
+    if (placement != Placement::kNone &&
+        tick % params.decision_period == 0) {
+      for (NodeIndex idx = 0; idx < physicals; ++idx) {
+        if (!world.is_alive(idx)) continue;
+        // An idle node's Sybils leave gracefully, newest first.
+        const auto& slots = world.physical(idx).vnode_slots;
+        if (world.workload(idx) == 0) {
+          for (auto s = slots.rbegin(); s + 1 < slots.rend(); ++s) {
+            net.leave(world.vnode_id(*s));
           }
         }
-        if (owner_load(o) != 0) continue;
-        if (o.vnodes.size() - 1 >= config.max_sybils) continue;
+        lb::retire_idle_sybils(world, idx, counters);
+        if (!lb::may_create_sybil(world, idx)) continue;
 
-        NodeId placement;
-        if (config.policy == ComputePolicy::kRandomInjection) {
-          placement = hashing::Sha1::hash_u64(rng());
+        NodeId id;
+        if (placement == Placement::kRandom) {
+          id = hashing::Sha1::hash_u64(rng());
           ++result.sybil_search_hashes;
         } else {
-          // Biggest gap among the node's own successor list — purely
-          // local protocol state, then a hash search inside that gap.
-          const auto& list = net.node(o.vnodes.front()).successor_list();
+          // A hash search inside the widest gap of the successor list.
+          const NodeId self = primary_id(idx);
+          const auto& list = net.node(self).successor_list();
           if (list.empty()) continue;
-          Uint160 best_lo = o.vnodes.front();
-          Uint160 best_hi = list.front();
-          Uint160 best_span =
-              support::clockwise_distance(best_lo, best_hi);
-          for (std::size_t s = 1; s < list.size(); ++s) {
-            const Uint160 span =
-                support::clockwise_distance(list[s - 1], list[s]);
-            if (span > best_span) {
-              best_span = span;
-              best_lo = list[s - 1];
-              best_hi = list[s];
-            }
-          }
-          const auto found =
-              place_by_hash_search(best_lo, best_hi, rng, 1 << 16);
+          const auto [lo, hi] = widest_gap(self, list);
+          const auto found = place_by_hash_search(lo, hi, rng, 1 << 16);
           if (!found) continue;
           result.sybil_search_hashes += found->attempts;
-          placement = found->id;
+          id = found->id;
         }
-        if (net.contains(placement)) continue;
-        if (protocol_join(o, placement)) ++result.sybils_created;
+        if (protocol_join(id, [&] { return world.create_sybil(idx, id); })) {
+          ++result.sybils_created;
+        }
       }
     }
 
-    // 3. maintenance (costed separately).
+    // 3. maintenance (costed separately): one round per tick.
     const std::uint64_t before = net.stats().total();
-    for (int round = 0; round < config.maintenance_per_tick; ++round) {
-      net.maintenance_round();
-    }
+    net.maintenance_round();
     result.maintenance_messages += net.stats().total() - before;
 
-    // 4. consumption: one task per owner per tick.
-    for (auto& o : owners) {
-      if (!o.alive) continue;
-      remaining -= data.consume(o.vnodes, 1, rng);
+    // 4. consumption, in node index order.
+    for (NodeIndex idx = 0; idx < physicals; ++idx) {
+      if (!world.is_alive(idx)) continue;
+      world.debit_remaining(
+          world.consume_local(idx, world.work_per_tick(idx), rng));
     }
   }
 
-  result.completed = remaining == 0;
+  result.completed = world.remaining_tasks() == 0;
   result.messages = net.stats();
-  result.runtime_factor =
-      result.ideal_ticks == 0
-          ? 0.0
-          : static_cast<double>(result.ticks) /
-                static_cast<double>(result.ideal_ticks);
+  result.runtime_factor = static_cast<double>(result.ticks) /
+                          static_cast<double>(result.ideal_ticks);
   return result;
 }
 

@@ -2,49 +2,26 @@
 // ChordReduce model the paper builds on, at protocol fidelity.
 //
 // The tick simulator (src/sim) assumes maintenance is free and joins are
-// instantaneous; this module drops both assumptions.  Tasks are SHA-1
-// keys owned by ring arcs; every join (churn arrival or Sybil placement)
-// goes through Network::join + stabilization, Sybil IDs are found by
-// hash search (counted in SHA-1 evaluations), node failures are abrupt
-// and healed by the maintenance protocol, and every RPC is counted.
+// instantaneous; this module drops both.  Its control plane is a
+// chord::Network: every join (churn arrival or Sybil placement) goes
+// through Network::join + stabilization, Sybil IDs are found by hash
+// search (counted in SHA-1 evaluations), failures are abrupt and healed
+// by one maintenance round per tick (§V), and every RPC is counted.  Its
+// data plane is the tick simulator's own sim::World (active-backup key
+// movement, alive set, waiting pool, consumption) under the same Params.
 //
-// Purpose: (a) validate that the tick simulator's idealization preserves
-// the paper's results (runtime-factor shapes must match), and (b) put
-// numbers on the paper's qualitative traffic claims ("neighbor injection
-// generates much less churn", "invitation greatly reduces maintenance
-// costs").
+// Purpose: validate that the tick simulator's idealization preserves the
+// paper's results (runtime-factor shapes must match), and put numbers on
+// its traffic claims ("neighbor injection generates much less churn").
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "chord/network.hpp"
+#include "sim/params.hpp"
 
 namespace dhtlb::chord {
-
-/// Which balancing policy the protocol-level computation uses.  The
-/// placement mechanics follow src/lb but are re-expressed in protocol
-/// operations so their message costs are real.
-enum class ComputePolicy {
-  kNone,             // baseline: no churn, no Sybils
-  kChurn,            // induced churn at churn_rate
-  kRandomInjection,  // idle nodes place Sybils at random hashed IDs
-  kNeighborInjection,  // idle nodes place Sybils in their biggest
-                       // successor gap (hash search inside the gap)
-};
-
-struct ComputeConfig {
-  std::size_t nodes = 64;
-  std::uint64_t tasks = 6400;
-  std::size_t successor_list = 5;
-  ComputePolicy policy = ComputePolicy::kNone;
-  double churn_rate = 0.02;  // used by kChurn only
-  unsigned max_sybils = 5;
-  std::uint64_t decision_period = 5;
-  std::uint64_t seed = 1;
-  /// Maintenance rounds executed per tick (>=1; §V assumes one cycle
-  /// fits in a tick).
-  int maintenance_per_tick = 1;
-};
 
 struct ComputeResult {
   std::uint64_t ticks = 0;
@@ -61,7 +38,13 @@ struct ComputeResult {
   std::uint64_t tasks_transferred = 0;  // keys that changed owner
 };
 
-/// Runs the computation to completion (or a generous tick cap).
-ComputeResult run_compute(const ComputeConfig& config);
+/// Runs the computation to completion (or Params::effective_max_ticks).
+/// `strategy` is a lb::strategy_table() row with a protocol form: none,
+/// churn, random-injection or neighbor-injection; churn follows
+/// params.churn_rate under every strategy.  Throws std::invalid_argument
+/// for any other strategy, an invalid Params, streamed provisioning or
+/// mark-failed-ranges.
+ComputeResult run_compute(const sim::Params& params, std::string_view strategy,
+                          std::uint64_t seed);
 
 }  // namespace dhtlb::chord

@@ -318,6 +318,18 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   return idx;
 }
 
+std::optional<std::uint64_t> World::join_at(NodeIndex idx,
+                                            const Uint160& id) {
+  DHTLB_CHECK(idx < physicals_.size() && !is_alive(idx),
+              "join_at: node " << idx << " is not waiting");
+  const FlatRing::Cursor at = ring_.lower_bound(id);
+  if (ring_.holds(at, id)) return std::nullopt;
+  waiting_.erase(std::find(waiting_.begin(), waiting_.end(), idx));
+  alive_pos_[idx] = static_cast<std::uint32_t>(alive_.size());
+  alive_.push_back(idx);
+  return insert_vnode(idx, id, at, /*is_sybil=*/false);
+}
+
 std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,
                                    support::Rng& rng) {
   PhysicalNode& node = physicals_[idx];

@@ -17,8 +17,8 @@
 // physical node lists its vnodes as slots, every ArcView carries the
 // slot of the arc it describes, and every walk, key query and move takes
 // one.  An id is only a ring position: a point to resolve (arc_covering)
-// or a position to occupy (create_sybil, move_vnode's target).  The one
-// slot -> ring position conversion is FlatRing::cursor_of.
+// or a position to occupy (create_sybil, join_at, move_vnode's target).
+// The one slot -> ring position conversion is FlatRing::cursor_of.
 //
 // Storage: the ring lives in a FlatRing (sim/flat_ring.hpp) — a sorted
 // (id, slot) index over a stable slot arena — rather than a
@@ -346,6 +346,12 @@ class World {
   /// caller's stream, so engine churn and scripted scenario joins each
   /// own their placement randomness.
   std::optional<NodeIndex> join_from_pool(support::Rng& id_rng);
+
+  /// Joins waiting node `idx` at `id`, an ID the caller chose (the chord
+  /// driver's protocol join); it acquires the keys in its arc like any
+  /// joiner.  Returns the keys acquired, or nullopt — leaving `idx`
+  /// waiting — when `id` is taken.  `idx` must not be alive.
+  std::optional<std::uint64_t> join_at(NodeIndex idx, const Uint160& id);
 
   // --- mutation: work -----------------------------------------------------
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/world.hpp"
+#include "sim/world_reference_model.hpp"
 #include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
@@ -24,73 +25,8 @@ namespace dhtlb::sim {
 namespace {
 
 using support::Uint160;
+using testing::ReferenceModel;
 using testing::slot_at_id;
-
-/// Brute-force mirror: flat key multiset + vnode->owner map + each alive
-/// node's ordered vnode list (primary first); every query is a full scan.
-class ReferenceModel {
- public:
-  /// Appends a vnode to `owner`'s list; the first one makes it alive.
-  void add_vnode(const Uint160& id, NodeIndex owner) {
-    vnodes_[id] = owner;
-    lists_[owner].push_back(id);
-  }
-  void remove_sybils(NodeIndex owner) {
-    std::vector<Uint160>& list = lists_.at(owner);
-    for (std::size_t i = 1; i < list.size(); ++i) vnodes_.erase(list[i]);
-    list.resize(1);
-  }
-  void depart(NodeIndex owner) {
-    for (const Uint160& id : lists_.at(owner)) vnodes_.erase(id);
-    lists_.erase(owner);
-  }
-  /// The vnode keeps its owner and its place in the owner's list.
-  void move_vnode(const Uint160& old_id, const Uint160& new_id) {
-    const NodeIndex owner = vnodes_.at(old_id);
-    vnodes_.erase(old_id);
-    vnodes_[new_id] = owner;
-    for (Uint160& id : lists_.at(owner)) {
-      if (id == old_id) id = new_id;
-    }
-  }
-  void add_key(const Uint160& key) { keys_.insert(key); }
-
-  bool alive(NodeIndex owner) const { return lists_.count(owner) != 0; }
-  std::vector<Uint160> list(NodeIndex owner) const {
-    const auto it = lists_.find(owner);
-    return it == lists_.end() ? std::vector<Uint160>{} : it->second;
-  }
-
-  Uint160 owner_vnode(const Uint160& key) const {
-    auto it = vnodes_.lower_bound(key);
-    if (it == vnodes_.end()) it = vnodes_.begin();
-    return it->first;
-  }
-
-  std::map<NodeIndex, std::uint64_t> owner_loads() const {
-    std::map<NodeIndex, std::uint64_t> loads;
-    for (const auto& key : keys_) {
-      loads[vnodes_.at(owner_vnode(key))] += 1;
-    }
-    return loads;
-  }
-
-  std::multiset<Uint160> vnode_keys(const Uint160& vnode) const {
-    std::multiset<Uint160> out;
-    for (const auto& key : keys_) {
-      if (owner_vnode(key) == vnode) out.insert(key);
-    }
-    return out;
-  }
-
-  std::uint64_t total_keys() const { return keys_.size(); }
-  const std::map<Uint160, NodeIndex>& vnodes() const { return vnodes_; }
-
- private:
-  std::map<Uint160, NodeIndex> vnodes_;
-  std::map<NodeIndex, std::vector<Uint160>> lists_;
-  std::multiset<Uint160> keys_;
-};
 
 class WorldReferenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -103,13 +39,7 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   World world(params, world_rng);
 
   // Mirror the exact initial state (vnodes + real keys).
-  ReferenceModel ref;
-  for (const NodeIndex idx : world.alive_indices()) {
-    for (const Slot slot : world.physical(idx).vnode_slots) {
-      ref.add_vnode(world.vnode_id(slot), idx);
-      for (const auto& key : world.vnode_keys(slot)) ref.add_key(key);
-    }
-  }
+  ReferenceModel ref = ReferenceModel::mirror(world);
   ASSERT_EQ(ref.total_keys(), world.remaining_tasks());
 
   auto check_agreement = [&](int step) {
@@ -156,7 +86,7 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   for (int step = 0; step < 100; ++step) {
     const auto alive = world.alive_indices();
     const NodeIndex idx = alive[op_rng.below(alive.size())];
-    switch (op_rng.below(5)) {
+    switch (op_rng.below(6)) {
       case 0: {  // sybil at an explicit fresh ID
         const Uint160 id = op_rng.uniform_u160();
         if (world.create_sybil(idx, id)) ref.add_vnode(id, idx);
@@ -196,6 +126,14 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
         if (world.move_vnode(slot, new_id)) ref.move_vnode(old_id, new_id);
         break;
       }
+      case 5: {  // a named waiting node joins at a chosen ID
+        const auto& waiting = world.waiting_indices();
+        if (waiting.empty()) break;
+        const NodeIndex joiner = waiting[op_rng.below(waiting.size())];
+        const Uint160 id = op_rng.uniform_u160();
+        if (world.join_at(joiner, id)) ref.add_vnode(id, joiner);
+        break;
+      }
     }
     check_agreement(step);
   }
@@ -216,13 +154,7 @@ TEST_P(WorldReferenceTest, InjectedBatchesAppendInBatchOrder) {
   params.total_tasks = 600;
   World world(params, world_rng);
 
-  ReferenceModel ref;
-  for (const NodeIndex idx : world.alive_indices()) {
-    for (const Slot slot : world.physical(idx).vnode_slots) {
-      ref.add_vnode(world.vnode_id(slot), idx);
-      for (const auto& key : world.vnode_keys(slot)) ref.add_key(key);
-    }
-  }
+  ReferenceModel ref = ReferenceModel::mirror(world);
 
   support::Rng op_rng(seed + 2);
   for (int step = 0; step < 30; ++step) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <tuple>
 
+#include "sim/world_reference_model.hpp"
 #include "sim/world_testing.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
@@ -277,6 +279,63 @@ TEST(World, JoinFromEmptyPoolFails) {
   World w(small_params(3, 100), rng);
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(w.join_from_pool(rng).has_value());
   EXPECT_FALSE(w.join_from_pool(rng).has_value());
+}
+
+TEST(World, JoinAtAdmitsTheNamedNodeWithExactlyItsArcKeys) {
+  Rng rng(17);
+  World w(small_params(20, 5000), rng);
+  testing::ReferenceModel ref = testing::ReferenceModel::mirror(w);
+  // Not the pool's next joiner: join_at admits the node it is given.
+  const NodeIndex joiner = w.waiting_indices().front();
+  ASSERT_NE(joiner, w.waiting_indices().back());
+  const ArcView arc = w.arc_of(w.primary_slot(w.alive_indices()[4]));
+  const Uint160 id = support::arc_midpoint(arc.pred, arc.id);
+
+  const auto acquired = w.join_at(joiner, id);
+  ASSERT_TRUE(acquired.has_value());
+  ref.add_vnode(id, joiner);
+  EXPECT_TRUE(w.is_alive(joiner));
+  EXPECT_EQ(w.vnode_id(w.primary_slot(joiner)), id);
+  EXPECT_EQ(w.alive_count(), 21u);
+  EXPECT_EQ(w.waiting_count(), 19u);
+  const std::multiset<Uint160> expected = ref.vnode_keys(id);
+  const auto& keys = w.vnode_keys(w.primary_slot(joiner));
+  EXPECT_EQ(std::multiset<Uint160>(keys.begin(), keys.end()), expected);
+  EXPECT_EQ(*acquired, expected.size());
+  EXPECT_GT(*acquired, 0u) << "half an occupied arc holds keys";
+  EXPECT_EQ(w.workload(joiner), *acquired);
+  for (const auto& [vnode, owner] : ref.vnodes()) {
+    const auto& held = w.vnode_keys(testing::slot_at_id(w, vnode));
+    EXPECT_EQ(std::multiset<Uint160>(held.begin(), held.end()),
+              ref.vnode_keys(vnode))
+        << "vnode " << vnode;
+  }
+  EXPECT_TRUE(w.alive_index_consistent());
+  EXPECT_TRUE(AuditClean(w));
+}
+
+TEST(World, JoinAtATakenIdLeavesTheNodeWaiting) {
+  Rng rng(18);
+  World w(small_params(10, 1000), rng);
+  const NodeIndex joiner = w.waiting_indices()[2];
+  const Uint160 taken = w.vnode_id(w.primary_slot(w.alive_indices()[3]));
+  EXPECT_FALSE(w.join_at(joiner, taken).has_value());
+  EXPECT_FALSE(w.is_alive(joiner));
+  EXPECT_EQ(w.waiting_count(), 10u);
+  EXPECT_NE(std::find(w.waiting_indices().begin(), w.waiting_indices().end(),
+                      joiner),
+            w.waiting_indices().end());
+  EXPECT_EQ(w.vnode_count(), 10u);
+  EXPECT_TRUE(w.alive_index_consistent());
+  EXPECT_TRUE(AuditClean(w));
+}
+
+TEST(WorldDeathTest, JoinAtOnAnAliveNodeFailsACheck) {
+  Rng rng(19);
+  World w(small_params(10, 1000), rng);
+  const NodeIndex alive = w.alive_indices()[0];
+  EXPECT_DEATH((void)w.join_at(alive, Uint160{7}),
+               "DHTLB_CHECK failed.*join_at: node [0-9]+ is not waiting");
 }
 
 TEST(World, SuccessorsOfWalkClockwise) {
