@@ -1,6 +1,7 @@
 #include "harness/telemetry.hpp"
 
 #include <fstream>
+#include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -87,6 +88,10 @@ void Telemetry::record(const std::string& cell, const std::string& metric,
   r.trials = trials;
   r.peak_rss_bytes = peak_rss_bytes;
   support::MutexLock lock(mu_);
+  if (!keys_.emplace(cell, metric).second) {
+    throw std::logic_error("telemetry: " + experiment_ + " records cell '" +
+                           cell + "' metric '" + metric + "' twice");
+  }
   records_.push_back(std::move(r));
 }
 

@@ -29,7 +29,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/sync.hpp"
@@ -93,7 +95,9 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Appends one record, stamped with the constructor's seed.
+  /// Appends one record, stamped with the constructor's seed.  Throws
+  /// std::logic_error, naming the pair, if (cell, metric) was already
+  /// recorded: a file holds each pair once.
   void record(const std::string& cell, const std::string& metric,
               double value, std::uint64_t trials,
               std::uint64_t peak_rss_bytes = 0) EXCLUDES(mu_);
@@ -120,6 +124,7 @@ class Telemetry {
   std::string dir_;
   mutable support::Mutex mu_;
   std::vector<Record> records_ GUARDED_BY(mu_);
+  std::set<std::pair<std::string, std::string>> keys_ GUARDED_BY(mu_);
 };
 
 }  // namespace dhtlb::bench

@@ -4,6 +4,8 @@
 // is cheap.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "chord/network.hpp"
 #include "chord/sybil_placement.hpp"
 #include "hashing/sha1.hpp"
@@ -19,14 +21,9 @@ using dhtlb::support::Rng;
 Network build_network(std::size_t n, std::uint64_t seed) {
   Network net(5);
   Rng rng(seed);
-  const NodeId first = Sha1::hash_u64(rng());
-  net.create(first);
-  for (std::size_t i = 1; i < n; ++i) {
-    net.join(Sha1::hash_u64(rng()), first);
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<NodeId> ids(n);
+  for (NodeId& id : ids) id = Sha1::hash_u64(rng());
+  net.bootstrap(ids, 4);
   return net;
 }
 

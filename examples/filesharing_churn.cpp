@@ -33,6 +33,11 @@ int main(int argc, char** argv) {
   try {
     peers = support::positional_count(argc, argv, 1, "peers", 64);
     chunks = support::positional_count(argc, argv, 2, "chunks", 2000);
+    if (peers > chord::kMaxBootstrapNodes) {
+      throw std::invalid_argument(
+          "peers: at most " + std::to_string(chord::kMaxBootstrapNodes) +
+          ": " + std::to_string(peers));
+    }
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "filesharing_churn: %s\n", e.what());
     return 1;
@@ -41,14 +46,9 @@ int main(int argc, char** argv) {
 
   // Bootstrap the swarm.
   chord::Network net(5);
-  const auto first = hashing::Sha1::hash_u64(rng());
-  net.create(first);
-  for (std::size_t i = 1; i < peers; ++i) {
-    net.join(hashing::Sha1::hash_u64(rng()), first);
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<chord::NodeId> initial(peers);
+  for (chord::NodeId& id : initial) id = hashing::Sha1::hash_u64(rng());
+  net.bootstrap(initial, 4);
   std::printf("swarm: %zu peers, ring consistent: %s\n", net.size(),
               net.ring_consistent() ? "yes" : "no");
 

@@ -72,6 +72,12 @@ ComputeResult run_compute(const sim::Params& params, std::string_view strategy,
     throw std::invalid_argument(
         "run_compute: mark-failed-ranges true has no protocol form");
   }
+  if (params.initial_nodes > kMaxBootstrapNodes) {
+    throw std::invalid_argument("run_compute: nodes " +
+                                std::to_string(params.initial_nodes) +
+                                " exceeds the chord bootstrap limit " +
+                                std::to_string(kMaxBootstrapNodes));
+  }
 
   // The data plane draws the node IDs, then the task keys, from the
   // run's one RNG; the protocol bootstrap below draws nothing.
@@ -101,15 +107,9 @@ ComputeResult run_compute(const sim::Params& params, std::string_view strategy,
   };
 
   // --- membership bootstrap (protocol joins, costed) ---------------------
-  const NodeId bootstrap = primary_id(0);
-  net.create(bootstrap);
-  for (NodeIndex idx = 1; idx < params.initial_nodes; ++idx) {
-    DHTLB_CHECK(net.join(primary_id(idx), bootstrap),
-                "run_compute: bootstrap join of node " << idx << " failed");
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<NodeId> ids(params.initial_nodes);
+  for (NodeIndex idx = 0; idx < ids.size(); ++idx) ids[idx] = primary_id(idx);
+  net.bootstrap(ids, 4);
 
   const std::uint64_t capacity = world.initial_capacity();
   result.ideal_ticks = (world.total_tasks() + capacity - 1) / capacity;

@@ -1,6 +1,7 @@
 #include "chord/network.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 #include "support/ring_math.hpp"
@@ -34,6 +35,25 @@ bool Network::join(NodeId id, NodeId bootstrap) {
   // our predecessor) through stabilize/notify, per the protocol.
   nodes_.emplace(id, std::move(node));
   return true;
+}
+
+void Network::bootstrap(std::span<const NodeId> ids, int settle_rounds) {
+  if (ids.empty() || ids.size() > kMaxBootstrapNodes) {
+    throw std::invalid_argument(
+        "Network::bootstrap: " + std::to_string(ids.size()) +
+        " nodes (a bootstrap builds 1.." + std::to_string(kMaxBootstrapNodes) +
+        ")");
+  }
+  create(ids[0]);
+  for (const NodeId& id : ids.subspan(1)) {
+    if (!join(id, ids[0])) {
+      throw std::invalid_argument("Network::bootstrap: duplicate id " +
+                                  id.to_short_hex());
+    }
+    stabilize(2);  // integrate before the next joiner, like a real ring
+  }
+  stabilize(settle_rounds);
+  build_all_fingers();
 }
 
 void Network::leave(NodeId id) {

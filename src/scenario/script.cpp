@@ -391,6 +391,12 @@ Script parse_lines(std::string_view text, Cursor& cur) {
       fail_at(cur.line, "chord scenarios need a 'ticks' horizon (the "
                         "protocol run has no natural end)");
     }
+    if (script.params.initial_nodes > chord::kMaxBootstrapNodes) {
+      fail_at(header_lines.at("nodes"),
+              "nodes " + std::to_string(script.params.initial_nodes) +
+                  " exceeds the chord bootstrap limit " +
+                  std::to_string(chord::kMaxBootstrapNodes));
+    }
   }
   script.params.validate();  // a failure is reported at the last line
   return script;

@@ -252,10 +252,17 @@ ScenarioResult run_sim(const Script& script, std::uint64_t seed,
 
 // --- chord substrate ------------------------------------------------------
 
-chord::NodeId pick_node(const chord::Network& net, Rng& rng) {
-  const std::vector<chord::NodeId> ids = net.node_ids();
+chord::NodeId pick_node(const std::vector<chord::NodeId>& ids, Rng& rng) {
   DHTLB_CHECK(!ids.empty(), "scenario: chord ring is empty");
   return ids[rng.below(ids.size())];
+}
+
+/// The next sequential SHA-1 id not yet `taken`: the one fresh-id rule
+/// of the bootstrap and of `join` events.
+chord::NodeId fresh_id(std::uint64_t& next_id, const auto& taken) {
+  chord::NodeId id = hashing::Sha1::hash_u64(next_id++);
+  while (taken(id)) id = hashing::Sha1::hash_u64(next_id++);
+  return id;
 }
 
 void apply_chord_event(const Event& e, chord::Network& net, Rng& rng,
@@ -264,35 +271,38 @@ void apply_chord_event(const Event& e, chord::Network& net, Rng& rng,
   switch (e.kind) {
     case Event::Kind::kJoin:
       for (std::uint64_t i = 0; i < e.count; ++i) {
-        chord::NodeId id = hashing::Sha1::hash_u64(next_id++);
-        while (net.contains(id)) id = hashing::Sha1::hash_u64(next_id++);
-        if (net.join(id, pick_node(net, rng))) ++counters.joins;
+        const chord::NodeId id = fresh_id(
+            next_id, [&](const chord::NodeId& c) { return net.contains(c); });
+        if (net.join(id, pick_node(net.node_ids(), rng))) ++counters.joins;
       }
       break;
     case Event::Kind::kLeave:
       for (std::uint64_t i = 0; i < e.count; ++i) {
         if (net.size() <= 1) break;
-        net.leave(pick_node(net, rng));
+        net.leave(pick_node(net.node_ids(), rng));
         ++counters.leaves;
       }
       break;
     case Event::Kind::kCrash:
       for (std::uint64_t i = 0; i < e.count; ++i) {
         if (net.size() <= 1) break;
-        net.fail(pick_node(net, rng));
+        net.fail(pick_node(net.node_ids(), rng));
         ++counters.crashes;
       }
       break;
-    case Event::Kind::kLookup:
+    case Event::Kind::kLookup: {
+      // Lookups change no membership, so one id list serves the event.
+      const std::vector<chord::NodeId> ids = net.node_ids();
       for (std::uint64_t i = 0; i < e.count; ++i) {
         const Uint160 key = rng.uniform_u160();
         const chord::NodeId truth = net.true_owner(key);
-        const chord::LookupResult res = net.lookup(pick_node(net, rng), key);
+        const chord::LookupResult res = net.lookup(pick_node(ids, rng), key);
         ++counters.lookups;
         counters.lookup_hops += static_cast<std::uint64_t>(res.hops);
         if (res.owner == truth) ++counters.lookups_correct;
       }
       break;
+    }
     case Event::Kind::kFault:
       for (const FaultKind& kind : fault_kinds()) {
         if (kind.name == e.text) faults.*kind.probability = e.value;
@@ -346,20 +356,18 @@ ScenarioResult run_chord(const Script& script, std::uint64_t seed,
   chord::Network net(script.params.num_successors);
   Rng vm_rng(support::mix_seed(seed, kVmStream));
 
-  // Bootstrap: sequential SHA-1 IDs, every joiner via node 0, then
-  // stabilize until pointers settle and fingers are fully built.  All
-  // of this happens before faults can be enabled, so the starting ring
-  // is consistent regardless of the script.
+  // Bootstrap: sequential SHA-1 IDs, settled until the successor lists
+  // fill.  All of this happens before faults can be enabled, so the
+  // starting ring is consistent regardless of the script.
   std::uint64_t next_id = 0;
-  const chord::NodeId first = net.create(hashing::Sha1::hash_u64(next_id++));
-  for (std::size_t i = 1; i < script.params.initial_nodes; ++i) {
-    chord::NodeId id = hashing::Sha1::hash_u64(next_id++);
-    while (net.contains(id)) id = hashing::Sha1::hash_u64(next_id++);
-    net.join(id, first);
-    net.stabilize(2);  // integrate before the next joiner, like a real ring
+  std::vector<chord::NodeId> initial;
+  initial.reserve(script.params.initial_nodes);
+  while (initial.size() < script.params.initial_nodes) {
+    initial.push_back(fresh_id(next_id, [&](const chord::NodeId& c) {
+      return std::ranges::find(initial, c) != initial.end();
+    }));
   }
-  net.stabilize(static_cast<int>(script.params.num_successors) + 2);
-  net.build_all_fingers();
+  net.bootstrap(initial, static_cast<int>(script.params.num_successors) + 2);
   DHTLB_CHECK(net.ring_consistent(),
               "scenario: chord bootstrap left an inconsistent ring");
 

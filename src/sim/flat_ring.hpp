@@ -10,8 +10,9 @@
 //    sorted blocks of fewer than kBlockCapacity entries, plus a summary
 //    vector holding each block's largest id.  lower_bound picks the
 //    block from the summary and the position inside it, both with the
-//    shared interpolate-then-gallop kernel of support/sorted_search.hpp (the
-//    one RingView's lookups use); successor/predecessor steps walk a
+//    interpolate-then-gallop kernel of support/sorted_search.hpp (whose
+//    binary search RingView's lookups run on one radix bucket);
+//    successor/predecessor steps walk a
 //    position within a block and cross to the neighbouring block at its
 //    ends (O(1) steps on contiguous memory instead of tree pointer
 //    chases);
@@ -104,7 +105,7 @@ class FlatRing {
 
   /// Position of one vnode in the index: entry `pos` of block `block`.
   /// next()/prev() walk the ring clockwise and counterclockwise with
-  /// wrap-around.  Invalidated by any mutation (insert/erase/
+  /// wrap-around.  Invalidated by any mutation (insert_at/erase_at/
   /// finalize_bulk) — same contract as the old map iterators.  Slots,
   /// by contrast, stay valid.
   struct Cursor {

@@ -5,6 +5,10 @@
 
 namespace dhtlb::support {
 
+void Rng::check_below_bound(std::uint64_t n) {
+  DHTLB_CHECK(n != 0, "Rng::below(0): the range [0, 0) is empty");
+}
+
 Uint160 Rng::uniform_in_arc(const Uint160& a, const Uint160& b) {
   // Rejection sampling over the whole ring would be hopeless for narrow
   // arcs, so sample an offset in [1, distance) directly.  The arc length

@@ -89,7 +89,7 @@ class Rng {
   }
 
   /// Uniform integer in [0, n) via Lemire's unbiased multiply-shift
-  /// rejection method.  n must be nonzero.
+  /// rejection method.  n must be nonzero (a DHTLB_CHECK).
   constexpr std::uint64_t below(std::uint64_t n) {
     // 128-bit multiply; __uint128_t is available on all GCC/Clang targets
     // this project supports (__extension__ silences the pedantic warning).
@@ -100,7 +100,10 @@ class Rng {
     std::uint64_t x = (*this)();
     U128 m = mul(x, n);
     auto low = static_cast<std::uint64_t>(m);
-    if (low < n) {
+    // `low <= n - 1` is `low < n` for n >= 1, and always true for n == 0,
+    // so the zero check costs nothing outside the rare rejection branch.
+    if (low <= n - 1) {
+      check_below_bound(n);
       const std::uint64_t threshold = (0 - n) % n;
       while (low < threshold) {
         x = (*this)();
@@ -113,7 +116,9 @@ class Rng {
 
   /// Uniform integer in the inclusive range [lo, hi].
   constexpr std::uint64_t range(std::uint64_t lo, std::uint64_t hi) {
-    return lo + below(hi - lo + 1);
+    const std::uint64_t span = hi - lo + 1;
+    // The full 64-bit range has 2^64 values: its span wraps to 0.
+    return span == 0 ? (*this)() : lo + below(span);
   }
 
   /// Uniform 160-bit value: a uniformly random point on the Chord ring.
@@ -135,6 +140,10 @@ class Rng {
   Rng fork() { return Rng{mix_seed((*this)(), (*this)())}; }
 
  private:
+  /// Fails a DHTLB_CHECK when n == 0.  Out of line: the check's report
+  /// builder cannot live in a constexpr function.
+  static void check_below_bound(std::uint64_t n);
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "support/thread_pool.hpp"
 
@@ -132,6 +134,22 @@ TEST(Telemetry, RecordCapturesSeedAndRss) {
   EXPECT_DOUBLE_EQ(t.records()[0].value, 2.5);
 }
 
+// A file holds each (cell, metric) pair once; a repeat is a bench bug
+// (it once recorded one tableR cell twice) and names the pair.
+TEST(Telemetry, RepeatedCellMetricPairIsRejected) {
+  Telemetry t("unit", 7, ::testing::TempDir());
+  t.record("a", "m", 1.0, 2);
+  t.record("a", "n", 1.0, 2);
+  t.record("b", "m", 1.0, 2);
+  try {
+    t.record("a", "m", 2.0, 2);
+    ADD_FAILURE() << "a repeated pair was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "telemetry: unit records cell 'a' metric 'm' twice");
+  }
+  EXPECT_EQ(t.records().size(), 3u);
+}
+
 TEST(Telemetry, IdenticalRunsProduceIdenticalJson) {
   auto run = [] {
     Telemetry t("unit", 7, ::testing::TempDir());
@@ -181,7 +199,7 @@ TEST(Telemetry, ConcurrentRecordsAreAllKept) {
   support::ThreadPool pool(4);
   pool.parallel_for(kTasks, [&](std::size_t task) {
     for (int i = 0; i < kRecordsPerTask; ++i) {
-      t.record("cell/" + std::to_string(task), "m", 1.0, 1);
+      t.record("cell/" + std::to_string(task), std::to_string(i), 1.0, 1);
     }
   });
   EXPECT_EQ(t.records().size(), kTasks * kRecordsPerTask);

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "chord/network.hpp"
 #include "hashing/sha1.hpp"
@@ -44,14 +45,9 @@ TEST_P(ChurnStress, RingReconvergesAndLookupsStayExact) {
   const StressCase& c = GetParam();
   Network net(5);
   Rng rng(0xC0FFEE + c.ring_size);
-  const NodeId first = hashing::Sha1::hash_u64(rng());
-  net.create(first);
-  for (std::size_t i = 1; i < c.ring_size; ++i) {
-    ASSERT_TRUE(net.join(hashing::Sha1::hash_u64(rng()), first));
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<NodeId> initial(c.ring_size);
+  for (NodeId& id : initial) id = hashing::Sha1::hash_u64(rng());
+  net.bootstrap(initial, 4);
   ASSERT_TRUE(net.ring_consistent());
 
   for (int wave = 0; wave < c.waves; ++wave) {

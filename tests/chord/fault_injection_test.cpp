@@ -17,13 +17,9 @@ using hashing::Sha1;
 
 Network build_ring(std::size_t n) {
   Network net(4);
-  const NodeId first = net.create(Sha1::hash_u64(0));
-  for (std::size_t i = 1; i < n; ++i) {
-    net.join(Sha1::hash_u64(i), first);
-    net.stabilize(2);
-  }
-  net.stabilize(6);
-  net.build_all_fingers();
+  std::vector<NodeId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = Sha1::hash_u64(i);
+  net.bootstrap(ids, 6);
   EXPECT_TRUE(net.ring_consistent());
   return net;
 }

@@ -4,6 +4,8 @@
 // accounting has to be precise.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "chord/network.hpp"
 #include "hashing/sha1.hpp"
 #include "support/rng.hpp"
@@ -17,14 +19,9 @@ using support::Uint160;
 Network settled_ring(std::size_t n, std::uint64_t seed) {
   Network net(5);
   Rng rng(seed);
-  const NodeId first = hashing::Sha1::hash_u64(rng());
-  net.create(first);
-  for (std::size_t i = 1; i < n; ++i) {
-    net.join(hashing::Sha1::hash_u64(rng()), first);
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<NodeId> ids(n);
+  for (NodeId& id : ids) id = hashing::Sha1::hash_u64(rng());
+  net.bootstrap(ids, 4);
   net.stats().reset();
   return net;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "hashing/sha1.hpp"
 #include "support/rng.hpp"
@@ -18,14 +19,9 @@ Network make_ring(std::size_t n, std::uint64_t seed,
                   std::size_t successor_list = 5) {
   Network net(successor_list);
   Rng rng(seed);
-  const NodeId first = hashing::Sha1::hash_u64(rng());
-  net.create(first);
-  for (std::size_t i = 1; i < n; ++i) {
-    net.join(hashing::Sha1::hash_u64(rng()), first);
-    net.stabilize(2);  // let each join settle before the next
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<NodeId> ids(n);
+  for (NodeId& id : ids) id = hashing::Sha1::hash_u64(rng());
+  net.bootstrap(ids, 4);
   return net;
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "chord/network.hpp"
 #include "chord/sybil_placement.hpp"
@@ -142,21 +143,16 @@ TEST(Integration, ChordSubstrateValidatesSimAssumptions) {
   // ring stays consistent; check both on the protocol substrate.
   chord::Network net(5);
   support::Rng rng(13);
-  const auto first = hashing::Sha1::hash_u64(rng());
-  net.create(first);
-  for (int i = 1; i < 40; ++i) {
-    ASSERT_TRUE(net.join(hashing::Sha1::hash_u64(rng()), first));
-    net.stabilize(2);
-  }
-  net.stabilize(4);
-  net.build_all_fingers();
+  std::vector<chord::NodeId> initial(40);
+  for (chord::NodeId& id : initial) id = hashing::Sha1::hash_u64(rng());
+  net.bootstrap(initial, 4);
   ASSERT_TRUE(net.ring_consistent());
 
   // Sybil placement into a specific gap via hash search, then join there.
   const auto ids = net.node_ids();
   const auto placement = chord::place_by_hash_search(ids[0], ids[1], rng);
   ASSERT_TRUE(placement.has_value());
-  EXPECT_TRUE(net.join(placement->id, first));
+  EXPECT_TRUE(net.join(placement->id, initial[0]));
   net.stabilize(4);
   EXPECT_TRUE(net.ring_consistent());
   EXPECT_EQ(net.true_owner(placement->id), placement->id);

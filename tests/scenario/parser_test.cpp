@@ -343,6 +343,14 @@ TEST(ScenarioParser, ChordNeedsHorizon) {
   expect_error("name x\nsubstrate chord\n", 2, "'ticks' horizon");
 }
 
+TEST(ScenarioParser, ChordNodesAboveTheBootstrapLimit) {
+  expect_error("name x\nsubstrate chord\nnodes 4097\nticks 10\n", 3,
+               "nodes 4097 exceeds the chord bootstrap limit 4096");
+  EXPECT_EQ(parse("name x\nsubstrate chord\nnodes 4096\nticks 10\n")
+                .params.initial_nodes,
+            4096u);
+}
+
 TEST(ScenarioParser, OpenEndedEveryNeedsHorizon) {
   expect_error("name x\nevery 10\n  join 1\nend\n", 2, "needs 'until'");
 }

@@ -108,6 +108,49 @@ TEST(Rng, RangeSingleton) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(rng.range(5, 5), 5u);
 }
 
+// Draws recorded before below() gained its zero check: the check must
+// move no draw for any n >= 1, down to the edges of the 64-bit range.
+TEST(Rng, BelowDrawsArePinned) {
+  struct Case {
+    std::uint64_t n;
+    std::uint64_t draws[6];
+  };
+  const Case cases[] = {
+      {1, {0, 0, 0, 0, 0, 0}},
+      {3, {0, 2, 0, 0, 2, 0}},
+      {1ULL << 63,
+       {514598573274020759ULL, 7213634068577847346ULL, 664589519293982720ULL,
+        1473118889992868405ULL, 7135665370835387731ULL,
+        2258546705306200698ULL}},
+      {~0ULL,
+       {1029197146548041517ULL, 14427268137155694692ULL,
+        1329179038587965440ULL, 2946237779985736810ULL,
+        14271330741670775462ULL, 4517093410612401396ULL}},
+  };
+  for (const Case& c : cases) {
+    Rng rng(2024);
+    for (const std::uint64_t want : c.draws) {
+      EXPECT_EQ(rng.below(c.n), want) << "n = " << c.n;
+    }
+  }
+}
+
+// The full range [0, 2^64 - 1] has 2^64 values, one per raw draw.
+TEST(Rng, FullSpanRangeIsARawDraw) {
+  Rng rng(2024);
+  for (const std::uint64_t want :
+       {1029197146548041518ULL, 14427268137155694693ULL,
+        1329179038587965441ULL, 2946237779985736811ULL,
+        14271330741670775463ULL, 4517093410612401397ULL}) {
+    EXPECT_EQ(rng.range(0, ~0ULL), want);
+  }
+}
+
+TEST(RngDeathTest, BelowZeroFailsItsCheck) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.below(0), "context: Rng::below\\(0\\): the range");
+}
+
 TEST(Rng, UniformU160Distinct) {
   Rng rng(23);
   std::set<Uint160> seen;
