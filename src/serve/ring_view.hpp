@@ -25,27 +25,45 @@
 //
 // Both answer through a radix directory built at freeze time: with
 // w = bit_width(size), dir_[j] is the first index whose id has top w
-// bits >= j, so cover() binary-searches (support/sorted_search.hpp)
-// only the ids of the key's bucket [dir_[j], dir_[j+1]) — fewer than
-// one id on average, since ids are SHA-1 outputs, and O(log) ids even
-// when Sybils cluster.  Each hop is one such cover of its finger point,
-// so a hop costs O(1) whatever the ring size — but O(1) cache misses,
-// a dir_ entry and then an ids_ bucket, each waiting on the last.
+// bits >= j, so cover() searches only the ids of the key's bucket
+// [dir_[j], dir_[j+1]) — fewer than one id on average, since ids are
+// SHA-1 outputs, and O(log) ids even when Sybils cluster.  Each hop is
+// one such cover of its finger point, so a hop costs O(1) whatever the
+// ring size — but O(1) cache misses, a dir_ entry and then a bucket,
+// each waiting on the last.
+//
+// The ids are split in two arrays, 20 bytes per vnode as one Uint160
+// array would be: prefixes_, each id's top 64 bits, which every search
+// and every hop reads, and tails_, its low 96 bits, which they almost
+// never read.  A bucket search compares 64-bit prefixes
+// (support::prefix_lower_bound); only when it lands on a prefix equal
+// to the point's — clustered Sybils, not SHA-1 ids — does it rebuild
+// the full point and finish on full ids, tails included.  A hop's
+// finger comes from the prefix distance d = key_hi - cur_hi (mod 2^64)
+// too: when d >= 2 and d is not a power of two, the borrow from the low
+// 96 bits cannot change the distance's bit width, so the finger is
+// 2^(95 + bit_width(d)) and its point's prefix is cur_hi +
+// 2^(bit_width(d) - 1), with cur's own tail.  Any other d (0, 1, a
+// power of two) takes the full 160-bit distance from both tails.  Every
+// route index and hop count is exactly the full-id walk's.
 //
 // route_batch() is the one hop loop, and it overlaps those misses
 // across independent lookups.  It keeps kRouteLanes lookups in flight
 // and advances all of them one cover per round, in three lockstep
-// stages: (1) compute every lane's point (the key itself first, to
-// find the target, then each finger point) and touch its dir_ entry;
-// (2) read every lane's bucket bounds and touch the bucket's first id;
-// (3) search every bucket, count the hop, and retire the lanes that
-// reached their target, refilling them from the batch.  By the time a
-// stage reads a line, the stage before has touched it for every lane,
-// so a round pays about one miss latency instead of one per lane.  A
-// lookup's hops do not depend on its neighbours, so every result is
-// exactly what a walk on its own would give; route() is a batch of one.
+// stages: (1) compute every lane's point prefix (the key's first, to
+// find the target, then each finger point's) and touch its dir_ entry;
+// (2) read every lane's bucket bounds and touch the bucket's first
+// prefix; (3) search every bucket, count the hop, and retire the lanes
+// that reached their target, refilling them from the batch.  A round
+// thus reads dir_ and prefixes_, and tails_ only on a tie or an
+// ambiguous borrow.  By the time a stage reads a line, the stage
+// before has touched it for every lane, so a round pays about one miss
+// latency instead of one per lane.  A lookup's hops do not depend on
+// its neighbours, so every result is exactly what a walk on its own
+// would give; route() is a batch of one.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -87,17 +105,23 @@ class RingView {
   void refreeze(const sim::World& world, std::uint64_t tick);
 
   std::uint64_t tick() const { return tick_; }
-  std::size_t size() const { return ids_.size(); }
-  bool empty() const { return ids_.empty(); }
+  std::size_t size() const { return prefixes_.size(); }
+  bool empty() const { return prefixes_.empty(); }
 
   /// Physical-node count at freeze time.  Fixed for a whole run (the
   /// waiting pool is preallocated), so per-owner hit arrays sized once
   /// stay valid across every view of the run.
   std::size_t owner_count() const { return owner_count_; }
 
-  const Uint160& id_at(std::size_t i) const { return ids_[i]; }
-  NodeIndex owner_at(std::size_t i) const { return owners_[i]; }
-  bool sybil_at(std::size_t i) const { return sybils_[i] != 0; }
+  /// The full id of vnode i, rebuilt from its prefix and its tail.
+  Uint160 id_at(std::size_t i) const {
+    const Tail& tail = tails_[i];
+    return Uint160{{static_cast<std::uint32_t>(prefixes_[i] >> 32),
+                    static_cast<std::uint32_t>(prefixes_[i]), tail[0],
+                    tail[1], tail[2]}};
+  }
+  NodeIndex owner_at(std::size_t i) const { return owners_[i] & ~kSybilBit; }
+  bool sybil_at(std::size_t i) const { return (owners_[i] & kSybilBit) != 0; }
 
   /// Index of the vnode whose ownership arc covers `key`: the first
   /// vnode clockwise at or after it, wrapping past zero — exactly
@@ -106,7 +130,7 @@ class RingView {
 
   /// Clockwise neighbor, wrapping — the successor walk on the snapshot.
   std::size_t next(std::size_t i) const {
-    return i + 1 == ids_.size() ? 0 : i + 1;
+    return i + 1 == prefixes_.size() ? 0 : i + 1;
   }
 
   struct Route {
@@ -128,23 +152,35 @@ class RingView {
                    std::span<Route> out) const;
 
  private:
-  /// Bucket of `id` in dir_: its top dir_bits_ bits.
-  std::size_t bucket(const Uint160& id) const {
-    return static_cast<std::size_t>(id.high64() >> (64 - dir_bits_));
+  /// An id's low 96 bits, most significant limb first.
+  using Tail = std::array<std::uint32_t, 3>;
+
+  /// The Sybil flag's bit in an owners_ word; freeze checks that every
+  /// owner index fits below it.
+  static constexpr NodeIndex kSybilBit = NodeIndex{1} << 31;
+
+  /// Bucket of an id in dir_: the top dir_bits_ bits of its prefix.
+  std::size_t bucket(std::uint64_t prefix) const {
+    return static_cast<std::size_t>(prefix >> (64 - dir_bits_));
   }
 
-  /// The vnode covering `point`, given its bucket's bounds
-  /// [dir_[j], dir_[j+1]]: every id below the bucket is < point and
-  /// every id above it > point, so the answer lies in that range.
-  std::size_t cover_in(std::size_t lo, std::size_t hi,
-                       const Uint160& point) const;
+  /// The vnode covering a point whose top 64 bits are `prefix`, given
+  /// its bucket's bounds [dir_[j], dir_[j+1]]: every id below the
+  /// bucket is < point and every id above it > point, so the answer
+  /// lies in that range.  `full()` yields the whole point; it is called
+  /// only when an id in the bucket has the point's prefix.
+  template <typename FullPoint>
+  std::size_t cover_in(std::size_t lo, std::size_t hi, std::uint64_t prefix,
+                       const FullPoint& full) const;
 
   // Struct-of-arrays, ascending-id order (the freeze of FlatRing's
-  // index): the searches touch only dir_ and ids_, owner/Sybil
-  // metadata loads only for the final cover.
-  std::vector<Uint160> ids_;
+  // index): the searches touch dir_ and prefixes_, tails_ only on a
+  // prefix tie or an ambiguous borrow, and owners_ only for the final
+  // cover.  An owners_ word is the owner's index, with kSybilBit set
+  // on a Sybil vnode.
+  std::vector<std::uint64_t> prefixes_;
+  std::vector<Tail> tails_;
   std::vector<NodeIndex> owners_;
-  std::vector<std::uint8_t> sybils_;
   // Radix directory: 2^dir_bits_ + 1 entries, dir_[j] = first index
   // whose bucket is >= j; the last entry is size().
   std::vector<std::uint32_t> dir_;

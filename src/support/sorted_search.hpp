@@ -8,16 +8,20 @@
 // i.e. uniform on the ring, so the estimate is off by O(sqrt n) and the
 // final bracket stays small and cache-resident.  serve::RingView is
 // immutable once frozen, so it builds a radix directory instead, and
-// its cover() and route() hops binary_lower_bound one directory bucket.
+// its cover() and route() hops search one directory bucket with
+// prefix_lower_bound on an array of the ids' top 64 bits, falling back
+// to binary_lower_bound on full ids only when a prefix ties the point.
 //
-// The searches are templates on an id accessor `id_at(i) -> const
-// Uint160&` over an index range [lo, hi), so callers keep their own
-// layout (a flat array, a block of entries, a block-max summary).
+// The full-id searches are templates on an id accessor `id_at(i)`
+// returning a Uint160 over an index range [lo, hi), so callers keep
+// their own layout (a flat array, a block of entries, a block-max
+// summary, a prefix array plus its low-bit tails).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "support/uint160.hpp"
 
@@ -31,19 +35,33 @@ inline constexpr std::size_t kInterpolateMin = 16;
 /// entries in a block of a few hundred ids).
 inline constexpr std::size_t kGallopStep = 8;
 
-/// First i in [lo, hi) with id_at(i) >= id, or hi.
-template <typename IdAt>
-std::size_t binary_lower_bound(std::size_t lo, std::size_t hi,
-                               const Uint160& id, const IdAt& id_at) {
+/// First i in [lo, hi) with key_at(i) >= key, or hi.  The keys are
+/// full ids, or the ids' top 64 bits (prefix_lower_bound).
+template <typename Key, typename KeyAt>
+std::size_t binary_lower_bound(std::size_t lo, std::size_t hi, const Key& key,
+                               const KeyAt& key_at) {
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (id_at(mid) < id) {
+    if (key_at(mid) < key) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   return lo;
+}
+
+/// First i in [lo, hi) with prefixes[i] >= prefix, or hi, over the top
+/// 64 bits of sorted ids: one 8-byte compare per step.  It is the
+/// lower bound of every id with a different prefix; ids equal to
+/// `prefix` start at the answer, and only their low bits can order
+/// them against a full point, so a caller that lands on
+/// prefixes[i] == prefix finishes with binary_lower_bound on full ids.
+inline std::size_t prefix_lower_bound(std::span<const std::uint64_t> prefixes,
+                                      std::size_t lo, std::size_t hi,
+                                      std::uint64_t prefix) {
+  return binary_lower_bound(
+      lo, hi, prefix, [prefixes](std::size_t k) { return prefixes[k]; });
 }
 
 /// First i in [lo, hi) with id_at(i) >= id, or hi, searched outward

@@ -1,8 +1,8 @@
 // RingView: frozen-snapshot correctness — freeze vs the live world,
 // cover vs arc_covering, greedy perfect-finger routing (uniform rings,
 // directory-size boundaries, Sybil clusters), batched routing at lane
-// and refill boundaries, refreeze in place vs a fresh freeze, and
-// snapshot isolation under churn.
+// and refill boundaries, 64-bit prefix ties and borrows, refreeze in
+// place vs a fresh freeze, and snapshot isolation under churn.
 #include "serve/ring_view.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -348,6 +349,115 @@ TEST(RingViewTest, RouteBatchMatchesRouteOnSevenSeeds) {
   EXPECT_GE(max_hops, 8u);
 }
 
+// The id whose top 64 bits are `prefix` and whose low 96 bits are
+// `tail`'s (tail < 2^96).
+Uint160 with_prefix(std::uint64_t prefix, const Uint160& tail) {
+  return Uint160{prefix}.shl(96) + tail;
+}
+
+TEST(RingViewTest, PrefixTiesAndBorrowsRouteLikeTheReference) {
+  // Routes step on the ids' top 64 bits and read the low 96 only on a
+  // prefix tie, or when the borrow from the low bits could change the
+  // finger (prefix distance 0, 1 or a power of two).  Sybils at chosen
+  // ids force both: vnodes sharing one prefix, keys at prefix distance
+  // d in {0, 1, 2, 2^40 - 1, 2^40, 2^40 + 1, 2^63} from a vnode with
+  // low bits below and above the vnode's, and ties at the wrap past
+  // zero.  route, route_batch and cover must all match the references.
+  support::Rng rng(2718);
+  sim::World world(small_params(), rng);
+  const std::vector<NodeIndex> alive = world.alive_indices();
+
+  const Uint160 mid = Uint160::pow2(95) + Uint160{12345};
+  const Uint160 below = mid - Uint160::pow2(40);
+  const Uint160 above = mid + Uint160::pow2(40);
+  const Uint160 top_tail = Uint160::pow2(96) - Uint160{1};
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  const std::uint64_t p40 = std::uint64_t{1} << 40;
+  // Anchor prefixes: one mid-ring, one whose larger offsets wrap past
+  // zero.
+  const std::uint64_t anchors[] = {0x5555'5555'5555'5555u, 0 - (p40 >> 1)};
+  const std::uint64_t distances[] = {
+      0, 1, 2, p40 - 1, p40, p40 + 1, std::uint64_t{1} << 63};
+
+  std::set<Uint160> sybil_ids;
+  for (const std::uint64_t a : anchors) {
+    // A vnode at every key prefix below and at every finger prefix a
+    // walk from the anchor can take, all with the anchor's low bits —
+    // so the finger points tie them exactly.
+    for (const std::uint64_t x :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2}, p40 >> 1,
+          p40 - 1, p40, p40 + 1, std::uint64_t{1} << 62,
+          std::uint64_t{1} << 63}) {
+      sybil_ids.insert(with_prefix(a + x, mid));
+    }
+    // Three vnodes on one prefix, twice.
+    for (const std::uint64_t x : {std::uint64_t{0}, p40}) {
+      sybil_ids.insert(with_prefix(a + x, below));
+      sybil_ids.insert(with_prefix(a + x, above));
+    }
+  }
+  // Equal prefixes at both ends of the ring.
+  for (const Uint160& tail : {below, mid}) {
+    sybil_ids.insert(with_prefix(kTop, tail));
+  }
+  for (const Uint160& tail : {mid, above}) {
+    sybil_ids.insert(with_prefix(0, tail));
+  }
+  std::size_t owner = 0;
+  for (const Uint160& id : sybil_ids) {
+    ASSERT_TRUE(world.create_sybil(alive[owner++ % alive.size()], id))
+        << id;
+  }
+  const RingView view = RingView::freeze(world, 0);
+  const std::size_t n = view.size();
+  ASSERT_EQ(n, small_params().initial_nodes + sybil_ids.size());
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (view.id_at(i).high64() == view.id_at(i - 1).high64()) ++ties;
+  }
+  ASSERT_GE(ties, 6u);
+
+  std::vector<Uint160> keys;
+  for (const std::uint64_t a : anchors) {
+    for (const std::uint64_t d : distances) {
+      keys.push_back(with_prefix(a + d, below));
+      keys.push_back(with_prefix(a + d, above));
+    }
+  }
+  // Past the largest id (a tie on the top prefix that wraps to index
+  // 0) and before the smallest.
+  keys.push_back(with_prefix(kTop, above));
+  keys.push_back(with_prefix(kTop, top_tail));
+  keys.push_back(with_prefix(0, below));
+  keys.push_back(Uint160::zero());
+  const Uint160 one{1};
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(view.id_at(i) - one);
+    keys.push_back(view.id_at(i));
+    keys.push_back(view.id_at(i) + one);
+  }
+
+  // Every key from every origin: the anchors stand at each chosen
+  // prefix distance from the keys built on them.
+  std::vector<Uint160> batch_keys;
+  std::vector<std::size_t> batch_origins;
+  const std::vector<Uint160> ids = ids_of(view);
+  for (const Uint160& key : keys) {
+    const std::size_t expect = successor_walk(view, key, 0);
+    ASSERT_EQ(view.cover(key), expect) << "key " << key;
+    for (std::size_t origin = 0; origin < n; ++origin) {
+      const RingView::Route ref = reference_route(ids, key, origin);
+      const RingView::Route route = view.route(key, origin);
+      ASSERT_EQ(route.index, expect) << "key " << key << " origin " << origin;
+      ASSERT_EQ(route.hops, ref.hops) << "key " << key << " origin " << origin;
+      batch_keys.push_back(key);
+      batch_origins.push_back(origin);
+    }
+  }
+  expect_batch_matches_reference(view, batch_keys, batch_origins,
+                                 "prefix ties");
+}
+
 TEST(RingViewTest, RefreezeEqualsFreshFreezeAfterChurnAndSybilWaves) {
   // One view refrozen in place, wave after wave, must equal a fresh
   // freeze of the same world: every field, and every cover.  The ring
@@ -436,6 +546,25 @@ TEST(RingViewDeathTest, RouteBatchSpanSizesMustMatch) {
   EXPECT_DEATH(view.route_batch(keys, three_origins, short_routes),
                "DHTLB_CHECK failed.*RingView::route_batch: 3 keys, 3 "
                "origins, 2 routes");
+}
+
+TEST(RingViewDeathTest, OriginOutOfRangeFailsACheck) {
+  // A Release build compiles DHTLB_ASSERT out, so an origin past the
+  // view must fail a check, not read past the arrays.
+  support::Rng rng(5);
+  sim::World world(small_params(), rng);
+  const RingView view = RingView::freeze(world, 0);
+  const std::string size = std::to_string(view.size());
+  EXPECT_DEATH((void)view.route(Uint160{1}, 7'000'000),
+               "DHTLB_CHECK failed.*RingView::route_batch: origin 7000000 "
+               "out of range for a view of " +
+                   size + " vnodes");
+  const std::vector<Uint160> keys(3, Uint160{1});
+  const std::vector<std::size_t> origins = {0, view.size(), 1};
+  std::vector<RingView::Route> routes(3);
+  EXPECT_DEATH(view.route_batch(keys, origins, routes),
+               "DHTLB_CHECK failed.*RingView::route_batch: origin " + size +
+                   " out of range for a view of " + size + " vnodes");
 }
 
 TEST(RingViewTest, SnapshotIsolationUnderChurn) {

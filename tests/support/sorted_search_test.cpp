@@ -1,8 +1,8 @@
 // The shared sorted-id kernel, differential against std::lower_bound:
 // every sub-range of small arrays on both sides of the interpolation
 // threshold, probes below, inside and above each range, ids that share
-// one top-64-bit value (the binary fallback), and estimates pinned at
-// both ends of a range.
+// one top-64-bit value (the binary fallback and the prefix search's
+// ties), and estimates pinned at both ends of a range.
 #include "support/sorted_search.hpp"
 
 #include <gtest/gtest.h>
@@ -62,11 +62,15 @@ std::vector<Uint160> probes_for(const std::vector<Uint160>& ids,
 
 // Checks interpolated_lower_bound on every [lo, hi) of `ids`, with the
 // range's own end ids as the interpolation bounds (as FlatRing passes a
-// block's neighbouring summary ids) and with the whole ring's bounds.
+// block's neighbouring summary ids) and with the whole ring's bounds;
+// and prefix_lower_bound on the ids' top 64 bits, alone and finished on
+// full ids on a tie, as RingView searches a bucket.
 void check_every_subrange(const std::vector<Uint160>& ids, Rng& rng) {
   const auto id_at = [&ids](std::size_t i) -> const Uint160& {
     return ids[i];
   };
+  std::vector<std::uint64_t> prefixes;
+  for (const Uint160& id : ids) prefixes.push_back(id.high64());
   for (std::size_t lo = 0; lo <= ids.size(); ++lo) {
     for (std::size_t hi = lo; hi <= ids.size(); ++hi) {
       const std::uint64_t lo_high = lo < hi ? ids[lo].high64() : 0;
@@ -74,6 +78,20 @@ void check_every_subrange(const std::vector<Uint160>& ids, Rng& rng) {
       for (const Uint160& probe : probes_for(ids, lo, hi, rng)) {
         const std::size_t want = expected(ids, lo, hi, probe);
         ASSERT_EQ(binary_lower_bound(lo, hi, probe, id_at), want);
+        const std::uint64_t prefix = probe.high64();
+        std::size_t i = prefix_lower_bound(prefixes, lo, hi, prefix);
+        ASSERT_EQ(i, static_cast<std::size_t>(
+                         std::lower_bound(prefixes.begin() +
+                                              static_cast<std::ptrdiff_t>(lo),
+                                          prefixes.begin() +
+                                              static_cast<std::ptrdiff_t>(hi),
+                                          prefix) -
+                         prefixes.begin()));
+        if (i < hi && prefixes[i] == prefix) {
+          i = binary_lower_bound(i, hi, probe, id_at);
+        }
+        ASSERT_EQ(i, want) << "range [" << lo << ", " << hi << ") probe "
+                           << probe;
         ASSERT_EQ(interpolated_lower_bound(lo, hi, lo_high, hi_high, probe,
                                            id_at),
                   want)
