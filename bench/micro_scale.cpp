@@ -6,12 +6,14 @@
 // invariant audit, one consume pass and one invitation round (the
 // tick's two serial node loops), churn
 // (join/depart cycles), and Sybil waves (bulk create_sybil growth),
-// the last two driving the blocked index's in-block shifts and splits.  These are
+// the last two driving the blocked index's in-block shifts and splits,
+// plus the bytes per vnode each layer holds (BM_ScaleBytesPerVnode).  These are
 // the throughput numbers the scaling work is judged by — see the
 // "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "lb/factory.hpp"
@@ -323,6 +325,56 @@ BENCHMARK(BM_ScaleSybilWave)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
+
+// Per-vnode counters of what a world holds, computed from capacities
+// (not RSS), prefixed with `prefix`: the index blocks, the slot arena,
+// the task-key slots against the live keys, and the physical records
+// with their slot lists.
+void count_bytes_per_vnode(benchmark::State& state, const World& w,
+                           const std::string& prefix) {
+  const FlatRing::Footprint ring = w.ring_footprint();
+  std::size_t physical = 0;
+  for (NodeIndex idx = 0; idx < w.physical_count(); ++idx) {
+    physical += sizeof(dhtlb::sim::PhysicalNode) +
+                w.physical(idx).vnode_slots.capacity() * sizeof(Slot);
+  }
+  const std::size_t key = sizeof(dhtlb::sim::TaskKey);
+  const double vnodes = static_cast<double>(w.vnode_count());
+  const auto per_vnode = [&](const char* name, std::size_t bytes) {
+    state.counters[prefix + name] = static_cast<double>(bytes) / vnodes;
+  };
+  per_vnode("index_B", ring.index_bytes);
+  per_vnode("arena_B", ring.arena_bytes);
+  per_vnode("task_cap_B", ring.task_key_capacity * key);
+  per_vnode("task_live_B", ring.task_keys * key);
+  per_vnode("physical_B", physical);
+  per_vnode("total_B", ring.index_bytes + ring.arena_bytes +
+                           ring.task_key_capacity * key + physical);
+}
+
+void BM_ScaleBytesPerVnode(benchmark::State& state) {
+  // Bytes per vnode of BM_ScaleCover's world, then of the same world
+  // after a Sybil wave (BM_ScaleSybilWave's: one create_sybil per alive
+  // node, so every insert splits an arc).  Times the accounting pass;
+  // the counters are the result.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  Rng rng(42);
+  World w(make_params(nodes, 2 * nodes), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.ring_footprint());
+  }
+  count_bytes_per_vnode(state, w, "");
+  Rng id_rng(7919);
+  for (const NodeIndex owner : std::vector<NodeIndex>(w.alive_indices())) {
+    benchmark::DoNotOptimize(w.create_sybil(owner, id_rng.uniform_u160()));
+  }
+  count_bytes_per_vnode(state, w, "wave_");
+}
+BENCHMARK(BM_ScaleBytesPerVnode)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

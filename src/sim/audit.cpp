@@ -1,6 +1,5 @@
 #include "sim/audit.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "support/ring_math.hpp"
@@ -184,6 +183,22 @@ void InvariantAuditor::check_successor_lists(AuditReport& report) const {
 
 void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
   const std::size_t physicals = world_.physical_count();
+  const std::vector<std::uint8_t> live = world_.vnode_live_marks();
+  // One pass over every owner list: listed[s] counts the entries naming
+  // slot s in the list of the node its arena entry names as owner, and
+  // primary[s] is set when s heads that list.  An arc then checks in
+  // O(1); a listed slot past the live marks is the pass below's finding.
+  std::vector<std::uint32_t> listed(live.size(), 0);
+  std::vector<std::uint8_t> primary(live.size(), 0);
+  for (NodeIndex idx = 0; idx < physicals; ++idx) {
+    const std::vector<Slot>& slots = world_.physical(idx).vnode_slots;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot s = slots[i];
+      if (s >= live.size() || world_.vnode_owner(s) != idx) continue;
+      ++listed[s];
+      if (i == 0) primary[s] = 1;
+    }
+  }
   world_.for_each_arc([&](const ArcView& arc) {
     const Uint160& id = arc.id;
     if (arc.owner >= physicals) {
@@ -199,17 +214,13 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
            << id.to_short_hex() << " owned by dead node " << arc.owner;
       });
     }
-    const std::vector<Slot>& slots = world_.physical(arc.owner).vnode_slots;
-    const auto listed =
-        std::count_if(slots.begin(), slots.end(),
-                      [&](Slot s) { return world_.vnode_id(s) == id; });
-    if (listed != 1) {
+    if (listed[arc.slot] != 1) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
-        os << "vnode " << id.to_short_hex() << " listed " << listed
+        os << "vnode " << id.to_short_hex() << " listed " << listed[arc.slot]
            << " times by its owner " << arc.owner << " (expected once)";
       });
     } else {
-      const bool is_primary = world_.vnode_id(slots.front()) == id;
+      const bool is_primary = primary[arc.slot] != 0;
       if (arc.is_sybil == is_primary) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
           os << "vnode " << id.to_short_hex() << " is_sybil flag disagrees"
@@ -219,8 +230,7 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
     }
   });
   // Every listed slot must be a live vnode owned by its lister, read
-  // from one sweep's live marks.  A freed slot left in a list fails here.
-  const std::vector<std::uint8_t> live = world_.vnode_live_marks();
+  // from the live marks.  A freed slot left in a list fails here.
   for (const NodeIndex idx : world_.alive_indices()) {
     const std::vector<Slot>& slots = world_.physical(idx).vnode_slots;
     if (slots.empty()) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <utility>
 
 #include "support/sorted_search.hpp"
 
@@ -120,15 +122,15 @@ FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
 }
 
 bool FlatRing::is_live(Slot s) const {
-  if (s >= ids_.size() || live_ == 0) return false;
-  const Cursor c = cover(ids_[s]);
-  return slot_at(c) == s && id_at(c) == ids_[s];
+  if (s >= arena_.size() || live_ == 0) return false;
+  const Cursor c = cover(arena_.id(s));
+  return slot_at(c) == s && id_at(c) == arena_.id(s);
 }
 
 std::vector<std::uint8_t> FlatRing::live_marks() const {
-  std::vector<std::uint8_t> marks(ids_.size(), 0);
+  std::vector<std::uint8_t> marks(arena_.size(), 0);
   for_each([&](const Uint160& id, Slot s) {
-    if (s < ids_.size() && ids_[s] == id) marks[s] = 1;
+    if (s < arena_.size() && arena_.id(s) == id) marks[s] = 1;
   });
   return marks;
 }
@@ -136,10 +138,11 @@ std::vector<std::uint8_t> FlatRing::live_marks() const {
 // --- cursors --------------------------------------------------------------
 
 FlatRing::Cursor FlatRing::cursor_of(Slot s) const {
-  DHTLB_CHECK(s < ids_.size(),
+  DHTLB_CHECK(s < arena_.size(),
               "FlatRing::cursor_of: slot " << s << " is past the arena");
-  const Cursor c = lower_bound(ids_[s]);
-  DHTLB_CHECK(holds(c, ids_[s]) && slot_at(c) == s,
+  const Uint160& id = arena_.id(s);
+  const Cursor c = lower_bound(id);
+  DHTLB_CHECK(holds(c, id) && slot_at(c) == s,
               "FlatRing::cursor_of: slot " << s << " holds no vnode in the "
                                               "ring (freed or stale)");
   return c;
@@ -213,29 +216,60 @@ FlatRing::Cursor FlatRing::last() const {
 
 // --- slot arena -----------------------------------------------------------
 
-Slot FlatRing::alloc_slot(const Uint160& id, NodeIndex owner, bool is_sybil) {
-  Slot s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-    ids_[s] = id;
-    owners_[s] = owner;
-    sybils_[s] = is_sybil ? 1 : 0;
-  } else {
-    s = static_cast<Slot>(ids_.size());
-    DHTLB_CHECK(s != kNoSlot, "FlatRing: slot arena exhausted");
-    ids_.push_back(id);
-    owners_.push_back(owner);
-    sybils_.push_back(is_sybil ? 1 : 0);
-    tasks_.emplace_back();
+FlatRing::Arena::Arena(const Arena& other) {
+  pages_.reserve(other.pages_.capacity());
+  for (Slot s = 0; s < other.size_; ++s) {
+    push(other.id(s), other.owner(s), other.sybil(s));
+    tasks(s) = other.tasks(s);
   }
+}
+
+FlatRing::Arena::Arena(Arena&& other) noexcept
+    : pages_(std::move(other.pages_)), size_(std::exchange(other.size_, 0)) {}
+
+FlatRing::Arena& FlatRing::Arena::operator=(Arena other) noexcept {
+  std::swap(pages_, other.pages_);
+  std::swap(size_, other.size_);
+  return *this;
+}
+
+FlatRing::Arena::~Arena() {
+  for (Slot s = 0; s < size_; ++s) std::destroy_at(&tasks(s));
+}
+
+Slot FlatRing::Arena::push(const Uint160& id, NodeIndex owner,
+                           std::uint8_t sybil) {
+  DHTLB_CHECK(size_ < kNoSlot, "FlatRing: slot arena exhausted");
+  const auto s = static_cast<Slot>(size_);
+  if (size_ == pages_.size() * kPageSlots) {
+    // Default-initialized: the page's memory stays untouched until its
+    // slots are handed out.
+    pages_.push_back(std::make_unique_for_overwrite<Page>());
+  }
+  Page& p = page(s);
+  std::construct_at(&p.ids[at(s)].value, id);
+  p.owners[at(s)] = owner;
+  p.sybils[at(s)] = sybil;
+  std::construct_at(&p.tasks[at(s)].value);
+  ++size_;
+  return s;
+}
+
+Slot FlatRing::alloc_slot(const Uint160& id, NodeIndex owner, bool is_sybil) {
+  const std::uint8_t sybil = is_sybil ? 1 : 0;
+  if (free_slots_.empty()) return arena_.push(id, owner, sybil);
+  const Slot s = free_slots_.back();
+  free_slots_.pop_back();
+  arena_.id(s) = id;
+  arena_.owner(s) = owner;
+  arena_.sybil(s) = sybil;
   return s;
 }
 
 void FlatRing::free_slot(Slot s) {
   // Drop the bucket's capacity too: under churn a recycled slot's next
   // occupant usually holds far fewer keys than a departed node's peak.
-  tasks_[s] = TaskStore{};
+  arena_.tasks(s) = TaskStore{};
   free_slots_.push_back(s);
 }
 
@@ -311,10 +345,7 @@ void FlatRing::reserve(std::size_t n) {
   const std::size_t blocks = n / (kBlockCapacity / 2) + 1;
   blocks_.reserve(blocks);
   block_max_.reserve(blocks);
-  ids_.reserve(n);
-  owners_.reserve(n);
-  sybils_.reserve(n);
-  tasks_.reserve(n);
+  arena_.reserve(n);
 }
 
 Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
@@ -323,7 +354,7 @@ Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
     DHTLB_CHECK(live_ == 0, "FlatRing::bulk_append on a non-empty ring");
     blocks_.emplace_back();
     // One allocation for the whole load when reserve() sized the arena.
-    blocks_.front().reserve(ids_.capacity());
+    blocks_.front().reserve(arena_.reserved());
     bulk_mode_ = true;
   }
   const Slot slot = alloc_slot(id, owner, is_sybil);
@@ -381,16 +412,16 @@ bool FlatRing::index_consistent() const {
   if (entries != live_) return false;
   // Every entry's slot is in range, unique, not on the free list, and
   // stores the id the index claims.
-  std::vector<std::uint8_t> seen(ids_.size(), 0);
+  std::vector<std::uint8_t> seen(arena_.size(), 0);
   for (const Slot s : free_slots_) {
-    if (s >= ids_.size() || seen[s]) return false;
+    if (s >= arena_.size() || seen[s]) return false;
     seen[s] = 2;
   }
   for (const Block& block : blocks_) {
     for (const Entry& e : block) {
-      if (e.slot >= ids_.size() || seen[e.slot]) return false;
+      if (e.slot >= arena_.size() || seen[e.slot]) return false;
       seen[e.slot] = 1;
-      if (!(ids_[e.slot] == e.id)) return false;
+      if (!(arena_.id(e.slot) == e.id)) return false;
     }
   }
   // No leaked slots: every slot is live or free.
@@ -398,6 +429,21 @@ bool FlatRing::index_consistent() const {
     if (mark == 0) return false;
   }
   return true;
+}
+
+FlatRing::Footprint FlatRing::footprint() const {
+  Footprint f;
+  f.index_bytes = blocks_.capacity() * sizeof(Block) +
+                  block_max_.capacity() * sizeof(Uint160);
+  for (const Block& block : blocks_) {
+    f.index_bytes += block.capacity() * sizeof(Entry);
+  }
+  f.arena_bytes = arena_.bytes() + free_slots_.capacity() * sizeof(Slot);
+  for (Slot s = 0; s < arena_.size(); ++s) {
+    f.task_key_capacity += arena_.tasks(s).keys().capacity();
+    f.task_keys += arena_.tasks(s).size();
+  }
+  return f;
 }
 
 }  // namespace dhtlb::sim

@@ -16,11 +16,18 @@
 //    position within a block and cross to the neighbouring block at its
 //    ends (O(1) steps on contiguous memory instead of tree pointer
 //    chases);
-//  * a *slot arena*: per-vnode payloads split struct-of-arrays — owner,
-//    sybil flag, and TaskStore each in their own vector, indexed by a
-//    Slot handle.  Slots are stable for a vnode's lifetime (freed slots
-//    are recycled), which replaces the old "map value pointers never
-//    move" contract: callers cache Slot handles instead of pointers.
+//  * a *slot arena*: per-vnode payloads split struct-of-arrays — id,
+//    owner, sybil flag, and TaskStore each in their own array, indexed
+//    by a Slot handle.  Slots are stable for a vnode's lifetime (freed
+//    slots are recycled), which replaces the old "map value pointers
+//    never move" contract: callers cache Slot handles instead of
+//    pointers.  The arrays live in fixed-size pages of kPageSlots slots
+//    behind a small page table: growth allocates one page and never
+//    moves a payload, so a reference to a slot's id or TaskStore
+//    survives every insert (until that slot's erase), and growth never
+//    holds an old and a new copy of the arena at once.  A slot's payload
+//    is constructed when the slot is first handed out, so a page costs
+//    RSS only as it fills.
 //
 // Cost model: an insert or erase shifts entries inside one block, so a
 // membership change costs O(kBlockCapacity) plus, when a full block
@@ -43,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -74,6 +82,10 @@ class FlatRing {
   /// the representation, not a tuning knob.
   static constexpr std::size_t kBlockCapacity = 512;
 
+  /// Slots per arena page (a power of two): the arena grows one page at
+  /// a time.  A constant of the representation, not a tuning knob.
+  static constexpr std::size_t kPageSlots = 1024;
+
   struct Entry {
     Uint160 id;
     Slot slot = kNoSlot;
@@ -86,8 +98,10 @@ class FlatRing {
   bool empty() const { return live_ == 0; }
 
   // --- slot arena (stable handles) ----------------------------------------
+  // A reference these accessors return stays valid across inserts and
+  // other slots' erases; erasing the slot itself ends it.
 
-  const Uint160& id_of(Slot s) const { return ids_[s]; }
+  const Uint160& id_of(Slot s) const { return arena_.id(s); }
   /// True iff `s` is an arena slot whose stored id is in the index and
   /// maps back to `s` (false for freed or out-of-range slots).  One search.
   bool is_live(Slot s) const;
@@ -95,11 +109,11 @@ class FlatRing {
   /// holds the slot's stored id at that slot.  One index sweep, no
   /// search; slots at or past the returned size are not live.
   std::vector<std::uint8_t> live_marks() const;
-  NodeIndex owner(Slot s) const { return owners_[s]; }
-  void set_owner(Slot s, NodeIndex owner) { owners_[s] = owner; }
-  bool is_sybil(Slot s) const { return sybils_[s] != 0; }
-  TaskStore& tasks(Slot s) { return tasks_[s]; }
-  const TaskStore& tasks(Slot s) const { return tasks_[s]; }
+  NodeIndex owner(Slot s) const { return arena_.owner(s); }
+  void set_owner(Slot s, NodeIndex owner) { arena_.owner(s) = owner; }
+  bool is_sybil(Slot s) const { return arena_.sybil(s) != 0; }
+  TaskStore& tasks(Slot s) { return arena_.tasks(s); }
+  const TaskStore& tasks(Slot s) const { return arena_.tasks(s); }
 
   // --- cursors ------------------------------------------------------------
 
@@ -198,7 +212,7 @@ class FlatRing {
   /// dropped — callers merge them out first.  No search.
   void erase_at(const Cursor& c);
 
-  /// Pre-sizes the arena (and the block list) for n vnodes.
+  /// Pre-sizes the arena's page table (and the block list) for n vnodes.
   void reserve(std::size_t n);
 
   /// Bulk-load path into an empty ring: appends without sorting.
@@ -218,6 +232,16 @@ class FlatRing {
   /// and unique, every slot's stored id matching its index entry.
   /// O(n); for the invariant auditor and tests.
   bool index_consistent() const;
+
+  /// Bytes the ring holds, counted from capacities rather than RSS.
+  struct Footprint {
+    std::size_t index_bytes = 0;  // blocks, block list and summary
+    std::size_t arena_bytes = 0;  // pages, page table and free list
+    std::size_t task_key_capacity = 0;  // key slots across all stores
+    std::size_t task_keys = 0;          // keys those slots hold
+  };
+  /// O(blocks + arena slots); for memory accounting benches.
+  Footprint footprint() const;
 
  private:
   // Test-only: lets auditor tests seed index corruptions (arena/index id
@@ -249,13 +273,75 @@ class FlatRing {
   std::size_t live_ = 0;
   bool bulk_mode_ = false;
 
-  // Slot arena, struct-of-arrays: the hot membership fields (id, owner,
-  // sybil flag) pack densely for the auditor/strategy scans; the cold
-  // TaskStore payloads stay out of their cache lines.
-  std::vector<Uint160> ids_;
-  std::vector<NodeIndex> owners_;
-  std::vector<std::uint8_t> sybils_;
-  std::vector<TaskStore> tasks_;
+  // The slot arena: slots 0..size()-1 have been handed out, each live or
+  // on the free list.  Slot s lives at entry s % kPageSlots of page
+  // s / kPageSlots; pages never move, so neither does a payload.
+  class Arena {
+   public:
+    Arena() = default;
+    Arena(const Arena& other);
+    Arena(Arena&& other) noexcept;
+    Arena& operator=(Arena other) noexcept;
+    ~Arena();
+
+    /// Slots handed out so far.
+    std::size_t size() const { return size_; }
+    /// Slots the page table has room for without growing.
+    std::size_t reserved() const { return pages_.capacity() * kPageSlots; }
+    void reserve(std::size_t n) {
+      pages_.reserve((n + kPageSlots - 1) / kPageSlots);
+    }
+    /// Bytes of the allocated pages plus the page table.
+    std::size_t bytes() const {
+      return pages_.size() * sizeof(Page) +
+             pages_.capacity() * sizeof(pages_[0]);
+    }
+
+    /// Hands out slot size(), constructing its payload (an empty store);
+    /// allocates a page when the last one is full.
+    Slot push(const Uint160& id, NodeIndex owner, std::uint8_t sybil);
+
+    Uint160& id(Slot s) { return page(s).ids[at(s)].value; }
+    const Uint160& id(Slot s) const { return page(s).ids[at(s)].value; }
+    NodeIndex& owner(Slot s) { return page(s).owners[at(s)]; }
+    NodeIndex owner(Slot s) const { return page(s).owners[at(s)]; }
+    std::uint8_t& sybil(Slot s) { return page(s).sybils[at(s)]; }
+    std::uint8_t sybil(Slot s) const { return page(s).sybils[at(s)]; }
+    TaskStore& tasks(Slot s) { return page(s).tasks[at(s)].value; }
+    const TaskStore& tasks(Slot s) const {
+      return page(s).tasks[at(s)].value;
+    }
+
+   private:
+    // Storage the page itself never constructs: the arena builds each
+    // payload in place when its slot is first handed out.
+    template <typename T>
+    union Lazy {
+      Lazy() {}
+      ~Lazy() {}
+      T value;
+    };
+    // Struct-of-arrays inside a page: the hot membership fields (id,
+    // owner, sybil flag) pack densely for the auditor/strategy scans;
+    // the cold TaskStore headers stay out of their cache lines.
+    struct Page {
+      Lazy<Uint160> ids[kPageSlots];
+      NodeIndex owners[kPageSlots];
+      std::uint8_t sybils[kPageSlots];
+      Lazy<TaskStore> tasks[kPageSlots];
+    };
+    static_assert((kPageSlots & (kPageSlots - 1)) == 0,
+                  "kPageSlots must be a power of two");
+
+    static std::size_t at(Slot s) { return s % kPageSlots; }
+    Page& page(Slot s) { return *pages_[s / kPageSlots]; }
+    const Page& page(Slot s) const { return *pages_[s / kPageSlots]; }
+
+    std::vector<std::unique_ptr<Page>> pages_;
+    std::size_t size_ = 0;
+  };
+
+  Arena arena_;
   std::vector<Slot> free_slots_;
 };
 

@@ -31,6 +31,14 @@ std::uint64_t TaskStore::split_arc_into(const TaskKey& lo, const TaskKey& hi,
     }
   }
   keys_.resize(write);
+  // Capacity rule: a store left at most a quarter full drops the dead
+  // capacity (an emptied one its whole buffer), so a wave of splits does
+  // not leave every source holding its pre-split peak.
+  if (keys_.empty()) {
+    keys_ = std::vector<TaskKey>();
+  } else if (keys_.size() <= keys_.capacity() / 4) {
+    keys_.shrink_to_fit();
+  }
   return moved;
 }
 

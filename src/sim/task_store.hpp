@@ -8,6 +8,14 @@
 // sample of the arc), and splits partition in O(n) — cheap because splits
 // are rare relative to consumption.
 //
+// Capacity rule: a store grows by doubling, and a split that leaves its
+// source holding at most a quarter of its capacity shrinks the source to
+// fit; a split that empties the source releases its buffer.  Every
+// Sybil and every join splits a neighbour's arc, so without the rule a
+// split-heavy run keeps each source's pre-split peak allocated.  The
+// rule moves no key: key order on both sides is what the split loop
+// leaves.  Consumption never shrinks a store.
+//
 // A store never knows *when* its keys were materialized: preallocated
 // runs fill every store at world construction, streamed runs
 // (sim/task_stream.hpp) add keys tick by tick as they arrive.  Both
@@ -43,7 +51,9 @@ class TaskStore {
   /// Moves every key lying in the half-open ring arc (lo, hi] into `out`,
   /// keeping the rest.  Returns the number of keys moved.  This is the
   /// ownership transfer that happens when a node/Sybil with ID `hi`
-  /// joins in front of a node whose predecessor was `lo`.
+  /// joins in front of a node whose predecessor was `lo`.  Kept keys
+  /// stay in order; moved keys are appended in store order.  Applies the
+  /// capacity rule (file comment) to this store afterwards.
   std::uint64_t split_arc_into(const TaskKey& lo, const TaskKey& hi,
                                TaskStore& out);
 

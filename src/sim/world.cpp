@@ -185,9 +185,10 @@ std::uint64_t World::insert_vnode(NodeIndex owner, const Uint160& id,
   const Slot succ_slot = ring_.slot_at(succ);
   const Uint160 pred_id = ring_.id_at(ring_.prev(succ));
 
-  // Insert before splitting: the insert may grow the arena, so the
-  // TaskStore references must be taken afterwards.  Slots are stable,
-  // so succ_slot survives the mutation even though the cursor doesn't.
+  // Insert before splitting: the new vnode's store exists once the
+  // insert hands out its slot.  Arena growth never moves a payload, and
+  // slots are stable, so succ_slot and its store survive the mutation
+  // even though the cursor doesn't.
   const Slot slot = ring_.insert_at(at, id, owner, is_sybil);
   const std::uint64_t acquired = ring_.tasks(succ_slot).split_arc_into(
       pred_id, id, ring_.tasks(slot));

@@ -187,6 +187,9 @@ class World {
     return ring_.live_marks();
   }
 
+  /// The ring's bytes, counted from capacities; for memory accounting.
+  FlatRing::Footprint ring_footprint() const { return ring_.footprint(); }
+
   /// Slot of an alive node's primary vnode.
   Slot primary_slot(NodeIndex idx) const {
     DHTLB_ASSERT(!physicals_[idx].vnode_slots.empty(),

@@ -300,6 +300,51 @@ TEST(FlatRingTest, SlotsStayStableAcrossBlockSplits) {
   EXPECT_TRUE(ring.index_consistent());
 }
 
+TEST(FlatRingTest, ArenaGrowthNeverMovesAPayload) {
+  // References to early slots' ids and stores survive inserts that
+  // allocate several more arena pages.
+  constexpr std::size_t kEarly = 16;
+  FlatRing ring = make_ring(spread_ids(kEarly, 0, /*stride=*/kEarly));
+  std::vector<Slot> slots;
+  ring.for_each([&](const Uint160&, Slot s) { slots.push_back(s); });
+  std::vector<const Uint160*> ids;
+  std::vector<const TaskStore*> stores;
+  for (const Slot s : slots) {
+    ring.tasks(s).add(ring.id_of(s));
+    ids.push_back(&ring.id_of(s));
+    stores.push_back(&ring.tasks(s));
+  }
+  const std::size_t target = 4 * FlatRing::kPageSlots + 1;
+  for (std::uint64_t v = 1; ring.size() < target; ++v) {
+    if (v % kEarly != 0) insert_id(ring, spread(v), 0, false);
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(&ring.id_of(slots[i]), ids[i]) << "slot " << slots[i];
+    EXPECT_EQ(&ring.tasks(slots[i]), stores[i]) << "slot " << slots[i];
+    EXPECT_EQ(ring.tasks(slots[i]).keys().front(), ring.id_of(slots[i]));
+  }
+  EXPECT_TRUE(ring.index_consistent());
+}
+
+TEST(FlatRingTest, CopiedRingOwnsItsArena) {
+  // A copy spans the same pages' worth of slots with its own payloads:
+  // the original's later mutations do not show through it.
+  FlatRing ring = make_ring(spread_ids(FlatRing::kPageSlots + 3, 0));
+  const Slot s = ring.slot_at(ring.first());
+  ring.tasks(s).add(Uint160{7});
+  const FlatRing copy = ring;
+  ring.tasks(s).add(Uint160{8});
+  ring.set_owner(s, 99);
+  EXPECT_EQ(copy.tasks(s).size(), 1u);
+  EXPECT_NE(copy.owner(s), 99u);
+  EXPECT_NE(&copy.tasks(s), &ring.tasks(s));
+  EXPECT_EQ(collect(copy), collect(ring));
+  EXPECT_TRUE(copy.index_consistent());
+  FlatRing moved = std::move(ring);
+  EXPECT_EQ(moved.tasks(s).size(), 2u);
+  EXPECT_TRUE(moved.index_consistent());
+}
+
 TEST(FlatRingTest, SustainedChurnSplitsBlocksAndRecyclesSlots) {
   FlatRing ring = make_ring({1, 2, 3});
   support::Rng rng(99);

@@ -160,5 +160,82 @@ TEST(TaskStore, RepeatedSplitsPartitionWithoutLoss) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kKeys));
 }
 
+TEST(TaskStore, SplitShrinksASourceLeftBelowAQuarter) {
+  TaskStore s, out;
+  for (std::uint64_t k = 1; k <= 100; ++k) s.add(Uint160{k});
+  const std::size_t capacity = s.keys().capacity();
+  // (0, 80] moves 80 keys: the 20 left are at most a quarter of 100.
+  ASSERT_EQ(s.split_arc_into(Uint160{0}, Uint160{80}, out), 80u);
+  EXPECT_EQ(s.size(), 20u);
+  EXPECT_EQ(s.keys().capacity(), 20u) << "shrunk to fit from " << capacity;
+  for (std::uint64_t k = 0; k < 20; ++k) {
+    EXPECT_EQ(s.keys()[k], Uint160{81 + k}) << "key order kept";
+  }
+}
+
+TEST(TaskStore, SplitKeepsCapacityAboveAQuarter) {
+  TaskStore s, out;
+  s.reserve(100);
+  for (std::uint64_t k = 1; k <= 100; ++k) s.add(Uint160{k});
+  // 26 keys stay: more than a quarter of the capacity.
+  ASSERT_EQ(s.split_arc_into(Uint160{0}, Uint160{74}, out), 74u);
+  EXPECT_EQ(s.keys().capacity(), 100u);
+}
+
+TEST(TaskStore, SplitThatEmptiesTheSourceReleasesItsBuffer) {
+  TaskStore s, out;
+  for (std::uint64_t k = 1; k <= 50; ++k) s.add(Uint160{k});
+  ASSERT_EQ(s.split_arc_into(Uint160{0}, Uint160{50}, out), 50u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.keys().capacity(), 0u);
+  EXPECT_EQ(out.size(), 50u);
+}
+
+// The split loop as it stood before the capacity rule: a stable
+// compaction of the kept keys, the moved keys appended in store order.
+void reference_split(std::vector<Uint160>& keys, const Uint160& lo,
+                     const Uint160& hi, std::vector<Uint160>& out) {
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < keys.size(); ++read) {
+    if (support::in_half_open_arc(keys[read], lo, hi)) {
+      out.push_back(keys[read]);
+    } else {
+      keys[write++] = keys[read];
+    }
+  }
+  keys.resize(write);
+}
+
+TEST(TaskStore, SplitKeepsKeyOrderOnBothSides) {
+  // Random stores and arcs, wrapping ones included, against the
+  // reference loop: the capacity rule changes no key's position.
+  Rng rng(5);
+  int wrapping = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    TaskStore s, out;
+    std::vector<Uint160> ref_keys, ref_out;
+    const auto prefill = rng.below(4);
+    for (std::uint64_t i = 0; i < prefill; ++i) {
+      const Uint160 k = rng.uniform_u160();
+      out.add(k);
+      ref_out.push_back(k);
+    }
+    const auto n = rng.below(300);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Uint160 k = rng.uniform_u160();
+      s.add(k);
+      ref_keys.push_back(k);
+    }
+    const Uint160 lo = rng.uniform_u160();
+    const Uint160 hi = rng.uniform_u160();
+    if (hi < lo) ++wrapping;
+    reference_split(ref_keys, lo, hi, ref_out);
+    EXPECT_EQ(s.split_arc_into(lo, hi, out), ref_out.size() - prefill);
+    EXPECT_EQ(s.keys(), ref_keys) << "trial " << trial;
+    EXPECT_EQ(out.keys(), ref_out) << "trial " << trial;
+  }
+  EXPECT_GT(wrapping, 0);
+}
+
 }  // namespace
 }  // namespace dhtlb::sim

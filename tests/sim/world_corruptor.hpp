@@ -154,7 +154,7 @@ struct FlatRingCorruptor {
   static bool desync_arena_id(FlatRing& ring) {
     if (ring.empty()) return false;
     const Slot slot = ring.slot_at(ring.first());
-    ring.ids_[slot] += Uint160{1};
+    ring.arena_.id(slot) += Uint160{1};
     return true;
   }
 
