@@ -7,13 +7,14 @@
 // this module makes the assumption explicit and falsifiable:
 //
 //  * keys are replicated on their primary (ring successor) plus the
-//    next replication-1 nodes clockwise;
-//  * failures destroy a node's copies; a key whose whole replica set is
-//    destroyed before a repair cycle runs is LOST;
-//  * repair() re-replicates under-replicated keys, counting every copy
-//    transferred — the maintenance traffic the §VI-A footnote warns
-//    "makes any amount of churn after a certain point prohibitively
-//    expensive".
+//    next replication-1 nodes clockwise; all keys of one arc share
+//    those holders, so state is one Record per holder set, not per key;
+//  * failures destroy a node's copies (O(records)); a key whose whole
+//    replica set is destroyed before a repair cycle runs is LOST;
+//  * repair(), one sweep over the keys in ring order, re-replicates
+//    under-replicated keys, counting every copy transferred — the
+//    maintenance traffic the §VI-A footnote warns "makes any amount of
+//    churn after a certain point prohibitively expensive".
 //
 // Tests pin the survivability bound (r-1 adjacent simultaneous failures
 // survivable, r not) and the bench tableB quantifies repair traffic as
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "support/uint160.hpp"
@@ -39,6 +41,7 @@ class BackupRing {
 
   /// Inserts a key: copies go to its primary (first node clockwise at or
   /// after the key) and the following replication-1 live successors.
+  /// Throws std::logic_error with no live node, invalid_argument on a repeat.
   void add_key(const Id& key);
 
   /// Abrupt node failure: all copies it held vanish.  Keys whose last
@@ -66,17 +69,18 @@ class BackupRing {
   std::size_t live_nodes() const;
 
  private:
-  struct KeyState {
-    std::vector<Id> holders;  // nodes currently holding a copy
-    bool lost = false;
+  struct Record {  // one holder set and its key count; no holders = lost
+    std::vector<Id> holders;
+    std::uint64_t keys = 0;
   };
 
-  /// The replica target set for a key under current membership.
-  std::vector<Id> target_holders(const Id& key) const;
+  /// The replica targets of a key whose primary is `primary`.
+  std::vector<Id> targets_from(std::set<Id>::const_iterator primary) const;
 
-  std::map<Id, bool> nodes_;  // id -> alive (dead entries pruned)
+  std::set<Id> nodes_;  // live node IDs (dead entries pruned)
   std::size_t replication_;
-  std::map<Id, KeyState> keys_;
+  std::map<Id, std::size_t> keys_;  // key -> index into records_
+  std::vector<Record> records_{1};  // [0]: the keys a repair found lost
   std::uint64_t lost_ = 0;
 };
 

@@ -121,12 +121,6 @@ FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
   return Cursor{b, pos_lower_bound(b, id)};
 }
 
-bool FlatRing::is_live(Slot s) const {
-  if (s >= arena_.size() || live_ == 0) return false;
-  const Cursor c = cover(arena_.id(s));
-  return slot_at(c) == s && id_at(c) == arena_.id(s);
-}
-
 std::vector<std::uint8_t> FlatRing::live_marks() const {
   std::vector<std::uint8_t> marks(arena_.size(), 0);
   for_each([&](const Uint160& id, Slot s) {

@@ -102,12 +102,10 @@ class FlatRing {
   // other slots' erases; erasing the slot itself ends it.
 
   const Uint160& id_of(Slot s) const { return arena_.id(s); }
-  /// True iff `s` is an arena slot whose stored id is in the index and
-  /// maps back to `s` (false for freed or out-of-range slots).  One search.
-  bool is_live(Slot s) const;
-  /// Bulk form of is_live: one mark per arena slot, set iff the index
-  /// holds the slot's stored id at that slot.  One index sweep, no
-  /// search; slots at or past the returned size are not live.
+  /// Liveness of every slot: one mark per arena slot, set iff the index
+  /// holds the slot's stored id at that slot (unset for freed slots).
+  /// One index sweep, no search; slots at or past the returned size are
+  /// not live.  cursor_of is the checked form for one slot.
   std::vector<std::uint8_t> live_marks() const;
   NodeIndex owner(Slot s) const { return arena_.owner(s); }
   void set_owner(Slot s, NodeIndex owner) { arena_.owner(s) = owner; }

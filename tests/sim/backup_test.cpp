@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <stdexcept>
+#include <vector>
+
 #include "hashing/sha1.hpp"
 #include "support/rng.hpp"
 
@@ -161,6 +166,193 @@ TEST(BackupRing, DuplicateJoinRejected) {
   BackupRing ring(nodes, 2);
   EXPECT_FALSE(ring.join_node(nodes[2]));
   EXPECT_TRUE(ring.join_node(Id{999}));
+}
+
+TEST(BackupRing, AddKeyOnARingWithNoLiveNodeThrows) {
+  auto nodes = make_nodes(2, 17);
+  BackupRing ring(nodes, 2);
+  ring.fail_node(nodes[0]);
+  ring.fail_node(nodes[1]);
+  EXPECT_THROW(ring.add_key(Id{7}), std::logic_error);
+  EXPECT_EQ(ring.total_keys(), 0u);
+  EXPECT_FALSE(ring.key_alive(Id{7}));
+  // A joiner and a repair find nothing to copy: no key was stored.
+  ASSERT_TRUE(ring.join_node(Id{100}));
+  EXPECT_EQ(ring.repair(), 0u);
+  EXPECT_EQ(ring.copies_of(Id{7}), 0u);
+}
+
+TEST(BackupRing, AddingAKeyTwiceThrows) {
+  auto nodes = make_nodes(3, 18);
+  std::sort(nodes.begin(), nodes.end());
+  BackupRing ring(nodes, 1);
+  const Id key = nodes[1];
+  ring.add_key(key);
+  EXPECT_THROW(ring.add_key(key), std::invalid_argument) << "live key";
+  ring.fail_node(nodes[1]);
+  ASSERT_FALSE(ring.key_alive(key));
+  // Re-adding a lost key must not revive it while lost_keys counts it.
+  EXPECT_THROW(ring.add_key(key), std::invalid_argument) << "lost key";
+  EXPECT_FALSE(ring.key_alive(key));
+  EXPECT_EQ(ring.lost_keys(), 1u);
+  EXPECT_EQ(ring.total_keys(), 1u);
+}
+
+/// The per-key model BackupRing replaced: every key keeps its own holder
+/// list, and repair() rebuilds each key's targets by a search.  Slow but
+/// obviously right; the differential test below holds BackupRing to it.
+class PerKeyRing {
+ public:
+  PerKeyRing(const std::vector<Id>& nodes, std::size_t replication)
+      : replication_(replication) {
+    for (const auto& id : nodes) nodes_.emplace(id, true);
+  }
+
+  void add_key(const Id& key) {
+    KeyState state;
+    state.holders = target_holders(key);
+    keys_[key] = std::move(state);
+  }
+
+  std::uint64_t fail_node(const Id& node) {
+    const auto it = nodes_.find(node);
+    if (it == nodes_.end()) return 0;
+    nodes_.erase(it);
+    std::uint64_t destroyed = 0;
+    for (auto& [key, state] : keys_) {
+      if (state.lost) continue;
+      const auto pos =
+          std::find(state.holders.begin(), state.holders.end(), node);
+      if (pos == state.holders.end()) continue;
+      state.holders.erase(pos);
+      ++destroyed;
+      if (state.holders.empty()) {
+        state.lost = true;
+        ++lost_;
+      }
+    }
+    return destroyed;
+  }
+
+  bool join_node(const Id& id) { return nodes_.emplace(id, true).second; }
+
+  std::uint64_t repair() {
+    std::uint64_t transfers = 0;
+    for (auto& [key, state] : keys_) {
+      if (state.lost) continue;
+      const std::vector<Id> targets = target_holders(key);
+      for (const auto& target : targets) {
+        if (std::find(state.holders.begin(), state.holders.end(), target) ==
+            state.holders.end()) {
+          ++transfers;
+        }
+      }
+      state.holders = targets;
+    }
+    return transfers;
+  }
+
+  std::uint64_t total_keys() const { return keys_.size(); }
+  std::uint64_t lost_keys() const { return lost_; }
+  bool key_alive(const Id& key) const {
+    const auto it = keys_.find(key);
+    return it != keys_.end() && !it->second.lost;
+  }
+  std::size_t copies_of(const Id& key) const {
+    const auto it = keys_.find(key);
+    if (it == keys_.end() || it->second.lost) return 0;
+    return it->second.holders.size();
+  }
+  std::size_t live_nodes() const { return nodes_.size(); }
+
+ private:
+  struct KeyState {
+    std::vector<Id> holders;
+    bool lost = false;
+  };
+
+  std::vector<Id> target_holders(const Id& key) const {
+    std::vector<Id> holders;
+    if (nodes_.empty()) return holders;
+    auto it = nodes_.lower_bound(key);
+    if (it == nodes_.end()) it = nodes_.begin();
+    const std::size_t want = std::min(replication_, nodes_.size());
+    while (holders.size() < want) {
+      holders.push_back(it->first);
+      ++it;
+      if (it == nodes_.end()) it = nodes_.begin();
+    }
+    return holders;
+  }
+
+  std::map<Id, bool> nodes_;
+  std::size_t replication_;
+  std::map<Id, KeyState> keys_;
+  std::uint64_t lost_ = 0;
+};
+
+TEST(BackupRingDifferentialTest, MatchesThePerKeyModel) {
+  // Random add/fail/join/repair sequences on small rings.  Ids come from
+  // a narrow range, so keys and nodes interleave densely: joins split
+  // arcs whose keys were added both before and after the last repair,
+  // keys land past the last node (the wrapping arc), failures hit known
+  // and unknown ids, and joins repeat.  Replication runs up to 6 on
+  // rings of 1-12 nodes, so it often exceeds the ring.
+  constexpr int kSeeds = 600;
+  constexpr int kOps = 80;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) + 1000);
+    const auto draw_id = [&rng] { return Id{rng.below(48)}; };
+    std::vector<Id> nodes;
+    const std::size_t n = 1 + rng.below(12);
+    while (nodes.size() < n) {
+      const Id id = draw_id();
+      if (std::find(nodes.begin(), nodes.end(), id) == nodes.end()) {
+        nodes.push_back(id);
+      }
+    }
+    const std::size_t replication = 1 + rng.below(6);
+    BackupRing ring(nodes, replication);
+    PerKeyRing model(nodes, replication);
+    std::vector<Id> members = nodes;
+    std::vector<Id> keys;
+    for (int op = 0; op < kOps; ++op) {
+      const std::uint64_t kind = rng.below(10);
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << ", op " << op << ", kind " << kind);
+      if (kind < 4) {  // add a fresh key
+        const Id key = draw_id();
+        if (members.empty() ||
+            std::find(keys.begin(), keys.end(), key) != keys.end()) {
+          continue;
+        }
+        keys.push_back(key);
+        ring.add_key(key);
+        model.add_key(key);
+      } else if (kind < 6) {  // fail a member, or now and then any id
+        Id victim = draw_id();
+        if (!members.empty() && rng.below(4) != 0) {
+          victim = members[rng.below(members.size())];
+        }
+        std::erase(members, victim);
+        ASSERT_EQ(ring.fail_node(victim), model.fail_node(victim));
+      } else if (kind < 8) {  // join, possibly an id already present
+        const Id id = draw_id();
+        const bool joined = model.join_node(id);
+        ASSERT_EQ(ring.join_node(id), joined);
+        if (joined) members.push_back(id);
+      } else {
+        ASSERT_EQ(ring.repair(), model.repair());
+      }
+      ASSERT_EQ(ring.total_keys(), model.total_keys());
+      ASSERT_EQ(ring.lost_keys(), model.lost_keys());
+      ASSERT_EQ(ring.live_nodes(), model.live_nodes());
+      for (const auto& key : keys) {
+        ASSERT_EQ(ring.copies_of(key), model.copies_of(key)) << key;
+        ASSERT_EQ(ring.key_alive(key), model.key_alive(key)) << key;
+      }
+    }
+  }
 }
 
 }  // namespace

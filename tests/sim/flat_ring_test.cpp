@@ -102,24 +102,29 @@ TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
   EXPECT_EQ(ring.tasks(a).size(), 1u);
 }
 
-TEST(FlatRingTest, IsLiveTracksASlotsLifetime) {
+TEST(FlatRingTest, LiveMarksTrackASlotsLifetime) {
   FlatRing ring;
-  EXPECT_FALSE(ring.is_live(0)) << "empty ring, empty arena";
+  EXPECT_TRUE(ring.live_marks().empty()) << "empty ring, empty arena";
   const Slot a = insert_id(ring, id(5), 0, false);
   const Slot b = insert_id(ring, id(9), 0, false);
   const Slot keep = insert_id(ring, id(20), 0, false);
-  EXPECT_TRUE(ring.is_live(a));
-  EXPECT_TRUE(ring.is_live(b));
-  EXPECT_FALSE(ring.is_live(keep + 1)) << "past the arena";
+  std::vector<std::uint8_t> marks = ring.live_marks();
+  ASSERT_EQ(marks.size(), keep + 1) << "slots past the arena are not live";
+  EXPECT_NE(marks[a], 0);
+  EXPECT_NE(marks[b], 0);
+  EXPECT_NE(marks[keep], 0);
   erase_id(ring, id(5));
   erase_id(ring, id(9));
-  EXPECT_FALSE(ring.is_live(a)) << "freed slot";
-  EXPECT_FALSE(ring.is_live(b)) << "freed slot";
+  marks = ring.live_marks();
+  EXPECT_EQ(marks[a], 0) << "freed slot";
+  EXPECT_EQ(marks[b], 0) << "freed slot";
+  EXPECT_NE(marks[keep], 0);
   // Re-inserting id 5 recycles b (the most recently freed slot): a still
   // stores id 5, but the index maps id 5 to b, so a stays dead.
   EXPECT_EQ(insert_id(ring, id(5), 0, false), b);
-  EXPECT_TRUE(ring.is_live(b));
-  EXPECT_FALSE(ring.is_live(a));
+  marks = ring.live_marks();
+  EXPECT_NE(marks[b], 0);
+  EXPECT_EQ(marks[a], 0);
 }
 
 TEST(FlatRingTest, CursorOfResolvesEveryLiveSlot) {
@@ -139,28 +144,27 @@ TEST(FlatRingDeathTest, CursorOfRejectsFreedAndOutOfRangeSlots) {
   EXPECT_DEATH((void)ring.cursor_of(3), "cursor_of: slot 3 is past");
 }
 
-TEST(FlatRingTest, LiveMarksAgreeWithIsLive) {
+TEST(FlatRingTest, LiveMarksSkipSlotsTheIndexDoesNotHold) {
   FlatRing ring;
-  EXPECT_TRUE(ring.live_marks().empty()) << "empty arena";
   const Slot a = insert_id(ring, id(5), 0, false);
   const Slot b = insert_id(ring, id(9), 0, false);
-  insert_id(ring, id(20), 0, false);
+  const Slot c = insert_id(ring, id(20), 0, false);
   erase_id(ring, id(5));
   erase_id(ring, id(9));
   insert_id(ring, id(5), 0, false);  // recycles b; a still stores id 5
-  auto expect_agree = [&ring](const char* label) {
-    const std::vector<std::uint8_t> marks = ring.live_marks();
-    ASSERT_EQ(marks.size(), 3u) << label;
-    for (Slot s = 0; s < marks.size(); ++s) {
-      EXPECT_EQ(marks[s] != 0, ring.is_live(s)) << label << ", slot " << s;
-    }
-  };
-  expect_agree("recycled slot");
-  EXPECT_EQ(ring.live_marks()[a], 0) << "a stores id 5, indexed under b";
-  EXPECT_NE(ring.live_marks()[b], 0);
-  // An index entry whose slot stores a different id marks nothing.
+  std::vector<std::uint8_t> marks = ring.live_marks();
+  ASSERT_EQ(marks.size(), 3u) << "recycled slot";
+  EXPECT_EQ(marks[a], 0) << "a stores id 5, indexed under b";
+  EXPECT_NE(marks[b], 0);
+  EXPECT_NE(marks[c], 0);
+  // An index entry whose slot stores a different id marks nothing: b now
+  // stores id 6 while the index still maps id 5 to it.
   ASSERT_TRUE(testing::FlatRingCorruptor::desync_arena_id(ring));
-  expect_agree("desynced arena id");
+  marks = ring.live_marks();
+  ASSERT_EQ(marks.size(), 3u) << "desynced arena id";
+  EXPECT_EQ(marks[a], 0);
+  EXPECT_EQ(marks[b], 0) << "desynced arena id";
+  EXPECT_NE(marks[c], 0);
 }
 
 TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
