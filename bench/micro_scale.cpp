@@ -249,10 +249,9 @@ void BM_ScaleCoverBatch(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   const World w(make_params(nodes, 2 * nodes), rng);
+  const std::vector<Uint160> ids = w.ring_ids();
   FlatRing ring;
-  ring.reserve(w.vnode_count());
-  for (const Uint160& id : w.ring_ids()) ring.bulk_append(id, 0, false);
-  ring.finalize_bulk();
+  ring.bulk_load(ids, std::vector<NodeIndex>(ids.size(), 0));
   Rng key_rng(7);
   std::vector<Uint160> keys(nodes);
   for (Uint160& key : keys) key = key_rng.uniform_u160();

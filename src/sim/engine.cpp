@@ -65,6 +65,10 @@ Engine::Engine(const Params& params, std::uint64_t seed,
 }
 
 void Engine::request_snapshots(std::vector<std::uint64_t> ticks) {
+  DHTLB_CHECK(tick_ == 0 && snapshots_.empty(),
+              "Engine::request_snapshots after the first step or a tick-0 "
+              "snapshot (tick " << tick_ << ", " << snapshots_.size()
+                                << " snapshots)");
   snapshot_ticks_ = std::move(ticks);
   std::sort(snapshot_ticks_.begin(), snapshot_ticks_.end());
   snapshot_ticks_.erase(
@@ -226,10 +230,9 @@ void Engine::observe_tick(std::uint64_t done_this_tick) {
   for (const std::uint64_t load : loads) {
     spread.add(static_cast<double>(load));
   }
-  std::uint64_t live_sybils = 0;
-  for (const NodeIndex idx : world_.alive_indices()) {
-    live_sybils += world_.sybil_count(idx);
-  }
+  // Each alive node holds its primary plus its Sybils and a waiting node
+  // holds none (the sybil-ownership invariant run_audit checks).
+  const std::size_t live_sybils = world_.vnode_count() - world_.alive_count();
 
   if (metrics_ != nullptr) {
     metrics_->set(ids_.ring_gini, ring_gini);

@@ -78,7 +78,9 @@ class Engine {
          std::unique_ptr<Strategy> strategy = nullptr);
 
   /// Requests a snapshot after each listed tick (0 = initial state).
-  /// Must be called before run()/step().
+  /// Must be called before run()/step() and before a tick-0 snapshot
+  /// is taken (an earlier call listing tick 0 takes it); a DHTLB_CHECK
+  /// fails otherwise.
   void request_snapshots(std::vector<std::uint64_t> ticks);
 
   /// Timeline hook (the scenario engine's entry point): invoked at the

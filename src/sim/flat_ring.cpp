@@ -28,7 +28,7 @@ int bucket_bits(std::size_t n) {
                   static_cast<int>(std::bit_width(n / kKeysPerBucket)));
 }
 
-// The ring's one sort kernel, behind cover_sorted and finalize_bulk:
+// The ring's one sort kernel, behind cover_sorted and bulk_load:
 // orders the n keys key_at(0) .. key_at(n - 1) and hands each bucket's
 // sorted records to visit(bucket, records), bucket by bucket in
 // ascending order, while the bucket is cache-hot.
@@ -37,8 +37,9 @@ int bucket_bits(std::size_t n) {
 // Each sort record packs the 32 key bits below the bucket bits over the
 // key's index (record & 0xFFFFFFFF), so a record's bucket and prefix
 // give the key's top bits + 32 bits without reading the key.  Records
-// order on their prefix, then on the full key: keys sharing the prefix
-// bits may still differ below them.  Equal keys keep no defined order.
+// order on their prefix, then on the full key (keys sharing the prefix
+// bits may still differ below them), then on the index: equal keys sort
+// next to each other in draw order.
 template <typename KeyAt, typename Visit>
 void bucket_sort(std::size_t n, const KeyAt& key_at,
                  FlatRing::CoverScratch& scratch, const Visit& visit) {
@@ -68,8 +69,9 @@ void bucket_sort(std::size_t n, const KeyAt& key_at,
 
   const auto record_less = [&key_at](std::uint64_t a, std::uint64_t b) {
     if ((a >> 32) != (b >> 32)) return a < b;
-    return key_at(static_cast<std::uint32_t>(a)) <
-           key_at(static_cast<std::uint32_t>(b));
+    const auto cmp = key_at(static_cast<std::uint32_t>(a)) <=>
+                     key_at(static_cast<std::uint32_t>(b));
+    return cmp != 0 ? cmp < 0 : a < b;
   };
   std::size_t begin = 0;
   for (std::size_t bucket = 0; bucket < ends.size(); ++bucket) {
@@ -115,7 +117,6 @@ std::size_t FlatRing::pos_lower_bound(std::size_t b, const Uint160& id) const {
 }
 
 FlatRing::Cursor FlatRing::lower_bound(const Uint160& id) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::lower_bound during bulk load");
   const std::size_t b = block_lower_bound(id);
   if (b == blocks_.size()) return Cursor{b, 0};
   return Cursor{b, pos_lower_bound(b, id)};
@@ -143,7 +144,6 @@ FlatRing::Cursor FlatRing::cursor_of(Slot s) const {
 }
 
 FlatRing::Cursor FlatRing::cover(const Uint160& point) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::cover during bulk load");
   DHTLB_CHECK(live_ > 0, "FlatRing::cover on empty ring");
   return wrap(lower_bound(point));  // past the top wraps to the first
 }
@@ -155,7 +155,6 @@ void FlatRing::cover_sorted(std::span<const Uint160> keys,
               "FlatRing::cover_sorted: " << slots.size() << " slots for "
                                          << keys.size() << " keys");
   if (keys.empty()) return;
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::cover_sorted during bulk load");
   DHTLB_CHECK(live_ > 0, "FlatRing::cover_sorted on empty ring");
   DHTLB_CHECK(keys.size() <= 0xFFFFFFFFu,
               "FlatRing::cover_sorted: batch of " << keys.size()
@@ -271,7 +270,6 @@ void FlatRing::free_slot(Slot s) {
 
 Slot FlatRing::insert_at(const Cursor& at, const Uint160& id, NodeIndex owner,
                          bool is_sybil) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::insert_at during bulk load");
   if (blocks_.empty()) {
     const Slot slot = alloc_slot(id, owner, is_sybil);
     blocks_.push_back(Block{Entry{id, slot}});
@@ -319,7 +317,6 @@ void FlatRing::split_block(std::size_t b) {
 }
 
 void FlatRing::erase_at(const Cursor& c) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::erase_at during bulk load");
   DHTLB_CHECK(c.block < blocks_.size() && c.pos < blocks_[c.block].size(),
               "FlatRing::erase_at: cursor out of range");
   Block& block = blocks_[c.block];
@@ -335,59 +332,56 @@ void FlatRing::erase_at(const Cursor& c) {
   }
 }
 
-void FlatRing::reserve(std::size_t n) {
-  const std::size_t blocks = n / (kBlockCapacity / 2) + 1;
-  blocks_.reserve(blocks);
-  block_max_.reserve(blocks);
-  arena_.reserve(n);
-}
-
-Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
-                           bool is_sybil) {
-  if (!bulk_mode_) {
-    DHTLB_CHECK(live_ == 0, "FlatRing::bulk_append on a non-empty ring");
-    blocks_.emplace_back();
-    // One allocation for the whole load when reserve() sized the arena.
-    blocks_.front().reserve(arena_.reserved());
-    bulk_mode_ = true;
-  }
-  const Slot slot = alloc_slot(id, owner, is_sybil);
-  blocks_.front().push_back(Entry{id, slot});
-  ++live_;
-  return slot;
-}
-
-void FlatRing::finalize_bulk() {
-  if (!bulk_mode_) return;
-  const Block all = std::move(blocks_.front());
-  blocks_.clear();
-  // Half-full blocks leave every block room for kBlockCapacity / 2
-  // inserts before its first split.  Bulk ids are unique, so the sort
-  // kernel's (prefix, id) order is plain id order; blocks are cut as the
-  // sorted buckets stream out.
-  constexpr std::size_t kFill = kBlockCapacity / 2;
+std::size_t FlatRing::bulk_load(std::span<const Uint160> ids,
+                                std::span<const NodeIndex> owners) {
+  DHTLB_CHECK(arena_.size() == 0,
+              "FlatRing::bulk_load into a ring that has held vnodes");
+  DHTLB_CHECK(owners.size() == ids.size(),
+              "FlatRing::bulk_load: " << owners.size() << " owners for "
+                                      << ids.size() << " ids");
+  DHTLB_CHECK(ids.size() <= 0xFFFFFFFFu,
+              "FlatRing::bulk_load: " << ids.size()
+                                      << " ids exceed 2^32 - 1");
+  // Equal ids sort next to each other in index order, so the first
+  // repeat of an id directly follows its first occurrence.  Only records
+  // whose prefix bits tie can hold equal ids.
+  std::size_t k = ids.size();
   CoverScratch scratch;
-  std::size_t placed = 0;
   bucket_sort(
-      all.size(), [&all](std::size_t i) -> const Uint160& { return all[i].id; },
+      ids.size(), [&ids](std::size_t i) -> const Uint160& { return ids[i]; },
       scratch, [&](std::uint64_t, std::span<const std::uint64_t> records) {
-        for (const std::uint64_t record : records) {
-          if (placed % kFill == 0) {
-            blocks_.emplace_back();
-            blocks_.back().reserve(std::min(kFill, all.size() - placed));
-          }
-          blocks_.back().push_back(all[static_cast<std::uint32_t>(record)]);
-          ++placed;
+        for (std::size_t r = 1; r < records.size(); ++r) {
+          if ((records[r - 1] >> 32) != (records[r] >> 32)) continue;
+          const auto prev = static_cast<std::uint32_t>(records[r - 1]);
+          const auto i = static_cast<std::uint32_t>(records[r]);
+          if (ids[i] == ids[prev]) k = std::min<std::size_t>(k, i);
         }
       });
+
+  arena_.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) arena_.push(ids[i], owners[i], 0);
+  // Half-full blocks leave every block room for kBlockCapacity / 2
+  // inserts before its first split.
+  constexpr std::size_t kFill = kBlockCapacity / 2;
+  blocks_.reserve((k + kFill - 1) / kFill);
+  for (const std::uint64_t record : scratch.order) {
+    const auto i = static_cast<std::uint32_t>(record);
+    if (i >= k) continue;
+    if (live_ % kFill == 0) {
+      blocks_.emplace_back();
+      blocks_.back().reserve(std::min(kFill, k - live_));
+    }
+    blocks_.back().push_back(Entry{ids[i], static_cast<Slot>(i)});
+    ++live_;
+  }
+  block_max_.reserve(blocks_.size());
   for (const Block& block : blocks_) block_max_.push_back(block.back().id);
-  bulk_mode_ = false;
+  return k;
 }
 
 // --- introspection --------------------------------------------------------
 
 bool FlatRing::index_consistent() const {
-  if (bulk_mode_) return false;
   // Blocks non-empty, under capacity, summarized by their last id, and
   // ids strictly ascending across the whole index.
   if (block_max_.size() != blocks_.size()) return false;

@@ -35,9 +35,8 @@
 // per-block vectors (O(n / kBlockCapacity)).  No mutation ever touches
 // the whole index: there are no global passes and no deferred work.
 //
-// Construction has a separate bulk path (bulk_append + finalize_bulk):
-// append unsorted, sort once with the bucket sort cover_sorted uses,
-// cut into half-full blocks.
+// A new ring is filled in one call (bulk_load): the ids are sorted once
+// with the bucket sort cover_sorted uses and cut into half-full blocks.
 //
 // Bulk key placement has a batch search too (cover_sorted): sort the
 // batch once, then resolve every key in one forward sweep over the
@@ -118,8 +117,8 @@ class FlatRing {
   /// Position of one vnode in the index: entry `pos` of block `block`.
   /// next()/prev() walk the ring clockwise and counterclockwise with
   /// wrap-around.  Invalidated by any mutation (insert_at/erase_at/
-  /// finalize_bulk) — same contract as the old map iterators.  Slots,
-  /// by contrast, stay valid.
+  /// bulk_load) — same contract as the old map iterators.  Slots, by
+  /// contrast, stay valid.
   struct Cursor {
     std::size_t block = 0;
     std::size_t pos = 0;
@@ -210,17 +209,16 @@ class FlatRing {
   /// dropped — callers merge them out first.  No search.
   void erase_at(const Cursor& c);
 
-  /// Pre-sizes the arena's page table (and the block list) for n vnodes.
-  void reserve(std::size_t n);
-
-  /// Bulk-load path into an empty ring: appends without sorting.
-  /// Between the first bulk_append and finalize_bulk only slot accessors
-  /// are valid.
-  Slot bulk_append(const Uint160& id, NodeIndex owner, bool is_sybil);
-
-  /// Sorts the bulk-loaded entries once and cuts them into half-full
-  /// blocks; the ring is fully queryable after.
-  void finalize_bulk();
+  /// Fills a fresh ring (one that has never held a vnode) with the
+  /// longest prefix of `ids` that repeats no id, and returns its length
+  /// k: slot i holds ids[i], owned by owners[i] and not a Sybil, for
+  /// every i < k, and the rest of `ids` is left out.  One bucket sort of
+  /// all of `ids` puts equal ids next to each other, so k is the
+  /// smallest second index of any repeated id (ids.size() if none
+  /// repeats); the sorted entries are cut into half-full blocks.
+  /// owners.size() == ids.size() <= 2^32 - 1.
+  std::size_t bulk_load(std::span<const Uint160> ids,
+                        std::span<const NodeIndex> owners);
 
   // --- introspection (audits, tests) --------------------------------------
 
@@ -264,12 +262,10 @@ class FlatRing {
   void split_block(std::size_t b);
 
   // Ascending sorted blocks, each 1..kBlockCapacity-1 entries, and the
-  // summary: block_max_[b] == blocks_[b].back().id.  During a bulk load
-  // blocks_ holds one unsorted block and block_max_ stays empty.
+  // summary: block_max_[b] == blocks_[b].back().id.
   std::vector<Block> blocks_;
   std::vector<Uint160> block_max_;
   std::size_t live_ = 0;
-  bool bulk_mode_ = false;
 
   // The slot arena: slots 0..size()-1 have been handed out, each live or
   // on the free list.  Slot s lives at entry s % kPageSlots of page
@@ -284,8 +280,6 @@ class FlatRing {
 
     /// Slots handed out so far.
     std::size_t size() const { return size_; }
-    /// Slots the page table has room for without growing.
-    std::size_t reserved() const { return pages_.capacity() * kPageSlots; }
     void reserve(std::size_t n) {
       pages_.reserve((n + kPageSlots - 1) / kPageSlots);
     }

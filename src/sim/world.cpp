@@ -1,10 +1,8 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "hashing/sha1.hpp"
-#include "sim/id_table.hpp"
 #include "sim/task_stream.hpp"
 #include "support/check.hpp"
 #include "support/ring_math.hpp"
@@ -39,40 +37,37 @@ World::World(const Params& params, support::Rng& rng)
     waiting_.push_back(static_cast<NodeIndex>(i));
   }
 
-  // Place the initially alive nodes at SHA-1 IDs through the ring's
-  // bulk-load path: unsorted appends plus one sort, instead of n
-  // ordered inserts.  IDs are hashed in chunks of min(16, nodes still to
-  // place) and handed out in draw order; a collision redraw (the ~2^-160
-  // case, checked against the IDs placed so far) takes the next hash.  So
-  // the RNG yields one value per placed node plus one per redraw, exactly
-  // as sequential hash_u64(rng()) does, and the construction stream the
-  // task keys read next is never over-drawn.
-  ring_.reserve(n);
-  IdTable placed(n);
-  std::array<Uint160, 16> hashed{};
-  std::size_t hashed_count = 0;
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeIndex idx = alive_[i];
-    Uint160 id;
-    std::size_t cell = 0;
-    do {
-      if (used == hashed_count) {
-        hashed_count = std::min(hashed.size(), n - i);
-        draw_hashed(rng, std::span(hashed).first(hashed_count));
-        used = 0;
+  // Place the initially alive nodes at SHA-1 IDs: the first n distinct
+  // values of the hash stream, in the order they are drawn.  One batch of
+  // n draws fills the ring in one bulk load.  Only if two draws repeat an
+  // id (~n^2 / 2^65) does the load stop at the first repeat; the rest of
+  // the batch and then fresh draws join one by one, each drawn id that
+  // is already on the ring being passed over.  So the RNG yields one value
+  // per placed node plus one per repeat, exactly as sequential
+  // hash_u64(rng()) does, and the construction stream the task keys read
+  // next is never over-drawn.  Slots come out dense, 0..n-1.
+  {
+    std::vector<Uint160> ids(n);
+    draw_hashed(rng, ids);
+    std::size_t placed = ring_.bulk_load(ids, alive_);
+    for (std::size_t i = 0; i < placed; ++i) {
+      physicals_[alive_[i]].vnode_slots.push_back(static_cast<Slot>(i));
+      home_shard_[alive_[i]] =
+          static_cast<std::uint8_t>(support::arc_shard(ids[i], kTickShards));
+    }
+    FlatRing::Cursor at;
+    for (std::size_t next = placed + 1; next < n; ++next) {
+      at = ring_.lower_bound(ids[next]);
+      if (!ring_.holds(at, ids[next])) {
+        insert_vnode(alive_[placed++], ids[next], at, /*is_sybil=*/false);
       }
-      id = hashed[used++];
-      cell = placed.probe(id, ring_);
-    } while (placed.occupied(cell));
-    const Slot slot = ring_.bulk_append(id, idx, /*is_sybil=*/false);
-    placed.fill(cell, slot);
-    physicals_[idx].vnode_slots.push_back(slot);
-    home_shard_[idx] =
-        static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
-    initial_capacity_ += work_per_tick(idx);
+    }
+    while (placed < n) {
+      const Uint160 id = fresh_ring_id(rng, at);
+      insert_vnode(alive_[placed++], id, at, /*is_sybil=*/false);
+    }
   }
-  ring_.finalize_bulk();
+  for (const NodeIndex idx : alive_) initial_capacity_ += work_per_tick(idx);
 
   // Streamed provisioning: no tasks exist at tick 0 — the engine's
   // TaskStream injects each tick's arrivals through inject_tasks(), which
@@ -95,7 +90,7 @@ World::World(const Params& params, support::Rng& rng)
     FlatRing::CoverScratch scratch;
     ring_.cover_sorted(keys, owners, scratch);
   }
-  // Bulk-load slots are allocated densely as 0..n-1, so a plain vector
+  // Placement hands out slots densely as 0..n-1, so a plain vector
   // indexed by slot serves as the bucket counter.
   std::vector<std::uint32_t> bucket_sizes(n, 0);
   for (const Slot slot : owners) ++bucket_sizes[slot];

@@ -121,6 +121,21 @@ TEST(Engine, SnapshotTicksPastRuntimeAreSkipped) {
   EXPECT_EQ(r.snapshots.size(), 1u);
 }
 
+TEST(EngineDeathTest, RequestSnapshotsAfterAStepFails) {
+  // A late request would label the current state "tick 0"; a second
+  // request for tick 0 would capture it twice.
+  Engine stepped(tiny(), 5);
+  ASSERT_TRUE(stepped.step());
+  EXPECT_DEATH(stepped.request_snapshots({0}),
+               "request_snapshots after the first step or a tick-0 "
+               "snapshot \\(tick 1, 0 snapshots");
+  Engine twice(tiny(), 5);
+  twice.request_snapshots({0});
+  EXPECT_DEATH(twice.request_snapshots({0}),
+               "request_snapshots after the first step or a tick-0 "
+               "snapshot \\(tick 0, 1 snapshots");
+}
+
 TEST(Engine, ChurnConservesTasks) {
   Params p = tiny(100, 10'000);
   p.churn_rate = 0.05;  // aggressive churn

@@ -98,15 +98,17 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
 
   // Seed both sides through the bulk path, like world construction.
   constexpr std::size_t kInitial = 1000;
-  ring.reserve(kInitial);
+  std::vector<Uint160> initial_ids;
+  std::vector<NodeIndex> initial_owners;
   for (std::size_t i = 0; i < kInitial; ++i) {
     const Uint160 id = rng.uniform_u160();
     if (ref.contains(id)) continue;  // (astronomically unlikely)
     const auto owner = static_cast<NodeIndex>(rng.below(32));
-    ring.bulk_append(id, owner, false);
+    initial_ids.push_back(id);
+    initial_owners.push_back(owner);
     ref.insert(id, owner, false);
   }
-  ring.finalize_bulk();
+  ASSERT_EQ(ring.bulk_load(initial_ids, initial_owners), initial_ids.size());
 
   std::vector<Uint160> members;
   for (const auto& [id, payload] : ref.all()) members.push_back(id);
@@ -229,9 +231,10 @@ Uint160 with_high(std::uint64_t high, std::uint64_t low) {
 std::vector<Uint160> build_mutated_ring(FlatRing& ring, support::Rng& rng) {
   std::map<Uint160, bool> live;
   for (int i = 0; i < 3000; ++i) live[rng.uniform_u160()] = true;
-  ring.reserve(live.size());
-  for (const auto& [id, unused] : live) ring.bulk_append(id, 0, false);
-  ring.finalize_bulk();
+  std::vector<Uint160> initial;
+  for (const auto& [id, unused] : live) initial.push_back(id);
+  EXPECT_EQ(ring.bulk_load(initial, std::vector<NodeIndex>(initial.size(), 0)),
+            initial.size());
   for (int i = 0; i < 2000; ++i) {
     const Uint160 id = rng.uniform_u160();
     if (live.emplace(id, true).second) insert_id(ring, id, 1, true);
@@ -341,11 +344,13 @@ TEST(CoverSorted, KeysSharingTopBitsSweepInFullKeyOrder) {
   for (int i = 0; i < 2000; ++i) highs.push_back(rng());
   std::sort(highs.begin(), highs.end());
   highs.erase(std::unique(highs.begin(), highs.end()), highs.end());
+  std::vector<Uint160> big_ids;
   for (const std::uint64_t high : highs) {
-    big.bulk_append(with_high(high, 100), 0, false);
-    big.bulk_append(with_high(high, 200), 0, false);
+    big_ids.push_back(with_high(high, 100));
+    big_ids.push_back(with_high(high, 200));
   }
-  big.finalize_bulk();
+  ASSERT_EQ(big.bulk_load(big_ids, std::vector<NodeIndex>(big_ids.size(), 0)),
+            big_ids.size());
   std::vector<Uint160> cluster_keys;
   for (const std::uint64_t high : highs) {
     for (const std::uint64_t low : {0u, 99u, 100u, 101u, 150u, 200u, 201u}) {

@@ -1,6 +1,6 @@
 // FlatRing unit coverage: the blocked sorted-index + slot-arena container
 // that replaced the std::map ring.  Exercises both write paths (bulk load
-// and churn), block splits at capacity and drops when emptied, cursor
+// and churn), the bulk load's stop at the first repeated id, block splits at capacity and drops when emptied, cursor
 // walks across block boundaries with wrap-around, cover semantics, and
 // the deep index_consistent() check the invariant auditor relies on.
 #include "sim/flat_ring.hpp"
@@ -43,14 +43,14 @@ std::vector<Uint160> spread_ids(std::size_t n, std::uint64_t first,
   return out;
 }
 
-/// Ring pre-loaded through the bulk path with the given ids.
+/// Ring bulk-loaded with the given (distinct) ids.
 FlatRing make_ring(const std::vector<Uint160>& ids) {
-  FlatRing ring;
-  ring.reserve(ids.size());
+  std::vector<NodeIndex> owners;
   for (const Uint160& v : ids) {
-    ring.bulk_append(v, static_cast<NodeIndex>(v.low64() % 7), false);
+    owners.push_back(static_cast<NodeIndex>(v.low64() % 7));
   }
-  ring.finalize_bulk();
+  FlatRing ring;
+  EXPECT_EQ(ring.bulk_load(ids, owners), ids.size());
   return ring;
 }
 
@@ -86,6 +86,89 @@ TEST(FlatRingTest, BulkLoadSortsOnceAndAnswersQueries) {
   EXPECT_TRUE(holds_id(ring, id(30)));
   EXPECT_FALSE(holds_id(ring, id(31)));
   EXPECT_TRUE(ring.index_consistent());
+}
+
+/// Key whose top 64 bits are `high` and low 96 bits are `low`.
+Uint160 with_high(std::uint64_t high, std::uint64_t low) {
+  return Uint160{high}.shl(96) + Uint160{low};
+}
+
+TEST(FlatRingTest, BulkLoadKeepsTheLongestRepeatFreePrefix) {
+  const Uint160 a = spread(1);
+  const Uint160 b = spread(2);
+  const Uint160 c = spread(3);
+  const Uint160 d = spread(4);
+  const Uint160 e = spread(5);
+  // 40 ids in one sort bucket (over the insertion-sort limit), all with
+  // the same top 64 bits: ids[25] repeats ids[7], ids[39] repeats ids[2].
+  std::vector<Uint160> shared_high;
+  for (std::uint64_t low = 0; low < 40; ++low) {
+    shared_high.push_back(with_high(77, (low * 23) % 40));
+  }
+  shared_high[25] = shared_high[7];
+  shared_high[39] = shared_high[2];
+  // Equal low 64 bits, different high bits.
+  const Uint160 low_a({1, 0, 0, 0xDEAD, 0xBEEF});
+  const Uint160 low_b({2, 0, 0, 0xDEAD, 0xBEEF});
+  ASSERT_EQ(low_a.low64(), low_b.low64());
+
+  const struct {
+    const char* name;
+    std::vector<Uint160> ids;
+    std::size_t k;
+  } cases[] = {
+      {"no repeat", {c, a, e, b, d}, 5},
+      {"repeat at index 1", {b, b, a, c}, 1},
+      {"repeat in the middle", {a, d, b, d, e, c}, 3},
+      {"repeat at the last index", {d, a, c, b, a}, 4},
+      {"three-way repeat", {c, b, a, b, d, b}, 3},
+      {"later run repeats first", {a, e, e, a, b}, 2},
+      {"shared top 64 bits",
+       {with_high(9, 3), with_high(9, 1), with_high(9, 2), with_high(9, 1)},
+       3},
+      {"40 ids sharing top 64 bits", shared_high, 25},
+      {"shared low 64 bits only", {low_a, low_b, c, low_a, low_b}, 3},
+      {"empty", {}, 0},
+  };
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    std::vector<NodeIndex> owners;
+    for (std::size_t i = 0; i < tc.ids.size(); ++i) {
+      owners.push_back(static_cast<NodeIndex>(100 + i));
+    }
+    FlatRing ring;
+    ASSERT_EQ(ring.bulk_load(tc.ids, owners), tc.k);
+    EXPECT_EQ(ring.size(), tc.k);
+    for (Slot s = 0; s < tc.k; ++s) {
+      EXPECT_EQ(ring.id_of(s), tc.ids[s]) << "slot " << s;
+      EXPECT_EQ(ring.owner(s), owners[s]) << "slot " << s;
+      EXPECT_FALSE(ring.is_sybil(s)) << "slot " << s;
+    }
+    EXPECT_TRUE(ring.index_consistent());
+    std::vector<Uint160> prefix(tc.ids.begin(),
+                                tc.ids.begin() +
+                                    static_cast<std::ptrdiff_t>(tc.k));
+    std::sort(prefix.begin(), prefix.end());
+    EXPECT_EQ(collect(ring), prefix);
+  }
+}
+
+TEST(FlatRingDeathTest, BulkLoadIntoANonEmptyRingFails) {
+  const std::vector<Uint160> ids = {id(30)};
+  const std::vector<NodeIndex> owners = {0};
+  FlatRing ring = make_ring({10, 20});
+  EXPECT_DEATH((void)ring.bulk_load(ids, owners),
+               "bulk_load into a ring that has held vnodes");
+  // Emptied by erases, the ring still holds freed slots, so slot i could
+  // not hold ids[i].
+  erase_id(ring, id(10));
+  erase_id(ring, id(20));
+  ASSERT_TRUE(ring.empty());
+  EXPECT_DEATH((void)ring.bulk_load(ids, owners),
+               "bulk_load into a ring that has held vnodes");
+  FlatRing fresh;
+  EXPECT_DEATH((void)fresh.bulk_load(ids, std::vector<NodeIndex>{0, 1}),
+               "bulk_load: 2 owners for 1 ids");
 }
 
 TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
@@ -424,14 +507,10 @@ TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
   // blocks unevenly, so the estimates are off by more than one block.
   support::Rng rng(4242);
   std::vector<Uint160> ids;
+  for (int i = 0; i < 12000; ++i) ids.push_back(rng.uniform_u160());
   FlatRing ring;
-  ring.reserve(20000);
-  for (int i = 0; i < 12000; ++i) {
-    const Uint160 vid = rng.uniform_u160();
-    ids.push_back(vid);
-    ring.bulk_append(vid, 0, false);
-  }
-  ring.finalize_bulk();
+  ASSERT_EQ(ring.bulk_load(ids, std::vector<NodeIndex>(ids.size(), 0)),
+            ids.size());
   for (int i = 0; i < 8000; ++i) {
     // Skewed toward the low quarter of the ring.
     const Uint160 vid = rng.uniform_u160().shr(i % 2 == 0 ? 2 : 0);

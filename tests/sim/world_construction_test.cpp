@@ -1,10 +1,11 @@
 // Pins World construction: the node IDs and the preallocated task keys
 // a seed produces.  Every experiment's numbers follow from this draw
-// sequence, so however construction is implemented (bulk ring load,
-// batched hashing, collision table) it must equal the plain model built
-// here: one Sha1::hash_u64(rng()) per node in alive order, redrawn on a
-// collision against a std::set, then one hash_u64(rng()) per task key,
-// each key owned by the first node id at or after it.
+// sequence, so however construction is implemented (batched hashing, one
+// bulk ring load that stops at the first repeated id, joins for the rest)
+// it must equal the plain model built here: one Sha1::hash_u64(rng()) per
+// node in alive order, redrawn on a collision against a std::set, then
+// one hash_u64(rng()) per task key, each key owned by the first node id
+// at or after it.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "hashing/sha1.hpp"
-#include "sim/id_table.hpp"
 #include "sim/world.hpp"
 #include "support/rng.hpp"
 
@@ -137,54 +137,6 @@ TEST(WorldConstructionPin, DigestsArePinned) {
   // The construction stream continues where the world left it.
   EXPECT_EQ(pre_rng(), 863473266666895526u);
   EXPECT_EQ(streamed_rng(), 3301002798311131737u);
-}
-
-// --- the collision table behind the bulk load -----------------------------
-
-// Probes `id`; if absent, appends it to the bulk-loading ring and records
-// its slot.  True iff it was absent.
-bool place(IdTable& table, FlatRing& ring, const Uint160& id) {
-  const std::size_t cell = table.probe(id, ring);
-  if (table.occupied(cell)) return false;
-  table.fill(cell, ring.bulk_append(id, 0, /*is_sybil=*/false));
-  return true;
-}
-
-TEST(IdTable, RejectsAnExactDuplicate) {
-  FlatRing ring;
-  IdTable table(4);
-  const Uint160 id = Sha1::hash_u64(1);
-  EXPECT_TRUE(place(table, ring, id));
-  EXPECT_FALSE(place(table, ring, id));
-  EXPECT_TRUE(place(table, ring, Sha1::hash_u64(2)));
-  EXPECT_EQ(ring.size(), 2u);
-}
-
-TEST(IdTable, KeepsIdsThatShareOnlyTheirLow64Bits) {
-  FlatRing ring;
-  IdTable table(4);
-  const Uint160 a({1, 0, 0, 0xDEAD, 0xBEEF});
-  const Uint160 b({2, 0, 0, 0xDEAD, 0xBEEF});
-  ASSERT_EQ(a.low64(), b.low64());
-  EXPECT_TRUE(place(table, ring, a));
-  EXPECT_TRUE(place(table, ring, b));
-  EXPECT_FALSE(place(table, ring, a));
-  EXPECT_FALSE(place(table, ring, b));
-}
-
-TEST(IdTable, ProbeWrapsAtTheEndOfTheTable) {
-  FlatRing ring;
-  IdTable table(4);
-  ASSERT_EQ(table.capacity(), 8u);
-  const Uint160 last({1, 0, 0, 0, 7});   // home cell 7, the last
-  const Uint160 spill({2, 0, 0, 0, 7});  // same home cell
-  EXPECT_EQ(table.probe(last, ring), 7u);
-  ASSERT_TRUE(place(table, ring, last));
-  EXPECT_EQ(table.probe(spill, ring), 0u);
-  ASSERT_TRUE(place(table, ring, spill));
-  EXPECT_EQ(table.probe(spill, ring), 0u);
-  EXPECT_TRUE(table.occupied(0));
-  EXPECT_FALSE(place(table, ring, spill));
 }
 
 }  // namespace
