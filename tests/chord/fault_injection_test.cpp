@@ -211,5 +211,39 @@ TEST(FaultInjection, DeferredNotifiesAreDeliveredNotDiscarded) {
       << trace_out.str();
 }
 
+
+TEST(FaultInjection, FaultPathIsPinned) {
+  // Pins the exact fault path, not just aggregate counts: every counter,
+  // the deferred-notify backlog and a digest of the trace (each RPC, each
+  // dup/drop/delay instant, in order).  Dead callees occur, so a change
+  // to where a roll sits relative to the liveness check shows here.
+  // The constants were recorded before the RPCs shared their fault steps.
+  std::ostringstream trace_out;
+  Network net = build_ring(48);
+  net.set_fault_seed(7);
+  net.set_faults(FaultConfig{0.1, 0.1, 0.1});
+  net.stats().reset();
+  {
+    obs::TraceSink trace(trace_out);
+    net.set_trace(&trace);
+    for (std::uint64_t i : {5u, 17u, 29u, 41u}) net.fail(Sha1::hash_u64(i));
+    for (int r = 0; r < 12; ++r) net.maintenance_round();
+    const std::vector<NodeId> live = net.node_ids();
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      net.lookup(live[k % live.size()], Sha1::hash_u64(1000 + k));
+    }
+    net.set_trace(nullptr);
+    trace.close();
+  }
+  const MessageStats& s = net.stats();
+  EXPECT_EQ(s.find_successor, 76u);
+  EXPECT_EQ(s.get_predecessor, 574u);
+  EXPECT_EQ(s.get_successor_list, 1286u);
+  EXPECT_EQ(s.notify, 580u);
+  EXPECT_EQ(s.ping, 1369u);
+  EXPECT_EQ(net.delayed_messages().size(), 3u);
+  EXPECT_EQ(Sha1::to_hex(Sha1::hash(trace_out.str())), "1fdc193e3cea2da8eead9b993859e50550d45965");
+}
+
 }  // namespace
 }  // namespace dhtlb::chord
