@@ -220,65 +220,55 @@ const ChordNode* Network::find_alive(const NodeId& id) const {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
+void Network::post(std::uint64_t MessageStats::*counter, const char* kind,
+                   const NodeId& callee) {
+  ++(stats_.*counter);
+  trace_rpc(kind, callee);
+  if (fault_config_.duplicate > 0.0 &&
+      fault_rng_.bernoulli(fault_config_.duplicate)) {
+    ++(stats_.*counter);
+    trace_fault("rpc_dup", kind, callee);
+  }
+}
+
+bool Network::dropped(const char* kind, const NodeId& callee) {
+  const bool hit =
+      fault_config_.drop > 0.0 && fault_rng_.bernoulli(fault_config_.drop);
+  if (hit) trace_fault("rpc_drop", kind, callee);
+  return hit;
+}
+
+bool Network::late(const char* kind, const NodeId& callee) {
+  const bool hit =
+      fault_config_.delay > 0.0 && fault_rng_.bernoulli(fault_config_.delay);
+  if (hit) trace_fault("rpc_delay", kind, callee);
+  return hit;
+}
+
 std::optional<NodeId> Network::rpc_get_successor(const NodeId& callee) {
-  ++stats_.get_successor_list;
-  trace_rpc("get_successor", callee);
-  if (roll_duplicate()) {
-    ++stats_.get_successor_list;
-    trace_fault("rpc_dup", "get_successor", callee);
-  }
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "get_successor", callee);
-    return std::nullopt;
-  }
+  // Counted with the successor-list traffic it rides on.
+  post(&MessageStats::get_successor_list, "get_successor", callee);
+  if (dropped("get_successor", callee)) return std::nullopt;
   const ChordNode* n = find_alive(callee);
-  if (n == nullptr) return std::nullopt;
-  if (roll_delay()) {
-    trace_fault("rpc_delay", "get_successor", callee);
-    return std::nullopt;
-  }
+  if (!n || late("get_successor", callee)) return std::nullopt;
   return n->successor();
 }
 
 std::optional<std::optional<NodeId>> Network::rpc_get_predecessor(
     const NodeId& callee) {
-  ++stats_.get_predecessor;
-  trace_rpc("get_predecessor", callee);
-  if (roll_duplicate()) {
-    ++stats_.get_predecessor;
-    trace_fault("rpc_dup", "get_predecessor", callee);
-  }
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "get_predecessor", callee);
-    return std::nullopt;
-  }
+  post(&MessageStats::get_predecessor, "get_predecessor", callee);
+  if (dropped("get_predecessor", callee)) return std::nullopt;
   const ChordNode* n = find_alive(callee);
-  if (n == nullptr) return std::nullopt;
-  if (roll_delay()) {
-    trace_fault("rpc_delay", "get_predecessor", callee);
-    return std::nullopt;
-  }
+  if (!n || late("get_predecessor", callee)) return std::nullopt;
   return n->predecessor();
 }
 
 std::optional<std::vector<NodeId>> Network::rpc_get_successor_list(
     const NodeId& callee) {
-  ++stats_.get_successor_list;
-  trace_rpc("get_successor_list", callee);
-  if (roll_duplicate()) {
-    ++stats_.get_successor_list;
-    trace_fault("rpc_dup", "get_successor_list", callee);
-  }
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "get_successor_list", callee);
-    return std::nullopt;
-  }
+  post(&MessageStats::get_successor_list, "get_successor_list", callee);
+  if (dropped("get_successor_list", callee)) return std::nullopt;
   const ChordNode* n = find_alive(callee);
-  if (n == nullptr) return std::nullopt;
-  if (roll_delay()) {
-    trace_fault("rpc_delay", "get_successor_list", callee);
-    return std::nullopt;
-  }
+  if (!n || late("get_successor_list", callee)) return std::nullopt;
   return n->successor_list();
 }
 
@@ -313,25 +303,16 @@ void Network::deliver_delayed() {
 }
 
 bool Network::rpc_notify(const NodeId& callee, const NodeId& candidate) {
-  ++stats_.notify;
-  trace_rpc("notify", callee);
-  if (roll_duplicate()) {
-    ++stats_.notify;
-    trace_fault("rpc_dup", "notify", callee);
-  }
   // A dropped notify never reaches the callee.  A delayed one DOES take
   // effect, but late: the caller cannot observe the ack in time, and the
   // predecessor update lands at the start of the next maintenance round
   // via the deterministic delayed-delivery queue.
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "notify", callee);
-    return false;
-  }
+  post(&MessageStats::notify, "notify", callee);
+  if (dropped("notify", callee)) return false;
   ChordNode* n = find_alive(callee);
   if (n == nullptr) return false;
-  if (roll_delay()) {
+  if (late("notify", callee)) {
     delayed_.push_back({round_, delayed_seq_++, callee, candidate});
-    trace_fault("rpc_delay", "notify", callee);
     return false;
   }
   apply_notify(*n, candidate);
@@ -339,48 +320,32 @@ bool Network::rpc_notify(const NodeId& callee, const NodeId& candidate) {
 }
 
 bool Network::rpc_ping(const NodeId& callee) {
-  ++stats_.ping;
-  trace_rpc("ping", callee);
-  if (roll_duplicate()) {
-    ++stats_.ping;
-    trace_fault("rpc_dup", "ping", callee);
-  }
-  // A dropped request and a delayed reply are indistinguishable to the
-  // pinger: both read as "no answer" and may wrongly condemn a live node.
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "ping", callee);
-    return false;
-  }
-  if (roll_delay()) {
-    trace_fault("rpc_delay", "ping", callee);
-    return false;
-  }
+  // Unlike the other counted RPCs, ping rolls the delay before the
+  // liveness check, so a dead callee still draws it: a dropped request
+  // and a delayed reply both read as "no answer".
+  post(&MessageStats::ping, "ping", callee);
+  if (dropped("ping", callee) || late("ping", callee)) return false;
   return find_alive(callee) != nullptr;
 }
 
 std::optional<NodeId> Network::rpc_closest_preceding(const NodeId& callee,
                                                      const NodeId& key) {
-  // No counter bump here (lookup() accounts the routing step), but the
-  // wire can still lose the exchange.
+  // No post here (lookup() accounts the routing step, and nothing is
+  // duplicated), but the wire can still lose the exchange.
   trace_rpc("closest_preceding", callee);
-  if (roll_drop()) {
-    trace_fault("rpc_drop", "closest_preceding", callee);
+  if (dropped("closest_preceding", callee) ||
+      late("closest_preceding", callee)) {
     return std::nullopt;
   }
-  if (roll_delay()) {
-    trace_fault("rpc_delay", "closest_preceding", callee);
-    return std::nullopt;
-  }
-  const ChordNode* n = find_alive(callee);
+  ChordNode* n = find_alive(callee);
   if (n == nullptr) return std::nullopt;
   // Skip over entries we can locally see are dead — models the callee
   // retrying its next-best pointer after a timeout.
   NodeId candidate = n->closest_preceding(key);
   while (candidate != n->id() && find_alive(candidate) == nullptr) {
     ++stats_.ping;  // the failed attempt costs a message
-    ChordNode* mut = find_alive(callee);
-    mut->forget(candidate);
-    candidate = mut->closest_preceding(key);
+    n->forget(candidate);
+    candidate = n->closest_preceding(key);
   }
   return candidate;
 }

@@ -43,8 +43,8 @@ struct LookupResult {
   int hops = 0;  // routing steps taken (0 when the first node owns it)
 };
 
-/// Envoy-style fault injection for the message layer.  Every RPC rolls
-/// three independent seeded Bernoulli draws:
+/// Envoy-style fault injection for the message layer.  An RPC rolls up
+/// to three independent seeded Bernoulli draws (see Network::post):
 ///   drop      — the request is lost before reaching the callee (no
 ///               side effect; the caller sees a timeout)
 ///   delay     — the reply arrives too late to use: the caller treats
@@ -176,8 +176,7 @@ class Network {
   ChordNode* find_alive(const NodeId& id);
   const ChordNode* find_alive(const NodeId& id) const;
 
-  // RPC wrappers; each counts a message and returns nullopt if the callee
-  // is dead.
+  // RPC wrappers, each a sequence of the fault steps below.
   std::optional<NodeId> rpc_get_successor(const NodeId& callee);
   std::optional<std::optional<NodeId>> rpc_get_predecessor(
       const NodeId& callee);
@@ -202,20 +201,20 @@ class Network {
   void trace_rpc(const char* kind, const NodeId& callee);
   void trace_fault(const char* what, const char* kind, const NodeId& callee);
 
-  // Fault draws, in the fixed order duplicate → drop → delay per RPC so
-  // the stream is a pure function of (seed, RPC sequence).  Each returns
-  // false without consuming a draw when its probability is zero.
-  bool roll_duplicate() {
-    return fault_config_.duplicate > 0.0 &&
-           fault_rng_.bernoulli(fault_config_.duplicate);
-  }
-  bool roll_drop() {
-    return fault_config_.drop > 0.0 && fault_rng_.bernoulli(fault_config_.drop);
-  }
-  bool roll_delay() {
-    return fault_config_.delay > 0.0 &&
-           fault_rng_.bernoulli(fault_config_.delay);
-  }
+  // The fault steps every RPC is built from.  The draws are a pure
+  // function of (seed, RPC sequence); a zero probability draws nothing.
+  // The common sequence is post, dropped, the liveness check, then late
+  // (a dead callee draws no delay).  Two RPCs roll late before the
+  // liveness check: ping, and closest_preceding, which is also uncounted
+  // and never duplicated (trace_rpc instead of post).
+  //   post    — counts the message under `counter` and traces it; a
+  //             duplicate roll counts it again and traces rpc_dup
+  //   dropped — rolls the drop; a hit is traced rpc_drop
+  //   late    — rolls the delay; a hit is traced rpc_delay
+  void post(std::uint64_t MessageStats::*counter, const char* kind,
+            const NodeId& callee);
+  bool dropped(const char* kind, const NodeId& callee);
+  bool late(const char* kind, const NodeId& callee);
 
   std::map<NodeId, std::unique_ptr<ChordNode>> nodes_;
   std::size_t successor_list_size_;

@@ -48,38 +48,23 @@ Aggregate aggregate_results(const sim::Params& params,
   agg.trials = trials;
 
   std::vector<double> factors;
-  std::vector<double> ticks;
   factors.reserve(trials);
-  ticks.reserve(trials);
   std::size_t completed = 0;
   for (const auto& r : results) {
     factors.push_back(r.runtime_factor);
-    ticks.push_back(static_cast<double>(r.ticks));
     if (r.completed) ++completed;
-    agg.mean_joins += static_cast<double>(r.joins);
     agg.mean_leaves += static_cast<double>(r.leaves);
     const auto& c = r.strategy_counters;
     agg.mean_sybils_created += static_cast<double>(c.sybils_created);
-    agg.mean_sybils_retired += static_cast<double>(c.sybils_retired);
-    agg.mean_failed_placements += static_cast<double>(c.failed_placements);
     agg.mean_workload_queries += static_cast<double>(c.workload_queries);
-    agg.mean_invitations_sent += static_cast<double>(c.invitations_sent);
-    agg.mean_invitations_accepted +=
-        static_cast<double>(c.invitations_accepted);
   }
   agg.runtime_factor = stats::summarize(factors);
-  agg.ticks = stats::summarize(ticks);
   if (trials > 0) {
     const auto n = static_cast<double>(trials);
     agg.completion_rate = static_cast<double>(completed) / n;
-    agg.mean_joins /= n;
     agg.mean_leaves /= n;
     agg.mean_sybils_created /= n;
-    agg.mean_sybils_retired /= n;
-    agg.mean_failed_placements /= n;
     agg.mean_workload_queries /= n;
-    agg.mean_invitations_sent /= n;
-    agg.mean_invitations_accepted /= n;
   }
   return agg;
 }

@@ -23,18 +23,12 @@ struct Aggregate {
   std::size_t trials = 0;
 
   stats::Summary runtime_factor;  // across trials
-  stats::Summary ticks;
   double completion_rate = 0.0;   // trials that drained all tasks
 
   // Mean per-trial event counts.
-  double mean_joins = 0.0;
   double mean_leaves = 0.0;
   double mean_sybils_created = 0.0;
-  double mean_sybils_retired = 0.0;
-  double mean_failed_placements = 0.0;
   double mean_workload_queries = 0.0;
-  double mean_invitations_sent = 0.0;
-  double mean_invitations_accepted = 0.0;
 };
 
 /// Runs `trials` simulations of `params` under `strategy_name` (a

@@ -7,12 +7,6 @@
 
 namespace dhtlb::obs {
 
-MetricsRegistry::MetricsRegistry(std::ostream& out,
-                                 std::size_t flush_every_samples)
-    : out_(out), flush_every_(flush_every_samples == 0
-                                 ? std::size_t{1}
-                                 : flush_every_samples) {}
-
 MetricsRegistry::~MetricsRegistry() { flush(); }
 
 MetricsRegistry::Id MetricsRegistry::intern(std::string_view name,
@@ -177,7 +171,7 @@ void MetricsRegistry::sample(std::uint64_t tick) {
       inst.sum = 0.0;
     }
   }
-  if (++samples_since_flush_ >= flush_every_) flush_locked();
+  if (++samples_since_flush_ >= kFlushEverySamples) flush_locked();
 }
 
 void MetricsRegistry::flush() {
@@ -191,11 +185,6 @@ void MetricsRegistry::flush_locked() {
   out_ << buffer_;
   out_.flush();
   buffer_.clear();
-}
-
-std::size_t MetricsRegistry::instrument_count() const {
-  support::MutexLock lock(mu_);
-  return instruments_.size();
 }
 
 std::uint64_t MetricsRegistry::rows_written() const {

@@ -22,10 +22,13 @@
 //
 // Thread safety: all state is guarded by an internal dhtlb::Mutex
 // (compiler-checked via -Wthread-safety; see support/sync.hpp), so
-// producers on different shards of the planned parallel tick engine
-// can add()/observe() concurrently.  sample() still defines the
-// serialization point: callers must sample from one thread at a tick
-// boundary for rows to land in deterministic tick order.
+// concurrent add()/observe() calls are safe.  Today every producer —
+// the tick engine, the serving plane's batch collect and the scenario
+// VM — calls the registry only from the thread that drives the tick,
+// after its workers meet at the barrier; the lock keeps a future
+// worker-side producer safe.  sample() defines the serialization
+// point: callers must sample from one thread at a tick boundary for
+// rows to land in deterministic tick order.
 #pragma once
 
 #include <cstddef>
@@ -44,10 +47,9 @@ class MetricsRegistry {
   using Id = std::size_t;
 
   /// Streams rows to `out` (non-owning), buffering and flushing every
-  /// `flush_every_samples` calls to sample() — "periodic flush" without
-  /// per-row syscalls.  Content is identical at any cadence.
-  explicit MetricsRegistry(std::ostream& out,
-                           std::size_t flush_every_samples = 32);
+  /// kFlushEverySamples calls to sample() — "periodic flush" without
+  /// per-row syscalls.
+  explicit MetricsRegistry(std::ostream& out) : out_(out) {}
   ~MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -80,10 +82,11 @@ class MetricsRegistry {
   /// Writes buffered rows through to the stream.
   void flush() EXCLUDES(mu_);
 
-  std::size_t instrument_count() const EXCLUDES(mu_);
   std::uint64_t rows_written() const EXCLUDES(mu_);
 
  private:
+  static constexpr std::size_t kFlushEverySamples = 32;
+
   enum class Kind { kCounter, kGauge, kHistogram };
 
   struct Instrument {
@@ -102,7 +105,6 @@ class MetricsRegistry {
   void flush_locked() REQUIRES(mu_);
 
   std::ostream& out_;
-  std::size_t flush_every_;
   mutable support::Mutex mu_;
   std::size_t samples_since_flush_ GUARDED_BY(mu_) = 0;
   std::vector<Instrument> instruments_ GUARDED_BY(mu_);

@@ -25,9 +25,11 @@
 // event counter) is guarded by an internal dhtlb::Mutex, checked by
 // Clang -Wthread-safety (support/sync.hpp).  Concurrent producers get
 // whole events — never interleaved bytes — but within-tick emission
-// order is scheduling-dependent, so deterministic traces require the
-// per-tick serialization the engine already provides (and the planned
-// parallel tick engine will fold shard events at the tick barrier).
+// order is scheduling-dependent, so deterministic traces require one
+// emitting thread per tick.  Today every producer — the tick engine,
+// the serving plane's batch collect and the scenario VM — emits only
+// from the thread that drives the tick, after its workers meet at the
+// barrier; the lock keeps a future worker-side producer safe.
 #pragma once
 
 #include <cstdint>

@@ -136,7 +136,6 @@ class Engine {
   /// Defaults to on in audit builds (-DDHTLB_AUDIT=ON), off otherwise;
   /// tests may force it on in any build flavor.
   void set_audit(bool enabled) { audit_enabled_ = enabled; }
-  bool audit_enabled() const { return audit_enabled_; }
 
   /// Sizes the worker pool for the parallel tick phases: 0 = hardware
   /// concurrency, 1 (the default) = run every shard inline on the

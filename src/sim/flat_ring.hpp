@@ -107,7 +107,6 @@ class FlatRing {
   /// not live.  cursor_of is the checked form for one slot.
   std::vector<std::uint8_t> live_marks() const;
   NodeIndex owner(Slot s) const { return arena_.owner(s); }
-  void set_owner(Slot s, NodeIndex owner) { arena_.owner(s) = owner; }
   bool is_sybil(Slot s) const { return arena_.sybil(s) != 0; }
   TaskStore& tasks(Slot s) { return arena_.tasks(s); }
   const TaskStore& tasks(Slot s) const { return arena_.tasks(s); }

@@ -135,10 +135,6 @@ class Rng {
   /// arc to contain at least one ID (distance(a, b) >= 2 or a == b).
   Uint160 uniform_in_arc(const Uint160& a, const Uint160& b);
 
-  /// Forks an independent child stream (e.g. one per simulated entity)
-  /// whose sequence is decorrelated from the parent's continuation.
-  Rng fork() { return Rng{mix_seed((*this)(), (*this)())}; }
-
  private:
   /// Fails a DHTLB_CHECK when n == 0.  Out of line: the check's report
   /// builder cannot live in a constexpr function.

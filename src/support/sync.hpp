@@ -18,9 +18,7 @@
 //   CAPABILITY(x)        this type is a lockable capability named x
 //   SCOPED_CAPABILITY    RAII type that acquires in ctor, releases in dtor
 //   GUARDED_BY(mu)       data member readable/writable only under mu
-//   PT_GUARDED_BY(mu)    pointee guarded by mu (the pointer itself is not)
 //   REQUIRES(mu)         caller must hold mu (exclusive) to call this
-//   REQUIRES_SHARED(mu)  caller must hold mu at least shared
 //   ACQUIRE(mu)…         function acquires/releases mu itself
 //   EXCLUDES(mu)         caller must NOT hold mu (deadlock guard)
 //
@@ -45,32 +43,13 @@
 #define CAPABILITY(x) DHTLB_THREAD_ANNOTATION__(capability(x))
 #define SCOPED_CAPABILITY DHTLB_THREAD_ANNOTATION__(scoped_lockable)
 #define GUARDED_BY(x) DHTLB_THREAD_ANNOTATION__(guarded_by(x))
-#define PT_GUARDED_BY(x) DHTLB_THREAD_ANNOTATION__(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) \
-  DHTLB_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) \
-  DHTLB_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   DHTLB_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) \
   DHTLB_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) \
   DHTLB_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  DHTLB_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) DHTLB_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-#define ASSERT_CAPABILITY(x) DHTLB_THREAD_ANNOTATION__(assert_capability(x))
-#define RETURN_CAPABILITY(x) DHTLB_THREAD_ANNOTATION__(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS \
-  DHTLB_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 namespace dhtlb::support {
 
@@ -85,7 +64,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { m_.lock(); }
   void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -21,8 +21,6 @@ class TextTable {
   /// Appends a row; must have the same arity as the header.
   void add_row(std::vector<std::string> row);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with a header rule and two-space column gutters.
   std::string render() const;
 

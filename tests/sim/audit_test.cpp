@@ -228,7 +228,6 @@ TEST_P(AuditedEngineRunTest, StaysCleanFor200Ticks) {
   }
   Engine engine(params, /*seed=*/0x5EEDBA5E, lb::make_strategy(name));
   engine.set_audit(true);
-  ASSERT_TRUE(engine.audit_enabled());
   for (int tick = 0; tick < 200; ++tick) {
     if (!engine.step()) break;
   }

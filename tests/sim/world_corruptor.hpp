@@ -82,21 +82,7 @@ struct WorldCorruptor {
   /// the creator still lists it.  Target check: sybil-ownership.
   /// Creates the Sybil through the public API first, so the world is
   /// valid up to the final owner overwrite.
-  static bool dangle_sybil_owner(World& world, support::Rng& rng) {
-    if (world.alive_.empty() || world.waiting_.empty()) return false;
-    const NodeIndex creator = world.alive_[0];
-    std::optional<std::uint64_t> acquired;
-    while (!acquired) {
-      acquired = world.create_sybil(creator, hashing::Sha1::hash_u64(rng()));
-    }
-    FlatRing& ring = world.ring_;
-    const Slot slot = world.physicals_[creator].vnode_slots.back();
-    const NodeIndex dead = world.waiting_.front();
-    world.physicals_[creator].workload -= ring.tasks(slot).size();
-    world.physicals_[dead].workload += ring.tasks(slot).size();
-    ring.set_owner(slot, dead);
-    return true;
-  }
+  static bool dangle_sybil_owner(World& world, support::Rng& rng);
 
   /// Creates a Sybil through the public API, then removes its vnode
   /// from the ring (keys merged into the successor, workload caches
@@ -179,7 +165,30 @@ struct FlatRingCorruptor {
     std::swap(block[pos - 1], block[pos]);
     return true;
   }
+
+  /// Rewrites one slot's owner in place (FlatRing has no public owner
+  /// setter: a vnode keeps the owner it was inserted with).
+  static void overwrite_owner(FlatRing& ring, Slot slot, NodeIndex owner) {
+    ring.arena_.owner(slot) = owner;
+  }
 };
+
+inline bool WorldCorruptor::dangle_sybil_owner(World& world,
+                                               support::Rng& rng) {
+  if (world.alive_.empty() || world.waiting_.empty()) return false;
+  const NodeIndex creator = world.alive_[0];
+  std::optional<std::uint64_t> acquired;
+  while (!acquired) {
+    acquired = world.create_sybil(creator, hashing::Sha1::hash_u64(rng()));
+  }
+  FlatRing& ring = world.ring_;
+  const Slot slot = world.physicals_[creator].vnode_slots.back();
+  const NodeIndex dead = world.waiting_.front();
+  world.physicals_[creator].workload -= ring.tasks(slot).size();
+  world.physicals_[dead].workload += ring.tasks(slot).size();
+  FlatRingCorruptor::overwrite_owner(ring, slot, dead);
+  return true;
+}
 
 inline bool WorldCorruptor::desync_ring_index(World& world) {
   return FlatRingCorruptor::desync_arena_id(world.ring_);
